@@ -15,19 +15,24 @@ of products of Laplacians up to the boundary curvature term
 adds that term (kappa = 1/radius on disk meshes, 0 on straight-edged
 domains), which keeps pencils on such spaces consistent with the smooth
 domain the mesh approximates. On the clamped space the term vanishes.
+
+Storage is sparse: the gradient, mass and bending forms are immutable
+CSC matrices summed from the stacked element matrices as COO triplets,
+so assembly never allocates an n x n array. The boundary trace mass is
+a dense matrix over the boundary-value DOFs only, and the boundary
+normal-derivative mass a diagonal vector. Dense copies, where an
+eigensolver still needs them, are made in :mod:`bucklab.eigen`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _kernels
-from .errors import DofKindError, MeshError, SizeLimitError
+from .errors import DofKindError, MeshError
 from .mesh import Mesh
-
-#: dense-matrix guard: assembled DOF counts beyond this raise SizeLimitError
-MAX_DENSE_DOFS = 6000
 
 DOF_VERTEX_VALUE = 0
 DOF_EDGE_MIDPOINT_VALUE = 1
@@ -75,9 +80,9 @@ class DofMap:
 class OperatorPair:
     """Assembled symmetric forms over one DOF set.
 
-    k_grad : gradient form (broken gradient for Morley)
-    mass   : L2 mass
-    a_bend : element-wise bending form (Morley only, else None)
+    k_grad : gradient form (broken gradient for Morley), CSC
+    mass   : L2 mass, CSC
+    a_bend : element-wise bending form (Morley only, else None), CSC
     b_trace : boundary L2 mass on the boundary-value DOFs listed in
         ``b_trace_dofs`` (Lagrange only, else None)
     b_normal_diag : full-length diagonal of the boundary
@@ -87,27 +92,25 @@ class OperatorPair:
 
     mesh: Mesh
     dofmap: DofMap
-    k_grad: np.ndarray
-    mass: np.ndarray
-    a_bend: np.ndarray | None = None
+    k_grad: sp.csc_array
+    mass: sp.csc_array
+    a_bend: sp.csc_array | None = None
     b_trace: np.ndarray | None = None
     b_trace_dofs: np.ndarray | None = None
     b_normal_diag: np.ndarray | None = None
     curvature: float = 0.0
 
-    def fourth_order_matrix(self) -> np.ndarray:
-        """Bending matrix plus the curvature boundary term.
+    def fourth_order_matrix(self) -> sp.csc_array:
+        """Bending matrix plus the curvature boundary term, as CSC.
 
         This is the matrix every fourth-order pencil in the package is
         built from; on clamped vectors it acts exactly like ``a_bend``.
         """
         if self.a_bend is None:
             raise DofKindError("fourth-order form requires a Morley pair")
-        f = self.a_bend.copy()
-        if self.curvature != 0.0:
-            idx = np.arange(len(f))
-            f[idx, idx] += self.curvature * self.b_normal_diag
-        return f
+        if self.curvature == 0.0:
+            return self.a_bend
+        return (self.a_bend + sp.diags_array(self.curvature * self.b_normal_diag)).tocsc()
 
 
 def _check_not_degenerate(mesh: Mesh) -> np.ndarray:
@@ -118,8 +121,23 @@ def _check_not_degenerate(mesh: Mesh) -> np.ndarray:
     return areas
 
 
-def _scatter(matrix: np.ndarray, dofs: np.ndarray, local: np.ndarray) -> None:
-    np.add.at(matrix, (dofs[:, :, None], dofs[:, None, :]), local)
+def _assemble(n: int, dofs: np.ndarray, local: np.ndarray) -> sp.csc_array:
+    """Immutable n x n CSC sum of the element matrices ``local[e]`` placed
+    at rows and columns ``dofs[e]``.
+
+    The COO triplets are summed per matrix entry by ``bincount``, which
+    adds them one by one in element order: every entry gets the bits a
+    dense element-by-element scatter would give it.
+    """
+    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
+    keys, slot = np.unique(cols * n + rows, return_inverse=True)  # column-major
+    data = np.bincount(slot, weights=local.ravel(), minlength=len(keys))
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    m = sp.csc_array((data, keys % n, indptr), shape=(n, n))
+    for arr in (m.data, m.indices, m.indptr):
+        arr.setflags(write=False)
+    return m
 
 
 def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
@@ -129,20 +147,16 @@ def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
     _check_not_degenerate(mesh)
     nv, ne = mesh.n_vertices, mesh.n_edges
     n = nv if order == 1 else nv + ne
-    if n > MAX_DENSE_DOFS:
-        raise SizeLimitError(f"{n} DOFs exceed the dense cap {MAX_DENSE_DOFS}")
 
     coords = np.ascontiguousarray(mesh.vertices[mesh.triangles])
-    k = np.zeros((n, n))
-    m = np.zeros((n, n))
     if order == 1:
         ke, me = _kernels.lagrange1_local(coords)
         dofs = mesh.triangles
     else:
         ke, me = _kernels.lagrange2_local(coords)
         dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
-    _scatter(k, dofs, ke)
-    _scatter(m, dofs, me)
+    k = _assemble(n, dofs, ke)
+    m = _assemble(n, dofs, me)
 
     bvert_mask = np.zeros(nv, dtype=bool)
     bvert_mask[mesh.boundary_vertices] = True
@@ -179,7 +193,7 @@ def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
             loc = [pos[int(va)], pos[int(vb)], pos[int(nv + e)]]
             bt[np.ix_(loc, loc)] += lengths[e] * _EDGE_MASS_P2
 
-    for arr in (k, m, bt, btd):
+    for arr in (bt, btd):
         arr.setflags(write=False)
     return OperatorPair(
         mesh=mesh,
@@ -197,20 +211,15 @@ def assemble_morley(mesh: Mesh) -> OperatorPair:
     _check_not_degenerate(mesh)
     nv, ne = mesh.n_vertices, mesh.n_edges
     n = nv + ne
-    if n > MAX_DENSE_DOFS:
-        raise SizeLimitError(f"{n} DOFs exceed the dense cap {MAX_DENSE_DOFS}")
 
     coords = np.ascontiguousarray(mesh.vertices[mesh.triangles])
     normals = np.ascontiguousarray(mesh.edge_normals[mesh.tri_edges])
     ae, ke, me = _kernels.morley_local(coords, normals)
 
-    a = np.zeros((n, n))
-    k = np.zeros((n, n))
-    m = np.zeros((n, n))
     dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
-    _scatter(a, dofs, ae)
-    _scatter(k, dofs, ke)
-    _scatter(m, dofs, me)
+    a = _assemble(n, dofs, ae)
+    k = _assemble(n, dofs, ke)
+    m = _assemble(n, dofs, me)
 
     bvert_mask = np.zeros(nv, dtype=bool)
     bvert_mask[mesh.boundary_vertices] = True
@@ -229,8 +238,7 @@ def assemble_morley(mesh: Mesh) -> OperatorPair:
         np.concatenate([bvert_mask, bedge_mask]),
     )
     b_normal = boundary_normal_mass(mesh, dofmap)
-    for arr in (a, k, m, b_normal):
-        arr.setflags(write=False)
+    b_normal.setflags(write=False)
     return OperatorPair(
         mesh=mesh,
         dofmap=dofmap,
@@ -285,9 +293,12 @@ def classify_dofs(dofmap: DofMap, condition: str) -> tuple[np.ndarray, np.ndarra
     return constrained, free
 
 
-def export_triplets(matrix: np.ndarray, path) -> None:
-    """Write nonzero entries as `row col value` rows, 17 significant digits."""
+def export_triplets(matrix, path) -> None:
+    """Write the nonzero entries of a dense or sparse matrix as
+    `row col value` rows in row-major order, 17 significant digits."""
+    coo = sp.coo_array(matrix)
+    nz = coo.data != 0
+    rows, cols, vals = coo.row[nz], coo.col[nz], coo.data[nz]
     with open(path, "w") as f:
-        rows, cols = np.nonzero(matrix)
-        for r, c in zip(rows, cols):
-            f.write(f"{r} {c} {matrix[r, c]:.17g}\n")
+        for i in np.lexsort((cols, rows)):
+            f.write(f"{rows[i]} {cols[i]} {vals[i]:.17g}\n")

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import counterexample as cex
 from . import runio, spherecap, traceops
+from .eigen import solver_path_counts
 from .errors import BucklabError, ConfigError
 from .mesh import Mesh, make_disk_mesh, make_rectangle_mesh
 from .runio import RunManifest, SweepResult, fmt
@@ -151,17 +152,19 @@ def _build_mesh(params: dict) -> Mesh:
 
 
 def _finish(command: str, params: dict, tables: dict[str, str],
-            hashes: dict, run_root) -> Path:
+            hashes: dict, args) -> Path:
+    counts = solver_path_counts()
     manifest = RunManifest(
         command=command,
         params={k: (v if not isinstance(v, list) else list(map(float, v)))
                 for k, v in params.items()},
         hashes=hashes,
+        solver={k: counts[k] - args.solver_counts_at_start[k] for k in counts},
     )
     import time
 
     manifest.started_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    run_dir = runio.new_run_dir(run_root, command)
+    run_dir = runio.new_run_dir(args.run_root, command)
     runio.write_results(run_dir, manifest, tables)
     return run_dir
 
@@ -189,7 +192,7 @@ def _cmd_spectrum(args) -> int:
     rows = ["index,value,problem,mesh_hash"] + spectrum_to_csv_rows(spec)
     tables = {"spectrum.csv": "\n".join(rows) + "\n"}
     run_dir = _finish("spectrum", params, tables,
-                      {"mesh": mesh.content_hash()}, args.run_root)
+                      {"mesh": mesh.content_hash()}, args)
     values = " ".join(f"{v:.6g}" for v in spec.values)
     print(f"{problem} spectrum: {values}")
     print(f"run_dir={run_dir}")
@@ -207,7 +210,7 @@ def _cmd_identity_scan(args) -> int:
     tables = {"identities.csv": result.to_csv(columns)}
     tables.update(_skips_table(result))
     run_dir = _finish("identity-scan", params, tables,
-                      {"mesh": mesh.content_hash()}, args.run_root)
+                      {"mesh": mesh.content_hash()}, args)
     print(
         f"all_hold={fmt(result.summary['all_hold'])} "
         f"points={len(result.records)} skips={len(result.skips)}"
@@ -228,7 +231,7 @@ def _cmd_beta1_scan(args) -> int:
     tables["beta1.dat"] = runio.plot_data_content({"lambda": lam, "beta1": b1})
     tables.update(_skips_table(result))
     run_dir = _finish("beta1-scan", params, tables,
-                      {"mesh": mesh.content_hash()}, args.run_root)
+                      {"mesh": mesh.content_hash()}, args)
     print(
         f"points={len(result.records)} negative={result.summary['n_negative']} "
         f"skips={len(result.skips)}"
@@ -242,7 +245,7 @@ def _cmd_counterexample(args) -> int:
     mesh = _build_mesh(params)
     _, lambda1 = cex.buckling_ground_state(mesh)
     if params["lam"] < lambda1:
-        return _run_bounded_below(params, mesh, lambda1, args.run_root)
+        return _run_bounded_below(params, mesh, lambda1, args)
     report = cex.divergence_sweep(mesh, params["lam"], params["eps"])
     rows = ["eps,numerator,denominator,quotient"]
     for s in report.samples:
@@ -258,7 +261,7 @@ def _cmd_counterexample(args) -> int:
         ),
     }
     run_dir = _finish("counterexample", params, tables,
-                      {"mesh": mesh.content_hash()}, args.run_root)
+                      {"mesh": mesh.content_hash()}, args)
     print(
         f"slope={report.fitted_slope:.4f} stderr={report.slope_stderr:.4f} "
         f"alpha={report.alpha:.10g} alpha_pencil={report.alpha_pencil:.10g} "
@@ -268,7 +271,7 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
-def _run_bounded_below(params: dict, mesh: Mesh, lambda1: float, run_root) -> int:
+def _run_bounded_below(params: dict, mesh: Mesh, lambda1: float, args) -> int:
     """Below the buckling threshold the same command checks the bounded
     regime instead: random trial quotients never undercut the smallest
     trace eigenvalue."""
@@ -289,7 +292,7 @@ def _run_bounded_below(params: dict, mesh: Mesh, lambda1: float, run_root) -> in
     ]
     tables = {"bounded_below.csv": "\n".join(rows) + "\n"}
     run_dir = _finish("counterexample", params, tables,
-                      {"mesh": mesh.content_hash()}, run_root)
+                      {"mesh": mesh.content_hash()}, args)
     print(
         f"regime=bounded-below beta1={report.beta1:.8g} "
         f"min_quotient={report.min_quotient:.8g} violations={report.violations} "
@@ -323,8 +326,7 @@ def _cmd_spherecap(args) -> int:
         make_radial_grid(e, params["nodes"], params["grading"]).content_hash()
         for e in params["eps_list"]
     )
-    run_dir = _finish("spherecap", params, tables, {"grids": grid_hashes},
-                      args.run_root)
+    run_dir = _finish("spherecap", params, tables, {"grids": grid_hashes}, args)
     for r in result.records:
         print(
             f"eps={r['eps']:g} lambda1={r['lambda1']:.5g} lambda2={r['lambda2']:.5g} "
@@ -346,6 +348,9 @@ def _cmd_report(args) -> int:
     print(f"command: {meta['command']}")
     print(f"version: {meta['version']}")
     print(f"params: {json.dumps(meta['params'], sort_keys=True)}")
+    if meta.get("solver"):
+        paths = " ".join(f"{k}={v}" for k, v in sorted(meta["solver"].items()))
+        print(f"factorizations: {paths}")
     ok = True
     for name in meta.get("outputs", []):
         path = run_dir / name
@@ -447,6 +452,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if getattr(args, "run_root", None) is None and args.command != "report":
         args.run_root = runio.default_run_root()
+    args.solver_counts_at_start = solver_path_counts()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .assembly import OperatorPair, classify_dofs
-from .eigen import sym_gen_eigs
-from .errors import ConstraintViolationError, MeshError
+from .eigen import sym_gen_eigs, sym_solve
+from .errors import ConstraintViolationError, MeshError, SingularBlockError
 from .mesh import Mesh
 from .spectra import get_pair
 from .traceops import ntl_operator, trace_spectrum
@@ -125,8 +124,8 @@ def make_perturbation(mesh_or_pair) -> np.ndarray:
     f = pair.fourth_order_matrix()
     rhs = -(f @ g)[free]
     try:
-        sol = sla.solve(f[np.ix_(free, free)], rhs, assume_a="pos")
-    except sla.LinAlgError as exc:
+        sol = sym_solve(f[np.ix_(free, free)], rhs)
+    except SingularBlockError as exc:
         raise MeshError(f"perturbation solve failed: {exc}") from exc
     h = g.copy()
     h[free] = sol
@@ -251,9 +250,7 @@ def bounded_below_check(
     bnd_in_free = np.searchsorted(navier_free, t.boundary_dofs)
     int_in_free = np.setdiff1d(np.arange(len(navier_free)), bnd_in_free)
     rhs = -q_full[np.ix_(int_in_free, bnd_in_free)] @ psi
-    interior = sla.solve(
-        q_full[np.ix_(int_in_free, int_in_free)], rhs, assume_a="sym"
-    )
+    interior = sym_solve(q_full[np.ix_(int_in_free, int_in_free)], rhs)
     v_min = np.zeros(len(navier_free))
     v_min[bnd_in_free] = psi
     v_min[int_in_free] = interior

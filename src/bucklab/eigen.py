@@ -1,24 +1,52 @@
-"""Dense symmetric eigenvalue and inertia kernel.
+"""Symmetric eigenvalue, inertia, solve and Schur-complement kernel.
 
-Generalized eigenproblems are reduced through the Cholesky factor of the
-mass matrix (LAPACK's standard path); inertia is read off a symmetric
-indefinite LDL^T factorization with 1x1/2x2 pivots, which never forms
-eigenvalues. The Schur complement routine checks interior-block
-regularity through that same inertia, so the Haynsworth additivity
-inertia(Q) = inertia(Q_ii) + inertia(S) holds as an exact integer
-identity whenever the check passes.
+Assembled forms arrive as scipy sparse (CSC) matrices; boundary-sized
+trace operators, 1D cap forms and test matrices arrive dense. This is
+the one module that densifies a sparse matrix, and it refuses to do so
+beyond ``MAX_DENSE_DOFS`` rows.
+
+Generalized eigenproblems are solved densely through the Cholesky factor
+of the mass matrix (LAPACK's standard path). Inertia, solves and Schur
+complements of sparse matrices use one SuperLU factorization in
+symmetric mode: a symmetric fill-reducing ordering and diagonal pivots
+only, so P A P^T = L U with U = D L^T, and inertia(A) = inertia(D) by
+Sylvester's law. Unlike Bunch-Kaufman this factorization never pivots
+for stability, so it is trusted only when the row and column
+permutations agree, every pivot exceeds ``zero_tol * max|A|`` and the
+factor shows no large element growth. Otherwise the dense path decides:
+LDL^T with Bunch-Kaufman 1x1/2x2 pivots for inertia, then a dense solve,
+exactly as for dense input. ``solver_path_counts`` reports how many
+sparse factorizations took each path.
+
+The Schur complement routine uses one factorization of the interior
+block both for its regularity check and for the boundary-column solve,
+so the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S)
+holds as an exact integer identity whenever the check passes.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import BucklabError, SingularBlockError
+from .errors import BucklabError, SingularBlockError, SizeLimitError
 
 DEFAULT_ZERO_TOL = 1e-9
 _SYM_RTOL = 1e-12
+#: densifying a sparse matrix with more rows than this raises SizeLimitError
+MAX_DENSE_DOFS = 6000
+# Largest accepted element growth max(max|L|, max|U| / max|A|) of an
+# unpivoted sparse factor. Its backward error is about machine epsilon
+# times the growth times max|A|, so up to 1e6 it stays near 1e-10 max|A|,
+# below the default zero tolerance; beyond it, pivot signs may be wrong.
+_MAX_GROWTH = 1e6
+
+_PATH_LOCK = threading.Lock()
+_PATH_COUNTS = {"sparse_ldlt": 0, "dense_fallback": 0}
 
 
 @dataclass(frozen=True)
@@ -32,26 +60,54 @@ class Inertia:
         return iter((self.n_neg, self.n_zero, self.n_pos))
 
 
-def _require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = np.max(np.abs(a)) or 1.0
-    if np.max(np.abs(a - a.T)) > _SYM_RTOL * scale:
+def solver_path_counts() -> dict[str, int]:
+    """Sparse factorizations so far in this process, by the path taken:
+    ``sparse_ldlt`` (checked SuperLU factor trusted) or ``dense_fallback``
+    (a check failed and the dense Bunch-Kaufman path ran instead)."""
+    with _PATH_LOCK:
+        return dict(_PATH_COUNTS)
+
+
+def _require_symmetric(a, name: str = "matrix"):
+    """``a`` as float64 CSC (sparse input) or ndarray, checked square and
+    symmetric within 1e-12 relative."""
+    if sp.issparse(a):
+        a = sp.csc_array(a, dtype=np.float64)
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {a.shape}")
+        scale = abs(a).max() if a.nnz else 0.0
+        asym = abs(a - a.T).max() if a.nnz else 0.0
+    else:
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {a.shape}")
+        scale = np.max(np.abs(a)) if a.size else 0.0
+        asym = np.max(np.abs(a - a.T)) if a.size else 0.0
+    if asym > _SYM_RTOL * (scale or 1.0):
         raise ValueError(f"{name} is not symmetric within {_SYM_RTOL:g} relative")
     return a
 
 
-def sym_gen_eigs(
-    a: np.ndarray, b: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _dense(a, name: str = "matrix") -> np.ndarray:
+    """Dense copy of a sparse matrix, refused beyond ``MAX_DENSE_DOFS`` rows;
+    dense input passes through."""
+    if not sp.issparse(a):
+        return a
+    if a.shape[0] > MAX_DENSE_DOFS:
+        raise SizeLimitError(
+            f"{name} has {a.shape[0]} rows, beyond the dense cap {MAX_DENSE_DOFS}"
+        )
+    return a.toarray()
+
+
+def sym_gen_eigs(a, b, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` smallest eigenpairs of A x = gamma B x, B positive definite.
 
     Returns eigenvalues ascending and B-orthonormal eigenvectors as
     columns. Raises if B fails its Cholesky factorization.
     """
-    a = _require_symmetric(a, "A")
-    b = _require_symmetric(b, "B")
+    a = _dense(_require_symmetric(a, "A"), "A")
+    b = _dense(_require_symmetric(b, "B"), "B")
     n = len(a)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
@@ -65,27 +121,68 @@ def sym_gen_eigs(
     return w, v
 
 
-def sym_gen_eigvals_all(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sym_gen_eigvals_all(a, b) -> np.ndarray:
     """All eigenvalues of the pencil (A, B), ascending."""
-    a = _require_symmetric(a, "A")
-    b = _require_symmetric(b, "B")
+    a = _dense(_require_symmetric(a, "A"), "A")
+    b = _dense(_require_symmetric(b, "B"), "B")
     try:
         return sla.eigh(a, b, eigvals_only=True)
     except sla.LinAlgError as exc:
         raise BucklabError(f"mass matrix is not positive definite: {exc}") from exc
 
 
-def inertia(a: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
-    """Signs of the spectrum via LDL^T with Bunch-Kaufman pivoting.
+def _sparse_ldlt(a: sp.csc_array, zero_tol: float):
+    """(SuperLU factor, pivots) of a nonzero symmetric CSC matrix with
+    diagonal pivots only, or None when the factor cannot be trusted."""
+    scale = abs(a).max()
+    try:
+        lu = spla.splu(
+            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # a pivot column was exactly zero
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None  # an off-diagonal pivot was taken: not an LDL^T
+    u = lu.U
+    pivots = u.diagonal()
+    if np.min(np.abs(pivots)) <= zero_tol * scale:
+        return None
+    if max(abs(lu.L).max(), abs(u).max() / scale) > _MAX_GROWTH:
+        return None
+    return lu, pivots
 
-    Diagonal blocks with magnitude below ``zero_tol * max|A|`` count as
-    zero; 2x2 pivot blocks are classified through their closed-form
+
+def _checked_sparse_ldlt(a: sp.csc_array, zero_tol: float):
+    """:func:`_sparse_ldlt`, with the path taken counted."""
+    fac = _sparse_ldlt(a, zero_tol)
+    with _PATH_LOCK:
+        _PATH_COUNTS["dense_fallback" if fac is None else "sparse_ldlt"] += 1
+    return fac
+
+
+def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
+    """Signs of the spectrum of a symmetric matrix, never forming eigenvalues.
+
+    Sparse input: signs of the pivots of the checked sparse LDL^T, whose
+    pivots all exceed ``zero_tol * max|A|``. Dense input, or a sparse
+    factor that fails a check: LDL^T with Bunch-Kaufman pivoting, where
+    diagonal blocks with magnitude below ``zero_tol * max|A|`` count as
+    zero and 2x2 pivot blocks are classified through their closed-form
     eigenvalues.
     """
     a = _require_symmetric(a, "A")
-    n = len(a)
+    n = a.shape[0]
     if n == 0:
         return Inertia(0, 0, 0, zero_tol)
+    if sp.issparse(a):
+        if a.nnz == 0:
+            return Inertia(0, n, 0, zero_tol)
+        fac = _checked_sparse_ldlt(a, zero_tol)
+        if fac is not None:
+            pivots = fac[1]
+            return Inertia(int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)), zero_tol)
+        a = _dense(a, "A")
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         return Inertia(0, n, 0, zero_tol)
@@ -119,30 +216,52 @@ def inertia(a: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
     return Inertia(n_neg, n_zero, n_pos, zero_tol)
 
 
-def schur_complement(
-    q: np.ndarray,
-    interior_idx: np.ndarray,
-    boundary_idx: np.ndarray,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> np.ndarray:
-    """S = Q_bb - Q_bi Q_ii^{-1} Q_ib for a symmetric Q.
+def _nonsingular_solver(a, zero_tol: float):
+    """Solve function for symmetric ``a`` (sparse or dense), after checking
+    through the same factorization that ``a`` is nonsingular.
 
-    The two index sets must partition the dimension; the interior block
-    must be nonsingular (checked by inertia), otherwise
-    :class:`SingularBlockError` is raised.
+    Sparse input whose checked LDL^T is trusted is solved from that
+    factor. Otherwise the dense path checks regularity by Bunch-Kaufman
+    inertia and solves densely. Raises :class:`SingularBlockError`.
+    """
+    if sp.issparse(a) and a.nnz:
+        fac = _checked_sparse_ldlt(a, zero_tol)
+        if fac is not None:
+            return fac[0].solve
+    a = _dense(a, "A")
+    if inertia(a, zero_tol).n_zero:
+        raise SingularBlockError("interior block is singular at this parameter")
+    return lambda rhs: sla.solve(a, rhs, assume_a="sym")
+
+
+def sym_solve(a, rhs: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """x with A x = rhs for a symmetric, nonsingular A (sparse or dense).
+
+    Raises :class:`SingularBlockError` when A is singular by the
+    inertia test of :func:`inertia`.
+    """
+    a = _require_symmetric(a, "A")
+    return _nonsingular_solver(a, zero_tol)(np.asarray(rhs, dtype=np.float64))
+
+
+def schur_complement(q, interior_idx, boundary_idx, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """S = Q_bb - Q_bi Q_ii^{-1} Q_ib for a symmetric Q, as a dense array.
+
+    Q may be sparse or dense. The two index sets must partition the
+    dimension; the interior block must be nonsingular (checked by
+    inertia), otherwise :class:`SingularBlockError` is raised.
     """
     q = _require_symmetric(q, "Q")
     interior_idx = np.asarray(interior_idx, dtype=np.int64)
     boundary_idx = np.asarray(boundary_idx, dtype=np.int64)
+    n = q.shape[0]
     merged = np.concatenate([interior_idx, boundary_idx])
-    if len(merged) != len(q) or len(np.unique(merged)) != len(q):
+    if len(merged) != n or len(np.unique(merged)) != n:
         raise ValueError("index sets must partition the matrix dimension")
-    q_ii = q[np.ix_(interior_idx, interior_idx)]
-    if inertia(q_ii, zero_tol).n_zero:
-        raise SingularBlockError("interior block is singular at this parameter")
-    q_ib = q[np.ix_(interior_idx, boundary_idx)]
+    solve = _nonsingular_solver(q[np.ix_(interior_idx, interior_idx)], zero_tol)
     if len(boundary_idx) == 0:
         return np.zeros((0, 0))
-    x = sla.solve(q_ii, q_ib, assume_a="sym")
-    s = q[np.ix_(boundary_idx, boundary_idx)] - q_ib.T @ x
+    q_ib = q[np.ix_(interior_idx, boundary_idx)]
+    x = solve(q_ib.toarray() if sp.issparse(q_ib) else q_ib)
+    s = _dense(q[np.ix_(boundary_idx, boundary_idx)], "Q_bb") - q_ib.T @ x
     return 0.5 * (s + s.T)

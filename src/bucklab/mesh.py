@@ -144,6 +144,9 @@ def _build_mesh(
     domain_tag: str,
     radius: float | None = None,
 ) -> Mesh:
+    if domain_tag == "disk" and radius is None:
+        raise MeshError("a disk mesh needs its radius")
+    radius = None if radius is None else float(radius)
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     p = vertices[triangles]
@@ -175,10 +178,12 @@ def _build_mesh(
     if np.any(deg[boundary_vertices] != 2):
         raise MeshError("boundary edges do not form closed loops")
 
+    curvature = 0.0 if radius is None else 1.0 / radius
+    # every field assembly and refinement read; result caches key on it
     h = hashlib.sha256()
     h.update(vertices.tobytes())
     h.update(triangles.tobytes())
-    h.update(domain_tag.encode())
+    h.update(f"{domain_tag}|{radius!r}|{curvature!r}".encode())
     mesh = Mesh(
         vertices=vertices,
         triangles=triangles,
@@ -189,7 +194,7 @@ def _build_mesh(
         edge_normals=normals,
         domain_tag=domain_tag,
         radius=radius,
-        boundary_curvature=0.0 if radius is None else 1.0 / radius,
+        boundary_curvature=curvature,
         _hash=h.hexdigest()[:16],
     )
     for arr in (vertices, triangles, edges, tri_edges, boundary_edges,

@@ -60,6 +60,9 @@ class RunManifest:
     started_utc: str = ""
     finished_utc: str = ""
     outputs: list[str] = field(default_factory=list)
+    # sparse factorizations of the run by path taken (sparse_ldlt or
+    # dense_fallback); kept out of the CSVs, which hold results only
+    solver: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -71,6 +74,7 @@ class RunManifest:
                 "started_utc": self.started_utc,
                 "finished_utc": self.finished_utc,
                 "outputs": self.outputs,
+                "solver": self.solver,
             },
             indent=2,
             sort_keys=True,

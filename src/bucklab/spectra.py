@@ -6,8 +6,10 @@ simply-supported (Navier) problem use the Morley fourth-order pencil
 spaces. The disk oracle produces analytic ground truth from Bessel
 zeros, independently of every finite element path.
 
-Assembled pairs and full pencil spectra are memoized per mesh content
-hash; caches are read-shared and write-once.
+Pencil matrices are sliced from the sparse assembled forms; the dense
+eigensolvers in :mod:`bucklab.eigen` densify them. Assembled pairs and
+full pencil spectra are memoized per mesh content hash, which covers
+every mesh field assembly reads; caches are read-shared and write-once.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import bessel
 from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify_dofs
@@ -91,8 +94,9 @@ def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
 
 def _pencil_matrices(
     mesh: Mesh, problem: str, order: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of the pencil whose eigenvalues define ``problem`` on this mesh."""
+) -> tuple[sp.csc_array, sp.csc_array]:
+    """Sparse (A, B) of the pencil whose eigenvalues define ``problem`` on
+    this mesh."""
     if problem in ("dirichlet", "neumann"):
         pair = get_pair(mesh, "lagrange", order)
         if problem == "dirichlet":
@@ -136,8 +140,8 @@ def laplace_spectrum(mesh: Mesh, bc: str, order: int, k: int) -> Spectrum:
     if bc not in ("dirichlet", "neumann"):
         raise ValueError(f"bc must be dirichlet or neumann, got {bc!r}")
     a, b = _pencil_matrices(mesh, bc, order)
-    if k > len(a):
-        raise SpectrumRangeError(f"k={k} exceeds the {len(a)} free DOFs")
+    if k > a.shape[0]:
+        raise SpectrumRangeError(f"k={k} exceeds the {a.shape[0]} free DOFs")
     w, _ = sym_gen_eigs(a, b, k)
     return Spectrum(bc, w, mesh.content_hash(), order)
 
@@ -145,8 +149,8 @@ def laplace_spectrum(mesh: Mesh, bc: str, order: int, k: int) -> Spectrum:
 def buckling_spectrum(mesh: Mesh, k: int) -> Spectrum:
     """k smallest eigenvalues of the clamped fourth-order pencil."""
     a, b = _pencil_matrices(mesh, "buckling", None)
-    if k > len(a):
-        raise SpectrumRangeError(f"k={k} exceeds the {len(a)} free DOFs")
+    if k > a.shape[0]:
+        raise SpectrumRangeError(f"k={k} exceeds the {a.shape[0]} free DOFs")
     w, _ = sym_gen_eigs(a, b, k)
     return Spectrum("buckling", w, mesh.content_hash(), None)
 
@@ -156,8 +160,8 @@ def navier_spectrum(mesh: Mesh, k: int) -> Spectrum:
     boundary values constrained; reproduces the Dirichlet Laplacian
     spectrum up to discretization error."""
     a, b = _pencil_matrices(mesh, "navier", None)
-    if k > len(a):
-        raise SpectrumRangeError(f"k={k} exceeds the {len(a)} free DOFs")
+    if k > a.shape[0]:
+        raise SpectrumRangeError(f"k={k} exceeds the {a.shape[0]} free DOFs")
     w, _ = sym_gen_eigs(a, b, k)
     return Spectrum("navier", w, mesh.content_hash(), None)
 

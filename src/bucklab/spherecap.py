@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .eigen import sym_gen_eigs
-from .errors import SpectrumRangeError
+from .errors import BucklabError, SpectrumRangeError
 from .mesh import RadialGrid, make_radial_grid
 from .quadrature import gauss_on_interval
 from .runio import SweepResult
@@ -345,7 +345,9 @@ def cap_scan(
     threads: int = 1,
 ) -> SweepResult:
     """Per-eps cap quantities with mesh-Cauchy enforcement under node
-    doubling; per-point failures are recorded and the scan continues."""
+    doubling. A point that fails with a domain error (:class:`BucklabError`)
+    is recorded as a skip and the scan continues; any other exception,
+    including ValueError for an invalid argument, propagates."""
     eps_arr = [float(e) for e in eps_list]
     result = SweepResult(parameter="eps", grid=eps_arr)
     if threads > 1:
@@ -356,13 +358,13 @@ def cap_scan(
             for i, fut in enumerate(futures):
                 try:
                     result.records.append(fut.result())
-                except Exception as exc:  # per-point errors recorded, scan continues
+                except BucklabError as exc:  # domain errors recorded, scan continues
                     result.skips.append({"index": i, "reason": str(exc)})
     else:
         for i, e in enumerate(eps_arr):
             try:
                 result.records.append(_scan_point(e, n_nodes, modes, grading))
-            except Exception as exc:
+            except BucklabError as exc:
                 result.skips.append({"index": i, "reason": str(exc)})
     result.summary["n_friedlander_fails"] = sum(
         1 for r in result.records if r["friedlander_fails"]

@@ -5,7 +5,11 @@ the Dirichlet-to-Neumann operator is the Schur complement of
 K_grad - lambda*M onto the boundary-value DOFs, and the
 Neumann-to-Laplacian operator is the Schur complement of the
 fourth-order pencil matrix onto the boundary normal-derivative DOFs
-with the boundary values pinned to zero.
+with the boundary values pinned to zero. The shifted form Q is built
+sparse from the assembled CSC matrices; :func:`bucklab.eigen.schur_complement`
+factors its interior block once (a checked sparse LDL^T, with the dense
+Bunch-Kaufman path as fallback) and returns the boundary-sized
+operator as a dense matrix.
 
 Because Schur elimination and inertia obey Haynsworth additivity
 exactly, the negative-eigenvalue count of each trace operator equals a
@@ -33,7 +37,11 @@ NUDGE_STEPS = 10
 
 @dataclass(frozen=True)
 class TraceOperator:
-    """Dense symmetric operator on boundary DOFs with its mass metric."""
+    """Symmetric operator on boundary DOFs with its mass metric.
+
+    ``matrix`` and ``boundary_mass`` are dense: both are boundary-sized
+    (the Schur complement of the sparse shifted form and the boundary
+    mass)."""
 
     kind: str  # "dtn" | "ntl"
     lam: float

@@ -1,18 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bucklab import (
     DofKindError,
+    SizeLimitError,
     assemble_lagrange,
     assemble_morley,
     boundary_normal_mass,
     classify_dofs,
     disk_oracle,
     export_triplets,
+    make_disk_mesh,
     make_rectangle_mesh,
     sym_gen_eigs,
 )
-from bucklab.spectra import get_pair
+from bucklab.spectra import get_pair, pencil_eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +32,7 @@ def test_matrices_symmetric_and_mass_pd(disk2):
         ):
             scale = np.max(np.abs(mat))
             assert np.max(np.abs(mat - mat.T)) <= 1e-12 * scale
-        w, _ = sym_gen_eigs(pair.mass, np.eye(len(pair.mass)), 1)
+        w, _ = sym_gen_eigs(pair.mass, np.eye(pair.mass.shape[0]), 1)
         assert w[0] > 0
 
 
@@ -201,15 +206,16 @@ def test_degenerate_sliver_triangle_rejected(tmp_path):
 def test_assembly_bit_deterministic(disk2):
     a1 = assemble_morley(disk2)
     a2 = assemble_morley(disk2)
-    assert np.array_equal(a1.a_bend, a2.a_bend)
-    assert np.array_equal(a1.k_grad, a2.k_grad)
-    assert np.array_equal(a1.mass, a2.mass)
+    for name in ("a_bend", "k_grad", "mass"):
+        m1, m2 = getattr(a1, name), getattr(a2, name)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(m1, part), getattr(m2, part))
 
 
 def test_fourth_order_matrix_adds_curvature_only_on_boundary_normals(disk2, rect4):
     pair = get_pair(disk2, "morley")
-    f = pair.fourth_order_matrix()
-    diff = f - pair.a_bend
+    f = pair.fourth_order_matrix().toarray()
+    diff = f - pair.a_bend.toarray()
     expected = np.diag(pair.curvature * pair.b_normal_diag)
     # off-diagonal untouched; diagonal shifted by the curvature term
     assert np.array_equal(diff - np.diag(np.diag(diff)), np.zeros_like(diff))
@@ -220,7 +226,7 @@ def test_fourth_order_matrix_adds_curvature_only_on_boundary_normals(disk2, rect
 
     flat = assemble_morley(rect4)
     assert flat.curvature == 0.0
-    assert np.array_equal(flat.fourth_order_matrix(), flat.a_bend)
+    assert np.array_equal(flat.fourth_order_matrix().toarray(), flat.a_bend.toarray())
 
 
 def test_export_triplets_roundtrip(tmp_path):
@@ -232,3 +238,25 @@ def test_export_triplets_roundtrip(tmp_path):
         i, j, v = line.split()
         rebuilt[int(i), int(j)] = float(v)
     assert np.array_equal(rebuilt, m)
+    # sparse input gives the same rows, in row-major order
+    m2 = np.array([[0.0, 1.5, 0.0], [2.0, 0.0, -1.0], [0.0, 3.0, 0.0]])
+    export_triplets(m2, path)
+    export_triplets(sp.csc_array(m2), tmp_path / "sparse.txt")
+    assert (tmp_path / "sparse.txt").read_text() == path.read_text()
+
+
+def test_level5_assembles_sparse_and_refuses_dense_spectra():
+    disk5 = make_disk_mesh(1.0, 5)
+    n = disk5.n_vertices + disk5.n_edges
+    assert n == 16641
+    tracemalloc.start()
+    try:
+        pair = assemble_morley(disk5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for mat in (pair.k_grad, pair.mass, pair.a_bend):
+        assert mat.format == "csc" and mat.shape == (n, n)
+    assert peak < 0.05 * 8 * n * n  # one dense n x n array is 2.2 GB
+    with pytest.raises(SizeLimitError):
+        pencil_eigenvalues(disk5, "dirichlet", 2)

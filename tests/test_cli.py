@@ -1,5 +1,6 @@
 import json
 
+from bucklab import eigen
 from bucklab.cli import main
 
 
@@ -166,3 +167,25 @@ def test_csv_bit_determinism(tmp_path, capsys):
     first = (runs[0] / "beta1.csv").read_bytes()
     second = (runs[1] / "beta1.csv").read_bytes()
     assert first == second
+
+
+def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys, monkeypatch):
+    def scan(label, kind):
+        root = tmp_path / label / kind
+        code = main(["identity-scan", "--domain", "disk", "--refine", "2", "--kind", kind,
+                     "--lmin", "1", "--lmax", "60", "--points", "6",
+                     "--run-root", str(root)])
+        assert code == 0
+        (run_dir,) = root.iterdir()
+        meta = json.loads((run_dir / "manifest.json").read_text())
+        return (run_dir / "identities.csv").read_bytes(), meta["solver"]
+
+    for kind in ("liu", "friedlander"):
+        csv_sparse, paths = scan("sparse", kind)
+        assert paths["sparse_ldlt"] > 0 and paths["dense_fallback"] == 0
+        with monkeypatch.context() as m:
+            m.setattr(eigen, "_sparse_ldlt", lambda a, zero_tol: None)
+            csv_dense, forced = scan("forced", kind)
+        assert forced == {"sparse_ldlt": 0, "dense_fallback": paths["sparse_ldlt"]}
+        assert csv_dense == csv_sparse
+    capsys.readouterr()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from bucklab import (
     schur_complement,
     sym_gen_eigs,
 )
+from bucklab.eigen import solver_path_counts, sym_solve
 
 from oracles import jacobi_eigenvalues, random_symmetric
 
@@ -134,3 +136,42 @@ def test_eigenvalues_invariant_under_permutation(seed):
     w1, _ = sym_gen_eigs(a, b, n)
     w2, _ = sym_gen_eigs(a[np.ix_(perm, perm)], b[np.ix_(perm, perm)], n)
     np.testing.assert_allclose(w1, w2, atol=1e-9, rtol=1e-9)
+
+
+@pytest.mark.parametrize("matrix", [
+    # off-diagonal pivots: zero diagonals, [[0, 1], [1, 0]] blocks
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
+    [[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+    # diagonal pivots, but element growth 1e7
+    [[1e-7, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+    # diagonal pivots, one below the zero tolerance
+    [[1.0, 0.0], [0.0, 1e-12]],
+])
+def test_sparse_inertia_falls_back_to_bunch_kaufman(matrix):
+    dense = np.array(matrix)
+    before = solver_path_counts()
+    got = inertia(sp.csc_array(dense))
+    after = solver_path_counts()
+    assert after["sparse_ldlt"] == before["sparse_ldlt"]
+    assert after["dense_fallback"] == before["dense_fallback"] + 1
+    assert tuple(got) == tuple(inertia(dense))
+    w = np.linalg.eigvalsh(dense)
+    assert got.n_neg == int(np.sum(w < -1e-9))
+    assert got.n_pos == int(np.sum(w > 1e-9))
+
+
+def test_sparse_singular_interior_raises():
+    rank_one = np.zeros((3, 3))
+    rank_one[:2, :2] = 1.0  # interior block [[1, 1], [1, 1]]
+    rank_one[2, 2] = 1.0
+    zero_block = np.zeros((3, 3))
+    zero_block[2, 2] = 1.0
+    for q in (rank_one, zero_block):
+        with pytest.raises(SingularBlockError):
+            schur_complement(sp.csc_array(q), np.array([0, 1]), np.array([2]))
+    with pytest.raises(SingularBlockError):
+        sym_solve(sp.csc_array(rank_one[:2, :2]), np.ones(2))
+

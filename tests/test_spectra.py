@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from bucklab import (
+    MeshError,
     SpectrumRangeError,
     buckling_spectrum,
     counting_function,
     disk_oracle,
     laplace_spectrum,
+    load_mesh,
     make_disk_mesh,
     navier_spectrum,
+    save_mesh,
+    spectra,
 )
 from bucklab.spectra import AmbiguousCountWarning, Spectrum, spectrum_to_csv_rows
 
@@ -133,3 +137,20 @@ def test_spectrum_csv_rows(disk2):
 def test_spectrum_validates_ordering():
     with pytest.raises(ValueError):
         Spectrum("dirichlet", np.array([2.0, 1.0]), "x")
+
+
+def test_result_caches_keyed_on_radius(tmp_path, disk2, monkeypatch):
+    # same vertices and triangles, another radius: another boundary
+    # curvature, so the reload must not be served the original's pair
+    path = tmp_path / "disk.mesh"
+    save_mesh(disk2, path)
+    original = navier_spectrum(disk2, 3).values
+    reload = load_mesh(path, domain_tag="disk", radius=2.0)
+    warm = navier_spectrum(reload, 3).values
+    monkeypatch.setattr(spectra, "_PAIR_CACHE", {})
+    monkeypatch.setattr(spectra, "_FULL_CACHE", {})
+    cold = navier_spectrum(reload, 3).values
+    assert np.array_equal(warm, cold)
+    assert not np.allclose(warm, original)
+    with pytest.raises(MeshError):
+        load_mesh(path, domain_tag="disk")

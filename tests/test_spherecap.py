@@ -9,6 +9,7 @@ from bucklab import (
     cap_spectrum,
     make_radial_grid,
 )
+from bucklab import spherecap
 from bucklab.eigen import sym_gen_eigs
 from bucklab.spherecap import cap_buckling_lambda1_via_modes
 
@@ -138,3 +139,21 @@ def test_cap_spectrum_range_guard():
         cap_spectrum(0.3, "dirichlet", 2, 10_000, 16)
     with pytest.raises(ValueError):
         cap_spectrum(0.3, "dirichlet", 1, 2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cap_scan_skips_domain_errors_only(monkeypatch, threads):
+    def buggy(eps, *args):
+        raise TypeError("programming error")
+
+    def refused(eps, *args):
+        raise SpectrumRangeError(f"no value at eps={eps}")
+
+    monkeypatch.setattr(spherecap, "_scan_point", buggy)
+    with pytest.raises(TypeError):
+        cap_scan([0.4, 0.2], threads=threads)
+    monkeypatch.setattr(spherecap, "_scan_point", refused)
+    scan = cap_scan([0.4, 0.2], threads=threads)
+    assert scan.records == []
+    assert [s["index"] for s in scan.skips] == [0, 1]
+    assert "eps=0.2" in scan.skips[1]["reason"]

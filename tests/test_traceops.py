@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bucklab import (
     ExcludedSpectrumError,
@@ -12,7 +14,7 @@ from bucklab import (
     verify_identity,
 )
 from bucklab.assembly import classify_dofs
-from bucklab.eigen import schur_complement
+from bucklab.eigen import schur_complement, solver_path_counts
 from bucklab.spectra import get_pair, pencil_eigenvalues
 from bucklab.traceops import relative_margin
 
@@ -160,3 +162,51 @@ def test_relative_margin():
     assert relative_margin(5.0, np.array([5.005])) == pytest.approx(0.001)
     assert relative_margin(0.1, np.array([0.2])) == pytest.approx(0.1)
     assert relative_margin(1.0, np.array([])) == np.inf
+
+
+def _shifted_form(mesh, kind, lam):
+    """Sparse Q(lam) of a trace operator with its interior/boundary split."""
+    if kind == "dtn":
+        pair = get_pair(mesh, "lagrange", 2)
+        bdofs, idofs = classify_dofs(pair.dofmap, "dirichlet-value")
+        return pair.k_grad - lam * pair.mass, idofs, bdofs
+    pair = get_pair(mesh, "morley")
+    _, free = classify_dofs(pair.dofmap, "navier")
+    bnd = np.searchsorted(free, pair.dofmap.boundary_normal_dofs())
+    q = (pair.fourth_order_matrix() - lam * pair.k_grad)[np.ix_(free, free)]
+    return q, np.setdiff1d(np.arange(len(free)), bnd), bnd
+
+
+@pytest.mark.parametrize("mesh_name", ["disk2", "rect16"])
+@pytest.mark.parametrize("kind", ["dtn", "ntl"])
+def test_sparse_trace_operator_matches_dense_path(request, mesh_name, kind):
+    mesh = request.getfixturevalue(mesh_name)
+    outer, inner = ("neumann", "dirichlet") if kind == "dtn" else ("navier", "buckling")
+    order = 2 if kind == "dtn" else None
+    outer_vals = pencil_eigenvalues(mesh, outer, order)
+    inner_vals = pencil_eigenvalues(mesh, inner, order)
+    excluded = np.concatenate([outer_vals, inner_vals])
+
+    @given(st.floats(min_value=0.1, max_value=60.0))
+    @settings(max_examples=10, deadline=None)
+    def check(lam):
+        assume(relative_margin(lam, excluded) >= 1e-3)
+        before = solver_path_counts()
+        t = dtn_operator(mesh, 2, lam) if kind == "dtn" else ntl_operator(mesh, lam)
+        q, interior, boundary = _shifted_form(mesh, kind, lam)
+        sparse_inner = inertia(q[np.ix_(interior, interior)])
+        after = solver_path_counts()
+        assert after["sparse_ldlt"] - before["sparse_ldlt"] == 2
+        assert after["dense_fallback"] == before["dense_fallback"]
+
+        dense = q.toarray()
+        s_dense = schur_complement(dense, interior, boundary)
+        dense_inner = inertia(dense[np.ix_(interior, interior)])
+        assert np.max(np.abs(t.matrix - s_dense)) <= 1e-10 * np.max(np.abs(s_dense))
+        assert tuple(sparse_inner) == tuple(dense_inner)
+        n_outer = int(np.sum(outer_vals < lam))
+        n_inner = int(np.sum(inner_vals < lam))
+        assert sparse_inner.n_neg == n_inner
+        assert inertia(t.matrix).n_neg == inertia(s_dense).n_neg == n_outer - n_inner
+
+    check()
