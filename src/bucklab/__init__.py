@@ -9,7 +9,6 @@ exactness, reproduces the divergence of the trace Rayleigh quotient
 over the too-large trial space, and runs punctured-sphere experiments
 where the comparison inequalities fail.
 """
-from ._kernels import BACKEND as kernel_backend
 from .assembly import (
     DofMap,
     OperatorPair,
@@ -56,11 +55,9 @@ from .mesh import (
 from .runio import RunManifest, SweepResult, emit_plot_data, load_config, write_results
 from .spectra import (
     Spectrum,
-    buckling_spectrum,
     counting_function,
     disk_oracle,
-    laplace_spectrum,
-    navier_spectrum,
+    spectrum,
 )
 from .spherecap import (
     CapOperators,

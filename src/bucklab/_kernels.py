@@ -1,4 +1,4 @@
-"""Pure-numpy element kernels (fallback backend).
+"""Element kernels, vectorized with numpy.
 
 Each function takes stacked per-triangle data and returns stacked local
 matrices; scattering into global matrices is done by the caller. The
@@ -8,7 +8,7 @@ degree-of-freedom functionals applied to centered monomials
 """
 import numpy as np
 
-from ..quadrature import TRI_D2_POINTS, TRI_D2_WEIGHTS, TRI_D4_POINTS, TRI_D4_WEIGHTS
+from .quadrature import TRI_D2_POINTS, TRI_D2_WEIGHTS, TRI_D4_POINTS, TRI_D4_WEIGHTS
 
 # P2 shape functions and barycentric gradients at the degree-4 points
 _NQ = np.zeros((len(TRI_D4_POINTS), 6))

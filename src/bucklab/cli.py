@@ -8,9 +8,12 @@ written last) and prints a one-line summary. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -20,12 +23,7 @@ from .eigen import solver_path_counts
 from .errors import BucklabError, ConfigError
 from .mesh import Mesh, make_disk_mesh, make_rectangle_mesh
 from .runio import RunManifest, SweepResult, fmt
-from .spectra import (
-    buckling_spectrum,
-    laplace_spectrum,
-    navier_spectrum,
-    spectrum_to_csv_rows,
-)
+from .spectra import spectrum, spectrum_to_csv_rows
 
 
 def _float_list(text: str) -> list[float]:
@@ -35,113 +33,110 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
 
 
-# (converter, validator, description) per configurable parameter
-def _positive(x: float) -> bool:
-    return x > 0
+@dataclass(frozen=True)
+class Param:
+    """One configurable parameter: how its flag and config value are
+    read, which values are valid, and its default."""
+
+    convert: Callable[[str], Any]
+    check: Callable[[Any], bool]
+    need: str  # the valid values, as usage errors name them
+    default: Any
+    choices: tuple | None = None  # also enforced by argparse on the flag
+    flag: str | None = None  # default: "--" + name with "-" for "_"
+    help: str | None = None
 
 
-def _nonneg(x) -> bool:
-    return x >= 0
+def _choice(convert, *choices, default) -> Param:
+    return Param(convert, lambda v: v in choices, "|".join(map(str, choices)),
+                 default, choices)
 
 
-_PARAM_TYPES = {
-    "domain": (str, lambda v: v in ("disk", "rectangle"), "disk|rectangle"),
-    "refine": (int, _nonneg, ">= 0"),
-    "radius": (float, _positive, "> 0"),
-    "a": (float, _positive, "> 0"),
-    "b": (float, _positive, "> 0"),
-    "nx": (int, lambda v: v >= 1, ">= 1"),
-    "ny": (int, lambda v: v >= 1, ">= 1"),
-    "problem": (
-        str,
-        lambda v: v in ("dirichlet", "neumann", "buckling", "navier"),
-        "dirichlet|neumann|buckling|navier",
-    ),
-    "order": (int, lambda v: v in (1, 2), "1|2"),
-    "count": (int, lambda v: v >= 1, ">= 1"),
-    "kind": (str, lambda v: v in ("friedlander", "liu"), "friedlander|liu"),
-    "lmin": (float, lambda v: True, "real"),
-    "lmax": (float, lambda v: True, "real"),
-    "points": (int, lambda v: v >= 1, ">= 1"),
-    "lam": (float, lambda v: True, "real"),
-    "eps": (_float_list, lambda v: all(x > 0 for x in v), "positive list"),
-    "eps_list": (
-        _float_list,
-        lambda v: all(0 < x < np.pi / 2 for x in v),
-        "list in (0, pi/2)",
-    ),
-    "nodes": (int, lambda v: v >= 8, ">= 8"),
-    "modes": (int, lambda v: v >= 2, ">= 2"),
-    "grading": (str, lambda v: v in ("uniform", "geometric"), "uniform|geometric"),
-    "threads": (int, lambda v: v >= 1, ">= 1"),
-    "seed": (int, _nonneg, ">= 0"),
-    "trials": (int, _nonneg, ">= 0"),
+def _at_least(low: int, *, default: int, help: str | None = None) -> Param:
+    return Param(int, lambda v: v >= low, f">= {low}", default, help=help)
+
+
+def _positive(*, default: float) -> Param:
+    return Param(float, lambda v: v > 0, "> 0", default)
+
+
+def _real(*, default: float, flag: str | None = None) -> Param:
+    return Param(float, lambda v: True, "real", default, flag=flag)
+
+
+def _decreasing_positive(v: list[float]) -> bool:
+    return all(x > 0 for x in v) and all(a > b for a, b in zip(v, v[1:]))
+
+
+PARAMS = {
+    "threads": _at_least(1, default=1),
+    "domain": _choice(str, "disk", "rectangle", default="disk"),
+    "refine": _at_least(0, default=3),
+    "radius": _positive(default=1.0),
+    "a": _positive(default=1.0),
+    "b": _positive(default=1.0),
+    "nx": _at_least(1, default=16),
+    "ny": _at_least(1, default=16),
+    "problem": _choice(str, "dirichlet", "neumann", "buckling", "navier",
+                       default="dirichlet"),
+    "kind": _choice(str, "friedlander", "liu", default="liu"),
+    "order": _choice(int, 1, 2, default=2),
+    "count": _at_least(1, default=6),
+    "lmin": _real(default=1.0),
+    "lmax": _real(default=60.0),
+    "points": _at_least(1, default=20),
+    "lam": _real(default=20.0, flag="--lambda"),
+    "eps": Param(_float_list, _decreasing_positive, "strictly decreasing positive list",
+                 [1e-1, 1e-2, 1e-3, 1e-4], help="comma-separated decreasing list"),
+    "trials": _at_least(0, default=200, help="random trial count for the bounded regime"),
+    "seed": _at_least(0, default=0),
+    "eps_list": Param(_float_list, lambda v: all(0 < x < np.pi / 2 for x in v),
+                      "list in (0, pi/2)", [0.4, 0.2, 0.1, 0.05]),
+    "nodes": _at_least(8, default=64),
+    "modes": _at_least(2, default=4),
+    "grading": _choice(str, "uniform", "geometric", default="geometric"),
 }
 
+# parameters of each command, in the order --help lists their flags
+_MESH = ["domain", "refine", "radius", "a", "b", "nx", "ny"]
 _COMMAND_PARAMS = {
-    "spectrum": ["domain", "refine", "radius", "a", "b", "nx", "ny", "problem",
-                 "order", "count", "threads"],
-    "identity-scan": ["domain", "refine", "radius", "a", "b", "nx", "ny", "kind",
-                      "order", "lmin", "lmax", "points", "threads"],
-    "beta1-scan": ["domain", "refine", "radius", "a", "b", "nx", "ny", "lmin",
-                   "lmax", "points", "threads"],
-    "counterexample": ["domain", "refine", "radius", "a", "b", "nx", "ny", "lam",
-                       "eps", "trials", "seed", "threads"],
-    "spherecap": ["eps_list", "nodes", "modes", "grading", "threads"],
+    "spectrum": ["threads", *_MESH, "problem", "order", "count"],
+    "identity-scan": ["threads", *_MESH, "kind", "order", "lmin", "lmax", "points"],
+    "beta1-scan": ["threads", *_MESH, "lmin", "lmax", "points"],
+    "counterexample": ["threads", *_MESH, "lam", "eps", "trials", "seed"],
+    "spherecap": ["threads", "eps_list", "nodes", "modes", "grading"],
 }
 
-_DEFAULTS = {
-    "domain": "disk",
-    "refine": 3,
-    "radius": 1.0,
-    "a": 1.0,
-    "b": 1.0,
-    "nx": 16,
-    "ny": 16,
-    "problem": "dirichlet",
-    "order": 2,
-    "count": 6,
-    "kind": "liu",
-    "lmin": 1.0,
-    "lmax": 60.0,
-    "points": 20,
-    "lam": 20.0,
-    "eps": [1e-1, 1e-2, 1e-3, 1e-4],
-    "eps_list": [0.4, 0.2, 0.1, 0.05],
-    "nodes": 64,
-    "modes": 4,
-    "grading": "geometric",
-    "threads": 1,
-    "seed": 0,
-    "trials": 200,
-}
+
+def _flag(name: str) -> str:
+    return PARAMS[name].flag or "--" + name.replace("_", "-")
+
+
+def _checked(key: str, value, source: str):
+    row = PARAMS[key]
+    if not row.check(value):
+        raise ConfigError(f"{source} out of range (need {row.need})")
+    return value
 
 
 def _merge_params(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit CLI flags; unknown config keys
     and out-of-range values are rejected by name."""
     allowed = _COMMAND_PARAMS[command]
-    params = {k: _DEFAULTS[k] for k in allowed}
+    params = {k: PARAMS[k].default for k in allowed}
     if args.config:
-        raw = runio.load_config(args.config)
-        for key, text in raw.items():
+        for key, text in runio.load_config(args.config).items():
             if key not in allowed:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
-            conv, check, desc = _PARAM_TYPES[key]
             try:
-                value = conv(text)
+                value = PARAMS[key].convert(text)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
-            if not check(value):
-                raise ConfigError(f"config key {key!r} out of range (need {desc})")
-            params[key] = value
+            params[key] = _checked(key, value, f"config key {key!r}")
     for key in allowed:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            conv, check, desc = _PARAM_TYPES[key]
-            if not check(cli_value):
-                raise ConfigError(f"flag --{key.replace('_', '-')} out of range (need {desc})")
-            params[key] = cli_value
+        value = getattr(args, key)
+        if value is not None:
+            params[key] = _checked(key, value, f"flag {_flag(key)}")
     return params
 
 
@@ -182,19 +177,13 @@ def _skips_table(result: SweepResult) -> dict[str, str]:
 def _cmd_spectrum(args) -> int:
     params = _merge_params("spectrum", args)
     mesh = _build_mesh(params)
-    problem, k = params["problem"], params["count"]
-    if problem in ("dirichlet", "neumann"):
-        spec = laplace_spectrum(mesh, problem, params["order"], k)
-    elif problem == "buckling":
-        spec = buckling_spectrum(mesh, k)
-    else:
-        spec = navier_spectrum(mesh, k)
+    spec = spectrum(mesh, params["problem"], params["count"], params["order"])
     rows = ["index,value,problem,mesh_hash"] + spectrum_to_csv_rows(spec)
     tables = {"spectrum.csv": "\n".join(rows) + "\n"}
     run_dir = _finish("spectrum", params, tables,
                       {"mesh": mesh.content_hash()}, args)
     values = " ".join(f"{v:.6g}" for v in spec.values)
-    print(f"{problem} spectrum: {values}")
+    print(f"{spec.problem} spectrum: {values}")
     print(f"run_dir={run_dir}")
     return 0
 
@@ -363,7 +352,10 @@ def _cmd_report(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. Every experiment
+    command gets one flag per entry of its ``_COMMAND_PARAMS`` list."""
     parser = argparse.ArgumentParser(
         prog="bucklab",
         description="Spectral laboratory: Laplace/buckling spectra, boundary "
@@ -371,71 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
         "punctured-sphere experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, help_text, func in (
+        ("spectrum", "compute one spectrum", _cmd_spectrum),
+        ("identity-scan", "sweep a counting identity", _cmd_identity_scan),
+        ("beta1-scan", "sweep the smallest trace eigenvalue", _cmd_beta1_scan),
+        ("counterexample", "quotient divergence sweep (or, below the buckling "
+         "threshold, the bounded-regime check)", _cmd_counterexample),
+        ("spherecap", "punctured-sphere scan", _cmd_spherecap),
+    ):
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value parameter file")
         p.add_argument("--run-root", default=None,
                        help="run directory root (default $BUCKLAB_RUNS or ./runs)")
-        p.add_argument("--threads", type=int, default=None)
-
-    def add_mesh_flags(p):
-        p.add_argument("--domain", choices=["disk", "rectangle"], default=None)
-        p.add_argument("--refine", type=int, default=None)
-        p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--ny", type=int, default=None)
-
-    p = sub.add_parser("spectrum", help="compute one spectrum")
-    add_common(p)
-    add_mesh_flags(p)
-    p.add_argument("--problem", choices=["dirichlet", "neumann", "buckling", "navier"],
-                   default=None)
-    p.add_argument("--order", type=int, choices=[1, 2], default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("identity-scan", help="sweep a counting identity")
-    add_common(p)
-    add_mesh_flags(p)
-    p.add_argument("--kind", choices=["friedlander", "liu"], default=None)
-    p.add_argument("--order", type=int, choices=[1, 2], default=None)
-    p.add_argument("--lmin", type=float, default=None)
-    p.add_argument("--lmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.set_defaults(func=_cmd_identity_scan)
-
-    p = sub.add_parser("beta1-scan", help="sweep the smallest trace eigenvalue")
-    add_common(p)
-    add_mesh_flags(p)
-    p.add_argument("--lmin", type=float, default=None)
-    p.add_argument("--lmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.set_defaults(func=_cmd_beta1_scan)
-
-    p = sub.add_parser(
-        "counterexample",
-        help="quotient divergence sweep (or, below the buckling "
-        "threshold, the bounded-regime check)",
-    )
-    add_common(p)
-    add_mesh_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--eps", type=_float_list, default=None,
-                   help="comma-separated decreasing list")
-    p.add_argument("--trials", type=int, default=None,
-                   help="random trial count for the bounded regime")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_counterexample)
-
-    p = sub.add_parser("spherecap", help="punctured-sphere scan")
-    add_common(p)
-    p.add_argument("--eps-list", dest="eps_list", type=_float_list, default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--modes", type=int, default=None)
-    p.add_argument("--grading", choices=["uniform", "geometric"], default=None)
-    p.set_defaults(func=_cmd_spherecap)
+        for name in _COMMAND_PARAMS[command]:
+            row = PARAMS[name]
+            p.add_argument(_flag(name), dest=name, type=row.convert,
+                           choices=row.choices, help=row.help)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("--run", required=True)
@@ -445,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "run_root", None) is None and args.command != "report":

@@ -1,4 +1,4 @@
-"""Run persistence: sweep containers, CSV/plot-data emission, manifests,
+"""Run persistence: parameter sweeps, CSV/plot-data emission, manifests,
 immutable run directories and flat key=value configs.
 
 Numeric CSV content is deterministic (17 significant digits, fixed
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +50,39 @@ class SweepResult:
         for rec in self.records:
             lines.append(",".join(fmt(rec[c]) for c in columns))
         return "\n".join(lines) + "\n"
+
+
+def run_sweep(parameter: str, grid, point_fn, threads: int, skip) -> SweepResult:
+    """Evaluate ``point_fn`` at every grid value, on ``threads`` worker
+    threads when more than one.
+
+    ``point_fn`` returns the record of one point. A point that raises
+    ``skip`` (an exception type or tuple of types) is logged as a skip
+    with its grid index and message, and the sweep goes on; any other
+    exception propagates. Records and skips stay in grid order whatever
+    the thread count, and ``summary["n_skipped"]`` counts the skips.
+    """
+    grid = [float(x) for x in grid]
+
+    def attempt(value: float):
+        try:
+            return point_fn(value)
+        except skip as exc:
+            return exc
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(attempt, grid))
+    else:
+        outcomes = [attempt(value) for value in grid]
+    result = SweepResult(parameter=parameter, grid=grid)
+    for i, out in enumerate(outcomes):
+        if isinstance(out, BaseException):
+            result.skips.append({"index": i, "reason": str(out)})
+        else:
+            result.records.append(out)
+    result.summary["n_skipped"] = len(result.skips)
+    return result
 
 
 @dataclass
@@ -137,26 +171,15 @@ def is_complete_run(run_dir: Path | str) -> bool:
 def emit_plot_data(
     series: dict[str, np.ndarray], path: Path | str, xlog: bool = False, ylog: bool = False
 ) -> Path:
-    """Whitespace-delimited columns with a '#' header naming columns and
-    log-axis hints; consumable by gnuplot-style tools."""
-    names = list(series)
-    columns = [np.asarray(series[n], dtype=np.float64) for n in names]
-    if columns and any(len(c) != len(columns[0]) for c in columns):
-        raise ValueError("plot series must have equal lengths")
-    lines = ["# " + " ".join(names)]
-    hints = [h for h, on in (("xlog", xlog), ("ylog", ylog)) if on]
-    if hints:
-        lines.append("# " + " ".join(hints))
-    n_rows = len(columns[0]) if columns else 0
-    for i in range(n_rows):
-        lines.append(" ".join(fmt(c[i]) for c in columns))
+    """Write :func:`plot_data_content` to ``path``."""
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(plot_data_content(series, xlog, ylog))
     return path
 
 
 def plot_data_content(series: dict[str, np.ndarray], xlog: bool = False, ylog: bool = False) -> str:
-    """Same format as :func:`emit_plot_data`, returned as text."""
+    """Whitespace-delimited columns with a '#' header naming columns and
+    log-axis hints; consumable by gnuplot-style tools."""
     names = list(series)
     columns = [np.asarray(series[n], dtype=np.float64) for n in names]
     if columns and any(len(c) != len(columns[0]) for c in columns):

@@ -135,35 +135,22 @@ def pencil_eigenvalues(mesh: Mesh, problem: str, order: int | None = None) -> np
 # spectra
 # ---------------------------------------------------------------------------
 
-def laplace_spectrum(mesh: Mesh, bc: str, order: int, k: int) -> Spectrum:
-    """k smallest Dirichlet or Neumann Laplacian eigenvalues."""
-    if bc not in ("dirichlet", "neumann"):
-        raise ValueError(f"bc must be dirichlet or neumann, got {bc!r}")
-    a, b = _pencil_matrices(mesh, bc, order)
+def spectrum(mesh: Mesh, problem: str, k: int, order: int | None = None) -> Spectrum:
+    """k smallest eigenvalues of the pencil of ``problem``.
+
+    dirichlet, neumann : Laplacian on Lagrange elements of ``order`` (1 or 2)
+    buckling           : clamped fourth-order pencil (Morley; no order)
+    navier             : fourth-order pencil with only the boundary values
+                         constrained; reproduces the Dirichlet Laplacian
+                         spectrum up to discretization error
+    """
+    if problem in ("buckling", "navier"):
+        order = None
+    a, b = _pencil_matrices(mesh, problem, order)
     if k > a.shape[0]:
         raise SpectrumRangeError(f"k={k} exceeds the {a.shape[0]} free DOFs")
     w, _ = sym_gen_eigs(a, b, k)
-    return Spectrum(bc, w, mesh.content_hash(), order)
-
-
-def buckling_spectrum(mesh: Mesh, k: int) -> Spectrum:
-    """k smallest eigenvalues of the clamped fourth-order pencil."""
-    a, b = _pencil_matrices(mesh, "buckling", None)
-    if k > a.shape[0]:
-        raise SpectrumRangeError(f"k={k} exceeds the {a.shape[0]} free DOFs")
-    w, _ = sym_gen_eigs(a, b, k)
-    return Spectrum("buckling", w, mesh.content_hash(), None)
-
-
-def navier_spectrum(mesh: Mesh, k: int) -> Spectrum:
-    """k smallest eigenvalues of the fourth-order pencil with only the
-    boundary values constrained; reproduces the Dirichlet Laplacian
-    spectrum up to discretization error."""
-    a, b = _pencil_matrices(mesh, "navier", None)
-    if k > a.shape[0]:
-        raise SpectrumRangeError(f"k={k} exceeds the {a.shape[0]} free DOFs")
-    w, _ = sym_gen_eigs(a, b, k)
-    return Spectrum("navier", w, mesh.content_hash(), None)
+    return Spectrum(problem, w, mesh.content_hash(), order)
 
 
 def disk_oracle(problem: str, count: int) -> Spectrum:

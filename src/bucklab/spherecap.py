@@ -19,7 +19,6 @@ the fourth-order eigenvalues.)
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .eigen import sym_gen_eigs
 from .errors import BucklabError, SpectrumRangeError
 from .mesh import RadialGrid, make_radial_grid
 from .quadrature import gauss_on_interval
-from .runio import SweepResult
+from .runio import SweepResult, run_sweep
 from .spectra import Spectrum
 
 GAUSS_POINTS = 6
@@ -348,27 +347,12 @@ def cap_scan(
     doubling. A point that fails with a domain error (:class:`BucklabError`)
     is recorded as a skip and the scan continues; any other exception,
     including ValueError for an invalid argument, propagates."""
-    eps_arr = [float(e) for e in eps_list]
-    result = SweepResult(parameter="eps", grid=eps_arr)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_scan_point, e, n_nodes, modes, grading) for e in eps_arr
-            ]
-            for i, fut in enumerate(futures):
-                try:
-                    result.records.append(fut.result())
-                except BucklabError as exc:  # domain errors recorded, scan continues
-                    result.skips.append({"index": i, "reason": str(exc)})
-    else:
-        for i, e in enumerate(eps_arr):
-            try:
-                result.records.append(_scan_point(e, n_nodes, modes, grading))
-            except BucklabError as exc:
-                result.skips.append({"index": i, "reason": str(exc)})
+    result = run_sweep(
+        "eps", eps_list, lambda e: _scan_point(e, n_nodes, modes, grading),
+        threads, BucklabError,
+    )
     result.summary["n_friedlander_fails"] = sum(
         1 for r in result.records if r["friedlander_fails"]
     )
     result.summary["n_payne_fails"] = sum(1 for r in result.records if r["payne_fails"])
-    result.summary["n_skipped"] = len(result.skips)
     return result

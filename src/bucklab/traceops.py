@@ -19,7 +19,6 @@ point and ``scan_identities`` sweeps it over a parameter grid.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .assembly import classify_dofs
 from .eigen import inertia, schur_complement, sym_gen_eigs
 from .errors import ExcludedSpectrumError, SingularBlockError
 from .mesh import Mesh
-from .runio import SweepResult
+from .runio import SweepResult, run_sweep
 from .spectra import Spectrum, get_pair, pencil_eigenvalues
 
 DEFAULT_MARGIN = 1e-3
@@ -230,9 +229,7 @@ def scan_identities(
     """One IdentityReport per grid point, with automatic nudging away
     from the excluded spectra; unplaceable points are skipped and
     recorded. Summary flag ``all_hold`` covers the non-skipped points."""
-    lam_grid = [float(x) for x in lam_grid]
     excluded = _excluded_values(mesh, kind, order)
-    result = SweepResult(parameter="lambda", grid=lam_grid)
 
     def one(lam: float):
         lam_used, nudged = _nudge(lam, excluded, delta)
@@ -247,28 +244,8 @@ def scan_identities(
             "nudged": rep.nudged,
         }
 
-    outcomes: list = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one, lam) for lam in lam_grid]
-            for i, fut in enumerate(futures):
-                try:
-                    outcomes.append(fut.result())
-                except ExcludedSpectrumError as exc:
-                    outcomes.append((i, str(exc)))
-    else:
-        for i, lam in enumerate(lam_grid):
-            try:
-                outcomes.append(one(lam))
-            except ExcludedSpectrumError as exc:
-                outcomes.append((i, str(exc)))
-    for out in outcomes:
-        if isinstance(out, dict):
-            result.records.append(out)
-        else:
-            result.skips.append({"index": out[0], "reason": out[1]})
+    result = run_sweep("lambda", lam_grid, one, threads, ExcludedSpectrumError)
     result.summary["all_hold"] = all(r["holds"] for r in result.records)
-    result.summary["n_skipped"] = len(result.skips)
     return result
 
 
@@ -280,9 +257,7 @@ def scan_beta1(
 ) -> SweepResult:
     """Smallest trace eigenvalue of the Neumann-to-Laplacian operator
     over a parameter grid, with the same nudging discipline."""
-    lam_grid = [float(x) for x in lam_grid]
     excluded = _excluded_values(mesh, "ntl", None)
-    result = SweepResult(parameter="lambda", grid=lam_grid)
 
     def one(lam: float):
         lam_used, nudged = _nudge(lam, excluded, delta)
@@ -296,20 +271,6 @@ def scan_beta1(
             "nudged": nudged,
         }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one, lam) for lam in lam_grid]
-            for i, fut in enumerate(futures):
-                try:
-                    result.records.append(fut.result())
-                except ExcludedSpectrumError as exc:
-                    result.skips.append({"index": i, "reason": str(exc)})
-    else:
-        for i, lam in enumerate(lam_grid):
-            try:
-                result.records.append(one(lam))
-            except ExcludedSpectrumError as exc:
-                result.skips.append({"index": i, "reason": str(exc)})
+    result = run_sweep("lambda", lam_grid, one, threads, ExcludedSpectrumError)
     result.summary["n_negative"] = sum(1 for r in result.records if r["beta1"] < 0)
-    result.summary["n_skipped"] = len(result.skips)
     return result

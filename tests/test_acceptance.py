@@ -8,14 +8,12 @@ import pytest
 
 from bucklab import (
     bounded_below_check,
-    buckling_spectrum,
     disk_oracle,
     divergence_sweep,
     inertia,
-    laplace_spectrum,
-    navier_spectrum,
     scan_beta1,
     schur_complement,
+    spectrum,
     sym_gen_eigs,
 )
 from bucklab.cli import main as cli_main
@@ -32,18 +30,18 @@ def _line(num: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def disk4_dirichlet(disk4):
-    return laplace_spectrum(disk4, "dirichlet", 2, 5).values
+    return spectrum(disk4, "dirichlet", 5, order=2).values
 
 
 @pytest.fixture(scope="module")
 def disk4_navier(disk4):
-    return navier_spectrum(disk4, 5).values
+    return spectrum(disk4, "navier", 5).values
 
 
 def test_criterion_1_disk_spectra_vs_bessel_oracles(disk4, disk4_dirichlet):
     lam = disk4_dirichlet
-    mu = laplace_spectrum(disk4, "neumann", 2, 2).values
-    big = buckling_spectrum(disk4, 1).values
+    mu = spectrum(disk4, "neumann", 2, order=2).values
+    big = spectrum(disk4, "buckling", 1).values
     o_lam = disk_oracle("dirichlet", 3).values
     o_mu = disk_oracle("neumann", 2).values
     o_big = disk_oracle("buckling", 1).values
@@ -66,8 +64,8 @@ def test_criterion_1_disk_spectra_vs_bessel_oracles(disk4, disk4_dirichlet):
 
 def test_criterion_2_navier_equals_dirichlet(disk4, rect16, disk4_dirichlet, disk4_navier):
     rel_disk = np.abs(disk4_navier - disk4_dirichlet) / disk4_dirichlet
-    nav_r = navier_spectrum(rect16, 5).values
-    dir_r = laplace_spectrum(rect16, "dirichlet", 2, 5).values
+    nav_r = spectrum(rect16, "navier", 5).values
+    dir_r = spectrum(rect16, "dirichlet", 5, order=2).values
     rel_rect = np.abs(nav_r - dir_r) / dir_r
     ok = bool(np.all(rel_disk < 0.02) and np.all(rel_rect < 0.02))
     _line(

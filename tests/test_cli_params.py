@@ -1,0 +1,93 @@
+"""The CLI parameter table: each subcommand takes exactly its table
+parameters under their documented flags, and a flag and a config key
+read the same value and reject the same out-of-range values."""
+import re
+
+import pytest
+
+from bucklab.cli import _COMMAND_PARAMS, PARAMS, _merge_params, build_parser, main
+from bucklab.errors import ConfigError
+
+# name -> (flag, a valid non-default value, an out-of-range value or None
+# where every value of the type is valid)
+SAMPLES = {
+    "threads": ("--threads", "2", "0"),
+    "domain": ("--domain", "rectangle", "square"),
+    "refine": ("--refine", "2", "-1"),
+    "radius": ("--radius", "2.5", "-2"),
+    "a": ("--a", "1.5", "0"),
+    "b": ("--b", "0.5", "-1"),
+    "nx": ("--nx", "4", "0"),
+    "ny": ("--ny", "5", "0"),
+    "problem": ("--problem", "navier", "plate"),
+    "kind": ("--kind", "friedlander", "weyl"),
+    "order": ("--order", "1", "3"),
+    "count": ("--count", "4", "0"),
+    "lmin": ("--lmin", "0.5", None),
+    "lmax": ("--lmax", "30", None),
+    "points": ("--points", "5", "0"),
+    "lam": ("--lambda", "18.5", None),
+    "eps": ("--eps", "0.1,0.01", "0.001,0.1"),
+    "trials": ("--trials", "20", "-1"),
+    "seed": ("--seed", "7", "-1"),
+    "eps_list": ("--eps-list", "0.3,0.1", "0.3,2.0"),
+    "nodes": ("--nodes", "16", "4"),
+    "modes": ("--modes", "3", "1"),
+    "grading": ("--grading", "uniform", "linear"),
+}
+CASES = [(command, name) for command, names in _COMMAND_PARAMS.items() for name in names]
+
+
+def merged(command, argv):
+    return _merge_params(command, build_parser().parse_args([command, *argv]))
+
+
+def test_samples_cover_every_parameter():
+    assert set(SAMPLES) == set(PARAMS)
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_PARAMS))
+def test_subcommand_takes_exactly_its_parameters(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    flags = re.findall(r"\[(--[\w-]+)", usage)
+    expected = [SAMPLES[name][0] for name in _COMMAND_PARAMS[command]]
+    assert flags == ["--config", "--run-root", *expected]
+
+
+@pytest.mark.parametrize("command,name", CASES)
+def test_flag_and_config_agree(command, name, tmp_path, capsys):
+    flag, valid, invalid = SAMPLES[name]
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"{name} = {valid}\n")
+    from_flag = merged(command, [f"{flag}={valid}"])
+    from_config = merged(command, ["--config", str(cfg)])
+    assert from_flag == from_config
+    assert type(from_flag[name]) is type(from_config[name])
+    assert from_flag[name] != PARAMS[name].default
+    if invalid is None:
+        return
+    cfg.write_text(f"{name} = {invalid}\n")
+    with pytest.raises(ConfigError, match="out of range"):
+        merged(command, ["--config", str(cfg)])
+    if PARAMS[name].choices:  # argparse refuses an invalid choice itself
+        with pytest.raises(SystemExit) as exc:
+            merged(command, [f"{flag}={invalid}"])
+        assert exc.value.code == 2
+    else:
+        with pytest.raises(ConfigError, match=f"flag {flag} out of range"):
+            merged(command, [f"{flag}={invalid}"])
+    capsys.readouterr()
+
+
+def test_non_decreasing_eps_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text("eps = 1e-3,1e-1\n")
+    for argv in (["--eps", "1e-3,1e-1"], ["--config", str(cfg)]):
+        code = main(["counterexample", "--refine", "1", "--lambda", "20", *argv,
+                     "--run-root", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage error" in err and "strictly decreasing" in err
+    assert not (tmp_path / "runs").exists()

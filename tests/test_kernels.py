@@ -1,9 +1,8 @@
-"""Backend equivalence and determinism of the element kernels."""
+"""Determinism and exactness of the element kernels."""
 import numpy as np
 import pytest
 
-from bucklab import make_disk_mesh
-from bucklab._kernels import available_backends
+from bucklab import _kernels, make_disk_mesh
 
 
 @pytest.fixture(scope="module")
@@ -14,29 +13,10 @@ def element_data():
     return coords, normals
 
 
-def test_backends_agree(element_data):
+def test_kernels_bit_deterministic(element_data):
     coords, normals = element_data
-    backends = available_backends()
-    if len(backends) < 2:
-        pytest.skip("compiled backend not built")
-    ref = backends["python"]
-    other = backends["cython"]
-    for name in ("lagrange1_local", "lagrange2_local"):
-        for a, b in zip(getattr(ref, name)(coords), getattr(other, name)(coords)):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-    for a, b in zip(ref.morley_local(coords, normals), other.morley_local(coords, normals)):
-        np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-13)
-
-
-@pytest.mark.parametrize("backend_name", ["python", "cython"])
-def test_kernels_bit_deterministic(element_data, backend_name):
-    coords, normals = element_data
-    backends = available_backends()
-    if backend_name not in backends:
-        pytest.skip(f"{backend_name} backend not built")
-    mod = backends[backend_name]
-    first = mod.morley_local(coords, normals)
-    second = mod.morley_local(coords, normals)
+    first = _kernels.morley_local(coords, normals)
+    second = _kernels.morley_local(coords, normals)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
@@ -44,23 +24,20 @@ def test_kernels_bit_deterministic(element_data, backend_name):
 def test_lagrange1_exact_on_reference():
     # unit right triangle: stiffness and mass have closed forms
     coords = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-    backends = available_backends()
-    for mod in backends.values():
-        k, m = mod.lagrange1_local(coords)
-        k_exact = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
-        m_exact = (np.ones((3, 3)) + np.eye(3)) / 24.0
-        np.testing.assert_allclose(k[0], k_exact, atol=1e-14)
-        np.testing.assert_allclose(m[0], m_exact, atol=1e-15)
+    k, m = _kernels.lagrange1_local(coords)
+    k_exact = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
+    m_exact = (np.ones((3, 3)) + np.eye(3)) / 24.0
+    np.testing.assert_allclose(k[0], k_exact, atol=1e-14)
+    np.testing.assert_allclose(m[0], m_exact, atol=1e-15)
 
 
 def test_morley_affine_functions_have_zero_bending(element_data):
     coords, normals = element_data
     mesh = make_disk_mesh(1.0, 2)
-    for mod in available_backends().values():
-        bend, _, _ = mod.morley_local(coords, normals)
-        # DOF vector of u(x, y) = 3 - 2x + y on each element
-        for t in (0, 7, len(coords) // 2):
-            vals = 3.0 - 2.0 * coords[t, :, 0] + coords[t, :, 1]
-            nrm = normals[t] @ np.array([-2.0, 1.0])
-            local = np.concatenate([vals, nrm])
-            assert abs(local @ bend[t] @ local) < 1e-12
+    bend, _, _ = _kernels.morley_local(coords, normals)
+    # DOF vector of u(x, y) = 3 - 2x + y on each element
+    for t in (0, 7, len(coords) // 2):
+        vals = 3.0 - 2.0 * coords[t, :, 0] + coords[t, :, 1]
+        nrm = normals[t] @ np.array([-2.0, 1.0])
+        local = np.concatenate([vals, nrm])
+        assert abs(local @ bend[t] @ local) < 1e-12

@@ -1,10 +1,11 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from bucklab import ConfigError, RunManifest, emit_plot_data, load_config, write_results
-from bucklab.runio import SweepResult, fmt, is_complete_run, new_run_dir
+from bucklab.runio import SweepResult, fmt, is_complete_run, new_run_dir, run_sweep
 
 
 def test_fmt_round_trips_floats():
@@ -23,6 +24,26 @@ def test_sweep_csv():
     res.records.append({"lambda": 2.0, "holds": False})
     text = res.to_csv(["lambda", "holds"])
     assert text == "lambda,holds\n1,true\n2,false\n"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_sweep_keeps_grid_order(threads):
+    def point(x):
+        time.sleep((5 - x) * 0.01)  # with threads, later points finish first
+        if x in (2.0, 4.0):
+            raise ValueError(f"no point at {x}")
+        return {"x": x}
+
+    res = run_sweep("x", [1, 2, 3, 4, 5], point, threads, ValueError)
+    assert res.grid == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert [r["x"] for r in res.records] == [1.0, 3.0, 5.0]
+    assert res.skips == [
+        {"index": 1, "reason": "no point at 2.0"},
+        {"index": 3, "reason": "no point at 4.0"},
+    ]
+    assert res.summary == {"n_skipped": 2}
+    with pytest.raises(ZeroDivisionError):
+        run_sweep("x", [1, 0, 2], lambda x: {"y": 1 / x}, threads, ValueError)
 
 
 def test_run_dirs_never_collide(tmp_path):
