@@ -88,6 +88,7 @@ class OperatorPair:
     b_normal_diag : full-length diagonal of the boundary
         normal-derivative mass (Morley only, else None)
     curvature : boundary curvature of the approximated smooth domain
+    fourth_order : what :meth:`fourth_order_matrix` returns (Morley only)
     """
 
     mesh: Mesh
@@ -99,18 +100,18 @@ class OperatorPair:
     b_trace_dofs: np.ndarray | None = None
     b_normal_diag: np.ndarray | None = None
     curvature: float = 0.0
+    fourth_order: sp.csc_array | None = None
 
     def fourth_order_matrix(self) -> sp.csc_array:
-        """Bending matrix plus the curvature boundary term, as CSC.
+        """Bending matrix plus the curvature boundary term, as CSC built
+        once by :func:`assemble_morley`.
 
         This is the matrix every fourth-order pencil in the package is
         built from; on clamped vectors it acts exactly like ``a_bend``.
         """
-        if self.a_bend is None:
+        if self.fourth_order is None:
             raise DofKindError("fourth-order form requires a Morley pair")
-        if self.curvature == 0.0:
-            return self.a_bend
-        return (self.a_bend + sp.diags_array(self.curvature * self.b_normal_diag)).tocsc()
+        return self.fourth_order
 
 
 def _check_not_degenerate(mesh: Mesh) -> np.ndarray:
@@ -134,7 +135,10 @@ def _assemble(n: int, dofs: np.ndarray, local: np.ndarray) -> sp.csc_array:
     keys, slot = np.unique(cols * n + rows, return_inverse=True)  # column-major
     data = np.bincount(slot, weights=local.ravel(), minlength=len(keys))
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    m = sp.csc_array((data, keys % n, indptr), shape=(n, n))
+    return _frozen(sp.csc_array((data, keys % n, indptr), shape=(n, n)))
+
+
+def _frozen(m: sp.csc_array) -> sp.csc_array:
     for arr in (m.data, m.indices, m.indptr):
         arr.setflags(write=False)
     return m
@@ -239,6 +243,8 @@ def assemble_morley(mesh: Mesh) -> OperatorPair:
     )
     b_normal = boundary_normal_mass(mesh, dofmap)
     b_normal.setflags(write=False)
+    kappa = mesh.boundary_curvature
+    f = a if kappa == 0.0 else _frozen((a + sp.diags_array(kappa * b_normal)).tocsc())
     return OperatorPair(
         mesh=mesh,
         dofmap=dofmap,
@@ -246,7 +252,8 @@ def assemble_morley(mesh: Mesh) -> OperatorPair:
         mass=m,
         a_bend=a,
         b_normal_diag=b_normal,
-        curvature=mesh.boundary_curvature,
+        curvature=kappa,
+        fourth_order=f,
     )
 
 

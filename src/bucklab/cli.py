@@ -65,7 +65,7 @@ def _real(*, default: float, flag: str | None = None) -> Param:
 
 
 def _decreasing_positive(v: list[float]) -> bool:
-    return all(x > 0 for x in v) and all(a > b for a, b in zip(v, v[1:]))
+    return bool(v) and all(x > 0 for x in v) and all(a > b for a, b in zip(v, v[1:]))
 
 
 PARAMS = {
@@ -86,12 +86,13 @@ PARAMS = {
     "lmax": _real(default=60.0),
     "points": _at_least(1, default=20),
     "lam": _real(default=20.0, flag="--lambda"),
-    "eps": Param(_float_list, _decreasing_positive, "strictly decreasing positive list",
+    "eps": Param(_float_list, _decreasing_positive,
+                 "nonempty strictly decreasing positive list",
                  [1e-1, 1e-2, 1e-3, 1e-4], help="comma-separated decreasing list"),
     "trials": _at_least(0, default=200, help="random trial count for the bounded regime"),
     "seed": _at_least(0, default=0),
-    "eps_list": Param(_float_list, lambda v: all(0 < x < np.pi / 2 for x in v),
-                      "list in (0, pi/2)", [0.4, 0.2, 0.1, 0.05]),
+    "eps_list": Param(_float_list, lambda v: bool(v) and all(0 < x < np.pi / 2 for x in v),
+                      "nonempty list in (0, pi/2)", [0.4, 0.2, 0.1, 0.05]),
     "nodes": _at_least(8, default=64),
     "modes": _at_least(2, default=4),
     "grading": _choice(str, "uniform", "geometric", default="geometric"),

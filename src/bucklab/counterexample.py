@@ -26,7 +26,7 @@ from .eigen import sym_gen_eigs, sym_solve
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
 from .mesh import Mesh
 from .spectra import get_pair
-from .traceops import ntl_operator, trace_spectrum
+from .traceops import ntl_blocks, ntl_operator, trace_spectrum
 
 DENOMINATOR_FLOOR = 1e-14
 BOUNDARY_VALUE_TOL = 1e-12
@@ -227,7 +227,7 @@ def bounded_below_check(
     _, beta1, _ = trace_spectrum(t, 1)
 
     rng = np.random.default_rng(seed)
-    _, navier_free = classify_dofs(pair.dofmap, "navier")
+    q, navier_free, interior, boundary = ntl_blocks(pair, lam)
     h = make_perturbation(pair)
     quotients: list[float] = []
     for _ in range(trials):
@@ -245,17 +245,12 @@ def bounded_below_check(
     # lift the minimizing trace direction and check the interior equations
     _, vecs = sym_gen_eigs(t.matrix, t.boundary_mass, 1)
     psi = vecs[:, 0]
-    f = pair.fourth_order_matrix()
-    q_full = (f - lam * pair.k_grad)[np.ix_(navier_free, navier_free)]
-    bnd_in_free = np.searchsorted(navier_free, t.boundary_dofs)
-    int_in_free = np.setdiff1d(np.arange(len(navier_free)), bnd_in_free)
-    rhs = -q_full[np.ix_(int_in_free, bnd_in_free)] @ psi
-    interior = sym_solve(q_full[np.ix_(int_in_free, int_in_free)], rhs)
+    rhs = -q[np.ix_(interior, boundary)] @ psi
     v_min = np.zeros(len(navier_free))
-    v_min[bnd_in_free] = psi
-    v_min[int_in_free] = interior
+    v_min[boundary] = psi
+    v_min[interior] = sym_solve(q[np.ix_(interior, interior)], rhs)
     v_min /= np.linalg.norm(v_min)
-    residual = float(np.linalg.norm((q_full @ v_min)[int_in_free]))
+    residual = float(np.linalg.norm((q @ v_min)[interior]))
     v_full = np.zeros(pair.dofmap.n_dofs)
     v_full[navier_free] = v_min
     minimizer_q = rayleigh_quotient(v_full, lam, pair).quotient

@@ -35,12 +35,12 @@ for _pts, _w in ((TRI_D2_POINTS, TRI_D2_WEIGHTS), (TRI_D4_POINTS, TRI_D4_WEIGHTS
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_on_interval(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to the interval [a, b]."""
+    """Gauss-Legendre nodes/weights mapped to the interval [a, b]; arrays
+    ``a``, ``b`` of shape (n, 1) give one row per interval."""
     x, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w

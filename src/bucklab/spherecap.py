@@ -9,8 +9,11 @@ the colatitude interval [eps, pi] with the sin(theta) area weight:
     L_m u    = u'' + cot(theta) u' - m^2 u / sin^2(theta)
 
 Second-order problems use quadratic Lagrange elements, the fourth-order
-problem C1 cubic Hermite elements; all integrals by Gauss quadrature on
-each interval. Boundary conditions act at theta=eps only. At the pole
+problem C1 cubic Hermite elements. One stacked path assembles both, for
+all elements at once: one mapped Gauss rule, each family's basis table at
+every quadrature point, one sum over the quadrature axis per local form
+and an ``np.add.at`` scatter into dense matrices (small, and dense for
+the eigensolver). Boundary conditions act at theta=eps only. At the pole
 the DOFs follow the regularity of smooth functions on the sphere:
 values vanish unless m=0 and colatitude derivatives vanish unless m=1.
 (Leaving these DOFs unconstrained admits fields whose true bending
@@ -42,10 +45,10 @@ MODE_WARN_TOL = 0.05
 class CapOperators:
     """Assembled 1D forms for one azimuthal mode.
 
-    For order "second" the DOFs are the grid nodes plus interval
-    midpoints (quadratic Lagrange); for "fourth" they are value and
-    colatitude-derivative pairs per node (cubic Hermite). ``a_m`` is
-    None for second-order operators.
+    DOF 2i is the value at grid node i. DOF 2i+1 is the value at the
+    midpoint of interval i for order "second" (quadratic Lagrange) and
+    the colatitude derivative at node i for "fourth" (cubic Hermite).
+    ``a_m`` is None for second-order operators.
     """
 
     grid: RadialGrid
@@ -68,9 +71,7 @@ class CapOperators:
         return 1
 
     def pole_value_dof(self) -> int:
-        if self.order == "second":
-            return self.n_dofs - 1
-        return self.n_dofs - 2
+        return self.n_dofs - (1 if self.order == "second" else 2)
 
     def pole_derivative_dof(self) -> int:
         if self.order != "fourth":
@@ -98,7 +99,19 @@ class CapOperators:
         return np.setdiff1d(np.arange(self.n_dofs), drop)
 
 
-def _hermite_basis(a: float, b: float, xq: np.ndarray):
+def _lagrange_basis(a, b, xq: np.ndarray):
+    """Quadratic Lagrange values and first derivatives (left end, midpoint,
+    right end) at ``xq`` on [a, b], on a new first axis."""
+    h = b - a
+    xi = (2 * xq - (a + b)) / h
+    val = np.stack([0.5 * xi * (xi - 1), 1 - xi**2, 0.5 * xi * (xi + 1)])
+    d1 = np.stack([(2 * xi - 1) / h, -4 * xi / h, (2 * xi + 1) / h])
+    return val, d1
+
+
+def _hermite_basis(a, b, xq: np.ndarray):
+    """Cubic Hermite values, first and second derivatives (value, slope at
+    a, then at b) at ``xq`` on [a, b], on a new first axis."""
     h = b - a
     t = (xq - a) / h
     val = np.stack(
@@ -134,60 +147,35 @@ def cap_operators(grid: RadialGrid, m: int, order: str) -> CapOperators:
         raise ValueError("mode must be >= 0")
     if order not in ("second", "fourth"):
         raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
-    nodes = grid.nodes
-    n_el = len(nodes) - 1
+    # basis tables are (local DOF, element, Gauss point)
+    a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
+    xq, wq = gauss_on_interval(a, b, GAUSS_POINTS)
+    s = np.sin(xq)
     if order == "second":
-        ndof = 2 * n_el + 1  # node i -> 2i, midpoint of element e -> 2e+1
-        k = np.zeros((ndof, ndof))
-        mm = np.zeros((ndof, ndof))
-        for e in range(n_el):
-            a, b = nodes[e], nodes[e + 1]
-            xq, wq = gauss_on_interval(a, b, GAUSS_POINTS)
-            h = b - a
-            xi = (2 * xq - (a + b)) / h
-            val = np.stack([0.5 * xi * (xi - 1), 1 - xi**2, 0.5 * xi * (xi + 1)])
-            d1 = np.stack([(2 * xi - 1) / h, -4 * xi / h, (2 * xi + 1) / h])
-            s = np.sin(xq)
-            dofs = [2 * e, 2 * e + 1, 2 * e + 2]
-            wk = wq * s
-            wm = wq * (m * m) / s
-            for i in range(3):
-                for j in range(i, 3):
-                    kij = np.sum(d1[i] * d1[j] * wk + val[i] * val[j] * wm)
-                    mij = np.sum(val[i] * val[j] * wk)
-                    k[dofs[i], dofs[j]] += kij
-                    mm[dofs[i], dofs[j]] += mij
-                    if i != j:
-                        k[dofs[j], dofs[i]] += kij
-                        mm[dofs[j], dofs[i]] += mij
-        return CapOperators(grid, m, order, k, mm, None)
-
-    ndof = 2 * len(nodes)  # (value, derivative) per node
-    k = np.zeros((ndof, ndof))
-    mm = np.zeros((ndof, ndof))
-    aa = np.zeros((ndof, ndof))
-    for e in range(n_el):
-        a, b = nodes[e], nodes[e + 1]
-        xq, wq = gauss_on_interval(a, b, GAUSS_POINTS)
+        val, d1 = _lagrange_basis(a, b, xq)
+    else:
         val, d1, d2 = _hermite_basis(a, b, xq)
-        s = np.sin(xq)
-        c = np.cos(xq)
-        lap = d2 + (c / s) * d1 - (m * m / s**2) * val
-        dofs = [2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3]
-        wk = wq * s
-        wm = wq * (m * m) / s
-        for i in range(4):
-            for j in range(i, 4):
-                aij = np.sum(lap[i] * lap[j] * wk)
-                kij = np.sum(d1[i] * d1[j] * wk + val[i] * val[j] * wm)
-                mij = np.sum(val[i] * val[j] * wk)
-                aa[dofs[i], dofs[j]] += aij
-                k[dofs[i], dofs[j]] += kij
-                mm[dofs[i], dofs[j]] += mij
-                if i != j:
-                    aa[dofs[j], dofs[i]] += aij
-                    k[dofs[j], dofs[i]] += kij
-                    mm[dofs[j], dofs[i]] += mij
+        lap = d2 + (np.cos(xq) / s) * d1 - (m * m / s**2) * val
+    n_loc, n_el = val.shape[:2]
+    # element e owns DOFs 2e .. 2e+n_loc-1 (numbering: see CapOperators)
+    dofs = 2 * np.arange(n_el) + np.arange(n_loc)[:, None]
+    ndof = 2 * n_el + n_loc - 2
+    wk = wq * s
+    wm = wq * (m * m) / s
+
+    def outer(u: np.ndarray) -> np.ndarray:
+        return u[:, None] * u[None]
+
+    def assemble(integrand: np.ndarray) -> np.ndarray:
+        # each entry sums at most two elements (a DOF belongs to at most
+        # two), so the order np.add.at adds them in cannot change a bit
+        out = np.zeros((ndof, ndof))
+        np.add.at(out, (dofs[:, None], dofs[None]), np.sum(integrand, axis=-1))
+        return out
+
+    k = assemble(outer(d1) * wk + outer(val) * wm)
+    mm = assemble(outer(val) * wk)
+    aa = assemble(outer(lap) * wk) if order == "fourth" else None
     return CapOperators(grid, m, order, k, mm, aa)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import classify_dofs
+from .assembly import OperatorPair, classify_dofs
 from .eigen import inertia, schur_complement, sym_gen_eigs
 from .errors import ExcludedSpectrumError, SingularBlockError
 from .mesh import Mesh
@@ -126,6 +126,17 @@ def dtn_operator(
     )
 
 
+def ntl_blocks(pair: OperatorPair, lam: float):
+    """``(q, free, interior, boundary)``: ``q = F - lam * K_grad`` on the
+    Navier-free DOFs ``free``, and the positions in ``free`` of the DOFs
+    the Neumann-to-Laplacian Schur complement eliminates and keeps."""
+    _, free = classify_dofs(pair.dofmap, "navier")
+    boundary = np.searchsorted(free, pair.dofmap.boundary_normal_dofs())
+    interior = np.setdiff1d(np.arange(len(free)), boundary)
+    q = (pair.fourth_order_matrix() - lam * pair.k_grad)[np.ix_(free, free)]
+    return q, free, interior, boundary
+
+
 def ntl_operator(mesh: Mesh, lam: float, delta: float = DEFAULT_MARGIN) -> TraceOperator:
     """Neumann-to-Laplacian operator at ``lam`` on the boundary
     normal-derivative DOFs, boundary values pinned to zero.
@@ -138,18 +149,14 @@ def ntl_operator(mesh: Mesh, lam: float, delta: float = DEFAULT_MARGIN) -> Trace
     excluded = pencil_eigenvalues(mesh, "buckling")
     margin = _check_margin(lam, excluded, delta)
     pair = get_pair(mesh, "morley")
-    _, navier_free = classify_dofs(pair.dofmap, "navier")
-    bnd = pair.dofmap.boundary_normal_dofs()
-    bnd_in_free = np.searchsorted(navier_free, bnd)
-    int_in_free = np.setdiff1d(np.arange(len(navier_free)), bnd_in_free)
-    f = pair.fourth_order_matrix()
-    q = (f - lam * pair.k_grad)[np.ix_(navier_free, navier_free)]
+    q, free, interior, boundary = ntl_blocks(pair, lam)
     try:
-        s = schur_complement(q, int_in_free, bnd_in_free)
+        s = schur_complement(q, interior, boundary)
     except SingularBlockError:
         buck = pencil_eigenvalues(mesh, "buckling")
         nearest = float(buck[np.argmin(np.abs(buck - lam))])
         raise ExcludedSpectrumError(lam, nearest, margin, delta) from None
+    bnd = free[boundary]
     boundary_mass = np.diag(pair.b_normal_diag[bnd])
     return TraceOperator(
         "ntl", lam, s, boundary_mass, mesh.content_hash(), margin, bnd, None

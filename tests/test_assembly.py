@@ -214,7 +214,10 @@ def test_assembly_bit_deterministic(disk2):
 
 def test_fourth_order_matrix_adds_curvature_only_on_boundary_normals(disk2, rect4):
     pair = get_pair(disk2, "morley")
-    f = pair.fourth_order_matrix().toarray()
+    f_csc = pair.fourth_order_matrix()
+    assert f_csc is pair.fourth_order_matrix()  # built once, at assembly
+    assert not f_csc.data.flags.writeable
+    f = f_csc.toarray()
     diff = f - pair.a_bend.toarray()
     expected = np.diag(pair.curvature * pair.b_normal_diag)
     # off-diagonal untouched; diagonal shifted by the curvature term

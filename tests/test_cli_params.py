@@ -82,12 +82,21 @@ def test_flag_and_config_agree(command, name, tmp_path, capsys):
 
 
 def test_non_decreasing_eps_is_a_usage_error(tmp_path, capsys):
+    """An eps list that is not strictly decreasing, or is empty, is
+    refused before any run directory exists, from the flag and from the
+    config key alike."""
     cfg = tmp_path / "eps.cfg"
-    cfg.write_text("eps = 1e-3,1e-1\n")
-    for argv in (["--eps", "1e-3,1e-1"], ["--config", str(cfg)]):
-        code = main(["counterexample", "--refine", "1", "--lambda", "20", *argv,
-                     "--run-root", str(tmp_path / "runs")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "usage error" in err and "strictly decreasing" in err
+    cases = [
+        ("counterexample", "eps", "1e-3,1e-1", "strictly decreasing"),
+        ("counterexample", "eps", ",", "nonempty"),
+        ("spherecap", "eps_list", ",", "nonempty"),
+    ]
+    for command, key, value, need in cases:
+        cfg.write_text(f"{key} = {value}\n")
+        extra = ["--refine", "1", "--lambda", "20"] if command == "counterexample" else []
+        for argv in ([SAMPLES[key][0], value], ["--config", str(cfg)]):
+            code = main([command, *extra, *argv, "--run-root", str(tmp_path / "runs")])
+            err = capsys.readouterr().err
+            assert code == 2, (command, argv)
+            assert "usage error" in err and need in err
     assert not (tmp_path / "runs").exists()

@@ -11,6 +11,7 @@ from bucklab import (
 )
 from bucklab import spherecap
 from bucklab.eigen import sym_gen_eigs
+from bucklab.quadrature import gauss_on_interval
 from bucklab.spherecap import cap_buckling_lambda1_via_modes
 
 
@@ -35,10 +36,49 @@ def test_closed_sphere_limit_mode1():
 
 
 def test_mode0_rowsum_constants_in_kernel():
-    grid = make_radial_grid(0.3, 32, "uniform")
-    ops = cap_operators(grid, 0, "second")
-    ones = np.ones(ops.n_dofs)
-    assert np.max(np.abs(ops.k_m @ ones)) < 1e-10 * np.max(np.abs(ops.k_m))
+    """For m = 0 the constant field lies in the kernel of every
+    derivative form, and its mass is the cap area / 2 pi = 1 + cos(eps).
+    Hermite constants have value DOFs 1 and derivative DOFs 0."""
+    eps = 0.3
+    grid = make_radial_grid(eps, 32, "uniform")
+    for order in ("second", "fourth"):
+        ops = cap_operators(grid, 0, order)
+        c = np.ones(ops.n_dofs)
+        if order == "fourth":
+            c[1::2] = 0.0
+        for form in [ops.k_m] + ([ops.a_m] if order == "fourth" else []):
+            assert np.max(np.abs(form @ c)) < 1e-10 * np.max(np.abs(form))
+        assert abs(c @ ops.m_m @ c - (1 + np.cos(eps))) <= 1e-12 * (1 + np.cos(eps))
+
+
+@pytest.mark.parametrize("order", ["second", "fourth"])
+def test_stacked_assembly_matches_element_loop(order):
+    """The stacked assembly gives the bits of an element-by-element loop
+    that maps the Gauss rule and evaluates the basis per element."""
+    m = 2
+    grid = make_radial_grid(0.1, 12, "geometric")
+    ops = cap_operators(grid, m, order)
+    ref = {key: np.zeros((ops.n_dofs, ops.n_dofs)) for key in "kma"}
+    for e, (a, b) in enumerate(zip(grid.nodes[:-1], grid.nodes[1:])):
+        xq, wq = gauss_on_interval(a, b, spherecap.GAUSS_POINTS)
+        s = np.sin(xq)
+        if order == "second":
+            val, d1 = spherecap._lagrange_basis(a, b, xq)
+            lap = val  # no bending form
+        else:
+            val, d1, d2 = spherecap._hermite_basis(a, b, xq)
+            lap = d2 + (np.cos(xq) / s) * d1 - (m * m / s**2) * val
+        wk, wm = wq * s, wq * (m * m) / s
+        for i in range(len(val)):
+            for j in range(len(val)):
+                at = (2 * e + i, 2 * e + j)
+                ref["k"][at] += np.sum(d1[i] * d1[j] * wk + val[i] * val[j] * wm)
+                ref["m"][at] += np.sum(val[i] * val[j] * wk)
+                ref["a"][at] += np.sum(lap[i] * lap[j] * wk)
+    assert ops.k_m.tobytes() == ref["k"].tobytes()
+    assert ops.m_m.tobytes() == ref["m"].tobytes()
+    if order == "fourth":
+        assert ops.a_m.tobytes() == ref["a"].tobytes()
 
 
 def test_matrices_symmetric():
