@@ -19,11 +19,11 @@ import numpy as np
 
 from . import counterexample as cex
 from . import runio, spherecap, traceops
-from .eigen import solver_path_counts
+from .eigen import MAX_DENSE_DOFS, solver_path_counts
 from .errors import BucklabError, ConfigError
 from .mesh import Mesh, make_disk_mesh, make_rectangle_mesh
 from .runio import RunManifest, SweepResult, fmt
-from .spectra import spectrum, spectrum_to_csv_rows
+from .spectra import get_pair, spectrum, spectrum_to_csv_rows
 
 
 def _float_list(text: str) -> list[float]:
@@ -68,6 +68,8 @@ def _decreasing_positive(v: list[float]) -> bool:
     return bool(v) and all(x > 0 for x in v) and all(a > b for a, b in zip(v, v[1:]))
 
 
+# a dense cap form on the fine grid (2 * nodes intervals) has 4 * nodes + 2 rows
+_MAX_NODES = (MAX_DENSE_DOFS - 2) // 4
 PARAMS = {
     "threads": _at_least(1, default=1),
     "domain": _choice(str, "disk", "rectangle", default="disk"),
@@ -93,7 +95,8 @@ PARAMS = {
     "seed": _at_least(0, default=0),
     "eps_list": Param(_float_list, lambda v: bool(v) and all(0 < x < np.pi / 2 for x in v),
                       "nonempty list in (0, pi/2)", [0.4, 0.2, 0.1, 0.05]),
-    "nodes": _at_least(8, default=64),
+    "nodes": Param(int, lambda v: 8 <= v <= _MAX_NODES,
+                   f">= 8 and <= {_MAX_NODES} (4*nodes+2 <= MAX_DENSE_DOFS)", 64),
     "modes": _at_least(2, default=4),
     "grading": _choice(str, "uniform", "geometric", default="geometric"),
 }
@@ -233,10 +236,11 @@ def _cmd_beta1_scan(args) -> int:
 def _cmd_counterexample(args) -> int:
     params = _merge_params("counterexample", args)
     mesh = _build_mesh(params)
-    _, lambda1 = cex.buckling_ground_state(mesh)
-    if params["lam"] < lambda1:
-        return _run_bounded_below(params, mesh, lambda1, args)
-    report = cex.divergence_sweep(mesh, params["lam"], params["eps"])
+    pair = get_pair(mesh, "morley")
+    ground = cex.buckling_ground_state(pair)
+    if params["lam"] < ground[1]:
+        return _run_bounded_below(params, pair, ground, args)
+    report = cex.divergence_sweep(pair, params["lam"], params["eps"], ground)
     rows = ["eps,numerator,denominator,quotient"]
     for s in report.samples:
         rows.append(
@@ -261,17 +265,17 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
-def _run_bounded_below(params: dict, mesh: Mesh, lambda1: float, args) -> int:
+def _run_bounded_below(params: dict, pair, ground, args) -> int:
     """Below the buckling threshold the same command checks the bounded
     regime instead: random trial quotients never undercut the smallest
     trace eigenvalue."""
     report = cex.bounded_below_check(
-        mesh, params["lam"], params["trials"], seed=params["seed"]
+        pair, params["lam"], params["trials"], ground, seed=params["seed"]
     )
     rows = [
         "quantity,value",
         f"lambda,{fmt(report.lam)}",
-        f"Lambda1,{fmt(lambda1)}",
+        f"Lambda1,{fmt(ground[1])}",
         f"beta1,{fmt(report.beta1)}",
         f"n_trials,{report.n_trials}",
         f"min_quotient,{fmt(report.min_quotient)}",
@@ -282,7 +286,7 @@ def _run_bounded_below(params: dict, mesh: Mesh, lambda1: float, args) -> int:
     ]
     tables = {"bounded_below.csv": "\n".join(rows) + "\n"}
     run_dir = _finish("counterexample", params, tables,
-                      {"mesh": mesh.content_hash()}, args)
+                      {"mesh": pair.mesh.content_hash()}, args)
     print(
         f"regime=bounded-below beta1={report.beta1:.8g} "
         f"min_quotient={report.min_quotient:.8g} violations={report.violations} "

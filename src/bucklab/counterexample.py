@@ -13,6 +13,12 @@ boundary normal derivative to the clamped ground state drives the
 quotient to -infinity like 1/eps^2: the numerator tends to the negative
 constant alpha while the denominator is exactly eps^2 times the
 boundary perimeter. This module reproduces both regimes.
+
+Both regimes hinge on the clamped ground state (u1, Lambda1) of
+:func:`buckling_ground_state`. The caller computes it once, chooses the
+regime from Lambda1 and passes the same pair to :func:`divergence_sweep`
+or :func:`bounded_below_check`. Every function here takes a Morley
+:class:`~bucklab.assembly.OperatorPair`.
 """
 from __future__ import annotations
 
@@ -24,9 +30,7 @@ import numpy as np
 from .assembly import OperatorPair, classify_dofs
 from .eigen import sym_gen_eigs, sym_solve
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
-from .mesh import Mesh
-from .spectra import get_pair
-from .traceops import ntl_blocks, ntl_operator, trace_spectrum
+from .traceops import ntl_blocks, ntl_operator
 
 DENOMINATOR_FLOOR = 1e-14
 BOUNDARY_VALUE_TOL = 1e-12
@@ -73,20 +77,9 @@ class BoundedBelowReport:
     passed: bool
 
 
-def _as_pair(mesh_or_pair) -> OperatorPair:
-    if isinstance(mesh_or_pair, OperatorPair):
-        if mesh_or_pair.a_bend is None:
-            raise ValueError("need a Morley operator pair")
-        return mesh_or_pair
-    if isinstance(mesh_or_pair, Mesh):
-        return get_pair(mesh_or_pair, "morley")
-    raise TypeError(f"expected Mesh or OperatorPair, got {type(mesh_or_pair)!r}")
-
-
-def buckling_ground_state(mesh_or_pair) -> tuple[np.ndarray, float]:
+def buckling_ground_state(pair: OperatorPair) -> tuple[np.ndarray, float]:
     """Clamped fourth-order ground state, normalized to unit gradient
     energy, lifted to the full DOF vector (zeros on constrained DOFs)."""
-    pair = _as_pair(mesh_or_pair)
     _, free = classify_dofs(pair.dofmap, "clamped")
     f = pair.fourth_order_matrix()
     w, v = sym_gen_eigs(
@@ -113,11 +106,10 @@ def alpha_pencil(lambda1: float, lam: float, u1: np.ndarray, pair: OperatorPair)
     return float(-(lam - lambda1) * (u1 @ pair.k_grad @ u1))
 
 
-def make_perturbation(mesh_or_pair) -> np.ndarray:
+def make_perturbation(pair: OperatorPair) -> np.ndarray:
     """Bending-energy minimizer with zero boundary values and unit
     boundary normal derivative DOFs; its boundary normal mass equals
     the mesh perimeter, giving the sweep a fixed positive denominator."""
-    pair = _as_pair(mesh_or_pair)
     _, free = classify_dofs(pair.dofmap, "clamped")
     g = np.zeros(pair.dofmap.n_dofs)
     g[pair.dofmap.boundary_normal_dofs()] = 1.0
@@ -153,17 +145,18 @@ def rayleigh_quotient(v: np.ndarray, lam: float, pair: OperatorPair,
     return QuotientSample(eps, num, den, quot)
 
 
-def divergence_sweep(mesh_or_pair, lam: float, eps_list) -> DivergenceReport:
-    """Quotient samples along v = ground_state + eps * perturbation for
-    decreasing eps, with the log-log slope fit over the negative
-    samples (expected slope -2)."""
-    pair = _as_pair(mesh_or_pair)
+def divergence_sweep(
+    pair: OperatorPair, lam: float, eps_list, ground: tuple[np.ndarray, float]
+) -> DivergenceReport:
+    """Quotient samples along v = u1 + eps * perturbation for decreasing
+    eps, with the log-log slope fit over the negative samples (expected
+    slope -2). ``ground`` is ``buckling_ground_state(pair)``."""
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr or any(e <= 0 for e in eps_arr):
         raise ValueError("eps_list must be nonempty and positive")
     if any(a <= b for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    u1, lambda1 = buckling_ground_state(pair)
+    u1, lambda1 = ground
     margin = 1e-3 * max(1.0, abs(lambda1))
     if lam <= lambda1 + margin:
         raise ValueError(
@@ -203,7 +196,8 @@ def divergence_sweep(mesh_or_pair, lam: float, eps_list) -> DivergenceReport:
 
 
 def bounded_below_check(
-    mesh_or_pair, lam: float, trials: int, seed: int = 0
+    pair: OperatorPair, lam: float, trials: int,
+    ground: tuple[np.ndarray, float], seed: int = 0,
 ) -> BoundedBelowReport:
     """Below the first buckling eigenvalue the infimum of the quotient
     over zero-boundary-value fields is the smallest trace eigenvalue.
@@ -212,19 +206,18 @@ def bounded_below_check(
     family and asserts none undercuts beta1; also lifts the minimizing
     trace direction to the full space and reports its interior equation
     residual (the discrete form of the attained infimum belonging to
-    the solution space).
+    the solution space). ``ground`` is ``buckling_ground_state(pair)``.
     """
-    pair = _as_pair(mesh_or_pair)
-    mesh = pair.mesh
-    u1, lambda1 = buckling_ground_state(pair)
+    u1, lambda1 = ground
     margin = 1e-3 * max(1.0, abs(lambda1))
     if lam >= lambda1 - margin:
         raise ValueError(
             f"lambda={lam} must stay below the first buckling eigenvalue "
             f"{lambda1:.6g} by the margin {margin:.2g}"
         )
-    t = ntl_operator(mesh, lam)
-    _, beta1, _ = trace_spectrum(t, 1)
+    t = ntl_operator(pair.mesh, lam)
+    w, vecs = sym_gen_eigs(t.matrix, t.boundary_mass, 1)
+    beta1, psi = float(w[0]), vecs[:, 0]
 
     rng = np.random.default_rng(seed)
     q, navier_free, interior, boundary = ntl_blocks(pair, lam)
@@ -243,8 +236,6 @@ def bounded_below_check(
     min_q = min(finite) if finite else math.inf
 
     # lift the minimizing trace direction and check the interior equations
-    _, vecs = sym_gen_eigs(t.matrix, t.boundary_mass, 1)
-    psi = vecs[:, 0]
     rhs = -q[np.ix_(interior, boundary)] @ psi
     v_min = np.zeros(len(navier_free))
     v_min[boundary] = psi

@@ -179,12 +179,28 @@ def cap_operators(grid: RadialGrid, m: int, order: str) -> CapOperators:
     return CapOperators(grid, m, order, k, mm, aa)
 
 
-def _mode_eigs(ops: CapOperators, bc: str, k: int) -> np.ndarray:
-    free = ops.free_dofs(bc)
-    a = ops.k_m[np.ix_(free, free)]
-    b = ops.m_m[np.ix_(free, free)]
-    w, _ = sym_gen_eigs(a, b, min(k, len(free)))
-    return w
+def _merged_spectra(
+    eps: float, bcs: tuple[str, ...], modes: int, k: int, n_nodes: int, grading: str
+) -> list[Spectrum]:
+    """:func:`cap_spectrum` for each boundary condition in ``bcs``, from
+    one operator build per mode."""
+    if modes < 2:
+        raise ValueError("need modes >= 2 for a faithful merge")
+    grid = make_radial_grid(eps, n_nodes, grading)
+    vals: dict[str, list[float]] = {bc: [] for bc in bcs}
+    for m in range(modes + 1):
+        ops = cap_operators(grid, m, "second")
+        for bc in bcs:
+            free = ops.free_dofs(bc)
+            # each mode contributes at most k of the smallest k merged
+            w, _ = sym_gen_eigs(ops.k_m[np.ix_(free, free)],
+                                ops.m_m[np.ix_(free, free)], min(k, len(free)))
+            vals[bc].extend(float(x) for x in w for _ in range(1 if m == 0 else 2))
+    count = min(len(v) for v in vals.values())
+    if k > count:
+        raise SpectrumRangeError(f"k={k} exceeds the merged count {count}")
+    tag = f"cap:{grid.content_hash()}"
+    return [Spectrum(bc, np.array(sorted(v)[:k]), tag) for bc, v in vals.items()]
 
 
 def cap_spectrum(
@@ -197,20 +213,7 @@ def cap_spectrum(
 ) -> Spectrum:
     """k smallest Laplace-Beltrami eigenvalues on the punctured sphere,
     merged over azimuthal modes 0..modes with m >= 1 doubled."""
-    if modes < 2:
-        raise ValueError("need modes >= 2 for a faithful merge")
-    grid = make_radial_grid(eps, n_nodes, grading)
-    per_mode = k  # each mode contributes at most k of the smallest k merged
-    vals: list[float] = []
-    for m in range(modes + 1):
-        ops = cap_operators(grid, m, "second")
-        w = _mode_eigs(ops, bc, per_mode)
-        mult = 1 if m == 0 else 2
-        vals.extend(float(x) for x in w for _ in range(mult))
-    vals.sort()
-    if k > len(vals):
-        raise SpectrumRangeError(f"k={k} exceeds the merged count {len(vals)}")
-    return Spectrum(bc, np.array(vals[:k]), f"cap:{grid.content_hash()}")
+    return _merged_spectra(eps, (bc,), modes, k, n_nodes, grading)[0]
 
 
 @dataclass(frozen=True)
@@ -296,8 +299,7 @@ def cap_buckling_lambda1_via_modes(
 
 def _scan_point(eps: float, n_nodes: int, modes: int, grading: str) -> dict:
     def quantities(n: int) -> dict:
-        lam = cap_spectrum(eps, "dirichlet", modes, 2, n, grading)
-        mu = cap_spectrum(eps, "neumann", modes, 2, n, grading)
+        lam, mu = _merged_spectra(eps, ("dirichlet", "neumann"), modes, 2, n, grading)
         return {
             "lambda1": float(lam.values[0]),
             "lambda2": float(lam.values[1]),

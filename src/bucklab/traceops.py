@@ -89,11 +89,15 @@ def _excluded_values(mesh: Mesh, kind: str, order: int | None) -> np.ndarray:
     raise ValueError(f"unknown identity kind {kind!r}")
 
 
+def _nearest(lam: float, excluded: np.ndarray) -> float:
+    """The excluded value closest to ``lam``."""
+    return float(excluded[np.argmin(np.abs(excluded - lam))])
+
+
 def _check_margin(lam: float, excluded: np.ndarray, delta: float) -> float:
     margin = relative_margin(lam, excluded)
     if margin < delta:
-        nearest = float(excluded[np.argmin(np.abs(excluded - lam))])
-        raise ExcludedSpectrumError(lam, nearest, margin, delta)
+        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
     return margin
 
 
@@ -117,8 +121,7 @@ def dtn_operator(
     try:
         s = schur_complement(q, idofs, bdofs)
     except SingularBlockError:
-        nearest = float(excluded[np.argmin(np.abs(excluded - lam))])
-        raise ExcludedSpectrumError(lam, nearest, margin, delta) from None
+        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
     if not np.array_equal(bdofs, pair.b_trace_dofs):
         raise AssertionError("boundary DOF ordering mismatch")
     return TraceOperator(
@@ -153,9 +156,7 @@ def ntl_operator(mesh: Mesh, lam: float, delta: float = DEFAULT_MARGIN) -> Trace
     try:
         s = schur_complement(q, interior, boundary)
     except SingularBlockError:
-        buck = pencil_eigenvalues(mesh, "buckling")
-        nearest = float(buck[np.argmin(np.abs(buck - lam))])
-        raise ExcludedSpectrumError(lam, nearest, margin, delta) from None
+        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
     bnd = free[boundary]
     boundary_mass = np.diag(pair.b_normal_diag[bnd])
     return TraceOperator(
@@ -220,8 +221,7 @@ def _nudge(lam: float, excluded: np.ndarray, delta: float) -> tuple[float, bool]
             if relative_margin(cand, excluded) >= delta:
                 return cand, True
     raise ExcludedSpectrumError(
-        lam, float(excluded[np.argmin(np.abs(excluded - lam))]),
-        relative_margin(lam, excluded), delta,
+        lam, _nearest(lam, excluded), relative_margin(lam, excluded), delta
     )
 
 

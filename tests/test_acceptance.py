@@ -8,6 +8,7 @@ import pytest
 
 from bucklab import (
     bounded_below_check,
+    buckling_ground_state,
     disk_oracle,
     divergence_sweep,
     inertia,
@@ -18,7 +19,7 @@ from bucklab import (
 )
 from bucklab.cli import main as cli_main
 from bucklab.errors import SingularBlockError
-from bucklab.spectra import pencil_eigenvalues
+from bucklab.spectra import get_pair, pencil_eigenvalues
 
 from oracles import random_symmetric
 
@@ -136,7 +137,10 @@ def test_criterion_5_trace_operator_sign(disk3):
 
 
 def test_criterion_6_divergence(disk4):
-    report = divergence_sweep(disk4, 20.0, [1e-1, 1e-2, 1e-3, 1e-4])
+    pair = get_pair(disk4, "morley")
+    report = divergence_sweep(
+        pair, 20.0, [1e-1, 1e-2, 1e-3, 1e-4], buckling_ground_state(pair)
+    )
     slope_ok = abs(report.fitted_slope + 2.0) <= 0.15
     last = report.samples[-1]
     num_ok = abs(last.numerator - report.alpha) <= 1e-3 * abs(report.alpha)
@@ -151,7 +155,8 @@ def test_criterion_6_divergence(disk4):
 
 
 def test_criterion_7_bounded_below(disk3):
-    report = bounded_below_check(disk3, 2.0, trials=200)
+    pair = get_pair(disk3, "morley")
+    report = bounded_below_check(pair, 2.0, 200, buckling_ground_state(pair))
     ok = (
         report.passed
         and report.beta1 > 0

@@ -1,6 +1,6 @@
 import json
 
-from bucklab import eigen
+from bucklab import counterexample, eigen
 from bucklab.cli import main
 
 
@@ -94,6 +94,40 @@ def test_counterexample_bounded_regime(tmp_path, capsys):
     as_dict = dict(r.split(",", 1) for r in rows[1:])
     assert as_dict["passed"] == "true"
     assert float(as_dict["beta1"]) > 0
+
+
+def test_counterexample_solves_ground_state_once(tmp_path, capsys, monkeypatch):
+    """The regime decision and the regime it selects share one clamped
+    ground-state eigensolve."""
+    calls = []
+    solve = counterexample.buckling_ground_state
+
+    def counted(pair):
+        calls.append(pair)
+        return solve(pair)
+
+    monkeypatch.setattr(counterexample, "buckling_ground_state", counted)
+    for regime in (["--lambda", "2", "--trials", "5"], ["--lambda", "20"]):
+        calls.clear()
+        code, _, _ = run_cli(
+            ["counterexample", "--domain", "disk", "--refine", "2", *regime],
+            tmp_path, capsys,
+        )
+        assert code == 0
+        assert len(calls) == 1, regime
+
+
+def test_counterexample_regime_margin(tmp_path, capsys):
+    """On disk level 2 Lambda1 is 14.6914 and the margin 0.015: just below
+    Lambda1 the bounded regime refuses lambda, just above it the divergent
+    one does."""
+    for lam, message in (("14.685", "must stay below"), ("14.70", "must exceed")):
+        code, _, err = run_cli(
+            ["counterexample", "--domain", "disk", "--refine", "2", "--lambda", lam],
+            tmp_path, capsys,
+        )
+        assert code == 1
+        assert message in err
 
 
 def test_spherecap_command(tmp_path, capsys):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from bucklab.cli import _COMMAND_PARAMS, PARAMS, _merge_params, build_parser, main
+from bucklab.eigen import MAX_DENSE_DOFS
 from bucklab.errors import ConfigError
 
 # name -> (flag, a valid non-default value, an out-of-range value or None
@@ -99,4 +100,20 @@ def test_non_decreasing_eps_is_a_usage_error(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 2, (command, argv)
             assert "usage error" in err and need in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_nodes_bounded_by_dense_limit(tmp_path, capsys):
+    """The fine cap grid's dense forms have 4 * nodes + 2 rows, so --nodes
+    stops at the largest value within MAX_DENSE_DOFS, by flag and by
+    config key, before any scan runs."""
+    assert 4 * 1499 + 2 <= MAX_DENSE_DOFS < 4 * 1500 + 2
+    assert merged("spherecap", ["--nodes", "1499"])["nodes"] == 1499
+    cfg = tmp_path / "nodes.cfg"
+    cfg.write_text("nodes = 1500\n")
+    for argv in (["--nodes", "1500"], ["--config", str(cfg)]):
+        code = main(["spherecap", *argv, "--run-root", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "usage error" in err and "1499" in err
     assert not (tmp_path / "runs").exists()

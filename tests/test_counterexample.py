@@ -77,8 +77,8 @@ def test_quotient_markers_and_samples(disk3_pair, ground):
         rayleigh_quotient(bad, 1.0, disk3_pair)
 
 
-def test_divergence_sweep(disk3):
-    report = divergence_sweep(disk3, 20.0, [1e-1, 1e-2, 1e-3, 1e-4])
+def test_divergence_sweep(disk3_pair, ground):
+    report = divergence_sweep(disk3_pair, 20.0, [1e-1, 1e-2, 1e-3, 1e-4], ground)
     assert report.fitted_slope == pytest.approx(-2.0, abs=0.15)
     assert not report.anomaly
     assert abs(report.alpha - report.alpha_pencil) < 1e-10
@@ -91,18 +91,18 @@ def test_divergence_sweep(disk3):
     assert eps_seq == sorted(eps_seq, reverse=True)
 
 
-def test_divergence_sweep_preconditions(disk3, ground):
+def test_divergence_sweep_preconditions(disk3_pair, ground):
     _, lam1 = ground
     with pytest.raises(ValueError):
-        divergence_sweep(disk3, lam1 - 1.0, [1e-1, 1e-2])
+        divergence_sweep(disk3_pair, lam1 - 1.0, [1e-1, 1e-2], ground)
     with pytest.raises(ValueError):
-        divergence_sweep(disk3, 20.0, [1e-2, 1e-1])
+        divergence_sweep(disk3_pair, 20.0, [1e-2, 1e-1], ground)
     with pytest.raises(ValueError):
-        divergence_sweep(disk3, 20.0, [])
+        divergence_sweep(disk3_pair, 20.0, [], ground)
 
 
-def test_bounded_below_regime(disk3):
-    report = bounded_below_check(disk3, 2.0, trials=50)
+def test_bounded_below_regime(disk3_pair, ground):
+    report = bounded_below_check(disk3_pair, 2.0, 50, ground)
     assert report.passed
     assert report.beta1 > 0
     assert report.min_quotient >= report.beta1 - 1e-8 * abs(report.beta1)
@@ -111,21 +111,21 @@ def test_bounded_below_regime(disk3):
     assert report.minimizer_quotient == pytest.approx(report.beta1, rel=1e-8)
 
     # between the first Dirichlet-type value and the buckling threshold
-    report10 = bounded_below_check(disk3, 10.0, trials=50)
+    report10 = bounded_below_check(disk3_pair, 10.0, 50, ground)
     assert report10.passed
     assert report10.beta1 < 0
     assert report10.interior_residual <= 1e-6
     assert report10.minimizer_quotient == pytest.approx(report10.beta1, rel=1e-8)
 
 
-def test_bounded_below_vacuous_trials(disk3):
-    report = bounded_below_check(disk3, 2.0, trials=0)
+def test_bounded_below_vacuous_trials(disk3_pair, ground):
+    report = bounded_below_check(disk3_pair, 2.0, 0, ground)
     assert report.passed
     assert report.n_trials == 0
     assert report.beta1 > 0
 
 
-def test_bounded_below_precondition(disk3, ground):
+def test_bounded_below_precondition(disk3_pair, ground):
     _, lam1 = ground
     with pytest.raises(ValueError):
-        bounded_below_check(disk3, lam1 + 1.0, trials=5)
+        bounded_below_check(disk3_pair, lam1 + 1.0, 5, ground)
