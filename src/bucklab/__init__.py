@@ -16,7 +16,6 @@ from .assembly import (
     assemble_morley,
     boundary_normal_mass,
     classify_dofs,
-    export_triplets,
 )
 from .counterexample import (
     BoundedBelowReport,
@@ -55,7 +54,6 @@ from .mesh import (
 from .runio import RunManifest, SweepResult, emit_plot_data, load_config, write_results
 from .spectra import (
     Spectrum,
-    counting_function,
     disk_oracle,
     spectrum,
 )
@@ -69,10 +67,10 @@ from .spherecap import (
 from .traceops import (
     IdentityReport,
     TraceOperator,
-    dtn_operator,
-    ntl_operator,
     scan_beta1,
     scan_identities,
+    trace_blocks,
+    trace_operator,
     trace_spectrum,
     verify_identity,
 )

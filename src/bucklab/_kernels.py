@@ -61,7 +61,7 @@ def lagrange2_local(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def morley_local(
     coords: np.ndarray, normals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Morley element matrices.
 
     coords  : (m,3,2) triangle vertices
@@ -69,8 +69,8 @@ def morley_local(
               in the globally fixed orientation shared by both elements
               on the edge
 
-    Returns (bending, stiffness, mass) where bending[i,j] is the
-    integral of the Frobenius product of the (constant) basis Hessians.
+    Returns (bending, stiffness) where bending[i,j] is the integral of
+    the Frobenius product of the (constant) basis Hessians.
     """
     m_tri = len(coords)
     area, _ = _signed_areas_and_grads(coords)
@@ -110,23 +110,4 @@ def morley_local(
         k += (TRI_D2_WEIGHTS[q] * area)[:, None, None] * (
             np.einsum("mi,mj->mij", gx, gx) + np.einsum("mi,mj->mij", gy, gy)
         )
-
-    mass = np.zeros((m_tri, 6, 6))
-    for q in range(len(TRI_D4_POINTS)):
-        xy = TRI_D4_POINTS[q] @ pl
-        mono = np.stack(
-            [
-                np.ones(m_tri),
-                xy[:, 0],
-                xy[:, 1],
-                xy[:, 0] ** 2,
-                xy[:, 0] * xy[:, 1],
-                xy[:, 1] ** 2,
-            ],
-            axis=1,
-        )
-        vals = np.einsum("mk,mkj->mj", mono, c)
-        mass += (TRI_D4_WEIGHTS[q] * area)[:, None, None] * np.einsum(
-            "mi,mj->mij", vals, vals
-        )
-    return bend, k, mass
+    return bend, k

@@ -16,12 +16,13 @@ adds that term (kappa = 1/radius on disk meshes, 0 on straight-edged
 domains), which keeps pencils on such spaces consistent with the smooth
 domain the mesh approximates. On the clamped space the term vanishes.
 
-Storage is sparse: the gradient, mass and bending forms are immutable
-CSC matrices summed from the stacked element matrices as COO triplets,
-so assembly never allocates an n x n array. The boundary trace mass is
-a dense matrix over the boundary-value DOFs only, and the boundary
-normal-derivative mass a diagonal vector. Dense copies, where an
-eigensolver still needs them, are made in :mod:`bucklab.eigen`.
+Storage is sparse: the gradient, mass (Lagrange) and bending (Morley)
+forms are immutable CSC matrices summed from the stacked element
+matrices as COO triplets, so assembly never allocates an n x n array.
+The boundary trace mass is a dense matrix over the boundary-value DOFs
+only, and the boundary normal-derivative mass a diagonal vector. Dense
+copies, where an eigensolver still needs them, are made in
+:mod:`bucklab.eigen`.
 """
 from __future__ import annotations
 
@@ -37,11 +38,6 @@ from .mesh import Mesh
 DOF_VERTEX_VALUE = 0
 DOF_EDGE_MIDPOINT_VALUE = 1
 DOF_EDGE_NORMAL_DERIV = 2
-DOF_KIND_NAMES = {
-    DOF_VERTEX_VALUE: "vertex-value",
-    DOF_EDGE_MIDPOINT_VALUE: "edge-midpoint-value",
-    DOF_EDGE_NORMAL_DERIV: "edge-normal-derivative",
-}
 
 # 1D boundary mass matrices per unit edge length: P1 (end, end) and
 # P2 (end, end, midpoint)
@@ -57,15 +53,11 @@ class DofMap:
 
     kind: str  # "lagrange-1" | "lagrange-2" | "morley"
     n_dofs: int
-    dof_kind: np.ndarray  # int8 codes, see DOF_KIND_NAMES
-    dof_entity: np.ndarray  # vertex or edge index the DOF lives on
+    dof_kind: np.ndarray  # int8 DOF_* codes
     is_boundary: np.ndarray  # bool per DOF
 
     def boundary_dofs(self) -> np.ndarray:
         return np.flatnonzero(self.is_boundary)
-
-    def interior_dofs(self) -> np.ndarray:
-        return np.flatnonzero(~self.is_boundary)
 
     def boundary_value_dofs(self) -> np.ndarray:
         mask = self.is_boundary & (self.dof_kind != DOF_EDGE_NORMAL_DERIV)
@@ -81,7 +73,7 @@ class OperatorPair:
     """Assembled symmetric forms over one DOF set.
 
     k_grad : gradient form (broken gradient for Morley), CSC
-    mass   : L2 mass, CSC
+    mass   : L2 mass (Lagrange only, else None), CSC
     a_bend : element-wise bending form (Morley only, else None), CSC
     b_trace : boundary L2 mass on the boundary-value DOFs listed in
         ``b_trace_dofs`` (Lagrange only, else None)
@@ -94,7 +86,7 @@ class OperatorPair:
     mesh: Mesh
     dofmap: DofMap
     k_grad: sp.csc_array
-    mass: sp.csc_array
+    mass: sp.csc_array | None = None
     a_bend: sp.csc_array | None = None
     b_trace: np.ndarray | None = None
     b_trace_dofs: np.ndarray | None = None
@@ -166,7 +158,6 @@ def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
     bvert_mask[mesh.boundary_vertices] = True
     if order == 1:
         dof_kind = np.full(n, DOF_VERTEX_VALUE, dtype=np.int8)
-        dof_entity = np.arange(nv, dtype=np.int64)
         is_boundary = bvert_mask.copy()
     else:
         dof_kind = np.concatenate(
@@ -175,13 +166,10 @@ def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
                 np.full(ne, DOF_EDGE_MIDPOINT_VALUE, dtype=np.int8),
             ]
         )
-        dof_entity = np.concatenate(
-            [np.arange(nv, dtype=np.int64), np.arange(ne, dtype=np.int64)]
-        )
         bedge_mask = np.zeros(ne, dtype=bool)
         bedge_mask[mesh.boundary_edges] = True
         is_boundary = np.concatenate([bvert_mask, bedge_mask])
-    dofmap = DofMap(f"lagrange-{order}", n, dof_kind, dof_entity, is_boundary)
+    dofmap = DofMap(f"lagrange-{order}", n, dof_kind, is_boundary)
 
     # boundary trace mass on the boundary-value DOFs
     btd = dofmap.boundary_value_dofs()
@@ -211,19 +199,21 @@ def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
 
 
 def assemble_morley(mesh: Mesh) -> OperatorPair:
-    """Morley bending/gradient/mass forms plus the boundary normal mass."""
+    """Morley bending and gradient forms plus the boundary normal mass.
+
+    No L2 mass is assembled: every fourth-order pencil pairs the
+    bending form with the gradient form."""
     _check_not_degenerate(mesh)
     nv, ne = mesh.n_vertices, mesh.n_edges
     n = nv + ne
 
     coords = np.ascontiguousarray(mesh.vertices[mesh.triangles])
     normals = np.ascontiguousarray(mesh.edge_normals[mesh.tri_edges])
-    ae, ke, me = _kernels.morley_local(coords, normals)
+    ae, ke = _kernels.morley_local(coords, normals)
 
     dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
     a = _assemble(n, dofs, ae)
     k = _assemble(n, dofs, ke)
-    m = _assemble(n, dofs, me)
 
     bvert_mask = np.zeros(nv, dtype=bool)
     bvert_mask[mesh.boundary_vertices] = True
@@ -238,7 +228,6 @@ def assemble_morley(mesh: Mesh) -> OperatorPair:
                 np.full(ne, DOF_EDGE_NORMAL_DERIV, dtype=np.int8),
             ]
         ),
-        np.concatenate([np.arange(nv, dtype=np.int64), np.arange(ne, dtype=np.int64)]),
         np.concatenate([bvert_mask, bedge_mask]),
     )
     b_normal = boundary_normal_mass(mesh, dofmap)
@@ -249,7 +238,6 @@ def assemble_morley(mesh: Mesh) -> OperatorPair:
         mesh=mesh,
         dofmap=dofmap,
         k_grad=k,
-        mass=m,
         a_bend=a,
         b_normal_diag=b_normal,
         curvature=kappa,
@@ -296,16 +284,6 @@ def classify_dofs(dofmap: DofMap, condition: str) -> tuple[np.ndarray, np.ndarra
         constrained = dofmap.boundary_value_dofs()
     else:
         raise ValueError(f"unknown condition {condition!r}")
-    free = np.setdiff1d(np.arange(dofmap.n_dofs), constrained)
-    return constrained, free
-
-
-def export_triplets(matrix, path) -> None:
-    """Write the nonzero entries of a dense or sparse matrix as
-    `row col value` rows in row-major order, 17 significant digits."""
-    coo = sp.coo_array(matrix)
-    nz = coo.data != 0
-    rows, cols, vals = coo.row[nz], coo.col[nz], coo.data[nz]
-    with open(path, "w") as f:
-        for i in np.lexsort((cols, rows)):
-            f.write(f"{rows[i]} {cols[i]} {vals[i]:.17g}\n")
+    free = np.ones(dofmap.n_dofs, dtype=bool)
+    free[constrained] = False
+    return constrained, np.flatnonzero(free)

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -159,10 +160,8 @@ def _finish(command: str, params: dict, tables: dict[str, str],
                 for k, v in params.items()},
         hashes=hashes,
         solver={k: counts[k] - args.solver_counts_at_start[k] for k in counts},
+        started_utc=args.started_utc,
     )
-    import time
-
-    manifest.started_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     run_dir = runio.new_run_dir(args.run_root, command)
     runio.write_results(run_dir, manifest, tables)
     return run_dir
@@ -401,6 +400,7 @@ def main(argv=None) -> int:
     if getattr(args, "run_root", None) is None and args.command != "report":
         args.run_root = runio.default_run_root()
     args.solver_counts_at_start = solver_path_counts()
+    args.started_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import OperatorPair, classify_dofs
+from .assembly import OperatorPair
 from .eigen import sym_gen_eigs, sym_solve
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
-from .traceops import ntl_blocks, ntl_operator
+from .spectra import free_dofs, pencil_matrices
+from .traceops import trace_blocks, trace_operator
 
 DENOMINATOR_FLOOR = 1e-14
 BOUNDARY_VALUE_TOL = 1e-12
@@ -80,11 +81,8 @@ class BoundedBelowReport:
 def buckling_ground_state(pair: OperatorPair) -> tuple[np.ndarray, float]:
     """Clamped fourth-order ground state, normalized to unit gradient
     energy, lifted to the full DOF vector (zeros on constrained DOFs)."""
-    _, free = classify_dofs(pair.dofmap, "clamped")
-    f = pair.fourth_order_matrix()
-    w, v = sym_gen_eigs(
-        f[np.ix_(free, free)], pair.k_grad[np.ix_(free, free)], 1
-    )
+    free = free_dofs(pair, "buckling")
+    w, v = sym_gen_eigs(*pencil_matrices(pair, "buckling", free), 1)
     u1 = np.zeros(pair.dofmap.n_dofs)
     u1[free] = v[:, 0]
     u1 /= math.sqrt(u1 @ pair.k_grad @ u1)
@@ -110,13 +108,12 @@ def make_perturbation(pair: OperatorPair) -> np.ndarray:
     """Bending-energy minimizer with zero boundary values and unit
     boundary normal derivative DOFs; its boundary normal mass equals
     the mesh perimeter, giving the sweep a fixed positive denominator."""
-    _, free = classify_dofs(pair.dofmap, "clamped")
+    free = free_dofs(pair, "buckling")
     g = np.zeros(pair.dofmap.n_dofs)
     g[pair.dofmap.boundary_normal_dofs()] = 1.0
-    f = pair.fourth_order_matrix()
-    rhs = -(f @ g)[free]
+    rhs = -(pair.fourth_order_matrix() @ g)[free]
     try:
-        sol = sym_solve(f[np.ix_(free, free)], rhs)
+        sol = sym_solve(pencil_matrices(pair, "buckling", free)[0], rhs)
     except SingularBlockError as exc:
         raise MeshError(f"perturbation solve failed: {exc}") from exc
     h = g.copy()
@@ -133,7 +130,7 @@ def rayleigh_quotient(v: np.ndarray, lam: float, pair: OperatorPair,
             "trial field has nonzero boundary values"
         )
     f = pair.fourth_order_matrix()
-    num = float(v @ f @ v - lam * (v @ pair.k_grad @ v))
+    num = float(v @ (f @ v) - lam * (v @ (pair.k_grad @ v)))
     den = float((pair.b_normal_diag * v) @ v)
     if den <= DENOMINATOR_FLOOR:
         if num == 0.0:
@@ -215,12 +212,12 @@ def bounded_below_check(
             f"lambda={lam} must stay below the first buckling eigenvalue "
             f"{lambda1:.6g} by the margin {margin:.2g}"
         )
-    t = ntl_operator(pair.mesh, lam)
+    t = trace_operator(pair.mesh, "liu", lam)
     w, vecs = sym_gen_eigs(t.matrix, t.boundary_mass, 1)
     beta1, psi = float(w[0]), vecs[:, 0]
 
     rng = np.random.default_rng(seed)
-    q, navier_free, interior, boundary = ntl_blocks(pair, lam)
+    q, navier_free, interior, boundary = trace_blocks(pair.mesh, "liu", lam)
     h = make_perturbation(pair)
     quotients: list[float] = []
     for _ in range(trials):

@@ -1,10 +1,11 @@
-"""The four spectra and their counting functions.
+"""The four spectra and the one table of their pencils.
 
 Dirichlet/Neumann use the Lagrange pencil (K_grad, M); buckling and the
 simply-supported (Navier) problem use the Morley fourth-order pencil
 (fourth-order form, K_grad) on the clamped and vertex-constrained
-spaces. The disk oracle produces analytic ground truth from Bessel
-zeros, independently of every finite element path.
+spaces, as the one table :data:`PENCILS` says. The disk oracle
+produces analytic ground truth from Bessel zeros, independently of every
+finite element path.
 
 Pencil matrices are sliced from the sparse assembled forms; the dense
 eigensolvers in :mod:`bucklab.eigen` densify them. Assembled pairs and
@@ -13,7 +14,6 @@ every mesh field assembly reads; caches are read-shared and write-once.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +27,14 @@ from .mesh import Mesh
 
 ORACLE_COUNT_CAP = 50
 
-
-class AmbiguousCountWarning(UserWarning):
-    """The counting parameter sits numerically on a spectrum value."""
+# problem -> (pair kind, classify_dofs condition or None when every DOF
+# is free, OperatorPair attributes of the pencil's A and B)
+PENCILS = {
+    "dirichlet": ("lagrange", "dirichlet-value", "k_grad", "mass"),
+    "neumann": ("lagrange", None, "k_grad", "mass"),
+    "buckling": ("morley", "clamped", "fourth_order", "k_grad"),
+    "navier": ("morley", "navier", "fourth_order", "k_grad"),
+}
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,6 @@ class Spectrum:
     problem: str  # dirichlet | neumann | buckling | navier | dtn | ntl
     values: np.ndarray
     source: str  # mesh/grid content hash or "oracle:..."
-    order: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -50,23 +54,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def counting_function(s: Spectrum, lam: float) -> int:
-    """Number of spectrum values strictly below ``lam``.
-
-    Emits :class:`AmbiguousCountWarning` when ``lam`` is within 1e-9
-    relative of a value, where strict-vs-weak counting would differ.
-    """
-    v = s.values
-    if len(v) and np.min(np.abs(v - lam)) <= 1e-9 * max(1.0, abs(lam)):
-        warnings.warn(
-            f"count at lambda={lam!r} is ambiguous: a spectrum value is "
-            "within 1e-9 relative",
-            AmbiguousCountWarning,
-            stacklevel=2,
-        )
-    return int(np.sum(v < lam))
 
 
 # ---------------------------------------------------------------------------
@@ -92,39 +79,55 @@ def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
     return pair
 
 
-def _pencil_matrices(
-    mesh: Mesh, problem: str, order: int | None
+def pencil_pair(mesh: Mesh, problem: str, order: int | None = None) -> OperatorPair:
+    """The memoized assembled pair ``problem``'s pencil is built from;
+    ``order`` applies to Lagrange pairs only."""
+    if problem not in PENCILS:
+        raise ValueError(f"unknown problem {problem!r}")
+    kind = PENCILS[problem][0]
+    return get_pair(mesh, kind, order if kind == "lagrange" else None)
+
+
+def free_dofs(pair: OperatorPair, problem: str) -> np.ndarray:
+    """Sorted DOFs of ``pair`` that ``problem`` leaves free (all of them
+    for neumann), without slicing any matrix."""
+    condition = PENCILS[problem][1]
+    if condition is None:
+        return np.arange(pair.dofmap.n_dofs)
+    _, free = classify_dofs(pair.dofmap, condition)
+    if len(free) == 0:
+        raise MeshError(f"no free DOFs for the {problem} problem")
+    return free
+
+
+def _restrict(m: sp.csc_array, free: np.ndarray) -> sp.csc_array:
+    return m if len(free) == m.shape[0] else m[np.ix_(free, free)]
+
+
+def pencil_matrices(
+    pair: OperatorPair, problem: str, free: np.ndarray
 ) -> tuple[sp.csc_array, sp.csc_array]:
-    """Sparse (A, B) of the pencil whose eigenvalues define ``problem`` on
-    this mesh."""
-    if problem in ("dirichlet", "neumann"):
-        pair = get_pair(mesh, "lagrange", order)
-        if problem == "dirichlet":
-            _, free = classify_dofs(pair.dofmap, "dirichlet-value")
-            if len(free) == 0:
-                raise MeshError("no interior DOFs: mesh too coarse for dirichlet")
-            return (
-                pair.k_grad[np.ix_(free, free)],
-                pair.mass[np.ix_(free, free)],
-            )
-        return pair.k_grad, pair.mass
-    if problem in ("buckling", "navier"):
-        pair = get_pair(mesh, "morley")
-        condition = "clamped" if problem == "buckling" else "navier"
-        _, free = classify_dofs(pair.dofmap, condition)
-        if len(free) == 0:
-            raise MeshError(f"no free DOFs for the {problem} problem")
-        f = pair.fourth_order_matrix()
-        return f[np.ix_(free, free)], pair.k_grad[np.ix_(free, free)]
-    raise ValueError(f"unknown problem {problem!r}")
+    """Sparse (A, B) of ``problem``'s pencil on the DOFs ``free``."""
+    a, b = (getattr(pair, name) for name in PENCILS[problem][2:])
+    return _restrict(a, free), _restrict(b, free)
+
+
+def shifted_form(
+    pair: OperatorPair, problem: str, free: np.ndarray, lam: float
+) -> sp.csc_array:
+    """``A - lam * B`` of ``problem``'s pencil on the DOFs ``free``,
+    shifted before it is sliced so that one matrix is sliced, not two."""
+    a, b = (getattr(pair, name) for name in PENCILS[problem][2:])
+    return _restrict(a - lam * b, free)
 
 
 def pencil_eigenvalues(mesh: Mesh, problem: str, order: int | None = None) -> np.ndarray:
     """All pencil eigenvalues for counting functions, memoized."""
-    key = (mesh.content_hash(), problem, order)
+    pair = pencil_pair(mesh, problem, order)
+    key = (mesh.content_hash(), problem, pair.dofmap.kind)
     vals = _FULL_CACHE.get(key)
     if vals is None:
-        a, b = _pencil_matrices(mesh, problem, order)
+        a, b = pencil_matrices(pair, problem, free_dofs(pair, problem))
         vals = sym_gen_eigvals_all(a, b)
         vals.setflags(write=False)
         vals = _FULL_CACHE.setdefault(key, vals)
@@ -144,13 +147,12 @@ def spectrum(mesh: Mesh, problem: str, k: int, order: int | None = None) -> Spec
                          constrained; reproduces the Dirichlet Laplacian
                          spectrum up to discretization error
     """
-    if problem in ("buckling", "navier"):
-        order = None
-    a, b = _pencil_matrices(mesh, problem, order)
+    pair = pencil_pair(mesh, problem, order)
+    a, b = pencil_matrices(pair, problem, free_dofs(pair, problem))
     if k > a.shape[0]:
         raise SpectrumRangeError(f"k={k} exceeds the {a.shape[0]} free DOFs")
     w, _ = sym_gen_eigs(a, b, k)
-    return Spectrum(problem, w, mesh.content_hash(), order)
+    return Spectrum(problem, w, mesh.content_hash())
 
 
 def disk_oracle(problem: str, count: int) -> Spectrum:

@@ -1,18 +1,17 @@
 """Boundary trace operators and the exact counting identities.
 
-For a spectral parameter away from the excluded discrete eigenvalues,
-the Dirichlet-to-Neumann operator is the Schur complement of
-K_grad - lambda*M onto the boundary-value DOFs, and the
-Neumann-to-Laplacian operator is the Schur complement of the
-fourth-order pencil matrix onto the boundary normal-derivative DOFs
-with the boundary values pinned to zero. The shifted form Q is built
-sparse from the assembled CSC matrices; :func:`bucklab.eigen.schur_complement`
-factors its interior block once (a checked sparse LDL^T, with the dense
-Bunch-Kaufman path as fallback) and returns the boundary-sized
-operator as a dense matrix.
+Each identity pairs an outer and an inner pencil on one assembled pair:
+Friedlander's is Neumann (K_grad - lambda*M) over Dirichlet, Liu's is
+Navier (F - lambda*K_grad) over buckling. Its trace operator, the
+Dirichlet-to-Neumann or the Neumann-to-Laplacian operator, is the Schur
+complement of the outer pencil's sparse shifted form Q onto the DOFs the
+inner pencil constrains. :func:`bucklab.eigen.schur_complement` factors
+the interior block, the inner pencil's shifted form, once (a checked
+sparse LDL^T, with the dense Bunch-Kaufman path as fallback) and returns
+the boundary-sized operator as a dense matrix.
 
 Because Schur elimination and inertia obey Haynsworth additivity
-exactly, the negative-eigenvalue count of each trace operator equals a
+exactly, neg(trace operator) = N_outer(lambda) - N_inner(lambda), a
 difference of counting functions of pencils assembled from the same
 matrices; ``verify_identity`` checks that integer identity point by
 point and ``scan_identities`` sweeps it over a parameter grid.
@@ -23,15 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import OperatorPair, classify_dofs
 from .eigen import inertia, schur_complement, sym_gen_eigs
 from .errors import ExcludedSpectrumError, SingularBlockError
 from .mesh import Mesh
 from .runio import SweepResult, run_sweep
-from .spectra import Spectrum, get_pair, pencil_eigenvalues
+from .spectra import Spectrum, free_dofs, pencil_eigenvalues, pencil_pair, shifted_form
 
 DEFAULT_MARGIN = 1e-3
 NUDGE_STEPS = 10
+
+# identity -> (trace operator, outer pencil, inner pencil)
+_IDENTITIES = {
+    "friedlander": ("dtn", "neumann", "dirichlet"),
+    "liu": ("ntl", "navier", "buckling"),
+}
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,6 @@ class TraceOperator:
     source: str
     margin: float
     boundary_dofs: np.ndarray
-    order: int | None = None
 
 
 @dataclass(frozen=True)
@@ -71,22 +74,19 @@ def relative_margin(lam: float, values: np.ndarray) -> float:
     return float(np.min(np.abs(values - lam)) / max(1.0, abs(lam)))
 
 
+def _identity(kind: str) -> tuple[str, str, str]:
+    try:
+        return _IDENTITIES[kind]
+    except KeyError:
+        raise ValueError(f"unknown identity kind {kind!r}") from None
+
+
 def _excluded_values(mesh: Mesh, kind: str, order: int | None) -> np.ndarray:
-    if kind == "friedlander" or kind == "dtn":
-        return np.concatenate(
-            [
-                pencil_eigenvalues(mesh, "dirichlet", order),
-                pencil_eigenvalues(mesh, "neumann", order),
-            ]
-        )
-    if kind == "liu" or kind == "ntl":
-        return np.concatenate(
-            [
-                pencil_eigenvalues(mesh, "buckling"),
-                pencil_eigenvalues(mesh, "navier"),
-            ]
-        )
-    raise ValueError(f"unknown identity kind {kind!r}")
+    """The inner then the outer pencil's spectrum of identity ``kind``."""
+    _, outer, inner = _identity(kind)
+    return np.concatenate(
+        [pencil_eigenvalues(mesh, inner, order), pencil_eigenvalues(mesh, outer, order)]
+    )
 
 
 def _nearest(lam: float, excluded: np.ndarray) -> float:
@@ -94,74 +94,60 @@ def _nearest(lam: float, excluded: np.ndarray) -> float:
     return float(excluded[np.argmin(np.abs(excluded - lam))])
 
 
-def _check_margin(lam: float, excluded: np.ndarray, delta: float) -> float:
-    margin = relative_margin(lam, excluded)
-    if margin < delta:
-        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
-    return margin
+def trace_blocks(mesh: Mesh, kind: str, lam: float, order: int | None = 2):
+    """``(q, free, interior, boundary)``: the outer pencil's shifted form
+    ``q = A - lam * B`` on its free DOFs ``free``, and the positions in
+    ``free`` of the DOFs the inner pencil also leaves free (eliminated)
+    and of the rest (kept). Both pencils share one assembled pair; the
+    inner one only names its free DOFs."""
+    _, outer, inner = _identity(kind)
+    pair = pencil_pair(mesh, outer, order)
+    free = free_dofs(pair, outer)
+    interior = np.searchsorted(free, free_dofs(pair, inner))
+    kept = np.ones(len(free), dtype=bool)
+    kept[interior] = False
+    return shifted_form(pair, outer, free, lam), free, interior, np.flatnonzero(kept)
 
 
-def dtn_operator(
-    mesh: Mesh, order: int, lam: float, delta: float = DEFAULT_MARGIN
+def trace_operator(
+    mesh: Mesh, kind: str, lam: float, order: int = 2, delta: float = DEFAULT_MARGIN
 ) -> TraceOperator:
-    """Dirichlet-to-Neumann operator at ``lam`` on the boundary-value DOFs.
+    """Trace operator of identity ``kind`` at ``lam``, with its boundary
+    mass: Dirichlet-to-Neumann with the boundary L2 mass (friedlander),
+    Neumann-to-Laplacian with the boundary normal-derivative mass, the
+    denominator of the trace Rayleigh quotient (liu).
 
-    Its quadratic form on a boundary trace equals the gradient-minus-
-    lambda-mass energy of the discrete Helmholtz extension of that
-    trace; the boundary mass metric is the boundary L2 matrix. The
-    operator exists whenever ``lam`` clears the interior (Dirichlet)
-    spectrum; counting against the full pencil is the identity module's
-    concern.
+    The eliminated block is the inner pencil, so the operator exists iff
+    ``lam`` clears the inner spectrum by the relative margin ``delta``.
     """
-    excluded = pencil_eigenvalues(mesh, "dirichlet", order)
-    margin = _check_margin(lam, excluded, delta)
-    pair = get_pair(mesh, "lagrange", order)
-    bdofs, idofs = classify_dofs(pair.dofmap, "dirichlet-value")
-    q = pair.k_grad - lam * pair.mass
-    try:
-        s = schur_complement(q, idofs, bdofs)
-    except SingularBlockError:
-        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
-    if not np.array_equal(bdofs, pair.b_trace_dofs):
-        raise AssertionError("boundary DOF ordering mismatch")
-    return TraceOperator(
-        "dtn", lam, s, pair.b_trace.copy(), mesh.content_hash(), margin, bdofs, order
-    )
+    excluded = pencil_eigenvalues(mesh, _identity(kind)[2], order)
+    return _trace(mesh, kind, lam, order, delta, excluded)
 
 
-def ntl_blocks(pair: OperatorPair, lam: float):
-    """``(q, free, interior, boundary)``: ``q = F - lam * K_grad`` on the
-    Navier-free DOFs ``free``, and the positions in ``free`` of the DOFs
-    the Neumann-to-Laplacian Schur complement eliminates and keeps."""
-    _, free = classify_dofs(pair.dofmap, "navier")
-    boundary = np.searchsorted(free, pair.dofmap.boundary_normal_dofs())
-    interior = np.setdiff1d(np.arange(len(free)), boundary)
-    q = (pair.fourth_order_matrix() - lam * pair.k_grad)[np.ix_(free, free)]
-    return q, free, interior, boundary
-
-
-def ntl_operator(mesh: Mesh, lam: float, delta: float = DEFAULT_MARGIN) -> TraceOperator:
-    """Neumann-to-Laplacian operator at ``lam`` on the boundary
-    normal-derivative DOFs, boundary values pinned to zero.
-
-    The interior block eliminated is exactly the clamped fourth-order
-    pencil block, so the operator exists iff ``lam`` avoids the discrete
-    buckling spectrum. The mass metric is the boundary normal-derivative
-    mass (the denominator of the trace Rayleigh quotient).
-    """
-    excluded = pencil_eigenvalues(mesh, "buckling")
-    margin = _check_margin(lam, excluded, delta)
-    pair = get_pair(mesh, "morley")
-    q, free, interior, boundary = ntl_blocks(pair, lam)
+def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
+           excluded: np.ndarray, margin: float | None = None) -> TraceOperator:
+    """:func:`trace_operator` with ``lam`` kept clear of ``excluded``;
+    a ``margin`` from them that the caller has checked is not checked
+    again."""
+    name, _, inner = _identity(kind)
+    if margin is None:
+        margin = relative_margin(lam, excluded)
+        if margin < delta:
+            raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
+    q, free, interior, boundary = trace_blocks(mesh, kind, lam, order)
     try:
         s = schur_complement(q, interior, boundary)
     except SingularBlockError:
         raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
     bnd = free[boundary]
-    boundary_mass = np.diag(pair.b_normal_diag[bnd])
-    return TraceOperator(
-        "ntl", lam, s, boundary_mass, mesh.content_hash(), margin, bnd, None
-    )
+    pair = pencil_pair(mesh, inner, order)
+    if pair.b_trace is None:  # Morley pair
+        boundary_mass = np.diag(pair.b_normal_diag[bnd])
+    else:
+        if not np.array_equal(bnd, pair.b_trace_dofs):
+            raise AssertionError("boundary DOF ordering mismatch")
+        boundary_mass = pair.b_trace.copy()
+    return TraceOperator(name, lam, s, boundary_mass, mesh.content_hash(), margin, bnd)
 
 
 def trace_spectrum(t: TraceOperator, k: int | None = None) -> tuple[Spectrum, float, int]:
@@ -177,12 +163,7 @@ def trace_spectrum(t: TraceOperator, k: int | None = None) -> tuple[Spectrum, fl
 
 
 def verify_identity(
-    mesh: Mesh,
-    kind: str,
-    lam: float,
-    order: int = 2,
-    delta: float = DEFAULT_MARGIN,
-    nudged: bool = False,
+    mesh: Mesh, kind: str, lam: float, order: int = 2, delta: float = DEFAULT_MARGIN
 ) -> IdentityReport:
     """Check one counting identity at one parameter value.
 
@@ -193,36 +174,33 @@ def verify_identity(
     identity is an exact integer statement. Counting needs ``lam`` to
     clear both pencils' spectra, not just the interior block.
     """
-    excluded = _excluded_values(mesh, kind, order)
-    margin = _check_margin(lam, excluded, delta)
-    if kind == "friedlander":
-        t = dtn_operator(mesh, order, lam, delta)
-        lhs = int(np.sum(pencil_eigenvalues(mesh, "neumann", order) < lam))
-        rhs = int(np.sum(pencil_eigenvalues(mesh, "dirichlet", order) < lam))
-    else:  # liu; _excluded_values already validated the kind
-        t = ntl_operator(mesh, lam, delta)
-        lhs = int(np.sum(pencil_eigenvalues(mesh, "navier") < lam))
-        rhs = int(np.sum(pencil_eigenvalues(mesh, "buckling") < lam))
+    return _verify(mesh, kind, lam, order, delta, _excluded_values(mesh, kind, order))
+
+
+def _verify(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
+            excluded: np.ndarray, margin: float | None = None,
+            nudged: bool = False) -> IdentityReport:
+    """:func:`verify_identity`, with ``margin`` as in :func:`_trace`."""
+    _, outer, inner = _identity(kind)
+    t = _trace(mesh, kind, lam, order, delta, excluded, margin)
+    lhs = int(np.sum(pencil_eigenvalues(mesh, outer, order) < lam))
+    rhs = int(np.sum(pencil_eigenvalues(mesh, inner, order) < lam))
     neg = inertia(t.matrix).n_neg
-    return IdentityReport(
-        kind, lam, neg, lhs, rhs, neg == lhs - rhs, margin, nudged
-    )
+    return IdentityReport(kind, lam, neg, lhs, rhs, neg == lhs - rhs, t.margin, nudged)
 
 
-def _nudge(lam: float, excluded: np.ndarray, delta: float) -> tuple[float, bool]:
-    """Shift ``lam`` by steps of delta (relative) until clear of the
-    excluded values; gives up beyond NUDGE_STEPS steps."""
-    if relative_margin(lam, excluded) >= delta:
-        return lam, False
+def _nudge(lam: float, excluded: np.ndarray, delta: float) -> tuple[float, float, bool]:
+    """``(lam_used, margin, nudged)``: ``lam`` shifted by steps of delta
+    (relative) until clear of the excluded values, its margin from them,
+    and whether it moved; gives up beyond NUDGE_STEPS steps."""
     scale = max(1.0, abs(lam))
-    for j in range(1, NUDGE_STEPS + 1):
-        for sign in (1.0, -1.0):
-            cand = lam + sign * j * delta * scale
-            if relative_margin(cand, excluded) >= delta:
-                return cand, True
-    raise ExcludedSpectrumError(
-        lam, _nearest(lam, excluded), relative_margin(lam, excluded), delta
-    )
+    for step in [0.0] + [sign * j for j in range(1, NUDGE_STEPS + 1) for sign in (1.0, -1.0)]:
+        cand = lam + step * delta * scale
+        margin = relative_margin(cand, excluded)
+        if margin >= delta:
+            return cand, margin, step != 0.0
+    margin = relative_margin(lam, excluded)
+    raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
 
 
 def scan_identities(
@@ -239,8 +217,8 @@ def scan_identities(
     excluded = _excluded_values(mesh, kind, order)
 
     def one(lam: float):
-        lam_used, nudged = _nudge(lam, excluded, delta)
-        rep = verify_identity(mesh, kind, lam_used, order, delta, nudged)
+        lam_used, margin, nudged = _nudge(lam, excluded, delta)
+        rep = _verify(mesh, kind, lam_used, order, delta, excluded, margin, nudged)
         return {
             "lambda": rep.lam,
             "neg_count": rep.neg_count,
@@ -264,11 +242,14 @@ def scan_beta1(
 ) -> SweepResult:
     """Smallest trace eigenvalue of the Neumann-to-Laplacian operator
     over a parameter grid, with the same nudging discipline."""
-    excluded = _excluded_values(mesh, "ntl", None)
+    excluded = _excluded_values(mesh, "liu", None)
+    buckling = pencil_eigenvalues(mesh, "buckling")
 
     def one(lam: float):
-        lam_used, nudged = _nudge(lam, excluded, delta)
-        t = ntl_operator(mesh, lam_used, delta)
+        lam_used, _, nudged = _nudge(lam, excluded, delta)
+        # the operator's margin is from the buckling spectrum alone
+        margin = relative_margin(lam_used, buckling)
+        t = _trace(mesh, "liu", lam_used, None, delta, buckling, margin)
         _, beta1, neg = trace_spectrum(t, 1)
         return {
             "lambda": lam_used,

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from bucklab import (
     DofKindError,
@@ -12,7 +11,6 @@ from bucklab import (
     boundary_normal_mass,
     classify_dofs,
     disk_oracle,
-    export_triplets,
     make_disk_mesh,
     make_rectangle_mesh,
     sym_gen_eigs,
@@ -26,14 +24,13 @@ def rect4():
 
 
 def test_matrices_symmetric_and_mass_pd(disk2):
-    for pair in (get_pair(disk2, "lagrange", 2), get_pair(disk2, "morley")):
-        for mat in (pair.k_grad, pair.mass) + (
-            (pair.a_bend,) if pair.a_bend is not None else ()
-        ):
-            scale = np.max(np.abs(mat))
-            assert np.max(np.abs(mat - mat.T)) <= 1e-12 * scale
-        w, _ = sym_gen_eigs(pair.mass, np.eye(pair.mass.shape[0]), 1)
-        assert w[0] > 0
+    lagrange, morley = get_pair(disk2, "lagrange", 2), get_pair(disk2, "morley")
+    for mat in (lagrange.k_grad, lagrange.mass, morley.k_grad, morley.a_bend):
+        scale = np.max(np.abs(mat))
+        assert np.max(np.abs(mat - mat.T)) <= 1e-12 * scale
+    w, _ = sym_gen_eigs(lagrange.mass, np.eye(lagrange.mass.shape[0]), 1)
+    assert w[0] > 0
+    assert morley.mass is None
 
 
 def test_unconstrained_gradient_kernel_is_constants(rect4):
@@ -206,7 +203,7 @@ def test_degenerate_sliver_triangle_rejected(tmp_path):
 def test_assembly_bit_deterministic(disk2):
     a1 = assemble_morley(disk2)
     a2 = assemble_morley(disk2)
-    for name in ("a_bend", "k_grad", "mass"):
+    for name in ("a_bend", "k_grad"):
         m1, m2 = getattr(a1, name), getattr(a2, name)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(m1, part), getattr(m2, part))
@@ -232,22 +229,6 @@ def test_fourth_order_matrix_adds_curvature_only_on_boundary_normals(disk2, rect
     assert np.array_equal(flat.fourth_order_matrix().toarray(), flat.a_bend.toarray())
 
 
-def test_export_triplets_roundtrip(tmp_path):
-    m = np.array([[1.5, 0.0], [0.0, -2.25]])
-    path = tmp_path / "mat.txt"
-    export_triplets(m, path)
-    rebuilt = np.zeros_like(m)
-    for line in path.read_text().splitlines():
-        i, j, v = line.split()
-        rebuilt[int(i), int(j)] = float(v)
-    assert np.array_equal(rebuilt, m)
-    # sparse input gives the same rows, in row-major order
-    m2 = np.array([[0.0, 1.5, 0.0], [2.0, 0.0, -1.0], [0.0, 3.0, 0.0]])
-    export_triplets(m2, path)
-    export_triplets(sp.csc_array(m2), tmp_path / "sparse.txt")
-    assert (tmp_path / "sparse.txt").read_text() == path.read_text()
-
-
 def test_level5_assembles_sparse_and_refuses_dense_spectra():
     disk5 = make_disk_mesh(1.0, 5)
     n = disk5.n_vertices + disk5.n_edges
@@ -258,7 +239,7 @@ def test_level5_assembles_sparse_and_refuses_dense_spectra():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    for mat in (pair.k_grad, pair.mass, pair.a_bend):
+    for mat in (pair.k_grad, pair.a_bend):
         assert mat.format == "csc" and mat.shape == (n, n)
     assert peak < 0.05 * 8 * n * n  # one dense n x n array is 2.2 GB
     with pytest.raises(SizeLimitError):

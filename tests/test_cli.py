@@ -223,3 +223,33 @@ def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys, mon
         assert forced == {"sparse_ldlt": 0, "dense_fallback": paths["sparse_ldlt"]}
         assert csv_dense == csv_sparse
     capsys.readouterr()
+
+
+def test_manifest_started_before_finished(tmp_path, capsys, monkeypatch):
+    """started_utc is taken when the command starts, not when its
+    results are written: a clock that jumps an hour during the
+    computation shows in finished_utc only."""
+    import time
+
+    from bucklab import cli
+
+    real_gmtime = time.gmtime
+    clock = [1_700_000_000.0]
+    monkeypatch.setattr(time, "gmtime", lambda s=None: real_gmtime(clock[0] if s is None else s))
+    real_spectrum = cli.spectrum
+
+    def slow_spectrum(*args, **kwargs):
+        clock[0] += 3600.0
+        return real_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectrum", slow_spectrum)
+    code, _, _ = run_cli(
+        ["spectrum", "--domain", "disk", "--refine", "1", "--problem", "dirichlet",
+         "--count", "1"],
+        tmp_path, capsys,
+    )
+    assert code == 0
+    meta = json.loads((latest_run(tmp_path, "spectrum") / "manifest.json").read_text())
+    assert meta["started_utc"] == "2023-11-14T22:13:20Z"
+    assert meta["finished_utc"] == "2023-11-14T23:13:20Z"
+    assert meta["started_utc"] < meta["finished_utc"]

@@ -34,7 +34,7 @@ def test_lagrange1_exact_on_reference():
 def test_morley_affine_functions_have_zero_bending(element_data):
     coords, normals = element_data
     mesh = make_disk_mesh(1.0, 2)
-    bend, _, _ = _kernels.morley_local(coords, normals)
+    bend, _ = _kernels.morley_local(coords, normals)
     # DOF vector of u(x, y) = 3 - 2x + y on each element
     for t in (0, 7, len(coords) // 2):
         vals = 3.0 - 2.0 * coords[t, :, 0] + coords[t, :, 1]

@@ -4,7 +4,6 @@ import pytest
 from bucklab import (
     MeshError,
     SpectrumRangeError,
-    counting_function,
     disk_oracle,
     load_mesh,
     make_disk_mesh,
@@ -12,7 +11,7 @@ from bucklab import (
     spectra,
     spectrum,
 )
-from bucklab.spectra import AmbiguousCountWarning, Spectrum, spectrum_to_csv_rows
+from bucklab.spectra import Spectrum, spectrum_to_csv_rows
 
 
 def test_rect_neumann_values(rect16):
@@ -72,16 +71,6 @@ def test_disk_oracle_frozen_values():
     )
     with pytest.raises(SpectrumRangeError):
         disk_oracle("dirichlet", 51)
-
-
-def test_counting_function():
-    s = Spectrum("dirichlet", np.array([5.78, 14.68, 14.68]), "test")
-    assert counting_function(s, 10.0) == 1
-    assert counting_function(s, 1.0) == 0
-    oracle = disk_oracle("dirichlet", 10)
-    assert counting_function(oracle, 30.0) == 5
-    with pytest.warns(AmbiguousCountWarning):
-        counting_function(s, 14.68)
 
 
 def test_payne_inequality_on_disk_oracles_and_fem(disk3):

@@ -5,22 +5,22 @@ from hypothesis import strategies as st
 
 from bucklab import (
     ExcludedSpectrumError,
-    dtn_operator,
     inertia,
-    ntl_operator,
     scan_beta1,
     scan_identities,
+    trace_blocks,
+    trace_operator,
     trace_spectrum,
     verify_identity,
 )
 from bucklab.assembly import classify_dofs
 from bucklab.eigen import schur_complement, solver_path_counts
-from bucklab.spectra import get_pair, pencil_eigenvalues
-from bucklab.traceops import relative_margin
+from bucklab.spectra import free_dofs, get_pair, pencil_eigenvalues, pencil_pair
+from bucklab.traceops import _IDENTITIES, relative_margin
 
 
 def test_dtn_symmetric_and_margin(rect16):
-    t = dtn_operator(rect16, 2, 5.0)
+    t = trace_operator(rect16, "friedlander", 5.0)
     scale = np.max(np.abs(t.matrix))
     assert np.max(np.abs(t.matrix - t.matrix.T)) <= 1e-10 * scale
     assert t.margin >= 1e-3
@@ -42,11 +42,11 @@ def test_dtn_identity_and_counts(rect16):
 def test_dtn_excluded_spectrum(rect16):
     lam1 = pencil_eigenvalues(rect16, "dirichlet", 2)[0]
     with pytest.raises(ExcludedSpectrumError):
-        dtn_operator(rect16, 2, float(lam1))
+        trace_operator(rect16, "friedlander", float(lam1))
 
 
 def test_dtn_at_zero_constant_kernel(disk2):
-    t = dtn_operator(disk2, 2, 0.0)
+    t = trace_operator(disk2, "friedlander", 0.0)
     spec, beta1, neg = trace_spectrum(t)
     assert neg == 0
     assert abs(spec.values[0]) < 1e-8 * max(1.0, abs(spec.values[-1]))
@@ -57,7 +57,7 @@ def test_dtn_at_zero_constant_kernel(disk2):
 def test_dtn_form_monotone_in_lambda(disk2, rng):
     # within one gap of the excluded spectrum the quadratic form decreases
     lams = np.linspace(0.5, 4.5, 5)
-    ops = [dtn_operator(disk2, 2, lam) for lam in lams]
+    ops = [trace_operator(disk2, "friedlander", lam) for lam in lams]
     nb = len(ops[0].matrix)
     for _ in range(3):
         psi = rng.standard_normal(nb)
@@ -66,7 +66,7 @@ def test_dtn_form_monotone_in_lambda(disk2, rng):
 
 
 def test_ntl_signs_and_counts(disk3):
-    t2 = ntl_operator(disk3, 2.0)
+    t2 = trace_operator(disk3, "liu", 2.0)
     _, beta1, neg = trace_spectrum(t2)
     assert beta1 > 0
     assert neg == 0
@@ -79,7 +79,7 @@ def test_ntl_signs_and_counts(disk3):
     rep20 = verify_identity(disk3, "liu", 20.0)
     assert rep20.identity_holds
     assert (rep20.neg_count, rep20.lhs_counting, rep20.rhs_counting) == (2, 3, 1)
-    _, beta1_20, _ = trace_spectrum(ntl_operator(disk3, 20.0))
+    _, beta1_20, _ = trace_spectrum(trace_operator(disk3, "liu", 20.0))
     assert beta1_20 < 0
 
 
@@ -109,7 +109,7 @@ def test_exact_haynsworth_triple(disk2):
 def test_ntl_excluded_spectrum_names_nearest(disk2):
     buck1 = pencil_eigenvalues(disk2, "buckling")[0]
     with pytest.raises(ExcludedSpectrumError) as err:
-        ntl_operator(disk2, float(buck1))
+        trace_operator(disk2, "liu", float(buck1))
     assert err.value.nearest == pytest.approx(buck1)
 
 
@@ -192,7 +192,7 @@ def test_sparse_trace_operator_matches_dense_path(request, mesh_name, kind):
     def check(lam):
         assume(relative_margin(lam, excluded) >= 1e-3)
         before = solver_path_counts()
-        t = dtn_operator(mesh, 2, lam) if kind == "dtn" else ntl_operator(mesh, lam)
+        t = trace_operator(mesh, "friedlander" if kind == "dtn" else "liu", lam)
         q, interior, boundary = _shifted_form(mesh, kind, lam)
         sparse_inner = inertia(q[np.ix_(interior, interior)])
         after = solver_path_counts()
@@ -210,3 +210,28 @@ def test_sparse_trace_operator_matches_dense_path(request, mesh_name, kind):
         assert inertia(t.matrix).n_neg == inertia(s_dense).n_neg == n_outer - n_inner
 
     check()
+
+
+@pytest.mark.parametrize("mesh_name", ["disk2", "rect16"])
+@pytest.mark.parametrize("kind", ["friedlander", "liu"])
+def test_identity_table_partitions(request, mesh_name, kind):
+    """The inner pencil's free DOFs lie inside the outer pencil's, and the
+    rest are exactly the DOFs each trace operator lives on."""
+    mesh = request.getfixturevalue(mesh_name)
+    name, outer, inner = _IDENTITIES[kind]
+    pair = pencil_pair(mesh, outer, 2)
+    outer_free, inner_free = free_dofs(pair, outer), free_dofs(pair, inner)
+    assert np.all(np.isin(inner_free, outer_free))
+    assert len(inner_free) < len(outer_free)
+
+    q, free, interior, boundary = trace_blocks(mesh, kind, 7.0)
+    assert np.array_equal(free, outer_free)
+    assert np.array_equal(free[interior], inner_free)
+    expected = (
+        pair.b_trace_dofs if name == "dtn" else pair.dofmap.boundary_normal_dofs()
+    )
+    assert np.array_equal(free[boundary], expected)
+    assert q.shape == (len(free), len(free))
+    t = trace_operator(mesh, kind, 7.0)
+    assert np.array_equal(t.boundary_dofs, expected)
+    assert t.boundary_mass.shape == t.matrix.shape == (len(expected), len(expected))
