@@ -15,9 +15,16 @@ constant alpha while the denominator is exactly eps^2 times the
 boundary perimeter. This module reproduces both regimes.
 
 Both regimes hinge on the clamped ground state (u1, Lambda1) of
-:func:`buckling_ground_state`. The caller computes it once, chooses the
-regime from Lambda1 and passes the same pair to :func:`divergence_sweep`
-or :func:`bounded_below_check`. Every function here takes a Morley
+:func:`buckling_ground_state`, computed by certified shift-invert
+Lanczos on the sparse clamped pencil. The caller computes it once,
+chooses the regime from Lambda1 and passes the same pair to
+:func:`divergence_sweep` or :func:`bounded_below_check`. An eigenvector
+has no sign of its own, so both sign u1 by the perturbation (see
+:func:`_signed_ground`): their results do not depend on the solver's
+sign. The bounded regime keeps lambda clear of Lambda1 alone, which is
+certified smallest, and needs no other buckling eigenvalue; its trace
+operator is the one dense eigenproblem left here (boundary-sized).
+Every function here takes a Morley
 :class:`~bucklab.assembly.OperatorPair`.
 """
 from __future__ import annotations
@@ -30,8 +37,8 @@ import numpy as np
 from .assembly import OperatorPair
 from .eigen import sym_gen_eigs, sym_solve
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
-from .spectra import free_dofs, pencil_matrices
-from .traceops import trace_blocks, trace_operator
+from .spectra import free_dofs, pencil_matrices, smallest_eigenpairs
+from .traceops import DEFAULT_MARGIN, _trace, trace_blocks
 
 DENOMINATOR_FLOOR = 1e-14
 BOUNDARY_VALUE_TOL = 1e-12
@@ -80,9 +87,9 @@ class BoundedBelowReport:
 
 def buckling_ground_state(pair: OperatorPair) -> tuple[np.ndarray, float]:
     """Clamped fourth-order ground state, normalized to unit gradient
-    energy, lifted to the full DOF vector (zeros on constrained DOFs)."""
-    free = free_dofs(pair, "buckling")
-    w, v = sym_gen_eigs(*pencil_matrices(pair, "buckling", free), 1)
+    energy, lifted to the full DOF vector (zeros on constrained DOFs).
+    Its sign is the solver's; the regimes fix their own."""
+    w, v, free = smallest_eigenpairs(pair, "buckling", 1)
     u1 = np.zeros(pair.dofmap.n_dofs)
     u1[free] = v[:, 0]
     u1 /= math.sqrt(u1 @ pair.k_grad @ u1)
@@ -119,6 +126,15 @@ def make_perturbation(pair: OperatorPair) -> np.ndarray:
     h = g.copy()
     h[free] = sol
     return h
+
+
+def _signed_ground(u1: np.ndarray, h: np.ndarray, pair: OperatorPair) -> np.ndarray:
+    """``u1`` or ``-u1``, whichever has a positive gradient form
+    K(u1, h) with the perturbation ``h``. F(u1, h) is zero (h minimizes
+    the bending energy for its boundary data, u1 vanishes there), so the
+    cross term of the numerator at u1 + eps * h is -2 eps lam K(u1, h),
+    and its sign follows u1's."""
+    return u1 if u1 @ (pair.k_grad @ h) > 0 else -u1
 
 
 def rayleigh_quotient(v: np.ndarray, lam: float, pair: OperatorPair,
@@ -161,6 +177,7 @@ def divergence_sweep(
             f"{lambda1:.6g} by the margin {margin:.2g}"
         )
     h = make_perturbation(pair)
+    u1 = _signed_ground(u1, h, pair)
     samples = tuple(
         rayleigh_quotient(u1 + e * h, lam, pair, eps=e) for e in eps_arr
     )
@@ -212,13 +229,18 @@ def bounded_below_check(
             f"lambda={lam} must stay below the first buckling eigenvalue "
             f"{lambda1:.6g} by the margin {margin:.2g}"
         )
-    t = trace_operator(pair.mesh, "liu", lam)
+    # lam is below Lambda1, the smallest buckling eigenvalue, by the
+    # margin, so Lambda1 is the only one it must be kept clear of
+    blocks = trace_blocks(pair.mesh, "liu", lam)
+    t = _trace(pair.mesh, "liu", lam, None, DEFAULT_MARGIN,
+               np.array([lambda1]), blocks=blocks)
     w, vecs = sym_gen_eigs(t.matrix, t.boundary_mass, 1)
     beta1, psi = float(w[0]), vecs[:, 0]
 
     rng = np.random.default_rng(seed)
-    q, navier_free, interior, boundary = trace_blocks(pair.mesh, "liu", lam)
+    q, navier_free, interior, boundary = blocks
     h = make_perturbation(pair)
+    u1 = _signed_ground(u1, h, pair)
     quotients: list[float] = []
     for _ in range(trials):
         v = np.zeros(pair.dofmap.n_dofs)

@@ -5,18 +5,22 @@ trace operators, 1D cap forms and test matrices arrive dense. This is
 the one module that densifies a sparse matrix, and it refuses to do so
 beyond ``MAX_DENSE_DOFS`` rows.
 
-Generalized eigenproblems are solved densely through the Cholesky factor
-of the mass matrix (LAPACK's standard path). Inertia, solves and Schur
-complements of sparse matrices use one SuperLU factorization in
-symmetric mode: a symmetric fill-reducing ordering and diagonal pivots
+Dense generalized eigenproblems are solved through the Cholesky factor
+of the mass matrix (LAPACK's standard path). The few smallest
+eigenpairs of a sparse pencil come from shift-invert Lanczos
+(:func:`sparse_smallest_eigs`), certified by inertia, with the dense
+path as its fallback. Inertia, solves, Schur complements and the
+shift-invert operator of sparse matrices use one SuperLU factorization
+in symmetric mode: a symmetric fill-reducing ordering and diagonal pivots
 only, so P A P^T = L U with U = D L^T, and inertia(A) = inertia(D) by
 Sylvester's law. Unlike Bunch-Kaufman this factorization never pivots
 for stability, so it is trusted only when the row and column
 permutations agree, every pivot exceeds ``zero_tol * max|A|`` and the
 factor shows no large element growth. Otherwise the dense path decides:
 LDL^T with Bunch-Kaufman 1x1/2x2 pivots for inertia, then a dense solve,
-exactly as for dense input. ``solver_path_counts`` reports how many
-sparse factorizations took each path.
+exactly as for dense input, or the dense eigensolver for a Lanczos
+result that fails its certificate. ``solver_path_counts`` reports how
+many sparse factorizations and Lanczos solves took each path.
 
 The Schur complement routine uses one factorization of the interior
 block both for its regularity check and for the boundary-column solve,
@@ -44,6 +48,15 @@ MAX_DENSE_DOFS = 6000
 # times the growth times max|A|, so up to 1e6 it stays near 1e-10 max|A|,
 # below the default zero tolerance; beyond it, pivot signs may be wrong.
 _MAX_GROWTH = 1e6
+# Lanczos computes this many values beyond those asked for, so that a
+# multiple eigenvalue split by the count is still followed by a gap.
+_LANCZOS_EXTRA = 3
+# Two Ritz values are separated by a clear gap when they differ by more
+# than this, relative to the larger one in magnitude. The certifying
+# inertia count is taken at the gap's midpoint, which is then at least
+# half this distance from either value: far above the Lanczos error and
+# far enough from the spectrum for the checked factor to be trusted.
+_GAP_RTOL = 1e-3
 
 _PATH_LOCK = threading.Lock()
 _PATH_COUNTS = {"sparse_ldlt": 0, "dense_fallback": 0}
@@ -63,9 +76,16 @@ class Inertia:
 def solver_path_counts() -> dict[str, int]:
     """Sparse factorizations so far in this process, by the path taken:
     ``sparse_ldlt`` (checked SuperLU factor trusted) or ``dense_fallback``
-    (a check failed and the dense Bunch-Kaufman path ran instead)."""
+    (a check failed and the dense Bunch-Kaufman path ran instead). A
+    Lanczos solve that the dense eigensolver replaces after its factor
+    was trusted counts once more in ``dense_fallback``."""
     with _PATH_LOCK:
         return dict(_PATH_COUNTS)
+
+
+def _count_path(path: str) -> None:
+    with _PATH_LOCK:
+        _PATH_COUNTS[path] += 1
 
 
 def _require_symmetric(a, name: str = "matrix"):
@@ -121,6 +141,68 @@ def sym_gen_eigs(a, b, count: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def sparse_smallest_eigs(a, b, count: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_gen_eigs` for a sparse pencil, by certified shift-invert
+    Lanczos (Ericsson & Ruhe, Math. Comp. 1980).
+
+    ``sigma`` must lie below the spectrum: every pivot of the checked
+    sparse LDL^T of A - sigma B must be positive, which certifies it by
+    Sylvester's law. ARPACK then runs on (A - sigma B)^{-1} B with that
+    factor, from a fixed start vector so that results are reproducible,
+    for a few more values than ``count``. The result is certified as in
+    Grimes, Lewis & Simon (SIAM J. Matrix Anal. Appl. 15, 1994): at the
+    midpoint of the first clear gap between Ritz values at or after
+    position ``count - 1``, the inertia of A - mid B must count exactly
+    the Ritz values below the midpoint, so no eigenvalue was missed,
+    not even one copy of a multiple one. When any check fails the
+    dense :func:`sym_gen_eigs` answers, which refuses beyond
+    ``MAX_DENSE_DOFS`` rows.
+    """
+    a = _require_symmetric(a, "A")
+    b = _require_symmetric(b, "B")
+    n = a.shape[0]
+    if not 1 <= count <= n:
+        raise ValueError(f"count must be in [1, {n}], got {count}")
+    pairs = _lanczos_smallest(a, b, count, sigma)
+    if pairs is None:
+        return sym_gen_eigs(a, b, count)
+    return pairs
+
+
+def _lanczos_smallest(a, b, count: int, sigma: float):
+    """Certified ``count`` smallest eigenpairs, or None (counted as a
+    dense fallback) when a check fails."""
+    n = a.shape[0]
+    nev = count + _LANCZOS_EXTRA
+    if nev >= n:  # ARPACK needs nev < n; such a pencil is tiny anyway
+        _count_path("dense_fallback")
+        return None
+    fac = _checked_sparse_ldlt(a - sigma * b, DEFAULT_ZERO_TOL)
+    if fac is None:
+        return None
+    if np.any(fac[1] < 0):  # sigma is not below the spectrum
+        _count_path("dense_fallback")
+        return None
+    op_inv = spla.LinearOperator((n, n), matvec=fac[0].solve, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        w, v = spla.eigsh(a, k=nev, M=b, sigma=sigma, OPinv=op_inv, v0=v0)
+    except spla.ArpackError:
+        _count_path("dense_fallback")
+        return None
+    order = np.argsort(w)
+    w, v = w[order], v[:, order]
+    gap = next(
+        (j for j in range(count - 1, len(w) - 1)
+         if w[j + 1] - w[j] > _GAP_RTOL * max(abs(w[j]), abs(w[j + 1]))),
+        None,
+    )
+    if gap is None or inertia(a - 0.5 * (w[gap] + w[gap + 1]) * b).n_neg != gap + 1:
+        _count_path("dense_fallback")
+        return None
+    return w[:count], v[:, :count]
+
+
 def sym_gen_eigvals_all(a, b) -> np.ndarray:
     """All eigenvalues of the pencil (A, B), ascending."""
     a = _dense(_require_symmetric(a, "A"), "A")
@@ -156,8 +238,7 @@ def _sparse_ldlt(a: sp.csc_array, zero_tol: float):
 def _checked_sparse_ldlt(a: sp.csc_array, zero_tol: float):
     """:func:`_sparse_ldlt`, with the path taken counted."""
     fac = _sparse_ldlt(a, zero_tol)
-    with _PATH_LOCK:
-        _PATH_COUNTS["dense_fallback" if fac is None else "sparse_ldlt"] += 1
+    _count_path("dense_fallback" if fac is None else "sparse_ldlt")
     return fac
 
 

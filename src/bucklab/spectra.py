@@ -7,8 +7,13 @@ spaces, as the one table :data:`PENCILS` says. The disk oracle
 produces analytic ground truth from Bessel zeros, independently of every
 finite element path.
 
-Pencil matrices are sliced from the sparse assembled forms; the dense
-eigensolvers in :mod:`bucklab.eigen` densify them. Assembled pairs and
+Pencil matrices are sliced from the sparse assembled forms. The k
+smallest eigenpairs (:func:`smallest_eigenpairs`, behind
+:func:`spectrum` and the clamped ground state of
+:mod:`bucklab.counterexample`) come from certified shift-invert Lanczos
+on the checked sparse factor, never densified unless a check fails;
+full pencil spectra (:func:`pencil_eigenvalues`, the counts of the
+identity scans) still come from dense ``eigh``. Assembled pairs and
 full pencil spectra are memoized per mesh content hash, which covers
 every mesh field assembly reads; caches are read-shared and write-once.
 """
@@ -21,7 +26,7 @@ import scipy.sparse as sp
 
 from . import bessel
 from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify_dofs
-from .eigen import sym_gen_eigs, sym_gen_eigvals_all
+from .eigen import sparse_smallest_eigs, sym_gen_eigvals_all
 from .errors import MeshError, SpectrumRangeError
 from .mesh import Mesh
 
@@ -138,6 +143,25 @@ def pencil_eigenvalues(mesh: Mesh, problem: str, order: int | None = None) -> np
 # spectra
 # ---------------------------------------------------------------------------
 
+def smallest_eigenpairs(
+    pair: OperatorPair, problem: str, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(values, vectors, free)``: the ``count`` smallest eigenpairs of
+    ``problem``'s pencil on ``pair``, ascending, with B-orthonormal
+    eigenvectors as columns over the free DOFs ``free``.
+
+    The Lanczos shift is -1 / area: below every spectrum (the Neumann
+    zero included), and scaled with the domain as the eigenvalues are,
+    so it sits equally far below them at every radius.
+    """
+    free = free_dofs(pair, problem)
+    if count > len(free):
+        raise SpectrumRangeError(f"k={count} exceeds the {len(free)} free DOFs")
+    a, b = pencil_matrices(pair, problem, free)
+    w, v = sparse_smallest_eigs(a, b, count, sigma=-1.0 / pair.mesh.area())
+    return w, v, free
+
+
 def spectrum(mesh: Mesh, problem: str, k: int, order: int | None = None) -> Spectrum:
     """k smallest eigenvalues of the pencil of ``problem``.
 
@@ -146,12 +170,11 @@ def spectrum(mesh: Mesh, problem: str, k: int, order: int | None = None) -> Spec
     navier             : fourth-order pencil with only the boundary values
                          constrained; reproduces the Dirichlet Laplacian
                          spectrum up to discretization error
+
+    Computed by :func:`smallest_eigenpairs`, so no n x n array is formed
+    unless the Lanczos certificate fails.
     """
-    pair = pencil_pair(mesh, problem, order)
-    a, b = pencil_matrices(pair, problem, free_dofs(pair, problem))
-    if k > a.shape[0]:
-        raise SpectrumRangeError(f"k={k} exceeds the {a.shape[0]} free DOFs")
-    w, _ = sym_gen_eigs(a, b, k)
+    w, _, _ = smallest_eigenpairs(pencil_pair(mesh, problem, order), problem, k)
     return Spectrum(problem, w, mesh.content_hash())
 
 

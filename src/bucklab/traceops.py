@@ -125,16 +125,18 @@ def trace_operator(
 
 
 def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
-           excluded: np.ndarray, margin: float | None = None) -> TraceOperator:
+           excluded: np.ndarray, margin: float | None = None,
+           blocks: tuple | None = None) -> TraceOperator:
     """:func:`trace_operator` with ``lam`` kept clear of ``excluded``;
     a ``margin`` from them that the caller has checked is not checked
-    again."""
+    again, and ``blocks`` the caller already holds from
+    :func:`trace_blocks` are not built again."""
     name, _, inner = _identity(kind)
     if margin is None:
         margin = relative_margin(lam, excluded)
         if margin < delta:
             raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
-    q, free, interior, boundary = trace_blocks(mesh, kind, lam, order)
+    q, free, interior, boundary = blocks or trace_blocks(mesh, kind, lam, order)
     try:
         s = schur_complement(q, interior, boundary)
     except SingularBlockError:

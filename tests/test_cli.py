@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bucklab import counterexample, eigen
 from bucklab.cli import main
 
@@ -201,6 +203,23 @@ def test_csv_bit_determinism(tmp_path, capsys):
     first = (runs[0] / "beta1.csv").read_bytes()
     second = (runs[1] / "beta1.csv").read_bytes()
     assert first == second
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--problem", "neumann", "--count", "6"],
+    ["counterexample", "--lambda", "2", "--trials", "20"],
+    ["counterexample", "--lambda", "20"],
+], ids=["spectrum", "bounded", "divergent"])
+def test_lanczos_csv_bit_determinism(tmp_path, args):
+    """Lanczos starts from a fixed vector, so repeated runs agree to the
+    last bit."""
+    tables = []
+    for run in ("first", "second"):
+        root = tmp_path / run
+        assert main(args + ["--domain", "disk", "--refine", "2", "--run-root", str(root)]) == 0
+        (run_dir,) = root.iterdir()
+        tables.append({p.name: p.read_bytes() for p in run_dir.glob("*.csv")})
+    assert tables[0] and tables[0] == tables[1]
 
 
 def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,9 @@ from bucklab import (
     buckling_ground_state,
     disk_oracle,
     divergence_sweep,
+    make_disk_mesh,
     make_perturbation,
+    make_rectangle_mesh,
     rayleigh_quotient,
 )
 from bucklab.counterexample import alpha_pencil
@@ -129,3 +131,20 @@ def test_bounded_below_precondition(disk3_pair, ground):
     _, lam1 = ground
     with pytest.raises(ValueError):
         bounded_below_check(disk3_pair, lam1 + 1.0, 5, ground)
+
+
+@pytest.mark.parametrize("mesh", [
+    make_disk_mesh(1.0, 2),
+    make_rectangle_mesh(2.0, 1.0, 16, 8),
+], ids=["disk2", "rect2x1"])
+def test_regimes_do_not_depend_on_ground_state_sign(mesh):
+    """An eigenvector's sign is the solver's choice; both regimes sign
+    u1 themselves, so their reports are the same for u1 and -u1."""
+    pair = get_pair(mesh, "morley")
+    u1, lam1 = buckling_ground_state(pair)
+    flipped = (-u1, lam1)
+    eps = [1e-1, 1e-2, 1e-3, 1e-4]
+    assert (divergence_sweep(pair, lam1 + 5.0, eps, (u1, lam1))
+            == divergence_sweep(pair, lam1 + 5.0, eps, flipped))
+    assert (bounded_below_check(pair, 2.0, 20, (u1, lam1))
+            == bounded_below_check(pair, 2.0, 20, flipped))

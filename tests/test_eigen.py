@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from bucklab import (
     BucklabError,
+    eigen,
     SingularBlockError,
     inertia,
     schur_complement,
     sym_gen_eigs,
 )
-from bucklab.eigen import solver_path_counts, sym_solve
+from bucklab.eigen import solver_path_counts, sparse_smallest_eigs, sym_solve
 
 from oracles import jacobi_eigenvalues, random_symmetric
 
@@ -175,3 +176,26 @@ def test_sparse_singular_interior_raises():
     with pytest.raises(SingularBlockError):
         sym_solve(sp.csc_array(rank_one[:2, :2]), np.ones(2))
 
+
+
+@pytest.mark.parametrize("case, fallbacks", [
+    ("certified", 0),
+    ("sigma_inside_spectrum", 1),  # a negative pivot: sigma is not below
+    ("no_convergence", 1),
+])
+def test_sparse_smallest_eigs_paths(case, fallbacks, monkeypatch):
+    n = 50
+    a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
+    b = sp.identity(n, format="csc")
+    sigma = 1.0 if case == "sigma_inside_spectrum" else -0.5
+    if case == "no_convergence":
+        def no_convergence(*args, **kwargs):
+            raise eigen.spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
+
+        monkeypatch.setattr(eigen.spla, "eigsh", no_convergence)
+    before = solver_path_counts()["dense_fallback"]
+    w, v = sparse_smallest_eigs(a, b, 4, sigma)
+    assert solver_path_counts()["dense_fallback"] == before + fallbacks
+    w_dense, v_dense = sym_gen_eigs(a, b, 4)
+    np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.abs(v.T @ v_dense), np.eye(4), atol=1e-8)

@@ -1,17 +1,36 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bucklab import (
     MeshError,
+    SizeLimitError,
     SpectrumRangeError,
+    buckling_ground_state,
     disk_oracle,
+    eigen,
     load_mesh,
     make_disk_mesh,
     save_mesh,
     spectra,
     spectrum,
+    sym_gen_eigs,
 )
-from bucklab.spectra import Spectrum, spectrum_to_csv_rows
+from bucklab.eigen import solver_path_counts
+from bucklab.spectra import (
+    Spectrum,
+    get_pair,
+    pencil_eigenvalues,
+    pencil_matrices,
+    pencil_pair,
+    smallest_eigenpairs,
+    spectrum_to_csv_rows,
+)
+
+PROBLEMS = ["dirichlet", "neumann", "buckling", "navier"]
 
 
 def test_rect_neumann_values(rect16):
@@ -141,3 +160,77 @@ def test_result_caches_keyed_on_radius(tmp_path, disk2, monkeypatch):
     assert not np.allclose(warm, original)
     with pytest.raises(MeshError):
         load_mesh(path, domain_tag="disk")
+
+
+@given(
+    level=st.sampled_from([2, 3]),
+    radius=st.floats(min_value=0.5, max_value=50.0),
+    problem=st.sampled_from(PROBLEMS),
+    count=st.integers(min_value=1, max_value=8),
+)
+# the disk has exactly double eigenvalues: count 2 splits the pair
+# 14.68 (dirichlet, navier) and 3.39 (neumann), count 8 the pair 40.7
+@example(level=3, radius=1.0, problem="dirichlet", count=2)
+@example(level=2, radius=1.0, problem="neumann", count=2)
+@example(level=2, radius=0.5, problem="buckling", count=2)
+@example(level=3, radius=50.0, problem="navier", count=8)
+@settings(max_examples=15, deadline=None)
+def test_lanczos_eigenpairs_match_dense(level, radius, problem, count):
+    pair = pencil_pair(make_disk_mesh(radius, level), problem, 2)
+    before = solver_path_counts()["dense_fallback"]
+    w, v, free = smallest_eigenpairs(pair, problem, count)
+    assert solver_path_counts()["dense_fallback"] == before
+    a, b = pencil_matrices(pair, problem, free)
+    # one value more, so that a pair split by count is whole here
+    w_dense, v_dense = sym_gen_eigs(a, b, count + 1)
+    scale = np.maximum(1.0, np.abs(w_dense[:count]))
+    assert np.all(np.abs(w - w_dense[:count]) <= 1e-10 * scale)
+    # each vector equals its dense counterpart up to sign, or, for a
+    # multiple value, lies in the dense eigenspace
+    for i in range(count):
+        same = np.flatnonzero(np.abs(w_dense - w_dense[i]) <= 1e-8 * scale[i])
+        basis = v_dense[:, same]
+        rest = v[:, i] - basis @ (basis.T @ (b @ v[:, i]))
+        assert np.sqrt(rest @ (b @ rest)) <= 1e-6
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_lanczos_certificate_catches_a_missed_value(disk2, problem, monkeypatch):
+    """A Lanczos run that misses one eigenvalue (here the second, one
+    copy of a double eigenvalue of each pencil on the disk) fails the
+    inertia certificate, and the dense solver answers instead."""
+    real_eigsh = eigen.spla.eigsh
+
+    def missing_second(*args, **kwargs):
+        w, v = real_eigsh(*args, **kwargs)
+        keep = np.delete(np.argsort(w), 1)
+        return w[keep], v[:, keep]
+
+    pair = pencil_pair(disk2, problem, 2)
+    a, b = pencil_matrices(pair, problem, spectra.free_dofs(pair, problem))
+    monkeypatch.setattr(eigen.spla, "eigsh", missing_second)
+    before = solver_path_counts()
+    w, _, _ = smallest_eigenpairs(pair, problem, 3)
+    after = solver_path_counts()
+    assert after["dense_fallback"] == before["dense_fallback"] + 1
+    assert np.array_equal(w, sym_gen_eigs(a, b, 3)[0])
+
+
+def test_level5_spectrum_and_ground_state_stay_sparse():
+    disk5 = make_disk_mesh(1.0, 5)
+    pair = get_pair(disk5, "morley")
+    n = pair.dofmap.n_dofs
+    assert n == 16641
+    tracemalloc.start()
+    try:
+        values = spectrum(disk5, "buckling", 3).values
+        _, lambda1 = buckling_ground_state(pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * n * n  # one dense n x n array is 2.2 GB
+    oracle = disk_oracle("buckling", 3).values
+    assert np.all(np.abs(values - oracle) <= 1e-3 * oracle)
+    assert abs(lambda1 - oracle[0]) <= 1e-3 * oracle[0]
+    with pytest.raises(SizeLimitError):
+        pencil_eigenvalues(disk5, "buckling")
