@@ -147,8 +147,15 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
 
 def _build_mesh(params: dict) -> Mesh:
     if params["domain"] == "disk":
-        return make_disk_mesh(params["radius"], params["refine"])
-    return make_rectangle_mesh(params["a"], params["b"], params["nx"], params["ny"])
+        return _mesh("disk", params["radius"], params["refine"])
+    return _mesh("rectangle", params["a"], params["b"], params["nx"], params["ny"])
+
+
+@functools.lru_cache(maxsize=4)
+def _mesh(domain: str, *shape) -> Mesh:
+    """Memoized mesh build for repeated calls of :func:`main` in one
+    process; meshes are immutable, so sharing one is safe."""
+    return (make_disk_mesh if domain == "disk" else make_rectangle_mesh)(*shape)
 
 
 def _finish(command: str, params: dict, tables: dict[str, str],

@@ -22,10 +22,12 @@ exactly as for dense input, or the dense eigensolver for a Lanczos
 result that fails its certificate. ``solver_path_counts`` reports how
 many sparse factorizations and Lanczos solves took each path.
 
-The Schur complement routine uses one factorization of the interior
-block both for its regularity check and for the boundary-column solve,
-so the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S)
-holds as an exact integer identity whenever the check passes.
+The Schur complement routine factors a sparse Q once, interior DOFs
+first in a fill-reducing order and boundary DOFs last, and reads
+S = Q_bb - L_bi U_ib off that factor. Its checks cover the interior
+part only, so one factorization both certifies that Q_ii is nonsingular
+and gives S, and the Haynsworth additivity inertia(Q) = inertia(Q_ii) +
+inertia(S) holds as an exact integer identity whenever they pass.
 """
 from __future__ import annotations
 
@@ -216,7 +218,8 @@ def sym_gen_eigvals_all(a, b) -> np.ndarray:
 def _sparse_ldlt(a: sp.csc_array, zero_tol: float):
     """(SuperLU factor, pivots) of a nonzero symmetric CSC matrix with
     diagonal pivots only, or None when the factor cannot be trusted."""
-    scale = abs(a).max()
+    a.sum_duplicates()
+    scale = _max_abs(a.data)
     try:
         lu = spla.splu(
             a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -230,9 +233,17 @@ def _sparse_ldlt(a: sp.csc_array, zero_tol: float):
     pivots = u.diagonal()
     if np.min(np.abs(pivots)) <= zero_tol * scale:
         return None
-    if max(abs(lu.L).max(), abs(u).max() / scale) > _MAX_GROWTH:
+    if max(_max_abs(lu.L.data), _max_abs(u.data) / scale) > _MAX_GROWTH:
         return None
     return lu, pivots
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """max |v| over stored values, 0 when there are none. Reading a
+    factor's ``.data`` directly skips the index sort that ``abs()`` of an
+    unsorted SuperLU factor performs; no entry of a factor is stored
+    twice, so the maximum is the same."""
+    return float(np.max(np.abs(values))) if len(values) else 0.0
 
 
 def _checked_sparse_ldlt(a: sp.csc_array, zero_tol: float):
@@ -325,12 +336,40 @@ def sym_solve(a, rhs: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndar
     return _nonsingular_solver(a, zero_tol)(np.asarray(rhs, dtype=np.float64))
 
 
-def schur_complement(q, interior_idx, boundary_idx, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def fill_order(a) -> np.ndarray:
+    """Fill-reducing elimination order of a symmetric sparse matrix:
+    ``a[np.ix_(order, order)]`` factors with little fill in its natural
+    order. It is the column order SuperLU's multiple minimum degree (on
+    the pattern of A^T + A) chooses, read off a factorization of the
+    diagonally dominant matrix with the pattern of ``a`` plus the
+    diagonal. Minimum degree reads the pattern alone, so every matrix
+    of that pattern, singular or indefinite ones too, gets this order,
+    and the factorization that finds it cannot fail."""
+    a = sp.csc_array(a)
+    n = a.shape[0]
+    pattern = sp.csc_array((np.full(a.nnz, -1.0), a.indices, a.indptr), shape=a.shape)
+    lu = spla.splu(
+        pattern + sp.diags_array(np.full(n, n + 1.0), format="csc"),
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return np.argsort(lu.perm_c)
+
+
+def schur_complement(q, interior_idx, boundary_idx, zero_tol: float = DEFAULT_ZERO_TOL,
+                     *, order: np.ndarray | None = None) -> np.ndarray:
     """S = Q_bb - Q_bi Q_ii^{-1} Q_ib for a symmetric Q, as a dense array.
 
     Q may be sparse or dense. The two index sets must partition the
     dimension; the interior block must be nonsingular (checked by
     inertia), otherwise :class:`SingularBlockError` is raised.
+
+    Sparse Q is factored once, by :func:`_boundary_last_schur`, with the
+    interior DOFs first in the fill-reducing ``order`` (positions in
+    ``interior_idx``; :func:`fill_order` of Q_ii when None) and the
+    boundary DOFs last. When that factor fails a check, and for dense
+    Q, the interior block's Bunch-Kaufman inertia decides regularity and
+    a dense solve for the boundary columns gives S.
     """
     q = _require_symmetric(q, "Q")
     interior_idx = np.asarray(interior_idx, dtype=np.int64)
@@ -339,10 +378,91 @@ def schur_complement(q, interior_idx, boundary_idx, zero_tol: float = DEFAULT_ZE
     merged = np.concatenate([interior_idx, boundary_idx])
     if len(merged) != n or len(np.unique(merged)) != n:
         raise ValueError("index sets must partition the matrix dimension")
-    solve = _nonsingular_solver(q[np.ix_(interior_idx, interior_idx)], zero_tol)
+    if sp.issparse(q):
+        if order is None:
+            order = fill_order(q[np.ix_(interior_idx, interior_idx)])
+        elif not np.array_equal(np.sort(order), np.arange(len(interior_idx))):
+            raise ValueError("order must be a permutation of the interior positions")
+        s = _boundary_last_schur(q, interior_idx[order], boundary_idx, zero_tol)
+        _count_path("dense_fallback" if s is None else "sparse_ldlt")
+        if s is not None:
+            return s
+
+    def block(rows, cols):
+        return _dense(q[np.ix_(rows, cols)], "Q")
+
+    solve = _nonsingular_solver(block(interior_idx, interior_idx), zero_tol)
     if len(boundary_idx) == 0:
         return np.zeros((0, 0))
-    q_ib = q[np.ix_(interior_idx, boundary_idx)]
-    x = solve(q_ib.toarray() if sp.issparse(q_ib) else q_ib)
-    s = _dense(q[np.ix_(boundary_idx, boundary_idx)], "Q_bb") - q_ib.T @ x
+    q_ib = block(interior_idx, boundary_idx)
+    s = block(boundary_idx, boundary_idx) - q_ib.T @ solve(q_ib)
     return 0.5 * (s + s.T)
+
+
+def _boundary_last_schur(q: sp.csc_array, interior: np.ndarray, boundary: np.ndarray,
+                         zero_tol: float):
+    """S from one SuperLU factorization of Q in symmetric mode, or None
+    when its interior part cannot be trusted.
+
+    Q is factored in the order ``interior`` then ``boundary``, with
+    diagonal pivots and no reordering (the partial factorization behind
+    the Schur complement option of multifrontal solvers: Amestoy, Duff,
+    L'Excellent & Koster, SIAM J. Matrix Anal. Appl. 23, 2001). The
+    interior columns then factor Q_ii = L_ii U_ii, and S = Q_bb - L_bi
+    U_ib comes from the off-diagonal blocks. The boundary pivots, those
+    of S itself (indefinite, possibly nearly singular), enter no check:
+    the checks of :func:`_sparse_ldlt` apply to the interior columns of
+    L and rows of U, relative to max|Q_ii|. They pass only if Q_ii is
+    nonsingular by them, and then inertia(Q_ii) is the signs of the
+    interior pivots, so the Haynsworth additivity inertia(Q) =
+    inertia(Q_ii) + inertia(S) holds for this one factorization.
+    """
+    ni = len(interior)
+    perm = np.concatenate([interior, boundary])
+    qp = q[np.ix_(perm, perm)]
+    head = slice(0, qp.indptr[ni])  # the stored entries of the interior columns
+    scale = _max_abs(qp.data[head][qp.indices[head] < ni])
+    if scale == 0.0:
+        return None
+    try:
+        lu = spla.splu(
+            qp, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # a pivot column, interior or boundary, was exactly zero
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None  # an off-diagonal pivot was taken: not an LDL^T
+    if np.any(lu.perm_c[:ni] >= ni):
+        return None  # a boundary column was eliminated before an interior one
+    l, u = lu.L, lu.U
+    if np.min(np.abs(u.diagonal()[:ni])) <= zero_tol * scale:
+        return None
+    growth = max(_max_abs(l.data[:l.indptr[ni]]), _max_abs(u.data[u.indices < ni]) / scale)
+    if growth > _MAX_GROWTH:
+        return None
+    if len(boundary) == 0:
+        return np.zeros((0, 0))
+    # L_bi and U_ib as dense blocks over only the interior columns that
+    # reach the boundary: one BLAS product, and less memory than either
+    # whole block or the boundary-column solve
+    rows, cols, vals = _column_entries(l, 0, ni)
+    below = rows >= ni
+    rows_u, cols_u, vals_u = _column_entries(u, ni, ni + len(boundary))
+    above = rows_u < ni
+    reach = np.union1d(cols[below], rows_u[above])
+    l_bi = np.zeros((len(boundary), len(reach)))
+    l_bi[rows[below] - ni, np.searchsorted(reach, cols[below])] = vals[below]
+    u_ib = np.zeros((len(reach), len(boundary)))
+    u_ib[np.searchsorted(reach, rows_u[above]), cols_u[above] - ni] = vals_u[above]
+    at = lu.perm_c[ni:] - ni  # factor position of each boundary DOF
+    s = qp[ni:, ni:].toarray() - (l_bi @ u_ib)[np.ix_(at, at)]
+    return 0.5 * (s + s.T)
+
+
+def _column_entries(m: sp.csc_array, start: int, stop: int):
+    """(rows, columns, values) of the entries stored in columns
+    ``start`` to ``stop - 1`` of a CSC matrix."""
+    lo, hi = m.indptr[start], m.indptr[stop]
+    cols = np.repeat(np.arange(start, stop), np.diff(m.indptr[start:stop + 1]))
+    return m.indices[lo:hi], cols, m.data[lo:hi]

@@ -6,9 +6,11 @@ Navier (F - lambda*K_grad) over buckling. Its trace operator, the
 Dirichlet-to-Neumann or the Neumann-to-Laplacian operator, is the Schur
 complement of the outer pencil's sparse shifted form Q onto the DOFs the
 inner pencil constrains. :func:`bucklab.eigen.schur_complement` factors
-the interior block, the inner pencil's shifted form, once (a checked
-sparse LDL^T, with the dense Bunch-Kaufman path as fallback) and returns
-the boundary-sized operator as a dense matrix.
+Q once (a checked sparse LDL^T, with the dense Bunch-Kaufman path as
+fallback): first the interior block, the inner pencil's shifted form, in
+the inner pencil's cached elimination order, then the boundary DOFs. It
+returns the boundary-sized operator, read off that factor, as a dense
+matrix.
 
 Because Schur elimination and inertia obey Haynsworth additivity
 exactly, neg(trace operator) = N_outer(lambda) - N_inner(lambda), a
@@ -26,7 +28,14 @@ from .eigen import inertia, schur_complement, sym_gen_eigs
 from .errors import ExcludedSpectrumError, SingularBlockError
 from .mesh import Mesh
 from .runio import SweepResult, run_sweep
-from .spectra import Spectrum, free_dofs, pencil_eigenvalues, pencil_pair, shifted_form
+from .spectra import (
+    Spectrum,
+    elimination_order,
+    free_dofs,
+    pencil_eigenvalues,
+    pencil_pair,
+    shifted_form,
+)
 
 DEFAULT_MARGIN = 1e-3
 NUDGE_STEPS = 10
@@ -137,12 +146,12 @@ def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
         if margin < delta:
             raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
     q, free, interior, boundary = blocks or trace_blocks(mesh, kind, lam, order)
+    pair = pencil_pair(mesh, inner, order)
     try:
-        s = schur_complement(q, interior, boundary)
+        s = schur_complement(q, interior, boundary, order=elimination_order(pair, inner))
     except SingularBlockError:
         raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
     bnd = free[boundary]
-    pair = pencil_pair(mesh, inner, order)
     if pair.b_trace is None:  # Morley pair
         boundary_mass = np.diag(pair.b_normal_diag[bnd])
     else:

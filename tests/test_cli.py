@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bucklab import counterexample, eigen
+from bucklab import cli, counterexample, eigen
 from bucklab.cli import main
 
 
@@ -238,10 +238,35 @@ def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys, mon
         assert paths["sparse_ldlt"] > 0 and paths["dense_fallback"] == 0
         with monkeypatch.context() as m:
             m.setattr(eigen, "_sparse_ldlt", lambda a, zero_tol: None)
+            m.setattr(eigen, "_boundary_last_schur",
+                      lambda q, interior, boundary, zero_tol: None)
             csv_dense, forced = scan("forced", kind)
         assert forced == {"sparse_ldlt": 0, "dense_fallback": paths["sparse_ldlt"]}
         assert csv_dense == csv_sparse
     capsys.readouterr()
+
+
+def test_repeated_identity_scan_builds_no_mesh(tmp_path, monkeypatch):
+    """A second identical command in one process reuses the memoized
+    mesh and writes the same table."""
+    builds = []
+    build = cli.make_disk_mesh
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "make_disk_mesh", counted)
+    cli._mesh.cache_clear()
+    tables = []
+    for run in ("first", "second"):
+        root = tmp_path / run
+        assert main(["identity-scan", "--domain", "disk", "--refine", "2", "--kind", "liu",
+                     "--points", "4", "--run-root", str(root)]) == 0
+        assert len(builds) == 1
+        (run_dir,) = root.iterdir()
+        tables.append((run_dir / "identities.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_manifest_started_before_finished(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,8 @@ from bucklab import (
     sym_gen_eigs,
 )
 from bucklab.eigen import solver_path_counts, sparse_smallest_eigs, sym_solve
+from bucklab.spectra import pencil_eigenvalues
+from bucklab.traceops import relative_margin, trace_blocks
 
 from oracles import jacobi_eigenvalues, random_symmetric
 
@@ -90,6 +92,10 @@ def test_schur_errors(rng):
     singular[2, 2] = 1.0
     with pytest.raises(SingularBlockError):
         schur_complement(singular, np.array([0, 1]), np.array([2]))
+    for order in ([0, 0], [1]):
+        with pytest.raises(ValueError):
+            schur_complement(sp.csc_array(q), np.array([0, 1]), np.arange(2, 6),
+                             order=np.array(order))
 
 
 def test_haynsworth_additivity_exact(rng):
@@ -175,6 +181,80 @@ def test_sparse_singular_interior_raises():
             schur_complement(sp.csc_array(q), np.array([0, 1]), np.array([2]))
     with pytest.raises(SingularBlockError):
         sym_solve(sp.csc_array(rank_one[:2, :2]), np.ones(2))
+
+
+class _Postordered:
+    """A SuperLU factor reported with the row and column order
+    ``perm``: an elimination-tree postorder of a reducible interior block
+    that moves boundary columns between interior ones."""
+
+    def __init__(self, lu, perm):
+        self._lu = lu
+        self.perm_r = self.perm_c = np.array(perm, dtype=np.int32)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+@pytest.mark.parametrize("matrix, interior, postorder", [
+    # S = [[0]]: SuperLU stops at the exactly zero trailing pivot
+    ([[1.0, 1.0], [1.0, 1.0]], [0], None),
+    # interior pivot 1e-10, below the zero tolerance; growth only 5e5
+    ([[1e-10, 5e-5, 0.0], [5e-5, 1.0, 1.0], [0.0, 1.0, 2.0]], [0, 1], None),
+    # interior pivots above the zero tolerance, but element growth 1e7
+    ([[1e-7, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [0, 1], None),
+    # two interior trees, each with its own boundary column as root
+    ([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0],
+      [1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 2.0]], [0, 1], [0, 2, 1, 3]),
+])
+def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, monkeypatch):
+    """Each failed check of the boundary-last factor, and SuperLU's error
+    on an exactly zero pivot, is one dense fallback giving the dense S."""
+    if postorder is not None:
+        splu = eigen.spla.splu
+        monkeypatch.setattr(eigen.spla, "splu",
+                            lambda *args, **kwargs: _Postordered(splu(*args, **kwargs), postorder))
+    dense = np.array(matrix)
+    interior = np.array(interior)
+    boundary = np.setdiff1d(np.arange(len(dense)), interior)
+    before = solver_path_counts()
+    s = schur_complement(sp.csc_array(dense), interior, boundary,
+                         order=np.arange(len(interior)))
+    after = solver_path_counts()
+    assert after["sparse_ldlt"] == before["sparse_ldlt"]
+    assert after["dense_fallback"] == before["dense_fallback"] + 1
+    s_dense = schur_complement(dense, interior, boundary)
+    assert np.array_equal(s, s_dense)
+    assert tuple(inertia(s)) == tuple(inertia(s_dense))
+
+
+def test_nearly_singular_schur_stays_sparse(disk2):
+    """lambda within 1e-9 relative of a Navier eigenvalue makes the
+    Neumann-to-Laplacian operator nearly singular; its boundary pivots
+    enter no check, so the sparse factor is still trusted."""
+    navier = pencil_eigenvalues(disk2, "navier")
+    buckling = pencil_eigenvalues(disk2, "buckling")
+    mu = next(v for v in navier if v > 1.0 and relative_margin(v, buckling) >= 1e-3)
+    lam = mu * (1.0 + 1e-10)
+    q, _, interior, boundary = trace_blocks(disk2, "liu", lam, None)
+    before = solver_path_counts()
+    s = schur_complement(q, interior, boundary)
+    after = solver_path_counts()
+    assert after["sparse_ldlt"] == before["sparse_ldlt"] + 1
+    assert after["dense_fallback"] == before["dense_fallback"]
+    s_dense = schur_complement(q.toarray(), interior, boundary)
+    assert np.max(np.abs(s - s_dense)) <= 1e-10 * np.max(np.abs(s_dense))
+    assert np.min(np.abs(np.linalg.eigvalsh(s_dense))) <= 1e-6 * np.max(np.abs(s_dense))
+
+
+def test_factor_maxima_read_from_data(disk2):
+    """Maxima read from ``.data`` equal ``abs(...).max()``, which sorts
+    the unsorted SuperLU factors first."""
+    q, _, _, _ = trace_blocks(disk2, "friedlander", 7.0)
+    lu = eigen.spla.splu(q, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    for m in (q, lu.L, lu.U):
+        assert eigen._max_abs(m.data) == abs(m).max()
 
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from bucklab import (
     ExcludedSpectrumError,
+    make_disk_mesh,
     inertia,
     scan_beta1,
     scan_identities,
@@ -15,6 +18,7 @@ from bucklab import (
 )
 from bucklab.assembly import classify_dofs
 from bucklab.eigen import schur_complement, solver_path_counts
+from bucklab import spectra
 from bucklab.spectra import free_dofs, get_pair, pencil_eigenvalues, pencil_pair
 from bucklab.traceops import _IDENTITIES, relative_margin
 
@@ -235,3 +239,43 @@ def test_identity_table_partitions(request, mesh_name, kind):
     t = trace_operator(mesh, kind, 7.0)
     assert np.array_equal(t.boundary_dofs, expected)
     assert t.boundary_mass.shape == t.matrix.shape == (len(expected), len(expected))
+
+
+@pytest.mark.parametrize("kind", ["friedlander", "liu"])
+def test_trace_operator_bits_independent_of_where_order_was_built(disk2, kind, monkeypatch):
+    """The elimination order comes from the pattern of A + B, so S has
+    the same bits whichever lambda first built it."""
+    lam1, lam2 = 2.0, 7.0
+    monkeypatch.setattr(spectra, "_ORDER_CACHE", {})
+    trace_operator(disk2, kind, lam1)
+    after_lam1 = trace_operator(disk2, kind, lam2).matrix
+    monkeypatch.setattr(spectra, "_ORDER_CACHE", {})
+    first = trace_operator(disk2, kind, lam2).matrix
+    assert np.array_equal(after_lam1, first)
+
+
+def test_haynsworth_at_disk_level_5():
+    """At 16641 DOFs, where no matrix can be densified, the boundary-last
+    factor gives S with neg(Q_ii) + neg(S) = neg(Q), each count from its
+    own sparse factorization, without a dense fallback and in a small
+    fraction of the memory of one dense matrix."""
+    mesh = make_disk_mesh(1.0, 5)
+    lam = 7.3  # clear of every pencil's spectrum on the unit disk
+    for kind in ("friedlander", "liu"):
+        q, free, interior, boundary = trace_blocks(mesh, kind, lam)
+        inner = _IDENTITIES[kind][2]
+        before = solver_path_counts()
+        tracemalloc.start()
+        try:
+            order = spectra.elimination_order(pencil_pair(mesh, inner, 2), inner)
+            s = schur_complement(q, interior, boundary, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_interior = inertia(q[np.ix_(interior, interior)]).n_neg
+        n_full = inertia(q).n_neg
+        after = solver_path_counts()
+        assert after["sparse_ldlt"] - before["sparse_ldlt"] == 3
+        assert after["dense_fallback"] == before["dense_fallback"]
+        assert n_interior + inertia(s).n_neg == n_full
+        assert peak < 8 * len(free) ** 2 / 20
