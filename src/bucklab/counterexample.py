@@ -231,14 +231,12 @@ def bounded_below_check(
         )
     # lam is below Lambda1, the smallest buckling eigenvalue, by the
     # margin, so Lambda1 is the only one it must be kept clear of
-    blocks = trace_blocks(pair.mesh, "liu", lam)
-    t = _trace(pair.mesh, "liu", lam, None, DEFAULT_MARGIN,
-               np.array([lambda1]), blocks=blocks)
+    t = _trace(pair.mesh, "liu", lam, None, DEFAULT_MARGIN, np.array([lambda1]))
     w, vecs = sym_gen_eigs(t.matrix, t.boundary_mass, 1)
     beta1, psi = float(w[0]), vecs[:, 0]
 
     rng = np.random.default_rng(seed)
-    q, navier_free, interior, boundary = blocks
+    q, navier_free, interior, boundary = trace_blocks(pair.mesh, "liu", lam)
     h = make_perturbation(pair)
     u1 = _signed_ground(u1, h, pair)
     quotients: list[float] = []

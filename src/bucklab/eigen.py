@@ -24,15 +24,21 @@ many sparse factorizations and Lanczos solves took each path.
 
 The Schur complement routine factors a sparse Q once, interior DOFs
 first in a fill-reducing order and boundary DOFs last, and reads
-S = Q_bb - L_bi U_ib off that factor. Its checks cover the interior
-part only, so one factorization both certifies that Q_ii is nonsingular
-and gives S, and the Haynsworth additivity inertia(Q) = inertia(Q_ii) +
-inertia(S) holds as an exact integer identity whenever they pass.
+S = L_bb U_bb off the boundary block of that factor. A pencil whose
+Schur complement is wanted at many shifts is permuted into that order
+once (:class:`BoundaryLastPencil`, A and B on one shared pattern), so
+each shift costs one vector update and one factorization. The interior
+part of the factor passes the pivot and growth checks, so one
+factorization both certifies that Q_ii is nonsingular and gives S, and
+the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
+as an exact integer identity whenever they pass. The boundary part,
+the LDL^T of S, passes the same growth bound but no pivot-size test,
+since S may be nearly singular.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -91,23 +97,32 @@ def _count_path(path: str) -> None:
 
 
 def _require_symmetric(a, name: str = "matrix"):
-    """``a`` as float64 CSC (sparse input) or ndarray, checked square and
-    symmetric within 1e-12 relative."""
+    """``a`` as float64 CSC (sparse input with duplicate entries: a copy
+    with them summed) or ndarray, checked square and symmetric within
+    1e-12 relative."""
     if sp.issparse(a):
         a = sp.csc_array(a, dtype=np.float64)
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"{name} must be square, got shape {a.shape}")
-        scale = abs(a).max() if a.nnz else 0.0
-        asym = abs(a - a.T).max() if a.nnz else 0.0
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        scale = _max_abs(a.data)
+        asym = _max_abs((a - a.T).data)
     else:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"{name} must be square, got shape {a.shape}")
         scale = np.max(np.abs(a)) if a.size else 0.0
         asym = np.max(np.abs(a - a.T)) if a.size else 0.0
+    _check_symmetric(scale, asym, name)
+    return a
+
+
+def _check_symmetric(scale: float, asym: float, name: str) -> None:
+    """Raise unless max|A - A^T| (``asym``) is within 1e-12 of max|A|."""
     if asym > _SYM_RTOL * (scale or 1.0):
         raise ValueError(f"{name} is not symmetric within {_SYM_RTOL:g} relative")
-    return a
 
 
 def _dense(a, name: str = "matrix") -> np.ndarray:
@@ -207,10 +222,11 @@ def _lanczos_smallest(a, b, count: int, sigma: float):
 
 def sym_gen_eigvals_all(a, b) -> np.ndarray:
     """All eigenvalues of the pencil (A, B), ascending."""
+    fresh = sp.issparse(a) and sp.issparse(b)  # densified copies LAPACK may overwrite
     a = _dense(_require_symmetric(a, "A"), "A")
     b = _dense(_require_symmetric(b, "B"), "B")
     try:
-        return sla.eigh(a, b, eigvals_only=True)
+        return sla.eigh(a, b, eigvals_only=True, overwrite_a=fresh, overwrite_b=fresh)
     except sla.LinAlgError as exc:
         raise BucklabError(f"mass matrix is not positive definite: {exc}") from exc
 
@@ -356,34 +372,131 @@ def fill_order(a) -> np.ndarray:
     return np.argsort(lu.perm_c)
 
 
-def schur_complement(q, interior_idx, boundary_idx, zero_tol: float = DEFAULT_ZERO_TOL,
-                     *, order: np.ndarray | None = None) -> np.ndarray:
-    """S = Q_bb - Q_bi Q_ii^{-1} Q_ib for a symmetric Q, as a dense array.
+@dataclass(frozen=True)
+class BoundaryLastPencil:
+    """A symmetric sparse pencil A - lam B, or one matrix A when ``b_data``
+    is None, stored in the order a boundary-last factorization needs: its
+    ``n_interior`` interior DOFs first, in a fill-reducing order, then the
+    boundary DOFs in their given order. A and B share one CSC pattern
+    (``indptr``, ``indices``), which holds the transpose of every entry
+    it holds, so the form at one lam is one vector update;
+    ``transpose[k]`` is the stored position of the transpose of entry
+    ``k``. Built by :func:`boundary_last_pencil`."""
 
-    Q may be sparse or dense. The two index sets must partition the
-    dimension; the interior block must be nonsingular (checked by
-    inertia), otherwise :class:`SingularBlockError` is raised.
+    indptr: np.ndarray
+    indices: np.ndarray
+    transpose: np.ndarray
+    n_interior: int
+    a_data: np.ndarray
+    b_data: np.ndarray | None = None
 
-    Sparse Q is factored once, by :func:`_boundary_last_schur`, with the
-    interior DOFs first in the fill-reducing ``order`` (positions in
-    ``interior_idx``; :func:`fill_order` of Q_ii when None) and the
-    boundary DOFs last. When that factor fails a check, and for dense
-    Q, the interior block's Bunch-Kaufman inertia decides regularity and
-    a dense solve for the boundary columns gives S.
-    """
-    q = _require_symmetric(q, "Q")
+    def at(self, lam: float) -> BoundaryLastPencil:
+        """The one matrix A - lam B, on the same pattern."""
+        return replace(self, a_data=self.a_data - lam * self.b_data, b_data=None)
+
+    def matrix(self) -> sp.csc_array:
+        """A as a CSC matrix sharing this pencil's arrays."""
+        n = len(self.indptr) - 1
+        return sp.csc_array((self.a_data, self.indices, self.indptr), shape=(n, n))
+
+
+def boundary_last_pencil(a, b, interior, boundary,
+                         order: np.ndarray | None = None) -> BoundaryLastPencil:
+    """The symmetric sparse ``a`` and ``b`` (or None) permuted once into a
+    :class:`BoundaryLastPencil`: the DOFs ``interior`` first, in
+    ``order`` (positions in ``interior``; by default :func:`fill_order`
+    of the pattern of A + B on them), then the DOFs ``boundary``. The
+    values are placed, never summed with each other, so they keep their
+    bits; the arrays are read-only."""
+    interior = np.asarray(interior, dtype=np.int64)
+    boundary = np.asarray(boundary, dtype=np.int64)
+    forms = [sp.csc_array(m, dtype=np.float64, copy=True) for m in (a, b) if m is not None]
+    for m in forms:
+        m.sum_duplicates()
+    n = forms[0].shape[0]
+    if order is None:
+        summed = forms[0] if len(forms) == 1 else forms[0] + forms[1]
+        order = fill_order(summed[np.ix_(interior, interior)])
+    elif not np.array_equal(np.sort(order), np.arange(len(interior))):
+        raise ValueError("order must be a permutation of the interior positions")
+    perm = np.concatenate([interior[order], boundary])
+
+    def numbered(m):  # m's pattern, its entries numbered 1, 2, ... in CSC order
+        return sp.csc_array((np.arange(1.0, m.nnz + 1), m.indices, m.indptr), shape=(n, n))
+
+    def keys(m):  # column-major keys col * n + row, ascending for canonical CSC
+        return np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
+
+    # every entry of every form and its transpose, in the original order ...
+    union = sum(numbered(m) for m in forms)
+    union = sp.csc_array(union + union.T)
+    union.sum_duplicates()
+    # ... permuted, each stored entry naming the union entry it holds
+    permuted = numbered(union)[np.ix_(perm, perm)]
+    permuted.sort_indices()
+    source = permuted.data.astype(np.int64) - 1
+    data = []
+    for m in forms:
+        values = np.zeros(union.nnz)
+        values[np.searchsorted(keys(union), keys(m))] = m.data
+        data.append(values[source])
+    # the pattern is symmetric, so its transpose numbers each entry's transpose
+    transpose = sp.csc_array(numbered(permuted).T).data.astype(np.int32) - 1
+    fields = [permuted.indptr.astype(np.int32), permuted.indices.astype(np.int32),
+              transpose, *data]
+    for arr in fields:
+        arr.setflags(write=False)
+    return BoundaryLastPencil(*fields[:3], len(interior), *fields[3:])
+
+
+def _partition(n: int, interior_idx, boundary_idx) -> tuple[np.ndarray, np.ndarray]:
+    """The two index sets as int arrays, checked in O(n) to use every
+    index in [0, n) exactly once between them."""
     interior_idx = np.asarray(interior_idx, dtype=np.int64)
     boundary_idx = np.asarray(boundary_idx, dtype=np.int64)
-    n = q.shape[0]
     merged = np.concatenate([interior_idx, boundary_idx])
-    if len(merged) != n or len(np.unique(merged)) != n:
+    seen = np.zeros(n, dtype=bool)
+    if len(merged) == n and np.all((merged >= 0) & (merged < n)):
+        seen[merged] = True
+    if not seen.all():
         raise ValueError("index sets must partition the matrix dimension")
-    if sp.issparse(q):
-        if order is None:
-            order = fill_order(q[np.ix_(interior_idx, interior_idx)])
-        elif not np.array_equal(np.sort(order), np.arange(len(interior_idx))):
-            raise ValueError("order must be a permutation of the interior positions")
-        s = _boundary_last_schur(q, interior_idx[order], boundary_idx, zero_tol)
+    return interior_idx, boundary_idx
+
+
+def schur_complement(q, interior_idx=None, boundary_idx=None,
+                     zero_tol: float = DEFAULT_ZERO_TOL, *,
+                     order: np.ndarray | None = None) -> np.ndarray:
+    """S = Q_bb - Q_bi Q_ii^{-1} Q_ib for a symmetric Q, as a dense array.
+
+    Q is a matrix, sparse or dense, whose interior and boundary positions
+    ``interior_idx`` and ``boundary_idx`` partition its dimension, or a
+    :class:`BoundaryLastPencil` shifted to one matrix (``pencil.at(lam)``),
+    which carries its own partition. The interior block must be
+    nonsingular (checked by inertia), otherwise
+    :class:`SingularBlockError` is raised.
+
+    Sparse Q is factored once, by :func:`_boundary_last_schur`; a sparse
+    matrix is first permuted by :func:`boundary_last_pencil`, with the
+    interior DOFs in the fill-reducing ``order``. When that factor fails
+    a check, and for dense Q, the interior block's Bunch-Kaufman inertia
+    decides regularity and a dense solve for the boundary columns gives S.
+    """
+    if isinstance(q, BoundaryLastPencil):
+        if any(x is not None for x in (q.b_data, interior_idx, boundary_idx, order)):
+            raise ValueError("a boundary-last pencil enters shifted, without index sets")
+        pencil, d = q, q.a_data
+        _check_symmetric(_max_abs(d), _max_abs(d - d[pencil.transpose]), "Q")
+        q = pencil.matrix()
+        interior_idx = np.arange(pencil.n_interior)
+        boundary_idx = np.arange(pencil.n_interior, q.shape[0])
+    else:
+        q = _require_symmetric(q, "Q")
+        interior_idx, boundary_idx = _partition(q.shape[0], interior_idx, boundary_idx)
+        pencil = (boundary_last_pencil(q, None, interior_idx, boundary_idx, order)
+                  if sp.issparse(q) else None)
+    if pencil is not None:
+        s = _boundary_last_schur(pencil.matrix(), pencil.n_interior,
+                                 _max_abs(pencil.a_data), zero_tol)
         _count_path("dense_fallback" if s is None else "sparse_ldlt")
         if s is not None:
             return s
@@ -399,34 +512,35 @@ def schur_complement(q, interior_idx, boundary_idx, zero_tol: float = DEFAULT_ZE
     return 0.5 * (s + s.T)
 
 
-def _boundary_last_schur(q: sp.csc_array, interior: np.ndarray, boundary: np.ndarray,
-                         zero_tol: float):
+def _boundary_last_schur(q: sp.csc_array, ni: int, scale: float, zero_tol: float):
     """S from one SuperLU factorization of Q in symmetric mode, or None
-    when its interior part cannot be trusted.
+    when the factor cannot be trusted. Q is stored boundary-last: its
+    first ``ni`` DOFs are the interior ones; ``scale`` is max|Q|.
 
-    Q is factored in the order ``interior`` then ``boundary``, with
-    diagonal pivots and no reordering (the partial factorization behind
-    the Schur complement option of multifrontal solvers: Amestoy, Duff,
-    L'Excellent & Koster, SIAM J. Matrix Anal. Appl. 23, 2001). The
-    interior columns then factor Q_ii = L_ii U_ii, and S = Q_bb - L_bi
-    U_ib comes from the off-diagonal blocks. The boundary pivots, those
-    of S itself (indefinite, possibly nearly singular), enter no check:
-    the checks of :func:`_sparse_ldlt` apply to the interior columns of
-    L and rows of U, relative to max|Q_ii|. They pass only if Q_ii is
+    Q is factored with diagonal pivots and no reordering (the partial
+    factorization behind the Schur complement option of multifrontal
+    solvers: Amestoy, Duff, L'Excellent & Koster, SIAM J. Matrix Anal.
+    Appl. 23, 2001). The interior columns factor Q_ii = L_ii U_ii, and
+    since Q_bb = L_bi U_ib + L_bb U_bb, the boundary block of the factor
+    is S = L_bb U_bb, in the factor's order of the boundary DOFs. The
+    checks of :func:`_sparse_ldlt` apply to the interior columns of L and
+    rows of U, relative to max|Q_ii|: they pass only if Q_ii is
     nonsingular by them, and then inertia(Q_ii) is the signs of the
     interior pivots, so the Haynsworth additivity inertia(Q) =
-    inertia(Q_ii) + inertia(S) holds for this one factorization.
+    inertia(Q_ii) + inertia(S) holds for this one factorization. The
+    boundary columns of L and rows of U, those of the LDL^T of S, pass
+    the same growth bound relative to max|Q|, which keeps the backward
+    error of S near 1e-10 max|Q|. No pivot-size test applies to them, so
+    a nearly singular S, whose small pivot comes last, stays sparse; a
+    small leading boundary pivot shows as growth.
     """
-    ni = len(interior)
-    perm = np.concatenate([interior, boundary])
-    qp = q[np.ix_(perm, perm)]
-    head = slice(0, qp.indptr[ni])  # the stored entries of the interior columns
-    scale = _max_abs(qp.data[head][qp.indices[head] < ni])
-    if scale == 0.0:
+    head = slice(0, q.indptr[ni])  # the stored entries of the interior columns
+    scale_ii = _max_abs(q.data[head][q.indices[head] < ni])
+    if scale_ii == 0.0:
         return None
     try:
         lu = spla.splu(
-            qp, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            q, permc_spec="NATURAL", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError:  # a pivot column, interior or boundary, was exactly zero
@@ -436,33 +550,16 @@ def _boundary_last_schur(q: sp.csc_array, interior: np.ndarray, boundary: np.nda
     if np.any(lu.perm_c[:ni] >= ni):
         return None  # a boundary column was eliminated before an interior one
     l, u = lu.L, lu.U
-    if np.min(np.abs(u.diagonal()[:ni])) <= zero_tol * scale:
+    if np.min(np.abs(u.diagonal()[:ni])) <= zero_tol * scale_ii:
         return None
-    growth = max(_max_abs(l.data[:l.indptr[ni]]), _max_abs(u.data[u.indices < ni]) / scale)
+    lo = l.indptr[ni]  # L's boundary columns hold rows >= ni only
+    in_u = u.indices < ni
+    growth = max(
+        _max_abs(l.data[:lo]), _max_abs(u.data[in_u]) / scale_ii,
+        _max_abs(l.data[lo:]), _max_abs(u.data[~in_u]) / scale,
+    )
     if growth > _MAX_GROWTH:
         return None
-    if len(boundary) == 0:
-        return np.zeros((0, 0))
-    # L_bi and U_ib as dense blocks over only the interior columns that
-    # reach the boundary: one BLAS product, and less memory than either
-    # whole block or the boundary-column solve
-    rows, cols, vals = _column_entries(l, 0, ni)
-    below = rows >= ni
-    rows_u, cols_u, vals_u = _column_entries(u, ni, ni + len(boundary))
-    above = rows_u < ni
-    reach = np.union1d(cols[below], rows_u[above])
-    l_bi = np.zeros((len(boundary), len(reach)))
-    l_bi[rows[below] - ni, np.searchsorted(reach, cols[below])] = vals[below]
-    u_ib = np.zeros((len(reach), len(boundary)))
-    u_ib[np.searchsorted(reach, rows_u[above]), cols_u[above] - ni] = vals_u[above]
     at = lu.perm_c[ni:] - ni  # factor position of each boundary DOF
-    s = qp[ni:, ni:].toarray() - (l_bi @ u_ib)[np.ix_(at, at)]
+    s = (l[ni:, ni:].toarray() @ u[ni:, ni:].toarray())[np.ix_(at, at)]
     return 0.5 * (s + s.T)
-
-
-def _column_entries(m: sp.csc_array, start: int, stop: int):
-    """(rows, columns, values) of the entries stored in columns
-    ``start`` to ``stop - 1`` of a CSC matrix."""
-    lo, hi = m.indptr[start], m.indptr[stop]
-    cols = np.repeat(np.arange(start, stop), np.diff(m.indptr[start:stop + 1]))
-    return m.indices[lo:hi], cols, m.data[lo:hi]

@@ -13,10 +13,9 @@ smallest eigenpairs (:func:`smallest_eigenpairs`, behind
 :mod:`bucklab.counterexample`) come from certified shift-invert Lanczos
 on the checked sparse factor, never densified unless a check fails;
 full pencil spectra (:func:`pencil_eigenvalues`, the counts of the
-identity scans) still come from dense ``eigh``. Assembled pairs, full
-pencil spectra and the elimination orders of the trace operators'
-interior blocks are memoized per mesh content hash, which covers every
-mesh field assembly reads; caches are read-shared and write-once.
+identity scans) still come from dense ``eigh``. Assembled pairs and
+full pencil spectra are memoized per mesh content hash, which covers
+every mesh field assembly reads; caches are read-shared and write-once.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import scipy.sparse as sp
 
 from . import bessel
 from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify_dofs
-from .eigen import fill_order, sparse_smallest_eigs, sym_gen_eigvals_all
+from .eigen import sparse_smallest_eigs, sym_gen_eigvals_all
 from .errors import MeshError, SpectrumRangeError
 from .mesh import Mesh
 
@@ -68,7 +67,6 @@ class Spectrum:
 
 _PAIR_CACHE: dict[tuple, OperatorPair] = {}
 _FULL_CACHE: dict[tuple, np.ndarray] = {}
-_ORDER_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
@@ -126,22 +124,6 @@ def shifted_form(
     shifted before it is sliced so that one matrix is sliced, not two."""
     a, b = (getattr(pair, name) for name in PENCILS[problem][2:])
     return _restrict(a - lam * b, free)
-
-
-def elimination_order(pair: OperatorPair, problem: str) -> np.ndarray:
-    """Fill-reducing elimination order of ``problem``'s free DOFs, as
-    positions in ``free_dofs(pair, problem)``; memoized, one per pair and
-    problem. It is :func:`bucklab.eigen.fill_order` of the pattern of
-    A + B, which every shifted form A - lam*B shares, so it holds at
-    every lam."""
-    key = (pair.mesh.content_hash(), problem, pair.dofmap.kind)
-    order = _ORDER_CACHE.get(key)
-    if order is None:
-        a, b = pencil_matrices(pair, problem, free_dofs(pair, problem))
-        order = fill_order(a + b)
-        order.setflags(write=False)
-        order = _ORDER_CACHE.setdefault(key, order)
-    return order
 
 
 def pencil_eigenvalues(mesh: Mesh, problem: str, order: int | None = None) -> np.ndarray:

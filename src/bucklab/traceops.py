@@ -5,11 +5,13 @@ Friedlander's is Neumann (K_grad - lambda*M) over Dirichlet, Liu's is
 Navier (F - lambda*K_grad) over buckling. Its trace operator, the
 Dirichlet-to-Neumann or the Neumann-to-Laplacian operator, is the Schur
 complement of the outer pencil's sparse shifted form Q onto the DOFs the
-inner pencil constrains. :func:`bucklab.eigen.schur_complement` factors
-Q once (a checked sparse LDL^T, with the dense Bunch-Kaufman path as
-fallback): first the interior block, the inner pencil's shifted form, in
-the inner pencil's cached elimination order, then the boundary DOFs. It
-returns the boundary-sized operator, read off that factor, as a dense
+inner pencil constrains. Each identity's outer pencil is permuted once
+per mesh into a cached :class:`TracePencil`: the interior DOFs, those of
+the inner pencil, in its minimum-degree order, then the boundary DOFs,
+with A and B on one shared sparse pattern. At each lambda
+:func:`bucklab.eigen.schur_complement` factors that pencil's shifted
+form once (a checked sparse LDL^T, with the dense Bunch-Kaufman path as
+fallback) and returns the boundary block of the factor as a dense
 matrix.
 
 Because Schur elimination and inertia obey Haynsworth additivity
@@ -24,15 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import inertia, schur_complement, sym_gen_eigs
+from .eigen import (
+    BoundaryLastPencil,
+    boundary_last_pencil,
+    inertia,
+    schur_complement,
+    sym_gen_eigs,
+)
 from .errors import ExcludedSpectrumError, SingularBlockError
 from .mesh import Mesh
 from .runio import SweepResult, run_sweep
 from .spectra import (
     Spectrum,
-    elimination_order,
     free_dofs,
     pencil_eigenvalues,
+    pencil_matrices,
     pencil_pair,
     shifted_form,
 )
@@ -103,19 +111,69 @@ def _nearest(lam: float, excluded: np.ndarray) -> float:
     return float(excluded[np.argmin(np.abs(excluded - lam))])
 
 
-def trace_blocks(mesh: Mesh, kind: str, lam: float, order: int | None = 2):
-    """``(q, free, interior, boundary)``: the outer pencil's shifted form
-    ``q = A - lam * B`` on its free DOFs ``free``, and the positions in
+def _split(pair, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(free, interior, boundary)`` of identity ``kind`` on the outer
+    pencil's ``pair``: its free DOFs ``free``, and the positions in
     ``free`` of the DOFs the inner pencil also leaves free (eliminated)
     and of the rest (kept). Both pencils share one assembled pair; the
     inner one only names its free DOFs."""
     _, outer, inner = _identity(kind)
-    pair = pencil_pair(mesh, outer, order)
     free = free_dofs(pair, outer)
     interior = np.searchsorted(free, free_dofs(pair, inner))
     kept = np.ones(len(free), dtype=bool)
     kept[interior] = False
-    return shifted_form(pair, outer, free, lam), free, interior, np.flatnonzero(kept)
+    return free, interior, np.flatnonzero(kept)
+
+
+def trace_blocks(mesh: Mesh, kind: str, lam: float, order: int | None = 2):
+    """``(q, free, interior, boundary)``: the outer pencil's shifted form
+    ``q = A - lam * B`` on its free DOFs ``free``, with the interior and
+    boundary positions of :func:`_split`."""
+    outer = _identity(kind)[1]
+    pair = pencil_pair(mesh, outer, order)
+    free, interior, boundary = _split(pair, kind)
+    return shifted_form(pair, outer, free, lam), free, interior, boundary
+
+
+@dataclass(frozen=True)
+class TracePencil:
+    """The outer pencil of one identity on one mesh, ready for every lam:
+    A and B on its free DOFs, permuted once into a
+    :class:`~bucklab.eigen.BoundaryLastPencil` (interior DOFs in the
+    minimum-degree order of the inner pencil's pattern, then the boundary
+    DOFs), with the boundary DOFs and the boundary mass (read-only)."""
+
+    form: BoundaryLastPencil
+    boundary_dofs: np.ndarray
+    boundary_mass: np.ndarray
+
+
+_PENCIL_CACHE: dict[tuple, TracePencil] = {}
+
+
+def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
+    """The memoized :class:`TracePencil` of identity ``kind``, one per mesh
+    content hash, identity and pair kind (``order`` applies to Lagrange
+    pairs only, so Liu's pencil is shared by every order)."""
+    outer = _identity(kind)[1]
+    pair = pencil_pair(mesh, outer, order)
+    key = (mesh.content_hash(), kind, pair.dofmap.kind)
+    pencil = _PENCIL_CACHE.get(key)
+    if pencil is None:
+        free, interior, boundary = _split(pair, kind)
+        a, b = pencil_matrices(pair, outer, free)
+        bnd = free[boundary]
+        if pair.b_trace is None:  # Morley pair
+            boundary_mass = np.diag(pair.b_normal_diag[bnd])
+        else:
+            if not np.array_equal(bnd, pair.b_trace_dofs):
+                raise AssertionError("boundary DOF ordering mismatch")
+            boundary_mass = pair.b_trace.view()
+        bnd.setflags(write=False)
+        boundary_mass.setflags(write=False)
+        form = boundary_last_pencil(a, b, interior, boundary)
+        pencil = _PENCIL_CACHE.setdefault(key, TracePencil(form, bnd, boundary_mass))
+    return pencil
 
 
 def trace_operator(
@@ -134,31 +192,22 @@ def trace_operator(
 
 
 def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
-           excluded: np.ndarray, margin: float | None = None,
-           blocks: tuple | None = None) -> TraceOperator:
+           excluded: np.ndarray, margin: float | None = None) -> TraceOperator:
     """:func:`trace_operator` with ``lam`` kept clear of ``excluded``;
     a ``margin`` from them that the caller has checked is not checked
-    again, and ``blocks`` the caller already holds from
-    :func:`trace_blocks` are not built again."""
-    name, _, inner = _identity(kind)
+    again."""
+    name = _identity(kind)[0]
     if margin is None:
         margin = relative_margin(lam, excluded)
         if margin < delta:
             raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
-    q, free, interior, boundary = blocks or trace_blocks(mesh, kind, lam, order)
-    pair = pencil_pair(mesh, inner, order)
+    pencil = trace_pencil(mesh, kind, order)
     try:
-        s = schur_complement(q, interior, boundary, order=elimination_order(pair, inner))
+        s = schur_complement(pencil.form.at(lam))
     except SingularBlockError:
         raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
-    bnd = free[boundary]
-    if pair.b_trace is None:  # Morley pair
-        boundary_mass = np.diag(pair.b_normal_diag[bnd])
-    else:
-        if not np.array_equal(bnd, pair.b_trace_dofs):
-            raise AssertionError("boundary DOF ordering mismatch")
-        boundary_mass = pair.b_trace.copy()
-    return TraceOperator(name, lam, s, boundary_mass, mesh.content_hash(), margin, bnd)
+    return TraceOperator(name, lam, s, pencil.boundary_mass, mesh.content_hash(), margin,
+                         pencil.boundary_dofs)
 
 
 def trace_spectrum(t: TraceOperator, k: int | None = None) -> tuple[Spectrum, float, int]:

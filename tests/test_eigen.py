@@ -98,6 +98,53 @@ def test_schur_errors(rng):
                              order=np.array(order))
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_schur_partition_checked(sparse):
+    """Index sets with a negative or an out-of-range index do not
+    partition the dimension: ValueError, never a wrapped or an
+    IndexError."""
+    q = np.array([[2.0, 1.0], [1.0, 2.0]])
+    q = sp.csc_array(q) if sparse else q
+    for boundary in ([-1], [5], [0]):
+        with pytest.raises(ValueError, match="partition"):
+            schur_complement(q, [0], boundary)
+    np.testing.assert_allclose(schur_complement(q, [0], [1]), [[1.5]], rtol=1e-15)
+
+
+def test_sparse_symmetry_check_matches_dense(rng):
+    """The sparse symmetry check sums duplicate entries on its own copy
+    and decides as the dense check does, on split and perturbed input."""
+    n = 12
+    dense = random_symmetric(n, rng)
+    dense[np.abs(dense) < 0.3] = 0.0
+    rows, cols = np.nonzero(dense)
+    part = rng.uniform(-2.0, 2.0, size=len(rows))  # each entry stored twice
+    i, j = next((r, c) for r, c in zip(rows, cols) if r != c)
+    twice = np.argsort(np.tile(cols, 2), kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(2 * np.bincount(cols, minlength=n))])
+    for delta in (0.0, 1e-14, 1e-9):
+        target = dense.copy()
+        target[i, j] += delta * np.max(np.abs(dense))  # (j, i) unchanged
+        values = np.concatenate([part, target[rows, cols] - part])
+        dup = sp.csc_array((values[twice], np.tile(rows, 2)[twice], indptr), shape=(n, n))
+        stored = dup.data.copy()
+        try:
+            eigen._require_symmetric(target)
+            dense_ok = True
+        except ValueError:
+            dense_ok = False
+        try:
+            checked = eigen._require_symmetric(dup)
+            sparse_ok = True
+        except ValueError:
+            sparse_ok = False
+        assert sparse_ok == dense_ok == (delta < 1e-12)
+        assert dup.nnz == 2 * len(rows) and np.array_equal(dup.data, stored)
+        if sparse_ok:
+            assert checked.nnz == len(rows)
+            assert np.array_equal(checked.toarray(), sp.coo_array(dup).toarray())
+
+
 def test_haynsworth_additivity_exact(rng):
     for _ in range(20):
         n = int(rng.integers(6, 30))
@@ -206,10 +253,14 @@ class _Postordered:
     # two interior trees, each with its own boundary column as root
     ([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0],
       [1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 2.0]], [0, 1], [0, 2, 1, 3]),
+    # S = [[1e-8, 1], [1, 1]]: no pivot-size test applies to the boundary,
+    # but the tiny leading boundary pivot makes growth about 1e8
+    ([[2.0, 1.0, 0.0], [1.0, 0.5 + 1e-8, 1.0], [0.0, 1.0, 1.0]], [0], None),
 ])
 def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, monkeypatch):
-    """Each failed check of the boundary-last factor, and SuperLU's error
-    on an exactly zero pivot, is one dense fallback giving the dense S."""
+    """Each failed check of the boundary-last factor, interior or
+    boundary, and SuperLU's error on an exactly zero pivot, is one dense
+    fallback giving the dense S."""
     if postorder is not None:
         splu = eigen.spla.splu
         monkeypatch.setattr(eigen.spla, "splu",

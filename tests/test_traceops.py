@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from bucklab import (
 )
 from bucklab.assembly import classify_dofs
 from bucklab.eigen import schur_complement, solver_path_counts
-from bucklab import spectra
+from bucklab import eigen, traceops
 from bucklab.spectra import free_dofs, get_pair, pencil_eigenvalues, pencil_pair
-from bucklab.traceops import _IDENTITIES, relative_margin
+from bucklab.traceops import _IDENTITIES, relative_margin, trace_pencil
 
 
 def test_dtn_symmetric_and_margin(rect16):
@@ -243,13 +244,13 @@ def test_identity_table_partitions(request, mesh_name, kind):
 
 @pytest.mark.parametrize("kind", ["friedlander", "liu"])
 def test_trace_operator_bits_independent_of_where_order_was_built(disk2, kind, monkeypatch):
-    """The elimination order comes from the pattern of A + B, so S has
-    the same bits whichever lambda first built it."""
+    """The cached pencil, its elimination order included, comes from A
+    and B alone, so S has the same bits whichever lambda first built it."""
     lam1, lam2 = 2.0, 7.0
-    monkeypatch.setattr(spectra, "_ORDER_CACHE", {})
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
     trace_operator(disk2, kind, lam1)
     after_lam1 = trace_operator(disk2, kind, lam2).matrix
-    monkeypatch.setattr(spectra, "_ORDER_CACHE", {})
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
     first = trace_operator(disk2, kind, lam2).matrix
     assert np.array_equal(after_lam1, first)
 
@@ -263,12 +264,10 @@ def test_haynsworth_at_disk_level_5():
     lam = 7.3  # clear of every pencil's spectrum on the unit disk
     for kind in ("friedlander", "liu"):
         q, free, interior, boundary = trace_blocks(mesh, kind, lam)
-        inner = _IDENTITIES[kind][2]
         before = solver_path_counts()
         tracemalloc.start()
         try:
-            order = spectra.elimination_order(pencil_pair(mesh, inner, 2), inner)
-            s = schur_complement(q, interior, boundary, order=order)
+            s = schur_complement(trace_pencil(mesh, kind).form.at(lam))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -279,3 +278,59 @@ def test_haynsworth_at_disk_level_5():
         assert after["dense_fallback"] == before["dense_fallback"]
         assert n_interior + inertia(s).n_neg == n_full
         assert peak < 8 * len(free) ** 2 / 20
+
+
+def test_perturbed_cached_pencil_is_refused(disk2, monkeypatch):
+    """The per-point symmetry check reads the cached pencil through its
+    transpose map: one off-diagonal entry of A off by more than 1e-12
+    relative raises, as an asymmetric matrix does."""
+    pencil = trace_pencil(disk2, "liu", None)
+    trace_operator(disk2, "liu", 7.0)
+    form = pencil.form
+    cols = np.repeat(np.arange(len(form.indptr) - 1), np.diff(form.indptr))
+    k = int(np.flatnonzero((form.indices != cols) & (form.a_data != 0.0))[0])
+    a_data = form.a_data.copy()
+    a_data[k] += 1e-9 * np.max(np.abs(a_data))
+    perturbed = replace(pencil, form=replace(form, a_data=a_data))
+    key = (disk2.content_hash(), "liu", "morley")
+    assert traceops._PENCIL_CACHE[key] is pencil
+    monkeypatch.setitem(traceops._PENCIL_CACHE, key, perturbed)
+    with pytest.raises(ValueError, match="not symmetric"):
+        trace_operator(disk2, "liu", 7.0)
+
+
+def test_one_factorization_per_point_one_order_per_identity(disk2, monkeypatch):
+    """Each trace-operator point is one sparse factorization; the
+    fill-reducing order is computed once per mesh and identity."""
+    orders = []
+    fill_order = eigen.fill_order
+
+    def counted(a):
+        orders.append(a.shape)
+        return fill_order(a)
+
+    monkeypatch.setattr(eigen, "fill_order", counted)
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    lams = (2.0, 7.0, 12.0)
+    for kind in ("friedlander", "liu"):
+        for lam in lams:
+            before = solver_path_counts()
+            trace_operator(disk2, kind, lam)
+            after = solver_path_counts()
+            assert after["sparse_ldlt"] == before["sparse_ldlt"] + 1
+            assert after["dense_fallback"] == before["dense_fallback"]
+    assert len(orders) == 2
+
+
+def test_pencil_cache_keys(disk2, monkeypatch):
+    """One pencil per mesh content, identity and pair kind: Liu's Morley
+    pencil is shared by every order, another radius gets its own."""
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    liu = trace_pencil(disk2, "liu", 2)
+    assert trace_pencil(disk2, "liu", None) is liu
+    assert len(traceops._PENCIL_CACHE) == 1
+    assert trace_pencil(disk2, "friedlander", 2) is not liu
+    other = trace_pencil(make_disk_mesh(0.5, 2), "liu", None)
+    assert other is not liu
+    assert len(traceops._PENCIL_CACHE) == 3
+    assert not np.array_equal(other.form.a_data, liu.form.a_data)
