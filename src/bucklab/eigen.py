@@ -27,18 +27,21 @@ first in a fill-reducing order and boundary DOFs last, and reads
 S = L_bb U_bb off the boundary block of that factor. A pencil whose
 Schur complement is wanted at many shifts is permuted into that order
 once (:class:`BoundaryLastPencil`, A and B on one shared pattern), so
-each shift costs one vector update and one factorization. The interior
+each shift (a :class:`BoundaryLastMatrix`) costs one vector update and
+one factorization. The interior
 part of the factor passes the pivot and growth checks, so one
 factorization both certifies that Q_ii is nonsingular and gives S, and
 the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
 as an exact integer identity whenever they pass. The boundary part,
 the LDL^T of S, passes the same growth bound but no pivot-size test,
-since S may be nearly singular.
+since S may be nearly singular. A point that fails either part goes to
+the dense path, which beyond ``MAX_DENSE_DOFS`` rows raises
+:class:`SizeLimitError`.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -373,52 +376,59 @@ def fill_order(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class BoundaryLastMatrix:
+    """A symmetric sparse matrix stored in the order a boundary-last
+    factorization needs: its ``n_interior`` interior DOFs first, in a
+    fill-reducing order, then the boundary DOFs. Its CSC pattern
+    (``indptr``, ``indices``) holds the transpose of every entry it
+    holds; ``transpose[k]`` is the stored position of the transpose of
+    entry ``k``. Made by :meth:`BoundaryLastPencil.at`."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    transpose: np.ndarray
+    n_interior: int
+    data: np.ndarray
+
+    def csc(self) -> sp.csc_array:
+        """The matrix as a CSC array sharing these arrays."""
+        n = len(self.indptr) - 1
+        return sp.csc_array((self.data, self.indices, self.indptr), shape=(n, n))
+
+
+@dataclass(frozen=True)
 class BoundaryLastPencil:
-    """A symmetric sparse pencil A - lam B, or one matrix A when ``b_data``
-    is None, stored in the order a boundary-last factorization needs: its
-    ``n_interior`` interior DOFs first, in a fill-reducing order, then the
-    boundary DOFs in their given order. A and B share one CSC pattern
-    (``indptr``, ``indices``), which holds the transpose of every entry
-    it holds, so the form at one lam is one vector update;
-    ``transpose[k]`` is the stored position of the transpose of entry
-    ``k``. Built by :func:`boundary_last_pencil`."""
+    """A symmetric sparse pencil A - lam B stored as a
+    :class:`BoundaryLastMatrix` is, with A and B on one shared pattern,
+    so the matrix at one lam is one vector update. Built by
+    :func:`boundary_last_pencil`."""
 
     indptr: np.ndarray
     indices: np.ndarray
     transpose: np.ndarray
     n_interior: int
     a_data: np.ndarray
-    b_data: np.ndarray | None = None
+    b_data: np.ndarray
 
-    def at(self, lam: float) -> BoundaryLastPencil:
+    def at(self, lam: float) -> BoundaryLastMatrix:
         """The one matrix A - lam B, on the same pattern."""
-        return replace(self, a_data=self.a_data - lam * self.b_data, b_data=None)
-
-    def matrix(self) -> sp.csc_array:
-        """A as a CSC matrix sharing this pencil's arrays."""
-        n = len(self.indptr) - 1
-        return sp.csc_array((self.a_data, self.indices, self.indptr), shape=(n, n))
+        return BoundaryLastMatrix(self.indptr, self.indices, self.transpose,
+                                  self.n_interior, self.a_data - lam * self.b_data)
 
 
-def boundary_last_pencil(a, b, interior, boundary,
-                         order: np.ndarray | None = None) -> BoundaryLastPencil:
-    """The symmetric sparse ``a`` and ``b`` (or None) permuted once into a
-    :class:`BoundaryLastPencil`: the DOFs ``interior`` first, in
-    ``order`` (positions in ``interior``; by default :func:`fill_order`
-    of the pattern of A + B on them), then the DOFs ``boundary``. The
-    values are placed, never summed with each other, so they keep their
-    bits; the arrays are read-only."""
+def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
+    """The symmetric sparse ``a`` and ``b`` permuted once into a
+    :class:`BoundaryLastPencil`: the DOFs ``interior`` first, in the
+    :func:`fill_order` of the pattern of A + B on them, then the DOFs
+    ``boundary``. The values are placed, never summed with each other,
+    so they keep their bits; the arrays are read-only."""
     interior = np.asarray(interior, dtype=np.int64)
     boundary = np.asarray(boundary, dtype=np.int64)
-    forms = [sp.csc_array(m, dtype=np.float64, copy=True) for m in (a, b) if m is not None]
+    forms = [sp.csc_array(m, dtype=np.float64, copy=True) for m in (a, b)]
     for m in forms:
         m.sum_duplicates()
     n = forms[0].shape[0]
-    if order is None:
-        summed = forms[0] if len(forms) == 1 else forms[0] + forms[1]
-        order = fill_order(summed[np.ix_(interior, interior)])
-    elif not np.array_equal(np.sort(order), np.arange(len(interior))):
-        raise ValueError("order must be a permutation of the interior positions")
+    order = fill_order((forms[0] + forms[1])[np.ix_(interior, interior)])
     perm = np.concatenate([interior[order], boundary])
 
     def numbered(m):  # m's pattern, its entries numbered 1, 2, ... in CSC order
@@ -427,8 +437,8 @@ def boundary_last_pencil(a, b, interior, boundary,
     def keys(m):  # column-major keys col * n + row, ascending for canonical CSC
         return np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
 
-    # every entry of every form and its transpose, in the original order ...
-    union = sum(numbered(m) for m in forms)
+    # every entry of both forms and its transpose, in the original order ...
+    union = numbered(forms[0]) + numbered(forms[1])
     union = sp.csc_array(union + union.T)
     union.sum_duplicates()
     # ... permuted, each stored entry naming the union entry it holds
@@ -464,39 +474,41 @@ def _partition(n: int, interior_idx, boundary_idx) -> tuple[np.ndarray, np.ndarr
 
 
 def schur_complement(q, interior_idx=None, boundary_idx=None,
-                     zero_tol: float = DEFAULT_ZERO_TOL, *,
-                     order: np.ndarray | None = None) -> np.ndarray:
+                     zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     """S = Q_bb - Q_bi Q_ii^{-1} Q_ib for a symmetric Q, as a dense array.
 
     Q is a matrix, sparse or dense, whose interior and boundary positions
     ``interior_idx`` and ``boundary_idx`` partition its dimension, or a
-    :class:`BoundaryLastPencil` shifted to one matrix (``pencil.at(lam)``),
-    which carries its own partition. The interior block must be
-    nonsingular (checked by inertia), otherwise
-    :class:`SingularBlockError` is raised.
+    :class:`BoundaryLastMatrix` (``pencil.at(lam)``), which carries its
+    own partition. The interior block must be nonsingular (checked by
+    inertia), otherwise :class:`SingularBlockError` is raised.
 
     Sparse Q is factored once, by :func:`_boundary_last_schur`; a sparse
-    matrix is first permuted by :func:`boundary_last_pencil`, with the
-    interior DOFs in the fill-reducing ``order``. When that factor fails
-    a check, and for dense Q, the interior block's Bunch-Kaufman inertia
-    decides regularity and a dense solve for the boundary columns gives S.
+    matrix is first permuted boundary-last, with its interior DOFs in the
+    :func:`fill_order` of Q_ii. When that factor fails a check, and for
+    dense Q, the interior block's Bunch-Kaufman inertia decides
+    regularity and a dense solve for the boundary columns gives S; that
+    densifies Q_ii, so beyond ``MAX_DENSE_DOFS`` rows a failed check
+    raises :class:`SizeLimitError`.
     """
-    if isinstance(q, BoundaryLastPencil):
-        if any(x is not None for x in (q.b_data, interior_idx, boundary_idx, order)):
-            raise ValueError("a boundary-last pencil enters shifted, without index sets")
-        pencil, d = q, q.a_data
-        _check_symmetric(_max_abs(d), _max_abs(d - d[pencil.transpose]), "Q")
-        q = pencil.matrix()
-        interior_idx = np.arange(pencil.n_interior)
-        boundary_idx = np.arange(pencil.n_interior, q.shape[0])
+    if isinstance(q, BoundaryLastMatrix):
+        if interior_idx is not None or boundary_idx is not None:
+            raise ValueError("a boundary-last matrix carries its own index sets")
+        d, ni = q.data, q.n_interior
+        _check_symmetric(_max_abs(d), _max_abs(d - d[q.transpose]), "Q")
+        q = qp = q.csc()
+        interior_idx = np.arange(ni)
+        boundary_idx = np.arange(ni, q.shape[0])
     else:
         q = _require_symmetric(q, "Q")
         interior_idx, boundary_idx = _partition(q.shape[0], interior_idx, boundary_idx)
-        pencil = (boundary_last_pencil(q, None, interior_idx, boundary_idx, order)
-                  if sp.issparse(q) else None)
-    if pencil is not None:
-        s = _boundary_last_schur(pencil.matrix(), pencil.n_interior,
-                                 _max_abs(pencil.a_data), zero_tol)
+        qp = None
+        if sp.issparse(q):
+            order = fill_order(q[np.ix_(interior_idx, interior_idx)])
+            perm = np.concatenate([interior_idx[order], boundary_idx])
+            qp = q[np.ix_(perm, perm)]
+    if qp is not None:
+        s = _boundary_last_schur(qp, len(interior_idx), _max_abs(qp.data), zero_tol)
         _count_path("dense_fallback" if s is None else "sparse_ldlt")
         if s is not None:
             return s

@@ -22,6 +22,7 @@ point and ``scan_identities`` sweeps it over a parameter grid.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,31 +149,44 @@ class TracePencil:
     boundary_mass: np.ndarray
 
 
+# the trace pencils of the last few (mesh, identity, pair kind), least
+# recently used first: a scan reuses one or two, and a command at a new
+# radius would otherwise add one for the life of the process
 _PENCIL_CACHE: dict[tuple, TracePencil] = {}
+_PENCIL_CACHE_SIZE = 4
+_PENCIL_LOCK = threading.Lock()
 
 
 def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
     """The memoized :class:`TracePencil` of identity ``kind``, one per mesh
     content hash, identity and pair kind (``order`` applies to Lagrange
-    pairs only, so Liu's pencil is shared by every order)."""
+    pairs only, so Liu's pencil is shared by every order); the
+    ``_PENCIL_CACHE_SIZE`` most recently used ones are kept."""
     outer = _identity(kind)[1]
     pair = pencil_pair(mesh, outer, order)
     key = (mesh.content_hash(), kind, pair.dofmap.kind)
-    pencil = _PENCIL_CACHE.get(key)
-    if pencil is None:
-        free, interior, boundary = _split(pair, kind)
-        a, b = pencil_matrices(pair, outer, free)
-        bnd = free[boundary]
-        if pair.b_trace is None:  # Morley pair
-            boundary_mass = np.diag(pair.b_normal_diag[bnd])
-        else:
-            if not np.array_equal(bnd, pair.b_trace_dofs):
-                raise AssertionError("boundary DOF ordering mismatch")
-            boundary_mass = pair.b_trace.view()
-        bnd.setflags(write=False)
-        boundary_mass.setflags(write=False)
-        form = boundary_last_pencil(a, b, interior, boundary)
-        pencil = _PENCIL_CACHE.setdefault(key, TracePencil(form, bnd, boundary_mass))
+    with _PENCIL_LOCK:
+        pencil = _PENCIL_CACHE.pop(key, None)
+        if pencil is not None:
+            _PENCIL_CACHE[key] = pencil  # now the most recently used
+            return pencil
+    free, interior, boundary = _split(pair, kind)
+    a, b = pencil_matrices(pair, outer, free)
+    bnd = free[boundary]
+    if pair.b_trace is None:  # Morley pair
+        boundary_mass = np.diag(pair.b_normal_diag[bnd])
+    else:
+        if not np.array_equal(bnd, pair.b_trace_dofs):
+            raise AssertionError("boundary DOF ordering mismatch")
+        boundary_mass = pair.b_trace.view()
+    bnd.setflags(write=False)
+    boundary_mass.setflags(write=False)
+    pencil = TracePencil(boundary_last_pencil(a, b, interior, boundary), bnd, boundary_mass)
+    with _PENCIL_LOCK:
+        pencil = _PENCIL_CACHE.pop(key, pencil)  # another thread's, if it won
+        _PENCIL_CACHE[key] = pencil
+        while len(_PENCIL_CACHE) > _PENCIL_CACHE_SIZE:
+            del _PENCIL_CACHE[next(iter(_PENCIL_CACHE))]
     return pencil
 
 

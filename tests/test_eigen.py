@@ -8,6 +8,7 @@ from bucklab import (
     BucklabError,
     eigen,
     SingularBlockError,
+    SizeLimitError,
     inertia,
     schur_complement,
     sym_gen_eigs,
@@ -92,10 +93,6 @@ def test_schur_errors(rng):
     singular[2, 2] = 1.0
     with pytest.raises(SingularBlockError):
         schur_complement(singular, np.array([0, 1]), np.array([2]))
-    for order in ([0, 0], [1]):
-        with pytest.raises(ValueError):
-            schur_complement(sp.csc_array(q), np.array([0, 1]), np.arange(2, 6),
-                             order=np.array(order))
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -261,6 +258,7 @@ def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, m
     """Each failed check of the boundary-last factor, interior or
     boundary, and SuperLU's error on an exactly zero pivot, is one dense
     fallback giving the dense S."""
+    monkeypatch.setattr(eigen, "fill_order", lambda a: np.arange(a.shape[0]))
     if postorder is not None:
         splu = eigen.spla.splu
         monkeypatch.setattr(eigen.spla, "splu",
@@ -269,14 +267,40 @@ def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, m
     interior = np.array(interior)
     boundary = np.setdiff1d(np.arange(len(dense)), interior)
     before = solver_path_counts()
-    s = schur_complement(sp.csc_array(dense), interior, boundary,
-                         order=np.arange(len(interior)))
+    s = schur_complement(sp.csc_array(dense), interior, boundary)
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["dense_fallback"] == before["dense_fallback"] + 1
     s_dense = schur_complement(dense, interior, boundary)
     assert np.array_equal(s, s_dense)
     assert tuple(inertia(s)) == tuple(inertia(s_dense))
+
+
+@pytest.mark.parametrize("stored", ["matrix", "pencil"])
+def test_boundary_growth_beyond_dense_cap_raises(stored, monkeypatch):
+    """A tiny leading boundary pivot fails the growth check, and the
+    dense fallback refuses an interior block beyond MAX_DENSE_DOFS rows:
+    SizeLimitError, counted as one dense fallback, never an S from the
+    untrusted factor."""
+    ni = 50
+    q = sp.block_diag([sp.identity(ni - 1), [[2.0, 1.0, 0.0], [1.0, 0.5 + 1e-8, 1.0],
+                                              [0.0, 1.0, 1.0]]], format="csc")
+    interior, boundary = np.arange(ni), np.array([ni, ni + 1])  # S = [[1e-8, 1], [1, 1]]
+    if stored == "pencil":
+        q = eigen.boundary_last_pencil(q, sp.csc_array(q.shape), interior, boundary).at(0.0)
+        args = ()
+    else:
+        args = (interior, boundary)
+    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", ni - 1)
+    before = solver_path_counts()
+    with pytest.raises(SizeLimitError):
+        schur_complement(q, *args)
+    after = solver_path_counts()
+    assert after["sparse_ldlt"] == before["sparse_ldlt"]
+    assert after["dense_fallback"] == before["dense_fallback"] + 1
+    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", ni)
+    s = schur_complement(q, *args)
+    np.testing.assert_allclose(s, [[1e-8, 1.0], [1.0, 1.0]], rtol=1e-7)
 
 
 def test_nearly_singular_schur_stays_sparse(disk2):

@@ -334,3 +334,18 @@ def test_pencil_cache_keys(disk2, monkeypatch):
     assert other is not liu
     assert len(traceops._PENCIL_CACHE) == 3
     assert not np.array_equal(other.form.a_data, liu.form.a_data)
+
+
+def test_pencil_cache_keeps_the_most_recently_used(disk2, monkeypatch):
+    """The cache holds at most ``_PENCIL_CACHE_SIZE`` pencils and evicts
+    the least recently used one first."""
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE_SIZE", 2)
+    liu = trace_pencil(disk2, "liu", None)
+    friedlander = trace_pencil(disk2, "friedlander", 2)
+    assert trace_pencil(disk2, "liu", 2) is liu  # now the most recent
+    other = trace_pencil(make_disk_mesh(0.5, 2), "liu", None)
+    kept = list(traceops._PENCIL_CACHE.values())
+    assert len(kept) == 2 and kept[0] is liu and kept[1] is other
+    assert trace_pencil(disk2, "friedlander", 2) is not friedlander
+    assert list(traceops._PENCIL_CACHE.values())[0] is other
