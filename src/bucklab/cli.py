@@ -62,7 +62,7 @@ def _positive(*, default: float) -> Param:
 
 
 def _real(*, default: float, flag: str | None = None) -> Param:
-    return Param(float, lambda v: True, "real", default, flag=flag)
+    return Param(float, lambda v: bool(np.isfinite(v)), "finite", default, flag=flag)
 
 
 def _decreasing_positive(v: list[float]) -> bool:

@@ -40,6 +40,7 @@ the dense path, which beyond ``MAX_DENSE_DOFS`` rows raises
 """
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass
 
@@ -69,6 +70,10 @@ _LANCZOS_EXTRA = 3
 # far enough from the spectrum for the checked factor to be trusted.
 _GAP_RTOL = 1e-3
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
 _PATH_LOCK = threading.Lock()
 _PATH_COUNTS = {"sparse_ldlt": 0, "dense_fallback": 0}
 
@@ -97,6 +102,31 @@ def solver_path_counts() -> dict[str, int]:
 def _count_path(path: str) -> None:
     with _PATH_LOCK:
         _PATH_COUNTS[path] += 1
+
+
+def retain_factor_workspace() -> None:
+    """Keep the heap from returning SuperLU's workspace to the system
+    after every factorization, where the C library is glibc.
+
+    A factorization allocates several MB of workspace and frees it
+    again. glibc serves blocks that large by mmap and unmaps them on
+    free, so each factorization of a scan pays the page faults anew,
+    until the process happens to free a larger block, which raises the
+    thresholds dynamically. Fixing the mmap threshold at 8 MiB and the
+    trim threshold at 16 MiB keeps such workspace in the heap for the
+    next factorization: Liu plus Friedlander scans of 4 points at disk
+    refine 3 took 10-20% less time with them than at glibc's defaults,
+    on a two-CPU virtual machine. The setting holds for the rest of the
+    process. Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
 def _require_symmetric(a, name: str = "matrix"):
@@ -221,17 +251,6 @@ def _lanczos_smallest(a, b, count: int, sigma: float):
         _count_path("dense_fallback")
         return None
     return w[:count], v[:, :count]
-
-
-def sym_gen_eigvals_all(a, b) -> np.ndarray:
-    """All eigenvalues of the pencil (A, B), ascending."""
-    fresh = sp.issparse(a) and sp.issparse(b)  # densified copies LAPACK may overwrite
-    a = _dense(_require_symmetric(a, "A"), "A")
-    b = _dense(_require_symmetric(b, "B"), "B")
-    try:
-        return sla.eigh(a, b, eigvals_only=True, overwrite_a=fresh, overwrite_b=fresh)
-    except sla.LinAlgError as exc:
-        raise BucklabError(f"mass matrix is not positive definite: {exc}") from exc
 
 
 def _sparse_ldlt(a: sp.csc_array, zero_tol: float):

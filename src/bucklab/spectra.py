@@ -8,17 +8,19 @@ produces analytic ground truth from Bessel zeros, independently of every
 finite element path.
 
 Pencil matrices are sliced from the sparse assembled forms. The k
-smallest eigenpairs (:func:`smallest_eigenpairs`, behind
-:func:`spectrum` and the clamped ground state of
-:mod:`bucklab.counterexample`) come from certified shift-invert Lanczos
-on the checked sparse factor, never densified unless a check fails;
-full pencil spectra (:func:`pencil_eigenvalues`, the counts of the
-identity scans) still come from dense ``eigh``. Assembled pairs and
-full pencil spectra are memoized per mesh content hash, which covers
-every mesh field assembly reads; caches are read-shared and write-once.
+smallest eigenpairs (:func:`smallest_eigenpairs`) come from certified
+shift-invert Lanczos on the checked sparse factor, never densified
+unless a check fails. They serve :func:`spectrum`, the clamped ground
+state of :mod:`bucklab.counterexample`, and :func:`pencil_eigenvalues`,
+the spectrum prefix up to a bound from which the identity scans count
+eigenvalues and measure margins. Assembled pairs and spectrum prefixes
+are memoized per mesh content hash, which covers every mesh field
+assembly reads; each cache keeps its few most recently used entries
+(:func:`lru_get`, :func:`lru_put`).
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +28,17 @@ import scipy.sparse as sp
 
 from . import bessel
 from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify_dofs
-from .eigen import sparse_smallest_eigs, sym_gen_eigvals_all
+from .eigen import sparse_smallest_eigs
 from .errors import MeshError, SpectrumRangeError
 from .mesh import Mesh
 
 ORACLE_COUNT_CAP = 50
+#: entries each result cache keeps: a scan reuses the pencils of one
+#: mesh, and a command at a new radius would otherwise add its own for
+#: the life of the process
+CACHE_SIZE = 4
+# values in the first spectrum prefix of a pencil; each extension doubles
+_PREFIX_START = 16
 
 # problem -> (pair kind, classify_dofs condition or None when every DOF
 # is free, OperatorPair attributes of the pencil's A and B)
@@ -62,17 +70,42 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# assembled-pair and full-spectrum caches
+# assembled-pair and spectrum-prefix caches
 # ---------------------------------------------------------------------------
 
+_CACHE_LOCK = threading.Lock()
+
+
+def lru_get(cache: dict, key):
+    """``cache[key]``, now the most recently used entry, or None."""
+    with _CACHE_LOCK:
+        value = cache.pop(key, None)
+        if value is not None:
+            cache[key] = value
+        return value
+
+
+def lru_put(cache: dict, key, value, size: int = CACHE_SIZE):
+    """Store ``value`` as the most recently used entry of ``cache``, drop
+    the least recently used ones beyond ``size`` and return ``value``."""
+    with _CACHE_LOCK:
+        cache.pop(key, None)
+        cache[key] = value
+        while len(cache) > size:
+            del cache[next(iter(cache))]
+    return value
+
+
 _PAIR_CACHE: dict[tuple, OperatorPair] = {}
-_FULL_CACHE: dict[tuple, np.ndarray] = {}
+# (mesh hash, problem, pair kind) -> (ascending prefix, whether it is the
+# whole spectrum)
+_PREFIX_CACHE: dict[tuple, tuple[np.ndarray, bool]] = {}
 
 
 def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
     """Memoized assembly; kind is 'lagrange' or 'morley'."""
     key = (mesh.content_hash(), kind, order)
-    pair = _PAIR_CACHE.get(key)
+    pair = lru_get(_PAIR_CACHE, key)
     if pair is None:
         if kind == "lagrange":
             pair = assemble_lagrange(mesh, order)
@@ -80,7 +113,7 @@ def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
             pair = assemble_morley(mesh)
         else:
             raise ValueError(f"unknown pair kind {kind!r}")
-        pair = _PAIR_CACHE.setdefault(key, pair)
+        pair = lru_put(_PAIR_CACHE, key, pair)
     return pair
 
 
@@ -126,17 +159,40 @@ def shifted_form(
     return _restrict(a - lam * b, free)
 
 
-def pencil_eigenvalues(mesh: Mesh, problem: str, order: int | None = None) -> np.ndarray:
-    """All pencil eigenvalues for counting functions, memoized."""
+def pencil_eigenvalues(
+    mesh: Mesh, problem: str, order: int | None = None, *, upto: float
+) -> np.ndarray:
+    """The smallest eigenvalues of ``problem``'s pencil, ascending, up to
+    and past ``upto``: a certified prefix of the spectrum whose last
+    value exceeds ``upto``, or the whole spectrum when no value does.
+    So it holds every eigenvalue below any ``lam <= upto`` and the
+    nearest one above it, and it answers counts and margins there as the
+    full spectrum would.
+
+    The prefix comes from :func:`smallest_eigenpairs`, 16 values first,
+    doubled until the last one exceeds ``upto``. It is memoized per mesh
+    content hash, problem and pair kind and only ever extended, so a
+    smaller ``upto`` is served from the cache. There is no default
+    bound: asking for the whole spectrum of a large mesh is a request
+    for n eigenvalues.
+    """
+    if not np.isfinite(upto):
+        raise ValueError(f"upto must be finite, got {upto!r}")
     pair = pencil_pair(mesh, problem, order)
     key = (mesh.content_hash(), problem, pair.dofmap.kind)
-    vals = _FULL_CACHE.get(key)
-    if vals is None:
-        a, b = pencil_matrices(pair, problem, free_dofs(pair, problem))
-        vals = sym_gen_eigvals_all(a, b)
-        vals.setflags(write=False)
-        vals = _FULL_CACHE.setdefault(key, vals)
-    return vals
+    cached = lru_get(_PREFIX_CACHE, key)
+    if cached is not None and (cached[1] or cached[0][-1] > upto):
+        return cached[0]
+    n = len(free_dofs(pair, problem))
+    count = _PREFIX_START if cached is None else 2 * len(cached[0])
+    while True:
+        count = min(count, n)
+        vals = smallest_eigenpairs(pair, problem, count)[0]
+        if count == n or vals[-1] > upto:
+            break
+        count *= 2
+    vals.setflags(write=False)
+    return lru_put(_PREFIX_CACHE, key, (vals, count == n))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,17 @@ Because Schur elimination and inertia obey Haynsworth additivity
 exactly, neg(trace operator) = N_outer(lambda) - N_inner(lambda), a
 difference of counting functions of pencils assembled from the same
 matrices; ``verify_identity`` checks that integer identity point by
-point and ``scan_identities`` sweeps it over a parameter grid.
+point and ``scan_identities`` sweeps it over a parameter grid. The
+counts N and the margins from the excluded spectra are read off
+certified spectrum prefixes (:func:`bucklab.spectra.pencil_eigenvalues`)
+that reach past the largest lambda a point may use; a scan computes them
+once, before its sweep. No step forms an n x n matrix unless a factor
+check fails, and a scan point whose failed factor is too large to
+densify is skipped with its reason, as points too close to an excluded
+eigenvalue are.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +37,19 @@ from .eigen import (
     BoundaryLastPencil,
     boundary_last_pencil,
     inertia,
+    retain_factor_workspace,
     schur_complement,
     sym_gen_eigs,
 )
-from .errors import ExcludedSpectrumError, SingularBlockError
+from .errors import ExcludedSpectrumError, SingularBlockError, SizeLimitError
 from .mesh import Mesh
 from .runio import SweepResult, run_sweep
 from .spectra import (
+    CACHE_SIZE,
     Spectrum,
     free_dofs,
+    lru_get,
+    lru_put,
     pencil_eigenvalues,
     pencil_matrices,
     pencil_pair,
@@ -48,6 +58,9 @@ from .spectra import (
 
 DEFAULT_MARGIN = 1e-3
 NUDGE_STEPS = 10
+# scan points that raise these are recorded as skips: too close to an
+# excluded eigenvalue, or a failed factor too large for the dense path
+_SKIPPED = (ExcludedSpectrumError, SizeLimitError)
 
 # identity -> (trace operator, outer pencil, inner pencil)
 _IDENTITIES = {
@@ -99,12 +112,28 @@ def _identity(kind: str) -> tuple[str, str, str]:
         raise ValueError(f"unknown identity kind {kind!r}") from None
 
 
-def _excluded_values(mesh: Mesh, kind: str, order: int | None) -> np.ndarray:
-    """The inner then the outer pencil's spectrum of identity ``kind``."""
+def _reach(lam: float, delta: float, steps: float = 1) -> float:
+    """``lam`` moved up by ``steps`` nudges of ``delta`` (relative)."""
+    return lam + steps * delta * max(1.0, abs(lam))
+
+
+def _excluded_values(
+    mesh: Mesh, kind: str, order: int | None, upto: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(outer, inner, excluded)``: the outer and the inner pencil's
+    spectrum prefixes of identity ``kind`` past ``upto``, and the two
+    together, the values every point up to ``upto`` must clear."""
     _, outer, inner = _identity(kind)
-    return np.concatenate(
-        [pencil_eigenvalues(mesh, inner, order), pencil_eigenvalues(mesh, outer, order)]
-    )
+    outer_vals = pencil_eigenvalues(mesh, outer, order, upto=upto)
+    inner_vals = pencil_eigenvalues(mesh, inner, order, upto=upto)
+    return outer_vals, inner_vals, np.concatenate([inner_vals, outer_vals])
+
+
+def _scan_values(mesh: Mesh, kind: str, order: int | None, grid, delta: float):
+    """:func:`_excluded_values` past every lambda a scan of ``grid`` may
+    try: one step beyond the last nudge of each grid point."""
+    upto = max((_reach(lam, delta, NUDGE_STEPS + 1) for lam in grid), default=0.0)
+    return _excluded_values(mesh, kind, order, upto)
 
 
 def _nearest(lam: float, excluded: np.ndarray) -> float:
@@ -150,11 +179,9 @@ class TracePencil:
 
 
 # the trace pencils of the last few (mesh, identity, pair kind), least
-# recently used first: a scan reuses one or two, and a command at a new
-# radius would otherwise add one for the life of the process
+# recently used first
 _PENCIL_CACHE: dict[tuple, TracePencil] = {}
-_PENCIL_CACHE_SIZE = 4
-_PENCIL_LOCK = threading.Lock()
+_PENCIL_CACHE_SIZE = CACHE_SIZE
 
 
 def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
@@ -165,11 +192,9 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
     outer = _identity(kind)[1]
     pair = pencil_pair(mesh, outer, order)
     key = (mesh.content_hash(), kind, pair.dofmap.kind)
-    with _PENCIL_LOCK:
-        pencil = _PENCIL_CACHE.pop(key, None)
-        if pencil is not None:
-            _PENCIL_CACHE[key] = pencil  # now the most recently used
-            return pencil
+    pencil = lru_get(_PENCIL_CACHE, key)
+    if pencil is not None:
+        return pencil
     free, interior, boundary = _split(pair, kind)
     a, b = pencil_matrices(pair, outer, free)
     bnd = free[boundary]
@@ -182,12 +207,7 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
     bnd.setflags(write=False)
     boundary_mass.setflags(write=False)
     pencil = TracePencil(boundary_last_pencil(a, b, interior, boundary), bnd, boundary_mass)
-    with _PENCIL_LOCK:
-        pencil = _PENCIL_CACHE.pop(key, pencil)  # another thread's, if it won
-        _PENCIL_CACHE[key] = pencil
-        while len(_PENCIL_CACHE) > _PENCIL_CACHE_SIZE:
-            del _PENCIL_CACHE[next(iter(_PENCIL_CACHE))]
-    return pencil
+    return lru_put(_PENCIL_CACHE, key, pencil, _PENCIL_CACHE_SIZE)
 
 
 def trace_operator(
@@ -201,7 +221,8 @@ def trace_operator(
     The eliminated block is the inner pencil, so the operator exists iff
     ``lam`` clears the inner spectrum by the relative margin ``delta``.
     """
-    excluded = pencil_eigenvalues(mesh, _identity(kind)[2], order)
+    inner = _identity(kind)[2]
+    excluded = pencil_eigenvalues(mesh, inner, order, upto=_reach(lam, delta))
     return _trace(mesh, kind, lam, order, delta, excluded)
 
 
@@ -209,7 +230,8 @@ def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
            excluded: np.ndarray, margin: float | None = None) -> TraceOperator:
     """:func:`trace_operator` with ``lam`` kept clear of ``excluded``;
     a ``margin`` from them that the caller has checked is not checked
-    again."""
+    again. A point whose factor fails a check beyond the dense cap raises
+    :class:`SizeLimitError` naming ``lam``."""
     name = _identity(kind)[0]
     if margin is None:
         margin = relative_margin(lam, excluded)
@@ -220,6 +242,10 @@ def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
         s = schur_complement(pencil.form.at(lam))
     except SingularBlockError:
         raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
+    except SizeLimitError as exc:
+        raise SizeLimitError(
+            f"lambda={lam:.12g}: the sparse factor failed a check and {exc}"
+        ) from None
     return TraceOperator(name, lam, s, pencil.boundary_mass, mesh.content_hash(), margin,
                          pencil.boundary_dofs)
 
@@ -248,17 +274,20 @@ def verify_identity(
     identity is an exact integer statement. Counting needs ``lam`` to
     clear both pencils' spectra, not just the interior block.
     """
-    return _verify(mesh, kind, lam, order, delta, _excluded_values(mesh, kind, order))
+    values = _excluded_values(mesh, kind, order, _reach(lam, delta))
+    return _verify(mesh, kind, lam, order, delta, values)
 
 
 def _verify(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
-            excluded: np.ndarray, margin: float | None = None,
+            values: tuple, margin: float | None = None,
             nudged: bool = False) -> IdentityReport:
-    """:func:`verify_identity`, with ``margin`` as in :func:`_trace`."""
-    _, outer, inner = _identity(kind)
+    """:func:`verify_identity` from the ``(outer, inner, excluded)``
+    ``values`` of :func:`_excluded_values`, past ``lam``; ``margin`` as
+    in :func:`_trace`."""
+    outer, inner, excluded = values
     t = _trace(mesh, kind, lam, order, delta, excluded, margin)
-    lhs = int(np.sum(pencil_eigenvalues(mesh, outer, order) < lam))
-    rhs = int(np.sum(pencil_eigenvalues(mesh, inner, order) < lam))
+    lhs = int(np.sum(outer < lam))
+    rhs = int(np.sum(inner < lam))
     neg = inertia(t.matrix).n_neg
     return IdentityReport(kind, lam, neg, lhs, rhs, neg == lhs - rhs, t.margin, nudged)
 
@@ -267,9 +296,8 @@ def _nudge(lam: float, excluded: np.ndarray, delta: float) -> tuple[float, float
     """``(lam_used, margin, nudged)``: ``lam`` shifted by steps of delta
     (relative) until clear of the excluded values, its margin from them,
     and whether it moved; gives up beyond NUDGE_STEPS steps."""
-    scale = max(1.0, abs(lam))
     for step in [0.0] + [sign * j for j in range(1, NUDGE_STEPS + 1) for sign in (1.0, -1.0)]:
-        cand = lam + step * delta * scale
+        cand = _reach(lam, delta, step)
         margin = relative_margin(cand, excluded)
         if margin >= delta:
             return cand, margin, step != 0.0
@@ -287,12 +315,14 @@ def scan_identities(
 ) -> SweepResult:
     """One IdentityReport per grid point, with automatic nudging away
     from the excluded spectra; unplaceable points are skipped and
-    recorded. Summary flag ``all_hold`` covers the non-skipped points."""
-    excluded = _excluded_values(mesh, kind, order)
+    recorded, as are points whose factor fails a check beyond the dense
+    cap. Summary flag ``all_hold`` covers the non-skipped points."""
+    retain_factor_workspace()
+    values = _scan_values(mesh, kind, order, lam_grid, delta)
 
     def one(lam: float):
-        lam_used, margin, nudged = _nudge(lam, excluded, delta)
-        rep = _verify(mesh, kind, lam_used, order, delta, excluded, margin, nudged)
+        lam_used, margin, nudged = _nudge(lam, values[2], delta)
+        rep = _verify(mesh, kind, lam_used, order, delta, values, margin, nudged)
         return {
             "lambda": rep.lam,
             "neg_count": rep.neg_count,
@@ -303,7 +333,7 @@ def scan_identities(
             "nudged": rep.nudged,
         }
 
-    result = run_sweep("lambda", lam_grid, one, threads, ExcludedSpectrumError)
+    result = run_sweep("lambda", lam_grid, one, threads, _SKIPPED)
     result.summary["all_hold"] = all(r["holds"] for r in result.records)
     return result
 
@@ -315,9 +345,9 @@ def scan_beta1(
     threads: int = 1,
 ) -> SweepResult:
     """Smallest trace eigenvalue of the Neumann-to-Laplacian operator
-    over a parameter grid, with the same nudging discipline."""
-    excluded = _excluded_values(mesh, "liu", None)
-    buckling = pencil_eigenvalues(mesh, "buckling")
+    over a parameter grid, with the same nudging and skipping discipline."""
+    retain_factor_workspace()
+    _, buckling, excluded = _scan_values(mesh, "liu", None, lam_grid, delta)
 
     def one(lam: float):
         lam_used, _, nudged = _nudge(lam, excluded, delta)
@@ -333,6 +363,6 @@ def scan_beta1(
             "nudged": nudged,
         }
 
-    result = run_sweep("lambda", lam_grid, one, threads, ExcludedSpectrumError)
+    result = run_sweep("lambda", lam_grid, one, threads, _SKIPPED)
     result.summary["n_negative"] = sum(1 for r in result.records if r["beta1"] < 0)
     return result

@@ -1,5 +1,32 @@
 """Independent brute-force oracles used only by the test suite."""
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
+
+from bucklab.spectra import free_dofs, pencil_matrices, pencil_pair
+
+_PENCIL_SPECTRA = {}
+
+
+def sym_gen_eigvals_all(a, b) -> np.ndarray:
+    """All eigenvalues of the symmetric pencil (A, B), B positive
+    definite, ascending, from dense LAPACK ``eigh``."""
+    a, b = (m.toarray() if sp.issparse(m) else np.array(m, dtype=np.float64)
+            for m in (a, b))
+    return sla.eigh(a, b, eigvals_only=True, overwrite_a=True, overwrite_b=True)
+
+
+def dense_pencil_eigenvalues(mesh, problem: str, order=None) -> np.ndarray:
+    """Every eigenvalue of ``problem``'s pencil on ``mesh`` by
+    :func:`sym_gen_eigvals_all`, memoized per mesh content hash, problem
+    and order (read-only)."""
+    key = (mesh.content_hash(), problem, order)
+    if key not in _PENCIL_SPECTRA:
+        pair = pencil_pair(mesh, problem, order)
+        vals = sym_gen_eigvals_all(*pencil_matrices(pair, problem, free_dofs(pair, problem)))
+        vals.setflags(write=False)
+        _PENCIL_SPECTRA[key] = vals
+    return _PENCIL_SPECTRA[key]
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:

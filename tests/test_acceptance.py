@@ -116,8 +116,8 @@ def test_criteria_3_4_identity_scans(tmp_path, kind, lmin, lmax, num, disk3, rec
 
 
 def test_criterion_5_trace_operator_sign(disk3):
-    nav1 = float(pencil_eigenvalues(disk3, "navier")[0])
-    buck1 = float(pencil_eigenvalues(disk3, "buckling")[0])
+    nav1 = float(pencil_eigenvalues(disk3, "navier", upto=0.0)[0])
+    buck1 = float(pencil_eigenvalues(disk3, "buckling", upto=0.0)[0])
     below = np.linspace(0.4, nav1 * 0.92, 5)
     between = np.linspace(nav1 * 1.08, buck1 * 0.95, 5)
     res = scan_beta1(disk3, np.concatenate([below, between]))

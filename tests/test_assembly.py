@@ -5,7 +5,6 @@ import pytest
 
 from bucklab import (
     DofKindError,
-    SizeLimitError,
     assemble_lagrange,
     assemble_morley,
     boundary_normal_mass,
@@ -229,18 +228,23 @@ def test_fourth_order_matrix_adds_curvature_only_on_boundary_normals(disk2, rect
     assert np.array_equal(flat.fourth_order_matrix().toarray(), flat.a_bend.toarray())
 
 
-def test_level5_assembles_sparse_and_refuses_dense_spectra():
+def test_level5_assembles_sparse_and_counts_from_a_prefix():
     disk5 = make_disk_mesh(1.0, 5)
     n = disk5.n_vertices + disk5.n_edges
     assert n == 16641
+    upto = 28.0  # between the Dirichlet eigenvalues 26.37 and 30.47
     tracemalloc.start()
     try:
         pair = assemble_morley(disk5)
+        prefix = pencil_eigenvalues(disk5, "dirichlet", 2, upto=upto)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     for mat in (pair.k_grad, pair.a_bend):
         assert mat.format == "csc" and mat.shape == (n, n)
     assert peak < 0.05 * 8 * n * n  # one dense n x n array is 2.2 GB
-    with pytest.raises(SizeLimitError):
-        pencil_eigenvalues(disk5, "dirichlet", 2)
+    oracle = disk_oracle("dirichlet", 8).values
+    below = oracle[oracle < upto]
+    assert prefix[-1] > upto
+    assert np.sum(prefix < upto) == len(below) == 5
+    assert np.all(np.abs(prefix[:len(below)] - below) <= 1e-3 * below)

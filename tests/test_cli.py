@@ -234,6 +234,10 @@ def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys, mon
         return (run_dir / "identities.csv").read_bytes(), meta["solver"]
 
     for kind in ("liu", "friedlander"):
+        # the first scan fills the spectrum-prefix cache, whose Lanczos
+        # solves count as factorizations too; the two compared scans
+        # read the same cached prefixes and factor per point only
+        scan("warm", kind)
         csv_sparse, paths = scan("sparse", kind)
         assert paths["sparse_ldlt"] > 0 and paths["dense_fallback"] == 0
         with monkeypatch.context() as m:
@@ -244,6 +248,21 @@ def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys, mon
         assert forced == {"sparse_ldlt": 0, "dense_fallback": paths["sparse_ldlt"]}
         assert csv_dense == csv_sparse
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["liu", "friedlander"])
+def test_identity_scan_at_refine_5(tmp_path, capsys, kind):
+    """16641 DOFs, beyond the dense cap: counts and margins come from
+    sparse spectrum prefixes, with no dense fallback."""
+    code, out, _ = run_cli(
+        ["identity-scan", "--domain", "disk", "--refine", "5", "--kind", kind,
+         "--points", "2", "--lmax", "10"],
+        tmp_path, capsys,
+    )
+    assert code == 0
+    assert "all_hold=true points=2 skips=0" in out
+    meta = json.loads((latest_run(tmp_path, "identity-scan") / "manifest.json").read_text())
+    assert meta["solver"]["dense_fallback"] == 0
 
 
 def test_repeated_identity_scan_builds_no_mesh(tmp_path, monkeypatch):

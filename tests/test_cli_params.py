@@ -24,10 +24,10 @@ SAMPLES = {
     "kind": ("--kind", "friedlander", "weyl"),
     "order": ("--order", "1", "3"),
     "count": ("--count", "4", "0"),
-    "lmin": ("--lmin", "0.5", None),
-    "lmax": ("--lmax", "30", None),
+    "lmin": ("--lmin", "0.5", "nan"),
+    "lmax": ("--lmax", "30", "inf"),
     "points": ("--points", "5", "0"),
-    "lam": ("--lambda", "18.5", None),
+    "lam": ("--lambda", "18.5", "-inf"),
     "eps": ("--eps", "0.1,0.01", "0.001,0.1"),
     "trials": ("--trials", "20", "-1"),
     "seed": ("--seed", "7", "-1"),

@@ -2,12 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bucklab import (
     MeshError,
-    SizeLimitError,
     SpectrumRangeError,
     buckling_ground_state,
     disk_oracle,
@@ -29,6 +28,8 @@ from bucklab.spectra import (
     smallest_eigenpairs,
     spectrum_to_csv_rows,
 )
+
+from oracles import dense_pencil_eigenvalues
 
 PROBLEMS = ["dirichlet", "neumann", "buckling", "navier"]
 
@@ -154,7 +155,7 @@ def test_result_caches_keyed_on_radius(tmp_path, disk2, monkeypatch):
     reload = load_mesh(path, domain_tag="disk", radius=2.0)
     warm = spectrum(reload, "navier", 3).values
     monkeypatch.setattr(spectra, "_PAIR_CACHE", {})
-    monkeypatch.setattr(spectra, "_FULL_CACHE", {})
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     cold = spectrum(reload, "navier", 3).values
     assert np.array_equal(warm, cold)
     assert not np.allclose(warm, original)
@@ -221,10 +222,12 @@ def test_level5_spectrum_and_ground_state_stay_sparse():
     pair = get_pair(disk5, "morley")
     n = pair.dofmap.n_dofs
     assert n == 16641
+    upto = 30.0  # between the buckling eigenvalues 26.37 and 40.71
     tracemalloc.start()
     try:
         values = spectrum(disk5, "buckling", 3).values
         _, lambda1 = buckling_ground_state(pair)
+        prefix = pencil_eigenvalues(disk5, "buckling", upto=upto)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -232,5 +235,42 @@ def test_level5_spectrum_and_ground_state_stay_sparse():
     oracle = disk_oracle("buckling", 3).values
     assert np.all(np.abs(values - oracle) <= 1e-3 * oracle)
     assert abs(lambda1 - oracle[0]) <= 1e-3 * oracle[0]
-    with pytest.raises(SizeLimitError):
-        pencil_eigenvalues(disk5, "buckling")
+    assert prefix[-1] > upto
+    assert np.sum(prefix < upto) == 3
+    assert np.all(np.abs(prefix[:3] - values) <= 1e-10 * values)
+
+
+@pytest.mark.parametrize("mesh_name", ["disk2", "disk3", "rect16"])
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_prefix_counts_and_nearest_match_dense(request, mesh_name, problem, monkeypatch):
+    """Below any bound ``upto``, the certified prefix counts the
+    eigenvalues under ``lam`` exactly as the dense full spectrum does,
+    and names the same nearest eigenvalue; a smaller bound later is
+    served from the cache without a new solve."""
+    mesh = request.getfixturevalue(mesh_name)
+    dense = dense_pencil_eigenvalues(mesh, problem, 2)
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+
+    @given(st.floats(-5.0, 100.0), st.floats(-5.0, 100.0))
+    @settings(max_examples=6, deadline=None)
+    def check(x, y):
+        lam, upto = sorted((x, y))
+        # a count is only defined away from the spectrum; the scans keep
+        # lam 1e-3 away, the Lanczos values are good to about 1e-12
+        assume(np.min(np.abs(dense - lam)) > 1e-8 * max(1.0, abs(lam)))
+        prefix = pencil_eigenvalues(mesh, problem, 2, upto=upto)
+        assert prefix[-1] > upto
+        assert np.sum(prefix < lam) == np.sum(dense < lam)
+        nearest = dense[np.argmin(np.abs(dense - lam))]
+        got = prefix[np.argmin(np.abs(prefix - lam))]
+        assert abs(got - nearest) <= 1e-10 * max(1.0, abs(nearest))
+        before = solver_path_counts()
+        assert pencil_eigenvalues(mesh, problem, 2, upto=lam) is prefix
+        assert solver_path_counts() == before
+
+    check()
+
+
+def test_prefix_bound_is_required(disk2):
+    with pytest.raises(TypeError):
+        pencil_eigenvalues(disk2, "dirichlet", 2)

@@ -20,8 +20,11 @@ from bucklab import (
 from bucklab.assembly import classify_dofs
 from bucklab.eigen import schur_complement, solver_path_counts
 from bucklab import eigen, traceops
+from bucklab.cli import main
 from bucklab.spectra import free_dofs, get_pair, pencil_eigenvalues, pencil_pair
 from bucklab.traceops import _IDENTITIES, relative_margin, trace_pencil
+
+from oracles import dense_pencil_eigenvalues
 
 
 def test_dtn_symmetric_and_margin(rect16):
@@ -45,7 +48,7 @@ def test_dtn_identity_and_counts(rect16):
 
 
 def test_dtn_excluded_spectrum(rect16):
-    lam1 = pencil_eigenvalues(rect16, "dirichlet", 2)[0]
+    lam1 = pencil_eigenvalues(rect16, "dirichlet", 2, upto=0.0)[0]
     with pytest.raises(ExcludedSpectrumError):
         trace_operator(rect16, "friedlander", float(lam1))
 
@@ -112,7 +115,7 @@ def test_exact_haynsworth_triple(disk2):
 
 
 def test_ntl_excluded_spectrum_names_nearest(disk2):
-    buck1 = pencil_eigenvalues(disk2, "buckling")[0]
+    buck1 = pencil_eigenvalues(disk2, "buckling", upto=0.0)[0]
     with pytest.raises(ExcludedSpectrumError) as err:
         trace_operator(disk2, "liu", float(buck1))
     assert err.value.nearest == pytest.approx(buck1)
@@ -129,7 +132,7 @@ def test_scan_identities_all_hold(disk2):
 
 
 def test_scan_nudges_grid_point_on_eigenvalue(disk2):
-    lam1 = float(pencil_eigenvalues(disk2, "buckling")[0])
+    lam1 = float(pencil_eigenvalues(disk2, "buckling", upto=0.0)[0])
     result = scan_identities(disk2, "liu", [lam1])
     assert len(result.records) == 1
     rec = result.records[0]
@@ -152,8 +155,8 @@ def test_empty_grid_vacuously_holds(disk2):
 
 
 def test_scan_beta1_sign_change(disk2):
-    nav1 = float(pencil_eigenvalues(disk2, "navier")[0])
-    buck1 = float(pencil_eigenvalues(disk2, "buckling")[0])
+    nav1 = float(pencil_eigenvalues(disk2, "navier", upto=0.0)[0])
+    buck1 = float(pencil_eigenvalues(disk2, "buckling", upto=0.0)[0])
     below = np.linspace(0.5, nav1 * 0.9, 4)
     between = np.linspace(nav1 * 1.1, buck1 * 0.95, 4)
     res = scan_beta1(disk2, np.concatenate([below, between]))
@@ -161,6 +164,26 @@ def test_scan_beta1_sign_change(disk2):
     assert all(b > 0 for b in betas[:4])
     assert all(b < 0 for b in betas[4:])
     assert res.summary["n_negative"] == 4
+
+
+def test_scan_skips_point_whose_factor_cannot_be_densified(disk2, tmp_path, monkeypatch):
+    """A point whose checked factor fails and whose dense fallback is
+    beyond MAX_DENSE_DOFS is a skip with its reason, in both scans and
+    in the CLI, which exits 0."""
+    grid = [5.0, 7.0]
+    monkeypatch.setattr(eigen, "_boundary_last_schur", lambda q, ni, scale, zero_tol: None)
+    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", 10)
+    for result in (scan_identities(disk2, "liu", grid), scan_beta1(disk2, grid)):
+        assert result.records == []
+        assert [s["index"] for s in result.skips] == [0, 1]
+        for s, lam in zip(result.skips, grid):
+            assert s["reason"].startswith(f"lambda={lam:.12g}: the sparse factor failed")
+            assert "beyond the dense cap 10" in s["reason"]
+    root = tmp_path / "runs"
+    assert main(["identity-scan", "--domain", "disk", "--refine", "2", "--points", "2",
+                 "--run-root", str(root)]) == 0
+    (run_dir,) = root.iterdir()
+    assert len((run_dir / "skips.csv").read_text().splitlines()) == 3
 
 
 def test_relative_margin():
@@ -188,9 +211,12 @@ def test_sparse_trace_operator_matches_dense_path(request, mesh_name, kind):
     mesh = request.getfixturevalue(mesh_name)
     outer, inner = ("neumann", "dirichlet") if kind == "dtn" else ("navier", "buckling")
     order = 2 if kind == "dtn" else None
-    outer_vals = pencil_eigenvalues(mesh, outer, order)
-    inner_vals = pencil_eigenvalues(mesh, inner, order)
+    outer_vals = dense_pencil_eigenvalues(mesh, outer, order)
+    inner_vals = dense_pencil_eigenvalues(mesh, inner, order)
     excluded = np.concatenate([outer_vals, inner_vals])
+    # the inner prefix past every lam below, so that trace_operator reads
+    # its margin from the cache and factors nothing but Q
+    pencil_eigenvalues(mesh, inner, order, upto=61.0)
 
     @given(st.floats(min_value=0.1, max_value=60.0))
     @settings(max_examples=10, deadline=None)
