@@ -51,7 +51,7 @@ from .mesh import (
     refine_mesh,
     save_mesh,
 )
-from .runio import RunManifest, SweepResult, emit_plot_data, load_config, write_results
+from .runio import RunManifest, SweepResult, load_config, write_results
 from .spectra import (
     Spectrum,
     disk_oracle,
@@ -69,7 +69,6 @@ from .traceops import (
     TraceOperator,
     scan_beta1,
     scan_identities,
-    trace_blocks,
     trace_operator,
     trace_spectrum,
     verify_identity,

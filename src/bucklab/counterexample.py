@@ -22,8 +22,11 @@ chooses the regime from Lambda1 and passes the same pair to
 has no sign of its own, so both sign u1 by the perturbation (see
 :func:`_signed_ground`): their results do not depend on the solver's
 sign. The bounded regime keeps lambda clear of Lambda1 alone, which is
-certified smallest, and needs no other buckling eigenvalue; its trace
-operator is the one dense eigenproblem left here (boundary-sized).
+certified smallest, and needs no other buckling eigenvalue. It factors
+the cached Navier trace pencil's shifted form once: that factor gives
+the Neumann-to-Laplacian operator, whose boundary-sized generalized
+eigenproblem is the one dense one left here, and lifts its minimizer
+to the interior.
 Every function here takes a Morley
 :class:`~bucklab.assembly.OperatorPair`.
 """
@@ -35,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorPair
-from .eigen import sym_gen_eigs, sym_solve
+from .eigen import DEFAULT_ZERO_TOL, schur_and_lift, sym_gen_eigs, sym_solve
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
 from .spectra import free_dofs, pencil_matrices, smallest_eigenpairs
-from .traceops import DEFAULT_MARGIN, _trace, trace_blocks
+from .traceops import trace_pencil
 
 DENOMINATOR_FLOOR = 1e-14
 BOUNDARY_VALUE_TOL = 1e-12
@@ -209,6 +212,26 @@ def divergence_sweep(
     )
 
 
+def _trace_minimizer(pair: OperatorPair, lam: float) -> tuple[float, np.ndarray, float]:
+    """``(beta1, v, residual)``: the smallest eigenvalue of the
+    Neumann-to-Laplacian operator at ``lam`` and its eigenvector lifted
+    to the Navier free DOFs, a unit vector on the full DOF vector,
+    with the norm of its interior equations Q_ii v_i + Q_ib v_b, all
+    from one factorization of the cached trace pencil's shifted form Q.
+    The factor is freed on return."""
+    pencil = trace_pencil(pair.mesh, "liu", None)
+    q = pencil.form.at(lam)
+    s, lift = schur_and_lift(q, DEFAULT_ZERO_TOL)
+    w, vecs = sym_gen_eigs(s, pencil.boundary_mass, 1)
+    psi = vecs[:, 0]
+    v = np.concatenate([lift(psi), psi])  # in the pencil's row order
+    v /= np.linalg.norm(v)
+    residual = float(np.linalg.norm((q.csc() @ v)[:q.n_interior]))
+    v_full = np.zeros(pair.dofmap.n_dofs)
+    v_full[pencil.dofs] = v
+    return float(w[0]), v_full, residual
+
+
 def bounded_below_check(
     pair: OperatorPair, lam: float, trials: int,
     ground: tuple[np.ndarray, float], seed: int = 0,
@@ -230,13 +253,11 @@ def bounded_below_check(
             f"{lambda1:.6g} by the margin {margin:.2g}"
         )
     # lam is below Lambda1, the smallest buckling eigenvalue, by the
-    # margin, so Lambda1 is the only one it must be kept clear of
-    t = _trace(pair.mesh, "liu", lam, None, DEFAULT_MARGIN, np.array([lambda1]))
-    w, vecs = sym_gen_eigs(t.matrix, t.boundary_mass, 1)
-    beta1, psi = float(w[0]), vecs[:, 0]
+    # margin, so the clamped block Q_ii is positive definite
+    beta1, v_min, residual = _trace_minimizer(pair, lam)
 
     rng = np.random.default_rng(seed)
-    q, navier_free, interior, boundary = trace_blocks(pair.mesh, "liu", lam)
+    navier_free = free_dofs(pair, "navier")
     h = make_perturbation(pair)
     u1 = _signed_ground(u1, h, pair)
     quotients: list[float] = []
@@ -252,16 +273,7 @@ def bounded_below_check(
     violations = sum(1 for q in finite if q < floor)
     min_q = min(finite) if finite else math.inf
 
-    # lift the minimizing trace direction and check the interior equations
-    rhs = -q[np.ix_(interior, boundary)] @ psi
-    v_min = np.zeros(len(navier_free))
-    v_min[boundary] = psi
-    v_min[interior] = sym_solve(q[np.ix_(interior, interior)], rhs)
-    v_min /= np.linalg.norm(v_min)
-    residual = float(np.linalg.norm((q @ v_min)[interior]))
-    v_full = np.zeros(pair.dofmap.n_dofs)
-    v_full[navier_free] = v_min
-    minimizer_q = rayleigh_quotient(v_full, lam, pair).quotient
+    minimizer_q = rayleigh_quotient(v_min, lam, pair).quotient
 
     return BoundedBelowReport(
         lam=lam,

@@ -10,10 +10,10 @@ of the mass matrix (LAPACK's standard path). The few smallest
 eigenpairs of a sparse pencil come from shift-invert Lanczos
 (:func:`sparse_smallest_eigs`), certified by inertia, with the dense
 path as its fallback. Inertia, solves, Schur complements and the
-shift-invert operator of sparse matrices use one SuperLU factorization
-in symmetric mode: a symmetric fill-reducing ordering and diagonal pivots
-only, so P A P^T = L U with U = D L^T, and inertia(A) = inertia(D) by
-Sylvester's law. Unlike Bunch-Kaufman this factorization never pivots
+shift-invert operator of sparse matrices use one checked SuperLU
+factorization in symmetric mode (:func:`_checked_factor`): a symmetric
+fill-reducing ordering and diagonal pivots only, so P A P^T = L U with
+U = D L^T, and inertia(A) = inertia(D) by Sylvester's law. Unlike Bunch-Kaufman this factorization never pivots
 for stability, so it is trusted only when the row and column
 permutations agree, every pivot exceeds ``zero_tol * max|A|`` and the
 factor shows no large element growth. Otherwise the dense path decides:
@@ -22,20 +22,22 @@ exactly as for dense input, or the dense eigensolver for a Lanczos
 result that fails its certificate. ``solver_path_counts`` reports how
 many sparse factorizations and Lanczos solves took each path.
 
-The Schur complement routine factors a sparse Q once, interior DOFs
-first in a fill-reducing order and boundary DOFs last, and reads
-S = L_bb U_bb off the boundary block of that factor. A pencil whose
-Schur complement is wanted at many shifts is permuted into that order
-once (:class:`BoundaryLastPencil`, A and B on one shared pattern), so
-each shift (a :class:`BoundaryLastMatrix`) costs one vector update and
-one factorization. The interior
-part of the factor passes the pivot and growth checks, so one
-factorization both certifies that Q_ii is nonsingular and gives S, and
-the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
-as an exact integer identity whenever they pass. The boundary part,
-the LDL^T of S, passes the same growth bound but no pivot-size test,
-since S may be nearly singular. A point that fails either part goes to
-the dense path, which beyond ``MAX_DENSE_DOFS`` rows raises
+The Schur complement takes a matrix Q stored boundary-last, interior
+DOFs first in a fill-reducing order and boundary DOFs last: a pencil
+whose Schur complement is wanted at many shifts is permuted into that
+order once (:class:`BoundaryLastPencil`, A and B on one shared pattern,
+built from the two index sets), so each shift (a
+:class:`BoundaryLastMatrix`) costs one vector update and one
+factorization, and S = L_bb U_bb is read off the boundary block of that
+factor. The interior part of the factor passes the pivot and growth
+checks, so one factorization both certifies that Q_ii is nonsingular
+and gives S, and the Haynsworth additivity
+inertia(Q) = inertia(Q_ii) + inertia(S) holds as an exact integer
+identity whenever they pass. The boundary part, the LDL^T of S, passes
+the same growth bound but no pivot-size test, since S may be nearly
+singular. The same factor lifts boundary values to the interior
+(:func:`schur_and_lift`). A point that fails either part goes to the
+dense path, which beyond ``MAX_DENSE_DOFS`` interior rows raises
 :class:`SizeLimitError`.
 """
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import ctypes
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -99,9 +102,10 @@ def solver_path_counts() -> dict[str, int]:
         return dict(_PATH_COUNTS)
 
 
-def _count_path(path: str) -> None:
+def _count_path(trusted: bool) -> None:
+    """Count one sparse factorization by the path it took."""
     with _PATH_LOCK:
-        _PATH_COUNTS[path] += 1
+        _PATH_COUNTS["sparse_ldlt" if trusted else "dense_fallback"] += 1
 
 
 def retain_factor_workspace() -> None:
@@ -225,20 +229,22 @@ def _lanczos_smallest(a, b, count: int, sigma: float):
     n = a.shape[0]
     nev = count + _LANCZOS_EXTRA
     if nev >= n:  # ARPACK needs nev < n; such a pencil is tiny anyway
-        _count_path("dense_fallback")
+        _count_path(False)
         return None
-    fac = _checked_sparse_ldlt(a - sigma * b, DEFAULT_ZERO_TOL)
+    fac = _checked_factor(a - sigma * b, n, "MMD_AT_PLUS_A", DEFAULT_ZERO_TOL)
+    _count_path(fac is not None)
     if fac is None:
         return None
-    if np.any(fac[1] < 0):  # sigma is not below the spectrum
-        _count_path("dense_fallback")
+    if np.any(fac.pivots < 0):  # sigma is not below the spectrum
+        _count_path(False)
         return None
-    op_inv = spla.LinearOperator((n, n), matvec=fac[0].solve, dtype=np.float64)
+    op_inv = spla.LinearOperator((n, n), matvec=fac.lu.solve, dtype=np.float64)
+    del fac  # ARPACK needs the solver alone, not the fetched copies of L and U
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
         w, v = spla.eigsh(a, k=nev, M=b, sigma=sigma, OPinv=op_inv, v0=v0)
     except spla.ArpackError:
-        _count_path("dense_fallback")
+        _count_path(False)
         return None
     order = np.argsort(w)
     w, v = w[order], v[:, order]
@@ -248,32 +254,84 @@ def _lanczos_smallest(a, b, count: int, sigma: float):
         None,
     )
     if gap is None or inertia(a - 0.5 * (w[gap] + w[gap + 1]) * b).n_neg != gap + 1:
-        _count_path("dense_fallback")
+        _count_path(False)
         return None
     return w[:count], v[:, :count]
 
 
-def _sparse_ldlt(a: sp.csc_array, zero_tol: float):
-    """(SuperLU factor, pivots) of a nonzero symmetric CSC matrix with
-    diagonal pivots only, or None when the factor cannot be trusted."""
-    a.sum_duplicates()
+class _Factor(NamedTuple):
+    """A trusted SuperLU factorization P A P^T = L U, with its L, U and
+    pivots (the diagonal of U) fetched once."""
+
+    lu: spla.SuperLU
+    l: sp.csc_array
+    u: sp.csc_array
+    pivots: np.ndarray
+
+
+def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str, zero_tol: float):
+    """One SuperLU factorization of the symmetric canonical CSC matrix
+    ``a`` in symmetric mode (diagonal pivots only), as a :class:`_Factor`,
+    or None when it cannot be trusted.
+
+    The first ``ni`` DOFs of ``a`` are its interior ones. With ``ni = n``
+    the whole matrix is interior and ``permc_spec="MMD_AT_PLUS_A"`` gives
+    a checked sparse LDL^T in a fill-reducing order. With
+    ``permc_spec="NATURAL"`` a matrix Q stored boundary-last is factored
+    in its own order (the partial factorization behind the Schur
+    complement option of multifrontal solvers: Amestoy, Duff,
+    L'Excellent & Koster, SIAM J. Matrix Anal. Appl. 23, 2001): the
+    interior columns factor Q_ii = L_ii U_ii, and since
+    Q_bb = L_bi U_ib + L_bb U_bb, the boundary block of the factor is
+    S = L_bb U_bb.
+
+    The factor is trusted only when the row and column permutations
+    agree (an LDL^T), every interior column precedes every boundary one,
+    every interior pivot exceeds ``zero_tol * max|Q_ii|``, and the
+    interior columns of L and rows of U show no element growth beyond
+    ``_MAX_GROWTH`` relative to max|Q_ii|. Then Q_ii is nonsingular and
+    inertia(Q_ii) is the signs of the interior pivots, so the Haynsworth
+    additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds for this
+    one factorization. The boundary columns of L and rows of U, those of
+    the LDL^T of S, pass the same growth bound relative to max|Q|, which
+    keeps the backward error of S near 1e-10 max|Q|. No pivot-size test
+    applies to them, so a nearly singular S, whose small pivot comes
+    last, is still trusted; a small leading boundary pivot shows as
+    growth.
+    """
     scale = _max_abs(a.data)
+    head = slice(0, a.indptr[ni])  # the stored entries of the interior columns
+    scale_ii = scale if ni == a.shape[0] else _max_abs(a.data[head][a.indices[head] < ni])
+    if scale_ii == 0.0:
+        return None
     try:
         lu = spla.splu(
-            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
-    except RuntimeError:  # a pivot column was exactly zero
+    except RuntimeError:  # a pivot column, interior or boundary, was exactly zero
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None  # an off-diagonal pivot was taken: not an LDL^T
-    u = lu.U
+    if np.any(lu.perm_c[:ni] >= ni):
+        return None  # a boundary column was eliminated before an interior one
+    l, u = lu.L, lu.U
     pivots = u.diagonal()
-    if np.min(np.abs(pivots)) <= zero_tol * scale:
+    if np.min(np.abs(pivots[:ni])) <= zero_tol * scale_ii:
         return None
-    if max(_max_abs(lu.L.data), _max_abs(u.data) / scale) > _MAX_GROWTH:
+    # L's boundary columns hold rows >= ni only, U's interior columns rows
+    # < ni only; U's boundary columns hold both
+    lo, uo = l.indptr[ni], u.indptr[ni]
+    u_tail = u.data[uo:]
+    in_u = u.indices[uo:] < ni
+    growth = max(
+        _max_abs(l.data[:lo]), _max_abs(u.data[:uo]) / scale_ii,
+        _max_abs(u_tail[in_u]) / scale_ii,
+        _max_abs(l.data[lo:]), _max_abs(u_tail[~in_u]) / scale,
+    )
+    if growth > _MAX_GROWTH:
         return None
-    return lu, pivots
+    return _Factor(lu, l, u, pivots)
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -282,13 +340,6 @@ def _max_abs(values: np.ndarray) -> float:
     unsorted SuperLU factor performs; no entry of a factor is stored
     twice, so the maximum is the same."""
     return float(np.max(np.abs(values))) if len(values) else 0.0
-
-
-def _checked_sparse_ldlt(a: sp.csc_array, zero_tol: float):
-    """:func:`_sparse_ldlt`, with the path taken counted."""
-    fac = _sparse_ldlt(a, zero_tol)
-    _count_path("dense_fallback" if fac is None else "sparse_ldlt")
-    return fac
 
 
 def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
@@ -308,9 +359,10 @@ def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
     if sp.issparse(a):
         if a.nnz == 0:
             return Inertia(0, n, 0, zero_tol)
-        fac = _checked_sparse_ldlt(a, zero_tol)
+        fac = _checked_factor(a, n, "MMD_AT_PLUS_A", zero_tol)
+        _count_path(fac is not None)
         if fac is not None:
-            pivots = fac[1]
+            pivots = fac.pivots
             return Inertia(int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)), zero_tol)
         a = _dense(a, "A")
     scale = float(np.max(np.abs(a)))
@@ -355,9 +407,10 @@ def _nonsingular_solver(a, zero_tol: float):
     inertia and solves densely. Raises :class:`SingularBlockError`.
     """
     if sp.issparse(a) and a.nnz:
-        fac = _checked_sparse_ldlt(a, zero_tol)
+        fac = _checked_factor(a, a.shape[0], "MMD_AT_PLUS_A", zero_tol)
+        _count_path(fac is not None)
         if fac is not None:
-            return fac[0].solve
+            return fac.lu.solve
     a = _dense(a, "A")
     if inertia(a, zero_tol).n_zero:
         raise SingularBlockError("interior block is singular at this parameter")
@@ -381,17 +434,15 @@ def fill_order(a) -> np.ndarray:
     the pattern of A^T + A) chooses, read off a factorization of the
     diagonally dominant matrix with the pattern of ``a`` plus the
     diagonal. Minimum degree reads the pattern alone, so every matrix
-    of that pattern, singular or indefinite ones too, gets this order,
-    and the factorization that finds it cannot fail."""
+    of that pattern, singular or indefinite ones too, gets this order;
+    the matrix it is read off is strictly diagonally dominant, so its
+    checked factorization cannot fail."""
     a = sp.csc_array(a)
     n = a.shape[0]
     pattern = sp.csc_array((np.full(a.nnz, -1.0), a.indices, a.indptr), shape=a.shape)
-    lu = spla.splu(
-        pattern + sp.diags_array(np.full(n, n + 1.0), format="csc"),
-        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    return np.argsort(lu.perm_c)
+    dominant = pattern + sp.diags_array(np.full(n, n + 1.0), format="csc")
+    fac = _checked_factor(dominant, n, "MMD_AT_PLUS_A", DEFAULT_ZERO_TOL)
+    return np.argsort(fac.lu.perm_c)
 
 
 @dataclass(frozen=True)
@@ -419,13 +470,15 @@ class BoundaryLastMatrix:
 class BoundaryLastPencil:
     """A symmetric sparse pencil A - lam B stored as a
     :class:`BoundaryLastMatrix` is, with A and B on one shared pattern,
-    so the matrix at one lam is one vector update. Built by
+    so the matrix at one lam is one vector update; ``rows[k]`` is the
+    row (and column) of A and B stored at position ``k``. Built by
     :func:`boundary_last_pencil`."""
 
     indptr: np.ndarray
     indices: np.ndarray
     transpose: np.ndarray
     n_interior: int
+    rows: np.ndarray
     a_data: np.ndarray
     b_data: np.ndarray
 
@@ -439,14 +492,22 @@ def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
     """The symmetric sparse ``a`` and ``b`` permuted once into a
     :class:`BoundaryLastPencil`: the DOFs ``interior`` first, in the
     :func:`fill_order` of the pattern of A + B on them, then the DOFs
-    ``boundary``. The values are placed, never summed with each other,
-    so they keep their bits; the arrays are read-only."""
+    ``boundary``. The two index sets must use every index in [0, n)
+    exactly once between them (checked in O(n); ValueError otherwise).
+    The values are placed, never summed with each other, so they keep
+    their bits; the arrays are read-only."""
     interior = np.asarray(interior, dtype=np.int64)
     boundary = np.asarray(boundary, dtype=np.int64)
     forms = [sp.csc_array(m, dtype=np.float64, copy=True) for m in (a, b)]
     for m in forms:
         m.sum_duplicates()
     n = forms[0].shape[0]
+    merged = np.concatenate([interior, boundary])
+    seen = np.zeros(n, dtype=bool)
+    if len(merged) == n and np.all((merged >= 0) & (merged < n)):
+        seen[merged] = True
+    if not seen.all():
+        raise ValueError("index sets must partition the matrix dimension")
     order = fill_order((forms[0] + forms[1])[np.ix_(interior, interior)])
     perm = np.concatenate([interior[order], boundary])
 
@@ -472,125 +533,58 @@ def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
     # the pattern is symmetric, so its transpose numbers each entry's transpose
     transpose = sp.csc_array(numbered(permuted).T).data.astype(np.int32) - 1
     fields = [permuted.indptr.astype(np.int32), permuted.indices.astype(np.int32),
-              transpose, *data]
+              transpose, perm, *data]
     for arr in fields:
         arr.setflags(write=False)
     return BoundaryLastPencil(*fields[:3], len(interior), *fields[3:])
 
 
-def _partition(n: int, interior_idx, boundary_idx) -> tuple[np.ndarray, np.ndarray]:
-    """The two index sets as int arrays, checked in O(n) to use every
-    index in [0, n) exactly once between them."""
-    interior_idx = np.asarray(interior_idx, dtype=np.int64)
-    boundary_idx = np.asarray(boundary_idx, dtype=np.int64)
-    merged = np.concatenate([interior_idx, boundary_idx])
-    seen = np.zeros(n, dtype=bool)
-    if len(merged) == n and np.all((merged >= 0) & (merged < n)):
-        seen[merged] = True
-    if not seen.all():
-        raise ValueError("index sets must partition the matrix dimension")
-    return interior_idx, boundary_idx
+def schur_complement(q: BoundaryLastMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """S = Q_bb - Q_bi Q_ii^{-1} Q_ib of a symmetric Q stored
+    boundary-last (a :class:`BoundaryLastMatrix`, ``pencil.at(lam)``), as
+    a dense array over Q's boundary DOFs in Q's order. The interior block
+    must be nonsingular, otherwise :class:`SingularBlockError` is raised.
+    See :func:`schur_and_lift`, which this is without the lift."""
+    return schur_and_lift(q, zero_tol)[0]
 
 
-def schur_complement(q, interior_idx=None, boundary_idx=None,
-                     zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
-    """S = Q_bb - Q_bi Q_ii^{-1} Q_ib for a symmetric Q, as a dense array.
+def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
+    """``(S, lift)``: :func:`schur_complement` of ``q``, and the function
+    ``lift(psi) = -Q_ii^{-1} Q_ib psi`` that extends boundary values
+    ``psi`` to the interior DOFs (in Q's order) so that the interior rows
+    of Q vanish, both from one factorization.
 
-    Q is a matrix, sparse or dense, whose interior and boundary positions
-    ``interior_idx`` and ``boundary_idx`` partition its dimension, or a
-    :class:`BoundaryLastMatrix` (``pencil.at(lam)``), which carries its
-    own partition. The interior block must be nonsingular (checked by
-    inertia), otherwise :class:`SingularBlockError` is raised.
-
-    Sparse Q is factored once, by :func:`_boundary_last_schur`; a sparse
-    matrix is first permuted boundary-last, with its interior DOFs in the
-    :func:`fill_order` of Q_ii. When that factor fails a check, and for
-    dense Q, the interior block's Bunch-Kaufman inertia decides
-    regularity and a dense solve for the boundary columns gives S; that
-    densifies Q_ii, so beyond ``MAX_DENSE_DOFS`` rows a failed check
-    raises :class:`SizeLimitError`.
+    Q is factored once in its own order by :func:`_checked_factor`, and
+    S = L_bb U_bb is read off the boundary block of that factor. Since
+    Q_ii = L_ii U_ii and Q_ib = L_ii U_ib, the lift is one triangular
+    solve U_ii y = -U_ib psi in the factor's order. When a check of the
+    factor fails, the interior block's Bunch-Kaufman inertia decides
+    regularity and a dense solve X = Q_ii^{-1} Q_ib gives both
+    S = Q_bb - Q_ib^T X and the lift -X psi; that densifies Q_ii, so
+    beyond ``MAX_DENSE_DOFS`` interior rows a failed check raises
+    :class:`SizeLimitError`. The lift holds U (or X) until it is dropped.
     """
-    if isinstance(q, BoundaryLastMatrix):
-        if interior_idx is not None or boundary_idx is not None:
-            raise ValueError("a boundary-last matrix carries its own index sets")
-        d, ni = q.data, q.n_interior
-        _check_symmetric(_max_abs(d), _max_abs(d - d[q.transpose]), "Q")
-        q = qp = q.csc()
-        interior_idx = np.arange(ni)
-        boundary_idx = np.arange(ni, q.shape[0])
-    else:
-        q = _require_symmetric(q, "Q")
-        interior_idx, boundary_idx = _partition(q.shape[0], interior_idx, boundary_idx)
-        qp = None
-        if sp.issparse(q):
-            order = fill_order(q[np.ix_(interior_idx, interior_idx)])
-            perm = np.concatenate([interior_idx[order], boundary_idx])
-            qp = q[np.ix_(perm, perm)]
-    if qp is not None:
-        s = _boundary_last_schur(qp, len(interior_idx), _max_abs(qp.data), zero_tol)
-        _count_path("dense_fallback" if s is None else "sparse_ldlt")
-        if s is not None:
-            return s
+    d, ni = q.data, q.n_interior
+    _check_symmetric(_max_abs(d), _max_abs(d - d[q.transpose]), "Q")
+    q = q.csc()
+    fac = _checked_factor(q, ni, "NATURAL", zero_tol)
+    _count_path(fac is not None)
+    if fac is None:
+        solve = _nonsingular_solver(_dense(q[:ni, :ni], "Q_ii"), zero_tol)
+        q_ib = _dense(q[:ni, ni:], "Q_ib")
+        x = solve(q_ib)
+        s = _dense(q[ni:, ni:], "Q_bb") - q_ib.T @ x
+        return 0.5 * (s + s.T), lambda psi: -(x @ psi)
+    u = fac.u
+    # factor position of each interior and each boundary DOF; copies, so
+    # that the lift does not keep the SuperLU object alive
+    inside, at = fac.lu.perm_c[:ni].copy(), fac.lu.perm_c[ni:] - ni
+    s = (fac.l[ni:, ni:].toarray() @ u[ni:, ni:].toarray())[np.ix_(at, at)]
 
-    def block(rows, cols):
-        return _dense(q[np.ix_(rows, cols)], "Q")
+    def lift(psi):
+        placed = np.empty(len(at))
+        placed[at] = psi
+        y = spla.spsolve_triangular(u[:ni, :ni], -(u[:ni, ni:] @ placed), lower=False)
+        return y[inside]
 
-    solve = _nonsingular_solver(block(interior_idx, interior_idx), zero_tol)
-    if len(boundary_idx) == 0:
-        return np.zeros((0, 0))
-    q_ib = block(interior_idx, boundary_idx)
-    s = block(boundary_idx, boundary_idx) - q_ib.T @ solve(q_ib)
-    return 0.5 * (s + s.T)
-
-
-def _boundary_last_schur(q: sp.csc_array, ni: int, scale: float, zero_tol: float):
-    """S from one SuperLU factorization of Q in symmetric mode, or None
-    when the factor cannot be trusted. Q is stored boundary-last: its
-    first ``ni`` DOFs are the interior ones; ``scale`` is max|Q|.
-
-    Q is factored with diagonal pivots and no reordering (the partial
-    factorization behind the Schur complement option of multifrontal
-    solvers: Amestoy, Duff, L'Excellent & Koster, SIAM J. Matrix Anal.
-    Appl. 23, 2001). The interior columns factor Q_ii = L_ii U_ii, and
-    since Q_bb = L_bi U_ib + L_bb U_bb, the boundary block of the factor
-    is S = L_bb U_bb, in the factor's order of the boundary DOFs. The
-    checks of :func:`_sparse_ldlt` apply to the interior columns of L and
-    rows of U, relative to max|Q_ii|: they pass only if Q_ii is
-    nonsingular by them, and then inertia(Q_ii) is the signs of the
-    interior pivots, so the Haynsworth additivity inertia(Q) =
-    inertia(Q_ii) + inertia(S) holds for this one factorization. The
-    boundary columns of L and rows of U, those of the LDL^T of S, pass
-    the same growth bound relative to max|Q|, which keeps the backward
-    error of S near 1e-10 max|Q|. No pivot-size test applies to them, so
-    a nearly singular S, whose small pivot comes last, stays sparse; a
-    small leading boundary pivot shows as growth.
-    """
-    head = slice(0, q.indptr[ni])  # the stored entries of the interior columns
-    scale_ii = _max_abs(q.data[head][q.indices[head] < ni])
-    if scale_ii == 0.0:
-        return None
-    try:
-        lu = spla.splu(
-            q, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:  # a pivot column, interior or boundary, was exactly zero
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None  # an off-diagonal pivot was taken: not an LDL^T
-    if np.any(lu.perm_c[:ni] >= ni):
-        return None  # a boundary column was eliminated before an interior one
-    l, u = lu.L, lu.U
-    if np.min(np.abs(u.diagonal()[:ni])) <= zero_tol * scale_ii:
-        return None
-    lo = l.indptr[ni]  # L's boundary columns hold rows >= ni only
-    in_u = u.indices < ni
-    growth = max(
-        _max_abs(l.data[:lo]), _max_abs(u.data[in_u]) / scale_ii,
-        _max_abs(l.data[lo:]), _max_abs(u.data[~in_u]) / scale,
-    )
-    if growth > _MAX_GROWTH:
-        return None
-    at = lu.perm_c[ni:] - ni  # factor position of each boundary DOF
-    s = (l[ni:, ni:].toarray() @ u[ni:, ni:].toarray())[np.ix_(at, at)]
-    return 0.5 * (s + s.T)
+    return 0.5 * (s + s.T), lift

@@ -168,15 +168,6 @@ def is_complete_run(run_dir: Path | str) -> bool:
     return all((run_dir / name).exists() for name in meta.get("outputs", []))
 
 
-def emit_plot_data(
-    series: dict[str, np.ndarray], path: Path | str, xlog: bool = False, ylog: bool = False
-) -> Path:
-    """Write :func:`plot_data_content` to ``path``."""
-    path = Path(path)
-    path.write_text(plot_data_content(series, xlog, ylog))
-    return path
-
-
 def plot_data_content(series: dict[str, np.ndarray], xlog: bool = False, ylog: bool = False) -> str:
     """Whitespace-delimited columns with a '#' header naming columns and
     log-axis hints; consumable by gnuplot-style tools."""

@@ -150,15 +150,6 @@ def pencil_matrices(
     return _restrict(a, free), _restrict(b, free)
 
 
-def shifted_form(
-    pair: OperatorPair, problem: str, free: np.ndarray, lam: float
-) -> sp.csc_array:
-    """``A - lam * B`` of ``problem``'s pencil on the DOFs ``free``,
-    shifted before it is sliced so that one matrix is sliced, not two."""
-    a, b = (getattr(pair, name) for name in PENCILS[problem][2:])
-    return _restrict(a - lam * b, free)
-
-
 def pencil_eigenvalues(
     mesh: Mesh, problem: str, order: int | None = None, *, upto: float
 ) -> np.ndarray:

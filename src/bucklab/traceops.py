@@ -8,11 +8,13 @@ complement of the outer pencil's sparse shifted form Q onto the DOFs the
 inner pencil constrains. Each identity's outer pencil is permuted once
 per mesh into a cached :class:`TracePencil`: the interior DOFs, those of
 the inner pencil, in its minimum-degree order, then the boundary DOFs,
-with A and B on one shared sparse pattern. At each lambda
-:func:`bucklab.eigen.schur_complement` factors that pencil's shifted
-form once (a checked sparse LDL^T, with the dense Bunch-Kaufman path as
-fallback) and returns the boundary block of the factor as a dense
-matrix.
+with A and B on one shared sparse pattern and the DOF of each row
+recorded. At each lambda :func:`bucklab.eigen.schur_complement` factors
+that pencil's shifted form once (a checked sparse LDL^T, with the dense
+Bunch-Kaufman path as fallback) and returns the boundary block of the
+factor as a dense matrix. Nothing here keeps a factor past its point;
+the bounded regime of :mod:`bucklab.counterexample` lifts its trace
+minimizer from the same factor.
 
 Because Schur elimination and inertia obey Haynsworth additivity
 exactly, neg(trace operator) = N_outer(lambda) - N_inner(lambda), a
@@ -53,7 +55,6 @@ from .spectra import (
     pencil_eigenvalues,
     pencil_matrices,
     pencil_pair,
-    shifted_form,
 )
 
 DEFAULT_MARGIN = 1e-3
@@ -155,27 +156,23 @@ def _split(pair, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return free, interior, np.flatnonzero(kept)
 
 
-def trace_blocks(mesh: Mesh, kind: str, lam: float, order: int | None = 2):
-    """``(q, free, interior, boundary)``: the outer pencil's shifted form
-    ``q = A - lam * B`` on its free DOFs ``free``, with the interior and
-    boundary positions of :func:`_split`."""
-    outer = _identity(kind)[1]
-    pair = pencil_pair(mesh, outer, order)
-    free, interior, boundary = _split(pair, kind)
-    return shifted_form(pair, outer, free, lam), free, interior, boundary
-
-
 @dataclass(frozen=True)
 class TracePencil:
     """The outer pencil of one identity on one mesh, ready for every lam:
     A and B on its free DOFs, permuted once into a
     :class:`~bucklab.eigen.BoundaryLastPencil` (interior DOFs in the
     minimum-degree order of the inner pencil's pattern, then the boundary
-    DOFs), with the boundary DOFs and the boundary mass (read-only)."""
+    DOFs), with the DOF of each of its rows and the boundary mass
+    (read-only)."""
 
     form: BoundaryLastPencil
-    boundary_dofs: np.ndarray
+    dofs: np.ndarray
     boundary_mass: np.ndarray
+
+    @property
+    def boundary_dofs(self) -> np.ndarray:
+        """The DOFs of the boundary rows, the tail of ``dofs``."""
+        return self.dofs[self.form.n_interior:]
 
 
 # the trace pencils of the last few (mesh, identity, pair kind), least
@@ -196,17 +193,18 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
     if pencil is not None:
         return pencil
     free, interior, boundary = _split(pair, kind)
-    a, b = pencil_matrices(pair, outer, free)
-    bnd = free[boundary]
+    form = boundary_last_pencil(*pencil_matrices(pair, outer, free), interior, boundary)
+    dofs = free[form.rows]
+    dofs.setflags(write=False)
+    bnd = dofs[form.n_interior:]
     if pair.b_trace is None:  # Morley pair
         boundary_mass = np.diag(pair.b_normal_diag[bnd])
     else:
         if not np.array_equal(bnd, pair.b_trace_dofs):
             raise AssertionError("boundary DOF ordering mismatch")
         boundary_mass = pair.b_trace.view()
-    bnd.setflags(write=False)
     boundary_mass.setflags(write=False)
-    pencil = TracePencil(boundary_last_pencil(a, b, interior, boundary), bnd, boundary_mass)
+    pencil = TracePencil(form, dofs, boundary_mass)
     return lru_put(_PENCIL_CACHE, key, pencil, _PENCIL_CACHE_SIZE)
 
 

@@ -1,7 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from bucklab import make_disk_mesh, make_rectangle_mesh
+from bucklab import eigen, make_disk_mesh, make_rectangle_mesh
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +29,20 @@ def rect16():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def force_dense_fallback(monkeypatch):
+    """A context manager under which every checked sparse factor is
+    refused, so each sparse factorization takes the dense path. A trace
+    pencil, whose fill-reducing order is read off a factor, and spectrum
+    prefixes beyond a lowered dense cap are to be cached before it is
+    entered."""
+
+    @contextmanager
+    def forced():
+        with monkeypatch.context() as m:
+            m.setattr(eigen, "_checked_factor", lambda *args: None)
+            yield
+
+    return forced

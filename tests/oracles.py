@@ -29,6 +29,17 @@ def dense_pencil_eigenvalues(mesh, problem: str, order=None) -> np.ndarray:
     return _PENCIL_SPECTRA[key]
 
 
+def dense_schur(q, interior, boundary) -> np.ndarray:
+    """Q_bb - Q_bi Q_ii^{-1} Q_ib of a symmetric Q by one dense LAPACK
+    solve, symmetrized, from the index sets of the interior and boundary
+    positions."""
+    q = q.toarray() if sp.issparse(q) else np.asarray(q, dtype=np.float64)
+    q_ib = q[np.ix_(interior, boundary)]
+    x = sla.solve(q[np.ix_(interior, interior)], q_ib, assume_a="sym")
+    s = q[np.ix_(boundary, boundary)] - q_ib.T @ x
+    return 0.5 * (s + s.T)
+
+
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
     """Symmetric eigenvalues by cyclic Jacobi rotations.
 

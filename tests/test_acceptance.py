@@ -5,6 +5,7 @@ criteria execute. Desk scale: everything here finishes in minutes.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bucklab import (
     bounded_below_check,
@@ -18,6 +19,7 @@ from bucklab import (
     sym_gen_eigs,
 )
 from bucklab.cli import main as cli_main
+from bucklab.eigen import boundary_last_pencil
 from bucklab.errors import SingularBlockError
 from bucklab.spectra import get_pair, pencil_eigenvalues
 
@@ -245,7 +247,8 @@ def test_criterion_10_linear_algebra_kernel():
         split = int(rng.integers(1, n))
         perm = rng.permutation(n)
         try:
-            s = schur_complement(q, perm[:split], perm[split:])
+            pencil = boundary_last_pencil(q, sp.csc_array(q.shape), perm[:split], perm[split:])
+            s = schur_complement(pencil.at(0.0))
         except SingularBlockError:
             continue
         tested += 1

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bucklab import cli, counterexample, eigen
+from bucklab import cli, counterexample
 from bucklab.cli import main
 
 
@@ -222,7 +222,8 @@ def test_lanczos_csv_bit_determinism(tmp_path, args):
     assert tables[0] and tables[0] == tables[1]
 
 
-def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys, monkeypatch):
+def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys,
+                                                          force_dense_fallback):
     def scan(label, kind):
         root = tmp_path / label / kind
         code = main(["identity-scan", "--domain", "disk", "--refine", "2", "--kind", kind,
@@ -240,10 +241,7 @@ def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys, mon
         scan("warm", kind)
         csv_sparse, paths = scan("sparse", kind)
         assert paths["sparse_ldlt"] > 0 and paths["dense_fallback"] == 0
-        with monkeypatch.context() as m:
-            m.setattr(eigen, "_sparse_ldlt", lambda a, zero_tol: None)
-            m.setattr(eigen, "_boundary_last_schur",
-                      lambda q, interior, boundary, zero_tol: None)
+        with force_dense_fallback():
             csv_dense, forced = scan("forced", kind)
         assert forced == {"sparse_ldlt": 0, "dense_fallback": paths["sparse_ldlt"]}
         assert csv_dense == csv_sparse

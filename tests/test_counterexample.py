@@ -16,6 +16,7 @@ from bucklab import (
     rayleigh_quotient,
 )
 from bucklab.counterexample import alpha_pencil
+from bucklab.eigen import solver_path_counts
 from bucklab.spectra import get_pair
 
 
@@ -118,6 +119,38 @@ def test_bounded_below_regime(disk3_pair, ground):
     assert report10.beta1 < 0
     assert report10.interior_residual <= 1e-6
     assert report10.minimizer_quotient == pytest.approx(report10.beta1, rel=1e-8)
+
+
+def test_bounded_regime_factors_navier_form_once(disk3_pair, ground):
+    """The bounded regime's trace operator and its lifted minimizer come
+    from one sparse factorization of the Navier shifted form Q; the only
+    other factorization is the perturbation's clamped solve."""
+    before = solver_path_counts()
+    make_perturbation(disk3_pair)
+    perturbation = solver_path_counts()["sparse_ldlt"] - before["sparse_ldlt"]
+    before = solver_path_counts()
+    report = bounded_below_check(disk3_pair, 2.0, 10, ground)
+    after = solver_path_counts()
+    assert after["sparse_ldlt"] - before["sparse_ldlt"] == perturbation + 1
+    assert after["dense_fallback"] == before["dense_fallback"]
+    assert report.passed
+
+
+def test_bounded_regime_lift_on_dense_path(disk3_pair, ground, force_dense_fallback):
+    """With every sparse factor refused, the lift reuses the dense
+    fallback's Q_ii solve: the same beta1, and a minimizer that attains
+    it with a small interior residual."""
+    sparse = bounded_below_check(disk3_pair, 2.0, 10, ground)  # caches the trace pencil
+    before = solver_path_counts()
+    with force_dense_fallback():
+        dense = bounded_below_check(disk3_pair, 2.0, 10, ground)
+    after = solver_path_counts()
+    assert after["sparse_ldlt"] == before["sparse_ldlt"]
+    assert after["dense_fallback"] - before["dense_fallback"] == 2
+    assert dense.passed
+    assert dense.beta1 == pytest.approx(sparse.beta1, rel=1e-10)
+    assert dense.minimizer_quotient == pytest.approx(dense.beta1, rel=1e-8)
+    assert dense.interior_residual <= 1e-6
 
 
 def test_bounded_below_vacuous_trials(disk3_pair, ground):

@@ -15,9 +15,15 @@ from bucklab import (
 )
 from bucklab.eigen import solver_path_counts, sparse_smallest_eigs, sym_solve
 from bucklab.spectra import pencil_eigenvalues
-from bucklab.traceops import relative_margin, trace_blocks
+from bucklab.traceops import relative_margin, trace_pencil
 
-from oracles import jacobi_eigenvalues, random_symmetric
+from oracles import dense_schur, jacobi_eigenvalues, random_symmetric
+
+
+def _boundary_last(q, interior, boundary):
+    """``q`` (sparse or dense) stored boundary-last by
+    :func:`~bucklab.eigen.boundary_last_pencil`, as the pencil (q, 0) at 0."""
+    return eigen.boundary_last_pencil(q, sp.csc_array(np.shape(q)), interior, boundary).at(0.0)
 
 
 def test_diagonal_pencil():
@@ -75,37 +81,38 @@ def test_inertia_agrees_with_eigensolver(rng):
 
 def test_schur_by_hand():
     q = np.array([[1.0, 2.0], [2.0, 1.0]])
-    s = schur_complement(q, np.array([0]), np.array([1]))
+    s = schur_complement(_boundary_last(q, np.array([0]), np.array([1])))
     np.testing.assert_allclose(s, [[-3.0]], atol=1e-14)
 
     block = np.zeros((4, 4))
     block[:2, :2] = np.array([[2.0, 1.0], [1.0, 2.0]])
     block[2:, 2:] = np.array([[5.0, -1.0], [-1.0, 4.0]])
-    s = schur_complement(block, np.array([0, 1]), np.array([2, 3]))
+    s = schur_complement(_boundary_last(block, np.array([0, 1]), np.array([2, 3])))
     np.testing.assert_allclose(s, block[2:, 2:], atol=1e-14)
 
 
 def test_schur_errors(rng):
     q = random_symmetric(6, rng)
     with pytest.raises(ValueError):
-        schur_complement(q, np.array([0, 1]), np.array([1, 2, 3, 4, 5]))
+        _boundary_last(q, np.array([0, 1]), np.array([1, 2, 3, 4, 5]))
     singular = np.zeros((3, 3))
     singular[2, 2] = 1.0
     with pytest.raises(SingularBlockError):
-        schur_complement(singular, np.array([0, 1]), np.array([2]))
+        schur_complement(_boundary_last(singular, np.array([0, 1]), np.array([2])))
 
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_schur_partition_checked(sparse):
-    """Index sets with a negative or an out-of-range index do not
-    partition the dimension: ValueError, never a wrapped or an
-    IndexError."""
+    """Index sets with a negative, an out-of-range or a repeated index
+    do not partition the dimension: ``boundary_last_pencil`` raises
+    ValueError, never a wrapped or an IndexError."""
     q = np.array([[2.0, 1.0], [1.0, 2.0]])
     q = sp.csc_array(q) if sparse else q
     for boundary in ([-1], [5], [0]):
         with pytest.raises(ValueError, match="partition"):
-            schur_complement(q, [0], boundary)
-    np.testing.assert_allclose(schur_complement(q, [0], [1]), [[1.5]], rtol=1e-15)
+            eigen.boundary_last_pencil(q, q, [0], boundary)
+    np.testing.assert_allclose(schur_complement(_boundary_last(q, [0], [1])), [[1.5]],
+                               rtol=1e-15)
 
 
 def test_sparse_symmetry_check_matches_dense(rng):
@@ -150,7 +157,7 @@ def test_haynsworth_additivity_exact(rng):
         perm = rng.permutation(n)
         interior, boundary = perm[:split], perm[split:]
         try:
-            s = schur_complement(q, interior, boundary)
+            s = schur_complement(_boundary_last(q, interior, boundary))
         except SingularBlockError:
             continue
         full = inertia(q)
@@ -222,7 +229,7 @@ def test_sparse_singular_interior_raises():
     zero_block[2, 2] = 1.0
     for q in (rank_one, zero_block):
         with pytest.raises(SingularBlockError):
-            schur_complement(sp.csc_array(q), np.array([0, 1]), np.array([2]))
+            schur_complement(_boundary_last(sp.csc_array(q), np.array([0, 1]), np.array([2])))
     with pytest.raises(SingularBlockError):
         sym_solve(sp.csc_array(rank_one[:2, :2]), np.ones(2))
 
@@ -238,6 +245,45 @@ class _Postordered:
 
     def __getattr__(self, name):
         return getattr(self._lu, name)
+
+
+class _Permuted:
+    """The SuperLU factor of ``a`` with row and column ``i`` moved to
+    position ``perm[i]``, reported with ``perm`` as its row and column
+    order, as SuperLU reports an order of its own choosing."""
+
+    def __init__(self, splu, a, perm, **kwargs):
+        inv = np.argsort(perm)
+        self._lu = splu(sp.csc_array(a[np.ix_(inv, inv)]), **kwargs)
+        self.perm_r = self.perm_c = np.array(perm, dtype=np.int32)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_schur_and_lift_follow_the_factor_order(rng, monkeypatch):
+    """S and the lift are read back into Q's order through the factor's
+    row and column order, whatever order within the interior and within
+    the boundary the factor took."""
+    n, ni = 14, 9
+    a = sp.random_array((n, n), density=0.3, rng=rng).toarray()
+    a = a + a.T
+    a += np.diag(rng.choice([-1.0, 1.0], n) * (1.0 + np.abs(a).sum(axis=1)))
+    q = _boundary_last(a, np.arange(ni), np.arange(ni, n))
+    dense = q.csc().toarray()
+    perm = np.concatenate([rng.permutation(ni), ni + rng.permutation(n - ni)])
+    assert not np.array_equal(perm, np.arange(n))
+    splu = eigen.spla.splu
+    monkeypatch.setattr(eigen.spla, "splu",
+                        lambda a, **kwargs: _Permuted(splu, a, perm, **kwargs))
+    before = solver_path_counts()
+    s, lift = eigen.schur_and_lift(q, eigen.DEFAULT_ZERO_TOL)
+    assert solver_path_counts()["sparse_ldlt"] == before["sparse_ldlt"] + 1
+    interior, boundary = np.arange(ni), np.arange(ni, n)
+    np.testing.assert_allclose(s, dense_schur(dense, interior, boundary), rtol=1e-12, atol=1e-12)
+    psi = rng.standard_normal(n - ni)
+    x = -np.linalg.solve(dense[:ni, :ni], dense[:ni, ni:] @ psi)
+    np.testing.assert_allclose(lift(psi), x, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
 
 
 @pytest.mark.parametrize("matrix, interior, postorder", [
@@ -267,39 +313,34 @@ def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, m
     interior = np.array(interior)
     boundary = np.setdiff1d(np.arange(len(dense)), interior)
     before = solver_path_counts()
-    s = schur_complement(sp.csc_array(dense), interior, boundary)
+    s = schur_complement(_boundary_last(sp.csc_array(dense), interior, boundary))
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["dense_fallback"] == before["dense_fallback"] + 1
-    s_dense = schur_complement(dense, interior, boundary)
+    s_dense = dense_schur(dense, interior, boundary)
     assert np.array_equal(s, s_dense)
     assert tuple(inertia(s)) == tuple(inertia(s_dense))
 
 
-@pytest.mark.parametrize("stored", ["matrix", "pencil"])
-def test_boundary_growth_beyond_dense_cap_raises(stored, monkeypatch):
+def test_boundary_growth_beyond_dense_cap_raises(monkeypatch):
     """A tiny leading boundary pivot fails the growth check, and the
     dense fallback refuses an interior block beyond MAX_DENSE_DOFS rows:
-    SizeLimitError, counted as one dense fallback, never an S from the
-    untrusted factor."""
+    SizeLimitError naming Q_ii, counted as one dense fallback, never an
+    S from the untrusted factor."""
     ni = 50
     q = sp.block_diag([sp.identity(ni - 1), [[2.0, 1.0, 0.0], [1.0, 0.5 + 1e-8, 1.0],
                                               [0.0, 1.0, 1.0]]], format="csc")
     interior, boundary = np.arange(ni), np.array([ni, ni + 1])  # S = [[1e-8, 1], [1, 1]]
-    if stored == "pencil":
-        q = eigen.boundary_last_pencil(q, sp.csc_array(q.shape), interior, boundary).at(0.0)
-        args = ()
-    else:
-        args = (interior, boundary)
+    q = _boundary_last(q, interior, boundary)
     monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", ni - 1)
     before = solver_path_counts()
-    with pytest.raises(SizeLimitError):
-        schur_complement(q, *args)
+    with pytest.raises(SizeLimitError, match=f"Q_ii has {ni} rows"):
+        schur_complement(q)
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["dense_fallback"] == before["dense_fallback"] + 1
     monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", ni)
-    s = schur_complement(q, *args)
+    s = schur_complement(q)
     np.testing.assert_allclose(s, [[1e-8, 1.0], [1.0, 1.0]], rtol=1e-7)
 
 
@@ -311,13 +352,14 @@ def test_nearly_singular_schur_stays_sparse(disk2):
     buckling = pencil_eigenvalues(disk2, "buckling", upto=60.0)
     mu = next(v for v in navier if v > 1.0 and relative_margin(v, buckling) >= 1e-3)
     lam = mu * (1.0 + 1e-10)
-    q, _, interior, boundary = trace_blocks(disk2, "liu", lam, None)
+    q = trace_pencil(disk2, "liu", None).form.at(lam)
     before = solver_path_counts()
-    s = schur_complement(q, interior, boundary)
+    s = schur_complement(q)
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"] + 1
     assert after["dense_fallback"] == before["dense_fallback"]
-    s_dense = schur_complement(q.toarray(), interior, boundary)
+    n, ni = len(q.indptr) - 1, q.n_interior
+    s_dense = dense_schur(q.csc(), np.arange(ni), np.arange(ni, n))
     assert np.max(np.abs(s - s_dense)) <= 1e-10 * np.max(np.abs(s_dense))
     assert np.min(np.abs(np.linalg.eigvalsh(s_dense))) <= 1e-6 * np.max(np.abs(s_dense))
 
@@ -325,7 +367,7 @@ def test_nearly_singular_schur_stays_sparse(disk2):
 def test_factor_maxima_read_from_data(disk2):
     """Maxima read from ``.data`` equal ``abs(...).max()``, which sorts
     the unsorted SuperLU factors first."""
-    q, _, _, _ = trace_blocks(disk2, "friedlander", 7.0)
+    q = trace_pencil(disk2, "friedlander").form.at(7.0).csc()
     lu = eigen.spla.splu(q, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     for m in (q, lu.L, lu.U):

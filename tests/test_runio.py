@@ -4,8 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from bucklab import ConfigError, RunManifest, emit_plot_data, load_config, write_results
-from bucklab.runio import SweepResult, fmt, is_complete_run, new_run_dir, run_sweep
+from bucklab import ConfigError, RunManifest, load_config, write_results
+from bucklab.runio import (
+    SweepResult,
+    fmt,
+    is_complete_run,
+    new_run_dir,
+    plot_data_content,
+    run_sweep,
+)
 
 
 def test_fmt_round_trips_floats():
@@ -70,25 +77,20 @@ def test_killed_run_detectable(tmp_path):
     assert not is_complete_run(run_dir)
 
 
-def test_emit_plot_data(tmp_path):
-    path = tmp_path / "sweep.dat"
-    emit_plot_data(
+def test_plot_data_content():
+    lines = plot_data_content(
         {"eps": np.array([0.1, 0.01]), "quotient": np.array([-1.0, -100.0])},
-        path,
         xlog=True,
         ylog=True,
-    )
-    lines = path.read_text().splitlines()
+    ).splitlines()
     assert lines[0] == "# eps quotient"
     assert lines[1] == "# xlog ylog"
     assert len(lines) == 4
 
-    empty = tmp_path / "empty.dat"
-    emit_plot_data({"eps": np.array([]), "q": np.array([])}, empty)
-    assert empty.read_text() == "# eps q\n"
+    assert plot_data_content({"eps": np.array([]), "q": np.array([])}) == "# eps q\n"
 
     with pytest.raises(ValueError):
-        emit_plot_data({"a": np.array([1.0]), "b": np.array([1.0, 2.0])}, path)
+        plot_data_content({"a": np.array([1.0]), "b": np.array([1.0, 2.0])})
 
 
 def test_default_run_root_env(monkeypatch, tmp_path):

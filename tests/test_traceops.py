@@ -12,19 +12,18 @@ from bucklab import (
     inertia,
     scan_beta1,
     scan_identities,
-    trace_blocks,
     trace_operator,
     trace_spectrum,
     verify_identity,
 )
 from bucklab.assembly import classify_dofs
-from bucklab.eigen import schur_complement, solver_path_counts
+from bucklab.eigen import boundary_last_pencil, schur_complement, solver_path_counts
 from bucklab import eigen, traceops
 from bucklab.cli import main
 from bucklab.spectra import free_dofs, get_pair, pencil_eigenvalues, pencil_pair
 from bucklab.traceops import _IDENTITIES, relative_margin, trace_pencil
 
-from oracles import dense_pencil_eigenvalues
+from oracles import dense_pencil_eigenvalues, dense_schur
 
 
 def test_dtn_symmetric_and_margin(rect16):
@@ -104,10 +103,11 @@ def test_friedlander_disk_matches_continuum_prediction(disk3):
 def test_exact_haynsworth_triple(disk2):
     # neg(trace) + neg(interior block) = neg(full shifted form)
     pair = get_pair(disk2, "lagrange", 2)
+    bdofs, idofs = classify_dofs(pair.dofmap, "dirichlet-value")
+    pencil = boundary_last_pencil(pair.k_grad, pair.mass, idofs, bdofs)
     for lam in (3.0, 12.0, 27.0):
-        bdofs, idofs = classify_dofs(pair.dofmap, "dirichlet-value")
         q = pair.k_grad - lam * pair.mass
-        s = schur_complement(q, idofs, bdofs)
+        s = schur_complement(pencil.at(lam))
         assert (
             inertia(s).n_neg + inertia(q[np.ix_(idofs, idofs)]).n_neg
             == inertia(q).n_neg
@@ -166,22 +166,30 @@ def test_scan_beta1_sign_change(disk2):
     assert res.summary["n_negative"] == 4
 
 
-def test_scan_skips_point_whose_factor_cannot_be_densified(disk2, tmp_path, monkeypatch):
+def test_scan_skips_point_whose_factor_cannot_be_densified(disk2, tmp_path, monkeypatch,
+                                                           force_dense_fallback):
     """A point whose checked factor fails and whose dense fallback is
-    beyond MAX_DENSE_DOFS is a skip with its reason, in both scans and
-    in the CLI, which exits 0."""
+    beyond MAX_DENSE_DOFS is a skip with its reason, naming the interior
+    block Q_ii and its rows, in both scans and in the CLI, which exits 0."""
     grid = [5.0, 7.0]
-    monkeypatch.setattr(eigen, "_boundary_last_schur", lambda q, ni, scale, zero_tol: None)
+    cli_args = ["identity-scan", "--domain", "disk", "--refine", "2", "--points", "2"]
+    # the spectrum prefixes and the trace pencil, computed unforced first
+    scan_identities(disk2, "liu", grid)
+    scan_beta1(disk2, grid)
+    assert main(cli_args + ["--run-root", str(tmp_path / "warm")]) == 0
+    n_interior = trace_pencil(disk2, "liu").form.n_interior
+    assert n_interior > 10
     monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", 10)
-    for result in (scan_identities(disk2, "liu", grid), scan_beta1(disk2, grid)):
+    with force_dense_fallback():
+        results = (scan_identities(disk2, "liu", grid), scan_beta1(disk2, grid))
+        root = tmp_path / "runs"
+        assert main(cli_args + ["--run-root", str(root)]) == 0
+    for result in results:
         assert result.records == []
         assert [s["index"] for s in result.skips] == [0, 1]
         for s, lam in zip(result.skips, grid):
-            assert s["reason"].startswith(f"lambda={lam:.12g}: the sparse factor failed")
-            assert "beyond the dense cap 10" in s["reason"]
-    root = tmp_path / "runs"
-    assert main(["identity-scan", "--domain", "disk", "--refine", "2", "--points", "2",
-                 "--run-root", str(root)]) == 0
+            assert s["reason"] == (f"lambda={lam:.12g}: the sparse factor failed a check "
+                                   f"and Q_ii has {n_interior} rows, beyond the dense cap 10")
     (run_dir,) = root.iterdir()
     assert len((run_dir / "skips.csv").read_text().splitlines()) == 3
 
@@ -231,7 +239,7 @@ def test_sparse_trace_operator_matches_dense_path(request, mesh_name, kind):
         assert after["dense_fallback"] == before["dense_fallback"]
 
         dense = q.toarray()
-        s_dense = schur_complement(dense, interior, boundary)
+        s_dense = dense_schur(dense, interior, boundary)
         dense_inner = inertia(dense[np.ix_(interior, interior)])
         assert np.max(np.abs(t.matrix - s_dense)) <= 1e-10 * np.max(np.abs(s_dense))
         assert tuple(sparse_inner) == tuple(dense_inner)
@@ -255,14 +263,15 @@ def test_identity_table_partitions(request, mesh_name, kind):
     assert np.all(np.isin(inner_free, outer_free))
     assert len(inner_free) < len(outer_free)
 
-    q, free, interior, boundary = trace_blocks(mesh, kind, 7.0)
-    assert np.array_equal(free, outer_free)
-    assert np.array_equal(free[interior], inner_free)
+    pencil = trace_pencil(mesh, kind)
+    ni = pencil.form.n_interior
+    assert np.array_equal(np.sort(pencil.dofs), outer_free)
+    assert np.array_equal(np.sort(pencil.dofs[:ni]), inner_free)
     expected = (
         pair.b_trace_dofs if name == "dtn" else pair.dofmap.boundary_normal_dofs()
     )
-    assert np.array_equal(free[boundary], expected)
-    assert q.shape == (len(free), len(free))
+    assert np.array_equal(pencil.boundary_dofs, expected)
+    assert pencil.form.at(7.0).csc().shape == (len(outer_free), len(outer_free))
     t = trace_operator(mesh, kind, 7.0)
     assert np.array_equal(t.boundary_dofs, expected)
     assert t.boundary_mass.shape == t.matrix.shape == (len(expected), len(expected))
@@ -289,21 +298,22 @@ def test_haynsworth_at_disk_level_5():
     mesh = make_disk_mesh(1.0, 5)
     lam = 7.3  # clear of every pencil's spectrum on the unit disk
     for kind in ("friedlander", "liu"):
-        q, free, interior, boundary = trace_blocks(mesh, kind, lam)
         before = solver_path_counts()
         tracemalloc.start()
         try:
-            s = schur_complement(trace_pencil(mesh, kind).form.at(lam))
+            q = trace_pencil(mesh, kind).form.at(lam)
+            s = schur_complement(q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_interior = inertia(q[np.ix_(interior, interior)]).n_neg
+        q, ni = q.csc(), q.n_interior
+        n_interior = inertia(q[:ni, :ni]).n_neg
         n_full = inertia(q).n_neg
         after = solver_path_counts()
         assert after["sparse_ldlt"] - before["sparse_ldlt"] == 3
         assert after["dense_fallback"] == before["dense_fallback"]
         assert n_interior + inertia(s).n_neg == n_full
-        assert peak < 8 * len(free) ** 2 / 20
+        assert peak < 8 * q.shape[0] ** 2 / 20
 
 
 def test_perturbed_cached_pencil_is_refused(disk2, monkeypatch):
