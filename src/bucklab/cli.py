@@ -355,7 +355,9 @@ def _cmd_report(args) -> int:
     for name in meta.get("outputs", []):
         path = run_dir / name
         if path.exists():
-            n_rows = max(len(path.read_text().splitlines()) - 1, 0)
+            # a header line, then data rows; '#' lines are plot hints
+            n_rows = sum(not line.startswith("#")
+                         for line in path.read_text().splitlines()[1:])
             print(f"output: {name} ({n_rows} data rows)")
         else:
             print(f"output: {name} MISSING", file=sys.stderr)

@@ -29,9 +29,10 @@ order once (:class:`BoundaryLastPencil`, A and B on one shared pattern,
 built from the two index sets), so each shift (a
 :class:`BoundaryLastMatrix`) costs one vector update and one
 factorization, and S = L_bb U_bb is read off the boundary block of that
-factor. The interior part of the factor passes the pivot and growth
-checks, so one factorization both certifies that Q_ii is nonsingular
-and gives S, and the Haynsworth additivity
+factor. Q is factored in its own order, and the factor is trusted only
+if SuperLU kept that order, so S and the lift need no re-indexing. The
+interior part of the factor passes the pivot and growth checks, so one
+factorization both certifies that Q_ii is nonsingular and gives S, and the Haynsworth additivity
 inertia(Q) = inertia(Q_ii) + inertia(S) holds as an exact integer
 identity whenever they pass. The boundary part, the LDL^T of S, passes
 the same growth bound but no pivot-size test, since S may be nearly
@@ -286,7 +287,7 @@ def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str, zero_tol: float):
     S = L_bb U_bb.
 
     The factor is trusted only when the row and column permutations
-    agree (an LDL^T), every interior column precedes every boundary one,
+    agree (an LDL^T), SuperLU kept the given order if it was asked to,
     every interior pivot exceeds ``zero_tol * max|Q_ii|``, and the
     interior columns of L and rows of U show no element growth beyond
     ``_MAX_GROWTH`` relative to max|Q_ii|. Then Q_ii is nonsingular and
@@ -313,8 +314,8 @@ def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str, zero_tol: float):
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None  # an off-diagonal pivot was taken: not an LDL^T
-    if np.any(lu.perm_c[:ni] >= ni):
-        return None  # a boundary column was eliminated before an interior one
+    if permc_spec == "NATURAL" and np.any(lu.perm_c != np.arange(len(lu.perm_c))):
+        return None  # SuperLU did not keep the given order
     l, u = lu.L, lu.U
     pivots = u.diagonal()
     if np.min(np.abs(pivots[:ni])) <= zero_tol * scale_ii:
@@ -557,7 +558,7 @@ def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
     Q is factored once in its own order by :func:`_checked_factor`, and
     S = L_bb U_bb is read off the boundary block of that factor. Since
     Q_ii = L_ii U_ii and Q_ib = L_ii U_ib, the lift is one triangular
-    solve U_ii y = -U_ib psi in the factor's order. When a check of the
+    solve U_ii y = -U_ib psi in Q's order. When a check of the
     factor fails, the interior block's Bunch-Kaufman inertia decides
     regularity and a dense solve X = Q_ii^{-1} Q_ib gives both
     S = Q_bb - Q_ib^T X and the lift -X psi; that densifies Q_ii, so
@@ -575,16 +576,10 @@ def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
         x = solve(q_ib)
         s = _dense(q[ni:, ni:], "Q_bb") - q_ib.T @ x
         return 0.5 * (s + s.T), lambda psi: -(x @ psi)
-    u = fac.u
-    # factor position of each interior and each boundary DOF; copies, so
-    # that the lift does not keep the SuperLU object alive
-    inside, at = fac.lu.perm_c[:ni].copy(), fac.lu.perm_c[ni:] - ni
-    s = (fac.l[ni:, ni:].toarray() @ u[ni:, ni:].toarray())[np.ix_(at, at)]
+    u = fac.u  # the lift holds U, not the SuperLU object
+    s = fac.l[ni:, ni:].toarray() @ u[ni:, ni:].toarray()
 
     def lift(psi):
-        placed = np.empty(len(at))
-        placed[at] = psi
-        y = spla.spsolve_triangular(u[:ni, :ni], -(u[:ni, ni:] @ placed), lower=False)
-        return y[inside]
+        return spla.spsolve_triangular(u[:ni, :ni], -(u[:ni, ni:] @ psi), lower=False)
 
     return 0.5 * (s + s.T), lift

@@ -304,6 +304,8 @@ def refine_mesh(mesh: Mesh) -> Mesh:
 # 1D colatitude grids for the punctured sphere
 # ---------------------------------------------------------------------------
 
+#: interval growth ratio of geometric grading
+GRADING_RATIO = 1.15
 #: largest-to-smallest interval ratio allowed for geometric grading; keeps
 #: the first interval above float resolution for large node counts
 MAX_GRADING_GROWTH = 1e4
@@ -313,15 +315,7 @@ MAX_GRADING_GROWTH = 1e4
 class RadialGrid:
     """Strictly increasing colatitude nodes from theta=eps to theta=pi."""
 
-    theta_min: float
-    theta_max: float
     nodes: np.ndarray
-    pole_included: bool
-    grading: str
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.nodes) - 1
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -329,13 +323,13 @@ class RadialGrid:
         return h.hexdigest()[:16]
 
 
-def make_radial_grid(eps: float, n: int, grading: str = "uniform",
-                     ratio: float = 1.15) -> RadialGrid:
+def make_radial_grid(eps: float, n: int, grading: str = "uniform") -> RadialGrid:
     """Grid of n intervals on [eps, pi].
 
     Geometric grading clusters nodes near theta=eps where cap
-    eigenfunctions vary fastest; the interval growth ratio is capped so
-    the first interval never collapses below float resolution.
+    eigenfunctions vary fastest: each interval is ``GRADING_RATIO``
+    times the one before, a ratio lowered for large n so the first
+    interval never collapses below float resolution.
     """
     if not 0 < eps < np.pi / 2:
         raise ValueError(f"eps must lie in (0, pi/2), got {eps}")
@@ -344,11 +338,7 @@ def make_radial_grid(eps: float, n: int, grading: str = "uniform",
     if grading == "uniform":
         nodes = np.linspace(eps, np.pi, n + 1)
     elif grading == "geometric":
-        r = ratio
-        if r <= 1.0:
-            raise ValueError("geometric grading needs ratio > 1")
-        if n > 1:
-            r = min(r, float(np.exp(np.log(MAX_GRADING_GROWTH) / (n - 1))))
+        r = min(GRADING_RATIO, float(np.exp(np.log(MAX_GRADING_GROWTH) / (n - 1))))
         lens = r ** np.arange(n)
         lens *= (np.pi - eps) / lens.sum()
         nodes = eps + np.concatenate([[0.0], np.cumsum(lens)])
@@ -359,7 +349,7 @@ def make_radial_grid(eps: float, n: int, grading: str = "uniform",
     if np.any(np.diff(nodes) <= 0):
         raise MeshError("grid spacing collapsed; reduce n or the grading ratio")
     nodes.setflags(write=False)
-    return RadialGrid(eps, float(np.pi), nodes, True, grading)
+    return RadialGrid(nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ values vanish unless m=0 and colatitude derivatives vanish unless m=1.
 (Leaving these DOFs unconstrained admits fields whose true bending
 energy is infinite but quadrature-finite, which wrecks convergence of
 the fourth-order eigenvalues.)
+
+Every eigensolve goes through :meth:`CapOperators.smallest`, the one
+call of the dense generalized eigensolver here. A scan point builds one
+grid per resolution, ``nodes`` and ``2 * nodes`` intervals, and computes
+all four quantities (lambda1, lambda2, mu2, Lambda1) on it; a change of
+more than ``CAUCHY_TOL`` relative in any of them under this node
+doubling sets the point's ``resolution_warning``.
 """
 from __future__ import annotations
 
@@ -38,7 +45,6 @@ GAUSS_POINTS = 6
 DEFAULT_MODES = 4
 DEFAULT_NODES = 64
 CAUCHY_TOL = 0.01
-MODE_WARN_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,6 @@ class CapOperators:
     ``a_m`` is None for second-order operators.
     """
 
-    grid: RadialGrid
     m: int
     order: str
     k_m: np.ndarray
@@ -61,14 +66,6 @@ class CapOperators:
     @property
     def n_dofs(self) -> int:
         return len(self.k_m)
-
-    def edge_value_dof(self) -> int:
-        return 0
-
-    def edge_derivative_dof(self) -> int:
-        if self.order != "fourth":
-            raise ValueError("derivative DOFs exist only for fourth-order operators")
-        return 1
 
     def pole_value_dof(self) -> int:
         return self.n_dofs - (1 if self.order == "second" else 2)
@@ -84,19 +81,33 @@ class CapOperators:
         bc is one of dirichlet | neumann | clamped (clamped needs the
         fourth-order operators).
         """
-        drop = []
+        # the cap-edge value is DOF 0, its colatitude derivative DOF 1
         if bc == "dirichlet":
-            drop.append(self.edge_value_dof())
+            drop = [0]
         elif bc == "clamped":
-            drop.append(self.edge_value_dof())
-            drop.append(self.edge_derivative_dof())
-        elif bc != "neumann":
+            if self.order != "fourth":
+                raise ValueError("clamped needs the fourth-order operators")
+            drop = [0, 1]
+        elif bc == "neumann":
+            drop = []
+        else:
             raise ValueError(f"unknown boundary condition {bc!r}")
         if self.m != 0:
             drop.append(self.pole_value_dof())
         if self.order == "fourth" and self.m != 1:
             drop.append(self.pole_derivative_dof())
         return np.setdiff1d(np.arange(self.n_dofs), drop)
+
+    def smallest(self, bc: str, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(values, vectors, free)``: the k smallest eigenpairs (fewer
+        when there are fewer free DOFs) of the pencil (A_m, K_m) for
+        ``bc="clamped"``, (K_m, M_m) otherwise, restricted to
+        ``free = free_dofs(bc)``; vectors are columns over ``free``."""
+        free = self.free_dofs(bc)
+        a, b = (self.a_m, self.k_m) if bc == "clamped" else (self.k_m, self.m_m)
+        sub = np.ix_(free, free)
+        w, x = sym_gen_eigs(a[sub], b[sub], min(k, len(free)))
+        return w, x, free
 
 
 def _lagrange_basis(a, b, xq: np.ndarray):
@@ -176,25 +187,20 @@ def cap_operators(grid: RadialGrid, m: int, order: str) -> CapOperators:
     k = assemble(outer(d1) * wk + outer(val) * wm)
     mm = assemble(outer(val) * wk)
     aa = assemble(outer(lap) * wk) if order == "fourth" else None
-    return CapOperators(grid, m, order, k, mm, aa)
+    return CapOperators(m, order, k, mm, aa)
 
 
-def _merged_spectra(
-    eps: float, bcs: tuple[str, ...], modes: int, k: int, n_nodes: int, grading: str
-) -> list[Spectrum]:
-    """:func:`cap_spectrum` for each boundary condition in ``bcs``, from
-    one operator build per mode."""
+def _merged_spectra(grid: RadialGrid, bcs: tuple[str, ...], modes: int, k: int) -> list[Spectrum]:
+    """:func:`cap_spectrum` on ``grid`` for each boundary condition in
+    ``bcs``, from one operator build per mode."""
     if modes < 2:
         raise ValueError("need modes >= 2 for a faithful merge")
-    grid = make_radial_grid(eps, n_nodes, grading)
     vals: dict[str, list[float]] = {bc: [] for bc in bcs}
     for m in range(modes + 1):
         ops = cap_operators(grid, m, "second")
         for bc in bcs:
-            free = ops.free_dofs(bc)
             # each mode contributes at most k of the smallest k merged
-            w, _ = sym_gen_eigs(ops.k_m[np.ix_(free, free)],
-                                ops.m_m[np.ix_(free, free)], min(k, len(free)))
+            w, _, _ = ops.smallest(bc, k)
             vals[bc].extend(float(x) for x in w for _ in range(1 if m == 0 else 2))
     count = min(len(v) for v in vals.values())
     if k > count:
@@ -213,15 +219,16 @@ def cap_spectrum(
 ) -> Spectrum:
     """k smallest Laplace-Beltrami eigenvalues on the punctured sphere,
     merged over azimuthal modes 0..modes with m >= 1 doubled."""
-    return _merged_spectra(eps, (bc,), modes, k, n_nodes, grading)[0]
+    return _merged_spectra(make_radial_grid(eps, n_nodes, grading), (bc,), modes, k)[0]
 
 
-@dataclass(frozen=True)
-class CapBucklingResult:
-    value: float
-    mode: int
-    rel_change: float
-    resolution_warning: bool
+def _buckling_lambda1(grid: RadialGrid, modes: int) -> float:
+    """Smallest clamped fourth-order pencil eigenvalue on ``grid`` over
+    the azimuthal modes 0..modes."""
+    return min(
+        float(cap_operators(grid, m, "fourth").smallest("clamped", 1)[0][0])
+        for m in range(modes + 1)
+    )
 
 
 def cap_buckling_lambda1(
@@ -229,30 +236,10 @@ def cap_buckling_lambda1(
     modes: int = DEFAULT_MODES,
     n_nodes: int = DEFAULT_NODES,
     grading: str = "geometric",
-) -> CapBucklingResult:
+) -> float:
     """Smallest fourth-order pencil eigenvalue over the azimuthal modes,
-    clamped at the cap edge.
-
-    Solved at n_nodes and 2*n_nodes; the finer value is reported with
-    the relative change, and the resolution warning fires above 5%.
-    """
-    def smallest(n: int) -> tuple[float, int]:
-        grid = make_radial_grid(eps, n, grading)
-        best, best_m = np.inf, -1
-        for m in range(modes + 1):
-            ops = cap_operators(grid, m, "fourth")
-            free = ops.free_dofs("clamped")
-            w, _ = sym_gen_eigs(
-                ops.a_m[np.ix_(free, free)], ops.k_m[np.ix_(free, free)], 1
-            )
-            if w[0] < best:
-                best, best_m = float(w[0]), m
-        return best, best_m
-
-    coarse, _ = smallest(n_nodes)
-    fine, mode = smallest(2 * n_nodes)
-    rel = abs(fine - coarse) / max(abs(fine), 1e-300)
-    return CapBucklingResult(fine, mode, rel, rel > MODE_WARN_TOL)
+    clamped at the cap edge, on a grid of ``n_nodes`` intervals."""
+    return _buckling_lambda1(make_radial_grid(eps, n_nodes, grading), modes)
 
 
 def cap_buckling_lambda1_via_modes(
@@ -275,11 +262,8 @@ def cap_buckling_lambda1_via_modes(
     h0 = grid.nodes[1] - grid.nodes[0]
     for m in range(modes + 1):
         ops = cap_operators(grid, m, "second")
-        free = ops.free_dofs("dirichlet")
-        nb = min(n_basis, len(free))
-        w, x = sym_gen_eigs(
-            ops.k_m[np.ix_(free, free)], ops.m_m[np.ix_(free, free)], nb
-        )
+        w, x, free = ops.smallest("dirichlet", n_basis)
+        nb = len(w)
         full = np.zeros((ops.n_dofs, nb))
         full[free] = x
         # quadratic-element derivative at theta=eps from the first element
@@ -298,30 +282,31 @@ def cap_buckling_lambda1_via_modes(
 
 
 def _scan_point(eps: float, n_nodes: int, modes: int, grading: str) -> dict:
+    """The four cap quantities at ``n_nodes`` and ``2 * n_nodes``
+    intervals, one grid each; the finer values are reported, and
+    ``resolution_warning`` is set when any of them moved by more than
+    ``CAUCHY_TOL`` relative."""
     def quantities(n: int) -> dict:
-        lam, mu = _merged_spectra(eps, ("dirichlet", "neumann"), modes, 2, n, grading)
+        grid = make_radial_grid(eps, n, grading)
+        lam, mu = _merged_spectra(grid, ("dirichlet", "neumann"), modes, 2)
         return {
             "lambda1": float(lam.values[0]),
             "lambda2": float(lam.values[1]),
             "mu2": float(mu.values[1]),
+            "Lambda1": _buckling_lambda1(grid, modes),
         }
 
     coarse = quantities(n_nodes)
     fine = quantities(2 * n_nodes)
-    buck = cap_buckling_lambda1(eps, modes, n_nodes, grading)
-    changes = [
-        abs(fine[key] - coarse[key]) / max(abs(fine[key]), 1e-300)
-        for key in ("lambda1", "lambda2", "mu2")
-    ] + [buck.rel_change]
-    warning = any(c > CAUCHY_TOL for c in changes)
+    warning = any(
+        abs(fine[key] - coarse[key]) / max(abs(fine[key]), 1e-300) > CAUCHY_TOL
+        for key in fine
+    )
     return {
         "eps": eps,
-        "lambda1": fine["lambda1"],
-        "lambda2": fine["lambda2"],
-        "mu2": fine["mu2"],
-        "Lambda1": buck.value,
+        **fine,
         "friedlander_fails": fine["lambda1"] < fine["mu2"],
-        "payne_fails": buck.value < fine["lambda2"],
+        "payne_fails": fine["Lambda1"] < fine["lambda2"],
         "resolution_warning": warning,
     }
 

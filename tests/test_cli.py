@@ -79,6 +79,10 @@ def test_counterexample_command(tmp_path, capsys):
     dat = (run_dir / "divergence_loglog.dat").read_text().splitlines()
     assert dat[0].startswith("# eps")
     assert dat[1] == "# xlog ylog"
+    assert main(["report", "--run", str(run_dir)]) == 0
+    report = capsys.readouterr().out
+    assert "divergence.csv (3 data rows)" in report
+    assert "divergence_loglog.dat (3 data rows)" in report
 
 
 def test_counterexample_bounded_regime(tmp_path, capsys):
@@ -146,6 +150,11 @@ def test_spherecap_command(tmp_path, capsys):
     )
     assert len(lines) == 3
     assert (run_dir / "Lambda1.dat").exists()
+    assert main(["report", "--run", str(run_dir)]) == 0
+    report = capsys.readouterr().out
+    # the '#' plot-hint line of a .dat file is not a data row
+    assert "spherecap.csv (2 data rows)" in report
+    assert "Lambda1.dat (2 data rows)" in report
 
 
 def test_report_command(tmp_path, capsys):

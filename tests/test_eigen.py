@@ -261,10 +261,10 @@ class _Permuted:
         return getattr(self._lu, name)
 
 
-def test_schur_and_lift_follow_the_factor_order(rng, monkeypatch):
-    """S and the lift are read back into Q's order through the factor's
-    row and column order, whatever order within the interior and within
-    the boundary the factor took."""
+def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
+    """A boundary-last factor that SuperLU reports in any order but the
+    one it was given, even one that keeps interior before boundary, is
+    not trusted: one dense fallback, which gives the dense S and lift."""
     n, ni = 14, 9
     a = sp.random_array((n, n), density=0.3, rng=rng).toarray()
     a = a + a.T
@@ -278,7 +278,9 @@ def test_schur_and_lift_follow_the_factor_order(rng, monkeypatch):
                         lambda a, **kwargs: _Permuted(splu, a, perm, **kwargs))
     before = solver_path_counts()
     s, lift = eigen.schur_and_lift(q, eigen.DEFAULT_ZERO_TOL)
-    assert solver_path_counts()["sparse_ldlt"] == before["sparse_ldlt"] + 1
+    after = solver_path_counts()
+    assert after["sparse_ldlt"] == before["sparse_ldlt"]
+    assert after["dense_fallback"] == before["dense_fallback"] + 1
     interior, boundary = np.arange(ni), np.arange(ni, n)
     np.testing.assert_allclose(s, dense_schur(dense, interior, boundary), rtol=1e-12, atol=1e-12)
     psi = rng.standard_normal(n - ni)

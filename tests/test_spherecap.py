@@ -10,17 +10,13 @@ from bucklab import (
     make_radial_grid,
 )
 from bucklab import spherecap
-from bucklab.eigen import sym_gen_eigs
 from bucklab.quadrature import gauss_on_interval
 from bucklab.spherecap import cap_buckling_lambda1_via_modes
 
 
 def mode_eigs(eps, m, n, bc, k, order="second"):
     grid = make_radial_grid(eps, n, "geometric")
-    ops = cap_operators(grid, m, order)
-    free = ops.free_dofs(bc)
-    w, _ = sym_gen_eigs(ops.k_m[np.ix_(free, free)], ops.m_m[np.ix_(free, free)], k)
-    return w
+    return cap_operators(grid, m, order).smallest(bc, k)[0]
 
 
 def test_closed_sphere_limit_mode0():
@@ -97,6 +93,9 @@ def test_pole_rules():
     assert s0.pole_value_dof() in s0.free_dofs("dirichlet")
     s1 = cap_operators(grid, 1, "second")
     assert s1.pole_value_dof() not in s1.free_dofs("dirichlet")
+    for ops in (s0, s1):  # no derivative DOF to clamp
+        with pytest.raises(ValueError):
+            ops.free_dofs("clamped")
 
     f0 = cap_operators(grid, 0, "fourth")
     free0 = f0.free_dofs("clamped")
@@ -145,17 +144,49 @@ def test_grid_refinement_changes_lambda1_little():
 
 
 def test_buckling_mesh_cauchy_and_above_dirichlet():
-    res = cap_buckling_lambda1(0.5, modes=3, n_nodes=64)
-    assert res.rel_change < 0.01
-    assert not res.resolution_warning
+    coarse = cap_buckling_lambda1(0.5, modes=3, n_nodes=64)
+    fine = cap_buckling_lambda1(0.5, modes=3, n_nodes=128)
+    assert abs(fine - coarse) / fine < spherecap.CAUCHY_TOL
     lam1 = cap_spectrum(0.5, "dirichlet", 3, 1).values[0]
-    assert res.value > lam1
+    assert fine > lam1
 
 
 def test_buckling_cross_discretization_hemisphere():
-    direct = cap_buckling_lambda1(np.pi / 2 - 1e-9, modes=2, n_nodes=64)
+    direct = cap_buckling_lambda1(np.pi / 2 - 1e-9, modes=2, n_nodes=128)
     via_modes = cap_buckling_lambda1_via_modes(np.pi / 2 - 1e-9, modes=2)
-    assert abs(direct.value - via_modes) / direct.value < 0.02
+    assert abs(direct - via_modes) / direct < 0.02
+
+
+def test_scan_point_one_grid_per_resolution_one_solve_site(monkeypatch):
+    """A scan point builds one grid at ``nodes`` and one at ``2 * nodes``
+    intervals, and solves the Dirichlet, Neumann and clamped pencils of
+    every mode on each, every solve through CapOperators.smallest."""
+    modes, grids, solves = 3, [], {"smallest": 0, "inside": 0, "all": 0}
+    make_grid, solve, smallest = (spherecap.make_radial_grid, spherecap.sym_gen_eigs,
+                                  spherecap.CapOperators.smallest)
+
+    def counted_grid(eps, n, grading):
+        grids.append(n)
+        return make_grid(eps, n, grading)
+
+    def counted_solve(*args):
+        solves["all"] += 1
+        return solve(*args)
+
+    def counted_smallest(self, bc, k):
+        solves["smallest"] += 1
+        before = solves["all"]
+        out = smallest(self, bc, k)
+        solves["inside"] += solves["all"] - before
+        return out
+
+    monkeypatch.setattr(spherecap, "make_radial_grid", counted_grid)
+    monkeypatch.setattr(spherecap, "sym_gen_eigs", counted_solve)
+    monkeypatch.setattr(spherecap.CapOperators, "smallest", counted_smallest)
+    scan = cap_scan([0.2], n_nodes=16, modes=modes)
+    assert len(scan.records) == 1
+    assert grids == [16, 32]
+    assert solves == {key: 6 * (modes + 1) for key in solves}
 
 
 def test_cap_scan_contract():
