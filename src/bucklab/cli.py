@@ -22,7 +22,7 @@ from . import counterexample as cex
 from . import runio, spherecap, traceops
 from .eigen import MAX_DENSE_DOFS, solver_path_counts
 from .errors import BucklabError, ConfigError
-from .mesh import Mesh, make_disk_mesh, make_rectangle_mesh
+from .mesh import Mesh, make_disk_mesh, make_radial_grid, make_rectangle_mesh
 from .runio import RunManifest, SweepResult, fmt
 from .spectra import get_pair, spectrum, spectrum_to_csv_rows
 
@@ -320,10 +320,10 @@ def _cmd_spherecap(args) -> int:
             {"eps": eps, curve: vals}, xlog=True
         )
     tables.update(_skips_table(result))
-    from .mesh import make_radial_grid
-
+    # each eps is solved on a coarse grid and on the twice-finer one it reports
     grid_hashes = ",".join(
-        make_radial_grid(e, params["nodes"], params["grading"]).content_hash()
+        "/".join(make_radial_grid(e, n, params["grading"]).content_hash()
+                 for n in (params["nodes"], 2 * params["nodes"]))
         for e in params["eps_list"]
     )
     run_dir = _finish("spherecap", params, tables, {"grids": grid_hashes}, args)

@@ -344,14 +344,14 @@ def _max_abs(values: np.ndarray) -> float:
 
 
 def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
-    """Signs of the spectrum of a symmetric matrix, never forming eigenvalues.
+    """Signs of the spectrum of a symmetric matrix, read off an LDL^T factor.
 
     Sparse input: signs of the pivots of the checked sparse LDL^T, whose
     pivots all exceed ``zero_tol * max|A|``. Dense input, or a sparse
-    factor that fails a check: LDL^T with Bunch-Kaufman pivoting, where
-    diagonal blocks with magnitude below ``zero_tol * max|A|`` count as
-    zero and 2x2 pivot blocks are classified through their closed-form
-    eigenvalues.
+    factor that fails a check: LDL^T with Bunch-Kaufman pivoting, whose
+    block-diagonal D (1x1 and 2x2 pivot blocks) is tridiagonal; the signs
+    are those of its eigenvalues from LAPACK, and eigenvalues with
+    magnitude at most ``zero_tol * max|A|`` count as zero.
     """
     a = _require_symmetric(a, "A")
     n = a.shape[0]
@@ -370,32 +370,11 @@ def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
     if scale == 0.0:
         return Inertia(0, n, 0, zero_tol)
     _, d, _ = sla.ldl(a)
+    ev = sla.eigvalsh_tridiagonal(np.diag(d), np.diag(d, -1))
     thresh = zero_tol * scale
-    n_neg = n_zero = n_pos = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            # 2x2 block: eigenvalues from trace/determinant
-            p, q, r = d[i, i], d[i + 1, i + 1], d[i + 1, i]
-            mid = 0.5 * (p + q)
-            disc = np.hypot(0.5 * (p - q), r)
-            for ev in (mid - disc, mid + disc):
-                if abs(ev) <= thresh:
-                    n_zero += 1
-                elif ev < 0:
-                    n_neg += 1
-                else:
-                    n_pos += 1
-            i += 2
-        else:
-            ev = d[i, i]
-            if abs(ev) <= thresh:
-                n_zero += 1
-            elif ev < 0:
-                n_neg += 1
-            else:
-                n_pos += 1
-            i += 1
+    n_neg = int(np.sum(ev < -thresh))
+    n_pos = int(np.sum(ev > thresh))
+    n_zero = n - n_neg - n_pos
     return Inertia(n_neg, n_zero, n_pos, zero_tol)
 
 

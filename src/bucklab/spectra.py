@@ -4,8 +4,8 @@ Dirichlet/Neumann use the Lagrange pencil (K_grad, M); buckling and the
 simply-supported (Navier) problem use the Morley fourth-order pencil
 (fourth-order form, K_grad) on the clamped and vertex-constrained
 spaces, as the one table :data:`PENCILS` says. The disk oracle
-produces analytic ground truth from Bessel zeros, independently of every
-finite element path.
+produces analytic ground truth from the Bessel zeros of
+``scipy.special``, independently of every finite element path.
 
 Pencil matrices are sliced from the sparse assembled forms. The k
 smallest eigenpairs (:func:`smallest_eigenpairs`) come from certified
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import bessel
 from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify_dofs
 from .eigen import sparse_smallest_eigs
 from .errors import MeshError, SpectrumRangeError
@@ -226,12 +225,16 @@ def spectrum(mesh: Mesh, problem: str, k: int, order: int | None = None) -> Spec
 
 
 def disk_oracle(problem: str, count: int) -> Spectrum:
-    """Analytic unit-disk spectra from bisected Bessel zeros.
+    """Analytic unit-disk spectra from ``scipy.special`` Bessel zeros.
 
     dirichlet : squares of zeros of J_m (m >= 1 doubled)
     neumann   : 0, then squares of the positive zeros of J_m'
     buckling  : squares of zeros of J_{m+1} (clamped plate buckling)
     """
+    # imported here: no command calls the oracle, and the import would
+    # lengthen every process start
+    from scipy.special import jn_zeros, jnp_zeros
+
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > ORACLE_COUNT_CAP:
@@ -239,12 +242,12 @@ def disk_oracle(problem: str, count: int) -> Spectrum:
             f"oracle supports at most {ORACLE_COUNT_CAP} values, got {count}"
         )
     if problem == "dirichlet":
-        zero_fn = bessel.bessel_j_zeros
+        zero_fn = jn_zeros
     elif problem == "neumann":
-        zero_fn = bessel.bessel_jp_zeros
+        zero_fn = jnp_zeros
     elif problem == "buckling":
         def zero_fn(m, c):
-            return bessel.bessel_j_zeros(m + 1, c)
+            return jn_zeros(m + 1, c)
     else:
         raise ValueError(f"unknown oracle problem {problem!r}")
 

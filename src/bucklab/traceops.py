@@ -225,16 +225,14 @@ def trace_operator(
 
 
 def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
-           excluded: np.ndarray, margin: float | None = None) -> TraceOperator:
-    """:func:`trace_operator` with ``lam`` kept clear of ``excluded``;
-    a ``margin`` from them that the caller has checked is not checked
-    again. A point whose factor fails a check beyond the dense cap raises
+           excluded: np.ndarray) -> TraceOperator:
+    """:func:`trace_operator` with ``lam`` kept clear of ``excluded``. A
+    point whose factor fails a check beyond the dense cap raises
     :class:`SizeLimitError` naming ``lam``."""
     name = _identity(kind)[0]
-    if margin is None:
-        margin = relative_margin(lam, excluded)
-        if margin < delta:
-            raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
+    margin = relative_margin(lam, excluded)
+    if margin < delta:
+        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
     pencil = trace_pencil(mesh, kind, order)
     try:
         s = schur_complement(pencil.form.at(lam))
@@ -277,28 +275,25 @@ def verify_identity(
 
 
 def _verify(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
-            values: tuple, margin: float | None = None,
-            nudged: bool = False) -> IdentityReport:
+            values: tuple, nudged: bool = False) -> IdentityReport:
     """:func:`verify_identity` from the ``(outer, inner, excluded)``
-    ``values`` of :func:`_excluded_values`, past ``lam``; ``margin`` as
-    in :func:`_trace`."""
+    ``values`` of :func:`_excluded_values`, past ``lam``."""
     outer, inner, excluded = values
-    t = _trace(mesh, kind, lam, order, delta, excluded, margin)
+    t = _trace(mesh, kind, lam, order, delta, excluded)
     lhs = int(np.sum(outer < lam))
     rhs = int(np.sum(inner < lam))
     neg = inertia(t.matrix).n_neg
     return IdentityReport(kind, lam, neg, lhs, rhs, neg == lhs - rhs, t.margin, nudged)
 
 
-def _nudge(lam: float, excluded: np.ndarray, delta: float) -> tuple[float, float, bool]:
-    """``(lam_used, margin, nudged)``: ``lam`` shifted by steps of delta
-    (relative) until clear of the excluded values, its margin from them,
-    and whether it moved; gives up beyond NUDGE_STEPS steps."""
+def _nudge(lam: float, excluded: np.ndarray, delta: float) -> tuple[float, bool]:
+    """``(lam_used, nudged)``: ``lam`` shifted by steps of delta
+    (relative) until clear of the excluded values, and whether it moved;
+    gives up beyond NUDGE_STEPS steps."""
     for step in [0.0] + [sign * j for j in range(1, NUDGE_STEPS + 1) for sign in (1.0, -1.0)]:
         cand = _reach(lam, delta, step)
-        margin = relative_margin(cand, excluded)
-        if margin >= delta:
-            return cand, margin, step != 0.0
+        if relative_margin(cand, excluded) >= delta:
+            return cand, step != 0.0
     margin = relative_margin(lam, excluded)
     raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
 
@@ -319,8 +314,8 @@ def scan_identities(
     values = _scan_values(mesh, kind, order, lam_grid, delta)
 
     def one(lam: float):
-        lam_used, margin, nudged = _nudge(lam, values[2], delta)
-        rep = _verify(mesh, kind, lam_used, order, delta, values, margin, nudged)
+        lam_used, nudged = _nudge(lam, values[2], delta)
+        rep = _verify(mesh, kind, lam_used, order, delta, values, nudged)
         return {
             "lambda": rep.lam,
             "neg_count": rep.neg_count,
@@ -348,10 +343,9 @@ def scan_beta1(
     _, buckling, excluded = _scan_values(mesh, "liu", None, lam_grid, delta)
 
     def one(lam: float):
-        lam_used, _, nudged = _nudge(lam, excluded, delta)
+        lam_used, nudged = _nudge(lam, excluded, delta)
         # the operator's margin is from the buckling spectrum alone
-        margin = relative_margin(lam_used, buckling)
-        t = _trace(mesh, "liu", lam_used, None, delta, buckling, margin)
+        t = _trace(mesh, "liu", lam_used, None, delta, buckling)
         _, beta1, neg = trace_spectrum(t, 1)
         return {
             "lambda": lam_used,

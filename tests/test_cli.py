@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bucklab import cli, counterexample
 from bucklab.cli import main
+from bucklab.mesh import make_radial_grid
 
 
 def run_cli(args, tmp_path, capsys):
@@ -150,6 +154,9 @@ def test_spherecap_command(tmp_path, capsys):
     )
     assert len(lines) == 3
     assert (run_dir / "Lambda1.dat").exists()
+    # the reported values come from the 2 * nodes grid, so it is recorded
+    grids = json.loads((run_dir / "manifest.json").read_text())["hashes"]["grids"]
+    assert make_radial_grid(0.4, 48, "geometric").content_hash() in grids
     assert main(["report", "--run", str(run_dir)]) == 0
     report = capsys.readouterr().out
     # the '#' plot-hint line of a .dat file is not a data row
@@ -323,3 +330,14 @@ def test_manifest_started_before_finished(tmp_path, capsys, monkeypatch):
     assert meta["started_utc"] == "2023-11-14T22:13:20Z"
     assert meta["finished_utc"] == "2023-11-14T23:13:20Z"
     assert meta["started_utc"] < meta["finished_utc"]
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # only the disk oracle uses scipy.special, and no command calls it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, bucklab.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

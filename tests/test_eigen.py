@@ -68,15 +68,21 @@ def test_inertia_examples():
     i = inertia(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     assert (i.n_neg, i.n_zero, i.n_pos) == (1, 0, 1)
     assert sum(iter(i)) == 2
+    # a 2x2 pivot block beside a zero pivot
+    i = inertia(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert (i.n_neg, i.n_zero, i.n_pos) == (1, 1, 1)
 
 
 def test_inertia_agrees_with_eigensolver(rng):
-    a = random_symmetric(100, rng)
-    i = inertia(a)
-    w, _ = sym_gen_eigs(a, np.eye(100), 100)
-    assert i.n_neg == int(np.sum(w < 0))
-    assert i.n_zero == 0
-    assert i.n_neg + i.n_zero + i.n_pos == 100
+    generic = random_symmetric(100, rng)
+    # with a zero diagonal, Bunch-Kaufman takes many 2x2 pivot blocks
+    zero_diagonal = generic - np.diag(np.diag(generic))
+    for a in (generic, zero_diagonal):
+        i = inertia(a)
+        w, _ = sym_gen_eigs(a, np.eye(100), 100)
+        assert i.n_neg == int(np.sum(w < 0))
+        assert i.n_zero == 0
+        assert i.n_neg + i.n_zero + i.n_pos == 100
 
 
 def test_schur_by_hand():

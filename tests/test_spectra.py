@@ -79,15 +79,26 @@ def test_navier_matches_dirichlet(disk3, rect16):
 
 
 def test_disk_oracle_frozen_values():
-    d = disk_oracle("dirichlet", 3)
+    d = disk_oracle("dirichlet", 8)
     np.testing.assert_allclose(
-        d.values, [5.783186, 14.681971, 14.681971], atol=5e-6
+        d.values,
+        [5.783186, 14.681971, 14.681971, 26.374616, 26.374616, 30.471262,
+         40.706466, 40.706466],
+        atol=5e-6,
     )
-    n = disk_oracle("neumann", 3)
-    np.testing.assert_allclose(n.values, [0.0, 3.389957, 3.389957], atol=5e-6)
-    b = disk_oracle("buckling", 3)
+    n = disk_oracle("neumann", 8)
     np.testing.assert_allclose(
-        b.values, [14.681971, 26.374616, 26.374616], atol=5e-6
+        n.values,
+        [0.0, 3.389958, 3.389958, 9.328363, 9.328363, 14.681971, 17.649989,
+         17.649989],
+        atol=5e-6,
+    )
+    b = disk_oracle("buckling", 8)
+    np.testing.assert_allclose(
+        b.values,
+        [14.681971, 26.374616, 26.374616, 40.706466, 40.706466, 49.218456,
+         57.582941, 57.582941],
+        atol=5e-6,
     )
     with pytest.raises(SpectrumRangeError):
         disk_oracle("dirichlet", 51)
