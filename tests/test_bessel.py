@@ -1,59 +1,22 @@
+"""Bessel zeros behind the unit-disk oracles, against tabulated values."""
+
 import numpy as np
 import pytest
-from scipy import special
 
-from bucklab import SpectrumRangeError
-from bucklab.bessel import (
-    bessel_j,
-    bessel_j_zeros,
-    bessel_jp,
-    bessel_jp_zeros,
-)
-
-
-def test_values_against_scipy_grid():
-    xs = np.linspace(0.05, 40.0, 173)
-    for m in range(6):
-        mine = np.array([bessel_j(m, x) for x in xs])
-        ref = special.jv(m, xs)
-        np.testing.assert_allclose(mine, ref, atol=1e-12, rtol=1e-10)
-
-
-def test_derivative_against_scipy():
-    xs = np.linspace(0.1, 25.0, 57)
-    for m in range(4):
-        mine = np.array([bessel_jp(m, x) for x in xs])
-        ref = special.jvp(m, xs)
-        np.testing.assert_allclose(mine, ref, atol=1e-12, rtol=1e-10)
-
-
-def test_series_recurrence_agree_at_cutoff():
-    for m in range(5):
-        below = bessel_j(m, 11.999999)
-        above = bessel_j(m, 12.000001)
-        assert abs(below - above) < 1e-5  # continuity across the switch
-        assert abs(bessel_j(m, 12.0) - special.jv(m, 12.0)) < 1e-12
+from bucklab.spectra import disk_oracle
 
 
 def test_first_zeros_match_tabulated():
-    assert bessel_j_zeros(0, 3) == pytest.approx(
-        [2.404826, 5.520078, 8.653728], abs=5e-7
-    )
-    assert bessel_j_zeros(1, 1)[0] == pytest.approx(3.831706, abs=5e-7)
-    assert bessel_j_zeros(2, 1)[0] == pytest.approx(5.135622, abs=5e-7)
-    assert bessel_jp_zeros(1, 1)[0] == pytest.approx(1.841184, abs=5e-7)
-    # zeros of J0' are the zeros of J1
-    assert bessel_jp_zeros(0, 2) == pytest.approx(bessel_j_zeros(1, 2), abs=1e-10)
-
-
-def test_zeros_really_are_zeros():
-    for m in range(4):
-        for z in bessel_j_zeros(m, 4):
-            assert abs(bessel_j(m, z)) < 1e-11
-
-
-def test_range_guard():
-    with pytest.raises(SpectrumRangeError):
-        bessel_j_zeros(0, 100)
-    with pytest.raises(ValueError):
-        bessel_j(-1, 1.0)
+    # disk eigenvalues are squared zeros: take the roots back
+    d = np.sqrt(disk_oracle("dirichlet", 15).values)
+    n = np.sqrt(disk_oracle("neumann", 6).values)
+    b = np.sqrt(disk_oracle("buckling", 1).values)
+    # j_{0,1}, j_{0,2}, j_{0,3} (simple), j_{1,1}, j_{2,1} (doubled)
+    assert d[[0, 5, 14]] == pytest.approx([2.404826, 5.520078, 8.653728], abs=5e-7)
+    assert d[[1, 2]] == pytest.approx([3.831706, 3.831706], abs=5e-7)
+    assert d[[3, 4]] == pytest.approx([5.135622, 5.135622], abs=5e-7)
+    # j'_{1,1} (doubled)
+    assert n[[1, 2]] == pytest.approx([1.841184, 1.841184], abs=5e-7)
+    # zeros of J0' are the zeros of J1, and buckling starts at j_{1,1}
+    assert n[5] == pytest.approx(d[1], abs=1e-10)
+    assert b[0] == pytest.approx(d[1], abs=1e-10)
