@@ -21,13 +21,13 @@ chooses the regime from Lambda1 and passes the same pair to
 :func:`divergence_sweep` or :func:`bounded_below_check`. An eigenvector
 has no sign of its own, so both sign u1 by the perturbation (see
 :func:`_signed_ground`): their results do not depend on the solver's
-sign. The bounded regime keeps lambda clear of Lambda1 alone, which is
-certified smallest, and needs no other buckling eigenvalue. It factors
-the cached Navier trace pencil's shifted form once: that factor gives
-the Neumann-to-Laplacian operator, whose boundary-sized generalized
-eigenproblem is the one dense one left here, and lifts its minimizer
-to the interior.
-Every function here takes a Morley
+sign. The perturbation is the lift of unit normal derivatives through
+the cached Navier trace pencil at lambda = 0. The bounded regime keeps
+lambda clear of Lambda1 alone, which is certified smallest, and needs
+no other buckling eigenvalue. It factors the same pencil's shifted form
+once: that factor gives the Neumann-to-Laplacian operator, whose
+boundary-sized generalized eigenproblem is the one dense one left here,
+and lifts its minimizer to the interior. Every function here takes a Morley
 :class:`~bucklab.assembly.OperatorPair`.
 """
 from __future__ import annotations
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorPair
-from .eigen import DEFAULT_ZERO_TOL, schur_and_lift, sym_gen_eigs, sym_solve
+from .eigen import DEFAULT_ZERO_TOL, schur_and_lift, sym_gen_eigs
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
-from .spectra import free_dofs, pencil_matrices, smallest_eigenpairs
+from .spectra import free_dofs, smallest_eigenpairs
 from .traceops import trace_pencil
 
 DENOMINATOR_FLOOR = 1e-14
@@ -69,7 +69,6 @@ class DivergenceReport:
     lambda1_buckling: float
     alpha: float
     alpha_pencil: float
-    grad_energy: float
     samples: tuple[QuotientSample, ...]
     fitted_slope: float
     slope_stderr: float
@@ -117,17 +116,18 @@ def alpha_pencil(lambda1: float, lam: float, u1: np.ndarray, pair: OperatorPair)
 def make_perturbation(pair: OperatorPair) -> np.ndarray:
     """Bending-energy minimizer with zero boundary values and unit
     boundary normal derivative DOFs; its boundary normal mass equals
-    the mesh perimeter, giving the sweep a fixed positive denominator."""
-    free = free_dofs(pair, "buckling")
-    g = np.zeros(pair.dofmap.n_dofs)
-    g[pair.dofmap.boundary_normal_dofs()] = 1.0
-    rhs = -(pair.fourth_order_matrix() @ g)[free]
+    the mesh perimeter, giving the sweep a fixed positive denominator.
+    It is ``-F_cc^{-1} F_cb 1``, the lift of unit normal derivatives
+    through the Navier trace pencil at lambda = 0; a singular F_cc
+    raises :class:`MeshError`."""
+    pencil = trace_pencil(pair.mesh, "liu", None)
     try:
-        sol = sym_solve(pencil_matrices(pair, "buckling", free)[0], rhs)
+        _, lift = schur_and_lift(pencil.form.at(0.0), DEFAULT_ZERO_TOL)
     except SingularBlockError as exc:
         raise MeshError(f"perturbation solve failed: {exc}") from exc
-    h = g.copy()
-    h[free] = sol
+    ones = np.ones(len(pencil.boundary_dofs))
+    h = np.zeros(pair.dofmap.n_dofs)
+    h[pencil.dofs] = np.concatenate([lift(ones), ones])
     return h
 
 
@@ -204,7 +204,6 @@ def divergence_sweep(
         lambda1_buckling=lambda1,
         alpha=alpha,
         alpha_pencil=alpha_pencil(lambda1, lam, u1, pair),
-        grad_energy=float(u1 @ pair.k_grad @ u1),
         samples=samples,
         fitted_slope=float(slope),
         slope_stderr=float(stderr),
@@ -221,8 +220,8 @@ def _trace_minimizer(pair: OperatorPair, lam: float) -> tuple[float, np.ndarray,
     The factor is freed on return."""
     pencil = trace_pencil(pair.mesh, "liu", None)
     q = pencil.form.at(lam)
-    s, lift = schur_and_lift(q, DEFAULT_ZERO_TOL)
-    w, vecs = sym_gen_eigs(s, pencil.boundary_mass, 1)
+    schur, lift = schur_and_lift(q, DEFAULT_ZERO_TOL)
+    w, vecs = sym_gen_eigs(schur.matrix, pencil.boundary_mass, 1)
     psi = vecs[:, 0]
     v = np.concatenate([lift(psi), psi])  # in the pencil's row order
     v /= np.linalg.norm(v)

@@ -1,4 +1,4 @@
-"""Symmetric eigenvalue, inertia, solve and Schur-complement kernel.
+"""Symmetric eigenvalue, inertia and Schur-complement kernel.
 
 Assembled forms arrive as scipy sparse (CSC) matrices; boundary-sized
 trace operators, 1D cap forms and test matrices arrive dense. This is
@@ -9,18 +9,19 @@ Dense generalized eigenproblems are solved through the Cholesky factor
 of the mass matrix (LAPACK's standard path). The few smallest
 eigenpairs of a sparse pencil come from shift-invert Lanczos
 (:func:`sparse_smallest_eigs`), certified by inertia, with the dense
-path as its fallback. Inertia, solves, Schur complements and the
-shift-invert operator of sparse matrices use one checked SuperLU
-factorization in symmetric mode (:func:`_checked_factor`): a symmetric
-fill-reducing ordering and diagonal pivots only, so P A P^T = L U with
-U = D L^T, and inertia(A) = inertia(D) by Sylvester's law. Unlike Bunch-Kaufman this factorization never pivots
+path as its fallback. Inertia counts, Schur complements with their
+lifts and the shift-invert operator of sparse matrices use one checked
+SuperLU factorization in symmetric mode (:func:`_checked_factor`): a
+symmetric fill-reducing ordering and diagonal pivots only, so
+P A P^T = L U with U = D L^T, and inertia(A) = inertia(D) by
+Sylvester's law. Unlike Bunch-Kaufman this factorization never pivots
 for stability, so it is trusted only when the row and column
 permutations agree, every pivot exceeds ``zero_tol * max|A|`` and the
 factor shows no large element growth. Otherwise the dense path decides:
-LDL^T with Bunch-Kaufman 1x1/2x2 pivots for inertia, then a dense solve,
-exactly as for dense input, or the dense eigensolver for a Lanczos
-result that fails its certificate. ``solver_path_counts`` reports how
-many sparse factorizations and Lanczos solves took each path.
+LDL^T with Bunch-Kaufman 1x1/2x2 pivots for inertia, exactly as for
+dense input, or the dense eigensolver for a Lanczos result that fails
+its certificate. ``solver_path_counts`` reports how many sparse
+factorizations and Lanczos solves took each path.
 
 The Schur complement takes a matrix Q stored boundary-last, interior
 DOFs first in a fill-reducing order and boundary DOFs last: a pencil
@@ -32,13 +33,14 @@ factorization, and S = L_bb U_bb is read off the boundary block of that
 factor. Q is factored in its own order, and the factor is trusted only
 if SuperLU kept that order, so S and the lift need no re-indexing. The
 interior part of the factor passes the pivot and growth checks, so one
-factorization both certifies that Q_ii is nonsingular and gives S, and the Haynsworth additivity
-inertia(Q) = inertia(Q_ii) + inertia(S) holds as an exact integer
-identity whenever they pass. The boundary part, the LDL^T of S, passes
-the same growth bound but no pivot-size test, since S may be nearly
-singular. The same factor lifts boundary values to the interior
-(:func:`schur_and_lift`). A point that fails either part goes to the
-dense path, which beyond ``MAX_DENSE_DOFS`` interior rows raises
+factorization certifies that Q_ii is nonsingular and gives S, neg(Q_ii)
+(the interior pivot signs) and neg(S) (the boundary pivot signs), and
+the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
+as an exact integer identity whenever they pass. The boundary part, the
+LDL^T of S, passes the same growth bound but no pivot-size test, since
+S may be nearly singular. The same factor lifts boundary values to the
+interior (:func:`schur_and_lift`). A point that fails either part goes
+to the dense path, which beyond ``MAX_DENSE_DOFS`` interior rows raises
 :class:`SizeLimitError`.
 """
 from __future__ import annotations
@@ -82,15 +84,10 @@ _PATH_LOCK = threading.Lock()
 _PATH_COUNTS = {"sparse_ldlt": 0, "dense_fallback": 0}
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     n_neg: int
     n_zero: int
     n_pos: int
-    zero_tol: float
-
-    def __iter__(self):
-        return iter((self.n_neg, self.n_zero, self.n_pos))
 
 
 def solver_path_counts() -> dict[str, int]:
@@ -356,55 +353,26 @@ def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
     a = _require_symmetric(a, "A")
     n = a.shape[0]
     if n == 0:
-        return Inertia(0, 0, 0, zero_tol)
+        return Inertia(0, 0, 0)
     if sp.issparse(a):
         if a.nnz == 0:
-            return Inertia(0, n, 0, zero_tol)
+            return Inertia(0, n, 0)
         fac = _checked_factor(a, n, "MMD_AT_PLUS_A", zero_tol)
         _count_path(fac is not None)
         if fac is not None:
             pivots = fac.pivots
-            return Inertia(int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)), zero_tol)
+            return Inertia(int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)))
         a = _dense(a, "A")
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
-        return Inertia(0, n, 0, zero_tol)
+        return Inertia(0, n, 0)
     _, d, _ = sla.ldl(a)
     ev = sla.eigvalsh_tridiagonal(np.diag(d), np.diag(d, -1))
     thresh = zero_tol * scale
     n_neg = int(np.sum(ev < -thresh))
     n_pos = int(np.sum(ev > thresh))
     n_zero = n - n_neg - n_pos
-    return Inertia(n_neg, n_zero, n_pos, zero_tol)
-
-
-def _nonsingular_solver(a, zero_tol: float):
-    """Solve function for symmetric ``a`` (sparse or dense), after checking
-    through the same factorization that ``a`` is nonsingular.
-
-    Sparse input whose checked LDL^T is trusted is solved from that
-    factor. Otherwise the dense path checks regularity by Bunch-Kaufman
-    inertia and solves densely. Raises :class:`SingularBlockError`.
-    """
-    if sp.issparse(a) and a.nnz:
-        fac = _checked_factor(a, a.shape[0], "MMD_AT_PLUS_A", zero_tol)
-        _count_path(fac is not None)
-        if fac is not None:
-            return fac.lu.solve
-    a = _dense(a, "A")
-    if inertia(a, zero_tol).n_zero:
-        raise SingularBlockError("interior block is singular at this parameter")
-    return lambda rhs: sla.solve(a, rhs, assume_a="sym")
-
-
-def sym_solve(a, rhs: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
-    """x with A x = rhs for a symmetric, nonsingular A (sparse or dense).
-
-    Raises :class:`SingularBlockError` when A is singular by the
-    inertia test of :func:`inertia`.
-    """
-    a = _require_symmetric(a, "A")
-    return _nonsingular_solver(a, zero_tol)(np.asarray(rhs, dtype=np.float64))
+    return Inertia(n_neg, n_zero, n_pos)
 
 
 def fill_order(a) -> np.ndarray:
@@ -519,29 +487,44 @@ def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
     return BoundaryLastPencil(*fields[:3], len(interior), *fields[3:])
 
 
-def schur_complement(q: BoundaryLastMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
-    """S = Q_bb - Q_bi Q_ii^{-1} Q_ib of a symmetric Q stored
-    boundary-last (a :class:`BoundaryLastMatrix`, ``pencil.at(lam)``), as
-    a dense array over Q's boundary DOFs in Q's order. The interior block
-    must be nonsingular, otherwise :class:`SingularBlockError` is raised.
-    See :func:`schur_and_lift`, which this is without the lift."""
+class SchurComplement(NamedTuple):
+    """S = Q_bb - Q_bi Q_ii^{-1} Q_ib of a symmetric Q, dense over Q's
+    boundary DOFs, with neg(S) and neg(Q_ii) read off the factorization
+    that produced S (:func:`schur_and_lift`)."""
+
+    matrix: np.ndarray
+    n_neg: int
+    n_neg_interior: int
+
+
+def schur_complement(q: BoundaryLastMatrix,
+                     zero_tol: float = DEFAULT_ZERO_TOL) -> SchurComplement:
+    """The :class:`SchurComplement` of a symmetric Q stored boundary-last
+    (a :class:`BoundaryLastMatrix`, ``pencil.at(lam)``), in Q's boundary
+    order. The interior block must be nonsingular, otherwise
+    :class:`SingularBlockError` is raised. See :func:`schur_and_lift`,
+    which this is without the lift."""
     return schur_and_lift(q, zero_tol)[0]
 
 
 def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
-    """``(S, lift)``: :func:`schur_complement` of ``q``, and the function
-    ``lift(psi) = -Q_ii^{-1} Q_ib psi`` that extends boundary values
-    ``psi`` to the interior DOFs (in Q's order) so that the interior rows
-    of Q vanish, both from one factorization.
+    """``(schur, lift)``: the :class:`SchurComplement` of ``q``, and the
+    function ``lift(psi) = -Q_ii^{-1} Q_ib psi`` that extends boundary
+    values ``psi`` to the interior DOFs (in Q's order) so that the
+    interior rows of Q vanish, both from one factorization.
 
     Q is factored once in its own order by :func:`_checked_factor`, and
-    S = L_bb U_bb is read off the boundary block of that factor. Since
+    S = L_bb U_bb is read off the boundary block of that factor. Its
+    pivots count neg(Q_ii) (the negative interior ones) and neg(S) (the
+    boundary ones below ``-zero_tol * max|S|``: a smaller one bounds an
+    eigenvalue of S that the dense count takes as zero). Since
     Q_ii = L_ii U_ii and Q_ib = L_ii U_ib, the lift is one triangular
-    solve U_ii y = -U_ib psi in Q's order. When a check of the
-    factor fails, the interior block's Bunch-Kaufman inertia decides
-    regularity and a dense solve X = Q_ii^{-1} Q_ib gives both
-    S = Q_bb - Q_ib^T X and the lift -X psi; that densifies Q_ii, so
-    beyond ``MAX_DENSE_DOFS`` interior rows a failed check raises
+    solve U_ii y = -U_ib psi in Q's order. When a check of the factor
+    fails, the interior block's Bunch-Kaufman inertia decides regularity
+    and gives neg(Q_ii), a dense solve X = Q_ii^{-1} Q_ib gives both
+    S = Q_bb - Q_ib^T X and the lift -X psi, and neg(S) is the
+    Bunch-Kaufman inertia of S; that densifies Q_ii, so beyond
+    ``MAX_DENSE_DOFS`` interior rows a failed check raises
     :class:`SizeLimitError`. The lift holds U (or X) until it is dropped.
     """
     d, ni = q.data, q.n_interior
@@ -550,15 +533,23 @@ def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
     fac = _checked_factor(q, ni, "NATURAL", zero_tol)
     _count_path(fac is not None)
     if fac is None:
-        solve = _nonsingular_solver(_dense(q[:ni, :ni], "Q_ii"), zero_tol)
+        q_ii = _dense(q[:ni, :ni], "Q_ii")
+        interior = inertia(q_ii, zero_tol)
+        if interior.n_zero:
+            raise SingularBlockError("interior block is singular at this parameter")
         q_ib = _dense(q[:ni, ni:], "Q_ib")
-        x = solve(q_ib)
+        x = sla.solve(q_ii, q_ib, assume_a="sym")
         s = _dense(q[ni:, ni:], "Q_bb") - q_ib.T @ x
-        return 0.5 * (s + s.T), lambda psi: -(x @ psi)
+        s = 0.5 * (s + s.T)
+        schur = SchurComplement(s, inertia(s, zero_tol).n_neg, interior.n_neg)
+        return schur, lambda psi: -(x @ psi)
     u = fac.u  # the lift holds U, not the SuperLU object
     s = fac.l[ni:, ni:].toarray() @ u[ni:, ni:].toarray()
+    s = 0.5 * (s + s.T)
+    schur = SchurComplement(s, int(np.sum(fac.pivots[ni:] < -zero_tol * _max_abs(s))),
+                            int(np.sum(fac.pivots[:ni] < 0)))
 
     def lift(psi):
         return spla.spsolve_triangular(u[:ni, :ni], -(u[:ni, ni:] @ psi), lower=False)
 
-    return 0.5 * (s + s.T), lift
+    return schur, lift

@@ -13,7 +13,8 @@ shift-invert Lanczos on the checked sparse factor, never densified
 unless a check fails. They serve :func:`spectrum`, the clamped ground
 state of :mod:`bucklab.counterexample`, and :func:`pencil_eigenvalues`,
 the spectrum prefix up to a bound from which the identity scans count
-eigenvalues and measure margins. Assembled pairs and spectrum prefixes
+eigenvalues and measure margins; its size is one inertia count of the
+pencil shifted to the bound. Assembled pairs and spectrum prefixes
 are memoized per mesh content hash, which covers every mesh field
 assembly reads; each cache keeps its few most recently used entries
 (:func:`lru_get`, :func:`lru_put`).
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify_dofs
-from .eigen import sparse_smallest_eigs
+from .eigen import inertia, sparse_smallest_eigs
 from .errors import MeshError, SpectrumRangeError
 from .mesh import Mesh
 
@@ -36,8 +37,6 @@ ORACLE_COUNT_CAP = 50
 #: mesh, and a command at a new radius would otherwise add its own for
 #: the life of the process
 CACHE_SIZE = 4
-# values in the first spectrum prefix of a pencil; each extension doubles
-_PREFIX_START = 16
 
 # problem -> (pair kind, classify_dofs condition or None when every DOF
 # is free, OperatorPair attributes of the pencil's A and B)
@@ -96,9 +95,8 @@ def lru_put(cache: dict, key, value, size: int = CACHE_SIZE):
 
 
 _PAIR_CACHE: dict[tuple, OperatorPair] = {}
-# (mesh hash, problem, pair kind) -> (ascending prefix, whether it is the
-# whole spectrum)
-_PREFIX_CACHE: dict[tuple, tuple[np.ndarray, bool]] = {}
+# (mesh hash, problem, pair kind) -> ascending prefix
+_PREFIX_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
@@ -159,30 +157,30 @@ def pencil_eigenvalues(
     nearest one above it, and it answers counts and margins there as the
     full spectrum would.
 
-    The prefix comes from :func:`smallest_eigenpairs`, 16 values first,
-    doubled until the last one exceeds ``upto``. It is memoized per mesh
-    content hash, problem and pair kind and only ever extended, so a
-    smaller ``upto`` is served from the cache. There is no default
-    bound: asking for the whole spectrum of a large mesh is a request
-    for n eigenvalues.
+    The prefix is sized by one inertia count: ``m`` eigenvalues lie at
+    or below ``upto``, the negative and zero count of A - upto B, and
+    one :func:`smallest_eigenpairs` call computes ``m + 1`` values (all
+    of them when that is the whole spectrum). It is memoized per mesh
+    content hash, problem and pair kind, so a smaller ``upto`` is served
+    from the cache and a larger one is counted and solved once more.
+    There is no default bound: asking for the whole spectrum of a large
+    mesh is a request for n eigenvalues.
     """
     if not np.isfinite(upto):
         raise ValueError(f"upto must be finite, got {upto!r}")
     pair = pencil_pair(mesh, problem, order)
+    free = free_dofs(pair, problem)
     key = (mesh.content_hash(), problem, pair.dofmap.kind)
     cached = lru_get(_PREFIX_CACHE, key)
-    if cached is not None and (cached[1] or cached[0][-1] > upto):
-        return cached[0]
-    n = len(free_dofs(pair, problem))
-    count = _PREFIX_START if cached is None else 2 * len(cached[0])
-    while True:
-        count = min(count, n)
-        vals = smallest_eigenpairs(pair, problem, count)[0]
-        if count == n or vals[-1] > upto:
-            break
-        count *= 2
+    if cached is not None and (cached[-1] > upto or len(cached) == len(free)):
+        return cached
+    a, b = pencil_matrices(pair, problem, free)
+    below = inertia(a - upto * b)
+    del a, b  # the Lanczos solve slices its own pencil; two copies would raise the peak
+    count = min(below.n_neg + below.n_zero + 1, len(free))
+    vals = smallest_eigenpairs(pair, problem, count)[0]
     vals.setflags(write=False)
-    return lru_put(_PREFIX_CACHE, key, (vals, count == n))[0]
+    return lru_put(_PREFIX_CACHE, key, vals)
 
 
 # ---------------------------------------------------------------------------

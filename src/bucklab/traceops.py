@@ -12,22 +12,22 @@ with A and B on one shared sparse pattern and the DOF of each row
 recorded. At each lambda :func:`bucklab.eigen.schur_complement` factors
 that pencil's shifted form once (a checked sparse LDL^T, with the dense
 Bunch-Kaufman path as fallback) and returns the boundary block of the
-factor as a dense matrix. Nothing here keeps a factor past its point;
-the bounded regime of :mod:`bucklab.counterexample` lifts its trace
-minimizer from the same factor.
+factor as a dense matrix, with neg(S) and neg(Q_ii) from its pivots.
+Nothing here keeps a factor past its point; :mod:`bucklab.counterexample`
+lifts its fields from the same kind of factor.
 
 Because Schur elimination and inertia obey Haynsworth additivity
 exactly, neg(trace operator) = N_outer(lambda) - N_inner(lambda), a
 difference of counting functions of pencils assembled from the same
 matrices; ``verify_identity`` checks that integer identity point by
-point and ``scan_identities`` sweeps it over a parameter grid. The
-counts N and the margins from the excluded spectra are read off
-certified spectrum prefixes (:func:`bucklab.spectra.pencil_eigenvalues`)
-that reach past the largest lambda a point may use; a scan computes them
-once, before its sweep. No step forms an n x n matrix unless a factor
-check fails, and a scan point whose failed factor is too large to
-densify is skipped with its reason, as points too close to an excluded
-eigenvalue are.
+point, and neg(Q_ii) = N_inner(lambda) with it, and ``scan_identities``
+sweeps it over a parameter grid. The counts N and the margins from the
+excluded spectra are read off certified spectrum prefixes
+(:func:`bucklab.spectra.pencil_eigenvalues`) that reach past the largest
+lambda a point may use; a scan computes them once, before its sweep. No
+step forms an n x n matrix unless a factor check fails, and a scan point
+whose failed factor is too large to densify is skipped with its reason,
+as points too close to an excluded eigenvalue are.
 """
 from __future__ import annotations
 
@@ -38,12 +38,11 @@ import numpy as np
 from .eigen import (
     BoundaryLastPencil,
     boundary_last_pencil,
-    inertia,
     retain_factor_workspace,
     schur_complement,
     sym_gen_eigs,
 )
-from .errors import ExcludedSpectrumError, SingularBlockError, SizeLimitError
+from .errors import BucklabError, ExcludedSpectrumError, SingularBlockError, SizeLimitError
 from .mesh import Mesh
 from .runio import SweepResult, run_sweep
 from .spectra import (
@@ -76,7 +75,9 @@ class TraceOperator:
 
     ``matrix`` and ``boundary_mass`` are dense: both are boundary-sized
     (the Schur complement of the sparse shifted form and the boundary
-    mass)."""
+    mass). ``n_neg`` is neg(matrix) and ``n_neg_interior`` neg(Q_ii) of
+    the eliminated block, both read off the factor that produced the
+    matrix."""
 
     kind: str  # "dtn" | "ntl"
     lam: float
@@ -85,6 +86,8 @@ class TraceOperator:
     source: str
     margin: float
     boundary_dofs: np.ndarray
+    n_neg: int
+    n_neg_interior: int
 
 
 @dataclass(frozen=True)
@@ -235,27 +238,26 @@ def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
         raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
     pencil = trace_pencil(mesh, kind, order)
     try:
-        s = schur_complement(pencil.form.at(lam))
+        schur = schur_complement(pencil.form.at(lam))
     except SingularBlockError:
         raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
     except SizeLimitError as exc:
         raise SizeLimitError(
             f"lambda={lam:.12g}: the sparse factor failed a check and {exc}"
         ) from None
-    return TraceOperator(name, lam, s, pencil.boundary_mass, mesh.content_hash(), margin,
-                         pencil.boundary_dofs)
+    return TraceOperator(name, lam, schur.matrix, pencil.boundary_mass, mesh.content_hash(),
+                         margin, pencil.boundary_dofs, schur.n_neg, schur.n_neg_interior)
 
 
 def trace_spectrum(t: TraceOperator, k: int | None = None) -> tuple[Spectrum, float, int]:
     """Eigenvalues of (matrix, boundary_mass), the smallest one, and the
-    negative count from coordinate inertia (the mass is positive
+    negative count of the matrix from its factor (the mass is positive
     definite, so the counts agree)."""
     n = len(t.matrix)
     if k is None:
         k = n
     w, _ = sym_gen_eigs(t.matrix, t.boundary_mass, k)
-    neg = inertia(t.matrix).n_neg
-    return Spectrum(t.kind, w, t.source), float(w[0]), neg
+    return Spectrum(t.kind, w, t.source), float(w[0]), t.n_neg
 
 
 def verify_identity(
@@ -268,7 +270,9 @@ def verify_identity(
 
     All counts come from pencils on the same mesh and matrices, so the
     identity is an exact integer statement. Counting needs ``lam`` to
-    clear both pencils' spectra, not just the interior block.
+    clear both pencils' spectra, not just the interior block. The
+    eliminated block is the inner pencil's shifted form: when its count
+    neg(Q_ii) differs from N_inner(lam), :class:`BucklabError` is raised.
     """
     values = _excluded_values(mesh, kind, order, _reach(lam, delta))
     return _verify(mesh, kind, lam, order, delta, values)
@@ -282,8 +286,11 @@ def _verify(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
     t = _trace(mesh, kind, lam, order, delta, excluded)
     lhs = int(np.sum(outer < lam))
     rhs = int(np.sum(inner < lam))
-    neg = inertia(t.matrix).n_neg
-    return IdentityReport(kind, lam, neg, lhs, rhs, neg == lhs - rhs, t.margin, nudged)
+    if t.n_neg_interior != rhs:
+        raise BucklabError(f"lambda={lam:.12g}: neg(Q_ii)={t.n_neg_interior} from the Schur "
+                           f"factor, rhs={rhs} from the inner spectrum prefix")
+    return IdentityReport(kind, lam, t.n_neg, lhs, rhs, t.n_neg == lhs - rhs, t.margin,
+                          nudged)
 
 
 def _nudge(lam: float, excluded: np.ndarray, delta: float) -> tuple[float, bool]:

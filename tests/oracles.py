@@ -40,6 +40,18 @@ def dense_schur(q, interior, boundary) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
+def dense_perturbation(pair) -> np.ndarray:
+    """The bending-energy minimizer with zero boundary values and unit
+    boundary normal derivatives on a Morley ``pair``, by one dense LAPACK
+    solve F_cc h_c = -F_cb 1 on the clamped free DOFs."""
+    free = free_dofs(pair, "buckling")
+    h = np.zeros(pair.dofmap.n_dofs)
+    h[pair.dofmap.boundary_normal_dofs()] = 1.0
+    f = pair.fourth_order_matrix().toarray()
+    h[free] = sla.solve(f[np.ix_(free, free)], -(f @ h)[free], assume_a="sym")
+    return h
+
+
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
     """Symmetric eigenvalues by cyclic Jacobi rotations.
 

@@ -19,6 +19,8 @@ from bucklab.counterexample import alpha_pencil
 from bucklab.eigen import solver_path_counts
 from bucklab.spectra import get_pair
 
+from oracles import dense_perturbation
+
 
 @pytest.fixture(scope="module")
 def disk3_pair(disk3):
@@ -58,6 +60,13 @@ def test_perturbation_contract(disk3, disk3_pair):
     bending = h @ disk3_pair.a_bend @ h
     assert np.isfinite(bending)
     assert bending > 0
+
+
+def test_perturbation_matches_dense_solve(disk3_pair):
+    """The lift through the Navier trace pencil at lambda = 0 is the
+    clamped solve with unit normal derivatives."""
+    h = make_perturbation(disk3_pair)
+    np.testing.assert_allclose(h, dense_perturbation(disk3_pair), rtol=0, atol=1e-12)
 
 
 def test_quotient_markers_and_samples(disk3_pair, ground):
@@ -124,7 +133,7 @@ def test_bounded_below_regime(disk3_pair, ground):
 def test_bounded_regime_factors_navier_form_once(disk3_pair, ground):
     """The bounded regime's trace operator and its lifted minimizer come
     from one sparse factorization of the Navier shifted form Q; the only
-    other factorization is the perturbation's clamped solve."""
+    other factorization is the perturbation's lift, at lambda = 0."""
     before = solver_path_counts()
     make_perturbation(disk3_pair)
     perturbation = solver_path_counts()["sparse_ldlt"] - before["sparse_ldlt"]

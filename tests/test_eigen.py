@@ -13,7 +13,7 @@ from bucklab import (
     schur_complement,
     sym_gen_eigs,
 )
-from bucklab.eigen import solver_path_counts, sparse_smallest_eigs, sym_solve
+from bucklab.eigen import solver_path_counts, sparse_smallest_eigs
 from bucklab.spectra import pencil_eigenvalues
 from bucklab.traceops import relative_margin, trace_pencil
 
@@ -87,13 +87,13 @@ def test_inertia_agrees_with_eigensolver(rng):
 
 def test_schur_by_hand():
     q = np.array([[1.0, 2.0], [2.0, 1.0]])
-    s = schur_complement(_boundary_last(q, np.array([0]), np.array([1])))
+    s = schur_complement(_boundary_last(q, np.array([0]), np.array([1]))).matrix
     np.testing.assert_allclose(s, [[-3.0]], atol=1e-14)
 
     block = np.zeros((4, 4))
     block[:2, :2] = np.array([[2.0, 1.0], [1.0, 2.0]])
     block[2:, 2:] = np.array([[5.0, -1.0], [-1.0, 4.0]])
-    s = schur_complement(_boundary_last(block, np.array([0, 1]), np.array([2, 3])))
+    s = schur_complement(_boundary_last(block, np.array([0, 1]), np.array([2, 3]))).matrix
     np.testing.assert_allclose(s, block[2:, 2:], atol=1e-14)
 
 
@@ -117,7 +117,7 @@ def test_schur_partition_checked(sparse):
     for boundary in ([-1], [5], [0]):
         with pytest.raises(ValueError, match="partition"):
             eigen.boundary_last_pencil(q, q, [0], boundary)
-    np.testing.assert_allclose(schur_complement(_boundary_last(q, [0], [1])), [[1.5]],
+    np.testing.assert_allclose(schur_complement(_boundary_last(q, [0], [1])).matrix, [[1.5]],
                                rtol=1e-15)
 
 
@@ -163,14 +163,16 @@ def test_haynsworth_additivity_exact(rng):
         perm = rng.permutation(n)
         interior, boundary = perm[:split], perm[split:]
         try:
-            s = schur_complement(_boundary_last(q, interior, boundary))
+            schur = schur_complement(_boundary_last(q, interior, boundary))
         except SingularBlockError:
             continue
         full = inertia(q)
         inner = inertia(q[np.ix_(interior, interior)])
-        outer = inertia(s)
+        outer = inertia(schur.matrix)
         assert full.n_neg == inner.n_neg + outer.n_neg
         assert full.n_pos == inner.n_pos + outer.n_pos
+        # the counts read off the factor that produced S
+        assert (schur.n_neg, schur.n_neg_interior) == (outer.n_neg, inner.n_neg)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -236,8 +238,6 @@ def test_sparse_singular_interior_raises():
     for q in (rank_one, zero_block):
         with pytest.raises(SingularBlockError):
             schur_complement(_boundary_last(sp.csc_array(q), np.array([0, 1]), np.array([2])))
-    with pytest.raises(SingularBlockError):
-        sym_solve(sp.csc_array(rank_one[:2, :2]), np.ones(2))
 
 
 class _Postordered:
@@ -283,7 +283,8 @@ def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
     monkeypatch.setattr(eigen.spla, "splu",
                         lambda a, **kwargs: _Permuted(splu, a, perm, **kwargs))
     before = solver_path_counts()
-    s, lift = eigen.schur_and_lift(q, eigen.DEFAULT_ZERO_TOL)
+    schur, lift = eigen.schur_and_lift(q, eigen.DEFAULT_ZERO_TOL)
+    s = schur.matrix
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["dense_fallback"] == before["dense_fallback"] + 1
@@ -321,7 +322,7 @@ def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, m
     interior = np.array(interior)
     boundary = np.setdiff1d(np.arange(len(dense)), interior)
     before = solver_path_counts()
-    s = schur_complement(_boundary_last(sp.csc_array(dense), interior, boundary))
+    s = schur_complement(_boundary_last(sp.csc_array(dense), interior, boundary)).matrix
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["dense_fallback"] == before["dense_fallback"] + 1
@@ -348,7 +349,7 @@ def test_boundary_growth_beyond_dense_cap_raises(monkeypatch):
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["dense_fallback"] == before["dense_fallback"] + 1
     monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", ni)
-    s = schur_complement(q)
+    s = schur_complement(q).matrix
     np.testing.assert_allclose(s, [[1e-8, 1.0], [1.0, 1.0]], rtol=1e-7)
 
 
@@ -362,7 +363,7 @@ def test_nearly_singular_schur_stays_sparse(disk2):
     lam = mu * (1.0 + 1e-10)
     q = trace_pencil(disk2, "liu", None).form.at(lam)
     before = solver_path_counts()
-    s = schur_complement(q)
+    s = schur_complement(q).matrix
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"] + 1
     assert after["dense_fallback"] == before["dense_fallback"]

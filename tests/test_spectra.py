@@ -285,3 +285,38 @@ def test_prefix_counts_and_nearest_match_dense(request, mesh_name, problem, monk
 def test_prefix_bound_is_required(disk2):
     with pytest.raises(TypeError):
         pencil_eigenvalues(disk2, "dirichlet", 2)
+
+
+def test_prefix_sized_by_one_inertia_count(disk3, monkeypatch):
+    """A prefix is one inertia count at ``upto`` and one Lanczos solve for
+    one value more than it counts: on disk level 3, the Neumann prefixes
+    past 25 and then past 61 make one ``smallest_eigenpairs`` call each,
+    and the second holds N(61) + 1 = 20 values."""
+    dense = dense_pencil_eigenvalues(disk3, "neumann", 2)
+    counts = []
+    solve = spectra.smallest_eigenpairs
+
+    def counted(pair, problem, count):
+        counts.append(count)
+        return solve(pair, problem, count)
+
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    monkeypatch.setattr(spectra, "smallest_eigenpairs", counted)
+    for upto in (25.0, 61.0):
+        prefix = pencil_eigenvalues(disk3, "neumann", 2, upto=upto)
+        assert counts[-1] == len(prefix) == np.sum(dense < upto) + 1
+        assert prefix[-1] > upto
+    assert len(counts) == 2
+    assert len(prefix) == 20
+
+
+def test_prefix_bound_at_the_neumann_zero(disk2, monkeypatch):
+    """At ``upto`` on the Neumann zero, A - upto B is singular: its count
+    takes the zero eigenvalue as one at ``upto``, and the prefix is that
+    value and the next, which lies above ``upto``."""
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
+    assert len(zero) == 2 and zero[-1] > 0.0
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    at_value = pencil_eigenvalues(disk2, "neumann", 2, upto=float(zero[0]))
+    assert len(at_value) == 2 and at_value[-1] > zero[0]

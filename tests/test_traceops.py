@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bucklab import (
+    BucklabError,
     ExcludedSpectrumError,
     make_disk_mesh,
     inertia,
@@ -107,7 +108,7 @@ def test_exact_haynsworth_triple(disk2):
     pencil = boundary_last_pencil(pair.k_grad, pair.mass, idofs, bdofs)
     for lam in (3.0, 12.0, 27.0):
         q = pair.k_grad - lam * pair.mass
-        s = schur_complement(pencil.at(lam))
+        s = schur_complement(pencil.at(lam)).matrix
         assert (
             inertia(s).n_neg + inertia(q[np.ix_(idofs, idofs)]).n_neg
             == inertia(q).n_neg
@@ -302,7 +303,7 @@ def test_haynsworth_at_disk_level_5():
         tracemalloc.start()
         try:
             q = trace_pencil(mesh, kind).form.at(lam)
-            s = schur_complement(q)
+            s = schur_complement(q).matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -385,3 +386,44 @@ def test_pencil_cache_keeps_the_most_recently_used(disk2, monkeypatch):
     assert len(kept) == 2 and kept[0] is liu and kept[1] is other
     assert trace_pencil(disk2, "friedlander", 2) is not friedlander
     assert list(traceops._PENCIL_CACHE.values())[0] is other
+
+
+@pytest.mark.parametrize("mesh_name", ["disk2", "disk3", "rect16"])
+@pytest.mark.parametrize("kind", ["friedlander", "liu"])
+def test_schur_counts_match_dense_inertia(request, mesh_name, kind, force_dense_fallback):
+    """neg(S) read off the pivots of the factor that produced S equals the
+    Bunch-Kaufman count of S, and neg(Q_ii) read off the same factor
+    equals the dense fallback's count of Q_ii, over a lambda sweep; with
+    every sparse factor refused, the dense path gives the same counts."""
+    mesh = request.getfixturevalue(mesh_name)
+    excluded = traceops._excluded_values(mesh, kind, 2, 61.0)[2]
+    form = trace_pencil(mesh, kind).form
+    lams = [lam for lam in np.linspace(0.5, 60.0, 6) if relative_margin(lam, excluded) >= 1e-3]
+    assert len(lams) >= 4
+    for lam in lams:
+        q = form.at(lam)
+        sparse = schur_complement(q)
+        with force_dense_fallback():
+            dense = schur_complement(q)
+        assert sparse.n_neg == inertia(sparse.matrix).n_neg == dense.n_neg
+        assert sparse.n_neg_interior == dense.n_neg_interior
+
+
+def test_haynsworth_mismatch_raises(disk2, tmp_path, monkeypatch, capsys):
+    """When the inner spectrum prefix lacks a value, the eliminated
+    block's pivot count differs from the prefix's count: the scan raises,
+    naming lambda, neg(Q_ii) and rhs, never records a skip, and
+    ``identity-scan`` exits 1."""
+    prefix = traceops.pencil_eigenvalues
+
+    def lacking_first_buckling(mesh, problem, order=None, *, upto):
+        values = prefix(mesh, problem, order, upto=upto)
+        return values[1:] if problem == "buckling" else values
+
+    monkeypatch.setattr(traceops, "pencil_eigenvalues", lacking_first_buckling)
+    with pytest.raises(BucklabError, match=r"lambda=20: .*neg\(Q_ii\)=1 .*rhs=0"):
+        scan_identities(disk2, "liu", [1.0, 20.0])
+    code = main(["identity-scan", "--domain", "disk", "--refine", "2", "--kind", "liu",
+                 "--points", "4", "--run-root", str(tmp_path)])
+    assert code == 1
+    assert "neg(Q_ii)=1" in capsys.readouterr().err
