@@ -22,10 +22,10 @@ chooses the regime from Lambda1 and passes the same pair to
 has no sign of its own, so both sign u1 by the perturbation (see
 :func:`_signed_ground`): their results do not depend on the solver's
 sign. The perturbation is the lift of unit normal derivatives through
-the cached Navier trace pencil at lambda = 0. The bounded regime keeps
-lambda clear of Lambda1 alone, which is certified smallest, and needs
-no other buckling eigenvalue. It factors the same pencil's shifted form
-once: that factor gives the Neumann-to-Laplacian operator, whose
+the fourth-order form at lambda = 0. The bounded regime keeps lambda
+clear of Lambda1 alone, which is certified smallest, and needs no other
+buckling eigenvalue. It factors the cached Navier trace pencil's shifted
+form once: that factor gives the Neumann-to-Laplacian operator, whose
 boundary-sized generalized eigenproblem is the one dense one left here,
 and lifts its minimizer to the interior. Every function here takes a Morley
 :class:`~bucklab.assembly.OperatorPair`.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorPair
-from .eigen import DEFAULT_ZERO_TOL, schur_and_lift, sym_gen_eigs
+from .eigen import DEFAULT_ZERO_TOL, lift_to_interior, schur_and_lift, sym_gen_eigs
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
 from .spectra import free_dofs, smallest_eigenpairs
 from .traceops import trace_pencil
@@ -117,17 +117,17 @@ def make_perturbation(pair: OperatorPair) -> np.ndarray:
     """Bending-energy minimizer with zero boundary values and unit
     boundary normal derivative DOFs; its boundary normal mass equals
     the mesh perimeter, giving the sweep a fixed positive denominator.
-    It is ``-F_cc^{-1} F_cb 1``, the lift of unit normal derivatives
-    through the Navier trace pencil at lambda = 0; a singular F_cc
-    raises :class:`MeshError`."""
-    pencil = trace_pencil(pair.mesh, "liu", None)
+    It is ``-F_cc^{-1} F_cb 1``, the lift of unit normal derivatives to
+    the clamped free DOFs (:func:`~bucklab.eigen.lift_to_interior`); a
+    singular F_cc raises :class:`MeshError`."""
+    free = free_dofs(pair, "buckling")
+    normal = pair.dofmap.boundary_normal_dofs()
+    h = np.zeros(pair.dofmap.n_dofs)
+    h[normal] = 1.0
     try:
-        _, lift = schur_and_lift(pencil.form.at(0.0), DEFAULT_ZERO_TOL)
+        h[free] = lift_to_interior(pair.fourth_order_matrix(), free, normal, h[normal])
     except SingularBlockError as exc:
         raise MeshError(f"perturbation solve failed: {exc}") from exc
-    ones = np.ones(len(pencil.boundary_dofs))
-    h = np.zeros(pair.dofmap.n_dofs)
-    h[pencil.dofs] = np.concatenate([lift(ones), ones])
     return h
 
 

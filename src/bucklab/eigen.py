@@ -41,7 +41,8 @@ LDL^T of S, passes the same growth bound but no pivot-size test, since
 S may be nearly singular. The same factor lifts boundary values to the
 interior (:func:`schur_and_lift`). A point that fails either part goes
 to the dense path, which beyond ``MAX_DENSE_DOFS`` interior rows raises
-:class:`SizeLimitError`.
+:class:`SizeLimitError`. A single lift, with no S wanted, is one factor
+of the interior block alone (:func:`lift_to_interior`).
 """
 from __future__ import annotations
 
@@ -75,6 +76,11 @@ _LANCZOS_EXTRA = 3
 # half this distance from either value: far above the Lanczos error and
 # far enough from the spectrum for the checked factor to be trusted.
 _GAP_RTOL = 1e-3
+# Steps, relative to the size of the eigenvalues, by which pencil_count
+# moves a bound on which A - t B is singular within the zero tolerance:
+# 1e-6 clears the pivot test at the Neumann zero and the first buckling
+# and Navier values of the disk at refine 6, where 1e-7 does not.
+_COUNT_NUDGES = (1e-6, 1e-4, 1e-2)
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -375,6 +381,27 @@ def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
     return Inertia(n_neg, n_zero, n_pos)
 
 
+def pencil_count(a, b, upto: float, scale: float,
+                 zero_tol: float = DEFAULT_ZERO_TOL) -> int:
+    """``m``, the number of eigenvalues of the sparse pencil (A, B) at or
+    below a bound t >= ``upto``, so that the ``m + 1`` smallest hold every
+    value up to ``upto`` and the next one above it: the negative pivots
+    of the checked factor of A - t B. At t = ``upto`` on an eigenvalue
+    that factor fails its pivot test, so t moves up by each step of
+    ``_COUNT_NUDGES`` times ``max(|upto|, scale)`` in turn. If every
+    factor fails, the dense count at ``upto`` decides, its zero
+    eigenvalues counted as at or below."""
+    for nudge in (0.0, *_COUNT_NUDGES):
+        q = _require_symmetric(a - (upto + nudge * max(abs(upto), scale)) * b, "A - t B")
+        fac = _checked_factor(q, q.shape[0], "MMD_AT_PLUS_A", zero_tol)
+        if fac is not None:
+            _count_path(True)
+            return int(np.sum(fac.pivots < 0))
+    _count_path(False)
+    below = inertia(_dense(a - upto * b, "A - t B"), zero_tol)
+    return below.n_neg + below.n_zero
+
+
 def fill_order(a) -> np.ndarray:
     """Fill-reducing elimination order of a symmetric sparse matrix:
     ``a[np.ix_(order, order)]`` factors with little fill in its natural
@@ -553,3 +580,24 @@ def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
         return spla.spsolve_triangular(u[:ni, :ni], -(u[:ni, ni:] @ psi), lower=False)
 
     return schur, lift
+
+
+def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndarray,
+                     zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """The lift ``-A_ii^{-1} A_ib psi`` of :func:`schur_and_lift` for a
+    symmetric sparse A given by index sets: one checked factor of A_ii in
+    a fill-reducing order, without the boundary-last copy of A (whose
+    order costs a factorization of its own) or S. On a failed check,
+    A_ii's Bunch-Kaufman inertia decides regularity and a dense solve
+    gives the lift; a singular A_ii raises :class:`SingularBlockError`."""
+    a = _require_symmetric(a, "A")
+    a_ii = a[np.ix_(interior, interior)]
+    rhs = -(a[np.ix_(interior, boundary)] @ psi)
+    fac = _checked_factor(a_ii, len(interior), "MMD_AT_PLUS_A", zero_tol)
+    _count_path(fac is not None)
+    if fac is not None:
+        return fac.lu.solve(rhs)
+    a_ii = _dense(a_ii, "A_ii")
+    if inertia(a_ii, zero_tol).n_zero:
+        raise SingularBlockError("interior block is singular at this parameter")
+    return sla.solve(a_ii, rhs, assume_a="sym")

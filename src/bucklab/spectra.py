@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify_dofs
-from .eigen import inertia, sparse_smallest_eigs
+from .eigen import pencil_count, sparse_smallest_eigs
 from .errors import MeshError, SpectrumRangeError
 from .mesh import Mesh
 
@@ -158,8 +158,9 @@ def pencil_eigenvalues(
     full spectrum would.
 
     The prefix is sized by one inertia count: ``m`` eigenvalues lie at
-    or below ``upto``, the negative and zero count of A - upto B, and
-    one :func:`smallest_eigenpairs` call computes ``m + 1`` values (all
+    or below ``upto``, or below a bound just above it when ``upto`` is
+    on an eigenvalue (:func:`~bucklab.eigen.pencil_count`), and one
+    :func:`smallest_eigenpairs` call computes ``m + 1`` values (all
     of them when that is the whole spectrum). It is memoized per mesh
     content hash, problem and pair kind, so a smaller ``upto`` is served
     from the cache and a larger one is counted and solved once more.
@@ -175,9 +176,8 @@ def pencil_eigenvalues(
     if cached is not None and (cached[-1] > upto or len(cached) == len(free)):
         return cached
     a, b = pencil_matrices(pair, problem, free)
-    below = inertia(a - upto * b)
+    count = min(pencil_count(a, b, upto, 1.0 / mesh.area()) + 1, len(free))
     del a, b  # the Lanczos solve slices its own pencil; two copies would raise the peak
-    count = min(below.n_neg + below.n_zero + 1, len(free))
     vals = smallest_eigenpairs(pair, problem, count)[0]
     vals.setflags(write=False)
     return lru_put(_PREFIX_CACHE, key, vals)

@@ -279,6 +279,18 @@ def test_identity_scan_at_refine_5(tmp_path, capsys, kind):
     assert meta["solver"]["dense_fallback"] == 0
 
 
+def test_identity_scan_bound_on_the_neumann_zero_at_refine_5(tmp_path, capsys):
+    """Points at -0.5 and -0.011 put the spectrum-prefix bound on the
+    Neumann zero; beyond the dense cap it is counted at a nudged bound."""
+    code, out, _ = run_cli(
+        ["identity-scan", "--domain", "disk", "--refine", "5", "--kind", "friedlander",
+         "--points", "2", "--lmin", "-0.5", "--lmax", "-0.011"],
+        tmp_path, capsys,
+    )
+    assert code == 0
+    assert "all_hold=true points=2 skips=0" in out
+
+
 def test_repeated_identity_scan_builds_no_mesh(tmp_path, monkeypatch):
     """A second identical command in one process reuses the memoized
     mesh and writes the same table."""

@@ -62,11 +62,13 @@ def test_perturbation_contract(disk3, disk3_pair):
     assert bending > 0
 
 
-def test_perturbation_matches_dense_solve(disk3_pair):
-    """The lift through the Navier trace pencil at lambda = 0 is the
-    clamped solve with unit normal derivatives."""
+def test_perturbation_matches_dense_solve(disk3_pair, force_dense_fallback):
+    """The lift of unit normal derivatives is the dense clamped solve, on
+    the sparse factor of F_cc and on the dense fallback alike."""
     h = make_perturbation(disk3_pair)
     np.testing.assert_allclose(h, dense_perturbation(disk3_pair), rtol=0, atol=1e-12)
+    with force_dense_fallback():
+        np.testing.assert_allclose(make_perturbation(disk3_pair), h, rtol=0, atol=1e-12)
 
 
 def test_quotient_markers_and_samples(disk3_pair, ground):

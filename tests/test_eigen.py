@@ -13,7 +13,7 @@ from bucklab import (
     schur_complement,
     sym_gen_eigs,
 )
-from bucklab.eigen import solver_path_counts, sparse_smallest_eigs
+from bucklab.eigen import lift_to_interior, solver_path_counts, sparse_smallest_eigs
 from bucklab.spectra import pencil_eigenvalues
 from bucklab.traceops import relative_margin, trace_pencil
 
@@ -235,9 +235,12 @@ def test_sparse_singular_interior_raises():
     rank_one[2, 2] = 1.0
     zero_block = np.zeros((3, 3))
     zero_block[2, 2] = 1.0
+    interior, boundary = np.array([0, 1]), np.array([2])
     for q in (rank_one, zero_block):
         with pytest.raises(SingularBlockError):
-            schur_complement(_boundary_last(sp.csc_array(q), np.array([0, 1]), np.array([2])))
+            schur_complement(_boundary_last(sp.csc_array(q), interior, boundary))
+        with pytest.raises(SingularBlockError):
+            lift_to_interior(sp.csc_array(q), interior, boundary, np.ones(1))
 
 
 class _Postordered:

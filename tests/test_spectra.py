@@ -320,3 +320,17 @@ def test_prefix_bound_at_the_neumann_zero(disk2, monkeypatch):
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     at_value = pencil_eigenvalues(disk2, "neumann", 2, upto=float(zero[0]))
     assert len(at_value) == 2 and at_value[-1] > zero[0]
+
+
+def test_prefix_bound_at_the_neumann_zero_beyond_the_dense_cap(disk2, monkeypatch):
+    """With the dense cap below the free DOFs, a bound on an eigenvalue
+    is still counted: the checked factor of A - upto B fails its pivot
+    test at the Neumann zero, and a count at a bound nudged above it sizes
+    the same prefix, with no dense fallback."""
+    n = len(spectra.free_dofs(pencil_pair(disk2, "neumann", 2), "neumann"))
+    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n - 1)
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    before = solver_path_counts()
+    zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
+    assert len(zero) == 2 and zero[-1] > 0.0
+    assert solver_path_counts()["dense_fallback"] == before["dense_fallback"]
