@@ -350,7 +350,7 @@ def _cmd_report(args) -> int:
     print(f"params: {json.dumps(meta['params'], sort_keys=True)}")
     if meta.get("solver"):
         paths = " ".join(f"{k}={v}" for k, v in sorted(meta["solver"].items()))
-        print(f"factorizations: {paths}")
+        print(f"solver: {paths}")
     ok = True
     for name in meta.get("outputs", []):
         path = run_dir / name

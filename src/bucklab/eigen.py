@@ -8,8 +8,9 @@ beyond ``MAX_DENSE_DOFS`` rows.
 Dense generalized eigenproblems are solved through the Cholesky factor
 of the mass matrix (LAPACK's standard path). The few smallest
 eigenpairs of a sparse pencil come from shift-invert Lanczos
-(:func:`sparse_smallest_eigs`), certified by inertia, with the dense
-path as its fallback. Inertia counts, Schur complements with their
+(:func:`sparse_smallest_eigs`), certified by inertia, rerun at a tighter
+tolerance when the certificate fails, with the dense path as its
+fallback. Inertia counts, Schur complements with their
 lifts and the shift-invert operator of sparse matrices use one checked
 SuperLU factorization in symmetric mode (:func:`_checked_factor`): a
 symmetric fill-reducing ordering and diagonal pivots only, so
@@ -70,6 +71,14 @@ _MAX_GROWTH = 1e6
 # Lanczos computes this many values beyond those asked for, so that a
 # multiple eigenvalue split by the count is still followed by a gap.
 _LANCZOS_EXTRA = 3
+# ARPACK's relative residual tolerance, first try and retry. A Ritz
+# value's error is about the square of its residual over the gap, so at
+# 1e-10 the values already agree with those of tol=0 (machine epsilon)
+# to rounding, and the iterations tol=0 adds change only the vectors, by
+# about 1e-10. A result that fails its certificate at 1e-10 is solved
+# again at 0, as it was before the tolerance was set, before the dense
+# fallback decides.
+_LANCZOS_TOLS = (1e-10, 0.0)
 # Two Ritz values are separated by a clear gap when they differ by more
 # than this, relative to the larger one in magnitude. The certifying
 # inertia count is taken at the gap's midpoint, which is then at least
@@ -87,7 +96,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 _PATH_LOCK = threading.Lock()
-_PATH_COUNTS = {"sparse_ldlt": 0, "dense_fallback": 0}
+_PATH_COUNTS = {"sparse_ldlt": 0, "dense_fallback": 0, "lanczos_retry": 0}
 
 
 class Inertia(NamedTuple):
@@ -101,7 +110,9 @@ def solver_path_counts() -> dict[str, int]:
     ``sparse_ldlt`` (checked SuperLU factor trusted) or ``dense_fallback``
     (a check failed and the dense Bunch-Kaufman path ran instead). A
     Lanczos solve that the dense eigensolver replaces after its factor
-    was trusted counts once more in ``dense_fallback``."""
+    was trusted counts once more in ``dense_fallback``; ``lanczos_retry``
+    counts the Lanczos solves rerun at ARPACK's default tolerance after
+    the first one failed (see :func:`sparse_smallest_eigs`)."""
     with _PATH_LOCK:
         return dict(_PATH_COUNTS)
 
@@ -207,14 +218,17 @@ def sparse_smallest_eigs(a, b, count: int, sigma: float) -> tuple[np.ndarray, np
     sparse LDL^T of A - sigma B must be positive, which certifies it by
     Sylvester's law. ARPACK then runs on (A - sigma B)^{-1} B with that
     factor, from a fixed start vector so that results are reproducible,
-    for a few more values than ``count``. The result is certified as in
-    Grimes, Lewis & Simon (SIAM J. Matrix Anal. Appl. 15, 1994): at the
-    midpoint of the first clear gap between Ritz values at or after
-    position ``count - 1``, the inertia of A - mid B must count exactly
-    the Ritz values below the midpoint, so no eigenvalue was missed,
-    not even one copy of a multiple one. When any check fails the
-    dense :func:`sym_gen_eigs` answers, which refuses beyond
-    ``MAX_DENSE_DOFS`` rows.
+    for a few more values than ``count``, to relative residual 1e-10.
+    The result is certified as in Grimes, Lewis & Simon (SIAM J. Matrix
+    Anal. Appl. 15, 1994): at the midpoint of the first clear gap between
+    Ritz values at or after position ``count - 1``, the inertia of
+    A - mid B must count exactly the Ritz values below the midpoint, so
+    no eigenvalue was missed, not even one copy of a multiple one. When
+    ARPACK fails or the certificate does, ARPACK runs once more on the
+    same factor at its default tolerance (machine epsilon), under the
+    same certificate; only when that fails too does the dense
+    :func:`sym_gen_eigs` answer, which refuses beyond ``MAX_DENSE_DOFS``
+    rows.
     """
     a = _require_symmetric(a, "A")
     b = _require_symmetric(b, "B")
@@ -245,22 +259,25 @@ def _lanczos_smallest(a, b, count: int, sigma: float):
     op_inv = spla.LinearOperator((n, n), matvec=fac.lu.solve, dtype=np.float64)
     del fac  # ARPACK needs the solver alone, not the fetched copies of L and U
     v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        w, v = spla.eigsh(a, k=nev, M=b, sigma=sigma, OPinv=op_inv, v0=v0)
-    except spla.ArpackError:
-        _count_path(False)
-        return None
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
-    gap = next(
-        (j for j in range(count - 1, len(w) - 1)
-         if w[j + 1] - w[j] > _GAP_RTOL * max(abs(w[j]), abs(w[j + 1]))),
-        None,
-    )
-    if gap is None or inertia(a - 0.5 * (w[gap] + w[gap + 1]) * b).n_neg != gap + 1:
-        _count_path(False)
-        return None
-    return w[:count], v[:, :count]
+    for retry, tol in enumerate(_LANCZOS_TOLS):
+        if retry:
+            with _PATH_LOCK:
+                _PATH_COUNTS["lanczos_retry"] += 1
+        try:
+            w, v = spla.eigsh(a, k=nev, M=b, sigma=sigma, OPinv=op_inv, v0=v0, tol=tol)
+        except spla.ArpackError:
+            continue
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+        gap = next(
+            (j for j in range(count - 1, len(w) - 1)
+             if w[j + 1] - w[j] > _GAP_RTOL * max(abs(w[j]), abs(w[j + 1]))),
+            None,
+        )
+        if gap is not None and inertia(a - 0.5 * (w[gap] + w[gap + 1]) * b).n_neg == gap + 1:
+            return w[:count], v[:, :count]
+    _count_path(False)
+    return None
 
 
 class _Factor(NamedTuple):

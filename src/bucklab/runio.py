@@ -95,7 +95,8 @@ class RunManifest:
     finished_utc: str = ""
     outputs: list[str] = field(default_factory=list)
     # sparse factorizations of the run by path taken (sparse_ldlt or
-    # dense_fallback); kept out of the CSVs, which hold results only
+    # dense_fallback) and Lanczos retries (lanczos_retry); kept out of
+    # the CSVs, which hold results only
     solver: dict = field(default_factory=dict)
 
     def to_json(self) -> str:

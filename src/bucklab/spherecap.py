@@ -21,11 +21,20 @@ energy is infinite but quadrature-finite, which wrecks convergence of
 the fourth-order eigenvalues.)
 
 Every eigensolve goes through :meth:`CapOperators.smallest`, the one
-call of the dense generalized eigensolver here. A scan point builds one
-grid per resolution, ``nodes`` and ``2 * nodes`` intervals, and computes
-all four quantities (lambda1, lambda2, mu2, Lambda1) on it; a change of
-more than ``CAUCHY_TOL`` relative in any of them under this node
-doubling sets the point's ``resolution_warning``.
+call of the dense generalized eigensolver here. The merge of the
+second-order spectra over modes 0..modes stops before mode m >= 2 once,
+for every boundary condition asked for, the k-th merged value so far is
+at most the smallest value of mode m - 1. That is exact (Courant-Fischer):
+for m >= 1 the free DOFs are the same, M_m does not depend on m and
+K_m' - K_m = (m'^2 - m^2) W with W = int uv / sin positive semidefinite,
+so no later mode has a value below that of mode m - 1. A k = 2 merge
+thus solves modes 0 and 1 only. The fourth-order buckling value keeps
+every mode: its pencil (A_m, K_m) has no such ordering in m.
+
+A scan point builds one grid per resolution, ``nodes`` and ``2 * nodes``
+intervals, and computes all four quantities (lambda1, lambda2, mu2,
+Lambda1) on it; a change of more than ``CAUCHY_TOL`` relative in any of
+them under this node doubling sets the point's ``resolution_warning``.
 """
 from __future__ import annotations
 
@@ -192,15 +201,26 @@ def cap_operators(grid: RadialGrid, m: int, order: str) -> CapOperators:
 
 def _merged_spectra(grid: RadialGrid, bcs: tuple[str, ...], modes: int, k: int) -> list[Spectrum]:
     """:func:`cap_spectrum` on ``grid`` for each boundary condition in
-    ``bcs``, from one operator build per mode."""
+    ``bcs``, from one operator build per mode, up to the first mode that
+    cannot enter the k smallest (see the module docstring)."""
     if modes < 2:
         raise ValueError("need modes >= 2 for a faithful merge")
     vals: dict[str, list[float]] = {bc: [] for bc in bcs}
+    lowest: dict[str, float] = {}  # smallest value of the last mode solved
     for m in range(modes + 1):
+        # For m' > m - 1 >= 1 the free DOFs and M_m are the same and
+        # K_m' - K_{m-1} = (m'^2 - (m-1)^2) W, W = int uv / sin >= 0, so by
+        # Courant-Fischer no value of mode m or later lies below the
+        # smallest of mode m - 1: once that is no less than the k-th merged
+        # value for every bc, the k smallest are settled.
+        if m >= 2 and all(len(v) >= k and sorted(v)[k - 1] <= lowest[bc]
+                          for bc, v in vals.items()):
+            break
         ops = cap_operators(grid, m, "second")
         for bc in bcs:
             # each mode contributes at most k of the smallest k merged
             w, _, _ = ops.smallest(bc, k)
+            lowest[bc] = float(w[0])
             vals[bc].extend(float(x) for x in w for _ in range(1 if m == 0 else 2))
     count = min(len(v) for v in vals.values())
     if k > count:

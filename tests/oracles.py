@@ -4,6 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from bucklab.spectra import free_dofs, pencil_matrices, pencil_pair
+from bucklab.spherecap import cap_operators
 
 _PENCIL_SPECTRA = {}
 
@@ -50,6 +51,17 @@ def dense_perturbation(pair) -> np.ndarray:
     f = pair.fourth_order_matrix().toarray()
     h[free] = sla.solve(f[np.ix_(free, free)], -(f @ h)[free], assume_a="sym")
     return h
+
+
+def full_cap_merge(grid, bc: str, modes: int, k: int) -> np.ndarray:
+    """The k smallest punctured-sphere values of ``bc`` on ``grid``,
+    merged over every azimuthal mode 0..modes (m >= 1 doubled), with no
+    mode left out."""
+    vals = []
+    for m in range(modes + 1):
+        w = cap_operators(grid, m, "second").smallest(bc, k)[0]
+        vals.extend(float(x) for x in w for _ in range(1 if m == 0 else 2))
+    return np.array(sorted(vals)[:k])
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:

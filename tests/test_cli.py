@@ -175,6 +175,7 @@ def test_report_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "command: spectrum" in out
     assert "spectrum.csv" in out
+    assert "solver: dense_fallback=0 lanczos_retry=0 sparse_ldlt=" in out
 
     incomplete = tmp_path / "runs" / "broken"
     incomplete.mkdir()
@@ -259,7 +260,8 @@ def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys,
         assert paths["sparse_ldlt"] > 0 and paths["dense_fallback"] == 0
         with force_dense_fallback():
             csv_dense, forced = scan("forced", kind)
-        assert forced == {"sparse_ldlt": 0, "dense_fallback": paths["sparse_ldlt"]}
+        assert forced == {"sparse_ldlt": 0, "dense_fallback": paths["sparse_ldlt"],
+                          "lanczos_retry": 0}
         assert csv_dense == csv_sparse
     capsys.readouterr()
 

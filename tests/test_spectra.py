@@ -224,8 +224,44 @@ def test_lanczos_certificate_catches_a_missed_value(disk2, problem, monkeypatch)
     before = solver_path_counts()
     w, _, _ = smallest_eigenpairs(pair, problem, 3)
     after = solver_path_counts()
+    assert after["lanczos_retry"] == before["lanczos_retry"] + 1
     assert after["dense_fallback"] == before["dense_fallback"] + 1
     assert np.array_equal(w, sym_gen_eigs(a, b, 3)[0])
+
+
+@pytest.mark.parametrize("problem, count, forced", [
+    ("dirichlet", 3, True),
+    ("buckling", 3, True),
+    # these fail the certificate at tolerance 1e-10 without any help
+    ("neumann", 11, False),
+    ("navier", 25, False),
+])
+def test_lanczos_retries_before_the_dense_fallback(disk2, problem, count, forced,
+                                                   monkeypatch):
+    """A Lanczos result that fails its certificate at ARPACK tolerance
+    1e-10 (``forced``: every such run drops its smallest Ritz pair) is
+    solved again at tolerance 0 on the same factor, which certifies it:
+    the values of a plain tolerance-0 solve, one retry, no dense
+    fallback."""
+    pair = pencil_pair(disk2, problem, 2)
+    with monkeypatch.context() as m:
+        m.setattr(eigen, "_LANCZOS_TOLS", (0.0,))
+        plain = smallest_eigenpairs(pair, problem, count)[0]
+    if forced:
+        real_eigsh = eigen.spla.eigsh
+
+        def drops_smallest(*args, tol=0.0, **kwargs):
+            w, v = real_eigsh(*args, tol=tol, **kwargs)
+            keep = np.argsort(w)[1 if tol > 0 else 0:]
+            return w[keep], v[:, keep]
+
+        monkeypatch.setattr(eigen.spla, "eigsh", drops_smallest)
+    before = solver_path_counts()
+    w, _, _ = smallest_eigenpairs(pair, problem, count)
+    after = solver_path_counts()
+    assert after["lanczos_retry"] == before["lanczos_retry"] + 1
+    assert after["dense_fallback"] == before["dense_fallback"]
+    assert np.array_equal(w, plain)
 
 
 def test_level5_spectrum_and_ground_state_stay_sparse():

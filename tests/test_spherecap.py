@@ -13,6 +13,8 @@ from bucklab import spherecap
 from bucklab.quadrature import gauss_on_interval
 from bucklab.spherecap import cap_buckling_lambda1_via_modes
 
+from oracles import full_cap_merge
+
 
 def mode_eigs(eps, m, n, bc, k, order="second"):
     grid = make_radial_grid(eps, n, "geometric")
@@ -159,8 +161,10 @@ def test_buckling_cross_discretization_hemisphere():
 
 def test_scan_point_one_grid_per_resolution_one_solve_site(monkeypatch):
     """A scan point builds one grid at ``nodes`` and one at ``2 * nodes``
-    intervals, and solves the Dirichlet, Neumann and clamped pencils of
-    every mode on each, every solve through CapOperators.smallest."""
+    intervals, and solves on each the clamped pencils of every mode and
+    the Dirichlet and Neumann pencils of modes 0 and 1 (no later mode
+    can enter the two smallest merged values), every solve through
+    CapOperators.smallest."""
     modes, grids, solves = 3, [], {"smallest": 0, "inside": 0, "all": 0}
     make_grid, solve, smallest = (spherecap.make_radial_grid, spherecap.sym_gen_eigs,
                                   spherecap.CapOperators.smallest)
@@ -186,7 +190,23 @@ def test_scan_point_one_grid_per_resolution_one_solve_site(monkeypatch):
     scan = cap_scan([0.2], n_nodes=16, modes=modes)
     assert len(scan.records) == 1
     assert grids == [16, 32]
-    assert solves == {key: 6 * (modes + 1) for key in solves}
+    assert solves == {key: 2 * (2 * 2 + modes + 1) for key in solves}
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("nodes", [16, 64])
+def test_merge_stop_changes_no_value(eps, nodes):
+    """The merge that stops at the first mode unable to enter gives the
+    same bits as solving every mode."""
+    grid = make_radial_grid(eps, nodes, "geometric")
+    for modes in (2, 4, 6):
+        for k in (1, 2, 3, 6, 9):
+            both = spherecap._merged_spectra(grid, ("dirichlet", "neumann"), modes, k)
+            for spec in both:
+                full = full_cap_merge(grid, spec.problem, modes, k)
+                assert np.array_equal(spec.values, full)
+                alone = spherecap._merged_spectra(grid, (spec.problem,), modes, k)[0]
+                assert np.array_equal(alone.values, full)
 
 
 def test_cap_scan_contract():
