@@ -20,7 +20,7 @@ import numpy as np
 
 from . import counterexample as cex
 from . import runio, spherecap, traceops
-from .eigen import MAX_DENSE_DOFS, solver_path_counts
+from .eigen import MAX_DENSE_DOFS, ZERO_TOL, solver_path_counts
 from .errors import BucklabError, ConfigError
 from .mesh import Mesh, make_disk_mesh, make_radial_grid, make_rectangle_mesh
 from .runio import RunManifest, SweepResult, fmt
@@ -192,7 +192,9 @@ def _cmd_spectrum(args) -> int:
     tables = {"spectrum.csv": "\n".join(rows) + "\n"}
     run_dir = _finish("spectrum", params, tables,
                       {"mesh": mesh.content_hash()}, args)
-    values = " ".join(f"{v:.6g}" for v in spec.values)
+    # a value within the zero tolerance is rounding noise; the CSV keeps it
+    floor = ZERO_TOL * np.max(np.abs(spec.values))
+    values = " ".join("0" if abs(v) <= floor else f"{v:.6g}" for v in spec.values)
     print(f"{spec.problem} spectrum: {values}")
     print(f"run_dir={run_dir}")
     return 0
@@ -210,10 +212,11 @@ def _cmd_identity_scan(args) -> int:
     tables.update(_skips_table(result))
     run_dir = _finish("identity-scan", params, tables,
                       {"mesh": mesh.content_hash()}, args)
-    print(
-        f"all_hold={fmt(result.summary['all_hold'])} "
-        f"points={len(result.records)} skips={len(result.skips)}"
-    )
+    points, skips = len(result.records), len(result.skips)
+    if points:
+        print(f"all_hold={fmt(result.summary['all_hold'])} points={points} skips={skips}")
+    else:
+        print(f"all_hold=null points=0 skips={skips} (no point verified)")
     print(f"run_dir={run_dir}")
     return 0
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import OperatorPair
-from .eigen import DEFAULT_ZERO_TOL, lift_to_interior, schur_and_lift, sym_gen_eigs
+from .eigen import lift_to_interior, schur_and_lift, sym_gen_eigs
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
 from .spectra import free_dofs, smallest_eigenpairs
 from .traceops import trace_pencil
@@ -220,7 +220,7 @@ def _trace_minimizer(pair: OperatorPair, lam: float) -> tuple[float, np.ndarray,
     The factor is freed on return."""
     pencil = trace_pencil(pair.mesh, "liu", None)
     q = pencil.form.at(lam)
-    schur, lift = schur_and_lift(q, DEFAULT_ZERO_TOL)
+    schur, lift = schur_and_lift(q)
     w, vecs = sym_gen_eigs(schur.matrix, pencil.boundary_mass, 1)
     psi = vecs[:, 0]
     v = np.concatenate([lift(psi), psi])  # in the pencil's row order

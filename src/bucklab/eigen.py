@@ -17,7 +17,7 @@ symmetric fill-reducing ordering and diagonal pivots only, so
 P A P^T = L U with U = D L^T, and inertia(A) = inertia(D) by
 Sylvester's law. Unlike Bunch-Kaufman this factorization never pivots
 for stability, so it is trusted only when the row and column
-permutations agree, every pivot exceeds ``zero_tol * max|A|`` and the
+permutations agree, every pivot exceeds ``ZERO_TOL * max|A|`` and the
 factor shows no large element growth. Otherwise the dense path decides:
 LDL^T with Bunch-Kaufman 1x1/2x2 pivots for inertia, exactly as for
 dense input, or the dense eigensolver for a Lanczos result that fails
@@ -59,14 +59,15 @@ import scipy.sparse.linalg as spla
 
 from .errors import BucklabError, SingularBlockError, SizeLimitError
 
-DEFAULT_ZERO_TOL = 1e-9
+#: pivots and eigenvalues within this of zero, relative to max|A|, count as zero
+ZERO_TOL = 1e-9
 _SYM_RTOL = 1e-12
 #: densifying a sparse matrix with more rows than this raises SizeLimitError
 MAX_DENSE_DOFS = 6000
 # Largest accepted element growth max(max|L|, max|U| / max|A|) of an
 # unpivoted sparse factor. Its backward error is about machine epsilon
 # times the growth times max|A|, so up to 1e6 it stays near 1e-10 max|A|,
-# below the default zero tolerance; beyond it, pivot signs may be wrong.
+# below ``ZERO_TOL``; beyond it, pivot signs may be wrong.
 _MAX_GROWTH = 1e6
 # Lanczos computes this many values beyond those asked for, so that a
 # multiple eigenvalue split by the count is still followed by a gap.
@@ -249,7 +250,7 @@ def _lanczos_smallest(a, b, count: int, sigma: float):
     if nev >= n:  # ARPACK needs nev < n; such a pencil is tiny anyway
         _count_path(False)
         return None
-    fac = _checked_factor(a - sigma * b, n, "MMD_AT_PLUS_A", DEFAULT_ZERO_TOL)
+    fac = _checked_factor(a - sigma * b, n, "MMD_AT_PLUS_A")
     _count_path(fac is not None)
     if fac is None:
         return None
@@ -290,7 +291,7 @@ class _Factor(NamedTuple):
     pivots: np.ndarray
 
 
-def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str, zero_tol: float):
+def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str):
     """One SuperLU factorization of the symmetric canonical CSC matrix
     ``a`` in symmetric mode (diagonal pivots only), as a :class:`_Factor`,
     or None when it cannot be trusted.
@@ -308,7 +309,7 @@ def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str, zero_tol: float):
 
     The factor is trusted only when the row and column permutations
     agree (an LDL^T), SuperLU kept the given order if it was asked to,
-    every interior pivot exceeds ``zero_tol * max|Q_ii|``, and the
+    every interior pivot exceeds ``ZERO_TOL * max|Q_ii|``, and the
     interior columns of L and rows of U show no element growth beyond
     ``_MAX_GROWTH`` relative to max|Q_ii|. Then Q_ii is nonsingular and
     inertia(Q_ii) is the signs of the interior pivots, so the Haynsworth
@@ -338,7 +339,7 @@ def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str, zero_tol: float):
         return None  # SuperLU did not keep the given order
     l, u = lu.L, lu.U
     pivots = u.diagonal()
-    if np.min(np.abs(pivots[:ni])) <= zero_tol * scale_ii:
+    if np.min(np.abs(pivots[:ni])) <= ZERO_TOL * scale_ii:
         return None
     # L's boundary columns hold rows >= ni only, U's interior columns rows
     # < ni only; U's boundary columns hold both
@@ -363,15 +364,15 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if len(values) else 0.0
 
 
-def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
+def inertia(a) -> Inertia:
     """Signs of the spectrum of a symmetric matrix, read off an LDL^T factor.
 
     Sparse input: signs of the pivots of the checked sparse LDL^T, whose
-    pivots all exceed ``zero_tol * max|A|``. Dense input, or a sparse
+    pivots all exceed ``ZERO_TOL * max|A|``. Dense input, or a sparse
     factor that fails a check: LDL^T with Bunch-Kaufman pivoting, whose
     block-diagonal D (1x1 and 2x2 pivot blocks) is tridiagonal; the signs
     are those of its eigenvalues from LAPACK, and eigenvalues with
-    magnitude at most ``zero_tol * max|A|`` count as zero.
+    magnitude at most ``ZERO_TOL * max|A|`` count as zero.
     """
     a = _require_symmetric(a, "A")
     n = a.shape[0]
@@ -380,7 +381,7 @@ def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
     if sp.issparse(a):
         if a.nnz == 0:
             return Inertia(0, n, 0)
-        fac = _checked_factor(a, n, "MMD_AT_PLUS_A", zero_tol)
+        fac = _checked_factor(a, n, "MMD_AT_PLUS_A")
         _count_path(fac is not None)
         if fac is not None:
             pivots = fac.pivots
@@ -391,15 +392,14 @@ def inertia(a, zero_tol: float = DEFAULT_ZERO_TOL) -> Inertia:
         return Inertia(0, n, 0)
     _, d, _ = sla.ldl(a)
     ev = sla.eigvalsh_tridiagonal(np.diag(d), np.diag(d, -1))
-    thresh = zero_tol * scale
+    thresh = ZERO_TOL * scale
     n_neg = int(np.sum(ev < -thresh))
     n_pos = int(np.sum(ev > thresh))
     n_zero = n - n_neg - n_pos
     return Inertia(n_neg, n_zero, n_pos)
 
 
-def pencil_count(a, b, upto: float, scale: float,
-                 zero_tol: float = DEFAULT_ZERO_TOL) -> int:
+def pencil_count(a, b, upto: float, scale: float) -> int:
     """``m``, the number of eigenvalues of the sparse pencil (A, B) at or
     below a bound t >= ``upto``, so that the ``m + 1`` smallest hold every
     value up to ``upto`` and the next one above it: the negative pivots
@@ -410,12 +410,12 @@ def pencil_count(a, b, upto: float, scale: float,
     eigenvalues counted as at or below."""
     for nudge in (0.0, *_COUNT_NUDGES):
         q = _require_symmetric(a - (upto + nudge * max(abs(upto), scale)) * b, "A - t B")
-        fac = _checked_factor(q, q.shape[0], "MMD_AT_PLUS_A", zero_tol)
+        fac = _checked_factor(q, q.shape[0], "MMD_AT_PLUS_A")
         if fac is not None:
             _count_path(True)
             return int(np.sum(fac.pivots < 0))
     _count_path(False)
-    below = inertia(_dense(a - upto * b, "A - t B"), zero_tol)
+    below = inertia(_dense(a - upto * b, "A - t B"))
     return below.n_neg + below.n_zero
 
 
@@ -423,18 +423,19 @@ def fill_order(a) -> np.ndarray:
     """Fill-reducing elimination order of a symmetric sparse matrix:
     ``a[np.ix_(order, order)]`` factors with little fill in its natural
     order. It is the column order SuperLU's multiple minimum degree (on
-    the pattern of A^T + A) chooses, read off a factorization of the
-    diagonally dominant matrix with the pattern of ``a`` plus the
+    the pattern of A^T + A) chooses, read off one unchecked factorization
+    of the diagonally dominant matrix with the pattern of ``a`` plus the
     diagonal. Minimum degree reads the pattern alone, so every matrix
     of that pattern, singular or indefinite ones too, gets this order;
     the matrix it is read off is strictly diagonally dominant, so its
-    checked factorization cannot fail."""
+    factorization cannot fail."""
     a = sp.csc_array(a)
     n = a.shape[0]
     pattern = sp.csc_array((np.full(a.nnz, -1.0), a.indices, a.indptr), shape=a.shape)
     dominant = pattern + sp.diags_array(np.full(n, n + 1.0), format="csc")
-    fac = _checked_factor(dominant, n, "MMD_AT_PLUS_A", DEFAULT_ZERO_TOL)
-    return np.argsort(fac.lu.perm_c)
+    lu = spla.splu(dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c)
 
 
 @dataclass(frozen=True)
@@ -541,17 +542,16 @@ class SchurComplement(NamedTuple):
     n_neg_interior: int
 
 
-def schur_complement(q: BoundaryLastMatrix,
-                     zero_tol: float = DEFAULT_ZERO_TOL) -> SchurComplement:
+def schur_complement(q: BoundaryLastMatrix) -> SchurComplement:
     """The :class:`SchurComplement` of a symmetric Q stored boundary-last
     (a :class:`BoundaryLastMatrix`, ``pencil.at(lam)``), in Q's boundary
     order. The interior block must be nonsingular, otherwise
     :class:`SingularBlockError` is raised. See :func:`schur_and_lift`,
     which this is without the lift."""
-    return schur_and_lift(q, zero_tol)[0]
+    return schur_and_lift(q)[0]
 
 
-def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
+def schur_and_lift(q: BoundaryLastMatrix):
     """``(schur, lift)``: the :class:`SchurComplement` of ``q``, and the
     function ``lift(psi) = -Q_ii^{-1} Q_ib psi`` that extends boundary
     values ``psi`` to the interior DOFs (in Q's order) so that the
@@ -560,7 +560,7 @@ def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
     Q is factored once in its own order by :func:`_checked_factor`, and
     S = L_bb U_bb is read off the boundary block of that factor. Its
     pivots count neg(Q_ii) (the negative interior ones) and neg(S) (the
-    boundary ones below ``-zero_tol * max|S|``: a smaller one bounds an
+    boundary ones below ``-ZERO_TOL * max|S|``: a smaller one bounds an
     eigenvalue of S that the dense count takes as zero). Since
     Q_ii = L_ii U_ii and Q_ib = L_ii U_ib, the lift is one triangular
     solve U_ii y = -U_ib psi in Q's order. When a check of the factor
@@ -574,23 +574,23 @@ def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
     d, ni = q.data, q.n_interior
     _check_symmetric(_max_abs(d), _max_abs(d - d[q.transpose]), "Q")
     q = q.csc()
-    fac = _checked_factor(q, ni, "NATURAL", zero_tol)
+    fac = _checked_factor(q, ni, "NATURAL")
     _count_path(fac is not None)
     if fac is None:
         q_ii = _dense(q[:ni, :ni], "Q_ii")
-        interior = inertia(q_ii, zero_tol)
+        interior = inertia(q_ii)
         if interior.n_zero:
             raise SingularBlockError("interior block is singular at this parameter")
         q_ib = _dense(q[:ni, ni:], "Q_ib")
         x = sla.solve(q_ii, q_ib, assume_a="sym")
         s = _dense(q[ni:, ni:], "Q_bb") - q_ib.T @ x
         s = 0.5 * (s + s.T)
-        schur = SchurComplement(s, inertia(s, zero_tol).n_neg, interior.n_neg)
+        schur = SchurComplement(s, inertia(s).n_neg, interior.n_neg)
         return schur, lambda psi: -(x @ psi)
     u = fac.u  # the lift holds U, not the SuperLU object
     s = fac.l[ni:, ni:].toarray() @ u[ni:, ni:].toarray()
     s = 0.5 * (s + s.T)
-    schur = SchurComplement(s, int(np.sum(fac.pivots[ni:] < -zero_tol * _max_abs(s))),
+    schur = SchurComplement(s, int(np.sum(fac.pivots[ni:] < -ZERO_TOL * _max_abs(s))),
                             int(np.sum(fac.pivots[:ni] < 0)))
 
     def lift(psi):
@@ -599,8 +599,7 @@ def schur_and_lift(q: BoundaryLastMatrix, zero_tol: float):
     return schur, lift
 
 
-def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndarray,
-                     zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The lift ``-A_ii^{-1} A_ib psi`` of :func:`schur_and_lift` for a
     symmetric sparse A given by index sets: one checked factor of A_ii in
     a fill-reducing order, without the boundary-last copy of A (whose
@@ -610,11 +609,11 @@ def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndar
     a = _require_symmetric(a, "A")
     a_ii = a[np.ix_(interior, interior)]
     rhs = -(a[np.ix_(interior, boundary)] @ psi)
-    fac = _checked_factor(a_ii, len(interior), "MMD_AT_PLUS_A", zero_tol)
+    fac = _checked_factor(a_ii, len(interior), "MMD_AT_PLUS_A")
     _count_path(fac is not None)
     if fac is not None:
         return fac.lu.solve(rhs)
     a_ii = _dense(a_ii, "A_ii")
-    if inertia(a_ii, zero_tol).n_zero:
+    if inertia(a_ii).n_zero:
         raise SingularBlockError("interior block is singular at this parameter")
     return sla.solve(a_ii, rhs, assume_a="sym")

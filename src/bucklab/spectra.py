@@ -83,13 +83,13 @@ def lru_get(cache: dict, key):
         return value
 
 
-def lru_put(cache: dict, key, value, size: int = CACHE_SIZE):
+def lru_put(cache: dict, key, value):
     """Store ``value`` as the most recently used entry of ``cache``, drop
-    the least recently used ones beyond ``size`` and return ``value``."""
+    the least recently used ones beyond ``CACHE_SIZE``, return ``value``."""
     with _CACHE_LOCK:
         cache.pop(key, None)
         cache[key] = value
-        while len(cache) > size:
+        while len(cache) > CACHE_SIZE:
             del cache[next(iter(cache))]
     return value
 

@@ -23,11 +23,13 @@ matrices; ``verify_identity`` checks that integer identity point by
 point, and neg(Q_ii) = N_inner(lambda) with it, and ``scan_identities``
 sweeps it over a parameter grid. The counts N and the margins from the
 excluded spectra are read off certified spectrum prefixes
-(:func:`bucklab.spectra.pencil_eigenvalues`) that reach past the largest
-lambda a point may use; a scan computes them once, before its sweep. No
-step forms an n x n matrix unless a factor check fails, and a scan point
-whose failed factor is too large to densify is skipped with its reason,
-as points too close to an excluded eigenvalue are.
+(:func:`bucklab.spectra.pencil_eigenvalues`) past lambda, which lambda
+must clear by the relative margin ``MARGIN``. A scan computes them once,
+past the largest lambda a point may use, and then calls the public
+functions at each point, whose prefixes the cache serves. No step forms
+an n x n matrix unless a factor check fails, and a scan point whose
+failed factor is too large to densify is skipped with its reason, as
+points too close to an excluded eigenvalue are.
 """
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ from .errors import BucklabError, ExcludedSpectrumError, SingularBlockError, Siz
 from .mesh import Mesh
 from .runio import SweepResult, run_sweep
 from .spectra import (
-    CACHE_SIZE,
     Spectrum,
     free_dofs,
     lru_get,
@@ -56,7 +57,8 @@ from .spectra import (
     pencil_pair,
 )
 
-DEFAULT_MARGIN = 1e-3
+#: the relative distance every lambda keeps from the excluded eigenvalues
+MARGIN = 1e-3
 NUDGE_STEPS = 10
 # scan points that raise these are recorded as skips: too close to an
 # excluded eigenvalue, or a failed factor too large for the dense path
@@ -99,7 +101,6 @@ class IdentityReport:
     rhs_counting: int
     identity_holds: bool
     margin: float
-    nudged: bool = False
 
 
 def relative_margin(lam: float, values: np.ndarray) -> float:
@@ -116,9 +117,9 @@ def _identity(kind: str) -> tuple[str, str, str]:
         raise ValueError(f"unknown identity kind {kind!r}") from None
 
 
-def _reach(lam: float, delta: float, steps: float = 1) -> float:
-    """``lam`` moved up by ``steps`` nudges of ``delta`` (relative)."""
-    return lam + steps * delta * max(1.0, abs(lam))
+def _reach(lam: float, steps: float) -> float:
+    """``lam`` moved up by ``steps`` nudges of ``MARGIN`` (relative)."""
+    return lam + steps * MARGIN * max(1.0, abs(lam))
 
 
 def _excluded_values(
@@ -133,16 +134,26 @@ def _excluded_values(
     return outer_vals, inner_vals, np.concatenate([inner_vals, outer_vals])
 
 
-def _scan_values(mesh: Mesh, kind: str, order: int | None, grid, delta: float):
-    """:func:`_excluded_values` past every lambda a scan of ``grid`` may
-    try: one step beyond the last nudge of each grid point."""
-    upto = max((_reach(lam, delta, NUDGE_STEPS + 1) for lam in grid), default=0.0)
-    return _excluded_values(mesh, kind, order, upto)
+def _scan_values(mesh: Mesh, kind: str, order: int | None, grid) -> np.ndarray:
+    """The excluded values of :func:`_excluded_values` past every lambda
+    a scan of ``grid`` may try (one step beyond the last nudge of each
+    grid point), so that the cache serves every point's prefixes."""
+    upto = max((_reach(lam, NUDGE_STEPS + 1) for lam in grid), default=0.0)
+    return _excluded_values(mesh, kind, order, upto)[2]
 
 
 def _nearest(lam: float, excluded: np.ndarray) -> float:
     """The excluded value closest to ``lam``."""
     return float(excluded[np.argmin(np.abs(excluded - lam))])
+
+
+def _cleared(lam: float, excluded: np.ndarray) -> float:
+    """The relative margin of ``lam`` from ``excluded``; below ``MARGIN``
+    :class:`ExcludedSpectrumError` is raised."""
+    margin = relative_margin(lam, excluded)
+    if margin < MARGIN:
+        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, MARGIN)
+    return margin
 
 
 def _split(pair, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,14 +192,13 @@ class TracePencil:
 # the trace pencils of the last few (mesh, identity, pair kind), least
 # recently used first
 _PENCIL_CACHE: dict[tuple, TracePencil] = {}
-_PENCIL_CACHE_SIZE = CACHE_SIZE
 
 
 def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
     """The memoized :class:`TracePencil` of identity ``kind``, one per mesh
     content hash, identity and pair kind (``order`` applies to Lagrange
     pairs only, so Liu's pencil is shared by every order); the
-    ``_PENCIL_CACHE_SIZE`` most recently used ones are kept."""
+    :data:`~bucklab.spectra.CACHE_SIZE` most recently used ones are kept."""
     outer = _identity(kind)[1]
     pair = pencil_pair(mesh, outer, order)
     key = (mesh.content_hash(), kind, pair.dofmap.kind)
@@ -208,39 +218,29 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
         boundary_mass = pair.b_trace.view()
     boundary_mass.setflags(write=False)
     pencil = TracePencil(form, dofs, boundary_mass)
-    return lru_put(_PENCIL_CACHE, key, pencil, _PENCIL_CACHE_SIZE)
+    return lru_put(_PENCIL_CACHE, key, pencil)
 
 
-def trace_operator(
-    mesh: Mesh, kind: str, lam: float, order: int = 2, delta: float = DEFAULT_MARGIN
-) -> TraceOperator:
+def trace_operator(mesh: Mesh, kind: str, lam: float, order: int = 2) -> TraceOperator:
     """Trace operator of identity ``kind`` at ``lam``, with its boundary
     mass: Dirichlet-to-Neumann with the boundary L2 mass (friedlander),
     Neumann-to-Laplacian with the boundary normal-derivative mass, the
     denominator of the trace Rayleigh quotient (liu).
 
     The eliminated block is the inner pencil, so the operator exists iff
-    ``lam`` clears the inner spectrum by the relative margin ``delta``.
+    ``lam`` clears the inner spectrum by the relative margin ``MARGIN``;
+    ``margin`` is its distance from that spectrum. A point whose factor
+    fails a check beyond the dense cap raises :class:`SizeLimitError`
+    naming ``lam``.
     """
-    inner = _identity(kind)[2]
-    excluded = pencil_eigenvalues(mesh, inner, order, upto=_reach(lam, delta))
-    return _trace(mesh, kind, lam, order, delta, excluded)
-
-
-def _trace(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
-           excluded: np.ndarray) -> TraceOperator:
-    """:func:`trace_operator` with ``lam`` kept clear of ``excluded``. A
-    point whose factor fails a check beyond the dense cap raises
-    :class:`SizeLimitError` naming ``lam``."""
-    name = _identity(kind)[0]
-    margin = relative_margin(lam, excluded)
-    if margin < delta:
-        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
+    name, _, inner = _identity(kind)
+    excluded = pencil_eigenvalues(mesh, inner, order, upto=lam)
+    margin = _cleared(lam, excluded)
     pencil = trace_pencil(mesh, kind, order)
     try:
         schur = schur_complement(pencil.form.at(lam))
     except SingularBlockError:
-        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta) from None
+        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, MARGIN) from None
     except SizeLimitError as exc:
         raise SizeLimitError(
             f"lambda={lam:.12g}: the sparse factor failed a check and {exc}"
@@ -260,9 +260,7 @@ def trace_spectrum(t: TraceOperator, k: int | None = None) -> tuple[Spectrum, fl
     return Spectrum(t.kind, w, t.source), float(w[0]), t.n_neg
 
 
-def verify_identity(
-    mesh: Mesh, kind: str, lam: float, order: int = 2, delta: float = DEFAULT_MARGIN
-) -> IdentityReport:
+def verify_identity(mesh: Mesh, kind: str, lam: float, order: int = 2) -> IdentityReport:
     """Check one counting identity at one parameter value.
 
     friedlander : neg(DtN(lam)) = N_neumann(lam) - N_dirichlet(lam)
@@ -273,36 +271,29 @@ def verify_identity(
     clear both pencils' spectra, not just the interior block. The
     eliminated block is the inner pencil's shifted form: when its count
     neg(Q_ii) differs from N_inner(lam), :class:`BucklabError` is raised.
+    The report's ``margin`` is the distance from both spectra.
     """
-    values = _excluded_values(mesh, kind, order, _reach(lam, delta))
-    return _verify(mesh, kind, lam, order, delta, values)
-
-
-def _verify(mesh: Mesh, kind: str, lam: float, order: int | None, delta: float,
-            values: tuple, nudged: bool = False) -> IdentityReport:
-    """:func:`verify_identity` from the ``(outer, inner, excluded)``
-    ``values`` of :func:`_excluded_values`, past ``lam``."""
-    outer, inner, excluded = values
-    t = _trace(mesh, kind, lam, order, delta, excluded)
+    outer, inner, excluded = _excluded_values(mesh, kind, order, lam)
+    margin = _cleared(lam, excluded)
+    t = trace_operator(mesh, kind, lam, order)
     lhs = int(np.sum(outer < lam))
     rhs = int(np.sum(inner < lam))
     if t.n_neg_interior != rhs:
         raise BucklabError(f"lambda={lam:.12g}: neg(Q_ii)={t.n_neg_interior} from the Schur "
                            f"factor, rhs={rhs} from the inner spectrum prefix")
-    return IdentityReport(kind, lam, t.n_neg, lhs, rhs, t.n_neg == lhs - rhs, t.margin,
-                          nudged)
+    return IdentityReport(kind, lam, t.n_neg, lhs, rhs, t.n_neg == lhs - rhs, margin)
 
 
-def _nudge(lam: float, excluded: np.ndarray, delta: float) -> tuple[float, bool]:
-    """``(lam_used, nudged)``: ``lam`` shifted by steps of delta
+def _nudge(lam: float, excluded: np.ndarray) -> tuple[float, bool]:
+    """``(lam_used, nudged)``: ``lam`` shifted by steps of ``MARGIN``
     (relative) until clear of the excluded values, and whether it moved;
     gives up beyond NUDGE_STEPS steps."""
     for step in [0.0] + [sign * j for j in range(1, NUDGE_STEPS + 1) for sign in (1.0, -1.0)]:
-        cand = _reach(lam, delta, step)
-        if relative_margin(cand, excluded) >= delta:
+        cand = _reach(lam, step)
+        if relative_margin(cand, excluded) >= MARGIN:
             return cand, step != 0.0
     margin = relative_margin(lam, excluded)
-    raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, delta)
+    raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, MARGIN)
 
 
 def scan_identities(
@@ -310,19 +301,19 @@ def scan_identities(
     kind: str,
     lam_grid,
     order: int = 2,
-    delta: float = DEFAULT_MARGIN,
     threads: int = 1,
 ) -> SweepResult:
-    """One IdentityReport per grid point, with automatic nudging away
-    from the excluded spectra; unplaceable points are skipped and
-    recorded, as are points whose factor fails a check beyond the dense
-    cap. Summary flag ``all_hold`` covers the non-skipped points."""
+    """One :func:`verify_identity` report per grid point, with automatic
+    nudging away from the excluded spectra; unplaceable points are
+    skipped and recorded, as are points whose factor fails a check beyond
+    the dense cap. Summary flag ``all_hold`` covers the non-skipped
+    points, and is None when there are none."""
     retain_factor_workspace()
-    values = _scan_values(mesh, kind, order, lam_grid, delta)
+    excluded = _scan_values(mesh, kind, order, lam_grid)
 
     def one(lam: float):
-        lam_used, nudged = _nudge(lam, values[2], delta)
-        rep = _verify(mesh, kind, lam_used, order, delta, values, nudged)
+        lam_used, nudged = _nudge(lam, excluded)
+        rep = verify_identity(mesh, kind, lam_used, order)
         return {
             "lambda": rep.lam,
             "neg_count": rep.neg_count,
@@ -330,29 +321,26 @@ def scan_identities(
             "rhs": rep.rhs_counting,
             "holds": rep.identity_holds,
             "margin": rep.margin,
-            "nudged": rep.nudged,
+            "nudged": nudged,
         }
 
     result = run_sweep("lambda", lam_grid, one, threads, _SKIPPED)
-    result.summary["all_hold"] = all(r["holds"] for r in result.records)
+    records = result.records
+    result.summary["all_hold"] = all(r["holds"] for r in records) if records else None
     return result
 
 
-def scan_beta1(
-    mesh: Mesh,
-    lam_grid,
-    delta: float = DEFAULT_MARGIN,
-    threads: int = 1,
-) -> SweepResult:
+def scan_beta1(mesh: Mesh, lam_grid, threads: int = 1) -> SweepResult:
     """Smallest trace eigenvalue of the Neumann-to-Laplacian operator
-    over a parameter grid, with the same nudging and skipping discipline."""
+    (:func:`trace_operator`) over a parameter grid, with the same nudging
+    and skipping discipline; each margin is from the buckling spectrum
+    alone."""
     retain_factor_workspace()
-    _, buckling, excluded = _scan_values(mesh, "liu", None, lam_grid, delta)
+    excluded = _scan_values(mesh, "liu", None, lam_grid)
 
     def one(lam: float):
-        lam_used, nudged = _nudge(lam, excluded, delta)
-        # the operator's margin is from the buckling spectrum alone
-        t = _trace(mesh, "liu", lam_used, None, delta, buckling)
+        lam_used, nudged = _nudge(lam, excluded)
+        t = trace_operator(mesh, "liu", lam_used)
         _, beta1, neg = trace_spectrum(t, 1)
         return {
             "lambda": lam_used,

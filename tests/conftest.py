@@ -34,8 +34,7 @@ def rng():
 @pytest.fixture()
 def force_dense_fallback(monkeypatch):
     """A context manager under which every checked sparse factor is
-    refused, so each sparse factorization takes the dense path. A trace
-    pencil, whose fill-reducing order is read off a factor, and spectrum
+    refused, so each sparse factorization takes the dense path. Spectrum
     prefixes beyond a lowered dense cap are to be cached before it is
     entered."""
 

@@ -55,6 +55,21 @@ def test_spectrum_command(tmp_path, capsys):
     assert "spectrum.csv" in meta["outputs"]
 
 
+def test_spectrum_prints_rounding_noise_as_zero(tmp_path, capsys):
+    """The Neumann zero, rounding noise within the zero tolerance of the
+    largest value, prints as 0; the CSV keeps the computed value."""
+    code, out, _ = run_cli(
+        ["spectrum", "--domain", "rectangle", "--nx", "16", "--ny", "16", "--problem",
+         "neumann", "--count", "6"],
+        tmp_path, capsys,
+    )
+    assert code == 0
+    values = out.splitlines()[0].split(": ")[1].split()
+    assert values[0] == "0" and values[1] == "9.86962"
+    csv = (latest_run(tmp_path, "spectrum") / "spectrum.csv").read_text().splitlines()
+    assert abs(float(csv[1].split(",")[1])) < 1e-9
+
+
 def test_identity_scan_command(tmp_path, capsys):
     code, out, _ = run_cli(
         ["identity-scan", "--domain", "disk", "--refine", "2", "--kind", "liu",

@@ -286,7 +286,7 @@ def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
     monkeypatch.setattr(eigen.spla, "splu",
                         lambda a, **kwargs: _Permuted(splu, a, perm, **kwargs))
     before = solver_path_counts()
-    schur, lift = eigen.schur_and_lift(q, eigen.DEFAULT_ZERO_TOL)
+    schur, lift = eigen.schur_and_lift(q)
     s = schur.matrix
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]

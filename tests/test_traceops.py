@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bucklab import (
     BucklabError,
     ExcludedSpectrumError,
+    SizeLimitError,
     make_disk_mesh,
     inertia,
     scan_beta1,
@@ -19,7 +20,7 @@ from bucklab import (
 )
 from bucklab.assembly import classify_dofs
 from bucklab.eigen import boundary_last_pencil, schur_complement, solver_path_counts
-from bucklab import eigen, traceops
+from bucklab import eigen, spectra, traceops
 from bucklab.cli import main
 from bucklab.spectra import free_dofs, get_pair, pencil_eigenvalues, pencil_pair
 from bucklab.traceops import _IDENTITIES, relative_margin, trace_pencil
@@ -149,10 +150,46 @@ def test_scan_threads_match_serial(disk2):
     assert serial.records == parallel.records
 
 
-def test_empty_grid_vacuously_holds(disk2):
-    result = scan_identities(disk2, "liu", [])
-    assert result.records == []
-    assert result.summary["all_hold"] is True
+def test_scan_without_a_verified_point_claims_nothing(disk2, tmp_path, monkeypatch, capsys):
+    """An empty grid, or one whose every point is skipped, verifies no
+    point: ``all_hold`` is None, and ``identity-scan`` says so."""
+    assert scan_identities(disk2, "liu", []).summary["all_hold"] is None
+
+    def beyond_the_cap(q):
+        raise SizeLimitError("Q_ii has too many rows")
+
+    monkeypatch.setattr(traceops, "schur_complement", beyond_the_cap)
+    result = scan_identities(disk2, "liu", [5.0, 7.0])
+    assert result.records == [] and len(result.skips) == 2
+    assert result.summary["all_hold"] is None
+    capsys.readouterr()
+    assert main(["identity-scan", "--domain", "disk", "--refine", "2", "--points", "3",
+                 "--run-root", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "all_hold=null points=0 skips=3 (no point verified)")
+
+
+@pytest.mark.parametrize("kind", ["friedlander", "liu"])
+def test_scan_points_are_verify_identity_on_cached_prefixes(disk2, kind):
+    """Once the scan's prefixes are cached, each of its P points costs one
+    sparse factorization, with no prefix counted again, and each record
+    is bit for bit what :func:`verify_identity` reports at its lambda,
+    a nudged point included."""
+    inner = _IDENTITIES[kind][2]
+    on_value = float(pencil_eigenvalues(disk2, inner, 2, upto=0.0)[0])
+    grid = np.append(np.linspace(0.5, 60.0, 6), on_value)
+    traceops._scan_values(disk2, kind, 2, grid)
+    before = solver_path_counts()
+    result = scan_identities(disk2, kind, grid)
+    after = solver_path_counts()
+    assert len(result.records) == len(grid)
+    assert after["sparse_ldlt"] - before["sparse_ldlt"] == len(grid)
+    assert after["dense_fallback"] == before["dense_fallback"]
+    assert result.records[-1]["nudged"] is True
+    for rec in result.records:
+        rep = verify_identity(disk2, kind, rec["lambda"])
+        assert (rec["neg_count"], rec["lhs"], rec["rhs"], rec["margin"]) == (
+            rep.neg_count, rep.lhs_counting, rep.rhs_counting, rep.margin)
 
 
 def test_scan_beta1_sign_change(disk2):
@@ -291,6 +328,22 @@ def test_trace_operator_bits_independent_of_where_order_was_built(disk2, kind, m
     assert np.array_equal(after_lam1, first)
 
 
+@pytest.mark.parametrize("kind", ["friedlander", "liu"])
+def test_trace_pencil_built_with_every_checked_factor_refused(disk2, kind, monkeypatch,
+                                                            force_dense_fallback):
+    """The fill-reducing order comes from a factorization that needs no
+    check, so a pencil built while every checked factor is refused is
+    the pencil built without."""
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    unforced = trace_pencil(disk2, kind)
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    with force_dense_fallback():
+        forced = trace_pencil(disk2, kind)
+    assert forced is not unforced
+    assert np.array_equal(forced.dofs, unforced.dofs)
+    assert np.array_equal(forced.form.indices, unforced.form.indices)
+
+
 def test_haynsworth_at_disk_level_5():
     """At 16641 DOFs, where no matrix can be densified, the boundary-last
     factor gives S with neg(Q_ii) + neg(S) = neg(Q), each count from its
@@ -374,10 +427,10 @@ def test_pencil_cache_keys(disk2, monkeypatch):
 
 
 def test_pencil_cache_keeps_the_most_recently_used(disk2, monkeypatch):
-    """The cache holds at most ``_PENCIL_CACHE_SIZE`` pencils and evicts
-    the least recently used one first."""
+    """The cache holds at most ``CACHE_SIZE`` pencils and evicts the
+    least recently used one first."""
     monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
-    monkeypatch.setattr(traceops, "_PENCIL_CACHE_SIZE", 2)
+    monkeypatch.setattr(spectra, "CACHE_SIZE", 2)
     liu = trace_pencil(disk2, "liu", None)
     friedlander = trace_pencil(disk2, "friedlander", 2)
     assert trace_pencil(disk2, "liu", 2) is liu  # now the most recent
