@@ -19,11 +19,13 @@ from .assembly import (
 )
 from .counterexample import (
     BoundedBelowReport,
+    ClampedFields,
     DivergenceReport,
     QuotientSample,
     alpha_value,
     bounded_below_check,
     buckling_ground_state,
+    clamped_fields,
     divergence_sweep,
     make_perturbation,
     rayleigh_quotient,

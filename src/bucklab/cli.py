@@ -246,10 +246,10 @@ def _cmd_counterexample(args) -> int:
     params = _merge_params("counterexample", args)
     mesh = _build_mesh(params)
     pair = get_pair(mesh, "morley")
-    ground = cex.buckling_ground_state(pair)
-    if params["lam"] < ground[1]:
-        return _run_bounded_below(params, pair, ground, args)
-    report = cex.divergence_sweep(pair, params["lam"], params["eps"], ground)
+    lambda1 = cex.clamped_fields(pair).lambda1
+    if params["lam"] < lambda1:
+        return _run_bounded_below(params, pair, lambda1, args)
+    report = cex.divergence_sweep(pair, params["lam"], params["eps"])
     rows = ["eps,numerator,denominator,quotient"]
     for s in report.samples:
         rows.append(
@@ -274,17 +274,17 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
-def _run_bounded_below(params: dict, pair, ground, args) -> int:
+def _run_bounded_below(params: dict, pair, lambda1: float, args) -> int:
     """Below the buckling threshold the same command checks the bounded
     regime instead: random trial quotients never undercut the smallest
     trace eigenvalue."""
     report = cex.bounded_below_check(
-        pair, params["lam"], params["trials"], ground, seed=params["seed"]
+        pair, params["lam"], params["trials"], seed=params["seed"]
     )
     rows = [
         "quantity,value",
         f"lambda,{fmt(report.lam)}",
-        f"Lambda1,{fmt(ground[1])}",
+        f"Lambda1,{fmt(lambda1)}",
         f"beta1,{fmt(report.beta1)}",
         f"n_trials,{report.n_trials}",
         f"min_quotient,{fmt(report.min_quotient)}",

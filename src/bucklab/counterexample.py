@@ -16,18 +16,21 @@ boundary perimeter. This module reproduces both regimes.
 
 Both regimes hinge on the clamped ground state (u1, Lambda1) of
 :func:`buckling_ground_state`, computed by certified shift-invert
-Lanczos on the sparse clamped pencil. The caller computes it once,
-chooses the regime from Lambda1 and passes the same pair to
-:func:`divergence_sweep` or :func:`bounded_below_check`. An eigenvector
-has no sign of its own, so both sign u1 by the perturbation (see
-:func:`_signed_ground`): their results do not depend on the solver's
-sign. The perturbation is the lift of unit normal derivatives through
-the fourth-order form at lambda = 0. The bounded regime keeps lambda
-clear of Lambda1 alone, which is certified smallest, and needs no other
-buckling eigenvalue. It factors the cached Navier trace pencil's shifted
-form once: that factor gives the Neumann-to-Laplacian operator, whose
-boundary-sized generalized eigenproblem is the one dense one left here,
-and lifts its minimizer to the interior. Every function here takes a Morley
+Lanczos on the sparse clamped pencil, and on the perturbation of
+:func:`make_perturbation`, the lift of unit normal derivatives through
+the fourth-order form at lambda = 0. Both depend on the mesh alone, so
+:func:`clamped_fields` solves them once per mesh per process and keeps
+them for the :data:`~bucklab.spectra.CACHE_SIZE` most recently used
+meshes; the caller chooses the regime from its Lambda1, and
+:func:`divergence_sweep` and :func:`bounded_below_check` read the same
+entry. An eigenvector has no sign of its own, so the entry signs u1 by
+the perturbation (see :func:`_signed_ground`): no result depends on the
+solver's sign. The bounded regime keeps lambda clear of Lambda1 alone,
+which is certified smallest, and needs no other buckling eigenvalue. It
+factors the cached Navier trace pencil's shifted form once: that factor
+gives the Neumann-to-Laplacian operator, whose boundary-sized
+generalized eigenproblem is the one dense one left here, and lifts its
+minimizer to the interior. Every function here takes a Morley
 :class:`~bucklab.assembly.OperatorPair`.
 """
 from __future__ import annotations
@@ -40,8 +43,8 @@ import numpy as np
 from .assembly import OperatorPair
 from .eigen import lift_to_interior, schur_and_lift, sym_gen_eigs
 from .errors import ConstraintViolationError, MeshError, SingularBlockError
-from .spectra import free_dofs, smallest_eigenpairs
-from .traceops import trace_pencil
+from .spectra import free_dofs, lru_get, lru_put, smallest_eigenpairs
+from .traceops import MARGIN, trace_pencil
 
 DENOMINATOR_FLOOR = 1e-14
 BOUNDARY_VALUE_TOL = 1e-12
@@ -140,6 +143,40 @@ def _signed_ground(u1: np.ndarray, h: np.ndarray, pair: OperatorPair) -> np.ndar
     return u1 if u1 @ (pair.k_grad @ h) > 0 else -u1
 
 
+@dataclass(frozen=True)
+class ClampedFields:
+    """The inputs both regimes take from the mesh alone: the clamped
+    ground state ``u1`` signed by :func:`_signed_ground`, its eigenvalue
+    ``lambda1`` and the perturbation ``h``. The arrays are read-only,
+    since every caller of :func:`clamped_fields` shares them."""
+
+    u1: np.ndarray
+    lambda1: float
+    h: np.ndarray
+
+
+# the clamped fields of the last few (mesh, pair kind), least recently
+# used first
+_FIELDS_CACHE: dict[tuple, ClampedFields] = {}
+
+
+def clamped_fields(pair: OperatorPair) -> ClampedFields:
+    """The memoized :class:`ClampedFields` of ``pair``'s mesh, one per mesh
+    content hash and pair kind; the :data:`~bucklab.spectra.CACHE_SIZE`
+    most recently used ones are kept. A miss solves
+    :func:`buckling_ground_state` and :func:`make_perturbation` once each."""
+    key = (pair.mesh.content_hash(), pair.dofmap.kind)
+    fields = lru_get(_FIELDS_CACHE, key)
+    if fields is not None:
+        return fields
+    u1, lambda1 = buckling_ground_state(pair)
+    h = make_perturbation(pair)
+    u1 = _signed_ground(u1, h, pair)
+    u1.setflags(write=False)
+    h.setflags(write=False)
+    return lru_put(_FIELDS_CACHE, key, ClampedFields(u1, lambda1, h))
+
+
 def rayleigh_quotient(v: np.ndarray, lam: float, pair: OperatorPair,
                       eps: float | None = None) -> QuotientSample:
     """Evaluate the quotient at a field with zero boundary values."""
@@ -161,26 +198,23 @@ def rayleigh_quotient(v: np.ndarray, lam: float, pair: OperatorPair,
     return QuotientSample(eps, num, den, quot)
 
 
-def divergence_sweep(
-    pair: OperatorPair, lam: float, eps_list, ground: tuple[np.ndarray, float]
-) -> DivergenceReport:
+def divergence_sweep(pair: OperatorPair, lam: float, eps_list) -> DivergenceReport:
     """Quotient samples along v = u1 + eps * perturbation for decreasing
     eps, with the log-log slope fit over the negative samples (expected
-    slope -2). ``ground`` is ``buckling_ground_state(pair)``."""
+    slope -2); u1 and the perturbation are :func:`clamped_fields`'."""
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr or any(e <= 0 for e in eps_arr):
         raise ValueError("eps_list must be nonempty and positive")
     if any(a <= b for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    u1, lambda1 = ground
-    margin = 1e-3 * max(1.0, abs(lambda1))
+    fields = clamped_fields(pair)
+    u1, lambda1, h = fields.u1, fields.lambda1, fields.h
+    margin = MARGIN * max(1.0, abs(lambda1))
     if lam <= lambda1 + margin:
         raise ValueError(
             f"lambda={lam} must exceed the first buckling eigenvalue "
             f"{lambda1:.6g} by the margin {margin:.2g}"
         )
-    h = make_perturbation(pair)
-    u1 = _signed_ground(u1, h, pair)
     samples = tuple(
         rayleigh_quotient(u1 + e * h, lam, pair, eps=e) for e in eps_arr
     )
@@ -232,8 +266,7 @@ def _trace_minimizer(pair: OperatorPair, lam: float) -> tuple[float, np.ndarray,
 
 
 def bounded_below_check(
-    pair: OperatorPair, lam: float, trials: int,
-    ground: tuple[np.ndarray, float], seed: int = 0,
+    pair: OperatorPair, lam: float, trials: int, seed: int = 0
 ) -> BoundedBelowReport:
     """Below the first buckling eigenvalue the infimum of the quotient
     over zero-boundary-value fields is the smallest trace eigenvalue.
@@ -242,10 +275,12 @@ def bounded_below_check(
     family and asserts none undercuts beta1; also lifts the minimizing
     trace direction to the full space and reports its interior equation
     residual (the discrete form of the attained infimum belonging to
-    the solution space). ``ground`` is ``buckling_ground_state(pair)``.
+    the solution space). u1, Lambda1 and the perturbation are
+    :func:`clamped_fields`'.
     """
-    u1, lambda1 = ground
-    margin = 1e-3 * max(1.0, abs(lambda1))
+    fields = clamped_fields(pair)
+    u1, lambda1, h = fields.u1, fields.lambda1, fields.h
+    margin = MARGIN * max(1.0, abs(lambda1))
     if lam >= lambda1 - margin:
         raise ValueError(
             f"lambda={lam} must stay below the first buckling eigenvalue "
@@ -257,8 +292,6 @@ def bounded_below_check(
 
     rng = np.random.default_rng(seed)
     navier_free = free_dofs(pair, "navier")
-    h = make_perturbation(pair)
-    u1 = _signed_ground(u1, h, pair)
     quotients: list[float] = []
     for _ in range(trials):
         v = np.zeros(pair.dofmap.n_dofs)

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bucklab import eigen, make_disk_mesh, make_rectangle_mesh
+from bucklab import counterexample, eigen, make_disk_mesh, make_rectangle_mesh
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +45,17 @@ def force_dense_fallback(monkeypatch):
             yield
 
     return forced
+
+
+@pytest.fixture()
+def empty_clamped_fields(monkeypatch):
+    """Empties the per-mesh memo of :func:`bucklab.counterexample.clamped_fields`
+    now and at each call of the returned function, and restores the
+    memo afterwards, so a test that counts solves or factorizations does
+    not depend on which tests ran before it."""
+
+    def empty():
+        monkeypatch.setattr(counterexample, "_FIELDS_CACHE", {})
+
+    empty()
+    return empty

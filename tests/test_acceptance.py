@@ -9,7 +9,6 @@ import scipy.sparse as sp
 
 from bucklab import (
     bounded_below_check,
-    buckling_ground_state,
     disk_oracle,
     divergence_sweep,
     inertia,
@@ -140,9 +139,7 @@ def test_criterion_5_trace_operator_sign(disk3):
 
 def test_criterion_6_divergence(disk4):
     pair = get_pair(disk4, "morley")
-    report = divergence_sweep(
-        pair, 20.0, [1e-1, 1e-2, 1e-3, 1e-4], buckling_ground_state(pair)
-    )
+    report = divergence_sweep(pair, 20.0, [1e-1, 1e-2, 1e-3, 1e-4])
     slope_ok = abs(report.fitted_slope + 2.0) <= 0.15
     last = report.samples[-1]
     num_ok = abs(last.numerator - report.alpha) <= 1e-3 * abs(report.alpha)
@@ -158,7 +155,7 @@ def test_criterion_6_divergence(disk4):
 
 def test_criterion_7_bounded_below(disk3):
     pair = get_pair(disk3, "morley")
-    report = bounded_below_check(pair, 2.0, 200, buckling_ground_state(pair))
+    report = bounded_below_check(pair, 2.0, 200)
     ok = (
         report.passed
         and report.beta1 > 0

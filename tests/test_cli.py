@@ -121,9 +121,11 @@ def test_counterexample_bounded_regime(tmp_path, capsys):
     assert float(as_dict["beta1"]) > 0
 
 
-def test_counterexample_solves_ground_state_once(tmp_path, capsys, monkeypatch):
-    """The regime decision and the regime it selects share one clamped
-    ground-state eigensolve."""
+def test_counterexample_solves_ground_state_once(tmp_path, capsys, monkeypatch,
+                                                 empty_clamped_fields):
+    """The regime decision and both regimes on one mesh share one clamped
+    ground-state eigensolve; another radius is another mesh and solves
+    once more."""
     calls = []
     solve = counterexample.buckling_ground_state
 
@@ -132,14 +134,43 @@ def test_counterexample_solves_ground_state_once(tmp_path, capsys, monkeypatch):
         return solve(pair)
 
     monkeypatch.setattr(counterexample, "buckling_ground_state", counted)
-    for regime in (["--lambda", "2", "--trials", "5"], ["--lambda", "20"]):
-        calls.clear()
+    for regime in (["--lambda", "2", "--trials", "5"], ["--lambda", "20"],
+                   ["--radius", "1.5", "--lambda", "2", "--trials", "5"]):
         code, _, _ = run_cli(
             ["counterexample", "--domain", "disk", "--refine", "2", *regime],
             tmp_path, capsys,
         )
         assert code == 0
-        assert len(calls) == 1, regime
+    assert len(calls) == 2
+    assert calls[0].mesh.content_hash() != calls[1].mesh.content_hash()
+
+
+def _counterexample_tables(args, root) -> dict[str, bytes]:
+    assert main(["counterexample", "--domain", "disk", "--refine", "2", *args,
+                 "--run-root", str(root)]) == 0
+    (run_dir,) = root.iterdir()
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())
+            if p.suffix in (".csv", ".dat")}
+
+
+def test_counterexample_memo_changes_no_byte(tmp_path, capsys, empty_clamped_fields):
+    """Runs that read the memoized clamped fields write the same CSV and
+    .dat bytes as runs that solve them afresh; another radius gets its own
+    entry, whose Lambda1 scales as 1 / radius^2."""
+    runs = [["--lambda", "2", "--trials", "20"], ["--lambda", "20"],
+            ["--lambda", "2", "--trials", "20"]]
+    warm = [_counterexample_tables(args, tmp_path / f"warm{i}") for i, args in enumerate(runs)]
+    assert len(counterexample._FIELDS_CACHE) == 1
+    for i, args in enumerate(runs):
+        empty_clamped_fields()
+        assert _counterexample_tables(args, tmp_path / f"cold{i}") == warm[i]
+    assert warm[0] and warm[1] and warm[0] == warm[2]
+
+    _counterexample_tables(["--radius", "1.5", "--lambda", "2", "--trials", "5"],
+                           tmp_path / "radius")
+    unit, scaled = counterexample._FIELDS_CACHE.values()
+    assert scaled.lambda1 == pytest.approx(unit.lambda1 / 1.5**2, rel=1e-10)
+    capsys.readouterr()
 
 
 def test_counterexample_regime_margin(tmp_path, capsys):
@@ -242,11 +273,13 @@ def test_csv_bit_determinism(tmp_path, capsys):
     ["counterexample", "--lambda", "2", "--trials", "20"],
     ["counterexample", "--lambda", "20"],
 ], ids=["spectrum", "bounded", "divergent"])
-def test_lanczos_csv_bit_determinism(tmp_path, args):
+def test_lanczos_csv_bit_determinism(tmp_path, args, empty_clamped_fields):
     """Lanczos starts from a fixed vector, so repeated runs agree to the
-    last bit."""
+    last bit (the counterexample's memoized ground state is solved again
+    for each run)."""
     tables = []
     for run in ("first", "second"):
+        empty_clamped_fields()
         root = tmp_path / run
         assert main(args + ["--domain", "disk", "--refine", "2", "--run-root", str(root)]) == 0
         (run_dir,) = root.iterdir()

@@ -15,7 +15,8 @@ from bucklab import (
     make_rectangle_mesh,
     rayleigh_quotient,
 )
-from bucklab.counterexample import alpha_pencil
+from bucklab import counterexample, spectra
+from bucklab.counterexample import alpha_pencil, clamped_fields
 from bucklab.eigen import solver_path_counts
 from bucklab.spectra import get_pair
 
@@ -91,8 +92,8 @@ def test_quotient_markers_and_samples(disk3_pair, ground):
         rayleigh_quotient(bad, 1.0, disk3_pair)
 
 
-def test_divergence_sweep(disk3_pair, ground):
-    report = divergence_sweep(disk3_pair, 20.0, [1e-1, 1e-2, 1e-3, 1e-4], ground)
+def test_divergence_sweep(disk3_pair):
+    report = divergence_sweep(disk3_pair, 20.0, [1e-1, 1e-2, 1e-3, 1e-4])
     assert report.fitted_slope == pytest.approx(-2.0, abs=0.15)
     assert not report.anomaly
     assert abs(report.alpha - report.alpha_pencil) < 1e-10
@@ -108,15 +109,15 @@ def test_divergence_sweep(disk3_pair, ground):
 def test_divergence_sweep_preconditions(disk3_pair, ground):
     _, lam1 = ground
     with pytest.raises(ValueError):
-        divergence_sweep(disk3_pair, lam1 - 1.0, [1e-1, 1e-2], ground)
+        divergence_sweep(disk3_pair, lam1 - 1.0, [1e-1, 1e-2])
     with pytest.raises(ValueError):
-        divergence_sweep(disk3_pair, 20.0, [1e-2, 1e-1], ground)
+        divergence_sweep(disk3_pair, 20.0, [1e-2, 1e-1])
     with pytest.raises(ValueError):
-        divergence_sweep(disk3_pair, 20.0, [], ground)
+        divergence_sweep(disk3_pair, 20.0, [])
 
 
-def test_bounded_below_regime(disk3_pair, ground):
-    report = bounded_below_check(disk3_pair, 2.0, 50, ground)
+def test_bounded_below_regime(disk3_pair):
+    report = bounded_below_check(disk3_pair, 2.0, 50)
     assert report.passed
     assert report.beta1 > 0
     assert report.min_quotient >= report.beta1 - 1e-8 * abs(report.beta1)
@@ -125,47 +126,47 @@ def test_bounded_below_regime(disk3_pair, ground):
     assert report.minimizer_quotient == pytest.approx(report.beta1, rel=1e-8)
 
     # between the first Dirichlet-type value and the buckling threshold
-    report10 = bounded_below_check(disk3_pair, 10.0, 50, ground)
+    report10 = bounded_below_check(disk3_pair, 10.0, 50)
     assert report10.passed
     assert report10.beta1 < 0
     assert report10.interior_residual <= 1e-6
     assert report10.minimizer_quotient == pytest.approx(report10.beta1, rel=1e-8)
 
 
-def test_bounded_regime_factors_navier_form_once(disk3_pair, ground):
-    """The bounded regime's trace operator and its lifted minimizer come
-    from one sparse factorization of the Navier shifted form Q; the only
-    other factorization is the perturbation's lift, at lambda = 0."""
+def test_bounded_regime_factors_navier_form_once(disk3_pair, empty_clamped_fields):
+    """With the mesh's clamped fields memoized, the bounded regime's trace
+    operator and its lifted minimizer come from one sparse factorization
+    of the Navier shifted form Q, and it makes no other."""
+    clamped_fields(disk3_pair)
     before = solver_path_counts()
-    make_perturbation(disk3_pair)
-    perturbation = solver_path_counts()["sparse_ldlt"] - before["sparse_ldlt"]
-    before = solver_path_counts()
-    report = bounded_below_check(disk3_pair, 2.0, 10, ground)
+    report = bounded_below_check(disk3_pair, 2.0, 10)
     after = solver_path_counts()
-    assert after["sparse_ldlt"] - before["sparse_ldlt"] == perturbation + 1
+    assert after["sparse_ldlt"] - before["sparse_ldlt"] == 1
     assert after["dense_fallback"] == before["dense_fallback"]
     assert report.passed
 
 
-def test_bounded_regime_lift_on_dense_path(disk3_pair, ground, force_dense_fallback):
+def test_bounded_regime_lift_on_dense_path(disk3_pair, force_dense_fallback):
     """With every sparse factor refused, the lift reuses the dense
     fallback's Q_ii solve: the same beta1, and a minimizer that attains
-    it with a small interior residual."""
-    sparse = bounded_below_check(disk3_pair, 2.0, 10, ground)  # caches the trace pencil
+    it with a small interior residual. The memoized perturbation makes
+    Q the one factorization (the perturbation's own dense path is
+    ``test_perturbation_matches_dense_solve``)."""
+    sparse = bounded_below_check(disk3_pair, 2.0, 10)  # caches the trace pencil and fields
     before = solver_path_counts()
     with force_dense_fallback():
-        dense = bounded_below_check(disk3_pair, 2.0, 10, ground)
+        dense = bounded_below_check(disk3_pair, 2.0, 10)
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
-    assert after["dense_fallback"] - before["dense_fallback"] == 2
+    assert after["dense_fallback"] - before["dense_fallback"] == 1
     assert dense.passed
     assert dense.beta1 == pytest.approx(sparse.beta1, rel=1e-10)
     assert dense.minimizer_quotient == pytest.approx(dense.beta1, rel=1e-8)
     assert dense.interior_residual <= 1e-6
 
 
-def test_bounded_below_vacuous_trials(disk3_pair, ground):
-    report = bounded_below_check(disk3_pair, 2.0, 0, ground)
+def test_bounded_below_vacuous_trials(disk3_pair):
+    report = bounded_below_check(disk3_pair, 2.0, 0)
     assert report.passed
     assert report.n_trials == 0
     assert report.beta1 > 0
@@ -174,21 +175,53 @@ def test_bounded_below_vacuous_trials(disk3_pair, ground):
 def test_bounded_below_precondition(disk3_pair, ground):
     _, lam1 = ground
     with pytest.raises(ValueError):
-        bounded_below_check(disk3_pair, lam1 + 1.0, 5, ground)
+        bounded_below_check(disk3_pair, lam1 + 1.0, 5)
 
 
 @pytest.mark.parametrize("mesh", [
     make_disk_mesh(1.0, 2),
     make_rectangle_mesh(2.0, 1.0, 16, 8),
 ], ids=["disk2", "rect2x1"])
-def test_regimes_do_not_depend_on_ground_state_sign(mesh):
-    """An eigenvector's sign is the solver's choice; both regimes sign
-    u1 themselves, so their reports are the same for u1 and -u1."""
+def test_regimes_do_not_depend_on_ground_state_sign(mesh, monkeypatch, empty_clamped_fields):
+    """An eigenvector's sign is the solver's choice; the memoized fields
+    sign u1 themselves, so both regimes report the same for u1 and -u1."""
     pair = get_pair(mesh, "morley")
-    u1, lam1 = buckling_ground_state(pair)
-    flipped = (-u1, lam1)
     eps = [1e-1, 1e-2, 1e-3, 1e-4]
-    assert (divergence_sweep(pair, lam1 + 5.0, eps, (u1, lam1))
-            == divergence_sweep(pair, lam1 + 5.0, eps, flipped))
-    assert (bounded_below_check(pair, 2.0, 20, (u1, lam1))
-            == bounded_below_check(pair, 2.0, 20, flipped))
+
+    def reports():
+        empty_clamped_fields()
+        lam1 = clamped_fields(pair).lambda1
+        return divergence_sweep(pair, lam1 + 5.0, eps), bounded_below_check(pair, 2.0, 20)
+
+    solved = reports()
+    solve = buckling_ground_state
+
+    def flipped(p):
+        u1, lam1 = solve(p)
+        return -u1, lam1
+
+    monkeypatch.setattr(counterexample, "buckling_ground_state", flipped)
+    assert reports() == solved
+
+
+def test_clamped_fields_are_read_only(disk3_pair):
+    fields = clamped_fields(disk3_pair)
+    assert clamped_fields(disk3_pair) is fields
+    for array in (fields.u1, fields.h):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_clamped_fields_keep_the_most_recently_used(monkeypatch, empty_clamped_fields):
+    """The memo holds at most ``CACHE_SIZE`` meshes' fields and evicts the
+    least recently used one first, as the pencil cache does."""
+    monkeypatch.setattr(spectra, "CACHE_SIZE", 2)
+    pairs = [get_pair(make_disk_mesh(r, 1), "morley") for r in (1.0, 1.5, 2.0)]
+    first = clamped_fields(pairs[0])
+    clamped_fields(pairs[1])
+    assert clamped_fields(pairs[0]) is first  # now the most recent
+    last = clamped_fields(pairs[2])
+    kept = list(counterexample._FIELDS_CACHE.values())
+    assert len(kept) == 2 and kept[0] is first and kept[1] is last
+    keys = list(counterexample._FIELDS_CACHE)
+    assert keys == [(p.mesh.content_hash(), "morley") for p in (pairs[0], pairs[2])]
