@@ -261,7 +261,7 @@ def _trace_minimizer(pair: OperatorPair, lam: float) -> tuple[float, np.ndarray,
     v /= np.linalg.norm(v)
     residual = float(np.linalg.norm((q.csc() @ v)[:q.n_interior]))
     v_full = np.zeros(pair.dofmap.n_dofs)
-    v_full[pencil.dofs] = v
+    v_full[pencil.form.rows] = v
     return float(w[0]), v_full, residual
 
 

@@ -1,49 +1,46 @@
 """Symmetric eigenvalue, inertia and Schur-complement kernel.
 
-Assembled forms arrive as scipy sparse (CSC) matrices; boundary-sized
-trace operators, 1D cap forms and test matrices arrive dense. This is
-the one module that densifies a sparse matrix, and it refuses to do so
-beyond ``MAX_DENSE_DOFS`` rows.
+A sparse pencil reaches this module in one form, a
+:class:`BoundaryLastPencil` built once by :func:`boundary_last_pencil`
+from the assembled forms and two disjoint DOF lists: A and B on one
+shared pattern, interior DOFs first and boundary DOFs last, so that
+``pencil.at(t)``, the matrix A - t B, is one vector update. A problem
+pencil has no boundary; a trace pencil has its interior DOFs in a
+fill-reducing order. Boundary-sized trace operators, 1D cap forms and
+test matrices arrive dense. This is the one module that densifies a
+sparse matrix, and it refuses to do so beyond ``MAX_DENSE_DOFS`` rows.
 
-Dense generalized eigenproblems are solved through the Cholesky factor
-of the mass matrix (LAPACK's standard path). The few smallest
-eigenpairs of a sparse pencil come from shift-invert Lanczos
-(:func:`sparse_smallest_eigs`), certified by inertia, rerun at a tighter
-tolerance when the certificate fails, with the dense path as its
-fallback. Inertia counts, Schur complements with their
-lifts and the shift-invert operator of sparse matrices use one checked
-SuperLU factorization in symmetric mode (:func:`_checked_factor`): a
-symmetric fill-reducing ordering and diagonal pivots only, so
-P A P^T = L U with U = D L^T, and inertia(A) = inertia(D) by
-Sylvester's law. Unlike Bunch-Kaufman this factorization never pivots
-for stability, so it is trusted only when the row and column
+Every sparse factorization is one SuperLU factorization of a
+``pencil.at(t)`` in symmetric mode (:func:`_checked_factor`), after a
+symmetry check through the pencil's transpose map: diagonal pivots only,
+in a fill-reducing order without a boundary and in the stored order
+with one, so P A P^T = L U with U = D L^T, and inertia(A) = inertia(D)
+by Sylvester's law. Unlike Bunch-Kaufman this factorization never
+pivots for stability, so it is trusted only when the row and column
 permutations agree, every pivot exceeds ``ZERO_TOL * max|A|`` and the
 factor shows no large element growth. Otherwise the dense path decides:
-LDL^T with Bunch-Kaufman 1x1/2x2 pivots for inertia, exactly as for
-dense input, or the dense eigensolver for a Lanczos result that fails
-its certificate. ``solver_path_counts`` reports how many sparse
-factorizations and Lanczos solves took each path.
+LDL^T with Bunch-Kaufman 1x1/2x2 pivots for inertia, or the dense
+eigensolver (through the Cholesky factor of the mass matrix) for a
+Lanczos result that fails its certificate. Such factors count
+eigenvalues (:func:`pencil_count`) and give the shift-invert operator
+and the inertia certificate of Lanczos (:func:`sparse_smallest_eigs`,
+rerun at a tighter tolerance when the certificate fails).
+``solver_path_counts`` reports how many sparse factorizations and
+Lanczos solves took each path.
 
-The Schur complement takes a matrix Q stored boundary-last, interior
-DOFs first in a fill-reducing order and boundary DOFs last: a pencil
-whose Schur complement is wanted at many shifts is permuted into that
-order once (:class:`BoundaryLastPencil`, A and B on one shared pattern,
-built from the two index sets), so each shift (a
-:class:`BoundaryLastMatrix`) costs one vector update and one
-factorization, and S = L_bb U_bb is read off the boundary block of that
-factor. Q is factored in its own order, and the factor is trusted only
-if SuperLU kept that order, so S and the lift need no re-indexing. The
-interior part of the factor passes the pivot and growth checks, so one
-factorization certifies that Q_ii is nonsingular and gives S, neg(Q_ii)
-(the interior pivot signs) and neg(S) (the boundary pivot signs), and
-the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
-as an exact integer identity whenever they pass. The boundary part, the
-LDL^T of S, passes the same growth bound but no pivot-size test, since
-S may be nearly singular. The same factor lifts boundary values to the
-interior (:func:`schur_and_lift`). A point that fails either part goes
-to the dense path, which beyond ``MAX_DENSE_DOFS`` interior rows raises
-:class:`SizeLimitError`. A single lift, with no S wanted, is one factor
-of the interior block alone (:func:`lift_to_interior`).
+A trace pencil's Q = ``pencil.at(lam)`` (a :class:`BoundaryLastMatrix`)
+factored in its own order gives S = L_bb U_bb, the boundary block of
+the factor. Its interior part passes the pivot and growth checks, so
+one factorization certifies that Q_ii is nonsingular and gives S,
+neg(Q_ii) and neg(S) from the pivot signs, and the Haynsworth
+additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds exactly
+whenever they pass. The boundary part, the LDL^T of S, passes the same
+growth bound but no pivot-size test, since S may be nearly singular.
+The same factor lifts boundary values to the interior
+(:func:`schur_and_lift`). A point that fails either part goes to the
+dense path, which beyond ``MAX_DENSE_DOFS`` interior rows raises
+:class:`SizeLimitError`. :func:`lift_to_interior` and :func:`inertia`
+factor a sparse matrix as a pencil without a boundary.
 """
 from __future__ import annotations
 
@@ -211,46 +208,45 @@ def sym_gen_eigs(a, b, count: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def sparse_smallest_eigs(a, b, count: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sym_gen_eigs` for a sparse pencil, by certified shift-invert
-    Lanczos (Ericsson & Ruhe, Math. Comp. 1980).
+def sparse_smallest_eigs(pencil, count: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_gen_eigs` for a sparse :class:`BoundaryLastPencil`, over
+    its rows, by certified shift-invert Lanczos (Ericsson & Ruhe, Math.
+    Comp. 1980).
 
     ``sigma`` must lie below the spectrum: every pivot of the checked
-    sparse LDL^T of A - sigma B must be positive, which certifies it by
-    Sylvester's law. ARPACK then runs on (A - sigma B)^{-1} B with that
-    factor, from a fixed start vector so that results are reproducible,
-    for a few more values than ``count``, to relative residual 1e-10.
-    The result is certified as in Grimes, Lewis & Simon (SIAM J. Matrix
-    Anal. Appl. 15, 1994): at the midpoint of the first clear gap between
-    Ritz values at or after position ``count - 1``, the inertia of
-    A - mid B must count exactly the Ritz values below the midpoint, so
-    no eigenvalue was missed, not even one copy of a multiple one. When
-    ARPACK fails or the certificate does, ARPACK runs once more on the
-    same factor at its default tolerance (machine epsilon), under the
-    same certificate; only when that fails too does the dense
-    :func:`sym_gen_eigs` answer, which refuses beyond ``MAX_DENSE_DOFS``
-    rows.
+    sparse LDL^T of ``pencil.at(sigma)`` must be positive, which
+    certifies it by Sylvester's law. ARPACK then runs on
+    (A - sigma B)^{-1} B with that factor, from a fixed start vector so
+    that results are reproducible, for a few more values than ``count``,
+    to relative residual 1e-10. The result is certified as in Grimes,
+    Lewis & Simon (SIAM J. Matrix Anal. Appl. 15, 1994): at the midpoint
+    of the first clear gap between Ritz values at or after position
+    ``count - 1``, the inertia of ``pencil.at(mid)`` must count exactly
+    the Ritz values below the midpoint, so no eigenvalue was missed, not
+    even one copy of a multiple one. When ARPACK fails or the certificate
+    does, ARPACK runs once more on the same factor at its default
+    tolerance (machine epsilon), under the same certificate; only when
+    that fails too does the dense :func:`sym_gen_eigs` answer, which
+    refuses beyond ``MAX_DENSE_DOFS`` rows.
     """
-    a = _require_symmetric(a, "A")
-    b = _require_symmetric(b, "B")
-    n = a.shape[0]
+    n = len(pencil.rows)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    pairs = _lanczos_smallest(a, b, count, sigma)
+    pairs = _lanczos_smallest(pencil, count, sigma)
     if pairs is None:
-        return sym_gen_eigs(a, b, count)
+        return sym_gen_eigs(*pencil.forms(), count)
     return pairs
 
 
-def _lanczos_smallest(a, b, count: int, sigma: float):
+def _lanczos_smallest(pencil: BoundaryLastPencil, count: int, sigma: float):
     """Certified ``count`` smallest eigenpairs, or None (counted as a
     dense fallback) when a check fails."""
-    n = a.shape[0]
+    n = len(pencil.rows)
     nev = count + _LANCZOS_EXTRA
     if nev >= n:  # ARPACK needs nev < n; such a pencil is tiny anyway
         _count_path(False)
         return None
-    fac = _checked_factor(a - sigma * b, n, "MMD_AT_PLUS_A")
+    fac = _checked_factor(pencil.at(sigma))
     _count_path(fac is not None)
     if fac is None:
         return None
@@ -259,6 +255,7 @@ def _lanczos_smallest(a, b, count: int, sigma: float):
         return None
     op_inv = spla.LinearOperator((n, n), matvec=fac.lu.solve, dtype=np.float64)
     del fac  # ARPACK needs the solver alone, not the fetched copies of L and U
+    a, b = pencil.forms()
     v0 = np.random.default_rng(0).standard_normal(n)
     for retry, tol in enumerate(_LANCZOS_TOLS):
         if retry:
@@ -275,7 +272,8 @@ def _lanczos_smallest(a, b, count: int, sigma: float):
              if w[j + 1] - w[j] > _GAP_RTOL * max(abs(w[j]), abs(w[j + 1]))),
             None,
         )
-        if gap is not None and inertia(a - 0.5 * (w[gap] + w[gap + 1]) * b).n_neg == gap + 1:
+        if gap is not None and _pencil_inertia(
+                pencil.at(0.5 * (w[gap] + w[gap + 1]))).n_neg == gap + 1:
             return w[:count], v[:, :count]
     _count_path(False)
     return None
@@ -291,26 +289,24 @@ class _Factor(NamedTuple):
     pivots: np.ndarray
 
 
-def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str):
-    """One SuperLU factorization of the symmetric canonical CSC matrix
-    ``a`` in symmetric mode (diagonal pivots only), as a :class:`_Factor`,
-    or None when it cannot be trusted.
+def _checked_factor(q: BoundaryLastMatrix):
+    """One SuperLU factorization of the symmetric pencil matrix ``q`` in
+    symmetric mode (diagonal pivots only), as a :class:`_Factor`, or None
+    when it cannot be trusted. ``q`` is first checked symmetric within
+    1e-12 relative through its transpose map (ValueError otherwise).
 
-    The first ``ni`` DOFs of ``a`` are its interior ones. With ``ni = n``
-    the whole matrix is interior and ``permc_spec="MMD_AT_PLUS_A"`` gives
-    a checked sparse LDL^T in a fill-reducing order. With
-    ``permc_spec="NATURAL"`` a matrix Q stored boundary-last is factored
-    in its own order (the partial factorization behind the Schur
-    complement option of multifrontal solvers: Amestoy, Duff,
-    L'Excellent & Koster, SIAM J. Matrix Anal. Appl. 23, 2001): the
-    interior columns factor Q_ii = L_ii U_ii, and since
-    Q_bb = L_bi U_ib + L_bb U_bb, the boundary block of the factor is
-    S = L_bb U_bb.
+    Without a boundary, ``q`` is factored in a minimum-degree order (on
+    the pattern of Q^T + Q). With one, it is factored in its own order
+    (the partial factorization behind the Schur complement option of
+    multifrontal solvers: Amestoy, Duff, L'Excellent & Koster, SIAM J.
+    Matrix Anal. Appl. 23, 2001): the interior columns factor
+    Q_ii = L_ii U_ii, and since Q_bb = L_bi U_ib + L_bb U_bb, the
+    boundary block of the factor is S = L_bb U_bb.
 
     The factor is trusted only when the row and column permutations
-    agree (an LDL^T), SuperLU kept the given order if it was asked to,
-    every interior pivot exceeds ``ZERO_TOL * max|Q_ii|``, and the
-    interior columns of L and rows of U show no element growth beyond
+    agree (an LDL^T), SuperLU kept the stored order if ``q`` has a
+    boundary, every interior pivot exceeds ``ZERO_TOL * max|Q_ii|``, and
+    the interior columns of L and rows of U show no element growth beyond
     ``_MAX_GROWTH`` relative to max|Q_ii|. Then Q_ii is nonsingular and
     inertia(Q_ii) is the signs of the interior pivots, so the Haynsworth
     additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds for this
@@ -321,21 +317,25 @@ def _checked_factor(a: sp.csc_array, ni: int, permc_spec: str):
     last, is still trusted; a small leading boundary pivot shows as
     growth.
     """
-    scale = _max_abs(a.data)
+    d, ni = q.data, q.n_interior
+    scale = _max_abs(d)
+    _check_symmetric(scale, _max_abs(d - d[q.transpose]), "Q")
+    a = q.csc()
+    natural = ni < a.shape[0]
     head = slice(0, a.indptr[ni])  # the stored entries of the interior columns
-    scale_ii = scale if ni == a.shape[0] else _max_abs(a.data[head][a.indices[head] < ni])
+    scale_ii = _max_abs(d[head][a.indices[head] < ni]) if natural else scale
     if scale_ii == 0.0:
         return None
     try:
         lu = spla.splu(
-            a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+            a, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError:  # a pivot column, interior or boundary, was exactly zero
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None  # an off-diagonal pivot was taken: not an LDL^T
-    if permc_spec == "NATURAL" and np.any(lu.perm_c != np.arange(len(lu.perm_c))):
+    if natural and np.any(lu.perm_c != np.arange(len(lu.perm_c))):
         return None  # SuperLU did not keep the given order
     l, u = lu.L, lu.U
     pivots = u.diagonal()
@@ -367,12 +367,13 @@ def _max_abs(values: np.ndarray) -> float:
 def inertia(a) -> Inertia:
     """Signs of the spectrum of a symmetric matrix, read off an LDL^T factor.
 
-    Sparse input: signs of the pivots of the checked sparse LDL^T, whose
-    pivots all exceed ``ZERO_TOL * max|A|``. Dense input, or a sparse
-    factor that fails a check: LDL^T with Bunch-Kaufman pivoting, whose
-    block-diagonal D (1x1 and 2x2 pivot blocks) is tridiagonal; the signs
-    are those of its eigenvalues from LAPACK, and eigenvalues with
-    magnitude at most ``ZERO_TOL * max|A|`` count as zero.
+    Sparse input: signs of the pivots of the checked sparse LDL^T of the
+    pencil (A, 0) with no boundary, whose pivots all exceed
+    ``ZERO_TOL * max|A|``. Dense input, or a sparse factor that fails a
+    check: LDL^T with Bunch-Kaufman pivoting, whose block-diagonal D (1x1
+    and 2x2 pivot blocks) is tridiagonal; the signs are those of its
+    eigenvalues from LAPACK, and eigenvalues with magnitude at most
+    ``ZERO_TOL * max|A|`` count as zero.
     """
     a = _require_symmetric(a, "A")
     n = a.shape[0]
@@ -381,12 +382,8 @@ def inertia(a) -> Inertia:
     if sp.issparse(a):
         if a.nnz == 0:
             return Inertia(0, n, 0)
-        fac = _checked_factor(a, n, "MMD_AT_PLUS_A")
-        _count_path(fac is not None)
-        if fac is not None:
-            pivots = fac.pivots
-            return Inertia(int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)))
-        a = _dense(a, "A")
+        pencil = boundary_last_pencil(a, sp.csc_array(a.shape), np.arange(n), [])
+        return _pencil_inertia(pencil.at(0.0))
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         return Inertia(0, n, 0)
@@ -399,23 +396,33 @@ def inertia(a) -> Inertia:
     return Inertia(n_neg, n_zero, n_pos)
 
 
-def pencil_count(a, b, upto: float, scale: float) -> int:
-    """``m``, the number of eigenvalues of the sparse pencil (A, B) at or
+def _pencil_inertia(q: BoundaryLastMatrix) -> Inertia:
+    """:func:`inertia` of the pencil matrix ``q``: the pivot signs of its
+    checked factor or, when a check fails, the dense count."""
+    fac = _checked_factor(q)
+    _count_path(fac is not None)
+    if fac is None:
+        return inertia(_dense(q.csc(), "A"))
+    pivots = fac.pivots
+    return Inertia(int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)))
+
+
+def pencil_count(pencil: BoundaryLastPencil, upto: float, scale: float) -> int:
+    """``m``, the number of eigenvalues of the sparse ``pencil`` at or
     below a bound t >= ``upto``, so that the ``m + 1`` smallest hold every
     value up to ``upto`` and the next one above it: the negative pivots
-    of the checked factor of A - t B. At t = ``upto`` on an eigenvalue
-    that factor fails its pivot test, so t moves up by each step of
-    ``_COUNT_NUDGES`` times ``max(|upto|, scale)`` in turn. If every
-    factor fails, the dense count at ``upto`` decides, its zero
+    of the checked factor of ``pencil.at(t)``. At t = ``upto`` on an
+    eigenvalue that factor fails its pivot test, so t moves up by each
+    step of ``_COUNT_NUDGES`` times ``max(|upto|, scale)`` in turn. If
+    every factor fails, the dense count at ``upto`` decides, its zero
     eigenvalues counted as at or below."""
     for nudge in (0.0, *_COUNT_NUDGES):
-        q = _require_symmetric(a - (upto + nudge * max(abs(upto), scale)) * b, "A - t B")
-        fac = _checked_factor(q, q.shape[0], "MMD_AT_PLUS_A")
+        fac = _checked_factor(pencil.at(upto + nudge * max(abs(upto), scale)))
         if fac is not None:
             _count_path(True)
             return int(np.sum(fac.pivots < 0))
     _count_path(False)
-    below = inertia(_dense(a - upto * b, "A - t B"))
+    below = inertia(_dense(pencil.at(upto).csc(), "A - t B"))
     return below.n_neg + below.n_zero
 
 
@@ -440,12 +447,11 @@ def fill_order(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryLastMatrix:
-    """A symmetric sparse matrix stored in the order a boundary-last
-    factorization needs: its ``n_interior`` interior DOFs first, in a
-    fill-reducing order, then the boundary DOFs. Its CSC pattern
-    (``indptr``, ``indices``) holds the transpose of every entry it
-    holds; ``transpose[k]`` is the stored position of the transpose of
-    entry ``k``. Made by :meth:`BoundaryLastPencil.at`."""
+    """A symmetric sparse matrix stored as its pencil stores it: its
+    ``n_interior`` interior DOFs first, then its boundary DOFs, if it has
+    any. Its CSC pattern (``indptr``, ``indices``) holds the transpose of
+    every entry it holds; ``transpose[k]`` is the stored position of the
+    transpose of entry ``k``. Made by :meth:`BoundaryLastPencil.at`."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -464,8 +470,8 @@ class BoundaryLastPencil:
     """A symmetric sparse pencil A - lam B stored as a
     :class:`BoundaryLastMatrix` is, with A and B on one shared pattern,
     so the matrix at one lam is one vector update; ``rows[k]`` is the
-    row (and column) of A and B stored at position ``k``. Built by
-    :func:`boundary_last_pencil`."""
+    row (and column) of the assembled forms stored at position ``k``.
+    Built by :func:`boundary_last_pencil`."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -480,29 +486,33 @@ class BoundaryLastPencil:
         return BoundaryLastMatrix(self.indptr, self.indices, self.transpose,
                                   self.n_interior, self.a_data - lam * self.b_data)
 
+    def forms(self) -> tuple[sp.csc_array, sp.csc_array]:
+        """A and B as CSC arrays sharing the pencil's arrays."""
+        n = len(self.rows)
+        return tuple(sp.csc_array((d, self.indices, self.indptr), shape=(n, n))
+                     for d in (self.a_data, self.b_data))
+
 
 def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
-    """The symmetric sparse ``a`` and ``b`` permuted once into a
-    :class:`BoundaryLastPencil`: the DOFs ``interior`` first, in the
-    :func:`fill_order` of the pattern of A + B on them, then the DOFs
-    ``boundary``. The two index sets must use every index in [0, n)
-    exactly once between them (checked in O(n); ValueError otherwise).
+    """The symmetric forms ``a`` and ``b`` on the disjoint DOF lists
+    ``interior`` and ``boundary`` (checked in O(n); ValueError otherwise)
+    as a :class:`BoundaryLastPencil` on the nonzeros of |A| + |B|: the
+    interior DOFs first, in the :func:`fill_order` of that pattern on them
+    if there is a boundary and as given if not, then the boundary DOFs.
     The values are placed, never summed with each other, so they keep
     their bits; the arrays are read-only."""
     interior = np.asarray(interior, dtype=np.int64)
     boundary = np.asarray(boundary, dtype=np.int64)
-    forms = [sp.csc_array(m, dtype=np.float64, copy=True) for m in (a, b)]
+    rows = np.concatenate([interior, boundary])
+    if not (np.all((rows >= 0) & (rows < np.shape(a)[0])) and np.all(np.bincount(rows) <= 1)):
+        raise ValueError("index sets must partition the pencil's DOFs: distinct rows of the forms")
+    n, ni = len(rows), len(interior)
+    forms = [sp.csc_array(m, dtype=np.float64)[np.ix_(rows, rows)] for m in (a, b)]
     for m in forms:
         m.sum_duplicates()
-    n = forms[0].shape[0]
-    merged = np.concatenate([interior, boundary])
-    seen = np.zeros(n, dtype=bool)
-    if len(merged) == n and np.all((merged >= 0) & (merged < n)):
-        seen[merged] = True
-    if not seen.all():
-        raise ValueError("index sets must partition the matrix dimension")
-    order = fill_order((forms[0] + forms[1])[np.ix_(interior, interior)])
-    perm = np.concatenate([interior[order], boundary])
+        m.eliminate_zeros()
+    pattern = abs(forms[0]) + abs(forms[1])
+    pattern = sp.csc_array(pattern + pattern.T)  # canonical
 
     def numbered(m):  # m's pattern, its entries numbered 1, 2, ... in CSC order
         return sp.csc_array((np.arange(1.0, m.nnz + 1), m.indices, m.indptr), shape=(n, n))
@@ -510,26 +520,26 @@ def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
     def keys(m):  # column-major keys col * n + row, ascending for canonical CSC
         return np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
 
-    # every entry of both forms and its transpose, in the original order ...
-    union = numbered(forms[0]) + numbered(forms[1])
-    union = sp.csc_array(union + union.T)
-    union.sum_duplicates()
-    # ... permuted, each stored entry naming the union entry it holds
-    permuted = numbered(union)[np.ix_(perm, perm)]
-    permuted.sort_indices()
+    # each stored entry names the pattern entry it holds
+    permuted = numbered(pattern)
+    if len(boundary):
+        perm = np.concatenate([fill_order(pattern[:ni, :ni]), np.arange(ni, n)])
+        rows = rows[perm]
+        permuted = permuted[np.ix_(perm, perm)]
+        permuted.sort_indices()
     source = permuted.data.astype(np.int64) - 1
     data = []
     for m in forms:
-        values = np.zeros(union.nnz)
-        values[np.searchsorted(keys(union), keys(m))] = m.data
+        values = np.zeros(pattern.nnz)
+        values[np.searchsorted(keys(pattern), keys(m))] = m.data
         data.append(values[source])
     # the pattern is symmetric, so its transpose numbers each entry's transpose
     transpose = sp.csc_array(numbered(permuted).T).data.astype(np.int32) - 1
     fields = [permuted.indptr.astype(np.int32), permuted.indices.astype(np.int32),
-              transpose, perm, *data]
+              transpose, rows, *data]
     for arr in fields:
         arr.setflags(write=False)
-    return BoundaryLastPencil(*fields[:3], len(interior), *fields[3:])
+    return BoundaryLastPencil(*fields[:3], ni, *fields[3:])
 
 
 class SchurComplement(NamedTuple):
@@ -571,11 +581,9 @@ def schur_and_lift(q: BoundaryLastMatrix):
     ``MAX_DENSE_DOFS`` interior rows a failed check raises
     :class:`SizeLimitError`. The lift holds U (or X) until it is dropped.
     """
-    d, ni = q.data, q.n_interior
-    _check_symmetric(_max_abs(d), _max_abs(d - d[q.transpose]), "Q")
-    q = q.csc()
-    fac = _checked_factor(q, ni, "NATURAL")
+    fac = _checked_factor(q)
     _count_path(fac is not None)
+    ni, q = q.n_interior, q.csc()
     if fac is None:
         q_ii = _dense(q[:ni, :ni], "Q_ii")
         interior = inertia(q_ii)
@@ -601,19 +609,19 @@ def schur_and_lift(q: BoundaryLastMatrix):
 
 def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The lift ``-A_ii^{-1} A_ib psi`` of :func:`schur_and_lift` for a
-    symmetric sparse A given by index sets: one checked factor of A_ii in
-    a fill-reducing order, without the boundary-last copy of A (whose
-    order costs a factorization of its own) or S. On a failed check,
-    A_ii's Bunch-Kaufman inertia decides regularity and a dense solve
-    gives the lift; a singular A_ii raises :class:`SingularBlockError`."""
+    symmetric sparse A given by index sets: one checked factor of A_ii, the
+    pencil (A, 0) on the interior DOFs with no boundary, whose order costs
+    no factorization of its own. On a failed check, A_ii's Bunch-Kaufman
+    inertia decides regularity and a dense solve gives the lift; a
+    singular A_ii raises :class:`SingularBlockError`."""
     a = _require_symmetric(a, "A")
-    a_ii = a[np.ix_(interior, interior)]
     rhs = -(a[np.ix_(interior, boundary)] @ psi)
-    fac = _checked_factor(a_ii, len(interior), "MMD_AT_PLUS_A")
+    q = boundary_last_pencil(a, sp.csc_array(a.shape), interior, []).at(0.0)
+    fac = _checked_factor(q)
     _count_path(fac is not None)
     if fac is not None:
         return fac.lu.solve(rhs)
-    a_ii = _dense(a_ii, "A_ii")
+    a_ii = _dense(q.csc(), "A_ii")
     if inertia(a_ii).n_zero:
         raise SingularBlockError("interior block is singular at this parameter")
     return sla.solve(a_ii, rhs, assume_a="sym")

@@ -12,7 +12,7 @@ validates the incidence and orientation invariants once.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,18 @@ MAX_TRIANGLES = 8 * 4**MAX_REFINEMENT
 _NORMAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Mesh:
+class _ContentIdentity:
+    """Equality and hash by ``content_hash()``, as every cache keys."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.content_hash() == other.content_hash()
+
+    def __hash__(self) -> int:
+        return hash(self.content_hash())
+
+
+@dataclass(frozen=True, eq=False)
+class Mesh(_ContentIdentity):
     """Conforming triangulation with edge incidence and boundary data.
 
     vertices : (nv, 2) float64 coordinates
@@ -53,7 +63,7 @@ class Mesh:
     domain_tag: str
     radius: float | None = None
     boundary_curvature: float = 0.0
-    _hash: str = field(default="", compare=False)
+    _hash: str = ""
 
     @property
     def n_vertices(self) -> int:
@@ -311,8 +321,8 @@ GRADING_RATIO = 1.15
 MAX_GRADING_GROWTH = 1e4
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+@dataclass(frozen=True, eq=False)
+class RadialGrid(_ContentIdentity):
     """Strictly increasing colatitude nodes from theta=eps to theta=pi."""
 
     nodes: np.ndarray

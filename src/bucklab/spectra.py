@@ -7,14 +7,15 @@ spaces, as the one table :data:`PENCILS` says. The disk oracle
 produces analytic ground truth from the Bessel zeros of
 ``scipy.special``, independently of every finite element path.
 
-Pencil matrices are sliced from the sparse assembled forms. The k
-smallest eigenpairs (:func:`smallest_eigenpairs`) come from certified
-shift-invert Lanczos on the checked sparse factor, never densified
-unless a check fails. They serve :func:`spectrum`, the clamped ground
-state of :mod:`bucklab.counterexample`, and :func:`pencil_eigenvalues`,
-the spectrum prefix up to a bound from which the identity scans count
-eigenvalues and measure margins; its size is one inertia count of the
-pencil shifted to the bound. Assembled pairs and spectrum prefixes
+Each solve builds its pencil from the sparse assembled forms once, on
+the free DOFs, as a :class:`~bucklab.eigen.BoundaryLastPencil` with no
+boundary. The k smallest eigenpairs (:func:`smallest_eigenpairs`) come
+from certified shift-invert Lanczos on its checked sparse factor, never
+densified unless a check fails. They serve :func:`spectrum`, the
+clamped ground state of :mod:`bucklab.counterexample`, and
+:func:`pencil_eigenvalues`, the spectrum prefix up to a bound from
+which the identity scans count eigenvalues and measure margins; its
+size is one inertia count of the same pencil shifted to the bound. Assembled pairs and spectrum prefixes
 are memoized per mesh content hash, which covers every mesh field
 assembly reads; each cache keeps its few most recently used entries
 (:func:`lru_get`, :func:`lru_put`).
@@ -25,10 +26,9 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify_dofs
-from .eigen import pencil_count, sparse_smallest_eigs
+from .eigen import boundary_last_pencil, pencil_count, sparse_smallest_eigs
 from .errors import MeshError, SpectrumRangeError
 from .mesh import Mesh
 
@@ -135,16 +135,9 @@ def free_dofs(pair: OperatorPair, problem: str) -> np.ndarray:
     return free
 
 
-def _restrict(m: sp.csc_array, free: np.ndarray) -> sp.csc_array:
-    return m if len(free) == m.shape[0] else m[np.ix_(free, free)]
-
-
-def pencil_matrices(
-    pair: OperatorPair, problem: str, free: np.ndarray
-) -> tuple[sp.csc_array, sp.csc_array]:
-    """Sparse (A, B) of ``problem``'s pencil on the DOFs ``free``."""
-    a, b = (getattr(pair, name) for name in PENCILS[problem][2:])
-    return _restrict(a, free), _restrict(b, free)
+def pencil_forms(pair: OperatorPair, problem: str):
+    """The assembled A and B of ``problem``'s pencil on ``pair``."""
+    return tuple(getattr(pair, name) for name in PENCILS[problem][2:])
 
 
 def pencil_eigenvalues(
@@ -160,8 +153,9 @@ def pencil_eigenvalues(
     The prefix is sized by one inertia count: ``m`` eigenvalues lie at
     or below ``upto``, or below a bound just above it when ``upto`` is
     on an eigenvalue (:func:`~bucklab.eigen.pencil_count`), and one
-    :func:`smallest_eigenpairs` call computes ``m + 1`` values (all
-    of them when that is the whole spectrum). It is memoized per mesh
+    certified Lanczos solve of the same pencil, as in
+    :func:`smallest_eigenpairs`, computes ``m + 1`` values (all of them
+    when that is the whole spectrum). It is memoized per mesh
     content hash, problem and pair kind, so a smaller ``upto`` is served
     from the cache and a larger one is counted and solved once more.
     There is no default bound: asking for the whole spectrum of a large
@@ -175,10 +169,9 @@ def pencil_eigenvalues(
     cached = lru_get(_PREFIX_CACHE, key)
     if cached is not None and (cached[-1] > upto or len(cached) == len(free)):
         return cached
-    a, b = pencil_matrices(pair, problem, free)
-    count = min(pencil_count(a, b, upto, 1.0 / mesh.area()) + 1, len(free))
-    del a, b  # the Lanczos solve slices its own pencil; two copies would raise the peak
-    vals = smallest_eigenpairs(pair, problem, count)[0]
+    pencil = boundary_last_pencil(*pencil_forms(pair, problem), free, [])
+    count = min(pencil_count(pencil, upto, 1.0 / mesh.area()) + 1, len(free))
+    vals = sparse_smallest_eigs(pencil, count, sigma=-1.0 / mesh.area())[0]
     vals.setflags(write=False)
     return lru_put(_PREFIX_CACHE, key, vals)
 
@@ -201,8 +194,8 @@ def smallest_eigenpairs(
     free = free_dofs(pair, problem)
     if count > len(free):
         raise SpectrumRangeError(f"k={count} exceeds the {len(free)} free DOFs")
-    a, b = pencil_matrices(pair, problem, free)
-    w, v = sparse_smallest_eigs(a, b, count, sigma=-1.0 / pair.mesh.area())
+    pencil = boundary_last_pencil(*pencil_forms(pair, problem), free, [])
+    w, v = sparse_smallest_eigs(pencil, count, sigma=-1.0 / pair.mesh.area())
     return w, v, free
 
 

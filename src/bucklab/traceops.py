@@ -5,14 +5,15 @@ Friedlander's is Neumann (K_grad - lambda*M) over Dirichlet, Liu's is
 Navier (F - lambda*K_grad) over buckling. Its trace operator, the
 Dirichlet-to-Neumann or the Neumann-to-Laplacian operator, is the Schur
 complement of the outer pencil's sparse shifted form Q onto the DOFs the
-inner pencil constrains. Each identity's outer pencil is permuted once
-per mesh into a cached :class:`TracePencil`: the interior DOFs, those of
-the inner pencil, in its minimum-degree order, then the boundary DOFs,
-with A and B on one shared sparse pattern and the DOF of each row
-recorded. At each lambda :func:`bucklab.eigen.schur_complement` factors
-that pencil's shifted form once (a checked sparse LDL^T, with the dense
-Bunch-Kaufman path as fallback) and returns the boundary block of the
-factor as a dense matrix, with neg(S) and neg(Q_ii) from its pivots.
+inner pencil constrains. Each identity's outer pencil is built once per
+mesh into a cached :class:`TracePencil`, a
+:class:`~bucklab.eigen.BoundaryLastPencil` on the outer free DOFs: the
+interior DOFs, those the inner pencil leaves free, in a minimum-degree
+order, then the boundary DOFs. At each lambda
+:func:`bucklab.eigen.schur_complement` factors that pencil's shifted
+form once (a checked sparse LDL^T, with the dense Bunch-Kaufman path as
+fallback) and returns the boundary block of the factor as a dense
+matrix, with neg(S) and neg(Q_ii) from its pivots.
 Nothing here keeps a factor past its point; :mod:`bucklab.counterexample`
 lifts its fields from the same kind of factor.
 
@@ -53,7 +54,7 @@ from .spectra import (
     lru_get,
     lru_put,
     pencil_eigenvalues,
-    pencil_matrices,
+    pencil_forms,
     pencil_pair,
 )
 
@@ -156,37 +157,22 @@ def _cleared(lam: float, excluded: np.ndarray) -> float:
     return margin
 
 
-def _split(pair, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(free, interior, boundary)`` of identity ``kind`` on the outer
-    pencil's ``pair``: its free DOFs ``free``, and the positions in
-    ``free`` of the DOFs the inner pencil also leaves free (eliminated)
-    and of the rest (kept). Both pencils share one assembled pair; the
-    inner one only names its free DOFs."""
-    _, outer, inner = _identity(kind)
-    free = free_dofs(pair, outer)
-    interior = np.searchsorted(free, free_dofs(pair, inner))
-    kept = np.ones(len(free), dtype=bool)
-    kept[interior] = False
-    return free, interior, np.flatnonzero(kept)
-
-
 @dataclass(frozen=True)
 class TracePencil:
     """The outer pencil of one identity on one mesh, ready for every lam:
-    A and B on its free DOFs, permuted once into a
-    :class:`~bucklab.eigen.BoundaryLastPencil` (interior DOFs in the
-    minimum-degree order of the inner pencil's pattern, then the boundary
-    DOFs), with the DOF of each of its rows and the boundary mass
-    (read-only)."""
+    A and B on its free DOFs stored once as a
+    :class:`~bucklab.eigen.BoundaryLastPencil` (the interior DOFs, those
+    the inner pencil leaves free, in the minimum-degree order of the
+    pencil's pattern on them, then the boundary DOFs), with the boundary
+    mass (read-only)."""
 
     form: BoundaryLastPencil
-    dofs: np.ndarray
     boundary_mass: np.ndarray
 
     @property
     def boundary_dofs(self) -> np.ndarray:
-        """The DOFs of the boundary rows, the tail of ``dofs``."""
-        return self.dofs[self.form.n_interior:]
+        """The DOFs of the boundary rows, the tail of ``form.rows``."""
+        return self.form.rows[self.form.n_interior:]
 
 
 # the trace pencils of the last few (mesh, identity, pair kind), least
@@ -199,17 +185,16 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
     content hash, identity and pair kind (``order`` applies to Lagrange
     pairs only, so Liu's pencil is shared by every order); the
     :data:`~bucklab.spectra.CACHE_SIZE` most recently used ones are kept."""
-    outer = _identity(kind)[1]
+    _, outer, inner = _identity(kind)
     pair = pencil_pair(mesh, outer, order)
     key = (mesh.content_hash(), kind, pair.dofmap.kind)
     pencil = lru_get(_PENCIL_CACHE, key)
     if pencil is not None:
         return pencil
-    free, interior, boundary = _split(pair, kind)
-    form = boundary_last_pencil(*pencil_matrices(pair, outer, free), interior, boundary)
-    dofs = free[form.rows]
-    dofs.setflags(write=False)
-    bnd = dofs[form.n_interior:]
+    interior = free_dofs(pair, inner)
+    boundary = np.setdiff1d(free_dofs(pair, outer), interior, assume_unique=True)
+    form = boundary_last_pencil(*pencil_forms(pair, outer), interior, boundary)
+    bnd = form.rows[form.n_interior:]
     if pair.b_trace is None:  # Morley pair
         boundary_mass = np.diag(pair.b_normal_diag[bnd])
     else:
@@ -217,7 +202,7 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
             raise AssertionError("boundary DOF ordering mismatch")
         boundary_mass = pair.b_trace.view()
     boundary_mass.setflags(write=False)
-    pencil = TracePencil(form, dofs, boundary_mass)
+    pencil = TracePencil(form, boundary_mass)
     return lru_put(_PENCIL_CACHE, key, pencil)
 
 

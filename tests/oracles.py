@@ -3,7 +3,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from bucklab.spectra import free_dofs, pencil_matrices, pencil_pair
+from bucklab.spectra import PENCILS, free_dofs, pencil_pair
 from bucklab.spherecap import cap_operators
 
 _PENCIL_SPECTRA = {}
@@ -17,6 +17,14 @@ def sym_gen_eigvals_all(a, b) -> np.ndarray:
     return sla.eigh(a, b, eigvals_only=True, overwrite_a=True, overwrite_b=True)
 
 
+def sliced_forms(pair, problem: str):
+    """The assembled A and B of ``problem``'s pencil (as
+    :data:`~bucklab.spectra.PENCILS` names them), sliced here to its free
+    DOFs, as sparse matrices."""
+    free = free_dofs(pair, problem)
+    return tuple(getattr(pair, name)[np.ix_(free, free)] for name in PENCILS[problem][2:])
+
+
 def dense_pencil_eigenvalues(mesh, problem: str, order=None) -> np.ndarray:
     """Every eigenvalue of ``problem``'s pencil on ``mesh`` by
     :func:`sym_gen_eigvals_all`, memoized per mesh content hash, problem
@@ -24,7 +32,7 @@ def dense_pencil_eigenvalues(mesh, problem: str, order=None) -> np.ndarray:
     key = (mesh.content_hash(), problem, order)
     if key not in _PENCIL_SPECTRA:
         pair = pencil_pair(mesh, problem, order)
-        vals = sym_gen_eigvals_all(*pencil_matrices(pair, problem, free_dofs(pair, problem)))
+        vals = sym_gen_eigvals_all(*sliced_forms(pair, problem))
         vals.setflags(write=False)
         _PENCIL_SPECTRA[key] = vals
     return _PENCIL_SPECTRA[key]

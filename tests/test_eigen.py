@@ -403,7 +403,7 @@ def test_sparse_smallest_eigs_paths(case, fallbacks, monkeypatch):
 
         monkeypatch.setattr(eigen.spla, "eigsh", no_convergence)
     before = solver_path_counts()["dense_fallback"]
-    w, v = sparse_smallest_eigs(a, b, 4, sigma)
+    w, v = sparse_smallest_eigs(eigen.boundary_last_pencil(a, b, np.arange(n), []), 4, sigma)
     assert solver_path_counts()["dense_fallback"] == before + fallbacks
     w_dense, v_dense = sym_gen_eigs(a, b, 4)
     np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0)

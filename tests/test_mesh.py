@@ -154,3 +154,25 @@ def test_radial_grid_large_n_keeps_positive_spacing():
 def test_mesh_immutable(disk2):
     with pytest.raises(ValueError):
         disk2.vertices[0, 0] = 99.0
+
+
+def test_mesh_and_grid_equality_by_content():
+    """Meshes and grids built separately from the same inputs are equal
+    and hash alike, as every result cache treats them; another refine,
+    radius or grid is unequal, and a mesh never equals a grid."""
+    mesh = make_disk_mesh(1.0, 2)
+    same = make_disk_mesh(1.0, 2)
+    assert mesh is not same
+    assert mesh == same and hash(mesh) == hash(same)
+    assert len({mesh, same}) == 1
+    assert mesh != make_disk_mesh(1.0, 3)
+    assert mesh != make_disk_mesh(2.0, 2)
+    assert make_rectangle_mesh(1.0, 1.0, 4, 4) == make_rectangle_mesh(1.0, 1.0, 4, 4)
+
+    grid = make_radial_grid(0.1, 16, "geometric")
+    twin = make_radial_grid(0.1, 16, "geometric")
+    assert grid == twin and hash(grid) == hash(twin)
+    assert grid != make_radial_grid(0.1, 16, "uniform")
+    assert grid != make_radial_grid(0.2, 16, "geometric")
+    assert grid != make_radial_grid(0.1, 32, "geometric")
+    assert mesh != grid

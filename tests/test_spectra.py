@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from bucklab import (
     buckling_ground_state,
     disk_oracle,
     eigen,
+    inertia,
     load_mesh,
     make_disk_mesh,
     save_mesh,
@@ -23,13 +25,12 @@ from bucklab.spectra import (
     Spectrum,
     get_pair,
     pencil_eigenvalues,
-    pencil_matrices,
     pencil_pair,
     smallest_eigenpairs,
     spectrum_to_csv_rows,
 )
 
-from oracles import dense_pencil_eigenvalues
+from oracles import dense_pencil_eigenvalues, sliced_forms
 
 PROBLEMS = ["dirichlet", "neumann", "buckling", "navier"]
 
@@ -192,7 +193,7 @@ def test_lanczos_eigenpairs_match_dense(level, radius, problem, count):
     before = solver_path_counts()["dense_fallback"]
     w, v, free = smallest_eigenpairs(pair, problem, count)
     assert solver_path_counts()["dense_fallback"] == before
-    a, b = pencil_matrices(pair, problem, free)
+    a, b = sliced_forms(pair, problem)
     # one value more, so that a pair split by count is whole here
     w_dense, v_dense = sym_gen_eigs(a, b, count + 1)
     scale = np.maximum(1.0, np.abs(w_dense[:count]))
@@ -219,7 +220,7 @@ def test_lanczos_certificate_catches_a_missed_value(disk2, problem, monkeypatch)
         return w[keep], v[:, keep]
 
     pair = pencil_pair(disk2, problem, 2)
-    a, b = pencil_matrices(pair, problem, spectra.free_dofs(pair, problem))
+    a, b = sliced_forms(pair, problem)
     monkeypatch.setattr(eigen.spla, "eigsh", missing_second)
     before = solver_path_counts()
     w, _, _ = smallest_eigenpairs(pair, problem, 3)
@@ -326,18 +327,18 @@ def test_prefix_bound_is_required(disk2):
 def test_prefix_sized_by_one_inertia_count(disk3, monkeypatch):
     """A prefix is one inertia count at ``upto`` and one Lanczos solve for
     one value more than it counts: on disk level 3, the Neumann prefixes
-    past 25 and then past 61 make one ``smallest_eigenpairs`` call each,
+    past 25 and then past 61 make one ``sparse_smallest_eigs`` call each,
     and the second holds N(61) + 1 = 20 values."""
     dense = dense_pencil_eigenvalues(disk3, "neumann", 2)
     counts = []
-    solve = spectra.smallest_eigenpairs
+    solve = spectra.sparse_smallest_eigs
 
-    def counted(pair, problem, count):
+    def counted(pencil, count, sigma):
         counts.append(count)
-        return solve(pair, problem, count)
+        return solve(pencil, count, sigma)
 
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
-    monkeypatch.setattr(spectra, "smallest_eigenpairs", counted)
+    monkeypatch.setattr(spectra, "sparse_smallest_eigs", counted)
     for upto in (25.0, 61.0):
         prefix = pencil_eigenvalues(disk3, "neumann", 2, upto=upto)
         assert counts[-1] == len(prefix) == np.sum(dense < upto) + 1
@@ -370,3 +371,92 @@ def test_prefix_bound_at_the_neumann_zero_beyond_the_dense_cap(disk2, monkeypatc
     zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
     assert len(zero) == 2 and zero[-1] > 0.0
     assert solver_path_counts()["dense_fallback"] == before["dense_fallback"]
+
+
+@pytest.mark.parametrize("mesh_name", ["disk2", "rect16"])
+@pytest.mark.parametrize("problem", ["buckling", "navier"])
+def test_morley_pencil_whose_forms_store_different_patterns(request, mesh_name, problem,
+                                                           monkeypatch):
+    """On the disk, F drops exact zeros of the bending form that K keeps,
+    so A stores fewer entries than B; on the 16x16 rectangle both forms
+    store entries that are zero in both. The pencil stores the nonzeros
+    of |A| + |B| alone, its matrix at t is A - t B entry for entry, its
+    counts equal the dense inertia between eigenvalues, on one and 1e-7
+    relative above one (where the checked factor fails its pivot test
+    and t is nudged), and its eigenpairs match dense ``eigh``."""
+    mesh = request.getfixturevalue(mesh_name)
+    pair = pencil_pair(mesh, problem)
+    free = spectra.free_dofs(pair, problem)
+    a, b = sliced_forms(pair, problem)
+    a_dense, b_dense = a.toarray(), b.toarray()
+    stored_a = sp.csc_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape).toarray() > 0
+    if mesh_name == "disk2":
+        assert a.nnz < b.nnz
+    else:
+        assert np.any(stored_a & (a_dense == 0) & (b_dense == 0))
+
+    pencil = eigen.boundary_last_pencil(*spectra.pencil_forms(pair, problem), free, [])
+    assert pencil.n_interior == len(free) and np.array_equal(pencil.rows, free)
+    assert np.all((pencil.a_data != 0) | (pencil.b_data != 0))
+    assert len(pencil.a_data) == np.count_nonzero((a_dense != 0) | (b_dense != 0))
+    for t in (0.0, -3.0, 7.5, 61.0):
+        assert np.array_equal(pencil.at(t).csc().toarray(), (a - t * b).toarray())
+
+    dense = dense_pencil_eigenvalues(mesh, problem)
+    gaps = [k for k in range(8) if dense[k + 1] - dense[k] > 1e-3 * dense[k + 1]]
+    shifts = [0.5 * (dense[k] + dense[k + 1]) for k in gaps]
+    shifts += [dense[k] * f for k in (0, 1, 5) for f in (1.0, 1.0 + 1e-7)]
+    refused = []
+    checked = eigen._checked_factor
+
+    def recorded(q):
+        fac = checked(q)
+        refused.append(fac is None)
+        return fac
+
+    monkeypatch.setattr(eigen, "_checked_factor", recorded)
+    for t in shifts:
+        expected = inertia((a - t * b).toarray())
+        assert eigen.pencil_count(pencil, t, 1.0 / mesh.area()) == expected.n_neg + expected.n_zero
+    monkeypatch.undo()
+    assert any(refused)  # the nudge path ran
+
+    w, _, _ = smallest_eigenpairs(pair, problem, 6)
+    assert np.all(np.abs(w - dense[:6]) <= 1e-10 * np.maximum(1.0, np.abs(dense[:6])))
+
+
+def test_prefix_miss_builds_one_pencil(disk2, monkeypatch):
+    """A prefix cache miss builds exactly one pencil, with no
+    fill-reducing order of its own, and factors three of its matrices:
+    the count at ``upto``, the Lanczos shift and the certificate. A hit
+    builds and factors nothing."""
+    built, factored, orders = [], [], []
+    build, factor, order = spectra.boundary_last_pencil, eigen._checked_factor, eigen.fill_order
+
+    def counted_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def counted_factor(q):
+        factored.append(q)
+        return factor(q)
+
+    def counted_order(m):
+        orders.append(m)
+        return order(m)
+
+    monkeypatch.setattr(spectra, "boundary_last_pencil", counted_build)
+    monkeypatch.setattr(eigen, "_checked_factor", counted_factor)
+    monkeypatch.setattr(eigen, "fill_order", counted_order)
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    prefix = pencil_eigenvalues(disk2, "dirichlet", 2, upto=30.0)
+    assert len(built) == 1 and orders == []
+    pencil = built[0]
+    assert len(factored) == 3
+    assert all(q.indptr is pencil.indptr and q.indices is pencil.indices for q in factored)
+    assert np.array_equal(factored[0].data, pencil.at(30.0).data)
+    assert np.array_equal(factored[1].data, pencil.at(-1.0 / disk2.area()).data)
+    built.clear()
+    factored.clear()
+    assert pencil_eigenvalues(disk2, "dirichlet", 2, upto=20.0) is prefix
+    assert built == [] and factored == []

@@ -303,8 +303,8 @@ def test_identity_table_partitions(request, mesh_name, kind):
 
     pencil = trace_pencil(mesh, kind)
     ni = pencil.form.n_interior
-    assert np.array_equal(np.sort(pencil.dofs), outer_free)
-    assert np.array_equal(np.sort(pencil.dofs[:ni]), inner_free)
+    assert np.array_equal(np.sort(pencil.form.rows), outer_free)
+    assert np.array_equal(np.sort(pencil.form.rows[:ni]), inner_free)
     expected = (
         pair.b_trace_dofs if name == "dtn" else pair.dofmap.boundary_normal_dofs()
     )
@@ -340,7 +340,7 @@ def test_trace_pencil_built_with_every_checked_factor_refused(disk2, kind, monke
     with force_dense_fallback():
         forced = trace_pencil(disk2, kind)
     assert forced is not unforced
-    assert np.array_equal(forced.dofs, unforced.dofs)
+    assert np.array_equal(forced.form.rows, unforced.form.rows)
     assert np.array_equal(forced.form.indices, unforced.form.indices)
 
 
