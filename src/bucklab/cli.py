@@ -24,7 +24,7 @@ from .eigen import MAX_DENSE_DOFS, ZERO_TOL, solver_path_counts
 from .errors import BucklabError, ConfigError
 from .mesh import Mesh, make_disk_mesh, make_radial_grid, make_rectangle_mesh
 from .runio import RunManifest, SweepResult, fmt
-from .spectra import get_pair, spectrum, spectrum_to_csv_rows
+from .spectra import cache_counts, get_pair, spectrum, spectrum_to_csv_rows
 
 
 def _float_list(text: str) -> list[float]:
@@ -160,13 +160,15 @@ def _mesh(domain: str, *shape) -> Mesh:
 
 def _finish(command: str, params: dict, tables: dict[str, str],
             hashes: dict, args) -> Path:
-    counts = solver_path_counts()
+    counts, caches = solver_path_counts(), cache_counts()
     manifest = RunManifest(
         command=command,
         params={k: (v if not isinstance(v, list) else list(map(float, v)))
                 for k, v in params.items()},
         hashes=hashes,
         solver={k: counts[k] - args.solver_counts_at_start[k] for k in counts},
+        caches={name: {k: n - args.caches_at_start[name][k] for k, n in tally.items()}
+                for name, tally in caches.items()},
         started_utc=args.started_utc,
     )
     run_dir = runio.new_run_dir(args.run_root, command)
@@ -412,6 +414,7 @@ def main(argv=None) -> int:
     if getattr(args, "run_root", None) is None and args.command != "report":
         args.run_root = runio.default_run_root()
     args.solver_counts_at_start = solver_path_counts()
+    args.caches_at_start = cache_counts()
     args.started_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:
         return args.func(args)

@@ -166,7 +166,7 @@ def clamped_fields(pair: OperatorPair) -> ClampedFields:
     most recently used ones are kept. A miss solves
     :func:`buckling_ground_state` and :func:`make_perturbation` once each."""
     key = (pair.mesh.content_hash(), pair.dofmap.kind)
-    fields = lru_get(_FIELDS_CACHE, key)
+    fields = lru_get(_FIELDS_CACHE, key, "clamped_fields")
     if fields is not None:
         return fields
     u1, lambda1 = buckling_ground_state(pair)

@@ -26,17 +26,24 @@ eigenvalues (:func:`pencil_count`) and give the shift-invert operator
 and the inertia certificate of Lanczos (:func:`sparse_smallest_eigs`,
 rerun at a tighter tolerance when the certificate fails).
 ``solver_path_counts`` reports how many sparse factorizations and
-Lanczos solves took each path.
+Lanczos solves took each path. SuperLU updates panels of one column,
+not its default 20, unless the factor's dense trailing boundary block
+has more than ``_PANEL_ONE_MAX_BOUNDARY`` rows: a wide panel pays off
+only on a large dense supernode, and the one such supernode of a pencil
+factor is a large boundary block. So a problem-pencil factor is 12-22%
+cheaper at disk refine 3-6 and a trace factor with at most that many
+boundary rows 11-17%, while a larger boundary keeps the default width,
+which is 2-19% faster there.
 
 A trace pencil's Q = ``pencil.at(lam)`` (a :class:`BoundaryLastMatrix`)
 factored in its own order gives S = L_bb U_bb, the boundary block of
-the factor. Its interior part passes the pivot and growth checks, so
-one factorization certifies that Q_ii is nonsingular and gives S,
-neg(Q_ii) and neg(S) from the pivot signs, and the Haynsworth
-additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds exactly
-whenever they pass. The boundary part, the LDL^T of S, passes the same
-growth bound but no pivot-size test, since S may be nearly singular.
-The same factor lifts boundary values to the interior
+the factor, read off the factor's arrays. Its interior part passes the
+pivot and growth checks, so one factorization certifies that Q_ii is
+nonsingular and gives S, neg(Q_ii) and neg(S) from the pivot signs, and
+the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
+exactly whenever they pass. The boundary part, the LDL^T of S, passes
+the same growth bound but no pivot-size test, since S may be nearly
+singular. The same factor lifts boundary values to the interior
 (:func:`schur_and_lift`). A point that fails either part goes to the
 dense path, which beyond ``MAX_DENSE_DOFS`` interior rows raises
 :class:`SizeLimitError`. :func:`lift_to_interior` and :func:`inertia`
@@ -88,6 +95,20 @@ _GAP_RTOL = 1e-3
 # 1e-6 clears the pivot test at the Neumann zero and the first buckling
 # and Navier values of the disk at refine 6, where 1e-7 does not.
 _COUNT_NUDGES = (1e-6, 1e-4, 1e-2)
+# Largest dense trailing boundary block n_b that SuperLU factors with
+# panels of one column instead of its default 20. A panel update pays
+# only on a large dense supernode, and the one large dense supernode of
+# a pencil factor is its trailing boundary block. Checked factor time
+# with panels of one column against the default, relative, same
+# matrices in interleaved order, one BLAS thread, heap workspace
+# retained (n_b in brackets; a problem pencil has n_b = 0):
+#
+#   disk refine | problem pencils | Liu trace   | Friedlander trace
+#   3           | -17..-22%       | (64)  -17%  | (128)  -14%
+#   4           | -15..-16%       | (128) -14%  | (256)  -11%
+#   5           | -15..-20%       | (256) -14%  | (512)   +2%
+#   6           | -12..-18%       | (512)  +3%  | (1024) +19%
+_PANEL_ONE_MAX_BOUNDARY = 256
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -329,7 +350,7 @@ def _checked_factor(q: BoundaryLastMatrix):
     try:
         lu = spla.splu(
             a, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
+            panel_size=_panel_size(a.shape[0] - ni), options={"SymmetricMode": True},
         )
     except RuntimeError:  # a pivot column, interior or boundary, was exactly zero
         return None
@@ -354,6 +375,13 @@ def _checked_factor(q: BoundaryLastMatrix):
     if growth > _MAX_GROWTH:
         return None
     return _Factor(lu, l, u, pivots)
+
+
+def _panel_size(n_boundary: int) -> int | None:
+    """SuperLU's panel width for a factor whose dense trailing boundary
+    block has ``n_boundary`` rows: one column up to
+    ``_PANEL_ONE_MAX_BOUNDARY``, SuperLU's default (None) beyond it."""
+    return 1 if n_boundary <= _PANEL_ONE_MAX_BOUNDARY else None
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -441,7 +469,7 @@ def fill_order(a) -> np.ndarray:
     pattern = sp.csc_array((np.full(a.nnz, -1.0), a.indices, a.indptr), shape=a.shape)
     dominant = pattern + sp.diags_array(np.full(n, n + 1.0), format="csc")
     lu = spla.splu(dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+                   panel_size=_panel_size(0), options={"SymmetricMode": True})
     return np.argsort(lu.perm_c)
 
 
@@ -596,7 +624,7 @@ def schur_and_lift(q: BoundaryLastMatrix):
         schur = SchurComplement(s, inertia(s).n_neg, interior.n_neg)
         return schur, lambda psi: -(x @ psi)
     u = fac.u  # the lift holds U, not the SuperLU object
-    s = fac.l[ni:, ni:].toarray() @ u[ni:, ni:].toarray()
+    s = _trailing_block(fac.l, ni) @ _trailing_block(u, ni)
     s = 0.5 * (s + s.T)
     schur = SchurComplement(s, int(np.sum(fac.pivots[ni:] < -ZERO_TOL * _max_abs(s))),
                             int(np.sum(fac.pivots[:ni] < 0)))
@@ -605,6 +633,19 @@ def schur_and_lift(q: BoundaryLastMatrix):
         return spla.spsolve_triangular(u[:ni, :ni], -(u[:ni, ni:] @ psi), lower=False)
 
     return schur, lift
+
+
+def _trailing_block(f: sp.csc_array, ni: int) -> np.ndarray:
+    """The dense block ``f[ni:, ni:]`` of a factor, read off its CSC
+    arrays: entries are stored once, so the values keep their bits."""
+    n = f.shape[0]
+    start = f.indptr[ni]
+    rows = f.indices[start:]
+    cols = np.repeat(np.arange(n - ni), np.diff(f.indptr[ni:]))
+    keep = rows >= ni  # L's boundary columns hold rows >= ni only, U's both
+    block = np.zeros((n - ni, n - ni))
+    block[rows[keep] - ni, cols[keep]] = f.data[start:][keep]
+    return block
 
 
 def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndarray) -> np.ndarray:

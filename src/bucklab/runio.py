@@ -98,6 +98,10 @@ class RunManifest:
     # dense_fallback) and Lanczos retries (lanczos_retry); kept out of
     # the CSVs, which hold results only
     solver: dict = field(default_factory=dict)
+    # lookups of the run in each process-wide result cache (pairs,
+    # prefixes, trace_pencils, clamped_fields) that hit or missed: a hit
+    # is a result computed by an earlier run of the process
+    caches: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -110,6 +114,7 @@ class RunManifest:
                 "finished_utc": self.finished_utc,
                 "outputs": self.outputs,
                 "solver": self.solver,
+                "caches": self.caches,
             },
             indent=2,
             sort_keys=True,
@@ -122,20 +127,35 @@ def default_run_root() -> Path:
 
 def new_run_dir(root: Path | str, command: str) -> Path:
     """Fresh timestamped directory; collisions get a numeric suffix,
-    existing runs are never reused or overwritten."""
+    existing runs are never reused or overwritten.
+
+    When the plain name is taken, one scan of ``root`` finds the highest
+    suffix taken in this second, and suffixes are tried from the next one
+    up; ``mkdir`` decides, so a directory another process made meanwhile
+    is skipped, not reused."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    base = root / f"{stamp}-{command}"
-    candidate = base
-    suffix = 0
+    base = f"{time.strftime('%Y%m%d-%H%M%S', time.gmtime())}-{command}"
+    candidate, suffix = root / base, None
     while True:
         try:
             candidate.mkdir()
             return candidate
         except FileExistsError:
+            if suffix is None:
+                suffix = max((_run_suffix(name, base) for name in os.listdir(root)
+                              if name.startswith(base)), default=0)
             suffix += 1
-            candidate = Path(f"{base}-{suffix}")
+            candidate = root / f"{base}-{suffix}"
+
+
+def _run_suffix(name: str, base: str) -> int:
+    """The suffix of the run directory ``name`` made from ``base`` (0 for
+    ``base`` itself), or -1 when ``name`` is not one of them."""
+    if name == base:
+        return 0
+    rest = name[len(base) + 1:]
+    return int(rest) if name.startswith(base + "-") and rest.isdecimal() else -1
 
 
 def write_results(run_dir: Path | str, manifest: RunManifest, tables: dict[str, str]) -> list[Path]:

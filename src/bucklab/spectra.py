@@ -18,7 +18,8 @@ which the identity scans count eigenvalues and measure margins; its
 size is one inertia count of the same pencil shifted to the bound. Assembled pairs and spectrum prefixes
 are memoized per mesh content hash, which covers every mesh field
 assembly reads; each cache keeps its few most recently used entries
-(:func:`lru_get`, :func:`lru_put`).
+(:func:`lru_get`, :func:`lru_put`) and counts its hits and misses
+(:func:`cache_counts`), which each run's manifest records.
 """
 from __future__ import annotations
 
@@ -72,15 +73,33 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 
 _CACHE_LOCK = threading.Lock()
+# lookups so far in this process, per result cache, that found a usable
+# entry (hits) or not (misses)
+_CACHE_COUNTS = {name: {"hits": 0, "misses": 0}
+                 for name in ("pairs", "prefixes", "trace_pencils", "clamped_fields")}
 
 
-def lru_get(cache: dict, key):
-    """``cache[key]``, now the most recently used entry, or None."""
+def cache_counts() -> dict[str, dict[str, int]]:
+    """Hits and misses of each result cache so far in this process:
+    assembled ``pairs``, spectrum ``prefixes``, ``trace_pencils`` and the
+    counterexample's ``clamped_fields``."""
+    with _CACHE_LOCK:
+        return {name: dict(counts) for name, counts in _CACHE_COUNTS.items()}
+
+
+def lru_get(cache: dict, key, name: str, usable=None):
+    """``cache[key]``, now the most recently used entry, or None when
+    there is none or ``usable(entry)`` is false; the lookup counts as a
+    hit or a miss of the cache ``name`` (:func:`cache_counts`)."""
     with _CACHE_LOCK:
         value = cache.pop(key, None)
         if value is not None:
             cache[key] = value
-        return value
+    if value is not None and usable is not None and not usable(value):
+        value = None
+    with _CACHE_LOCK:
+        _CACHE_COUNTS[name]["misses" if value is None else "hits"] += 1
+    return value
 
 
 def lru_put(cache: dict, key, value):
@@ -102,7 +121,7 @@ _PREFIX_CACHE: dict[tuple, np.ndarray] = {}
 def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
     """Memoized assembly; kind is 'lagrange' or 'morley'."""
     key = (mesh.content_hash(), kind, order)
-    pair = lru_get(_PAIR_CACHE, key)
+    pair = lru_get(_PAIR_CACHE, key, "pairs")
     if pair is None:
         if kind == "lagrange":
             pair = assemble_lagrange(mesh, order)
@@ -164,11 +183,13 @@ def pencil_eigenvalues(
     if not np.isfinite(upto):
         raise ValueError(f"upto must be finite, got {upto!r}")
     pair = pencil_pair(mesh, problem, order)
-    free = free_dofs(pair, problem)
     key = (mesh.content_hash(), problem, pair.dofmap.kind)
-    cached = lru_get(_PREFIX_CACHE, key)
-    if cached is not None and (cached[-1] > upto or len(cached) == len(free)):
+    # only a prefix that ends at or below ``upto`` needs the DOFs classified
+    cached = lru_get(_PREFIX_CACHE, key, "prefixes", usable=lambda vals: (
+        vals[-1] > upto or len(vals) == len(free_dofs(pair, problem))))
+    if cached is not None:
         return cached
+    free = free_dofs(pair, problem)
     pencil = boundary_last_pencil(*pencil_forms(pair, problem), free, [])
     count = min(pencil_count(pencil, upto, 1.0 / mesh.area()) + 1, len(free))
     vals = sparse_smallest_eigs(pencil, count, sigma=-1.0 / mesh.area())[0]

@@ -188,7 +188,7 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
     _, outer, inner = _identity(kind)
     pair = pencil_pair(mesh, outer, order)
     key = (mesh.content_hash(), kind, pair.dofmap.kind)
-    pencil = lru_get(_PENCIL_CACHE, key)
+    pencil = lru_get(_PENCIL_CACHE, key, "trace_pencils")
     if pencil is not None:
         return pencil
     interior = free_dofs(pair, inner)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bucklab import cli, counterexample
+from bucklab import cli, counterexample, traceops
 from bucklab.cli import main
 from bucklab.mesh import make_radial_grid
 
@@ -170,6 +170,25 @@ def test_counterexample_memo_changes_no_byte(tmp_path, capsys, empty_clamped_fie
                            tmp_path / "radius")
     unit, scaled = counterexample._FIELDS_CACHE.values()
     assert scaled.lambda1 == pytest.approx(unit.lambda1 / 1.5**2, rel=1e-10)
+    capsys.readouterr()
+
+
+def test_manifest_counts_cache_hits(tmp_path, capsys, monkeypatch, empty_clamped_fields):
+    """Each manifest records its own run's lookups of the process-wide
+    result caches: a second counterexample on the same mesh in one
+    process finds its ground state, perturbation and trace pencil
+    cached, and its manifest says so."""
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    args = ["--lambda", "2", "--trials", "5"]
+    first, second = (_counterexample_tables(args, tmp_path / name) for name in ("a", "b"))
+    assert first == second
+    caches = [json.loads((next((tmp_path / name).iterdir()) / "manifest.json").read_text())
+              ["caches"] for name in ("a", "b")]
+    assert caches[0]["clamped_fields"]["misses"] == 1
+    assert caches[0]["trace_pencils"]["misses"] == 1
+    for name in ("clamped_fields", "trace_pencils", "pairs"):
+        assert caches[1][name]["misses"] == 0
+        assert caches[1][name]["hits"] >= 1
     capsys.readouterr()
 
 

@@ -15,7 +15,7 @@ from bucklab import (
 )
 from bucklab.eigen import lift_to_interior, solver_path_counts, sparse_smallest_eigs
 from bucklab.spectra import pencil_eigenvalues
-from bucklab.traceops import relative_margin, trace_pencil
+from bucklab.traceops import relative_margin, scan_identities, trace_pencil
 
 from oracles import dense_schur, jacobi_eigenvalues, random_symmetric
 
@@ -408,3 +408,82 @@ def test_sparse_smallest_eigs_paths(case, fallbacks, monkeypatch):
     w_dense, v_dense = sym_gen_eigs(a, b, 4)
     np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0)
     np.testing.assert_allclose(np.abs(v.T @ v_dense), np.eye(4), atol=1e-8)
+
+
+def _recorded_panel_sizes(monkeypatch) -> list:
+    """``(rows, panel_size)`` of every SuperLU factorization from now on."""
+    calls = []
+    splu = eigen.spla.splu
+
+    def recorded(a, *args, **kwargs):
+        calls.append((a.shape[0], kwargs.get("panel_size")))
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(eigen.spla, "splu", recorded)
+    return calls
+
+
+def _grid_laplacian(m: int) -> sp.csc_array:
+    """The 5-point Laplacian of an m x m grid: symmetric positive definite."""
+    t = sp.diags_array([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], offsets=[-1, 0, 1])
+    return sp.csc_array(sp.kron(t, sp.eye_array(m)) + sp.kron(sp.eye_array(m), t))
+
+
+def test_panel_width_set_by_the_dense_boundary_block(disk3, monkeypatch):
+    """SuperLU factors with panels of one column when the dense trailing
+    boundary block has at most ``_PANEL_ONE_MAX_BOUNDARY`` rows, none
+    included (problem pencils, ``fill_order``), and at its default width
+    beyond that."""
+    pencils = {kind: trace_pencil(disk3, kind).form for kind in ("liu", "friedlander")}
+    calls = _recorded_panel_sizes(monkeypatch)
+    pencil_eigenvalues(disk3, "navier", upto=30.0)  # count, shift and certificate
+    eigen.fill_order(pencils["liu"].forms()[0])
+    for kind, form in pencils.items():
+        assert len(form.rows) - form.n_interior <= eigen._PANEL_ONE_MAX_BOUNDARY
+        schur_complement(form.at(3.0))
+    assert len(calls) >= 6 and {size for _, size in calls} == {1}
+
+    lap = _grid_laplacian(24)  # 576 DOFs, the last rows boundary
+    n, cut = lap.shape[0], eigen._PANEL_ONE_MAX_BOUNDARY
+    qs = [_boundary_last(lap, np.arange(n - n_b), np.arange(n - n_b, n))
+          for n_b in (cut, cut + 1, 300)]
+    calls.clear()
+    for q in qs:
+        s = schur_complement(q)
+        assert s.n_neg == 0 and s.matrix.shape == (n - q.n_interior,) * 2
+    assert calls == [(n, 1), (n, None), (n, None)]
+
+
+@pytest.mark.parametrize("mesh_name", ["disk3", "rect16"])
+@pytest.mark.parametrize("kind, lmin, lmax", [("liu", 1.0, 60.0), ("friedlander", 0.5, 40.0)])
+def test_panel_width_moves_no_count(mesh_name, kind, lmin, lmax, request, monkeypatch):
+    """A scan at SuperLU's default panel width and one under the panel
+    rule record the same counts; S agrees to 1e-10 max|S| at every point,
+    and on one factor the read-off L_bb U_bb equals the product of the
+    sparse slices bit for bit."""
+    mesh = request.getfixturevalue(mesh_name)
+    grid = np.linspace(lmin, lmax, 20)
+    form = trace_pencil(mesh, kind).form
+    ni = form.n_interior
+
+    def scan():
+        records = scan_identities(mesh, kind, grid).records
+        schurs = [schur_complement(form.at(r["lambda"])) for r in records]
+        return records, schurs
+
+    with monkeypatch.context() as m:
+        m.setattr(eigen, "_panel_size", lambda n_boundary: None)
+        default, default_schurs = scan()
+    ruled, ruled_schurs = scan()
+    assert len(ruled) == len(grid)
+    for key in ("lambda", "neg_count", "lhs", "rhs", "holds"):
+        assert [r[key] for r in ruled] == [r[key] for r in default]
+    for a, b in zip(ruled_schurs, default_schurs):
+        assert (a.n_neg, a.n_neg_interior) == (b.n_neg, b.n_neg_interior)
+        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10 * np.max(np.abs(b.matrix))
+
+    fac = eigen._checked_factor(form.at(ruled[len(ruled) // 2]["lambda"]))
+    l_bb, u_bb = (eigen._trailing_block(f, ni) for f in (fac.l, fac.u))
+    assert np.array_equal(l_bb, fac.l[ni:, ni:].toarray())
+    assert np.array_equal(u_bb, fac.u[ni:, ni:].toarray())
+    assert np.array_equal(l_bb @ u_bb, fac.l[ni:, ni:].toarray() @ fac.u[ni:, ni:].toarray())

@@ -1,5 +1,7 @@
 import json
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,43 @@ def test_run_dirs_never_collide(tmp_path):
     b = new_run_dir(tmp_path, "spectrum")
     assert a != b
     assert a.is_dir() and b.is_dir()
+
+
+def test_run_dirs_in_one_second_probe_once(tmp_path, monkeypatch):
+    """Runs of one command in the same second into one root each get a
+    new directory from at most two mkdir attempts, not one attempt per
+    earlier run: the plain name, then one past the highest suffix a scan
+    of the root finds. A directory another process made, before the scan
+    or between the scan and the mkdir, is skipped, never reused."""
+    monkeypatch.setattr(time, "strftime", lambda fmt, t=None: "20260101-000000")
+    attempts = []
+    mkdir, listdir = Path.mkdir, os.listdir
+
+    def counted(self, *args, **kwargs):
+        if self.parent == tmp_path:
+            attempts.append(self.name)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    made = []
+    for i in range(200):
+        if i == 100:  # another process takes the next suffix
+            mkdir(tmp_path / "20260101-000000-identity-scan-100")
+        if i == 150:  # ... and the one after it, unseen by the scan
+            mkdir(tmp_path / "20260101-000000-identity-scan-151")
+            monkeypatch.setattr(os, "listdir", lambda path: [
+                name for name in listdir(path) if not name.endswith("-151")])
+        before = len(attempts)
+        made.append(new_run_dir(tmp_path, "identity-scan"))
+        monkeypatch.setattr(os, "listdir", listdir)
+        assert len(attempts) - before == (1 if i == 0 else 3 if i == 150 else 2)
+    assert len(set(made)) == 200
+    assert made[0].name == "20260101-000000-identity-scan"
+    assert made[1].name == "20260101-000000-identity-scan-1"
+    assert made[150].name == "20260101-000000-identity-scan-152"
+    assert not {"20260101-000000-identity-scan-100",
+                "20260101-000000-identity-scan-151"} & {p.name for p in made}
+    assert new_run_dir(tmp_path, "spectrum").name == "20260101-000000-spectrum"
 
 
 def test_write_results_manifest_last_and_complete(tmp_path):

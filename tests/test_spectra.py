@@ -429,9 +429,14 @@ def test_prefix_miss_builds_one_pencil(disk2, monkeypatch):
     """A prefix cache miss builds exactly one pencil, with no
     fill-reducing order of its own, and factors three of its matrices:
     the count at ``upto``, the Lanczos shift and the certificate. A hit
-    builds and factors nothing."""
-    built, factored, orders = [], [], []
+    builds, factors and classifies nothing, and counts as a hit."""
+    built, factored, orders, classified = [], [], [], []
     build, factor, order = spectra.boundary_last_pencil, eigen._checked_factor, eigen.fill_order
+    free_dofs = spectra.free_dofs
+
+    def counted_free_dofs(*args):
+        classified.append(args)
+        return free_dofs(*args)
 
     def counted_build(*args):
         built.append(build(*args))
@@ -448,6 +453,7 @@ def test_prefix_miss_builds_one_pencil(disk2, monkeypatch):
     monkeypatch.setattr(spectra, "boundary_last_pencil", counted_build)
     monkeypatch.setattr(eigen, "_checked_factor", counted_factor)
     monkeypatch.setattr(eigen, "fill_order", counted_order)
+    monkeypatch.setattr(spectra, "free_dofs", counted_free_dofs)
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     prefix = pencil_eigenvalues(disk2, "dirichlet", 2, upto=30.0)
     assert len(built) == 1 and orders == []
@@ -458,5 +464,9 @@ def test_prefix_miss_builds_one_pencil(disk2, monkeypatch):
     assert np.array_equal(factored[1].data, pencil.at(-1.0 / disk2.area()).data)
     built.clear()
     factored.clear()
+    classified.clear()
+    before = spectra.cache_counts()["prefixes"]
     assert pencil_eigenvalues(disk2, "dirichlet", 2, upto=20.0) is prefix
-    assert built == [] and factored == []
+    assert built == [] and factored == [] and classified == []
+    assert spectra.cache_counts()["prefixes"] == {"hits": before["hits"] + 1,
+                                                  "misses": before["misses"]}
