@@ -161,12 +161,14 @@ def _mesh(domain: str, *shape) -> Mesh:
 def _finish(command: str, params: dict, tables: dict[str, str],
             hashes: dict, args) -> Path:
     counts, caches = solver_path_counts(), cache_counts()
+    clamped = spherecap.clamped_mode_counts()
     manifest = RunManifest(
         command=command,
         params={k: (v if not isinstance(v, list) else list(map(float, v)))
                 for k, v in params.items()},
         hashes=hashes,
         solver={k: counts[k] - args.solver_counts_at_start[k] for k in counts},
+        clamped_modes={k: clamped[k] - args.clamped_at_start[k] for k in clamped},
         caches={name: {k: n - args.caches_at_start[name][k] for k, n in tally.items()}
                 for name, tally in caches.items()},
         started_utc=args.started_utc,
@@ -356,6 +358,9 @@ def _cmd_report(args) -> int:
     if meta.get("solver"):
         paths = " ".join(f"{k}={v}" for k, v in sorted(meta["solver"].items()))
         print(f"solver: {paths}")
+    if any(meta.get("clamped_modes", {}).values()):
+        modes = " ".join(f"{k}={v}" for k, v in sorted(meta["clamped_modes"].items()))
+        print(f"clamped modes: {modes}")
     ok = True
     for name in meta.get("outputs", []):
         path = run_dir / name
@@ -414,6 +419,7 @@ def main(argv=None) -> int:
     if getattr(args, "run_root", None) is None and args.command != "report":
         args.run_root = runio.default_run_root()
     args.solver_counts_at_start = solver_path_counts()
+    args.clamped_at_start = spherecap.clamped_mode_counts()
     args.caches_at_start = cache_counts()
     args.started_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:

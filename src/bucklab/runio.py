@@ -98,6 +98,9 @@ class RunManifest:
     # dense_fallback) and Lanczos retries (lanczos_retry); kept out of
     # the CSVs, which hold results only
     solver: dict = field(default_factory=dict)
+    # clamped cap modes of the run solved by the eigensolver (solved) or
+    # ruled out by a Cholesky factorization (ruled_out)
+    clamped_modes: dict = field(default_factory=dict)
     # lookups of the run in each process-wide result cache (pairs,
     # prefixes, trace_pencils, clamped_fields) that hit or missed: a hit
     # is a result computed by an earlier run of the process
@@ -114,6 +117,7 @@ class RunManifest:
                 "finished_utc": self.finished_utc,
                 "outputs": self.outputs,
                 "solver": self.solver,
+                "clamped_modes": self.clamped_modes,
                 "caches": self.caches,
             },
             indent=2,

@@ -10,10 +10,11 @@ the colatitude interval [eps, pi] with the sin(theta) area weight:
 
 Second-order problems use quadratic Lagrange elements, the fourth-order
 problem C1 cubic Hermite elements. One stacked path assembles both, for
-all elements at once: one mapped Gauss rule, each family's basis table at
-every quadrature point, one sum over the quadrature axis per local form
-and an ``np.add.at`` scatter into dense matrices (small, and dense for
-the eigensolver). Boundary conditions act at theta=eps only. At the pole
+all elements at once: one mapped Gauss rule and each family's basis table
+at every quadrature point, built once per grid and family for all modes,
+then per mode one sum over the quadrature axis per local form and an
+``np.add.at`` scatter into dense matrices (small, and dense for the
+eigensolver). Boundary conditions act at theta=eps only. At the pole
 the DOFs follow the regularity of smooth functions on the sphere:
 values vanish unless m=0 and colatitude derivatives vanish unless m=1.
 (Leaving these DOFs unconstrained admits fields whose true bending
@@ -28,8 +29,15 @@ at most the smallest value of mode m - 1. That is exact (Courant-Fischer):
 for m >= 1 the free DOFs are the same, M_m does not depend on m and
 K_m' - K_m = (m'^2 - m^2) W with W = int uv / sin positive semidefinite,
 so no later mode has a value below that of mode m - 1. A k = 2 merge
-thus solves modes 0 and 1 only. The fourth-order buckling value keeps
-every mode: its pencil (A_m, K_m) has no such ordering in m.
+thus solves modes 0 and 1 only. The fourth-order pencil (A_m, K_m) has
+no such ordering in m, so the buckling value looks at every mode but
+solves few: mode 0 sets Lambda, and a later mode is solved, and may
+lower Lambda, only when A_m - Lambda K_m on its clamped free DOFs fails
+a Cholesky factorization. By Sylvester's law of inertia a factorization
+that succeeds shows that the mode has no value at or below Lambda.
+(``eigen.inertia`` cannot decide this on these graded forms: its zero
+tolerance is relative to max|A|, and their diagonal spans about 11
+orders of magnitude.)
 
 A scan point builds one grid per resolution, ``nodes`` and ``2 * nodes``
 intervals, and computes all four quantities (lambda1, lambda2, mu2,
@@ -38,6 +46,7 @@ them under this node doubling sets the point's ``resolution_warning``.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +63,9 @@ GAUSS_POINTS = 6
 DEFAULT_MODES = 4
 DEFAULT_NODES = 64
 CAUCHY_TOL = 0.01
+
+_COUNT_LOCK = threading.Lock()
+_CLAMPED_COUNTS = {"solved": 0, "ruled_out": 0}
 
 
 @dataclass(frozen=True)
@@ -114,9 +126,18 @@ class CapOperators:
         ``free = free_dofs(bc)``; vectors are columns over ``free``."""
         free = self.free_dofs(bc)
         a, b = (self.a_m, self.k_m) if bc == "clamped" else (self.k_m, self.m_m)
-        sub = np.ix_(free, free)
-        w, x = sym_gen_eigs(a[sub], b[sub], min(k, len(free)))
+        w, x = sym_gen_eigs(_restrict(a, free), _restrict(b, free), min(k, len(free)))
         return w, x, free
+
+
+def _restrict(a: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` on the rows and columns ``free``. Every set of
+    free DOFs but the clamped one of mode 1 is a contiguous range, which
+    a slice copies about 20 times faster than an index array does."""
+    lo, hi = free[0], free[-1] + 1
+    if hi - lo == len(free):
+        return a[lo:hi, lo:hi].copy()
+    return a[np.ix_(free, free)]
 
 
 def _lagrange_basis(a, b, xq: np.ndarray):
@@ -161,42 +182,79 @@ def _hermite_basis(a, b, xq: np.ndarray):
     return val, d1, d2
 
 
+@dataclass(frozen=True)
+class _BasisTables:
+    """One grid's mapped Gauss rule and one element family's basis
+    values at every Gauss point, (local DOF, element, Gauss point), with
+    the parts of the integrands that do not depend on the mode: every
+    mode's forms are assembled from these by :func:`_mode_operators`."""
+
+    order: str
+    dofs: np.ndarray  # global DOF of each local DOF of each element
+    ndof: int
+    wq: np.ndarray
+    s: np.ndarray  # sin at the Gauss points
+    wk: np.ndarray  # wq * s, the area weight
+    val: np.ndarray
+    dd_wk: np.ndarray  # outer(d1) * wk, the mode-free part of K_m's integrand
+    vv: np.ndarray  # outer(val)
+    m_m: np.ndarray  # the mass form, the same for every mode
+    lap0: np.ndarray | None  # d2 + cot * d1 (fourth order): L_0 of the basis
+
+
+def _outer(u: np.ndarray) -> np.ndarray:
+    return u[:, None] * u[None]
+
+
+def _assemble(dofs: np.ndarray, ndof: int, integrand: np.ndarray) -> np.ndarray:
+    # each entry sums at most two elements (a DOF belongs to at most
+    # two), so the order np.add.at adds them in cannot change a bit
+    out = np.zeros((ndof, ndof))
+    np.add.at(out, (dofs[:, None], dofs[None]), np.sum(integrand, axis=-1))
+    return out
+
+
+def _basis_tables(grid: RadialGrid, order: str) -> _BasisTables:
+    """The Gauss rule and ``order``'s basis tables on ``grid``, once for
+    all modes."""
+    a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
+    xq, wq = gauss_on_interval(a, b, GAUSS_POINTS)
+    s = np.sin(xq)
+    if order == "second":
+        val, d1 = _lagrange_basis(a, b, xq)
+        lap0 = None
+    else:
+        val, d1, d2 = _hermite_basis(a, b, xq)
+        lap0 = d2 + (np.cos(xq) / s) * d1
+    n_loc, n_el = val.shape[:2]
+    # element e owns DOFs 2e .. 2e+n_loc-1 (numbering: see CapOperators)
+    dofs = 2 * np.arange(n_el) + np.arange(n_loc)[:, None]
+    ndof = 2 * n_el + n_loc - 2
+    wk = wq * s
+    vv = _outer(val)
+    return _BasisTables(order, dofs, ndof, wq, s, wk, val, _outer(d1) * wk, vv,
+                        _assemble(dofs, ndof, vv * wk), lap0)
+
+
+def _mode_operators(t: _BasisTables, m: int) -> CapOperators:
+    """Mode ``m``'s forms from the grid's tables; the mass form is the
+    tables' own array, shared by every mode built from them."""
+    wm = t.wq * (m * m) / t.s
+    k = _assemble(t.dofs, t.ndof, t.dd_wk + t.vv * wm)
+    aa = None
+    if t.lap0 is not None:
+        lap = t.lap0 - (m * m / t.s**2) * t.val
+        aa = _assemble(t.dofs, t.ndof, _outer(lap) * t.wk)
+    return CapOperators(m, t.order, k, t.m_m, aa)
+
+
 def cap_operators(grid: RadialGrid, m: int, order: str) -> CapOperators:
     """Assemble the weighted 1D forms for azimuthal mode ``m``."""
     if m < 0:
         raise ValueError("mode must be >= 0")
     if order not in ("second", "fourth"):
         raise ValueError(f"order must be 'second' or 'fourth', got {order!r}")
-    # basis tables are (local DOF, element, Gauss point)
-    a, b = grid.nodes[:-1, None], grid.nodes[1:, None]
-    xq, wq = gauss_on_interval(a, b, GAUSS_POINTS)
-    s = np.sin(xq)
-    if order == "second":
-        val, d1 = _lagrange_basis(a, b, xq)
-    else:
-        val, d1, d2 = _hermite_basis(a, b, xq)
-        lap = d2 + (np.cos(xq) / s) * d1 - (m * m / s**2) * val
-    n_loc, n_el = val.shape[:2]
-    # element e owns DOFs 2e .. 2e+n_loc-1 (numbering: see CapOperators)
-    dofs = 2 * np.arange(n_el) + np.arange(n_loc)[:, None]
-    ndof = 2 * n_el + n_loc - 2
-    wk = wq * s
-    wm = wq * (m * m) / s
-
-    def outer(u: np.ndarray) -> np.ndarray:
-        return u[:, None] * u[None]
-
-    def assemble(integrand: np.ndarray) -> np.ndarray:
-        # each entry sums at most two elements (a DOF belongs to at most
-        # two), so the order np.add.at adds them in cannot change a bit
-        out = np.zeros((ndof, ndof))
-        np.add.at(out, (dofs[:, None], dofs[None]), np.sum(integrand, axis=-1))
-        return out
-
-    k = assemble(outer(d1) * wk + outer(val) * wm)
-    mm = assemble(outer(val) * wk)
-    aa = assemble(outer(lap) * wk) if order == "fourth" else None
-    return CapOperators(m, order, k, mm, aa)
+    return _mode_operators(_basis_tables(grid, order), m)
 
 
 def _merged_spectra(grid: RadialGrid, bcs: tuple[str, ...], modes: int, k: int) -> list[Spectrum]:
@@ -205,6 +263,7 @@ def _merged_spectra(grid: RadialGrid, bcs: tuple[str, ...], modes: int, k: int) 
     cannot enter the k smallest (see the module docstring)."""
     if modes < 2:
         raise ValueError("need modes >= 2 for a faithful merge")
+    tables = _basis_tables(grid, "second")
     vals: dict[str, list[float]] = {bc: [] for bc in bcs}
     lowest: dict[str, float] = {}  # smallest value of the last mode solved
     for m in range(modes + 1):
@@ -216,7 +275,7 @@ def _merged_spectra(grid: RadialGrid, bcs: tuple[str, ...], modes: int, k: int) 
         if m >= 2 and all(len(v) >= k and sorted(v)[k - 1] <= lowest[bc]
                           for bc, v in vals.items()):
             break
-        ops = cap_operators(grid, m, "second")
+        ops = _mode_operators(tables, m)
         for bc in bcs:
             # each mode contributes at most k of the smallest k merged
             w, _, _ = ops.smallest(bc, k)
@@ -242,13 +301,52 @@ def cap_spectrum(
     return _merged_spectra(make_radial_grid(eps, n_nodes, grading), (bc,), modes, k)[0]
 
 
+def clamped_mode_counts() -> dict[str, int]:
+    """Clamped modes so far in this process of every
+    :func:`cap_buckling_lambda1` value and cap scan point: ``solved`` by
+    the eigensolver, or ``ruled_out`` by a Cholesky factorization."""
+    with _COUNT_LOCK:
+        return dict(_CLAMPED_COUNTS)
+
+
+def _clamped_above(ops: CapOperators, lam: float) -> bool:
+    """Whether A_m - lam K_m is positive definite on the clamped free
+    DOFs, by one Cholesky factorization: if so, by Sylvester's law of
+    inertia every clamped value of the mode exceeds ``lam``. Whether it
+    succeeds does not depend on a diagonal scaling of the forms, up to
+    rounding (Demmel, LAPACK Working Note 14, 1989), so the graded,
+    unscaled forms serve as they are."""
+    free = ops.free_dofs("clamped")
+    # A - lam K built and factored in place (q.T is the same symmetric
+    # matrix in the column order LAPACK factors without a copy): each
+    # temporary here adds to the peak memory of a scan
+    q = _restrict(ops.k_m, free)
+    q *= -lam
+    q += _restrict(ops.a_m, free)
+    try:
+        sla.cholesky(q.T, overwrite_a=True)
+    except sla.LinAlgError:
+        return False
+    return True
+
+
 def _buckling_lambda1(grid: RadialGrid, modes: int) -> float:
     """Smallest clamped fourth-order pencil eigenvalue on ``grid`` over
-    the azimuthal modes 0..modes."""
-    return min(
-        float(cap_operators(grid, m, "fourth").smallest("clamped", 1)[0][0])
-        for m in range(modes + 1)
-    )
+    the azimuthal modes 0..modes. Mode 0 is solved; a later mode only
+    when :func:`_clamped_above` cannot rule it out at the smallest value
+    so far, which it then may lower."""
+    tables = _basis_tables(grid, "fourth")
+    lam = np.inf
+    solved = 0
+    for m in range(modes + 1):
+        ops = _mode_operators(tables, m)
+        if m == 0 or not _clamped_above(ops, lam):
+            lam = min(lam, float(ops.smallest("clamped", 1)[0][0]))
+            solved += 1
+    with _COUNT_LOCK:
+        _CLAMPED_COUNTS["solved"] += solved
+        _CLAMPED_COUNTS["ruled_out"] += modes + 1 - solved
+    return lam
 
 
 def cap_buckling_lambda1(
@@ -279,9 +377,10 @@ def cap_buckling_lambda1_via_modes(
     """
     best = np.inf
     grid = make_radial_grid(eps, n_nodes, grading)
+    tables = _basis_tables(grid, "second")
     h0 = grid.nodes[1] - grid.nodes[0]
     for m in range(modes + 1):
-        ops = cap_operators(grid, m, "second")
+        ops = _mode_operators(tables, m)
         w, x, free = ops.smallest("dirichlet", n_basis)
         nb = len(w)
         full = np.zeros((ops.n_dofs, nb))

@@ -72,6 +72,15 @@ def full_cap_merge(grid, bc: str, modes: int, k: int) -> np.ndarray:
     return np.array(sorted(vals)[:k])
 
 
+def full_cap_buckling(grid, modes: int) -> float:
+    """The smallest clamped punctured-sphere buckling value on ``grid``
+    over the azimuthal modes 0..modes, every mode solved."""
+    return min(
+        float(cap_operators(grid, m, "fourth").smallest("clamped", 1)[0][0])
+        for m in range(modes + 1)
+    )
+
+
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
     """Symmetric eigenvalues by cyclic Jacobi rotations.
 

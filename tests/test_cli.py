@@ -229,6 +229,21 @@ def test_spherecap_command(tmp_path, capsys):
     assert "Lambda1.dat (2 data rows)" in report
 
 
+def test_spherecap_manifest_counts_clamped_modes(tmp_path, capsys):
+    """Each grid of a scan point (16 and 32 intervals) solves clamped
+    mode 0, and a Cholesky factorization rules out modes 1..3; two runs
+    in one process each record only their own modes."""
+    argv = ["spherecap", "--eps-list", "0.2", "--nodes", "16", "--modes", "3"]
+    for _ in range(2):
+        code, _, _ = run_cli(argv, tmp_path, capsys)
+        assert code == 0
+        run_dir = latest_run(tmp_path, "spherecap")
+        meta = json.loads((run_dir / "manifest.json").read_text())
+        assert meta["clamped_modes"] == {"solved": 2, "ruled_out": 6}
+    assert main(["report", "--run", str(run_dir)]) == 0
+    assert "clamped modes: ruled_out=6 solved=2" in capsys.readouterr().out
+
+
 def test_report_command(tmp_path, capsys):
     run_cli(
         ["spectrum", "--domain", "rectangle", "--nx", "4", "--ny", "4",
@@ -241,6 +256,7 @@ def test_report_command(tmp_path, capsys):
     assert "command: spectrum" in out
     assert "spectrum.csv" in out
     assert "solver: dense_fallback=0 lanczos_retry=0 sparse_ldlt=" in out
+    assert "clamped modes" not in out  # no cap run, nothing to report
 
     incomplete = tmp_path / "runs" / "broken"
     incomplete.mkdir()

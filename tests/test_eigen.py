@@ -123,7 +123,9 @@ def test_schur_partition_checked(sparse):
 
 def test_sparse_symmetry_check_matches_dense(rng):
     """The sparse symmetry check sums duplicate entries on its own copy
-    and decides as the dense check does, on split and perturbed input."""
+    and decides as the dense check does, on split and perturbed input:
+    an exactly symmetric matrix (the dense check's fast path) and
+    asymmetries below 1e-12 relative pass, larger ones raise."""
     n = 12
     dense = random_symmetric(n, rng)
     dense[np.abs(dense) < 0.3] = 0.0
@@ -132,9 +134,10 @@ def test_sparse_symmetry_check_matches_dense(rng):
     i, j = next((r, c) for r, c in zip(rows, cols) if r != c)
     twice = np.argsort(np.tile(cols, 2), kind="stable")
     indptr = np.concatenate([[0], np.cumsum(2 * np.bincount(cols, minlength=n))])
-    for delta in (0.0, 1e-14, 1e-9):
+    for delta in (0.0, 1e-14, 1e-13, 1e-11, 1e-9):
         target = dense.copy()
         target[i, j] += delta * np.max(np.abs(dense))  # (j, i) unchanged
+        assert np.array_equal(target, target.T) == (delta == 0.0)
         values = np.concatenate([part, target[rows, cols] - part])
         dup = sp.csc_array((values[twice], np.tile(rows, 2)[twice], indptr), shape=(n, n))
         stored = dup.data.copy()

@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from bucklab import spherecap
 from bucklab.quadrature import gauss_on_interval
 from bucklab.spherecap import cap_buckling_lambda1_via_modes
 
-from oracles import full_cap_merge
+from oracles import full_cap_buckling, full_cap_merge
 
 
 def mode_eigs(eps, m, n, bc, k, order="second"):
@@ -161,13 +164,17 @@ def test_buckling_cross_discretization_hemisphere():
 
 def test_scan_point_one_grid_per_resolution_one_solve_site(monkeypatch):
     """A scan point builds one grid at ``nodes`` and one at ``2 * nodes``
-    intervals, and solves on each the clamped pencils of every mode and
-    the Dirichlet and Neumann pencils of modes 0 and 1 (no later mode
-    can enter the two smallest merged values), every solve through
-    CapOperators.smallest."""
+    intervals, and solves on each the Dirichlet and Neumann pencils of
+    modes 0 and 1 (no later mode can enter the two smallest merged
+    values) and the clamped pencil of mode 0, every solve through
+    CapOperators.smallest; one Cholesky factorization per grid rules out
+    each later clamped mode. Each grid's basis tables are built once per
+    element family."""
     modes, grids, solves = 3, [], {"smallest": 0, "inside": 0, "all": 0}
     make_grid, solve, smallest = (spherecap.make_radial_grid, spherecap.sym_gen_eigs,
                                   spherecap.CapOperators.smallest)
+    tables, cholesky = [], []
+    basis_tables, clamped_above = spherecap._basis_tables, spherecap._clamped_above
 
     def counted_grid(eps, n, grading):
         grids.append(n)
@@ -184,13 +191,88 @@ def test_scan_point_one_grid_per_resolution_one_solve_site(monkeypatch):
         solves["inside"] += solves["all"] - before
         return out
 
+    def counted_tables(grid, order):
+        tables.append((len(grid.nodes) - 1, order))
+        return basis_tables(grid, order)
+
+    def counted_cholesky(ops, lam):
+        out = clamped_above(ops, lam)
+        cholesky.append((ops.m, out))
+        return out
+
     monkeypatch.setattr(spherecap, "make_radial_grid", counted_grid)
     monkeypatch.setattr(spherecap, "sym_gen_eigs", counted_solve)
     monkeypatch.setattr(spherecap.CapOperators, "smallest", counted_smallest)
+    monkeypatch.setattr(spherecap, "_basis_tables", counted_tables)
+    monkeypatch.setattr(spherecap, "_clamped_above", counted_cholesky)
     scan = cap_scan([0.2], n_nodes=16, modes=modes)
     assert len(scan.records) == 1
     assert grids == [16, 32]
-    assert solves == {key: 2 * (2 * 2 + modes + 1) for key in solves}
+    assert solves == {key: 2 * (2 * 2 + 1) for key in solves}
+    assert cholesky == 2 * [(m, True) for m in range(1, modes + 1)]
+    assert tables == [(n, order) for n in (16, 32) for order in ("second", "fourth")]
+
+
+def test_clamped_mode_counts_lose_no_update_across_threads():
+    """Scan points on more threads than cores, switching threads every
+    microsecond, count every clamped mode once: per grid one solved and
+    ``modes`` ruled out."""
+    eps_list, modes = np.linspace(0.1, 0.6, 12), 3
+    before = spherecap.clamped_mode_counts()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scan = cap_scan(eps_list, n_nodes=8, modes=modes, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(scan.records) == len(eps_list)
+    after = spherecap.clamped_mode_counts()
+    grids = 2 * len(eps_list)
+    assert {k: after[k] - before[k] for k in after} == {"solved": grids,
+                                                       "ruled_out": modes * grids}
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1, 0.5, 1.0, np.pi / 2 - 1e-9])
+@pytest.mark.parametrize("nodes", [16, 64])
+def test_cholesky_rule_changes_no_buckling_value(eps, nodes):
+    """Ruling clamped modes out by a Cholesky factorization gives the
+    same bits as solving every mode."""
+    grid = make_radial_grid(eps, nodes, "geometric")
+    for modes in (2, 4, 6):
+        assert spherecap._buckling_lambda1(grid, modes) == full_cap_buckling(grid, modes)
+
+
+def test_mode_that_fails_cholesky_is_solved(monkeypatch):
+    """With mode 2's bending form scaled down it holds the smallest
+    value: its Cholesky factorization fails, it is solved, and it sets
+    the result, while modes 1, 3 and 4 are ruled out."""
+    mode_operators, clamped_above = spherecap._mode_operators, spherecap._clamped_above
+    smallest = spherecap.CapOperators.smallest
+    cholesky, solved = {}, []
+
+    def weak_mode2(tables, m):
+        ops = mode_operators(tables, m)
+        if m == 2 and ops.order == "fourth":
+            ops = dataclasses.replace(ops, a_m=0.05 * ops.a_m)
+        return ops
+
+    def counted_cholesky(ops, lam):
+        cholesky[ops.m] = clamped_above(ops, lam)
+        return cholesky[ops.m]
+
+    def counted_smallest(self, bc, k):
+        solved.append(self.m)
+        return smallest(self, bc, k)
+
+    monkeypatch.setattr(spherecap, "_mode_operators", weak_mode2)
+    grid = make_radial_grid(0.1, 16, "geometric")
+    expected = full_cap_buckling(grid, 4)
+    assert expected < full_cap_buckling(grid, 1)  # mode 2 wins
+    monkeypatch.setattr(spherecap, "_clamped_above", counted_cholesky)
+    monkeypatch.setattr(spherecap.CapOperators, "smallest", counted_smallest)
+    assert spherecap._buckling_lambda1(grid, 4) == expected
+    assert cholesky == {1: True, 2: False, 3: True, 4: True}
+    assert solved == [0, 2]
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.1, 0.5, 1.0])
