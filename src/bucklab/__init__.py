@@ -37,8 +37,8 @@ from .errors import (
     ConstraintViolationError,
     DofKindError,
     ExcludedSpectrumError,
+    FactorCheckError,
     MeshError,
-    SingularBlockError,
     SizeLimitError,
     SpectrumRangeError,
 )

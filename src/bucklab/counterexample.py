@@ -42,7 +42,7 @@ import numpy as np
 
 from .assembly import OperatorPair
 from .eigen import lift_to_interior, schur_and_lift, sym_gen_eigs
-from .errors import ConstraintViolationError, MeshError, SingularBlockError
+from .errors import ConstraintViolationError
 from .spectra import free_dofs, lru_get, lru_put, smallest_eigenpairs
 from .traceops import MARGIN, trace_pencil
 
@@ -121,16 +121,13 @@ def make_perturbation(pair: OperatorPair) -> np.ndarray:
     boundary normal derivative DOFs; its boundary normal mass equals
     the mesh perimeter, giving the sweep a fixed positive denominator.
     It is ``-F_cc^{-1} F_cb 1``, the lift of unit normal derivatives to
-    the clamped free DOFs (:func:`~bucklab.eigen.lift_to_interior`); a
-    singular F_cc raises :class:`MeshError`."""
+    the clamped free DOFs (:func:`~bucklab.eigen.lift_to_interior`),
+    whose :class:`~bucklab.errors.FactorCheckError` propagates."""
     free = free_dofs(pair, "buckling")
     normal = pair.dofmap.boundary_normal_dofs()
     h = np.zeros(pair.dofmap.n_dofs)
     h[normal] = 1.0
-    try:
-        h[free] = lift_to_interior(pair.fourth_order_matrix(), free, normal, h[normal])
-    except SingularBlockError as exc:
-        raise MeshError(f"perturbation solve failed: {exc}") from exc
+    h[free] = lift_to_interior(pair.fourth_order_matrix(), free, normal, h[normal])
     return h
 
 

@@ -7,7 +7,7 @@ shared pattern, interior DOFs first and boundary DOFs last, so that
 ``pencil.at(t)``, the matrix A - t B, is one vector update. A problem
 pencil has no boundary; a trace pencil has its interior DOFs in a
 fill-reducing order. Boundary-sized trace operators, 1D cap forms and
-test matrices arrive dense. This is the one module that densifies a
+test matrices arrive dense. Only :func:`sym_gen_eigs` densifies a
 sparse matrix, and it refuses to do so beyond ``MAX_DENSE_DOFS`` rows.
 
 Every sparse factorization is one SuperLU factorization of a
@@ -18,22 +18,21 @@ with one, so P A P^T = L U with U = D L^T, and inertia(A) = inertia(D)
 by Sylvester's law. Unlike Bunch-Kaufman this factorization never
 pivots for stability, so it is trusted only when the row and column
 permutations agree, every pivot exceeds ``ZERO_TOL * max|A|`` and the
-factor shows no large element growth. Otherwise the dense path decides:
-LDL^T with Bunch-Kaufman 1x1/2x2 pivots for inertia, or the dense
-eigensolver (through the Cholesky factor of the mass matrix) for a
-Lanczos result that fails its certificate. Such factors count
-eigenvalues (:func:`pencil_count`) and give the shift-invert operator
-and the inertia certificate of Lanczos (:func:`sparse_smallest_eigs`,
-rerun at a tighter tolerance when the certificate fails).
-``solver_path_counts`` reports how many sparse factorizations and
-Lanczos solves took each path. SuperLU updates panels of one column,
-not its default 20, unless the factor's dense trailing boundary block
-has more than ``_PANEL_ONE_MAX_BOUNDARY`` rows: a wide panel pays off
-only on a large dense supernode, and the one such supernode of a pencil
-factor is a large boundary block. So a problem-pencil factor is 12-22%
-cheaper at disk refine 3-6 and a trace factor with at most that many
-boundary rows 11-17%, while a larger boundary keeps the default width,
-which is 2-19% faster there.
+factor shows no large element growth. A factor that fails a check
+raises :class:`FactorCheckError` naming the check; no second, dense
+answer is computed. Such factors count eigenvalues
+(:func:`pencil_count`) and give the shift-invert operator and the
+inertia certificate of Lanczos (:func:`sparse_smallest_eigs`, rerun at
+a tighter tolerance when the certificate fails). ``solver_path_counts``
+reports how many sparse factorizations were trusted and how many failed
+a check. SuperLU updates panels of one column, not its default 20,
+unless the factor's dense trailing boundary block has more than
+``_PANEL_ONE_MAX_BOUNDARY`` rows: a wide panel pays off only on a large
+dense supernode, and the one such supernode of a pencil factor is a
+large boundary block. So a problem-pencil factor is 12-22% cheaper at
+disk refine 3-6 and a trace factor with at most that many boundary rows
+11-17%, while a larger boundary keeps the default width, which is 2-19%
+faster there.
 
 A trace pencil's Q = ``pencil.at(lam)`` (a :class:`BoundaryLastMatrix`)
 factored in its own order gives S = L_bb U_bb, the boundary block of
@@ -44,15 +43,15 @@ the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
 exactly whenever they pass. The boundary part, the LDL^T of S, passes
 the same growth bound but no pivot-size test, since S may be nearly
 singular. The same factor lifts boundary values to the interior
-(:func:`schur_and_lift`). A point that fails either part goes to the
-dense path, which beyond ``MAX_DENSE_DOFS`` interior rows raises
-:class:`SizeLimitError`. :func:`lift_to_interior` and :func:`inertia`
+(:func:`schur_and_lift`). A point that fails either part raises
+:class:`FactorCheckError`. :func:`lift_to_interior` and :func:`inertia`
 factor a sparse matrix as a pencil without a boundary.
 """
 from __future__ import annotations
 
 import ctypes
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,7 +60,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import BucklabError, SingularBlockError, SizeLimitError
+from .errors import BucklabError, FactorCheckError, SizeLimitError
 
 #: pivots and eigenvalues within this of zero, relative to max|A|, count as zero
 ZERO_TOL = 1e-9
@@ -81,8 +80,8 @@ _LANCZOS_EXTRA = 3
 # 1e-10 the values already agree with those of tol=0 (machine epsilon)
 # to rounding, and the iterations tol=0 adds change only the vectors, by
 # about 1e-10. A result that fails its certificate at 1e-10 is solved
-# again at 0, as it was before the tolerance was set, before the dense
-# fallback decides.
+# again at 0, as it was before the tolerance was set, before the solve
+# gives up.
 _LANCZOS_TOLS = (1e-10, 0.0)
 # Two Ritz values are separated by a clear gap when they differ by more
 # than this, relative to the larger one in magnitude. The certifying
@@ -115,7 +114,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 _PATH_LOCK = threading.Lock()
-_PATH_COUNTS = {"sparse_ldlt": 0, "dense_fallback": 0, "lanczos_retry": 0}
+_PATH_COUNTS = {"sparse_ldlt": 0, "check_failed": 0, "lanczos_retry": 0}
 
 
 class Inertia(NamedTuple):
@@ -125,21 +124,35 @@ class Inertia(NamedTuple):
 
 
 def solver_path_counts() -> dict[str, int]:
-    """Sparse factorizations so far in this process, by the path taken:
-    ``sparse_ldlt`` (checked SuperLU factor trusted) or ``dense_fallback``
-    (a check failed and the dense Bunch-Kaufman path ran instead). A
-    Lanczos solve that the dense eigensolver replaces after its factor
-    was trusted counts once more in ``dense_fallback``; ``lanczos_retry``
-    counts the Lanczos solves rerun at ARPACK's default tolerance after
-    the first one failed (see :func:`sparse_smallest_eigs`)."""
+    """Checked sparse factorizations so far in this process, by outcome:
+    ``sparse_ldlt`` (trusted, its answer used) or ``check_failed`` (a
+    check failed and :class:`FactorCheckError` was raised: a check of
+    the factor itself, or the positive pivots a Lanczos shift needs). A
+    count that steps past a singular bound (:func:`pencil_count`) counts
+    once, by the factor it ends with. ``lanczos_retry`` counts the
+    Lanczos solves rerun at ARPACK's default tolerance after the first
+    one failed (see :func:`sparse_smallest_eigs`)."""
     with _PATH_LOCK:
         return dict(_PATH_COUNTS)
 
 
-def _count_path(trusted: bool) -> None:
-    """Count one sparse factorization by the path it took."""
+def _count_path(path: str) -> None:
+    """Count one event under ``path``, a key of :func:`solver_path_counts`."""
     with _PATH_LOCK:
-        _PATH_COUNTS["sparse_ldlt" if trusted else "dense_fallback"] += 1
+        _PATH_COUNTS[path] += 1
+
+
+@contextmanager
+def _counted():
+    """Count the one factorization checked in this block: in
+    ``sparse_ldlt`` when the block ends normally, in ``check_failed``
+    when it raises :class:`FactorCheckError`, which propagates."""
+    try:
+        yield
+    except FactorCheckError:
+        _count_path("check_failed")
+        raise
+    _count_path("sparse_ldlt")
 
 
 def retain_factor_workspace() -> None:
@@ -200,26 +213,25 @@ def _check_symmetric(scale: float, asym: float, name: str) -> None:
         raise ValueError(f"{name} is not symmetric within {_SYM_RTOL:g} relative")
 
 
-def _dense(a, name: str = "matrix") -> np.ndarray:
-    """Dense copy of a sparse matrix, refused beyond ``MAX_DENSE_DOFS`` rows;
-    dense input passes through."""
-    if not sp.issparse(a):
-        return a
-    if a.shape[0] > MAX_DENSE_DOFS:
-        raise SizeLimitError(
-            f"{name} has {a.shape[0]} rows, beyond the dense cap {MAX_DENSE_DOFS}"
-        )
-    return a.toarray()
-
-
 def sym_gen_eigs(a, b, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` smallest eigenpairs of A x = gamma B x, B positive definite.
 
     Returns eigenvalues ascending and B-orthonormal eigenvectors as
-    columns. Raises if B fails its Cholesky factorization.
+    columns. Raises if B fails its Cholesky factorization. Sparse input
+    is densified, and refused beyond ``MAX_DENSE_DOFS`` rows with
+    :class:`SizeLimitError`.
     """
-    a = _dense(_require_symmetric(a, "A"), "A")
-    b = _dense(_require_symmetric(b, "B"), "B")
+    forms = []
+    for m, name in ((a, "A"), (b, "B")):
+        m = _require_symmetric(m, name)
+        if sp.issparse(m):
+            if m.shape[0] > MAX_DENSE_DOFS:
+                raise SizeLimitError(
+                    f"{name} has {m.shape[0]} rows, beyond the dense cap {MAX_DENSE_DOFS}"
+                )
+            m = m.toarray()
+        forms.append(m)
+    a, b = forms
     n = len(a)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
@@ -250,42 +262,31 @@ def sparse_smallest_eigs(pencil, count: int, sigma: float) -> tuple[np.ndarray, 
     the Ritz values below the midpoint, so no eigenvalue was missed, not
     even one copy of a multiple one. When ARPACK fails or the certificate
     does, ARPACK runs once more on the same factor at its default
-    tolerance (machine epsilon), under the same certificate; only when
-    that fails too does the dense :func:`sym_gen_eigs` answer, which
-    refuses beyond ``MAX_DENSE_DOFS`` rows.
+    tolerance (machine epsilon), under the same certificate. A failed
+    retry, a shift factor with a negative pivot and a factor that fails
+    its checks each raise :class:`FactorCheckError`. A pencil of at most
+    ``count + _LANCZOS_EXTRA`` rows, too small for ARPACK, goes to the
+    dense :func:`sym_gen_eigs` and factors nothing here.
     """
     n = len(pencil.rows)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    pairs = _lanczos_smallest(pencil, count, sigma)
-    if pairs is None:
-        return sym_gen_eigs(*pencil.forms(), count)
-    return pairs
-
-
-def _lanczos_smallest(pencil: BoundaryLastPencil, count: int, sigma: float):
-    """Certified ``count`` smallest eigenpairs, or None (counted as a
-    dense fallback) when a check fails."""
-    n = len(pencil.rows)
     nev = count + _LANCZOS_EXTRA
-    if nev >= n:  # ARPACK needs nev < n; such a pencil is tiny anyway
-        _count_path(False)
-        return None
-    fac = _checked_factor(pencil.at(sigma))
-    _count_path(fac is not None)
-    if fac is None:
-        return None
-    if np.any(fac.pivots < 0):  # sigma is not below the spectrum
-        _count_path(False)
-        return None
+    if nev >= n:  # ARPACK needs nev < n
+        return sym_gen_eigs(*pencil.forms(), count)
+    with _counted():
+        fac = _checked_factor(pencil.at(sigma))
+        n_neg = int(np.sum(fac.pivots < 0))
+        if n_neg:
+            raise FactorCheckError(f"the Lanczos shift sigma={sigma:.12g} is not below the "
+                                   f"spectrum: its factor has {n_neg} negative pivots")
     op_inv = spla.LinearOperator((n, n), matvec=fac.lu.solve, dtype=np.float64)
     del fac  # ARPACK needs the solver alone, not the fetched copies of L and U
     a, b = pencil.forms()
     v0 = np.random.default_rng(0).standard_normal(n)
     for retry, tol in enumerate(_LANCZOS_TOLS):
         if retry:
-            with _PATH_LOCK:
-                _PATH_COUNTS["lanczos_retry"] += 1
+            _count_path("lanczos_retry")
         try:
             w, v = spla.eigsh(a, k=nev, M=b, sigma=sigma, OPinv=op_inv, v0=v0, tol=tol)
         except spla.ArpackError:
@@ -300,8 +301,9 @@ def _lanczos_smallest(pencil: BoundaryLastPencil, count: int, sigma: float):
         if gap is not None and _pencil_inertia(
                 pencil.at(0.5 * (w[gap] + w[gap + 1]))).n_neg == gap + 1:
             return w[:count], v[:, :count]
-    _count_path(False)
-    return None
+    raise FactorCheckError(f"Lanczos found no {count} smallest eigenpairs of a {n}-row pencil "
+                           f"that pass the inertia certificate at ARPACK tolerances "
+                           f"{' and '.join(f'{tol:g}' for tol in _LANCZOS_TOLS)}")
 
 
 class _Factor(NamedTuple):
@@ -314,11 +316,12 @@ class _Factor(NamedTuple):
     pivots: np.ndarray
 
 
-def _checked_factor(q: BoundaryLastMatrix):
+def _checked_factor(q: BoundaryLastMatrix) -> _Factor:
     """One SuperLU factorization of the symmetric pencil matrix ``q`` in
-    symmetric mode (diagonal pivots only), as a :class:`_Factor`, or None
-    when it cannot be trusted. ``q`` is first checked symmetric within
-    1e-12 relative through its transpose map (ValueError otherwise).
+    symmetric mode (diagonal pivots only), as a :class:`_Factor`; when
+    it cannot be trusted, :class:`FactorCheckError` names the check it
+    failed. ``q`` is first checked symmetric within 1e-12 relative
+    through its transpose map (ValueError otherwise).
 
     Without a boundary, ``q`` is factored in a minimum-degree order (on
     the pattern of Q^T + Q). With one, it is factored in its own order
@@ -350,22 +353,24 @@ def _checked_factor(q: BoundaryLastMatrix):
     head = slice(0, a.indptr[ni])  # the stored entries of the interior columns
     scale_ii = _max_abs(d[head][a.indices[head] < ni]) if natural else scale
     if scale_ii == 0.0:
-        return None
+        raise _failed(q, "zero pivot", "the interior block is zero")
     try:
         lu = spla.splu(
             a, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             panel_size=_panel_size(a.shape[0] - ni), options={"SymmetricMode": True},
         )
-    except RuntimeError:  # a pivot column, interior or boundary, was exactly zero
-        return None
+    except RuntimeError as exc:  # a pivot column, interior or boundary, was exactly zero
+        raise _failed(q, "zero pivot", f"SuperLU: {exc}") from None
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None  # an off-diagonal pivot was taken: not an LDL^T
+        raise _failed(q, "diagonal pivot", "an off-diagonal pivot was taken: not an LDL^T")
     if natural and np.any(lu.perm_c != np.arange(len(lu.perm_c))):
-        return None  # SuperLU did not keep the given order
+        raise _failed(q, "order", "SuperLU did not keep the stored order")
     l, u = lu.L, lu.U
     pivots = u.diagonal()
-    if np.min(np.abs(pivots[:ni])) <= ZERO_TOL * scale_ii:
-        return None
+    smallest = np.min(np.abs(pivots[:ni]))
+    if smallest <= ZERO_TOL * scale_ii:
+        raise _failed(q, "pivot size", f"an interior pivot of {smallest / scale_ii:.3g} "
+                                       f"max|Q_ii| is at or below ZERO_TOL={ZERO_TOL:g}")
     # L's boundary columns hold rows >= ni only, U's interior columns rows
     # < ni only; U's boundary columns hold both
     lo, uo = l.indptr[ni], u.indptr[ni]
@@ -377,8 +382,14 @@ def _checked_factor(q: BoundaryLastMatrix):
         _max_abs(l.data[lo:]), _max_abs(u_tail[~in_u]) / scale,
     )
     if growth > _MAX_GROWTH:
-        return None
+        raise _failed(q, "growth", f"element growth {growth:.3g} exceeds {_MAX_GROWTH:g}")
     return _Factor(lu, l, u, pivots)
+
+
+def _failed(q: BoundaryLastMatrix, check: str, detail: str) -> FactorCheckError:
+    """The error of a factor of ``q`` that failed ``check``."""
+    return FactorCheckError(f"the sparse LDL^T of {len(q.indptr) - 1} rows ({q.n_interior} "
+                            f"interior) failed its {check} check: {detail}")
 
 
 def _panel_size(n_boundary: int) -> int | None:
@@ -401,11 +412,16 @@ def inertia(a) -> Inertia:
 
     Sparse input: signs of the pivots of the checked sparse LDL^T of the
     pencil (A, 0) with no boundary, whose pivots all exceed
-    ``ZERO_TOL * max|A|``. Dense input, or a sparse factor that fails a
-    check: LDL^T with Bunch-Kaufman pivoting, whose block-diagonal D (1x1
-    and 2x2 pivot blocks) is tridiagonal; the signs are those of its
-    eigenvalues from LAPACK, and eigenvalues with magnitude at most
-    ``ZERO_TOL * max|A|`` count as zero.
+    ``ZERO_TOL * max|A|``; a factor that fails a check raises
+    :class:`FactorCheckError`. Dense input: LDL^T with Bunch-Kaufman
+    pivoting, whose block-diagonal D (1x1 and 2x2 pivot blocks) is
+    tridiagonal; the signs are those of its eigenvalues from LAPACK, and
+    eigenvalues with magnitude at most ``ZERO_TOL * max|A|`` count as
+    zero. That threshold is relative to max|A|, so on a graded matrix it
+    counts well-determined eigenvalues as zero: on the unscaled cap form
+    A_2 - 2.0147 K_2 (eps 0.1, 64 nodes, clamped free DOFs, diagonal
+    from 11.4 to 9.4e12, smallest eigenvalue 0.686) it returns
+    ``Inertia(0, 73, 53)``.
     """
     a = _require_symmetric(a, "A")
     n = a.shape[0]
@@ -430,12 +446,9 @@ def inertia(a) -> Inertia:
 
 def _pencil_inertia(q: BoundaryLastMatrix) -> Inertia:
     """:func:`inertia` of the pencil matrix ``q``: the pivot signs of its
-    checked factor or, when a check fails, the dense count."""
-    fac = _checked_factor(q)
-    _count_path(fac is not None)
-    if fac is None:
-        return inertia(_dense(q.csc(), "A"))
-    pivots = fac.pivots
+    checked factor."""
+    with _counted():
+        pivots = _checked_factor(q).pivots
     return Inertia(int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)))
 
 
@@ -446,16 +459,17 @@ def pencil_count(pencil: BoundaryLastPencil, upto: float, scale: float) -> int:
     of the checked factor of ``pencil.at(t)``. At t = ``upto`` on an
     eigenvalue that factor fails its pivot test, so t moves up by each
     step of ``_COUNT_NUDGES`` times ``max(|upto|, scale)`` in turn. If
-    every factor fails, the dense count at ``upto`` decides, its zero
-    eigenvalues counted as at or below."""
-    for nudge in (0.0, *_COUNT_NUDGES):
-        fac = _checked_factor(pencil.at(upto + nudge * max(abs(upto), scale)))
-        if fac is not None:
-            _count_path(True)
-            return int(np.sum(fac.pivots < 0))
-    _count_path(False)
-    below = inertia(_dense(pencil.at(upto).csc(), "A - t B"))
-    return below.n_neg + below.n_zero
+    the factor at the last step fails too, its :class:`FactorCheckError`
+    is raised."""
+    with _counted():
+        for nudge in (0.0, *_COUNT_NUDGES):
+            try:
+                fac = _checked_factor(pencil.at(upto + nudge * max(abs(upto), scale)))
+                break
+            except FactorCheckError:
+                if nudge == _COUNT_NUDGES[-1]:
+                    raise
+    return int(np.sum(fac.pivots < 0))
 
 
 def fill_order(a) -> np.ndarray:
@@ -587,8 +601,8 @@ class SchurComplement(NamedTuple):
 def schur_complement(q: BoundaryLastMatrix) -> SchurComplement:
     """The :class:`SchurComplement` of a symmetric Q stored boundary-last
     (a :class:`BoundaryLastMatrix`, ``pencil.at(lam)``), in Q's boundary
-    order. The interior block must be nonsingular, otherwise
-    :class:`SingularBlockError` is raised. See :func:`schur_and_lift`,
+    order. A factor that fails a check, a singular interior block among
+    them, raises :class:`FactorCheckError`. See :func:`schur_and_lift`,
     which this is without the lift."""
     return schur_and_lift(q)[0]
 
@@ -605,29 +619,13 @@ def schur_and_lift(q: BoundaryLastMatrix):
     boundary ones below ``-ZERO_TOL * max|S|``: a smaller one bounds an
     eigenvalue of S that the dense count takes as zero). Since
     Q_ii = L_ii U_ii and Q_ib = L_ii U_ib, the lift is one triangular
-    solve U_ii y = -U_ib psi in Q's order. When a check of the factor
-    fails, the interior block's Bunch-Kaufman inertia decides regularity
-    and gives neg(Q_ii), a dense solve X = Q_ii^{-1} Q_ib gives both
-    S = Q_bb - Q_ib^T X and the lift -X psi, and neg(S) is the
-    Bunch-Kaufman inertia of S; that densifies Q_ii, so beyond
-    ``MAX_DENSE_DOFS`` interior rows a failed check raises
-    :class:`SizeLimitError`. The lift holds U (or X) until it is dropped.
+    solve U_ii y = -U_ib psi in Q's order. A factor that fails a check
+    raises :class:`FactorCheckError`. The lift holds U until it is
+    dropped.
     """
-    fac = _checked_factor(q)
-    _count_path(fac is not None)
-    ni, q = q.n_interior, q.csc()
-    if fac is None:
-        q_ii = _dense(q[:ni, :ni], "Q_ii")
-        interior = inertia(q_ii)
-        if interior.n_zero:
-            raise SingularBlockError("interior block is singular at this parameter")
-        q_ib = _dense(q[:ni, ni:], "Q_ib")
-        x = sla.solve(q_ii, q_ib, assume_a="sym")
-        s = _dense(q[ni:, ni:], "Q_bb") - q_ib.T @ x
-        s = 0.5 * (s + s.T)
-        schur = SchurComplement(s, inertia(s).n_neg, interior.n_neg)
-        return schur, lambda psi: -(x @ psi)
-    u = fac.u  # the lift holds U, not the SuperLU object
+    with _counted():
+        fac = _checked_factor(q)
+    ni, u = q.n_interior, fac.u  # the lift holds U, not the SuperLU object
     s = _trailing_block(fac.l, ni) @ _trailing_block(u, ni)
     s = 0.5 * (s + s.T)
     schur = SchurComplement(s, int(np.sum(fac.pivots[ni:] < -ZERO_TOL * _max_abs(s))),
@@ -656,17 +654,10 @@ def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndar
     """The lift ``-A_ii^{-1} A_ib psi`` of :func:`schur_and_lift` for a
     symmetric sparse A given by index sets: one checked factor of A_ii, the
     pencil (A, 0) on the interior DOFs with no boundary, whose order costs
-    no factorization of its own. On a failed check, A_ii's Bunch-Kaufman
-    inertia decides regularity and a dense solve gives the lift; a
-    singular A_ii raises :class:`SingularBlockError`."""
+    no factorization of its own. A factor that fails a check, a singular
+    A_ii among them, raises :class:`FactorCheckError`."""
     a = _require_symmetric(a, "A")
     rhs = -(a[np.ix_(interior, boundary)] @ psi)
-    q = boundary_last_pencil(a, sp.csc_array(a.shape), interior, []).at(0.0)
-    fac = _checked_factor(q)
-    _count_path(fac is not None)
-    if fac is not None:
-        return fac.lu.solve(rhs)
-    a_ii = _dense(q.csc(), "A_ii")
-    if inertia(a_ii).n_zero:
-        raise SingularBlockError("interior block is singular at this parameter")
-    return sla.solve(a_ii, rhs, assume_a="sym")
+    with _counted():
+        fac = _checked_factor(boundary_last_pencil(a, sp.csc_array(a.shape), interior, []).at(0.0))
+    return fac.lu.solve(rhs)

@@ -22,8 +22,9 @@ class DofKindError(BucklabError):
     """Operation called with an incompatible DOF map or boundary condition."""
 
 
-class SingularBlockError(BucklabError):
-    """The interior block of a Schur elimination is singular."""
+class FactorCheckError(BucklabError):
+    """A checked sparse LDL^T factorization, or a result certified by one,
+    failed a check; the message names the check."""
 
 
 class ExcludedSpectrumError(BucklabError):

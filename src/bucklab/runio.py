@@ -94,9 +94,9 @@ class RunManifest:
     started_utc: str = ""
     finished_utc: str = ""
     outputs: list[str] = field(default_factory=list)
-    # sparse factorizations of the run by path taken (sparse_ldlt or
-    # dense_fallback) and Lanczos retries (lanczos_retry); kept out of
-    # the CSVs, which hold results only
+    # checked sparse factorizations of the run, trusted (sparse_ldlt) or
+    # failed a check (check_failed), and Lanczos retries (lanczos_retry);
+    # kept out of the CSVs, which hold results only
     solver: dict = field(default_factory=dict)
     # clamped cap modes of the run solved by the eigensolver (solved) or
     # ruled out by a Cholesky factorization (ruled_out)

@@ -11,9 +11,8 @@ mesh into a cached :class:`TracePencil`, a
 interior DOFs, those the inner pencil leaves free, in a minimum-degree
 order, then the boundary DOFs. At each lambda
 :func:`bucklab.eigen.schur_complement` factors that pencil's shifted
-form once (a checked sparse LDL^T, with the dense Bunch-Kaufman path as
-fallback) and returns the boundary block of the factor as a dense
-matrix, with neg(S) and neg(Q_ii) from its pivots.
+form once (a checked sparse LDL^T) and returns the boundary block of the
+factor as a dense matrix, with neg(S) and neg(Q_ii) from its pivots.
 Nothing here keeps a factor past its point; :mod:`bucklab.counterexample`
 lifts its fields from the same kind of factor.
 
@@ -28,9 +27,9 @@ excluded spectra are read off certified spectrum prefixes
 must clear by the relative margin ``MARGIN``. A scan computes them once,
 past the largest lambda a point may use, and then calls the public
 functions at each point, whose prefixes the cache serves. No step forms
-an n x n matrix unless a factor check fails, and a scan point whose
-failed factor is too large to densify is skipped with its reason, as
-points too close to an excluded eigenvalue are.
+an n x n matrix, and a scan point whose factor fails a check is skipped
+with the check it failed, as points too close to an excluded eigenvalue
+are.
 """
 from __future__ import annotations
 
@@ -45,7 +44,7 @@ from .eigen import (
     schur_complement,
     sym_gen_eigs,
 )
-from .errors import BucklabError, ExcludedSpectrumError, SingularBlockError, SizeLimitError
+from .errors import BucklabError, ExcludedSpectrumError, FactorCheckError
 from .mesh import Mesh
 from .runio import SweepResult, run_sweep
 from .spectra import (
@@ -62,8 +61,8 @@ from .spectra import (
 MARGIN = 1e-3
 NUDGE_STEPS = 10
 # scan points that raise these are recorded as skips: too close to an
-# excluded eigenvalue, or a failed factor too large for the dense path
-_SKIPPED = (ExcludedSpectrumError, SizeLimitError)
+# excluded eigenvalue, or a factor that failed a check (the reason names it)
+_SKIPPED = (ExcludedSpectrumError, FactorCheckError)
 
 # identity -> (trace operator, outer pencil, inner pencil)
 _IDENTITIES = {
@@ -215,21 +214,12 @@ def trace_operator(mesh: Mesh, kind: str, lam: float, order: int = 2) -> TraceOp
     The eliminated block is the inner pencil, so the operator exists iff
     ``lam`` clears the inner spectrum by the relative margin ``MARGIN``;
     ``margin`` is its distance from that spectrum. A point whose factor
-    fails a check beyond the dense cap raises :class:`SizeLimitError`
-    naming ``lam``.
+    fails a check raises :class:`FactorCheckError` naming the check.
     """
     name, _, inner = _identity(kind)
-    excluded = pencil_eigenvalues(mesh, inner, order, upto=lam)
-    margin = _cleared(lam, excluded)
+    margin = _cleared(lam, pencil_eigenvalues(mesh, inner, order, upto=lam))
     pencil = trace_pencil(mesh, kind, order)
-    try:
-        schur = schur_complement(pencil.form.at(lam))
-    except SingularBlockError:
-        raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, MARGIN) from None
-    except SizeLimitError as exc:
-        raise SizeLimitError(
-            f"lambda={lam:.12g}: the sparse factor failed a check and {exc}"
-        ) from None
+    schur = schur_complement(pencil.form.at(lam))
     return TraceOperator(name, lam, schur.matrix, pencil.boundary_mass, mesh.content_hash(),
                          margin, pencil.boundary_dofs, schur.n_neg, schur.n_neg_interior)
 
@@ -290,9 +280,9 @@ def scan_identities(
 ) -> SweepResult:
     """One :func:`verify_identity` report per grid point, with automatic
     nudging away from the excluded spectra; unplaceable points are
-    skipped and recorded, as are points whose factor fails a check beyond
-    the dense cap. Summary flag ``all_hold`` covers the non-skipped
-    points, and is None when there are none."""
+    skipped and recorded, as are points whose factor fails a check.
+    Summary flag ``all_hold`` covers the non-skipped points, and is None
+    when there are none."""
     retain_factor_workspace()
     excluded = _scan_values(mesh, kind, order, lam_grid)
 

@@ -32,19 +32,19 @@ def rng():
 
 
 @pytest.fixture()
-def force_dense_fallback(monkeypatch):
-    """A context manager under which every checked sparse factor is
-    refused, so each sparse factorization takes the dense path. Spectrum
-    prefixes beyond a lowered dense cap are to be cached before it is
-    entered."""
+def refuse_every_factor(monkeypatch):
+    """A context manager under which every checked sparse factor fails
+    its growth check, so each sparse factorization raises
+    :class:`~bucklab.errors.FactorCheckError` naming it. Spectrum
+    prefixes and trace pencils are to be cached before it is entered."""
 
     @contextmanager
-    def forced():
+    def refused():
         with monkeypatch.context() as m:
-            m.setattr(eigen, "_checked_factor", lambda *args: None)
+            m.setattr(eigen, "_MAX_GROWTH", 0.5)  # max|L| >= 1: the unit diagonal
             yield
 
-    return forced
+    return refused
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from bucklab import inertia
 from bucklab.spectra import PENCILS, free_dofs, pencil_pair
 from bucklab.spherecap import cap_operators
 
@@ -38,15 +39,35 @@ def dense_pencil_eigenvalues(mesh, problem: str, order=None) -> np.ndarray:
     return _PENCIL_SPECTRA[key]
 
 
+def _dense(q) -> np.ndarray:
+    return q.toarray() if sp.issparse(q) else np.asarray(q, dtype=np.float64)
+
+
 def dense_schur(q, interior, boundary) -> np.ndarray:
     """Q_bb - Q_bi Q_ii^{-1} Q_ib of a symmetric Q by one dense LAPACK
     solve, symmetrized, from the index sets of the interior and boundary
     positions."""
-    q = q.toarray() if sp.issparse(q) else np.asarray(q, dtype=np.float64)
+    q = _dense(q)
     q_ib = q[np.ix_(interior, boundary)]
     x = sla.solve(q[np.ix_(interior, interior)], q_ib, assume_a="sym")
     s = q[np.ix_(boundary, boundary)] - q_ib.T @ x
     return 0.5 * (s + s.T)
+
+
+def dense_schur_counts(q, interior, boundary) -> tuple[int, int]:
+    """``(neg(S), neg(Q_ii))`` of a symmetric Q: the dense Bunch-Kaufman
+    inertia of :func:`dense_schur` and of the interior block."""
+    q = _dense(q)
+    return (inertia(dense_schur(q, interior, boundary)).n_neg,
+            inertia(q[np.ix_(interior, interior)]).n_neg)
+
+
+def dense_lift(q, interior, boundary, psi) -> np.ndarray:
+    """The lift -Q_ii^{-1} Q_ib psi of boundary values ``psi`` of a
+    symmetric Q by one dense LAPACK solve."""
+    q = _dense(q)
+    return -sla.solve(q[np.ix_(interior, interior)], q[np.ix_(interior, boundary)] @ psi,
+                      assume_a="sym")
 
 
 def dense_perturbation(pair) -> np.ndarray:

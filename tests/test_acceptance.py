@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria execute. Desk scale: everything here finishes in minutes.
 """
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,7 +21,7 @@ from bucklab import (
 )
 from bucklab.cli import main as cli_main
 from bucklab.eigen import boundary_last_pencil
-from bucklab.errors import SingularBlockError
+from bucklab.errors import FactorCheckError
 from bucklab.spectra import get_pair, pencil_eigenvalues
 
 from oracles import random_symmetric
@@ -88,6 +90,8 @@ def _run_identity_scan(tmp_path, domain_args, kind, lmin, lmax):
     run_dir = sorted((tmp_path / "runs").glob("*identity-scan*"))[-1]
     rows = (run_dir / "identities.csv").read_text().splitlines()[1:]
     skips = (run_dir / "skips.csv").exists()
+    # no sparse factor failed a check: a failed check is a skip, never a second answer
+    assert json.loads((run_dir / "manifest.json").read_text())["solver"]["check_failed"] == 0
     holds, exact = [], []
     for row in rows:
         lam, neg, lhs, rhs, holds_s, margin, nudged = row.split(",")
@@ -246,7 +250,7 @@ def test_criterion_10_linear_algebra_kernel():
         try:
             pencil = boundary_last_pencil(q, sp.csc_array(q.shape), perm[:split], perm[split:])
             s = schur_complement(pencil.at(0.0)).matrix
-        except SingularBlockError:
+        except FactorCheckError:
             continue
         tested += 1
         full = inertia(q)

@@ -22,6 +22,13 @@ def latest_run(tmp_path, command):
     return runs[-1]
 
 
+def assert_no_failed_check(run_dir):
+    """The run's manifest records no sparse factor that failed a check,
+    so a change that makes a natural input fail one fails here instead
+    of showing later as skips."""
+    assert json.loads((run_dir / "manifest.json").read_text())["solver"]["check_failed"] == 0
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["unknown-command"]) == 2
     assert main([]) == 2
@@ -53,6 +60,13 @@ def test_spectrum_command(tmp_path, capsys):
     meta = json.loads((run_dir / "manifest.json").read_text())
     assert meta["command"] == "spectrum"
     assert "spectrum.csv" in meta["outputs"]
+    assert_no_failed_check(run_dir)
+    for problem in ("neumann", "buckling", "navier"):
+        root = tmp_path / problem
+        assert main(["spectrum", "--domain", "disk", "--refine", "2", "--problem", problem,
+                     "--count", "3", "--run-root", str(root)]) == 0
+        (run_dir,) = root.iterdir()
+        assert_no_failed_check(run_dir)
 
 
 def test_spectrum_prints_rounding_noise_as_zero(tmp_path, capsys):
@@ -98,6 +112,7 @@ def test_counterexample_command(tmp_path, capsys):
     dat = (run_dir / "divergence_loglog.dat").read_text().splitlines()
     assert dat[0].startswith("# eps")
     assert dat[1] == "# xlog ylog"
+    assert_no_failed_check(run_dir)
     assert main(["report", "--run", str(run_dir)]) == 0
     report = capsys.readouterr().out
     assert "divergence.csv (3 data rows)" in report
@@ -119,6 +134,7 @@ def test_counterexample_bounded_regime(tmp_path, capsys):
     as_dict = dict(r.split(",", 1) for r in rows[1:])
     assert as_dict["passed"] == "true"
     assert float(as_dict["beta1"]) > 0
+    assert_no_failed_check(run_dir)
 
 
 def test_counterexample_solves_ground_state_once(tmp_path, capsys, monkeypatch,
@@ -255,7 +271,7 @@ def test_report_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "command: spectrum" in out
     assert "spectrum.csv" in out
-    assert "solver: dense_fallback=0 lanczos_retry=0 sparse_ldlt=" in out
+    assert "solver: check_failed=0 lanczos_retry=0 sparse_ldlt=" in out
     assert "clamped modes" not in out  # no cap run, nothing to report
 
     incomplete = tmp_path / "runs" / "broken"
@@ -322,37 +338,10 @@ def test_lanczos_csv_bit_determinism(tmp_path, args, empty_clamped_fields):
     assert tables[0] and tables[0] == tables[1]
 
 
-def test_identity_scan_csv_same_with_dense_fallback_forced(tmp_path, capsys,
-                                                          force_dense_fallback):
-    def scan(label, kind):
-        root = tmp_path / label / kind
-        code = main(["identity-scan", "--domain", "disk", "--refine", "2", "--kind", kind,
-                     "--lmin", "1", "--lmax", "60", "--points", "6",
-                     "--run-root", str(root)])
-        assert code == 0
-        (run_dir,) = root.iterdir()
-        meta = json.loads((run_dir / "manifest.json").read_text())
-        return (run_dir / "identities.csv").read_bytes(), meta["solver"]
-
-    for kind in ("liu", "friedlander"):
-        # the first scan fills the spectrum-prefix cache, whose Lanczos
-        # solves count as factorizations too; the two compared scans
-        # read the same cached prefixes and factor per point only
-        scan("warm", kind)
-        csv_sparse, paths = scan("sparse", kind)
-        assert paths["sparse_ldlt"] > 0 and paths["dense_fallback"] == 0
-        with force_dense_fallback():
-            csv_dense, forced = scan("forced", kind)
-        assert forced == {"sparse_ldlt": 0, "dense_fallback": paths["sparse_ldlt"],
-                          "lanczos_retry": 0}
-        assert csv_dense == csv_sparse
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("kind", ["liu", "friedlander"])
 def test_identity_scan_at_refine_5(tmp_path, capsys, kind):
     """16641 DOFs, beyond the dense cap: counts and margins come from
-    sparse spectrum prefixes, with no dense fallback."""
+    sparse spectrum prefixes, with no failed check."""
     code, out, _ = run_cli(
         ["identity-scan", "--domain", "disk", "--refine", "5", "--kind", kind,
          "--points", "2", "--lmax", "10"],
@@ -361,7 +350,7 @@ def test_identity_scan_at_refine_5(tmp_path, capsys, kind):
     assert code == 0
     assert "all_hold=true points=2 skips=0" in out
     meta = json.loads((latest_run(tmp_path, "identity-scan") / "manifest.json").read_text())
-    assert meta["solver"]["dense_fallback"] == 0
+    assert meta["solver"]["check_failed"] == 0
 
 
 def test_identity_scan_bound_on_the_neumann_zero_at_refine_5(tmp_path, capsys):

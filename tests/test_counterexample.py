@@ -5,6 +5,7 @@ import pytest
 
 from bucklab import (
     ConstraintViolationError,
+    FactorCheckError,
     alpha_value,
     bounded_below_check,
     buckling_ground_state,
@@ -16,11 +17,13 @@ from bucklab import (
     rayleigh_quotient,
 )
 from bucklab import counterexample, spectra
-from bucklab.counterexample import alpha_pencil, clamped_fields
+from bucklab.cli import main
+from bucklab.counterexample import _trace_minimizer, alpha_pencil, clamped_fields
 from bucklab.eigen import solver_path_counts
 from bucklab.spectra import get_pair
+from bucklab.traceops import trace_pencil
 
-from oracles import dense_perturbation
+from oracles import dense_lift, dense_perturbation
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +66,21 @@ def test_perturbation_contract(disk3, disk3_pair):
     assert bending > 0
 
 
-def test_perturbation_matches_dense_solve(disk3_pair, force_dense_fallback):
-    """The lift of unit normal derivatives is the dense clamped solve, on
-    the sparse factor of F_cc and on the dense fallback alike."""
+def test_perturbation_matches_dense_solve(disk3_pair, tmp_path, capsys, refuse_every_factor,
+                                         empty_clamped_fields):
+    """The lift of unit normal derivatives on the sparse factor of F_cc is
+    the dense clamped solve. A factor of F_cc that fails a check raises
+    FactorCheckError naming it, and a ``counterexample`` run whose
+    factors fail a check exits 1, naming the check."""
     h = make_perturbation(disk3_pair)
     np.testing.assert_allclose(h, dense_perturbation(disk3_pair), rtol=0, atol=1e-12)
-    with force_dense_fallback():
-        np.testing.assert_allclose(make_perturbation(disk3_pair), h, rtol=0, atol=1e-12)
+    with refuse_every_factor():
+        with pytest.raises(FactorCheckError, match="failed its growth check"):
+            make_perturbation(disk3_pair)
+        code = main(["counterexample", "--domain", "disk", "--refine", "2", "--lambda", "20",
+                     "--run-root", str(tmp_path)])
+    assert code == 1
+    assert "failed its growth check" in capsys.readouterr().err
 
 
 def test_quotient_markers_and_samples(disk3_pair, ground):
@@ -142,27 +153,30 @@ def test_bounded_regime_factors_navier_form_once(disk3_pair, empty_clamped_field
     report = bounded_below_check(disk3_pair, 2.0, 10)
     after = solver_path_counts()
     assert after["sparse_ldlt"] - before["sparse_ldlt"] == 1
-    assert after["dense_fallback"] == before["dense_fallback"]
+    assert after["check_failed"] == before["check_failed"]
     assert report.passed
 
 
-def test_bounded_regime_lift_on_dense_path(disk3_pair, force_dense_fallback):
-    """With every sparse factor refused, the lift reuses the dense
-    fallback's Q_ii solve: the same beta1, and a minimizer that attains
-    it with a small interior residual. The memoized perturbation makes
-    Q the one factorization (the perturbation's own dense path is
-    ``test_perturbation_matches_dense_solve``)."""
-    sparse = bounded_below_check(disk3_pair, 2.0, 10)  # caches the trace pencil and fields
+def test_bounded_regime_lift_on_dense_path(disk3_pair, refuse_every_factor):
+    """The trace minimizer's interior values, lifted on the Schur factor,
+    are the dense oracle's lift -Q_ii^{-1} Q_ib psi of its boundary
+    values. With the factor of Q refused, the bounded regime raises
+    FactorCheckError, counted once in ``check_failed``; the memoized
+    perturbation makes Q the one factorization."""
+    bounded_below_check(disk3_pair, 2.0, 10)  # caches the trace pencil and fields
+    _, v_full, _ = _trace_minimizer(disk3_pair, 2.0)
+    form = trace_pencil(disk3_pair.mesh, "liu", None).form
+    ni = form.n_interior
+    v = v_full[form.rows]
+    lifted = dense_lift(form.at(2.0).csc(), np.arange(ni), np.arange(ni, len(v)), v[ni:])
+    np.testing.assert_allclose(v[:ni], lifted, rtol=0, atol=1e-10 * np.max(np.abs(lifted)))
     before = solver_path_counts()
-    with force_dense_fallback():
-        dense = bounded_below_check(disk3_pair, 2.0, 10)
+    with refuse_every_factor():
+        with pytest.raises(FactorCheckError, match="failed its growth check"):
+            bounded_below_check(disk3_pair, 2.0, 10)
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
-    assert after["dense_fallback"] - before["dense_fallback"] == 1
-    assert dense.passed
-    assert dense.beta1 == pytest.approx(sparse.beta1, rel=1e-10)
-    assert dense.minimizer_quotient == pytest.approx(dense.beta1, rel=1e-8)
-    assert dense.interior_residual <= 1e-6
+    assert after["check_failed"] - before["check_failed"] == 1
 
 
 def test_bounded_below_vacuous_trials(disk3_pair):

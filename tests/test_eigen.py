@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bucklab import (
     BucklabError,
     eigen,
-    SingularBlockError,
+    FactorCheckError,
     SizeLimitError,
     inertia,
     schur_complement,
@@ -17,7 +17,7 @@ from bucklab.eigen import lift_to_interior, solver_path_counts, sparse_smallest_
 from bucklab.spectra import pencil_eigenvalues
 from bucklab.traceops import relative_margin, scan_identities, trace_pencil
 
-from oracles import dense_schur, jacobi_eigenvalues, random_symmetric
+from oracles import dense_lift, dense_schur, jacobi_eigenvalues, random_symmetric
 
 
 def _boundary_last(q, interior, boundary):
@@ -62,6 +62,23 @@ def test_error_contracts(rng):
         sym_gen_eigs(np.ones((2, 3)), np.eye(2), 1)
 
 
+def test_sym_gen_eigs_refuses_large_sparse_input(monkeypatch):
+    """Sparse forms are densified up to ``MAX_DENSE_DOFS`` rows; beyond
+    it SizeLimitError names the form, while dense input is never refused."""
+    n = 12
+    a = sp.diags_array([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], offsets=[-1, 0, 1])
+    b = sp.eye_array(n)
+    w, _ = sym_gen_eigs(a.toarray(), b.toarray(), 2)
+    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n - 1)
+    with pytest.raises(SizeLimitError, match=f"A has {n} rows, beyond the dense cap {n - 1}"):
+        sym_gen_eigs(a, b, 2)
+    with pytest.raises(SizeLimitError, match=f"B has {n} rows"):
+        sym_gen_eigs(a.toarray(), b, 2)
+    assert np.array_equal(sym_gen_eigs(a.toarray(), b.toarray(), 2)[0], w)
+    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n)
+    assert np.array_equal(sym_gen_eigs(a, b, 2)[0], w)
+
+
 def test_inertia_examples():
     i = inertia(np.diag([1.0, -2.0, 0.0]))
     assert (i.n_neg, i.n_zero, i.n_pos) == (1, 1, 1)
@@ -103,7 +120,7 @@ def test_schur_errors(rng):
         _boundary_last(q, np.array([0, 1]), np.array([1, 2, 3, 4, 5]))
     singular = np.zeros((3, 3))
     singular[2, 2] = 1.0
-    with pytest.raises(SingularBlockError):
+    with pytest.raises(FactorCheckError, match="zero pivot check: the interior block is zero"):
         schur_complement(_boundary_last(singular, np.array([0, 1]), np.array([2])))
 
 
@@ -167,7 +184,7 @@ def test_haynsworth_additivity_exact(rng):
         interior, boundary = perm[:split], perm[split:]
         try:
             schur = schur_complement(_boundary_last(q, interior, boundary))
-        except SingularBlockError:
+        except FactorCheckError:
             continue
         full = inertia(q)
         inner = inertia(q[np.ix_(interior, interior)])
@@ -207,26 +224,31 @@ def test_eigenvalues_invariant_under_permutation(seed):
     np.testing.assert_allclose(w1, w2, atol=1e-9, rtol=1e-9)
 
 
-@pytest.mark.parametrize("matrix", [
+@pytest.mark.parametrize("matrix, check", [
     # off-diagonal pivots: zero diagonals, [[0, 1], [1, 0]] blocks
-    [[0.0, 1.0], [1.0, 0.0]],
-    [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-     [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
-    [[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
-    [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+    ([[0.0, 1.0], [1.0, 0.0]], "diagonal pivot"),
+    ([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]], "diagonal pivot"),
+    ([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "diagonal pivot"),
+    ([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "diagonal pivot"),
     # diagonal pivots, but element growth 1e7
-    [[1e-7, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+    ([[1e-7, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "growth"),
     # diagonal pivots, one below the zero tolerance
-    [[1.0, 0.0], [0.0, 1e-12]],
-])
-def test_sparse_inertia_falls_back_to_bunch_kaufman(matrix):
+    ([[1.0, 0.0], [0.0, 1e-12]], "pivot size"),
+], ids=[f"matrix{i}" for i in range(6)])
+def test_sparse_inertia_falls_back_to_bunch_kaufman(matrix, check):
+    """A sparse matrix whose checked factor fails a check has no sparse
+    inertia: FactorCheckError names the check, counted once in
+    ``check_failed``. The same matrix passed dense gets the Bunch-Kaufman
+    inertia, which counts as the eigenvalues do."""
     dense = np.array(matrix)
     before = solver_path_counts()
-    got = inertia(sp.csc_array(dense))
+    with pytest.raises(FactorCheckError, match=f"failed its {check} check"):
+        inertia(sp.csc_array(dense))
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
-    assert after["dense_fallback"] == before["dense_fallback"] + 1
-    assert tuple(got) == tuple(inertia(dense))
+    assert after["check_failed"] == before["check_failed"] + 1
+    got = inertia(dense)
     w = np.linalg.eigvalsh(dense)
     assert got.n_neg == int(np.sum(w < -1e-9))
     assert got.n_pos == int(np.sum(w > 1e-9))
@@ -240,9 +262,9 @@ def test_sparse_singular_interior_raises():
     zero_block[2, 2] = 1.0
     interior, boundary = np.array([0, 1]), np.array([2])
     for q in (rank_one, zero_block):
-        with pytest.raises(SingularBlockError):
+        with pytest.raises(FactorCheckError, match="zero pivot"):
             schur_complement(_boundary_last(sp.csc_array(q), interior, boundary))
-        with pytest.raises(SingularBlockError):
+        with pytest.raises(FactorCheckError, match="zero pivot"):
             lift_to_interior(sp.csc_array(q), interior, boundary, np.ones(1))
 
 
@@ -276,49 +298,57 @@ class _Permuted:
 def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
     """A boundary-last factor that SuperLU reports in any order but the
     one it was given, even one that keeps interior before boundary, is
-    not trusted: one dense fallback, which gives the dense S and lift."""
+    not trusted: FactorCheckError names the order check, counted once in
+    ``check_failed``. In the order it was given, the factor's S and lift
+    are those of the dense oracles."""
     n, ni = 14, 9
     a = sp.random_array((n, n), density=0.3, rng=rng).toarray()
     a = a + a.T
     a += np.diag(rng.choice([-1.0, 1.0], n) * (1.0 + np.abs(a).sum(axis=1)))
     q = _boundary_last(a, np.arange(ni), np.arange(ni, n))
     dense = q.csc().toarray()
+    interior, boundary = np.arange(ni), np.arange(ni, n)
+    schur, lift = eigen.schur_and_lift(q)
+    np.testing.assert_allclose(schur.matrix, dense_schur(dense, interior, boundary),
+                               rtol=1e-12, atol=1e-12)
+    psi = rng.standard_normal(n - ni)
+    x = dense_lift(dense, interior, boundary, psi)
+    np.testing.assert_allclose(lift(psi), x, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
+
     perm = np.concatenate([rng.permutation(ni), ni + rng.permutation(n - ni)])
     assert not np.array_equal(perm, np.arange(n))
     splu = eigen.spla.splu
     monkeypatch.setattr(eigen.spla, "splu",
                         lambda a, **kwargs: _Permuted(splu, a, perm, **kwargs))
     before = solver_path_counts()
-    schur, lift = eigen.schur_and_lift(q)
-    s = schur.matrix
+    with pytest.raises(FactorCheckError, match="failed its order check"):
+        eigen.schur_and_lift(q)
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
-    assert after["dense_fallback"] == before["dense_fallback"] + 1
-    interior, boundary = np.arange(ni), np.arange(ni, n)
-    np.testing.assert_allclose(s, dense_schur(dense, interior, boundary), rtol=1e-12, atol=1e-12)
-    psi = rng.standard_normal(n - ni)
-    x = -np.linalg.solve(dense[:ni, :ni], dense[:ni, ni:] @ psi)
-    np.testing.assert_allclose(lift(psi), x, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
+    assert after["check_failed"] == before["check_failed"] + 1
 
 
-@pytest.mark.parametrize("matrix, interior, postorder", [
+@pytest.mark.parametrize("matrix, interior, postorder, check", [
     # S = [[0]]: SuperLU stops at the exactly zero trailing pivot
-    ([[1.0, 1.0], [1.0, 1.0]], [0], None),
+    ([[1.0, 1.0], [1.0, 1.0]], [0], None, "zero pivot"),
     # interior pivot 1e-10, below the zero tolerance; growth only 5e5
-    ([[1e-10, 5e-5, 0.0], [5e-5, 1.0, 1.0], [0.0, 1.0, 2.0]], [0, 1], None),
+    ([[1e-10, 5e-5, 0.0], [5e-5, 1.0, 1.0], [0.0, 1.0, 2.0]], [0, 1], None, "pivot size"),
     # interior pivots above the zero tolerance, but element growth 1e7
-    ([[1e-7, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [0, 1], None),
+    ([[1e-7, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [0, 1], None, "growth"),
     # two interior trees, each with its own boundary column as root
     ([[2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0],
-      [1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 2.0]], [0, 1], [0, 2, 1, 3]),
+      [1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 2.0]], [0, 1], [0, 2, 1, 3], "order"),
     # S = [[1e-8, 1], [1, 1]]: no pivot-size test applies to the boundary,
     # but the tiny leading boundary pivot makes growth about 1e8
-    ([[2.0, 1.0, 0.0], [1.0, 0.5 + 1e-8, 1.0], [0.0, 1.0, 1.0]], [0], None),
-])
-def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, monkeypatch):
+    ([[2.0, 1.0, 0.0], [1.0, 0.5 + 1e-8, 1.0], [0.0, 1.0, 1.0]], [0], None, "growth"),
+], ids=["matrix0-interior0-None", "matrix1-interior1-None", "matrix2-interior2-None",
+        "matrix3-interior3-postorder3", "matrix4-interior4-None"])
+def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, check,
+                                                   monkeypatch):
     """Each failed check of the boundary-last factor, interior or
-    boundary, and SuperLU's error on an exactly zero pivot, is one dense
-    fallback giving the dense S."""
+    boundary, and SuperLU's error on an exactly zero pivot, raises
+    FactorCheckError naming the check, counted once in ``check_failed``,
+    never an S from the untrusted factor."""
     monkeypatch.setattr(eigen, "fill_order", lambda a: np.arange(a.shape[0]))
     if postorder is not None:
         splu = eigen.spla.splu
@@ -327,36 +357,13 @@ def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, m
     dense = np.array(matrix)
     interior = np.array(interior)
     boundary = np.setdiff1d(np.arange(len(dense)), interior)
+    q = _boundary_last(sp.csc_array(dense), interior, boundary)
     before = solver_path_counts()
-    s = schur_complement(_boundary_last(sp.csc_array(dense), interior, boundary)).matrix
-    after = solver_path_counts()
-    assert after["sparse_ldlt"] == before["sparse_ldlt"]
-    assert after["dense_fallback"] == before["dense_fallback"] + 1
-    s_dense = dense_schur(dense, interior, boundary)
-    assert np.array_equal(s, s_dense)
-    assert tuple(inertia(s)) == tuple(inertia(s_dense))
-
-
-def test_boundary_growth_beyond_dense_cap_raises(monkeypatch):
-    """A tiny leading boundary pivot fails the growth check, and the
-    dense fallback refuses an interior block beyond MAX_DENSE_DOFS rows:
-    SizeLimitError naming Q_ii, counted as one dense fallback, never an
-    S from the untrusted factor."""
-    ni = 50
-    q = sp.block_diag([sp.identity(ni - 1), [[2.0, 1.0, 0.0], [1.0, 0.5 + 1e-8, 1.0],
-                                              [0.0, 1.0, 1.0]]], format="csc")
-    interior, boundary = np.arange(ni), np.array([ni, ni + 1])  # S = [[1e-8, 1], [1, 1]]
-    q = _boundary_last(q, interior, boundary)
-    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", ni - 1)
-    before = solver_path_counts()
-    with pytest.raises(SizeLimitError, match=f"Q_ii has {ni} rows"):
+    with pytest.raises(FactorCheckError, match=f"failed its {check} check"):
         schur_complement(q)
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
-    assert after["dense_fallback"] == before["dense_fallback"] + 1
-    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", ni)
-    s = schur_complement(q).matrix
-    np.testing.assert_allclose(s, [[1e-8, 1.0], [1.0, 1.0]], rtol=1e-7)
+    assert after["check_failed"] == before["check_failed"] + 1
 
 
 def test_nearly_singular_schur_stays_sparse(disk2):
@@ -372,7 +379,7 @@ def test_nearly_singular_schur_stays_sparse(disk2):
     s = schur_complement(q).matrix
     after = solver_path_counts()
     assert after["sparse_ldlt"] == before["sparse_ldlt"] + 1
-    assert after["dense_fallback"] == before["dense_fallback"]
+    assert after["check_failed"] == before["check_failed"]
     n, ni = len(q.indptr) - 1, q.n_interior
     s_dense = dense_schur(q.csc(), np.arange(ni), np.arange(ni, n))
     assert np.max(np.abs(s - s_dense)) <= 1e-10 * np.max(np.abs(s_dense))
@@ -390,27 +397,75 @@ def test_factor_maxima_read_from_data(disk2):
 
 
 
-@pytest.mark.parametrize("case, fallbacks", [
+# each case's (sparse_ldlt, check_failed, lanczos_retry) increments
+_LANCZOS_PATHS = {
+    "certified": (2, 0, 0),  # the shift factor and the certificate
+    "tiny": (0, 0, 0),  # no factorization: the dense solver answers
+    "sigma_inside_spectrum": (0, 1, 0),  # one shift factor, failed
+    "no_convergence": (1, 0, 1),  # one shift factor; ARPACK fails twice
+}
+
+
+@pytest.mark.parametrize("case, raised", [
     ("certified", 0),
+    ("tiny", 0),  # 4 + _LANCZOS_EXTRA values of 6: too few rows for ARPACK
     ("sigma_inside_spectrum", 1),  # a negative pivot: sigma is not below
     ("no_convergence", 1),
 ])
-def test_sparse_smallest_eigs_paths(case, fallbacks, monkeypatch):
-    n = 50
+def test_sparse_smallest_eigs_paths(case, raised, monkeypatch):
+    """A certified solve returns the dense solver's pairs, and so does a
+    pencil too small for ARPACK, without a factorization; a shift inside
+    the spectrum and a Lanczos solve that fails twice raise
+    FactorCheckError. Each factorization counts once."""
+    n = 6 if case == "tiny" else 50
     a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
     b = sp.identity(n, format="csc")
-    sigma = 1.0 if case == "sigma_inside_spectrum" else -0.5
+    sigma = 0.5 if case == "sigma_inside_spectrum" else -0.5
     if case == "no_convergence":
         def no_convergence(*args, **kwargs):
             raise eigen.spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((n, 0)))
 
         monkeypatch.setattr(eigen.spla, "eigsh", no_convergence)
-    before = solver_path_counts()["dense_fallback"]
-    w, v = sparse_smallest_eigs(eigen.boundary_last_pencil(a, b, np.arange(n), []), 4, sigma)
-    assert solver_path_counts()["dense_fallback"] == before + fallbacks
-    w_dense, v_dense = sym_gen_eigs(a, b, 4)
-    np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(np.abs(v.T @ v_dense), np.eye(4), atol=1e-8)
+    pencil = eigen.boundary_last_pencil(a, b, np.arange(n), [])
+    keys = ("sparse_ldlt", "check_failed", "lanczos_retry")
+    before = solver_path_counts()
+    if raised:
+        match = "not below the spectrum" if case == "sigma_inside_spectrum" else "certificate"
+        with pytest.raises(FactorCheckError, match=match):
+            sparse_smallest_eigs(pencil, 4, sigma)
+    else:
+        w, v = sparse_smallest_eigs(pencil, 4, sigma)
+        w_dense, v_dense = sym_gen_eigs(a, b, 4)
+        np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.abs(v.T @ v_dense), np.eye(4), atol=1e-8)
+    after = solver_path_counts()
+    assert tuple(after[k] - before[k] for k in keys) == _LANCZOS_PATHS[case]
+
+
+def test_pencil_count_raises_once_every_nudge_fails(refuse_every_factor, monkeypatch):
+    """The count tries ``upto`` and each nudged bound above it; when the
+    factor at every one fails a check, it raises the last one's
+    FactorCheckError, and the count is one failed factorization in
+    ``check_failed``, never a dense answer."""
+    n = 50
+    a = sp.diags_array([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], offsets=[-1, 0, 1])
+    pencil = eigen.boundary_last_pencil(a, sp.eye_array(n), np.arange(n), [])
+    assert eigen.pencil_count(pencil, 0.5, 1.0) == 11
+    tried = []
+    checked = eigen._checked_factor
+
+    def recorded(q):
+        tried.append(q)
+        return checked(q)
+
+    monkeypatch.setattr(eigen, "_checked_factor", recorded)
+    before = solver_path_counts()
+    with refuse_every_factor(), pytest.raises(FactorCheckError, match="failed its growth check"):
+        eigen.pencil_count(pencil, 0.5, 1.0)
+    after = solver_path_counts()
+    assert len(tried) == 1 + len(eigen._COUNT_NUDGES)
+    assert after["sparse_ldlt"] == before["sparse_ldlt"]
+    assert after["check_failed"] == before["check_failed"] + 1
 
 
 def _recorded_panel_sizes(monkeypatch) -> list:

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bucklab import (
+    FactorCheckError,
     MeshError,
     SpectrumRangeError,
     buckling_ground_state,
@@ -190,9 +191,9 @@ def test_result_caches_keyed_on_radius(tmp_path, disk2, monkeypatch):
 @settings(max_examples=15, deadline=None)
 def test_lanczos_eigenpairs_match_dense(level, radius, problem, count):
     pair = pencil_pair(make_disk_mesh(radius, level), problem, 2)
-    before = solver_path_counts()["dense_fallback"]
+    before = solver_path_counts()["check_failed"]
     w, v, free = smallest_eigenpairs(pair, problem, count)
-    assert solver_path_counts()["dense_fallback"] == before
+    assert solver_path_counts()["check_failed"] == before
     a, b = sliced_forms(pair, problem)
     # one value more, so that a pair split by count is whole here
     w_dense, v_dense = sym_gen_eigs(a, b, count + 1)
@@ -211,7 +212,8 @@ def test_lanczos_eigenpairs_match_dense(level, radius, problem, count):
 def test_lanczos_certificate_catches_a_missed_value(disk2, problem, monkeypatch):
     """A Lanczos run that misses one eigenvalue (here the second, one
     copy of a double eigenvalue of each pencil on the disk) fails the
-    inertia certificate, and the dense solver answers instead."""
+    inertia certificate at both tolerances: FactorCheckError, after one
+    retry, and no value is returned."""
     real_eigsh = eigen.spla.eigsh
 
     def missing_second(*args, **kwargs):
@@ -220,14 +222,13 @@ def test_lanczos_certificate_catches_a_missed_value(disk2, problem, monkeypatch)
         return w[keep], v[:, keep]
 
     pair = pencil_pair(disk2, problem, 2)
-    a, b = sliced_forms(pair, problem)
     monkeypatch.setattr(eigen.spla, "eigsh", missing_second)
     before = solver_path_counts()
-    w, _, _ = smallest_eigenpairs(pair, problem, 3)
+    with pytest.raises(FactorCheckError, match="3 smallest eigenpairs .* inertia certificate"):
+        smallest_eigenpairs(pair, problem, 3)
     after = solver_path_counts()
     assert after["lanczos_retry"] == before["lanczos_retry"] + 1
-    assert after["dense_fallback"] == before["dense_fallback"] + 1
-    assert np.array_equal(w, sym_gen_eigs(a, b, 3)[0])
+    assert after["check_failed"] == before["check_failed"]
 
 
 @pytest.mark.parametrize("problem, count, forced", [
@@ -242,8 +243,8 @@ def test_lanczos_retries_before_the_dense_fallback(disk2, problem, count, forced
     """A Lanczos result that fails its certificate at ARPACK tolerance
     1e-10 (``forced``: every such run drops its smallest Ritz pair) is
     solved again at tolerance 0 on the same factor, which certifies it:
-    the values of a plain tolerance-0 solve, one retry, no dense
-    fallback."""
+    the values of a plain tolerance-0 solve, one retry, no failed
+    check."""
     pair = pencil_pair(disk2, problem, 2)
     with monkeypatch.context() as m:
         m.setattr(eigen, "_LANCZOS_TOLS", (0.0,))
@@ -261,7 +262,7 @@ def test_lanczos_retries_before_the_dense_fallback(disk2, problem, count, forced
     w, _, _ = smallest_eigenpairs(pair, problem, count)
     after = solver_path_counts()
     assert after["lanczos_retry"] == before["lanczos_retry"] + 1
-    assert after["dense_fallback"] == before["dense_fallback"]
+    assert after["check_failed"] == before["check_failed"]
     assert np.array_equal(w, plain)
 
 
@@ -348,29 +349,19 @@ def test_prefix_sized_by_one_inertia_count(disk3, monkeypatch):
 
 
 def test_prefix_bound_at_the_neumann_zero(disk2, monkeypatch):
-    """At ``upto`` on the Neumann zero, A - upto B is singular: its count
-    takes the zero eigenvalue as one at ``upto``, and the prefix is that
-    value and the next, which lies above ``upto``."""
-    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
-    zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
-    assert len(zero) == 2 and zero[-1] > 0.0
-    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
-    at_value = pencil_eigenvalues(disk2, "neumann", 2, upto=float(zero[0]))
-    assert len(at_value) == 2 and at_value[-1] > zero[0]
-
-
-def test_prefix_bound_at_the_neumann_zero_beyond_the_dense_cap(disk2, monkeypatch):
-    """With the dense cap below the free DOFs, a bound on an eigenvalue
-    is still counted: the checked factor of A - upto B fails its pivot
-    test at the Neumann zero, and a count at a bound nudged above it sizes
-    the same prefix, with no dense fallback."""
-    n = len(spectra.free_dofs(pencil_pair(disk2, "neumann", 2), "neumann"))
-    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n - 1)
+    """At ``upto`` on the Neumann zero, A - upto B is singular: its
+    checked factor fails the pivot test, and the count at a bound nudged
+    above it takes the zero eigenvalue as one at ``upto``, with no failed
+    check counted. The prefix is that value and the next, which lies
+    above ``upto``."""
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     before = solver_path_counts()
     zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
     assert len(zero) == 2 and zero[-1] > 0.0
-    assert solver_path_counts()["dense_fallback"] == before["dense_fallback"]
+    assert solver_path_counts()["check_failed"] == before["check_failed"]
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    at_value = pencil_eigenvalues(disk2, "neumann", 2, upto=float(zero[0]))
+    assert len(at_value) == 2 and at_value[-1] > zero[0]
 
 
 @pytest.mark.parametrize("mesh_name", ["disk2", "rect16"])
@@ -410,16 +401,18 @@ def test_morley_pencil_whose_forms_store_different_patterns(request, mesh_name, 
     checked = eigen._checked_factor
 
     def recorded(q):
-        fac = checked(q)
-        refused.append(fac is None)
-        return fac
+        try:
+            return checked(q)
+        except FactorCheckError:
+            refused.append(q)
+            raise
 
     monkeypatch.setattr(eigen, "_checked_factor", recorded)
     for t in shifts:
         expected = inertia((a - t * b).toarray())
         assert eigen.pencil_count(pencil, t, 1.0 / mesh.area()) == expected.n_neg + expected.n_zero
     monkeypatch.undo()
-    assert any(refused)  # the nudge path ran
+    assert refused  # the nudge path ran
 
     w, _, _ = smallest_eigenpairs(pair, problem, 6)
     assert np.all(np.abs(w - dense[:6]) <= 1e-10 * np.maximum(1.0, np.abs(dense[:6])))

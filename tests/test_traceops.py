@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from bucklab import (
     BucklabError,
     ExcludedSpectrumError,
-    SizeLimitError,
+    FactorCheckError,
     make_disk_mesh,
     inertia,
     scan_beta1,
@@ -25,7 +26,7 @@ from bucklab.cli import main
 from bucklab.spectra import free_dofs, get_pair, pencil_eigenvalues, pencil_pair
 from bucklab.traceops import _IDENTITIES, relative_margin, trace_pencil
 
-from oracles import dense_pencil_eigenvalues, dense_schur
+from oracles import dense_pencil_eigenvalues, dense_schur, dense_schur_counts
 
 
 def test_dtn_symmetric_and_margin(rect16):
@@ -155,10 +156,10 @@ def test_scan_without_a_verified_point_claims_nothing(disk2, tmp_path, monkeypat
     point: ``all_hold`` is None, and ``identity-scan`` says so."""
     assert scan_identities(disk2, "liu", []).summary["all_hold"] is None
 
-    def beyond_the_cap(q):
-        raise SizeLimitError("Q_ii has too many rows")
+    def refused(q):
+        raise FactorCheckError("the sparse LDL^T failed its growth check")
 
-    monkeypatch.setattr(traceops, "schur_complement", beyond_the_cap)
+    monkeypatch.setattr(traceops, "schur_complement", refused)
     result = scan_identities(disk2, "liu", [5.0, 7.0])
     assert result.records == [] and len(result.skips) == 2
     assert result.summary["all_hold"] is None
@@ -184,7 +185,7 @@ def test_scan_points_are_verify_identity_on_cached_prefixes(disk2, kind):
     after = solver_path_counts()
     assert len(result.records) == len(grid)
     assert after["sparse_ldlt"] - before["sparse_ldlt"] == len(grid)
-    assert after["dense_fallback"] == before["dense_fallback"]
+    assert after["check_failed"] == before["check_failed"]
     assert result.records[-1]["nudged"] is True
     for rec in result.records:
         rep = verify_identity(disk2, kind, rec["lambda"])
@@ -204,32 +205,33 @@ def test_scan_beta1_sign_change(disk2):
     assert res.summary["n_negative"] == 4
 
 
-def test_scan_skips_point_whose_factor_cannot_be_densified(disk2, tmp_path, monkeypatch,
-                                                           force_dense_fallback):
-    """A point whose checked factor fails and whose dense fallback is
-    beyond MAX_DENSE_DOFS is a skip with its reason, naming the interior
-    block Q_ii and its rows, in both scans and in the CLI, which exits 0."""
+def test_scan_skips_point_whose_factor_cannot_be_densified(disk2, tmp_path,
+                                                           refuse_every_factor):
+    """No factor is densified: a point whose checked factor fails a check
+    is a skip whose reason names the check and the factor's rows, in
+    both scans and in the CLI, which exits 0 and counts each failed
+    factor in the manifest's ``check_failed``."""
     grid = [5.0, 7.0]
     cli_args = ["identity-scan", "--domain", "disk", "--refine", "2", "--points", "2"]
-    # the spectrum prefixes and the trace pencil, computed unforced first
+    # the spectrum prefixes and the trace pencil, computed unrefused first
     scan_identities(disk2, "liu", grid)
     scan_beta1(disk2, grid)
     assert main(cli_args + ["--run-root", str(tmp_path / "warm")]) == 0
-    n_interior = trace_pencil(disk2, "liu").form.n_interior
-    assert n_interior > 10
-    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", 10)
-    with force_dense_fallback():
+    form = trace_pencil(disk2, "liu").form
+    rows = f"{len(form.rows)} rows ({form.n_interior} interior)"
+    with refuse_every_factor():
         results = (scan_identities(disk2, "liu", grid), scan_beta1(disk2, grid))
         root = tmp_path / "runs"
         assert main(cli_args + ["--run-root", str(root)]) == 0
     for result in results:
         assert result.records == []
         assert [s["index"] for s in result.skips] == [0, 1]
-        for s, lam in zip(result.skips, grid):
-            assert s["reason"] == (f"lambda={lam:.12g}: the sparse factor failed a check "
-                                   f"and Q_ii has {n_interior} rows, beyond the dense cap 10")
+        for s in result.skips:
+            assert s["reason"].startswith(f"the sparse LDL^T of {rows} failed its growth check")
     (run_dir,) = root.iterdir()
     assert len((run_dir / "skips.csv").read_text().splitlines()) == 3
+    solver = json.loads((run_dir / "manifest.json").read_text())["solver"]
+    assert solver == {"sparse_ldlt": 0, "check_failed": 2, "lanczos_retry": 0}
 
 
 def test_relative_margin():
@@ -274,7 +276,7 @@ def test_sparse_trace_operator_matches_dense_path(request, mesh_name, kind):
         sparse_inner = inertia(q[np.ix_(interior, interior)])
         after = solver_path_counts()
         assert after["sparse_ldlt"] - before["sparse_ldlt"] == 2
-        assert after["dense_fallback"] == before["dense_fallback"]
+        assert after["check_failed"] == before["check_failed"]
 
         dense = q.toarray()
         s_dense = dense_schur(dense, interior, boundary)
@@ -330,14 +332,14 @@ def test_trace_operator_bits_independent_of_where_order_was_built(disk2, kind, m
 
 @pytest.mark.parametrize("kind", ["friedlander", "liu"])
 def test_trace_pencil_built_with_every_checked_factor_refused(disk2, kind, monkeypatch,
-                                                            force_dense_fallback):
+                                                            refuse_every_factor):
     """The fill-reducing order comes from a factorization that needs no
     check, so a pencil built while every checked factor is refused is
     the pencil built without."""
     monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
     unforced = trace_pencil(disk2, kind)
     monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
-    with force_dense_fallback():
+    with refuse_every_factor():
         forced = trace_pencil(disk2, kind)
     assert forced is not unforced
     assert np.array_equal(forced.form.rows, unforced.form.rows)
@@ -347,7 +349,7 @@ def test_trace_pencil_built_with_every_checked_factor_refused(disk2, kind, monke
 def test_haynsworth_at_disk_level_5():
     """At 16641 DOFs, where no matrix can be densified, the boundary-last
     factor gives S with neg(Q_ii) + neg(S) = neg(Q), each count from its
-    own sparse factorization, without a dense fallback and in a small
+    own sparse factorization, with no failed check and in a small
     fraction of the memory of one dense matrix."""
     mesh = make_disk_mesh(1.0, 5)
     lam = 7.3  # clear of every pencil's spectrum on the unit disk
@@ -365,7 +367,7 @@ def test_haynsworth_at_disk_level_5():
         n_full = inertia(q).n_neg
         after = solver_path_counts()
         assert after["sparse_ldlt"] - before["sparse_ldlt"] == 3
-        assert after["dense_fallback"] == before["dense_fallback"]
+        assert after["check_failed"] == before["check_failed"]
         assert n_interior + inertia(s).n_neg == n_full
         assert peak < 8 * q.shape[0] ** 2 / 20
 
@@ -408,7 +410,7 @@ def test_one_factorization_per_point_one_order_per_identity(disk2, monkeypatch):
             trace_operator(disk2, kind, lam)
             after = solver_path_counts()
             assert after["sparse_ldlt"] == before["sparse_ldlt"] + 1
-            assert after["dense_fallback"] == before["dense_fallback"]
+            assert after["check_failed"] == before["check_failed"]
     assert len(orders) == 2
 
 
@@ -443,23 +445,23 @@ def test_pencil_cache_keeps_the_most_recently_used(disk2, monkeypatch):
 
 @pytest.mark.parametrize("mesh_name", ["disk2", "disk3", "rect16"])
 @pytest.mark.parametrize("kind", ["friedlander", "liu"])
-def test_schur_counts_match_dense_inertia(request, mesh_name, kind, force_dense_fallback):
+def test_schur_counts_match_dense_inertia(request, mesh_name, kind):
     """neg(S) read off the pivots of the factor that produced S equals the
-    Bunch-Kaufman count of S, and neg(Q_ii) read off the same factor
-    equals the dense fallback's count of Q_ii, over a lambda sweep; with
-    every sparse factor refused, the dense path gives the same counts."""
+    Bunch-Kaufman count of S, and both counts read off that factor equal
+    those of the dense oracle (the Bunch-Kaufman counts of the dense S
+    and of the dense Q_ii), over a lambda sweep."""
     mesh = request.getfixturevalue(mesh_name)
     excluded = traceops._excluded_values(mesh, kind, 2, 61.0)[2]
     form = trace_pencil(mesh, kind).form
     lams = [lam for lam in np.linspace(0.5, 60.0, 6) if relative_margin(lam, excluded) >= 1e-3]
     assert len(lams) >= 4
+    n, ni = len(form.rows), form.n_interior
     for lam in lams:
         q = form.at(lam)
         sparse = schur_complement(q)
-        with force_dense_fallback():
-            dense = schur_complement(q)
-        assert sparse.n_neg == inertia(sparse.matrix).n_neg == dense.n_neg
-        assert sparse.n_neg_interior == dense.n_neg_interior
+        n_neg, n_neg_interior = dense_schur_counts(q.csc(), np.arange(ni), np.arange(ni, n))
+        assert sparse.n_neg == inertia(sparse.matrix).n_neg == n_neg
+        assert sparse.n_neg_interior == n_neg_interior
 
 
 def test_haynsworth_mismatch_raises(disk2, tmp_path, monkeypatch, capsys):
