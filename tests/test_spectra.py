@@ -364,6 +364,20 @@ def test_prefix_bound_at_the_neumann_zero(disk2, monkeypatch):
     assert len(at_value) == 2 and at_value[-1] > zero[0]
 
 
+def test_prefix_bound_at_the_neumann_zero_beyond_the_dense_cap(disk2, monkeypatch):
+    """With the dense cap below the free DOFs, a bound on an eigenvalue
+    is still counted: the checked factor of A - upto B fails its pivot
+    test at the Neumann zero, and a count at a bound nudged above it sizes
+    the same prefix, with no failed check and nothing densified."""
+    n = len(spectra.free_dofs(pencil_pair(disk2, "neumann", 2), "neumann"))
+    monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n - 1)
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    before = solver_path_counts()
+    zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
+    assert len(zero) == 2 and zero[-1] > 0.0
+    assert solver_path_counts()["check_failed"] == before["check_failed"]
+
+
 @pytest.mark.parametrize("mesh_name", ["disk2", "rect16"])
 @pytest.mark.parametrize("problem", ["buckling", "navier"])
 def test_morley_pencil_whose_forms_store_different_patterns(request, mesh_name, problem,
