@@ -94,9 +94,9 @@ def buckling_ground_state(pair: OperatorPair) -> tuple[np.ndarray, float]:
     """Clamped fourth-order ground state, normalized to unit gradient
     energy, lifted to the full DOF vector (zeros on constrained DOFs).
     Its sign is the solver's; the regimes fix their own."""
-    w, v, free = smallest_eigenpairs(pair, "buckling", 1)
+    w, v, rows = smallest_eigenpairs(pair, "buckling", 1)
     u1 = np.zeros(pair.dofmap.n_dofs)
-    u1[free] = v[:, 0]
+    u1[rows] = v[:, 0]
     u1 /= math.sqrt(u1 @ pair.k_grad @ u1)
     return u1, float(w[0])
 

@@ -3,53 +3,44 @@
 A sparse pencil reaches this module in one form, a
 :class:`BoundaryLastPencil` built once by :func:`boundary_last_pencil`
 from the assembled forms and two disjoint DOF lists: A and B on one
-shared pattern, interior DOFs first and boundary DOFs last, so that
-``pencil.at(t)``, the matrix A - t B, is one vector update. A problem
-pencil has no boundary; a trace pencil has its interior DOFs in a
-fill-reducing order. Boundary-sized trace operators, 1D cap forms and
-test matrices arrive dense. Only :func:`sym_gen_eigs` densifies a
-sparse matrix, and it refuses to do so beyond ``MAX_DENSE_DOFS`` rows.
+shared pattern, interior DOFs first in the fill order of their pattern
+(:func:`fill_order`) and boundary DOFs, if any, last, so that
+``pencil.at(t)``, the matrix A - t B, is one vector update. Trace
+operators, 1D cap forms and test matrices arrive dense. Only
+:func:`sym_gen_eigs` densifies a sparse matrix, and it refuses to do so
+beyond ``MAX_DENSE_DOFS`` rows.
 
 Every sparse factorization is one SuperLU factorization of a
-``pencil.at(t)`` in symmetric mode (:func:`_checked_factor`), after a
-symmetry check through the pencil's transpose map: diagonal pivots only,
-in a fill-reducing order without a boundary and in the stored order
-with one, so P A P^T = L U with U = D L^T, and inertia(A) = inertia(D)
-by Sylvester's law. Unlike Bunch-Kaufman this factorization never
-pivots for stability, so it is trusted only when the row and column
-permutations agree, every pivot exceeds ``ZERO_TOL * max|A|`` and the
-factor shows no large element growth. A factor that fails a check
-raises :class:`FactorCheckError` naming the check; no second, dense
-answer is computed. Such factors count eigenvalues
+``pencil.at(t)`` in symmetric mode and in the stored order
+(:func:`_checked_factor`), after a symmetry check through the pencil's
+transpose map: diagonal pivots only, so L U = A with U = D L^T, and
+inertia(A) = inertia(D) by Sylvester's law. Unlike Bunch-Kaufman this
+factorization never pivots for stability, so it is trusted only when
+SuperLU kept the stored order, every pivot exceeds ``ZERO_TOL * max|A|``
+and the factor shows no large element growth. A factor that fails a
+check raises :class:`FactorCheckError` naming the check; no second,
+dense answer is computed. Such factors count eigenvalues
 (:func:`pencil_count`) and give the shift-invert operator and the
 inertia certificate of Lanczos (:func:`sparse_smallest_eigs`, rerun at
 a tighter tolerance when the certificate fails). ``solver_path_counts``
 reports how many sparse factorizations were trusted and how many failed
 a check. SuperLU updates panels of one column, not its default 20,
 unless the factor's dense trailing boundary block has more than
-``_PANEL_ONE_MAX_BOUNDARY`` rows: a wide panel pays off only on a large
-dense supernode, and the one such supernode of a pencil factor is a
-large boundary block. So a problem-pencil factor is 12-22% cheaper at
-disk refine 3-6 and a trace factor with at most that many boundary rows
-11-17%, while a larger boundary keeps the default width, which is 2-19%
-faster there.
+``_PANEL_ONE_MAX_BOUNDARY`` rows, where the wide panel pays off.
 
-A trace pencil's Q = ``pencil.at(lam)`` (a :class:`BoundaryLastMatrix`)
-factored in its own order gives S = L_bb U_bb, the boundary block of
-the factor, read off the factor's arrays. Its interior part passes the
-pivot and growth checks, so one factorization certifies that Q_ii is
-nonsingular and gives S, neg(Q_ii) and neg(S) from the pivot signs, and
-the Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
-exactly whenever they pass. The boundary part, the LDL^T of S, passes
-the same growth bound but no pivot-size test, since S may be nearly
-singular. The same factor lifts boundary values to the interior
-(:func:`schur_and_lift`). A point that fails either part raises
-:class:`FactorCheckError`. :func:`lift_to_interior` and :func:`inertia`
-factor a sparse matrix as a pencil without a boundary.
+A trace pencil's factor of Q = ``pencil.at(lam)`` gives S = L_bb U_bb,
+neg(Q_ii) and neg(S) from its pivots, and lifts boundary values to the
+interior (:func:`schur_and_lift`). Its interior part passes the pivot
+and growth checks, its boundary part, the LDL^T of a possibly nearly
+singular S, the growth check alone, and whenever they pass the
+Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
+exactly. :func:`lift_to_interior` and :func:`inertia` factor a sparse
+matrix as a pencil without a boundary.
 """
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -115,6 +106,11 @@ _M_MMAP_THRESHOLD = -3
 
 _PATH_LOCK = threading.Lock()
 _PATH_COUNTS = {"sparse_ldlt": 0, "check_failed": 0, "lanczos_retry": 0}
+
+_ORDER_LOCK = threading.Lock()
+# SHA-1 of a pattern's indptr and indices -> its fill_order, oldest first
+_ORDER_CACHE: dict[bytes, np.ndarray] = {}
+_ORDER_CACHE_SIZE = 8
 
 
 class Inertia(NamedTuple):
@@ -318,52 +314,45 @@ class _Factor(NamedTuple):
 
 def _checked_factor(q: BoundaryLastMatrix) -> _Factor:
     """One SuperLU factorization of the symmetric pencil matrix ``q`` in
-    symmetric mode (diagonal pivots only), as a :class:`_Factor`; when
-    it cannot be trusted, :class:`FactorCheckError` names the check it
-    failed. ``q`` is first checked symmetric within 1e-12 relative
-    through its transpose map (ValueError otherwise).
-
-    Without a boundary, ``q`` is factored in a minimum-degree order (on
-    the pattern of Q^T + Q). With one, it is factored in its own order
-    (the partial factorization behind the Schur complement option of
-    multifrontal solvers: Amestoy, Duff, L'Excellent & Koster, SIAM J.
-    Matrix Anal. Appl. 23, 2001): the interior columns factor
-    Q_ii = L_ii U_ii, and since Q_bb = L_bi U_ib + L_bb U_bb, the
+    symmetric mode (diagonal pivots only) and in its stored order, as a
+    :class:`_Factor`; when it cannot be trusted, :class:`FactorCheckError`
+    names the check it failed. ``q`` is first checked symmetric within
+    1e-12 relative through its transpose map (ValueError otherwise). With
+    a boundary this is the partial factorization behind the Schur
+    complement option of multifrontal solvers (Amestoy, Duff, L'Excellent
+    & Koster, SIAM J. Matrix Anal. Appl. 23, 2001): the interior columns
+    factor Q_ii = L_ii U_ii, and since Q_bb = L_bi U_ib + L_bb U_bb, the
     boundary block of the factor is S = L_bb U_bb.
 
     The factor is trusted only when the row and column permutations
-    agree (an LDL^T), SuperLU kept the stored order if ``q`` has a
-    boundary, every interior pivot exceeds ``ZERO_TOL * max|Q_ii|``, and
-    the interior columns of L and rows of U show no element growth beyond
-    ``_MAX_GROWTH`` relative to max|Q_ii|. Then Q_ii is nonsingular and
-    inertia(Q_ii) is the signs of the interior pivots, so the Haynsworth
-    additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds for this
-    one factorization. The boundary columns of L and rows of U, those of
-    the LDL^T of S, pass the same growth bound relative to max|Q|, which
-    keeps the backward error of S near 1e-10 max|Q|. No pivot-size test
-    applies to them, so a nearly singular S, whose small pivot comes
-    last, is still trusted; a small leading boundary pivot shows as
-    growth.
+    agree (an LDL^T), SuperLU kept the stored order, every interior pivot
+    exceeds ``ZERO_TOL * max|Q_ii|``, and the interior columns of L and
+    rows of U show no element growth beyond ``_MAX_GROWTH`` relative to
+    max|Q_ii|. Then Q_ii is nonsingular and inertia(Q_ii) is the signs of
+    the interior pivots, so the Haynsworth additivity inertia(Q) =
+    inertia(Q_ii) + inertia(S) holds for this one factorization. The
+    boundary columns of L and rows of U, those of the LDL^T of S, pass
+    the same growth bound relative to max|Q|, which keeps the backward
+    error of S near 1e-10 max|Q|. No pivot-size test applies to them, so
+    a nearly singular S, whose small pivot comes last, is still trusted;
+    a small leading boundary pivot shows as growth.
     """
     d, ni = q.data, q.n_interior
     scale = _max_abs(d)
     _check_symmetric(scale, _max_abs(d - d[q.transpose]), "Q")
     a = q.csc()
-    natural = ni < a.shape[0]
     head = slice(0, a.indptr[ni])  # the stored entries of the interior columns
-    scale_ii = _max_abs(d[head][a.indices[head] < ni]) if natural else scale
+    scale_ii = _max_abs(d[head][a.indices[head] < ni])
     if scale_ii == 0.0:
         raise _failed(q, "zero pivot", "the interior block is zero")
     try:
-        lu = spla.splu(
-            a, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            panel_size=_panel_size(a.shape[0] - ni), options={"SymmetricMode": True},
-        )
+        lu = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       panel_size=_panel_size(a.shape[0] - ni), options={"SymmetricMode": True})
     except RuntimeError as exc:  # a pivot column, interior or boundary, was exactly zero
         raise _failed(q, "zero pivot", f"SuperLU: {exc}") from None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise _failed(q, "diagonal pivot", "an off-diagonal pivot was taken: not an LDL^T")
-    if natural and np.any(lu.perm_c != np.arange(len(lu.perm_c))):
+    if np.any(lu.perm_c != np.arange(len(lu.perm_c))):
         raise _failed(q, "order", "SuperLU did not keep the stored order")
     l, u = lu.L, lu.U
     pivots = u.diagonal()
@@ -400,11 +389,11 @@ def _panel_size(n_boundary: int) -> int | None:
 
 
 def _max_abs(values: np.ndarray) -> float:
-    """max |v| over stored values, 0 when there are none. Reading a
-    factor's ``.data`` directly skips the index sort that ``abs()`` of an
-    unsorted SuperLU factor performs; no entry of a factor is stored
-    twice, so the maximum is the same."""
-    return float(np.max(np.abs(values))) if len(values) else 0.0
+    """max |v| over stored values, 0 when there are none, with no |v|
+    array. Reading a factor's ``.data`` directly skips the index sort that
+    ``abs()`` of an unsorted SuperLU factor performs; no entry of a factor
+    is stored twice, so the maximum is the same."""
+    return max(float(np.max(values)), -float(np.min(values))) if len(values) else 0.0
 
 
 def inertia(a) -> Inertia:
@@ -475,20 +464,30 @@ def pencil_count(pencil: BoundaryLastPencil, upto: float, scale: float) -> int:
 def fill_order(a) -> np.ndarray:
     """Fill-reducing elimination order of a symmetric sparse matrix:
     ``a[np.ix_(order, order)]`` factors with little fill in its natural
-    order. It is the column order SuperLU's multiple minimum degree (on
-    the pattern of A^T + A) chooses, read off one unchecked factorization
-    of the diagonally dominant matrix with the pattern of ``a`` plus the
-    diagonal. Minimum degree reads the pattern alone, so every matrix
-    of that pattern, singular or indefinite ones too, gets this order;
-    the matrix it is read off is strictly diagonally dominant, so its
-    factorization cannot fail."""
+    order. It is the column order of SuperLU's multiple minimum degree on
+    the pattern of A^T + A, which reads the pattern alone (Liu, ACM TOMS
+    11, 1985), read off SuperLU's incomplete factorization, at drop
+    tolerance 1, of the diagonally dominant matrix with the pattern of
+    ``a`` plus the diagonal. The last ``_ORDER_CACHE_SIZE`` patterns keep
+    their orders."""
     a = sp.csc_array(a)
-    n = a.shape[0]
-    pattern = sp.csc_array((np.full(a.nnz, -1.0), a.indices, a.indptr), shape=a.shape)
-    dominant = pattern + sp.diags_array(np.full(n, n + 1.0), format="csc")
-    lu = spla.splu(dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   panel_size=_panel_size(0), options={"SymmetricMode": True})
-    return np.argsort(lu.perm_c)
+    digest = hashlib.sha1(memoryview(a.indptr))  # indptr fixes n
+    digest.update(memoryview(a.indices))
+    order = _ORDER_CACHE.get(key := digest.digest())
+    if order is None:
+        n = a.shape[0]
+        pattern = sp.csc_array((np.full(a.nnz, -1.0), a.indices, a.indptr), shape=a.shape)
+        dominant = pattern + sp.diags_array(np.full(n, n + 1.0), format="csc")
+        ilu = spla.spilu(dominant, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                         options={"SymmetricMode": True})
+        order = np.argsort(ilu.perm_c)
+        order.setflags(write=False)
+        with _ORDER_LOCK:  # the oldest pattern's order goes first
+            _ORDER_CACHE[key] = order
+            while len(_ORDER_CACHE) > _ORDER_CACHE_SIZE:
+                del _ORDER_CACHE[next(iter(_ORDER_CACHE))]
+    return order
 
 
 @dataclass(frozen=True)
@@ -543,45 +542,39 @@ def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
     """The symmetric forms ``a`` and ``b`` on the disjoint DOF lists
     ``interior`` and ``boundary`` (checked in O(n); ValueError otherwise)
     as a :class:`BoundaryLastPencil` on the nonzeros of |A| + |B|: the
-    interior DOFs first, in the :func:`fill_order` of that pattern on them
-    if there is a boundary and as given if not, then the boundary DOFs.
-    The values are placed, never summed with each other, so they keep
-    their bits; the arrays are read-only."""
+    interior DOFs first, in the :func:`fill_order` of that pattern on
+    them, then the boundary DOFs as given. The values are placed, never
+    summed with each other, so they keep their bits; the arrays are
+    read-only."""
     interior = np.asarray(interior, dtype=np.int64)
     boundary = np.asarray(boundary, dtype=np.int64)
     rows = np.concatenate([interior, boundary])
     if not (np.all((rows >= 0) & (rows < np.shape(a)[0])) and np.all(np.bincount(rows) <= 1)):
         raise ValueError("index sets must partition the pencil's DOFs: distinct rows of the forms")
     n, ni = len(rows), len(interior)
-    forms = [sp.csc_array(m, dtype=np.float64)[np.ix_(rows, rows)] for m in (a, b)]
-    for m in forms:
-        m.sum_duplicates()
-        m.eliminate_zeros()
-    pattern = abs(forms[0]) + abs(forms[1])
-    pattern = sp.csc_array(pattern + pattern.T)  # canonical
 
-    def numbered(m):  # m's pattern, its entries numbered 1, 2, ... in CSC order
-        return sp.csc_array((np.arange(1.0, m.nnz + 1), m.indices, m.indptr), shape=(n, n))
+    def restricted(dofs):  # A and B on ``dofs``, and the pattern of A + A^T + B + B^T
+        forms = [sp.csc_array(m, dtype=np.float64)[np.ix_(dofs, dofs)] for m in (a, b)]
+        for m in forms:
+            m.sum_duplicates()
+            m.eliminate_zeros()
+        # an entry's value codes whether A (bit 1) and B (bit 2) store it
+        a_at, b_at = (sp.csc_array((np.full(m.nnz, bit), m.indices, m.indptr), shape=m.shape)
+                      for bit, m in zip((1.0, 2.0), forms))
+        code = a_at + b_at
+        return forms, sp.csc_array(code + 4.0 * code.T)
 
-    def keys(m):  # column-major keys col * n + row, ascending for canonical CSC
-        return np.repeat(np.arange(n), np.diff(m.indptr)) * n + m.indices
-
-    # each stored entry names the pattern entry it holds
-    permuted = numbered(pattern)
-    if len(boundary):
-        perm = np.concatenate([fill_order(pattern[:ni, :ni]), np.arange(ni, n)])
-        rows = rows[perm]
-        permuted = permuted[np.ix_(perm, perm)]
-        permuted.sort_indices()
-    source = permuted.data.astype(np.int64) - 1
-    data = []
-    for m in forms:
-        values = np.zeros(pattern.nnz)
-        values[np.searchsorted(keys(pattern), keys(m))] = m.data
-        data.append(values[source])
+    rows = np.concatenate([interior[fill_order(restricted(interior)[1])], boundary])
+    forms, pattern = restricted(rows)
+    code = pattern.data.astype(np.int64)
+    data = [np.zeros(pattern.nnz), np.zeros(pattern.nnz)]
+    for bit, m, values in zip((1, 2), forms, data):  # canonical, so in the pattern's order
+        values[(code & bit) > 0] = m.data
+    numbered = sp.csc_array((np.arange(1.0, pattern.nnz + 1), pattern.indices, pattern.indptr),
+                            shape=(n, n))
     # the pattern is symmetric, so its transpose numbers each entry's transpose
-    transpose = sp.csc_array(numbered(permuted).T).data.astype(np.int32) - 1
-    fields = [permuted.indptr.astype(np.int32), permuted.indices.astype(np.int32),
+    transpose = sp.csc_array(numbered.T).data.astype(np.int32) - 1
+    fields = [pattern.indptr.astype(np.int32), pattern.indices.astype(np.int32),
               transpose, rows, *data]
     for arr in fields:
         arr.setflags(write=False)
@@ -652,12 +645,15 @@ def _trailing_block(f: sp.csc_array, ni: int) -> np.ndarray:
 
 def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The lift ``-A_ii^{-1} A_ib psi`` of :func:`schur_and_lift` for a
-    symmetric sparse A given by index sets: one checked factor of A_ii, the
-    pencil (A, 0) on the interior DOFs with no boundary, whose order costs
-    no factorization of its own. A factor that fails a check, a singular
-    A_ii among them, raises :class:`FactorCheckError`."""
+    symmetric sparse A given by index sets, in the order of ``interior``:
+    one checked factor of A_ii, the pencil (A, 0) on the interior DOFs
+    with no boundary. A factor that fails a check, a singular A_ii among
+    them, raises :class:`FactorCheckError`."""
     a = _require_symmetric(a, "A")
-    rhs = -(a[np.ix_(interior, boundary)] @ psi)
+    pencil = boundary_last_pencil(a, sp.csc_array(a.shape), interior, [])
+    rhs = -(a[np.ix_(pencil.rows, boundary)] @ psi)
     with _counted():
-        fac = _checked_factor(boundary_last_pencil(a, sp.csc_array(a.shape), interior, []).at(0.0))
-    return fac.lu.solve(rhs)
+        fac = _checked_factor(pencil.at(0.0))
+    lifted = np.zeros(a.shape[0])
+    lifted[pencil.rows] = fac.lu.solve(rhs)
+    return lifted[interior]

@@ -7,15 +7,16 @@ spaces, as the one table :data:`PENCILS` says. The disk oracle
 produces analytic ground truth from the Bessel zeros of
 ``scipy.special``, independently of every finite element path.
 
-Each solve builds its pencil from the sparse assembled forms once, on
-the free DOFs, as a :class:`~bucklab.eigen.BoundaryLastPencil` with no
-boundary. The k smallest eigenpairs (:func:`smallest_eigenpairs`) come
-from certified shift-invert Lanczos on its checked sparse factor, never
-densified unless a check fails. They serve :func:`spectrum`, the
-clamped ground state of :mod:`bucklab.counterexample`, and
-:func:`pencil_eigenvalues`, the spectrum prefix up to a bound from
-which the identity scans count eigenvalues and measure margins; its
-size is one inertia count of the same pencil shifted to the bound. Assembled pairs and spectrum prefixes
+Each solve builds its pencil from the sparse assembled forms once, as
+a :class:`~bucklab.eigen.BoundaryLastPencil` with no boundary: the free
+DOFs in their fill order. The k smallest eigenpairs
+(:func:`smallest_eigenpairs`, vectors over the pencil's rows) come from
+certified shift-invert Lanczos on its checked sparse factor. They serve
+:func:`spectrum`, the clamped ground state of
+:mod:`bucklab.counterexample`, and :func:`pencil_eigenvalues`, the
+spectrum prefix up to a bound from which the identity scans count
+eigenvalues and measure margins; its size is one inertia count of the
+same pencil shifted to the bound. Assembled pairs and spectrum prefixes
 are memoized per mesh content hash, which covers every mesh field
 assembly reads; each cache keeps its few most recently used entries
 (:func:`lru_get`, :func:`lru_put`) and counts its hits and misses
@@ -204,9 +205,9 @@ def pencil_eigenvalues(
 def smallest_eigenpairs(
     pair: OperatorPair, problem: str, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(values, vectors, free)``: the ``count`` smallest eigenpairs of
+    """``(values, vectors, rows)``: the ``count`` smallest eigenpairs of
     ``problem``'s pencil on ``pair``, ascending, with B-orthonormal
-    eigenvectors as columns over the free DOFs ``free``.
+    eigenvectors as columns over the free DOFs ``rows``, in pencil order.
 
     The Lanczos shift is -1 / area: below every spectrum (the Neumann
     zero included), and scaled with the domain as the eigenvalues are,
@@ -217,7 +218,7 @@ def smallest_eigenpairs(
         raise SpectrumRangeError(f"k={count} exceeds the {len(free)} free DOFs")
     pencil = boundary_last_pencil(*pencil_forms(pair, problem), free, [])
     w, v = sparse_smallest_eigs(pencil, count, sigma=-1.0 / pair.mesh.area())
-    return w, v, free
+    return w, v, pencil.rows
 
 
 def spectrum(mesh: Mesh, problem: str, k: int, order: int | None = None) -> Spectrum:

@@ -8,7 +8,7 @@ complement of the outer pencil's sparse shifted form Q onto the DOFs the
 inner pencil constrains. Each identity's outer pencil is built once per
 mesh into a cached :class:`TracePencil`, a
 :class:`~bucklab.eigen.BoundaryLastPencil` on the outer free DOFs: the
-interior DOFs, those the inner pencil leaves free, in a minimum-degree
+interior DOFs, those the inner pencil leaves free, in their fill
 order, then the boundary DOFs. At each lambda
 :func:`bucklab.eigen.schur_complement` factors that pencil's shifted
 form once (a checked sparse LDL^T) and returns the boundary block of the
@@ -161,9 +161,9 @@ class TracePencil:
     """The outer pencil of one identity on one mesh, ready for every lam:
     A and B on its free DOFs stored once as a
     :class:`~bucklab.eigen.BoundaryLastPencil` (the interior DOFs, those
-    the inner pencil leaves free, in the minimum-degree order of the
-    pencil's pattern on them, then the boundary DOFs), with the boundary
-    mass (read-only)."""
+    the inner pencil leaves free, in the fill order of the pencil's
+    pattern on them, then the boundary DOFs), with the boundary mass
+    (read-only)."""
 
     form: BoundaryLastPencil
     boundary_mass: np.ndarray
@@ -214,12 +214,15 @@ def trace_operator(mesh: Mesh, kind: str, lam: float, order: int = 2) -> TraceOp
     The eliminated block is the inner pencil, so the operator exists iff
     ``lam`` clears the inner spectrum by the relative margin ``MARGIN``;
     ``margin`` is its distance from that spectrum. A point whose factor
-    fails a check raises :class:`FactorCheckError` naming the check.
+    fails a check raises :class:`FactorCheckError` naming lam and the check.
     """
     name, _, inner = _identity(kind)
     margin = _cleared(lam, pencil_eigenvalues(mesh, inner, order, upto=lam))
     pencil = trace_pencil(mesh, kind, order)
-    schur = schur_complement(pencil.form.at(lam))
+    try:
+        schur = schur_complement(pencil.form.at(lam))
+    except FactorCheckError as exc:
+        raise FactorCheckError(f"lambda={lam:.12g}: {exc}") from None
     return TraceOperator(name, lam, schur.matrix, pencil.boundary_mass, mesh.content_hash(),
                          margin, pencil.boundary_dofs, schur.n_neg, schur.n_neg_interior)
 

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,15 +12,20 @@ from bucklab import (
     eigen,
     FactorCheckError,
     SizeLimitError,
+    bounded_below_check,
+    divergence_sweep,
     inertia,
+    make_disk_mesh,
     schur_complement,
+    spectra,
     sym_gen_eigs,
+    traceops,
 )
 from bucklab.eigen import lift_to_interior, solver_path_counts, sparse_smallest_eigs
 from bucklab.spectra import pencil_eigenvalues
 from bucklab.traceops import relative_margin, scan_identities, trace_pencil
 
-from oracles import dense_lift, dense_schur, jacobi_eigenvalues, random_symmetric
+from oracles import dense_lift, dense_schur, jacobi_eigenvalues, random_symmetric, sliced_forms
 
 
 def _boundary_last(q, interior, boundary):
@@ -236,7 +244,7 @@ def test_eigenvalues_invariant_under_permutation(seed):
     # diagonal pivots, one below the zero tolerance
     ([[1.0, 0.0], [0.0, 1e-12]], "pivot size"),
 ], ids=[f"matrix{i}" for i in range(6)])
-def test_sparse_inertia_falls_back_to_bunch_kaufman(matrix, check):
+def test_sparse_inertia_names_the_failed_check(matrix, check):
     """A sparse matrix whose checked factor fails a check has no sparse
     inertia: FactorCheckError names the check, counted once in
     ``check_failed``. The same matrix passed dense gets the Bunch-Kaufman
@@ -343,8 +351,8 @@ def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
     ([[2.0, 1.0, 0.0], [1.0, 0.5 + 1e-8, 1.0], [0.0, 1.0, 1.0]], [0], None, "growth"),
 ], ids=["matrix0-interior0-None", "matrix1-interior1-None", "matrix2-interior2-None",
         "matrix3-interior3-postorder3", "matrix4-interior4-None"])
-def test_sparse_schur_falls_back_to_bunch_kaufman(matrix, interior, postorder, check,
-                                                   monkeypatch):
+def test_sparse_schur_names_the_failed_check(matrix, interior, postorder, check,
+                                             monkeypatch):
     """Each failed check of the boundary-last factor, interior or
     boundary, and SuperLU's error on an exactly zero pivot, raises
     FactorCheckError naming the check, counted once in ``check_failed``,
@@ -413,10 +421,10 @@ _LANCZOS_PATHS = {
     ("no_convergence", 1),
 ])
 def test_sparse_smallest_eigs_paths(case, raised, monkeypatch):
-    """A certified solve returns the dense solver's pairs, and so does a
-    pencil too small for ARPACK, without a factorization; a shift inside
-    the spectrum and a Lanczos solve that fails twice raise
-    FactorCheckError. Each factorization counts once."""
+    """A certified solve returns the dense solver's pairs, over the
+    pencil's rows, and so does a pencil too small for ARPACK, without a
+    factorization; a shift inside the spectrum and a Lanczos solve that
+    fails twice raise FactorCheckError. Each factorization counts once."""
     n = 6 if case == "tiny" else 50
     a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
     b = sp.identity(n, format="csc")
@@ -437,7 +445,7 @@ def test_sparse_smallest_eigs_paths(case, raised, monkeypatch):
         w, v = sparse_smallest_eigs(pencil, 4, sigma)
         w_dense, v_dense = sym_gen_eigs(a, b, 4)
         np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(np.abs(v.T @ v_dense), np.eye(4), atol=1e-8)
+        np.testing.assert_allclose(np.abs(v.T @ v_dense[pencil.rows]), np.eye(4), atol=1e-8)
     after = solver_path_counts()
     assert tuple(after[k] - before[k] for k in keys) == _LANCZOS_PATHS[case]
 
@@ -490,16 +498,14 @@ def _grid_laplacian(m: int) -> sp.csc_array:
 def test_panel_width_set_by_the_dense_boundary_block(disk3, monkeypatch):
     """SuperLU factors with panels of one column when the dense trailing
     boundary block has at most ``_PANEL_ONE_MAX_BOUNDARY`` rows, none
-    included (problem pencils, ``fill_order``), and at its default width
-    beyond that."""
+    included (problem pencils), and at its default width beyond that."""
     pencils = {kind: trace_pencil(disk3, kind).form for kind in ("liu", "friedlander")}
     calls = _recorded_panel_sizes(monkeypatch)
     pencil_eigenvalues(disk3, "navier", upto=30.0)  # count, shift and certificate
-    eigen.fill_order(pencils["liu"].forms()[0])
     for kind, form in pencils.items():
         assert len(form.rows) - form.n_interior <= eigen._PANEL_ONE_MAX_BOUNDARY
         schur_complement(form.at(3.0))
-    assert len(calls) >= 6 and {size for _, size in calls} == {1}
+    assert len(calls) >= 5 and {size for _, size in calls} == {1}
 
     lap = _grid_laplacian(24)  # 576 DOFs, the last rows boundary
     n, cut = lap.shape[0], eigen._PANEL_ONE_MAX_BOUNDARY
@@ -545,3 +551,168 @@ def test_panel_width_moves_no_count(mesh_name, kind, lmin, lmax, request, monkey
     assert np.array_equal(l_bb, fac.l[ni:, ni:].toarray())
     assert np.array_equal(u_bb, fac.u[ni:, ni:].toarray())
     assert np.array_equal(l_bb @ u_bb, fac.l[ni:, ni:].toarray() @ fac.u[ni:, ni:].toarray())
+
+
+def _recorded_orders(monkeypatch) -> tuple[list, list]:
+    """``(specs, ordered)``: from now on, the ``permc_spec`` of every
+    SuperLU factorization and the rows of every fill order computed
+    (SuperLU's incomplete factorization), starting from an empty order
+    memo."""
+    specs, ordered = [], []
+    splu, spilu = eigen.spla.splu, eigen.spla.spilu
+
+    def recorded_splu(a, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(a, **kwargs)
+
+    def recorded_spilu(a, **kwargs):
+        ordered.append(a.shape[0])
+        return spilu(a, **kwargs)
+
+    monkeypatch.setattr(eigen.spla, "splu", recorded_splu)
+    monkeypatch.setattr(eigen.spla, "spilu", recorded_spilu)
+    monkeypatch.setattr(eigen, "_ORDER_CACHE", {})
+    return specs, ordered
+
+
+def test_every_checked_factor_keeps_the_stored_order(disk2, monkeypatch, empty_clamped_fields):
+    """Every sparse factorization of a spectrum, an identity scan and both
+    counterexample regimes runs in the pencil's stored order: SuperLU is
+    asked for ``NATURAL`` and nothing else, once per checked factor."""
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    specs, _ = _recorded_orders(monkeypatch)
+    before = solver_path_counts()
+    for problem in spectra.PENCILS:
+        spectra.spectrum(disk2, problem, 4, 2)
+    for kind in ("friedlander", "liu"):
+        assert scan_identities(disk2, kind, [2.0, 7.0]).summary["all_hold"]
+    pair = spectra.get_pair(disk2, "morley")
+    assert bounded_below_check(pair, 2.0, 5).passed
+    divergence_sweep(pair, 30.0, [1e-1, 1e-2])
+    after = solver_path_counts()
+    assert after["check_failed"] == before["check_failed"]
+    assert len(specs) == after["sparse_ldlt"] - before["sparse_ldlt"] > 20
+    assert set(specs) == {"NATURAL"}
+
+
+def test_one_fill_order_per_pattern(disk2, monkeypatch):
+    """The disk's Dirichlet and buckling pencils and the interiors of both
+    trace pencils have one pattern, so they compute one order between
+    them; Neumann and Navier compute one each. A disk of another radius
+    has the same patterns and computes none."""
+    _, ordered = _recorded_orders(monkeypatch)
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+
+    def build(mesh, problems, kinds):
+        for problem in problems:
+            pair = spectra.pencil_pair(mesh, problem, 2)
+            rows = spectra.smallest_eigenpairs(pair, problem, 1)[2]
+            assert np.array_equal(np.sort(rows), spectra.free_dofs(pair, problem))
+        for kind in kinds:
+            trace_pencil(mesh, kind)
+
+    build(disk2, ("dirichlet", "buckling"), ("friedlander", "liu"))
+    assert ordered == [225]
+    build(disk2, ("neumann", "navier"), ())
+    assert ordered == [225, 289, 257]
+    build(make_disk_mesh(0.6, 2), spectra.PENCILS, ("friedlander", "liu"))
+    assert len(ordered) == 3
+
+
+def test_fill_order_memo_shared_by_threads(monkeypatch):
+    """Eight threads ordering twelve patterns through a memo of four,
+    with the interpreter switching threads often, get the orders one
+    thread gets, and the memo keeps at most four."""
+    grids = [_grid_laplacian(m) for m in range(3, 15)]
+    monkeypatch.setattr(eigen, "_ORDER_CACHE", {})
+    expected = [eigen.fill_order(g) for g in grids]
+    monkeypatch.setattr(eigen, "_ORDER_CACHE", {})
+    monkeypatch.setattr(eigen, "_ORDER_CACHE_SIZE", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda k: eigen.fill_order(grids[k % 12]), range(240), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(order, expected[k % 12]) for k, order in enumerate(got))
+    assert len(eigen._ORDER_CACHE) <= 4
+
+
+@pytest.mark.parametrize("mesh_name", ["disk2", "rect16"])
+@pytest.mark.parametrize("problem", ["dirichlet", "neumann", "buckling", "navier"])
+def test_fill_order_is_the_minimum_degree_order_of_the_pencil(mesh_name, problem, request):
+    """A problem pencil stores its free DOFs in the column order SuperLU's
+    multiple minimum degree chooses when it factors the pencil in the
+    free DOFs' own order, at a shift inside the spectrum too."""
+    pair = spectra.pencil_pair(request.getfixturevalue(mesh_name), problem, 2)
+    free = spectra.free_dofs(pair, problem)
+    pencil = eigen.boundary_last_pencil(*spectra.pencil_forms(pair, problem), free, [])
+    assert pencil.n_interior == len(free)
+    back = np.argsort(np.searchsorted(free, pencil.rows))  # row i of free is pencil row back[i]
+    for t in (-1.0, 30.0):
+        q = pencil.at(t).csc()[np.ix_(back, back)]
+        lu = eigen.spla.splu(q, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
+        assert np.array_equal(free[np.argsort(lu.perm_c)], pencil.rows)
+
+
+@pytest.mark.parametrize("problem", ["dirichlet", "neumann", "buckling", "navier"])
+def test_vectors_and_lifts_over_the_pencil_rows_match_dense(disk2, problem, rng):
+    """An eigenvector placed on the DOFs of the pencil's rows is the dense
+    ground state, and a lift returned in the order of its (shuffled)
+    interior list is the dense lift."""
+    pair = spectra.pencil_pair(disk2, problem, 2)
+    w, v, rows = spectra.smallest_eigenpairs(pair, problem, 1)
+    a, b = sliced_forms(pair, problem)
+    w_dense, v_dense = sym_gen_eigs(a, b, 2)
+    assert w_dense[1] - w_dense[0] > 1e-3 * max(1.0, abs(w_dense[1]))  # a simple value
+    u, u_dense = np.zeros(pair.dofmap.n_dofs), np.zeros(pair.dofmap.n_dofs)
+    u[rows] = v[:, 0]
+    u_dense[spectra.free_dofs(pair, problem)] = v_dense[:, 0]
+    assert abs(w[0] - w_dense[0]) <= 1e-10 * max(1.0, abs(w_dense[0]))
+    np.testing.assert_allclose(abs(u @ u_dense), u_dense @ u_dense, rtol=1e-8)
+
+    form = spectra.pencil_forms(pair, problem)[0]
+    free = spectra.free_dofs(pair, problem)
+    interior = rng.permutation(free)[: len(free) // 2]
+    boundary = np.setdiff1d(free, interior)
+    psi = rng.standard_normal(len(boundary))
+    lifted = lift_to_interior(form + sp.eye_array(form.shape[0]), interior, boundary, psi)
+    expected = dense_lift(form + sp.eye_array(form.shape[0]), interior, boundary, psi)
+    np.testing.assert_allclose(lifted, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+
+
+def _full_lu_order(pattern) -> np.ndarray:
+    """The minimum-degree order as ``fill_order`` read it before it used
+    an incomplete factorization: ``argsort(perm_c)`` of a full SuperLU
+    factorization of the diagonally dominant matrix with the pattern."""
+    n = pattern.shape[0]
+    dominant = sp.csc_array((np.full(pattern.nnz, -1.0), pattern.indices, pattern.indptr),
+                            shape=pattern.shape) + sp.diags_array(np.full(n, n + 1.0), format="csc")
+    lu = eigen.spla.splu(dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c)
+
+
+@pytest.mark.slow
+def test_fill_order_equals_the_full_factor_order_at_refine_5(monkeypatch):
+    """At disk refine 5, the order read off the incomplete factorization
+    equals the one a full factorization gives, on the pattern of every
+    pencil of both identities: the four problem pencils and the interiors
+    of both trace pencils."""
+    mesh = make_disk_mesh(1.0, 5)
+    monkeypatch.setattr(eigen, "_ORDER_CACHE", {})
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    for problem in spectra.PENCILS:
+        a, b = sliced_forms(spectra.pencil_pair(mesh, problem, 2), problem)
+        pattern = sp.csc_array(abs(a) + abs(b))
+        assert np.array_equal(eigen.fill_order(pattern), _full_lu_order(pattern))
+    for kind, (_, outer, inner) in traceops._IDENTITIES.items():
+        pair = spectra.pencil_pair(mesh, outer, 2)
+        form = trace_pencil(mesh, kind).form
+        interior = spectra.free_dofs(pair, inner)
+        a, b = (m[np.ix_(interior, interior)] for m in spectra.pencil_forms(pair, outer))
+        reference = interior[_full_lu_order(sp.csc_array(abs(a) + abs(b)))]
+        assert np.array_equal(form.rows[:form.n_interior], reference)

@@ -205,17 +205,18 @@ def test_scan_beta1_sign_change(disk2):
     assert res.summary["n_negative"] == 4
 
 
-def test_scan_skips_point_whose_factor_cannot_be_densified(disk2, tmp_path,
-                                                           refuse_every_factor):
+def test_scan_skips_point_whose_factor_fails_a_check(disk2, tmp_path, refuse_every_factor):
     """No factor is densified: a point whose checked factor fails a check
-    is a skip whose reason names the check and the factor's rows, in
-    both scans and in the CLI, which exits 0 and counts each failed
-    factor in the manifest's ``check_failed``."""
-    grid = [5.0, 7.0]
+    is a skip whose reason names the lambda tried, the check and the
+    factor's rows, in both scans and in the CLI, which exits 0 and
+    counts each failed factor in the manifest's ``check_failed``."""
+    # the second point, on the first buckling eigenvalue, is nudged
+    grid = [5.0, float(pencil_eigenvalues(disk2, "buckling", upto=0.0)[0])]
     cli_args = ["identity-scan", "--domain", "disk", "--refine", "2", "--points", "2"]
     # the spectrum prefixes and the trace pencil, computed unrefused first
-    scan_identities(disk2, "liu", grid)
-    scan_beta1(disk2, grid)
+    tried = [r["lambda"] for r in scan_identities(disk2, "liu", grid).records]
+    assert tried == [r["lambda"] for r in scan_beta1(disk2, grid).records]
+    assert tried[0] == grid[0] and tried[1] != grid[1]
     assert main(cli_args + ["--run-root", str(tmp_path / "warm")]) == 0
     form = trace_pencil(disk2, "liu").form
     rows = f"{len(form.rows)} rows ({form.n_interior} interior)"
@@ -226,8 +227,9 @@ def test_scan_skips_point_whose_factor_cannot_be_densified(disk2, tmp_path,
     for result in results:
         assert result.records == []
         assert [s["index"] for s in result.skips] == [0, 1]
-        for s in result.skips:
-            assert s["reason"].startswith(f"the sparse LDL^T of {rows} failed its growth check")
+        for s, lam in zip(result.skips, tried):
+            assert s["reason"].startswith(
+                f"lambda={lam:.12g}: the sparse LDL^T of {rows} failed its growth check")
     (run_dir,) = root.iterdir()
     assert len((run_dir / "skips.csv").read_text().splitlines()) == 3
     solver = json.loads((run_dir / "manifest.json").read_text())["solver"]
@@ -392,8 +394,8 @@ def test_perturbed_cached_pencil_is_refused(disk2, monkeypatch):
 
 
 def test_one_factorization_per_point_one_order_per_identity(disk2, monkeypatch):
-    """Each trace-operator point is one sparse factorization; the
-    fill-reducing order is computed once per mesh and identity."""
+    """Each trace-operator point is one sparse factorization; each
+    identity's pencil asks for its fill order once per mesh."""
     orders = []
     fill_order = eigen.fill_order
 
