@@ -20,11 +20,11 @@ import numpy as np
 
 from . import counterexample as cex
 from . import runio, spherecap, traceops
-from .eigen import MAX_DENSE_DOFS, ZERO_TOL, solver_path_counts
+from .eigen import MAX_DENSE_DOFS, ZERO_TOL
 from .errors import BucklabError, ConfigError
 from .mesh import Mesh, make_disk_mesh, make_radial_grid, make_rectangle_mesh
 from .runio import RunManifest, SweepResult, fmt
-from .spectra import cache_counts, get_pair, spectrum, spectrum_to_csv_rows
+from .spectra import get_pair, spectrum, spectrum_to_csv_rows
 
 
 def _float_list(text: str) -> list[float]:
@@ -160,17 +160,12 @@ def _mesh(domain: str, *shape) -> Mesh:
 
 def _finish(command: str, params: dict, tables: dict[str, str],
             hashes: dict, args) -> Path:
-    counts, caches = solver_path_counts(), cache_counts()
-    clamped = spherecap.clamped_mode_counts()
     manifest = RunManifest(
         command=command,
         params={k: (v if not isinstance(v, list) else list(map(float, v)))
                 for k, v in params.items()},
         hashes=hashes,
-        solver={k: counts[k] - args.solver_counts_at_start[k] for k in counts},
-        clamped_modes={k: clamped[k] - args.clamped_at_start[k] for k in clamped},
-        caches={name: {k: n - args.caches_at_start[name][k] for k, n in tally.items()}
-                for name, tally in caches.items()},
+        tallies=runio.tallies(since=args.tallies_at_start),
         started_utc=args.started_utc,
     )
     run_dir = runio.new_run_dir(args.run_root, command)
@@ -355,12 +350,13 @@ def _cmd_report(args) -> int:
     print(f"command: {meta['command']}")
     print(f"version: {meta['version']}")
     print(f"params: {json.dumps(meta['params'], sort_keys=True)}")
-    if meta.get("solver"):
-        paths = " ".join(f"{k}={v}" for k, v in sorted(meta["solver"].items()))
-        print(f"solver: {paths}")
-    if any(meta.get("clamped_modes", {}).values()):
-        modes = " ".join(f"{k}={v}" for k, v in sorted(meta["clamped_modes"].items()))
-        print(f"clamped modes: {modes}")
+    for section in runio.tallies():
+        counts = {}  # nested keys flattened: {"pairs.hits": 3, ...}
+        for key, value in meta.get(section, {}).items():
+            counts.update({f"{key}.{k}": n for k, n in value.items()}
+                          if isinstance(value, dict) else {key: value})
+        if any(counts.values()):
+            print(f"{section}: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     ok = True
     for name in meta.get("outputs", []):
         path = run_dir / name
@@ -418,9 +414,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if getattr(args, "run_root", None) is None and args.command != "report":
         args.run_root = runio.default_run_root()
-    args.solver_counts_at_start = solver_path_counts()
-    args.clamped_at_start = spherecap.clamped_mode_counts()
-    args.caches_at_start = cache_counts()
+    args.tallies_at_start = runio.tallies()
     args.started_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:
         return args.func(args)

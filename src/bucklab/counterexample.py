@@ -21,16 +21,17 @@ Lanczos on the sparse clamped pencil, and on the perturbation of
 the fourth-order form at lambda = 0. Both depend on the mesh alone, so
 :func:`clamped_fields` solves them once per mesh per process and keeps
 them for the :data:`~bucklab.spectra.CACHE_SIZE` most recently used
-meshes; the caller chooses the regime from its Lambda1, and
-:func:`divergence_sweep` and :func:`bounded_below_check` read the same
-entry. An eigenvector has no sign of its own, so the entry signs u1 by
-the perturbation (see :func:`_signed_ground`): no result depends on the
-solver's sign. The bounded regime keeps lambda clear of Lambda1 alone,
-which is certified smallest, and needs no other buckling eigenvalue. It
-factors the cached Navier trace pencil's shifted form once: that factor
-gives the Neumann-to-Laplacian operator, whose boundary-sized
-generalized eigenproblem is the one dense one left here, and lifts its
-minimizer to the interior. Every function here takes a Morley
+meshes (:func:`~bucklab.runio.lru_put`); the caller chooses the regime
+from its Lambda1, and :func:`divergence_sweep` and
+:func:`bounded_below_check` read the same entry. An eigenvector has no
+sign of its own, so the entry signs u1 by the perturbation (see
+:func:`_signed_ground`): no result depends on the solver's sign. The
+bounded regime keeps lambda clear of Lambda1 alone, which is certified
+smallest, and needs no other buckling eigenvalue. It factors the cached
+Navier trace pencil's shifted form once: that factor gives the
+Neumann-to-Laplacian operator, whose boundary-sized generalized
+eigenproblem is the one dense one left here, and lifts its minimizer to
+the interior. Every function here takes a Morley
 :class:`~bucklab.assembly.OperatorPair`.
 """
 from __future__ import annotations
@@ -40,10 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectra
 from .assembly import OperatorPair
 from .eigen import lift_to_interior, schur_and_lift, sym_gen_eigs
 from .errors import ConstraintViolationError
-from .spectra import free_dofs, lru_get, lru_put, smallest_eigenpairs
+from .runio import lru_get, lru_put
+from .spectra import free_dofs, smallest_eigenpairs
 from .traceops import MARGIN, trace_pencil
 
 DENOMINATOR_FLOOR = 1e-14
@@ -171,7 +174,7 @@ def clamped_fields(pair: OperatorPair) -> ClampedFields:
     u1 = _signed_ground(u1, h, pair)
     u1.setflags(write=False)
     h.setflags(write=False)
-    return lru_put(_FIELDS_CACHE, key, ClampedFields(u1, lambda1, h))
+    return lru_put(_FIELDS_CACHE, key, ClampedFields(u1, lambda1, h), spectra.CACHE_SIZE)
 
 
 def rayleigh_quotient(v: np.ndarray, lam: float, pair: OperatorPair,

@@ -22,11 +22,12 @@ check raises :class:`FactorCheckError` naming the check; no second,
 dense answer is computed. Such factors count eigenvalues
 (:func:`pencil_count`) and give the shift-invert operator and the
 inertia certificate of Lanczos (:func:`sparse_smallest_eigs`, rerun at
-a tighter tolerance when the certificate fails). ``solver_path_counts``
-reports how many sparse factorizations were trusted and how many failed
-a check. SuperLU updates panels of one column, not its default 20,
-unless the factor's dense trailing boundary block has more than
-``_PANEL_ONE_MAX_BOUNDARY`` rows, where the wide panel pays off.
+a tighter tolerance when the certificate fails). The ``solver`` tallies
+of :mod:`bucklab.runio` count how many sparse factorizations were
+trusted and how many failed a check. SuperLU updates panels of one
+column, not its default 20, unless the factor's dense trailing boundary
+block has more than ``_PANEL_ONE_MAX_BOUNDARY`` rows, where the wide
+panel pays off.
 
 A trace pencil's factor of Q = ``pencil.at(lam)`` gives S = L_bb U_bb,
 neg(Q_ii) and neg(S) from its pivots, and lifts boundary values to the
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,6 +52,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import BucklabError, FactorCheckError, SizeLimitError
+from .runio import lru_get, lru_put, tally
 
 #: pivots and eigenvalues within this of zero, relative to max|A|, count as zero
 ZERO_TOL = 1e-9
@@ -104,11 +105,8 @@ _PANEL_ONE_MAX_BOUNDARY = 256
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
-_PATH_LOCK = threading.Lock()
-_PATH_COUNTS = {"sparse_ldlt": 0, "check_failed": 0, "lanczos_retry": 0}
-
-_ORDER_LOCK = threading.Lock()
-# SHA-1 of a pattern's indptr and indices -> its fill_order, oldest first
+# SHA-1 of a pattern's indptr and indices -> its fill_order, least
+# recently used first
 _ORDER_CACHE: dict[bytes, np.ndarray] = {}
 _ORDER_CACHE_SIZE = 8
 
@@ -119,36 +117,21 @@ class Inertia(NamedTuple):
     n_pos: int
 
 
-def solver_path_counts() -> dict[str, int]:
-    """Checked sparse factorizations so far in this process, by outcome:
-    ``sparse_ldlt`` (trusted, its answer used) or ``check_failed`` (a
-    check failed and :class:`FactorCheckError` was raised: a check of
-    the factor itself, or the positive pivots a Lanczos shift needs). A
-    count that steps past a singular bound (:func:`pencil_count`) counts
-    once, by the factor it ends with. ``lanczos_retry`` counts the
-    Lanczos solves rerun at ARPACK's default tolerance after the first
-    one failed (see :func:`sparse_smallest_eigs`)."""
-    with _PATH_LOCK:
-        return dict(_PATH_COUNTS)
-
-
-def _count_path(path: str) -> None:
-    """Count one event under ``path``, a key of :func:`solver_path_counts`."""
-    with _PATH_LOCK:
-        _PATH_COUNTS[path] += 1
-
-
 @contextmanager
 def _counted():
-    """Count the one factorization checked in this block: in
-    ``sparse_ldlt`` when the block ends normally, in ``check_failed``
-    when it raises :class:`FactorCheckError`, which propagates."""
+    """Count the one factorization checked in this block: ``solver``
+    tally ``sparse_ldlt`` (trusted, its answer used) when the block ends
+    normally, ``check_failed`` when it raises :class:`FactorCheckError`,
+    which propagates: a check of the factor itself, or the positive
+    pivots a Lanczos shift needs. A count that steps past a singular
+    bound (:func:`pencil_count`) counts once, by the factor it ends
+    with."""
     try:
         yield
     except FactorCheckError:
-        _count_path("check_failed")
+        tally("solver", check_failed=1)
         raise
-    _count_path("sparse_ldlt")
+    tally("solver", sparse_ldlt=1)
 
 
 def retain_factor_workspace() -> None:
@@ -282,7 +265,7 @@ def sparse_smallest_eigs(pencil, count: int, sigma: float) -> tuple[np.ndarray, 
     v0 = np.random.default_rng(0).standard_normal(n)
     for retry, tol in enumerate(_LANCZOS_TOLS):
         if retry:
-            _count_path("lanczos_retry")
+            tally("solver", lanczos_retry=1)
         try:
             w, v = spla.eigsh(a, k=nev, M=b, sigma=sigma, OPinv=op_inv, v0=v0, tol=tol)
         except spla.ArpackError:
@@ -468,12 +451,12 @@ def fill_order(a) -> np.ndarray:
     the pattern of A^T + A, which reads the pattern alone (Liu, ACM TOMS
     11, 1985), read off SuperLU's incomplete factorization, at drop
     tolerance 1, of the diagonally dominant matrix with the pattern of
-    ``a`` plus the diagonal. The last ``_ORDER_CACHE_SIZE`` patterns keep
-    their orders."""
+    ``a`` plus the diagonal. The ``_ORDER_CACHE_SIZE`` most recently used
+    patterns keep their orders; lookups count under ``caches.orders``."""
     a = sp.csc_array(a)
     digest = hashlib.sha1(memoryview(a.indptr))  # indptr fixes n
     digest.update(memoryview(a.indices))
-    order = _ORDER_CACHE.get(key := digest.digest())
+    order = lru_get(_ORDER_CACHE, key := digest.digest(), "orders")
     if order is None:
         n = a.shape[0]
         pattern = sp.csc_array((np.full(a.nnz, -1.0), a.indices, a.indptr), shape=a.shape)
@@ -483,10 +466,7 @@ def fill_order(a) -> np.ndarray:
                          options={"SymmetricMode": True})
         order = np.argsort(ilu.perm_c)
         order.setflags(write=False)
-        with _ORDER_LOCK:  # the oldest pattern's order goes first
-            _ORDER_CACHE[key] = order
-            while len(_ORDER_CACHE) > _ORDER_CACHE_SIZE:
-                del _ORDER_CACHE[next(iter(_ORDER_CACHE))]
+        order = lru_put(_ORDER_CACHE, key, order, _ORDER_CACHE_SIZE)
     return order
 
 

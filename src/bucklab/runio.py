@@ -1,14 +1,23 @@
 """Run persistence: parameter sweeps, CSV/plot-data emission, manifests,
-immutable run directories and flat key=value configs.
+immutable run directories, flat key=value configs, and the process-wide
+tallies and memos that manifests record.
 
 Numeric CSV content is deterministic (17 significant digits, fixed
 column order); timestamps live only in the manifest, which is written
 last as the completion marker.
+
+Every count a manifest records is a tally declared in one table and
+raised by :func:`tally`; a run records the difference of two
+:func:`tallies` snapshots. The result memos of the other modules are
+plain dicts kept in least-recently-used order by :func:`lru_get` and
+:func:`lru_put`, whose lookups count under ``caches``. One lock guards
+all of them.
 """
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,6 +29,67 @@ from .errors import ConfigError
 
 RUN_ROOT_ENV = "BUCKLAB_RUNS"
 ARTIFACT_VERSION = "0.1.0"
+
+_LOCK = threading.Lock()
+# every tally of the process, by manifest section; each starts at 0 and
+# only grows. solver: checked sparse factorizations, trusted
+# (sparse_ldlt) or failed a check (check_failed), and Lanczos solves
+# rerun (lanczos_retry); clamped_modes: clamped cap modes solved by the
+# eigensolver or ruled out by a Cholesky factorization; caches: lookups
+# of each result memo that hit or missed
+_TALLIES = {
+    "solver": {"sparse_ldlt": 0, "check_failed": 0, "lanczos_retry": 0},
+    "clamped_modes": {"solved": 0, "ruled_out": 0},
+    "caches": {name: {"hits": 0, "misses": 0} for name in
+               ("pairs", "prefixes", "trace_pencils", "clamped_fields", "orders")},
+}
+
+
+def tally(section: str, **counts: int) -> None:
+    """Add each of ``counts`` to its tally in ``section``."""
+    with _LOCK:
+        for key, n in counts.items():
+            _TALLIES[section][key] += n
+
+
+def tallies(since: dict | None = None) -> dict:
+    """Every tally so far in this process, by section (``solver``,
+    ``clamped_modes``, ``caches``); with ``since``, an earlier snapshot,
+    only the counts added after it."""
+    with _LOCK:
+        return _less(_TALLIES, since)
+
+
+def _less(counts, since):
+    if not isinstance(counts, dict):
+        return counts - (since or 0)
+    return {k: _less(v, since and since[k]) for k, v in counts.items()}
+
+
+def lru_get(cache: dict, key, name: str, usable=None):
+    """``cache[key]``, now the most recently used entry, or None when
+    there is none or ``usable(entry)`` is false; the lookup counts as a
+    hit or a miss of ``caches.name``."""
+    with _LOCK:
+        value = cache.pop(key, None)
+        if value is not None:
+            cache[key] = value
+    if value is not None and usable is not None and not usable(value):
+        value = None
+    with _LOCK:
+        _TALLIES["caches"][name]["misses" if value is None else "hits"] += 1
+    return value
+
+
+def lru_put(cache: dict, key, value, size: int):
+    """Store ``value`` as the most recently used entry of ``cache``, drop
+    the least recently used ones beyond ``size``, return ``value``."""
+    with _LOCK:
+        cache.pop(key, None)
+        cache[key] = value
+        while len(cache) > size:
+            del cache[next(iter(cache))]
+    return value
 
 
 def fmt(value) -> str:
@@ -94,17 +164,10 @@ class RunManifest:
     started_utc: str = ""
     finished_utc: str = ""
     outputs: list[str] = field(default_factory=list)
-    # checked sparse factorizations of the run, trusted (sparse_ldlt) or
-    # failed a check (check_failed), and Lanczos retries (lanczos_retry);
-    # kept out of the CSVs, which hold results only
-    solver: dict = field(default_factory=dict)
-    # clamped cap modes of the run solved by the eigensolver (solved) or
-    # ruled out by a Cholesky factorization (ruled_out)
-    clamped_modes: dict = field(default_factory=dict)
-    # lookups of the run in each process-wide result cache (pairs,
-    # prefixes, trace_pencils, clamped_fields) that hit or missed: a hit
-    # is a result computed by an earlier run of the process
-    caches: dict = field(default_factory=dict)
+    # the run's share of every tally (tallies), one JSON key per
+    # section; kept out of the CSVs, which hold results only. A cache hit
+    # may be a result computed by an earlier run of the process
+    tallies: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -116,9 +179,7 @@ class RunManifest:
                 "started_utc": self.started_utc,
                 "finished_utc": self.finished_utc,
                 "outputs": self.outputs,
-                "solver": self.solver,
-                "clamped_modes": self.clamped_modes,
-                "caches": self.caches,
+                **self.tallies,
             },
             indent=2,
             sort_keys=True,

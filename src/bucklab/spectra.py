@@ -18,13 +18,12 @@ spectrum prefix up to a bound from which the identity scans count
 eigenvalues and measure margins; its size is one inertia count of the
 same pencil shifted to the bound. Assembled pairs and spectrum prefixes
 are memoized per mesh content hash, which covers every mesh field
-assembly reads; each cache keeps its few most recently used entries
-(:func:`lru_get`, :func:`lru_put`) and counts its hits and misses
-(:func:`cache_counts`), which each run's manifest records.
+assembly reads; each memo keeps its ``CACHE_SIZE`` most recently used
+entries (:func:`~bucklab.runio.lru_put`), and its hits and misses are
+tallied under ``caches`` in each run's manifest.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,12 @@ from .assembly import OperatorPair, assemble_lagrange, assemble_morley, classify
 from .eigen import boundary_last_pencil, pencil_count, sparse_smallest_eigs
 from .errors import MeshError, SpectrumRangeError
 from .mesh import Mesh
+from .runio import lru_get, lru_put
 
 ORACLE_COUNT_CAP = 50
-#: entries each result cache keeps: a scan reuses the pencils of one
-#: mesh, and a command at a new radius would otherwise add its own for
-#: the life of the process
+#: entries each result memo keeps, here and in traceops and
+#: counterexample: a scan reuses the pencils of one mesh, and a command
+#: at a new radius would otherwise add its own for the life of the process
 CACHE_SIZE = 4
 
 # problem -> (pair kind, classify_dofs condition or None when every DOF
@@ -73,47 +73,6 @@ class Spectrum:
 # assembled-pair and spectrum-prefix caches
 # ---------------------------------------------------------------------------
 
-_CACHE_LOCK = threading.Lock()
-# lookups so far in this process, per result cache, that found a usable
-# entry (hits) or not (misses)
-_CACHE_COUNTS = {name: {"hits": 0, "misses": 0}
-                 for name in ("pairs", "prefixes", "trace_pencils", "clamped_fields")}
-
-
-def cache_counts() -> dict[str, dict[str, int]]:
-    """Hits and misses of each result cache so far in this process:
-    assembled ``pairs``, spectrum ``prefixes``, ``trace_pencils`` and the
-    counterexample's ``clamped_fields``."""
-    with _CACHE_LOCK:
-        return {name: dict(counts) for name, counts in _CACHE_COUNTS.items()}
-
-
-def lru_get(cache: dict, key, name: str, usable=None):
-    """``cache[key]``, now the most recently used entry, or None when
-    there is none or ``usable(entry)`` is false; the lookup counts as a
-    hit or a miss of the cache ``name`` (:func:`cache_counts`)."""
-    with _CACHE_LOCK:
-        value = cache.pop(key, None)
-        if value is not None:
-            cache[key] = value
-    if value is not None and usable is not None and not usable(value):
-        value = None
-    with _CACHE_LOCK:
-        _CACHE_COUNTS[name]["misses" if value is None else "hits"] += 1
-    return value
-
-
-def lru_put(cache: dict, key, value):
-    """Store ``value`` as the most recently used entry of ``cache``, drop
-    the least recently used ones beyond ``CACHE_SIZE``, return ``value``."""
-    with _CACHE_LOCK:
-        cache.pop(key, None)
-        cache[key] = value
-        while len(cache) > CACHE_SIZE:
-            del cache[next(iter(cache))]
-    return value
-
-
 _PAIR_CACHE: dict[tuple, OperatorPair] = {}
 # (mesh hash, problem, pair kind) -> ascending prefix
 _PREFIX_CACHE: dict[tuple, np.ndarray] = {}
@@ -130,7 +89,7 @@ def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
             pair = assemble_morley(mesh)
         else:
             raise ValueError(f"unknown pair kind {kind!r}")
-        pair = lru_put(_PAIR_CACHE, key, pair)
+        pair = lru_put(_PAIR_CACHE, key, pair, CACHE_SIZE)
     return pair
 
 
@@ -195,7 +154,7 @@ def pencil_eigenvalues(
     count = min(pencil_count(pencil, upto, 1.0 / mesh.area()) + 1, len(free))
     vals = sparse_smallest_eigs(pencil, count, sigma=-1.0 / mesh.area())[0]
     vals.setflags(write=False)
-    return lru_put(_PREFIX_CACHE, key, vals)
+    return lru_put(_PREFIX_CACHE, key, vals, CACHE_SIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +189,10 @@ def spectrum(mesh: Mesh, problem: str, k: int, order: int | None = None) -> Spec
                          constrained; reproduces the Dirichlet Laplacian
                          spectrum up to discretization error
 
-    Computed by :func:`smallest_eigenpairs`, so no n x n array is formed
-    unless the Lanczos certificate fails.
+    Computed by :func:`smallest_eigenpairs`. Nothing is densified but
+    a pencil too small for ARPACK: a failed Lanczos certificate is
+    retried at tolerance 0, and a second failure raises
+    :class:`~bucklab.errors.FactorCheckError`.
     """
     w, _, _ = smallest_eigenpairs(pencil_pair(mesh, problem, order), problem, k)
     return Spectrum(problem, w, mesh.content_hash())

@@ -46,7 +46,6 @@ them under this node doubling sets the point's ``resolution_warning``.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +55,13 @@ from .eigen import sym_gen_eigs
 from .errors import BucklabError, SpectrumRangeError
 from .mesh import RadialGrid, make_radial_grid
 from .quadrature import gauss_on_interval
-from .runio import SweepResult, run_sweep
+from .runio import SweepResult, run_sweep, tally
 from .spectra import Spectrum
 
 GAUSS_POINTS = 6
 DEFAULT_MODES = 4
 DEFAULT_NODES = 64
 CAUCHY_TOL = 0.01
-
-_COUNT_LOCK = threading.Lock()
-_CLAMPED_COUNTS = {"solved": 0, "ruled_out": 0}
 
 
 @dataclass(frozen=True)
@@ -301,14 +297,6 @@ def cap_spectrum(
     return _merged_spectra(make_radial_grid(eps, n_nodes, grading), (bc,), modes, k)[0]
 
 
-def clamped_mode_counts() -> dict[str, int]:
-    """Clamped modes so far in this process of every
-    :func:`cap_buckling_lambda1` value and cap scan point: ``solved`` by
-    the eigensolver, or ``ruled_out`` by a Cholesky factorization."""
-    with _COUNT_LOCK:
-        return dict(_CLAMPED_COUNTS)
-
-
 def _clamped_above(ops: CapOperators, lam: float) -> bool:
     """Whether A_m - lam K_m is positive definite on the clamped free
     DOFs, by one Cholesky factorization: if so, by Sylvester's law of
@@ -334,7 +322,8 @@ def _buckling_lambda1(grid: RadialGrid, modes: int) -> float:
     """Smallest clamped fourth-order pencil eigenvalue on ``grid`` over
     the azimuthal modes 0..modes. Mode 0 is solved; a later mode only
     when :func:`_clamped_above` cannot rule it out at the smallest value
-    so far, which it then may lower."""
+    so far, which it then may lower. The modes count as ``solved`` or
+    ``ruled_out`` in the ``clamped_modes`` tallies."""
     tables = _basis_tables(grid, "fourth")
     lam = np.inf
     solved = 0
@@ -343,9 +332,7 @@ def _buckling_lambda1(grid: RadialGrid, modes: int) -> float:
         if m == 0 or not _clamped_above(ops, lam):
             lam = min(lam, float(ops.smallest("clamped", 1)[0][0]))
             solved += 1
-    with _COUNT_LOCK:
-        _CLAMPED_COUNTS["solved"] += solved
-        _CLAMPED_COUNTS["ruled_out"] += modes + 1 - solved
+    tally("clamped_modes", solved=solved, ruled_out=modes + 1 - solved)
     return lam
 
 
@@ -358,46 +345,6 @@ def cap_buckling_lambda1(
     """Smallest fourth-order pencil eigenvalue over the azimuthal modes,
     clamped at the cap edge, on a grid of ``n_nodes`` intervals."""
     return _buckling_lambda1(make_radial_grid(eps, n_nodes, grading), modes)
-
-
-def cap_buckling_lambda1_via_modes(
-    eps: float,
-    modes: int = DEFAULT_MODES,
-    n_nodes: int = 2 * DEFAULT_NODES,
-    n_basis: int = 40,
-    grading: str = "geometric",
-) -> float:
-    """Cross-check through the second-order discretization: a Galerkin
-    solve in the basis of cap Dirichlet eigenfunctions constrained to a
-    vanishing colatitude derivative at the cap edge.
-
-    In that basis the bending and gradient forms are diagonal in the
-    eigenvalues, so only the edge-derivative constraint couples modes.
-    Converges to the clamped value from above as the basis grows.
-    """
-    best = np.inf
-    grid = make_radial_grid(eps, n_nodes, grading)
-    tables = _basis_tables(grid, "second")
-    h0 = grid.nodes[1] - grid.nodes[0]
-    for m in range(modes + 1):
-        ops = _mode_operators(tables, m)
-        w, x, free = ops.smallest("dirichlet", n_basis)
-        nb = len(w)
-        full = np.zeros((ops.n_dofs, nb))
-        full[free] = x
-        # quadratic-element derivative at theta=eps from the first element
-        deriv = (-3.0 / h0) * full[0] + (4.0 / h0) * full[1] + (-1.0 / h0) * full[2]
-        norm = deriv @ deriv
-        if norm == 0.0:
-            continue
-        proj = np.eye(nb) - np.outer(deriv, deriv) / norm
-        q, _ = np.linalg.qr(proj)
-        z = q[:, : nb - 1]
-        a_red = z.T @ np.diag(w**2) @ z
-        k_red = z.T @ np.diag(w) @ z
-        ww = sla.eigh(a_red, k_red, eigvals_only=True, subset_by_index=[0, 0])
-        best = min(best, float(ww[0]))
-    return best
 
 
 def _scan_point(eps: float, n_nodes: int, modes: int, grading: str) -> dict:

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectra
 from .eigen import (
     BoundaryLastPencil,
     boundary_last_pencil,
@@ -46,16 +47,8 @@ from .eigen import (
 )
 from .errors import BucklabError, ExcludedSpectrumError, FactorCheckError
 from .mesh import Mesh
-from .runio import SweepResult, run_sweep
-from .spectra import (
-    Spectrum,
-    free_dofs,
-    lru_get,
-    lru_put,
-    pencil_eigenvalues,
-    pencil_forms,
-    pencil_pair,
-)
+from .runio import SweepResult, lru_get, lru_put, run_sweep
+from .spectra import Spectrum, free_dofs, pencil_eigenvalues, pencil_forms, pencil_pair
 
 #: the relative distance every lambda keeps from the excluded eigenvalues
 MARGIN = 1e-3
@@ -202,7 +195,7 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
         boundary_mass = pair.b_trace.view()
     boundary_mass.setflags(write=False)
     pencil = TracePencil(form, boundary_mass)
-    return lru_put(_PENCIL_CACHE, key, pencil)
+    return lru_put(_PENCIL_CACHE, key, pencil, spectra.CACHE_SIZE)
 
 
 def trace_operator(mesh: Mesh, kind: str, lam: float, order: int = 2) -> TraceOperator:

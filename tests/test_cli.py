@@ -8,6 +8,7 @@ import pytest
 from bucklab import cli, counterexample, traceops
 from bucklab.cli import main
 from bucklab.mesh import make_radial_grid
+from bucklab.runio import tallies
 
 
 def run_cli(args, tmp_path, capsys):
@@ -257,7 +258,34 @@ def test_spherecap_manifest_counts_clamped_modes(tmp_path, capsys):
         meta = json.loads((run_dir / "manifest.json").read_text())
         assert meta["clamped_modes"] == {"solved": 2, "ruled_out": 6}
     assert main(["report", "--run", str(run_dir)]) == 0
-    assert "clamped modes: ruled_out=6 solved=2" in capsys.readouterr().out
+    report = capsys.readouterr().out
+    assert "clamped_modes: ruled_out=6 solved=2" in report
+    assert "solver:" not in report  # a cap scan factors nothing sparse
+
+
+def _tally_keys(counts: dict) -> dict:
+    return {k: _tally_keys(v) if isinstance(v, dict) else None for k, v in counts.items()}
+
+
+@pytest.mark.parametrize("argv, zero_section", [
+    (["spectrum", "--domain", "rectangle", "--nx", "4", "--ny", "4", "--count", "2"],
+     "clamped_modes"),
+    (["identity-scan", "--refine", "1", "--lmin", "1", "--lmax", "10", "--points", "2"],
+     "clamped_modes"),
+    (["beta1-scan", "--refine", "1", "--lmin", "1", "--lmax", "10", "--points", "2"],
+     "clamped_modes"),
+    (["counterexample", "--refine", "2", "--lambda", "2", "--trials", "5"], "clamped_modes"),
+    (["spherecap", "--eps-list", "0.2", "--nodes", "16", "--modes", "2"], "solver"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_manifest_records_every_tally(argv, zero_section, tmp_path, capsys):
+    """Each experiment's manifest holds every declared tally section and
+    key, at 0 where the run counted nothing."""
+    code, _, _ = run_cli(argv, tmp_path, capsys)
+    assert code == 0
+    meta = json.loads((latest_run(tmp_path, argv[0]) / "manifest.json").read_text())
+    declared = _tally_keys(tallies())
+    assert _tally_keys({section: meta[section] for section in declared}) == declared
+    assert set(meta[zero_section].values()) == {0}
 
 
 def test_report_command(tmp_path, capsys):
@@ -272,7 +300,8 @@ def test_report_command(tmp_path, capsys):
     assert "command: spectrum" in out
     assert "spectrum.csv" in out
     assert "solver: check_failed=0 lanczos_retry=0 sparse_ldlt=" in out
-    assert "clamped modes" not in out  # no cap run, nothing to report
+    assert "clamped_modes" not in out  # no cap run, nothing to report
+    assert "caches: " in out and " pairs.hits=" in out and " pairs.misses=" in out
 
     incomplete = tmp_path / "runs" / "broken"
     incomplete.mkdir()

@@ -19,7 +19,7 @@ from bucklab import (
 from bucklab import counterexample, spectra
 from bucklab.cli import main
 from bucklab.counterexample import _trace_minimizer, alpha_pencil, clamped_fields
-from bucklab.eigen import solver_path_counts
+from bucklab.runio import tallies
 from bucklab.spectra import get_pair
 from bucklab.traceops import trace_pencil
 
@@ -149,9 +149,9 @@ def test_bounded_regime_factors_navier_form_once(disk3_pair, empty_clamped_field
     operator and its lifted minimizer come from one sparse factorization
     of the Navier shifted form Q, and it makes no other."""
     clamped_fields(disk3_pair)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     report = bounded_below_check(disk3_pair, 2.0, 10)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["sparse_ldlt"] - before["sparse_ldlt"] == 1
     assert after["check_failed"] == before["check_failed"]
     assert report.passed
@@ -170,11 +170,11 @@ def test_bounded_regime_lift_on_dense_path(disk3_pair, refuse_every_factor):
     v = v_full[form.rows]
     lifted = dense_lift(form.at(2.0).csc(), np.arange(ni), np.arange(ni, len(v)), v[ni:])
     np.testing.assert_allclose(v[:ni], lifted, rtol=0, atol=1e-10 * np.max(np.abs(lifted)))
-    before = solver_path_counts()
+    before = tallies()["solver"]
     with refuse_every_factor():
         with pytest.raises(FactorCheckError, match="failed its growth check"):
             bounded_below_check(disk3_pair, 2.0, 10)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["check_failed"] - before["check_failed"] == 1
 

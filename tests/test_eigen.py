@@ -21,7 +21,8 @@ from bucklab import (
     sym_gen_eigs,
     traceops,
 )
-from bucklab.eigen import lift_to_interior, solver_path_counts, sparse_smallest_eigs
+from bucklab.eigen import lift_to_interior, sparse_smallest_eigs
+from bucklab.runio import tallies
 from bucklab.spectra import pencil_eigenvalues
 from bucklab.traceops import relative_margin, scan_identities, trace_pencil
 
@@ -250,10 +251,10 @@ def test_sparse_inertia_names_the_failed_check(matrix, check):
     ``check_failed``. The same matrix passed dense gets the Bunch-Kaufman
     inertia, which counts as the eigenvalues do."""
     dense = np.array(matrix)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     with pytest.raises(FactorCheckError, match=f"failed its {check} check"):
         inertia(sp.csc_array(dense))
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["check_failed"] == before["check_failed"] + 1
     got = inertia(dense)
@@ -328,10 +329,10 @@ def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
     splu = eigen.spla.splu
     monkeypatch.setattr(eigen.spla, "splu",
                         lambda a, **kwargs: _Permuted(splu, a, perm, **kwargs))
-    before = solver_path_counts()
+    before = tallies()["solver"]
     with pytest.raises(FactorCheckError, match="failed its order check"):
         eigen.schur_and_lift(q)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["check_failed"] == before["check_failed"] + 1
 
@@ -366,10 +367,10 @@ def test_sparse_schur_names_the_failed_check(matrix, interior, postorder, check,
     interior = np.array(interior)
     boundary = np.setdiff1d(np.arange(len(dense)), interior)
     q = _boundary_last(sp.csc_array(dense), interior, boundary)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     with pytest.raises(FactorCheckError, match=f"failed its {check} check"):
         schur_complement(q)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["check_failed"] == before["check_failed"] + 1
 
@@ -383,9 +384,9 @@ def test_nearly_singular_schur_stays_sparse(disk2):
     mu = next(v for v in navier if v > 1.0 and relative_margin(v, buckling) >= 1e-3)
     lam = mu * (1.0 + 1e-10)
     q = trace_pencil(disk2, "liu", None).form.at(lam)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     s = schur_complement(q).matrix
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["sparse_ldlt"] == before["sparse_ldlt"] + 1
     assert after["check_failed"] == before["check_failed"]
     n, ni = len(q.indptr) - 1, q.n_interior
@@ -436,7 +437,7 @@ def test_sparse_smallest_eigs_paths(case, raised, monkeypatch):
         monkeypatch.setattr(eigen.spla, "eigsh", no_convergence)
     pencil = eigen.boundary_last_pencil(a, b, np.arange(n), [])
     keys = ("sparse_ldlt", "check_failed", "lanczos_retry")
-    before = solver_path_counts()
+    before = tallies()["solver"]
     if raised:
         match = "not below the spectrum" if case == "sigma_inside_spectrum" else "certificate"
         with pytest.raises(FactorCheckError, match=match):
@@ -446,7 +447,7 @@ def test_sparse_smallest_eigs_paths(case, raised, monkeypatch):
         w_dense, v_dense = sym_gen_eigs(a, b, 4)
         np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0)
         np.testing.assert_allclose(np.abs(v.T @ v_dense[pencil.rows]), np.eye(4), atol=1e-8)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert tuple(after[k] - before[k] for k in keys) == _LANCZOS_PATHS[case]
 
 
@@ -467,10 +468,10 @@ def test_pencil_count_raises_once_every_nudge_fails(refuse_every_factor, monkeyp
         return checked(q)
 
     monkeypatch.setattr(eigen, "_checked_factor", recorded)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     with refuse_every_factor(), pytest.raises(FactorCheckError, match="failed its growth check"):
         eigen.pencil_count(pencil, 0.5, 1.0)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert len(tried) == 1 + len(eigen._COUNT_NUDGES)
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["check_failed"] == before["check_failed"] + 1
@@ -582,7 +583,7 @@ def test_every_checked_factor_keeps_the_stored_order(disk2, monkeypatch, empty_c
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
     specs, _ = _recorded_orders(monkeypatch)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     for problem in spectra.PENCILS:
         spectra.spectrum(disk2, problem, 4, 2)
     for kind in ("friedlander", "liu"):
@@ -590,7 +591,7 @@ def test_every_checked_factor_keeps_the_stored_order(disk2, monkeypatch, empty_c
     pair = spectra.get_pair(disk2, "morley")
     assert bounded_below_check(pair, 2.0, 5).passed
     divergence_sweep(pair, 30.0, [1e-1, 1e-2])
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["check_failed"] == before["check_failed"]
     assert len(specs) == after["sparse_ldlt"] - before["sparse_ldlt"] > 20
     assert set(specs) == {"NATURAL"}

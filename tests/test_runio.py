@@ -1,19 +1,25 @@
 import json
 import os
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bucklab import ConfigError, RunManifest, load_config, write_results
+from bucklab import ConfigError, RunManifest, load_config, runio, write_results
 from bucklab.runio import (
     SweepResult,
     fmt,
     is_complete_run,
+    lru_get,
+    lru_put,
     new_run_dir,
     plot_data_content,
     run_sweep,
+    tallies,
+    tally,
 )
 
 
@@ -160,3 +166,76 @@ def test_load_config(tmp_path):
     dup.write_text("a = 1\na = 2\n")
     with pytest.raises(ConfigError):
         load_config(dup)
+
+
+class _Memo(dict):
+    """A memo dict that counts the changes made to it while the lock
+    behind every memo and tally is not held."""
+
+    unlocked = 0
+
+    def _changed(self):
+        if not runio._LOCK.locked():
+            self.unlocked += 1
+
+    def __setitem__(self, key, value):
+        self._changed()
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self._changed()
+        super().__delitem__(key)
+
+    def pop(self, *args):
+        self._changed()
+        return super().pop(*args)
+
+
+def test_memos_and_tallies_shared_by_threads():
+    """Eight threads, switching every microsecond, look up seven keys in
+    two memos of sizes 3 and 5 and raise a tally at every lookup: each
+    lookup counts once, as a hit or a miss, every raise is counted, each
+    hit returns its key's value, each memo stays within its size and is
+    changed only under the one lock."""
+    memos = {"pairs": (_Memo(), 3), "orders": (_Memo(), 5)}
+    lookups = 4000
+
+    def look_up(i: int) -> bool:
+        name = ("pairs", "orders")[i % 2]
+        memo, size = memos[name]
+        key = i % 7
+        value = lru_get(memo, key, name)
+        if value is None:
+            value = lru_put(memo, key, ("value", key), size)
+        tally("clamped_modes", solved=1, ruled_out=2)
+        return value == ("value", key)
+
+    start = tallies()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            found = list(pool.map(look_up, range(lookups), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(found)
+    counts = tallies(since=start)
+    for name, (memo, size) in memos.items():
+        assert counts["caches"][name]["hits"] + counts["caches"][name]["misses"] == lookups // 2
+        assert counts["caches"][name]["misses"] >= 7
+        assert len(memo) <= size
+        assert memo.unlocked == 0
+    assert counts["clamped_modes"] == {"solved": lookups, "ruled_out": 2 * lookups}
+
+
+def test_tallies_since_a_snapshot():
+    """A snapshot copies the table, and ``since`` subtracts it key by key,
+    nested sections too."""
+    start = tallies()
+    tally("solver", sparse_ldlt=2, check_failed=1)
+    assert lru_get({}, "missing", "trace_pencils") is None
+    counts = tallies(since=start)
+    assert counts["solver"] == {"sparse_ldlt": 2, "check_failed": 1, "lanczos_retry": 0}
+    assert counts["caches"]["trace_pencils"] == {"hits": 0, "misses": 1}
+    assert counts["clamped_modes"] == {"solved": 0, "ruled_out": 0}
+    assert tallies()["solver"]["sparse_ldlt"] == start["solver"]["sparse_ldlt"] + 2

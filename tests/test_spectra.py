@@ -21,7 +21,7 @@ from bucklab import (
     spectrum,
     sym_gen_eigs,
 )
-from bucklab.eigen import solver_path_counts
+from bucklab.runio import tallies
 from bucklab.spectra import (
     Spectrum,
     get_pair,
@@ -191,9 +191,9 @@ def test_result_caches_keyed_on_radius(tmp_path, disk2, monkeypatch):
 @settings(max_examples=15, deadline=None)
 def test_lanczos_eigenpairs_match_dense(level, radius, problem, count):
     pair = pencil_pair(make_disk_mesh(radius, level), problem, 2)
-    before = solver_path_counts()["check_failed"]
+    before = tallies()["solver"]["check_failed"]
     w, v, rows = smallest_eigenpairs(pair, problem, count)
-    assert solver_path_counts()["check_failed"] == before
+    assert tallies()["solver"]["check_failed"] == before
     # the vectors over the free DOFs, as the dense forms order them
     free = spectra.free_dofs(pair, problem)
     v = v[np.argsort(rows)]
@@ -227,10 +227,10 @@ def test_lanczos_certificate_catches_a_missed_value(disk2, problem, monkeypatch)
 
     pair = pencil_pair(disk2, problem, 2)
     monkeypatch.setattr(eigen.spla, "eigsh", missing_second)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     with pytest.raises(FactorCheckError, match="3 smallest eigenpairs .* inertia certificate"):
         smallest_eigenpairs(pair, problem, 3)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["lanczos_retry"] == before["lanczos_retry"] + 1
     assert after["check_failed"] == before["check_failed"]
 
@@ -262,9 +262,9 @@ def test_lanczos_retry_certifies_at_tolerance_zero(disk2, problem, count, forced
             return w[keep], v[:, keep]
 
         monkeypatch.setattr(eigen.spla, "eigsh", drops_smallest)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     w, _, _ = smallest_eigenpairs(pair, problem, count)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert after["lanczos_retry"] == before["lanczos_retry"] + 1
     assert after["check_failed"] == before["check_failed"]
     assert np.array_equal(w, plain)
@@ -317,9 +317,9 @@ def test_prefix_counts_and_nearest_match_dense(request, mesh_name, problem, monk
         nearest = dense[np.argmin(np.abs(dense - lam))]
         got = prefix[np.argmin(np.abs(prefix - lam))]
         assert abs(got - nearest) <= 1e-10 * max(1.0, abs(nearest))
-        before = solver_path_counts()
+        before = tallies()["solver"]
         assert pencil_eigenvalues(mesh, problem, 2, upto=lam) is prefix
-        assert solver_path_counts() == before
+        assert tallies()["solver"] == before
 
     check()
 
@@ -359,10 +359,10 @@ def test_prefix_bound_at_the_neumann_zero(disk2, monkeypatch):
     check counted. The prefix is that value and the next, which lies
     above ``upto``."""
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
-    before = solver_path_counts()
+    before = tallies()["solver"]
     zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
     assert len(zero) == 2 and zero[-1] > 0.0
-    assert solver_path_counts()["check_failed"] == before["check_failed"]
+    assert tallies()["solver"]["check_failed"] == before["check_failed"]
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     at_value = pencil_eigenvalues(disk2, "neumann", 2, upto=float(zero[0]))
     assert len(at_value) == 2 and at_value[-1] > zero[0]
@@ -376,10 +376,10 @@ def test_prefix_bound_at_the_neumann_zero_beyond_the_dense_cap(disk2, monkeypatc
     n = len(spectra.free_dofs(pencil_pair(disk2, "neumann", 2), "neumann"))
     monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n - 1)
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
-    before = solver_path_counts()
+    before = tallies()["solver"]
     zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
     assert len(zero) == 2 and zero[-1] > 0.0
-    assert solver_path_counts()["check_failed"] == before["check_failed"]
+    assert tallies()["solver"]["check_failed"] == before["check_failed"]
 
 
 @pytest.mark.parametrize("mesh_name", ["disk2", "rect16"])
@@ -478,8 +478,8 @@ def test_prefix_miss_builds_one_pencil(disk2, monkeypatch):
     built.clear()
     factored.clear()
     classified.clear()
-    before = spectra.cache_counts()["prefixes"]
+    before = tallies()["caches"]["prefixes"]
     assert pencil_eigenvalues(disk2, "dirichlet", 2, upto=20.0) is prefix
     assert built == [] and factored == [] and classified == []
-    assert spectra.cache_counts()["prefixes"] == {"hits": before["hits"] + 1,
+    assert tallies()["caches"]["prefixes"] == {"hits": before["hits"] + 1,
                                                   "misses": before["misses"]}

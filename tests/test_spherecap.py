@@ -14,9 +14,9 @@ from bucklab import (
 )
 from bucklab import spherecap
 from bucklab.quadrature import gauss_on_interval
-from bucklab.spherecap import cap_buckling_lambda1_via_modes
+from bucklab.runio import tallies
 
-from oracles import full_cap_buckling, full_cap_merge
+from oracles import cap_buckling_lambda1_via_modes, full_cap_buckling, full_cap_merge
 
 
 def mode_eigs(eps, m, n, bc, k, order="second"):
@@ -218,7 +218,7 @@ def test_clamped_mode_counts_lose_no_update_across_threads():
     microsecond, count every clamped mode once: per grid one solved and
     ``modes`` ruled out."""
     eps_list, modes = np.linspace(0.1, 0.6, 12), 3
-    before = spherecap.clamped_mode_counts()
+    before = tallies()["clamped_modes"]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -226,7 +226,7 @@ def test_clamped_mode_counts_lose_no_update_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert len(scan.records) == len(eps_list)
-    after = spherecap.clamped_mode_counts()
+    after = tallies()["clamped_modes"]
     grids = 2 * len(eps_list)
     assert {k: after[k] - before[k] for k in after} == {"solved": grids,
                                                        "ruled_out": modes * grids}

@@ -20,7 +20,8 @@ from bucklab import (
     verify_identity,
 )
 from bucklab.assembly import classify_dofs
-from bucklab.eigen import boundary_last_pencil, schur_complement, solver_path_counts
+from bucklab.eigen import boundary_last_pencil, schur_complement
+from bucklab.runio import tallies
 from bucklab import eigen, spectra, traceops
 from bucklab.cli import main
 from bucklab.spectra import free_dofs, get_pair, pencil_eigenvalues, pencil_pair
@@ -180,9 +181,9 @@ def test_scan_points_are_verify_identity_on_cached_prefixes(disk2, kind):
     on_value = float(pencil_eigenvalues(disk2, inner, 2, upto=0.0)[0])
     grid = np.append(np.linspace(0.5, 60.0, 6), on_value)
     traceops._scan_values(disk2, kind, 2, grid)
-    before = solver_path_counts()
+    before = tallies()["solver"]
     result = scan_identities(disk2, kind, grid)
-    after = solver_path_counts()
+    after = tallies()["solver"]
     assert len(result.records) == len(grid)
     assert after["sparse_ldlt"] - before["sparse_ldlt"] == len(grid)
     assert after["check_failed"] == before["check_failed"]
@@ -272,11 +273,11 @@ def test_sparse_trace_operator_matches_dense_path(request, mesh_name, kind):
     @settings(max_examples=10, deadline=None)
     def check(lam):
         assume(relative_margin(lam, excluded) >= 1e-3)
-        before = solver_path_counts()
+        before = tallies()["solver"]
         t = trace_operator(mesh, "friedlander" if kind == "dtn" else "liu", lam)
         q, interior, boundary = _shifted_form(mesh, kind, lam)
         sparse_inner = inertia(q[np.ix_(interior, interior)])
-        after = solver_path_counts()
+        after = tallies()["solver"]
         assert after["sparse_ldlt"] - before["sparse_ldlt"] == 2
         assert after["check_failed"] == before["check_failed"]
 
@@ -356,7 +357,7 @@ def test_haynsworth_at_disk_level_5():
     mesh = make_disk_mesh(1.0, 5)
     lam = 7.3  # clear of every pencil's spectrum on the unit disk
     for kind in ("friedlander", "liu"):
-        before = solver_path_counts()
+        before = tallies()["solver"]
         tracemalloc.start()
         try:
             q = trace_pencil(mesh, kind).form.at(lam)
@@ -367,7 +368,7 @@ def test_haynsworth_at_disk_level_5():
         q, ni = q.csc(), q.n_interior
         n_interior = inertia(q[:ni, :ni]).n_neg
         n_full = inertia(q).n_neg
-        after = solver_path_counts()
+        after = tallies()["solver"]
         assert after["sparse_ldlt"] - before["sparse_ldlt"] == 3
         assert after["check_failed"] == before["check_failed"]
         assert n_interior + inertia(s).n_neg == n_full
@@ -393,27 +394,25 @@ def test_perturbed_cached_pencil_is_refused(disk2, monkeypatch):
         trace_operator(disk2, "liu", 7.0)
 
 
-def test_one_factorization_per_point_one_order_per_identity(disk2, monkeypatch):
-    """Each trace-operator point is one sparse factorization; each
-    identity's pencil asks for its fill order once per mesh."""
-    orders = []
-    fill_order = eigen.fill_order
-
-    def counted(a):
-        orders.append(a.shape)
-        return fill_order(a)
-
-    monkeypatch.setattr(eigen, "fill_order", counted)
-    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
-    lams = (2.0, 7.0, 12.0)
+def test_one_factorization_per_point_one_order_between_both_identities(disk2, monkeypatch):
+    """Each trace-operator point is one sparse factorization, and on the
+    disk the interiors of both identities' trace pencils have one
+    pattern, so they compute one fill order between them: one miss of
+    ``caches.orders``, then a hit."""
     for kind in ("friedlander", "liu"):
-        for lam in lams:
-            before = solver_path_counts()
+        trace_operator(disk2, kind, 12.0)  # prefixes past every lambda below
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    monkeypatch.setattr(eigen, "_ORDER_CACHE", {})
+    start = tallies()
+    for kind, orders in (("friedlander", {"hits": 0, "misses": 1}),
+                         ("liu", {"hits": 1, "misses": 1})):
+        for lam in (2.0, 7.0, 12.0):
+            before = tallies()["solver"]
             trace_operator(disk2, kind, lam)
-            after = solver_path_counts()
+            after = tallies()["solver"]
             assert after["sparse_ldlt"] == before["sparse_ldlt"] + 1
             assert after["check_failed"] == before["check_failed"]
-    assert len(orders) == 2
+        assert tallies(since=start)["caches"]["orders"] == orders
 
 
 def test_pencil_cache_keys(disk2, monkeypatch):
