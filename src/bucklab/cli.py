@@ -1,9 +1,11 @@
 """Batch experiment front door.
 
-Each subcommand runs one pipeline, persists every numeric output into a
-fresh timestamped run directory (CSV tables, plot-data files, manifest
-written last) and prints a one-line summary. Exit codes: 0 success,
-1 domain error, 2 usage error.
+Every experiment command is one row of :data:`COMMANDS`: a function
+from its merged parameters to an :class:`Outcome`, which computes and
+persists nothing itself. :func:`main` alone merges the parameters, makes
+the fresh timestamped run directory, writes the outcome into it (CSV
+tables, plot-data files, manifest written last) and prints its summary
+lines. Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ from . import counterexample as cex
 from . import runio, spherecap, traceops
 from .eigen import MAX_DENSE_DOFS, ZERO_TOL
 from .errors import BucklabError, ConfigError
-from .mesh import Mesh, make_disk_mesh, make_radial_grid, make_rectangle_mesh
-from .runio import RunManifest, SweepResult, fmt
-from .spectra import get_pair, spectrum, spectrum_to_csv_rows
+from .mesh import Mesh, make_disk_mesh, make_rectangle_mesh
+from .runio import RunManifest, csv_text, fmt
+from .spectra import get_pair, spectrum
 
 
 def _float_list(text: str) -> list[float]:
@@ -97,19 +99,10 @@ PARAMS = {
     "eps_list": Param(_float_list, lambda v: bool(v) and all(0 < x < np.pi / 2 for x in v),
                       "nonempty list in (0, pi/2)", [0.4, 0.2, 0.1, 0.05]),
     "nodes": Param(int, lambda v: 8 <= v <= _MAX_NODES,
-                   f">= 8 and <= {_MAX_NODES} (4*nodes+2 <= MAX_DENSE_DOFS)", 64),
-    "modes": _at_least(2, default=4),
+                   f">= 8 and <= {_MAX_NODES} (4*nodes+2 <= MAX_DENSE_DOFS)",
+                   spherecap.DEFAULT_NODES),
+    "modes": _at_least(2, default=spherecap.DEFAULT_MODES),
     "grading": _choice(str, "uniform", "geometric", default="geometric"),
-}
-
-# parameters of each command, in the order --help lists their flags
-_MESH = ["domain", "refine", "radius", "a", "b", "nx", "ny"]
-_COMMAND_PARAMS = {
-    "spectrum": ["threads", *_MESH, "problem", "order", "count"],
-    "identity-scan": ["threads", *_MESH, "kind", "order", "lmin", "lmax", "points"],
-    "beta1-scan": ["threads", *_MESH, "lmin", "lmax", "points"],
-    "counterexample": ["threads", *_MESH, "lam", "eps", "trials", "seed"],
-    "spherecap": ["threads", "eps_list", "nodes", "modes", "grading"],
 }
 
 
@@ -127,7 +120,7 @@ def _checked(key: str, value, source: str):
 def _merge_params(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit CLI flags; unknown config keys
     and out-of-range values are rejected by name."""
-    allowed = _COMMAND_PARAMS[command]
+    allowed = COMMANDS[command].params
     params = {k: PARAMS[k].default for k in allowed}
     if args.config:
         for key, text in runio.load_config(args.config).items():
@@ -158,190 +151,138 @@ def _mesh(domain: str, *shape) -> Mesh:
     return (make_disk_mesh if domain == "disk" else make_rectangle_mesh)(*shape)
 
 
-def _finish(command: str, params: dict, tables: dict[str, str],
-            hashes: dict, args) -> Path:
-    manifest = RunManifest(
-        command=command,
-        params={k: (v if not isinstance(v, list) else list(map(float, v)))
-                for k, v in params.items()},
-        hashes=hashes,
-        tallies=runio.tallies(since=args.tallies_at_start),
-        started_utc=args.started_utc,
-    )
-    run_dir = runio.new_run_dir(args.run_root, command)
-    runio.write_results(run_dir, manifest, tables)
-    return run_dir
+@dataclass(frozen=True)
+class Outcome:
+    """What one experiment computed: its output files (name -> text),
+    the content hashes its manifest records, the summary lines to print
+    and the exit code."""
+
+    tables: dict[str, str]
+    hashes: dict[str, str]
+    lines: list[str]
+    code: int = 0
 
 
-def _skips_table(result: SweepResult) -> dict[str, str]:
-    if not result.skips:
-        return {}
-    lines = ["index,reason"]
-    for s in result.skips:
-        reason = str(s["reason"]).replace(",", ";")
-        lines.append(f"{s['index']},{reason}")
-    return {"skips.csv": "\n".join(lines) + "\n"}
-
-
-def _cmd_spectrum(args) -> int:
-    params = _merge_params("spectrum", args)
+def _spectrum(params: dict) -> Outcome:
     mesh = _build_mesh(params)
     spec = spectrum(mesh, params["problem"], params["count"], params["order"])
-    rows = ["index,value,problem,mesh_hash"] + spectrum_to_csv_rows(spec)
-    tables = {"spectrum.csv": "\n".join(rows) + "\n"}
-    run_dir = _finish("spectrum", params, tables,
-                      {"mesh": mesh.content_hash()}, args)
+    rows = [(i, v, spec.problem, spec.source) for i, v in enumerate(spec.values)]
     # a value within the zero tolerance is rounding noise; the CSV keeps it
     floor = ZERO_TOL * np.max(np.abs(spec.values))
     values = " ".join("0" if abs(v) <= floor else f"{v:.6g}" for v in spec.values)
-    print(f"{spec.problem} spectrum: {values}")
-    print(f"run_dir={run_dir}")
-    return 0
+    return Outcome({"spectrum.csv": csv_text(["index", "value", "problem", "mesh_hash"], rows)},
+                   {"mesh": mesh.content_hash()}, [f"{spec.problem} spectrum: {values}"])
 
 
-def _cmd_identity_scan(args) -> int:
-    params = _merge_params("identity-scan", args)
+def _identity_scan(params: dict) -> Outcome:
     mesh = _build_mesh(params)
     grid = np.linspace(params["lmin"], params["lmax"], params["points"])
-    result = traceops.scan_identities(
-        mesh, params["kind"], grid, order=params["order"], threads=params["threads"]
-    )
-    columns = ["lambda", "neg_count", "lhs", "rhs", "holds", "margin", "nudged"]
-    tables = {"identities.csv": result.to_csv(columns)}
-    tables.update(_skips_table(result))
-    run_dir = _finish("identity-scan", params, tables,
-                      {"mesh": mesh.content_hash()}, args)
+    result = traceops.scan_identities(mesh, params["kind"], grid, order=params["order"],
+                                      threads=params["threads"])
     points, skips = len(result.records), len(result.skips)
-    if points:
-        print(f"all_hold={fmt(result.summary['all_hold'])} points={points} skips={skips}")
-    else:
-        print(f"all_hold=null points=0 skips={skips} (no point verified)")
-    print(f"run_dir={run_dir}")
-    return 0
+    line = (f"all_hold={fmt(result.summary['all_hold'])} points={points} skips={skips}"
+            if points else f"all_hold=null points=0 skips={skips} (no point verified)")
+    columns = ["lambda", "neg_count", "lhs", "rhs", "holds", "margin", "nudged"]
+    return Outcome(result.tables("identities.csv", columns), {"mesh": mesh.content_hash()},
+                   [line])
 
 
-def _cmd_beta1_scan(args) -> int:
-    params = _merge_params("beta1-scan", args)
+def _beta1_scan(params: dict) -> Outcome:
     mesh = _build_mesh(params)
     grid = np.linspace(params["lmin"], params["lmax"], params["points"])
     result = traceops.scan_beta1(mesh, grid, threads=params["threads"])
-    columns = ["lambda", "beta1", "neg_count", "margin", "nudged"]
-    tables = {"beta1.csv": result.to_csv(columns)}
-    lam = np.array([r["lambda"] for r in result.records])
-    b1 = np.array([r["beta1"] for r in result.records])
-    tables["beta1.dat"] = runio.plot_data_content({"lambda": lam, "beta1": b1})
-    tables.update(_skips_table(result))
-    run_dir = _finish("beta1-scan", params, tables,
-                      {"mesh": mesh.content_hash()}, args)
-    print(
-        f"points={len(result.records)} negative={result.summary['n_negative']} "
-        f"skips={len(result.skips)}"
-    )
-    print(f"run_dir={run_dir}")
-    return 0
+    tables = result.tables("beta1.csv", ["lambda", "beta1", "neg_count", "margin", "nudged"])
+    tables["beta1.dat"] = runio.plot_data_content(
+        {name: np.array([r[name] for r in result.records]) for name in ("lambda", "beta1")})
+    line = (f"points={len(result.records)} negative={result.summary['n_negative']} "
+            f"skips={len(result.skips)}")
+    return Outcome(tables, {"mesh": mesh.content_hash()}, [line])
 
 
-def _cmd_counterexample(args) -> int:
-    params = _merge_params("counterexample", args)
+def _counterexample(params: dict) -> Outcome:
+    """The quotient divergence sweep; below the buckling threshold the
+    bounded regime instead, where random trial quotients must never
+    undercut the smallest trace eigenvalue (exit code 1 when one does)."""
     mesh = _build_mesh(params)
     pair = get_pair(mesh, "morley")
     lambda1 = cex.clamped_fields(pair).lambda1
+    hashes = {"mesh": mesh.content_hash()}
     if params["lam"] < lambda1:
-        return _run_bounded_below(params, pair, lambda1, args)
+        r = cex.bounded_below_check(pair, params["lam"], params["trials"], seed=params["seed"])
+        rows = [("lambda", r.lam), ("Lambda1", lambda1), ("beta1", r.beta1),
+                ("n_trials", r.n_trials), ("min_quotient", r.min_quotient),
+                ("minimizer_quotient", r.minimizer_quotient), ("violations", r.violations),
+                ("interior_residual", r.interior_residual), ("passed", r.passed)]
+        line = (f"regime=bounded-below beta1={r.beta1:.8g} "
+                f"min_quotient={r.min_quotient:.8g} violations={r.violations} "
+                f"interior_residual={r.interior_residual:.2e} passed={fmt(r.passed)}")
+        return Outcome({"bounded_below.csv": csv_text(["quantity", "value"], rows)},
+                       hashes, [line], 0 if r.passed else 1)
     report = cex.divergence_sweep(pair, params["lam"], params["eps"])
-    rows = ["eps,numerator,denominator,quotient"]
-    for s in report.samples:
-        rows.append(
-            f"{fmt(s.eps)},{fmt(s.numerator)},{fmt(s.denominator)},{fmt(s.quotient)}"
-        )
-    eps = np.array([s.eps for s in report.samples])
-    q = np.array([abs(s.quotient) for s in report.samples])
+    samples = report.samples
+    rows = [(s.eps, s.numerator, s.denominator, s.quotient) for s in samples]
     tables = {
-        "divergence.csv": "\n".join(rows) + "\n",
+        "divergence.csv": csv_text(["eps", "numerator", "denominator", "quotient"], rows),
         "divergence_loglog.dat": runio.plot_data_content(
-            {"eps": eps, "abs_quotient": q}, xlog=True, ylog=True
-        ),
+            {"eps": np.array([s.eps for s in samples]),
+             "abs_quotient": np.array([abs(s.quotient) for s in samples])},
+            xlog=True, ylog=True),
     }
-    run_dir = _finish("counterexample", params, tables,
-                      {"mesh": mesh.content_hash()}, args)
-    print(
-        f"slope={report.fitted_slope:.4f} stderr={report.slope_stderr:.4f} "
-        f"alpha={report.alpha:.10g} alpha_pencil={report.alpha_pencil:.10g} "
-        f"Lambda1={report.lambda1_buckling:.10g} anomaly={fmt(report.anomaly)}"
-    )
-    print(f"run_dir={run_dir}")
-    return 0
+    line = (f"slope={report.fitted_slope:.4f} stderr={report.slope_stderr:.4f} "
+            f"alpha={report.alpha:.10g} alpha_pencil={report.alpha_pencil:.10g} "
+            f"Lambda1={report.lambda1_buckling:.10g} anomaly={fmt(report.anomaly)}")
+    return Outcome(tables, hashes, [line])
 
 
-def _run_bounded_below(params: dict, pair, lambda1: float, args) -> int:
-    """Below the buckling threshold the same command checks the bounded
-    regime instead: random trial quotients never undercut the smallest
-    trace eigenvalue."""
-    report = cex.bounded_below_check(
-        pair, params["lam"], params["trials"], seed=params["seed"]
-    )
-    rows = [
-        "quantity,value",
-        f"lambda,{fmt(report.lam)}",
-        f"Lambda1,{fmt(lambda1)}",
-        f"beta1,{fmt(report.beta1)}",
-        f"n_trials,{report.n_trials}",
-        f"min_quotient,{fmt(report.min_quotient)}",
-        f"minimizer_quotient,{fmt(report.minimizer_quotient)}",
-        f"violations,{report.violations}",
-        f"interior_residual,{fmt(report.interior_residual)}",
-        f"passed,{fmt(report.passed)}",
-    ]
-    tables = {"bounded_below.csv": "\n".join(rows) + "\n"}
-    run_dir = _finish("counterexample", params, tables,
-                      {"mesh": pair.mesh.content_hash()}, args)
-    print(
-        f"regime=bounded-below beta1={report.beta1:.8g} "
-        f"min_quotient={report.min_quotient:.8g} violations={report.violations} "
-        f"interior_residual={report.interior_residual:.2e} passed={fmt(report.passed)}"
-    )
-    print(f"run_dir={run_dir}")
-    return 0 if report.passed else 1
-
-
-def _cmd_spherecap(args) -> int:
-    params = _merge_params("spherecap", args)
-    result = spherecap.cap_scan(
-        params["eps_list"], params["nodes"], params["modes"],
-        params["grading"], params["threads"],
-    )
-    columns = [
+def _spherecap(params: dict) -> Outcome:
+    eps_list, nodes, grading = params["eps_list"], params["nodes"], params["grading"]
+    result = spherecap.cap_scan(eps_list, nodes, params["modes"], grading, params["threads"])
+    tables = result.tables("spherecap.csv", [
         "eps", "lambda1", "lambda2", "mu2", "Lambda1",
         "friedlander_fails", "payne_fails", "resolution_warning",
-    ]
-    tables = {"spherecap.csv": result.to_csv(columns)}
+    ])
     eps = np.array([r["eps"] for r in result.records])
     for curve in ("lambda1", "lambda2", "mu2", "Lambda1"):
-        vals = np.array([r[curve] for r in result.records])
         tables[f"{curve}.dat"] = runio.plot_data_content(
-            {"eps": eps, curve: vals}, xlog=True
-        )
-    tables.update(_skips_table(result))
-    # each eps is solved on a coarse grid and on the twice-finer one it reports
-    grid_hashes = ",".join(
-        "/".join(make_radial_grid(e, n, params["grading"]).content_hash()
-                 for n in (params["nodes"], 2 * params["nodes"]))
-        for e in params["eps_list"]
-    )
-    run_dir = _finish("spherecap", params, tables, {"grids": grid_hashes}, args)
-    for r in result.records:
-        print(
-            f"eps={r['eps']:g} lambda1={r['lambda1']:.5g} lambda2={r['lambda2']:.5g} "
-            f"mu2={r['mu2']:.5g} Lambda1={r['Lambda1']:.5g} "
-            f"friedlander_fails={fmt(r['friedlander_fails'])} "
-            f"payne_fails={fmt(r['payne_fails'])}"
-        )
-    print(f"run_dir={run_dir}")
-    return 0
+            {"eps": eps, curve: np.array([r[curve] for r in result.records])}, xlog=True)
+    grids = ",".join("/".join(g.content_hash() for g in spherecap.scan_grids(e, nodes, grading))
+                     for e in eps_list)
+    lines = [
+        f"eps={r['eps']:g} lambda1={r['lambda1']:.5g} lambda2={r['lambda2']:.5g} "
+        f"mu2={r['mu2']:.5g} Lambda1={r['Lambda1']:.5g} "
+        f"friedlander_fails={fmt(r['friedlander_fails'])} "
+        f"payne_fails={fmt(r['payne_fails'])}"
+        for r in result.records
+    ]
+    return Outcome(tables, {"grids": grids}, lines)
 
 
-def _cmd_report(args) -> int:
-    run_dir = Path(args.run)
+@dataclass(frozen=True)
+class Command:
+    """One row of :data:`COMMANDS`."""
+
+    help: str
+    run: Callable[[dict], Outcome]
+    params: tuple[str, ...]  # in the order --help lists their flags
+
+
+_MESH = ("domain", "refine", "radius", "a", "b", "nx", "ny")
+COMMANDS = {
+    "spectrum": Command("compute one spectrum", _spectrum,
+                        ("threads", *_MESH, "problem", "order", "count")),
+    "identity-scan": Command("sweep a counting identity", _identity_scan,
+                             ("threads", *_MESH, "kind", "order", "lmin", "lmax", "points")),
+    "beta1-scan": Command("sweep the smallest trace eigenvalue", _beta1_scan,
+                          ("threads", *_MESH, "lmin", "lmax", "points")),
+    "counterexample": Command("quotient divergence sweep (or, below the buckling "
+                              "threshold, the bounded-regime check)", _counterexample,
+                              ("threads", *_MESH, "lam", "eps", "trials", "seed")),
+    "spherecap": Command("punctured-sphere scan", _spherecap,
+                         ("threads", "eps_list", "nodes", "modes", "grading")),
+}
+
+
+def _report(run_dir: Path) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         print(f"incomplete run (no manifest): {run_dir}", file=sys.stderr)
@@ -374,7 +315,8 @@ def _cmd_report(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process. Every experiment
-    command gets one flag per entry of its ``_COMMAND_PARAMS`` list."""
+    command gets one flag per entry of its parameter list in
+    :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="bucklab",
         description="Spectral laboratory: Laplace/buckling spectra, boundary "
@@ -382,48 +324,51 @@ def build_parser() -> argparse.ArgumentParser:
         "punctured-sphere experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text, func in (
-        ("spectrum", "compute one spectrum", _cmd_spectrum),
-        ("identity-scan", "sweep a counting identity", _cmd_identity_scan),
-        ("beta1-scan", "sweep the smallest trace eigenvalue", _cmd_beta1_scan),
-        ("counterexample", "quotient divergence sweep (or, below the buckling "
-         "threshold, the bounded-regime check)", _cmd_counterexample),
-        ("spherecap", "punctured-sphere scan", _cmd_spherecap),
-    ):
-        p = sub.add_parser(command, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key = value parameter file")
         p.add_argument("--run-root", default=None,
                        help="run directory root (default $BUCKLAB_RUNS or ./runs)")
-        for name in _COMMAND_PARAMS[command]:
-            row = PARAMS[name]
-            p.add_argument(_flag(name), dest=name, type=row.convert,
+        for key in command.params:
+            row = PARAMS[key]
+            p.add_argument(_flag(key), dest=key, type=row.convert,
                            choices=row.choices, help=row.help)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("--run", required=True)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: an experiment's outcome is written into a new
+    run directory, whose path is printed after its summary lines."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "run_root", None) is None and args.command != "report":
-        args.run_root = runio.default_run_root()
-    args.tallies_at_start = runio.tallies()
-    args.started_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    start = runio.tallies()
+    started_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:
-        return args.func(args)
+        if args.command == "report":
+            return _report(Path(args.run))
+        params = _merge_params(args.command, args)
+        outcome = COMMANDS[args.command].run(params)
+        manifest = RunManifest(command=args.command, params=params, hashes=outcome.hashes,
+                               tallies=runio.tallies(since=start), started_utc=started_utc)
+        root = runio.default_run_root() if args.run_root is None else args.run_root
+        run_dir = runio.new_run_dir(root, args.command)
+        runio.write_results(run_dir, manifest, outcome.tables)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (BucklabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in outcome.lines:
+        print(line)
+    print(f"run_dir={run_dir}")
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -240,10 +240,13 @@ def sparse_smallest_eigs(pencil, count: int, sigma: float) -> tuple[np.ndarray, 
     ``count - 1``, the inertia of ``pencil.at(mid)`` must count exactly
     the Ritz values below the midpoint, so no eigenvalue was missed, not
     even one copy of a multiple one. When ARPACK fails or the certificate
-    does, ARPACK runs once more on the same factor at its default
-    tolerance (machine epsilon), under the same certificate. A failed
-    retry, a shift factor with a negative pivot and a factor that fails
-    its checks each raise :class:`FactorCheckError`. A pencil of at most
+    does, ARPACK runs once more at its default tolerance (machine
+    epsilon), under the same certificate. At most one factor is alive at
+    a time: the shift factor is dropped before the certificate factors,
+    so a retry after a failed certificate factors the shift again, while
+    one after an ARPACK failure reuses it. A failed retry, a shift factor
+    with a negative pivot and a factor that fails its checks each raise
+    :class:`FactorCheckError`. A pencil of at most
     ``count + _LANCZOS_EXTRA`` rows, too small for ARPACK, goes to the
     dense :func:`sym_gen_eigs` and factors nothing here.
     """
@@ -253,19 +256,21 @@ def sparse_smallest_eigs(pencil, count: int, sigma: float) -> tuple[np.ndarray, 
     nev = count + _LANCZOS_EXTRA
     if nev >= n:  # ARPACK needs nev < n
         return sym_gen_eigs(*pencil.forms(), count)
-    with _counted():
-        fac = _checked_factor(pencil.at(sigma))
-        n_neg = int(np.sum(fac.pivots < 0))
-        if n_neg:
-            raise FactorCheckError(f"the Lanczos shift sigma={sigma:.12g} is not below the "
-                                   f"spectrum: its factor has {n_neg} negative pivots")
-    op_inv = spla.LinearOperator((n, n), matvec=fac.lu.solve, dtype=np.float64)
-    del fac  # ARPACK needs the solver alone, not the fetched copies of L and U
     a, b = pencil.forms()
     v0 = np.random.default_rng(0).standard_normal(n)
+    op_inv = None
     for retry, tol in enumerate(_LANCZOS_TOLS):
         if retry:
             tally("solver", lanczos_retry=1)
+        if op_inv is None:
+            with _counted():
+                fac = _checked_factor(pencil.at(sigma))
+                n_neg = int(np.sum(fac.pivots < 0))
+                if n_neg:
+                    raise FactorCheckError(f"the Lanczos shift sigma={sigma:.12g} is not below "
+                                           f"the spectrum: its factor has {n_neg} negative pivots")
+            op_inv = spla.LinearOperator((n, n), matvec=fac.lu.solve, dtype=np.float64)
+            del fac  # ARPACK needs the solver alone, not the fetched copies of L and U
         try:
             w, v = spla.eigsh(a, k=nev, M=b, sigma=sigma, OPinv=op_inv, v0=v0, tol=tol)
         except spla.ArpackError:
@@ -277,8 +282,10 @@ def sparse_smallest_eigs(pencil, count: int, sigma: float) -> tuple[np.ndarray, 
              if w[j + 1] - w[j] > _GAP_RTOL * max(abs(w[j]), abs(w[j + 1]))),
             None,
         )
-        if gap is not None and _pencil_inertia(
-                pencil.at(0.5 * (w[gap] + w[gap + 1]))).n_neg == gap + 1:
+        if gap is None:
+            continue
+        op_inv = None  # one factor at a time: the certificate builds its own
+        if _pencil_inertia(pencil.at(0.5 * (w[gap] + w[gap + 1]))).n_neg == gap + 1:
             return w[:count], v[:, :count]
     raise FactorCheckError(f"Lanczos found no {count} smallest eigenpairs of a {n}-row pencil "
                            f"that pass the inertia certificate at ARPACK tolerances "

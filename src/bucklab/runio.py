@@ -105,24 +105,40 @@ def fmt(value) -> str:
     return str(value)
 
 
+def csv_text(columns: list[str], rows) -> str:
+    """CSV text: a header of ``columns``, then one line per row of
+    ``rows`` (sequences as long as ``columns``), each cell through
+    :func:`fmt`."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class SweepResult:
     """Per-point records of a parameter sweep plus skip log and summary."""
 
-    parameter: str
     grid: list[float]
     records: list[dict] = field(default_factory=list)
     skips: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     def to_csv(self, columns: list[str]) -> str:
-        lines = [",".join(columns)]
-        for rec in self.records:
-            lines.append(",".join(fmt(rec[c]) for c in columns))
-        return "\n".join(lines) + "\n"
+        return csv_text(columns, ([rec[c] for c in columns] for rec in self.records))
+
+    def tables(self, name: str, columns: list[str]) -> dict[str, str]:
+        """Output files of the sweep: the records as CSV under ``name``
+        and, when any point was skipped, ``skips.csv``, its grid index
+        and reason (commas as semicolons)."""
+        tables = {name: self.to_csv(columns)}
+        if self.skips:
+            tables["skips.csv"] = csv_text(
+                ["index", "reason"],
+                ((s["index"], str(s["reason"]).replace(",", ";")) for s in self.skips))
+        return tables
 
 
-def run_sweep(parameter: str, grid, point_fn, threads: int, skip) -> SweepResult:
+def run_sweep(grid, point_fn, threads: int, skip) -> SweepResult:
     """Evaluate ``point_fn`` at every grid value, on ``threads`` worker
     threads when more than one.
 
@@ -130,7 +146,7 @@ def run_sweep(parameter: str, grid, point_fn, threads: int, skip) -> SweepResult
     ``skip`` (an exception type or tuple of types) is logged as a skip
     with its grid index and message, and the sweep goes on; any other
     exception propagates. Records and skips stay in grid order whatever
-    the thread count, and ``summary["n_skipped"]`` counts the skips.
+    the thread count.
     """
     grid = [float(x) for x in grid]
 
@@ -145,13 +161,12 @@ def run_sweep(parameter: str, grid, point_fn, threads: int, skip) -> SweepResult
             outcomes = list(pool.map(attempt, grid))
     else:
         outcomes = [attempt(value) for value in grid]
-    result = SweepResult(parameter=parameter, grid=grid)
+    result = SweepResult(grid=grid)
     for i, out in enumerate(outcomes):
         if isinstance(out, BaseException):
             result.skips.append({"index": i, "reason": str(out)})
         else:
             result.records.append(out)
-    result.summary["n_skipped"] = len(result.skips)
     return result
 
 

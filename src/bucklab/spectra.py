@@ -239,9 +239,3 @@ def disk_oracle(problem: str, count: int) -> Spectrum:
         m += 1
     return Spectrum(problem, np.array(vals[:count]), "oracle:unit-disk")
 
-
-def spectrum_to_csv_rows(s: Spectrum) -> list[str]:
-    """Rows of the `index,value,problem,mesh_hash` serialization."""
-    return [
-        f"{i},{v:.17g},{s.problem},{s.source}" for i, v in enumerate(s.values)
-    ]

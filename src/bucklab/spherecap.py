@@ -347,13 +347,17 @@ def cap_buckling_lambda1(
     return _buckling_lambda1(make_radial_grid(eps, n_nodes, grading), modes)
 
 
+def scan_grids(eps: float, n_nodes: int, grading: str) -> tuple[RadialGrid, RadialGrid]:
+    """The two grids of a scan point at ``eps``: ``n_nodes`` intervals
+    and the twice-finer one whose values the scan reports."""
+    return tuple(make_radial_grid(eps, n, grading) for n in (n_nodes, 2 * n_nodes))
+
+
 def _scan_point(eps: float, n_nodes: int, modes: int, grading: str) -> dict:
-    """The four cap quantities at ``n_nodes`` and ``2 * n_nodes``
-    intervals, one grid each; the finer values are reported, and
-    ``resolution_warning`` is set when any of them moved by more than
-    ``CAUCHY_TOL`` relative."""
-    def quantities(n: int) -> dict:
-        grid = make_radial_grid(eps, n, grading)
+    """The four cap quantities on both :func:`scan_grids`; the finer
+    values are reported, and ``resolution_warning`` is set when any of
+    them moved by more than ``CAUCHY_TOL`` relative."""
+    def quantities(grid: RadialGrid) -> dict:
         lam, mu = _merged_spectra(grid, ("dirichlet", "neumann"), modes, 2)
         return {
             "lambda1": float(lam.values[0]),
@@ -362,8 +366,7 @@ def _scan_point(eps: float, n_nodes: int, modes: int, grading: str) -> dict:
             "Lambda1": _buckling_lambda1(grid, modes),
         }
 
-    coarse = quantities(n_nodes)
-    fine = quantities(2 * n_nodes)
+    coarse, fine = (quantities(grid) for grid in scan_grids(eps, n_nodes, grading))
     warning = any(
         abs(fine[key] - coarse[key]) / max(abs(fine[key]), 1e-300) > CAUCHY_TOL
         for key in fine
@@ -388,12 +391,6 @@ def cap_scan(
     doubling. A point that fails with a domain error (:class:`BucklabError`)
     is recorded as a skip and the scan continues; any other exception,
     including ValueError for an invalid argument, propagates."""
-    result = run_sweep(
-        "eps", eps_list, lambda e: _scan_point(e, n_nodes, modes, grading),
-        threads, BucklabError,
+    return run_sweep(
+        eps_list, lambda e: _scan_point(e, n_nodes, modes, grading), threads, BucklabError,
     )
-    result.summary["n_friedlander_fails"] = sum(
-        1 for r in result.records if r["friedlander_fails"]
-    )
-    result.summary["n_payne_fails"] = sum(1 for r in result.records if r["payne_fails"])
-    return result

@@ -295,7 +295,7 @@ def scan_identities(
             "nudged": nudged,
         }
 
-    result = run_sweep("lambda", lam_grid, one, threads, _SKIPPED)
+    result = run_sweep(lam_grid, one, threads, _SKIPPED)
     records = result.records
     result.summary["all_hold"] = all(r["holds"] for r in records) if records else None
     return result
@@ -321,6 +321,6 @@ def scan_beta1(mesh: Mesh, lam_grid, threads: int = 1) -> SweepResult:
             "nudged": nudged,
         }
 
-    result = run_sweep("lambda", lam_grid, one, threads, _SKIPPED)
+    result = run_sweep(lam_grid, one, threads, _SKIPPED)
     result.summary["n_negative"] = sum(1 for r in result.records if r["beta1"] < 0)
     return result

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -136,6 +137,30 @@ def test_counterexample_bounded_regime(tmp_path, capsys):
     assert as_dict["passed"] == "true"
     assert float(as_dict["beta1"]) > 0
     assert_no_failed_check(run_dir)
+
+
+def test_failed_bounded_check_exits_1_after_writing_its_run(tmp_path, capsys, monkeypatch):
+    """A bounded-regime check that fails still writes its run directory
+    and prints its summary and run_dir= line; only the exit code is 1."""
+    check = counterexample.bounded_below_check
+
+    def failed(*args, **kwargs):
+        return dataclasses.replace(check(*args, **kwargs), violations=1, passed=False)
+
+    monkeypatch.setattr(counterexample, "bounded_below_check", failed)
+    code, out, _ = run_cli(
+        ["counterexample", "--domain", "disk", "--refine", "2", "--lambda", "2",
+         "--trials", "5"],
+        tmp_path, capsys,
+    )
+    assert code == 1
+    assert "violations=1" in out and "passed=false" in out
+    run_dir = latest_run(tmp_path, "counterexample")
+    assert out.splitlines()[-1] == f"run_dir={run_dir}"
+    rows = dict(r.split(",", 1) for r in
+                (run_dir / "bounded_below.csv").read_text().splitlines()[1:])
+    assert rows["passed"] == "false" and rows["violations"] == "1"
+    assert main(["report", "--run", str(run_dir)]) == 0
 
 
 def test_counterexample_solves_ground_state_once(tmp_path, capsys, monkeypatch,

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from bucklab.cli import _COMMAND_PARAMS, PARAMS, _merge_params, build_parser, main
+from bucklab.cli import COMMANDS, PARAMS, _merge_params, build_parser, main
 from bucklab.eigen import MAX_DENSE_DOFS
 from bucklab.errors import ConfigError
 
@@ -36,7 +36,7 @@ SAMPLES = {
     "modes": ("--modes", "3", "1"),
     "grading": ("--grading", "uniform", "linear"),
 }
-CASES = [(command, name) for command, names in _COMMAND_PARAMS.items() for name in names]
+CASES = [(command, name) for command, row in COMMANDS.items() for name in row.params]
 
 
 def merged(command, argv):
@@ -47,13 +47,13 @@ def test_samples_cover_every_parameter():
     assert set(SAMPLES) == set(PARAMS)
 
 
-@pytest.mark.parametrize("command", list(_COMMAND_PARAMS))
+@pytest.mark.parametrize("command", list(COMMANDS))
 def test_subcommand_takes_exactly_its_parameters(command, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([command, "--help"])
     usage = capsys.readouterr().out.split("\n\n")[0]
     flags = re.findall(r"\[(--[\w-]+)", usage)
-    expected = [SAMPLES[name][0] for name in _COMMAND_PARAMS[command]]
+    expected = [SAMPLES[name][0] for name in COMMANDS[command].params]
     assert flags == ["--config", "--run-root", *expected]
 
 

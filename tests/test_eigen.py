@@ -1,4 +1,5 @@
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -449,6 +450,56 @@ def test_sparse_smallest_eigs_paths(case, raised, monkeypatch):
         np.testing.assert_allclose(np.abs(v.T @ v_dense[pencil.rows]), np.eye(4), atol=1e-8)
     after = tallies()["solver"]
     assert tuple(after[k] - before[k] for k in keys) == _LANCZOS_PATHS[case]
+
+
+class _LiveFactor:
+    """A SuperLU factor that defines ``solve`` itself, so that a solver
+    bound to it keeps it alive, and that can be weakly referenced, which
+    a SuperLU object cannot."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, *args):
+        return self._lu.solve(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+@pytest.mark.parametrize("retried", [False, True])
+def test_lanczos_holds_one_factor_at_a_time(retried, monkeypatch):
+    """No factorization starts while another factor is alive: the shift
+    factor is dropped before the certificate factors, and a retry after
+    a failed certificate (``retried``: the first Lanczos run drops its
+    smallest Ritz pair) factors the shift again."""
+    n = 50
+    a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
+    pencil = eigen.boundary_last_pencil(a, sp.identity(n, format="csc"), np.arange(n), [])
+    live = weakref.WeakSet()
+    alive_at_start = []
+    splu = eigen.spla.splu
+
+    def tracked(*args, **kwargs):
+        alive_at_start.append(len(live))
+        factor = _LiveFactor(splu(*args, **kwargs))
+        live.add(factor)
+        return factor
+
+    monkeypatch.setattr(eigen.spla, "splu", tracked)
+    if retried:
+        real_eigsh = eigen.spla.eigsh
+
+        def drops_smallest(*args, tol=0.0, **kwargs):
+            w, v = real_eigsh(*args, tol=tol, **kwargs)
+            keep = np.argsort(w)[1 if tol > 0 else 0:]
+            return w[keep], v[:, keep]
+
+        monkeypatch.setattr(eigen.spla, "eigsh", drops_smallest)
+    w, _ = sparse_smallest_eigs(pencil, 4, -0.5)
+    np.testing.assert_allclose(w, sym_gen_eigs(a, sp.identity(n), 4)[0], rtol=1e-12, atol=0)
+    # shift and certificate, and both again after a failed certificate
+    assert alive_at_start == [0] * (4 if retried else 2)
 
 
 def test_pencil_count_raises_once_every_nudge_fails(refuse_every_factor, monkeypatch):

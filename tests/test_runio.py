@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bucklab import ConfigError, RunManifest, load_config, runio, write_results
+from bucklab import ConfigError, RunManifest, load_config, runio, spectrum, write_results
 from bucklab.runio import (
     SweepResult,
+    csv_text,
     fmt,
     is_complete_run,
     lru_get,
@@ -34,11 +35,28 @@ def test_fmt_round_trips_floats():
 
 
 def test_sweep_csv():
-    res = SweepResult("lambda", [1.0, 2.0])
+    res = SweepResult([1.0, 2.0])
     res.records.append({"lambda": 1.0, "holds": True})
     res.records.append({"lambda": 2.0, "holds": False})
     text = res.to_csv(["lambda", "holds"])
     assert text == "lambda,holds\n1,true\n2,false\n"
+    assert res.tables("x.csv", ["lambda", "holds"]) == {"x.csv": text}
+    res.skips.append({"index": 2, "reason": "no point, here"})
+    assert res.tables("x.csv", ["lambda", "holds"]) == {
+        "x.csv": text, "skips.csv": "index,reason\n2,no point; here\n"}
+
+
+def test_spectrum_csv_rows(disk2):
+    s = spectrum(disk2, "dirichlet", 2, order=1)
+    rows = csv_text(["index", "value", "problem", "mesh_hash"],
+                    [(i, v, s.problem, s.source) for i, v in enumerate(s.values)])
+    rows = rows.splitlines()[1:]
+    assert len(rows) == 2
+    idx, value, problem, source = rows[0].split(",")
+    assert idx == "0"
+    assert problem == "dirichlet"
+    assert source == disk2.content_hash()
+    assert float(value) == s.values[0]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -49,16 +67,15 @@ def test_run_sweep_keeps_grid_order(threads):
             raise ValueError(f"no point at {x}")
         return {"x": x}
 
-    res = run_sweep("x", [1, 2, 3, 4, 5], point, threads, ValueError)
+    res = run_sweep([1, 2, 3, 4, 5], point, threads, ValueError)
     assert res.grid == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert [r["x"] for r in res.records] == [1.0, 3.0, 5.0]
     assert res.skips == [
         {"index": 1, "reason": "no point at 2.0"},
         {"index": 3, "reason": "no point at 4.0"},
     ]
-    assert res.summary == {"n_skipped": 2}
     with pytest.raises(ZeroDivisionError):
-        run_sweep("x", [1, 0, 2], lambda x: {"y": 1 / x}, threads, ValueError)
+        run_sweep([1, 0, 2], lambda x: {"y": 1 / x}, threads, ValueError)
 
 
 def test_run_dirs_never_collide(tmp_path):
@@ -168,27 +185,49 @@ def test_load_config(tmp_path):
         load_config(dup)
 
 
-class _Memo(dict):
-    """A memo dict that counts the changes made to it while the lock
-    behind every memo and tally is not held."""
+class _LockedOnly(dict):
+    """A dict that fails every change made to it while the lock behind
+    every memo and tally is not held."""
 
-    unlocked = 0
-
-    def _changed(self):
-        if not runio._LOCK.locked():
-            self.unlocked += 1
+    def _changed(self, key):
+        assert runio._LOCK.locked(), f"{key!r} changed without runio._LOCK"
 
     def __setitem__(self, key, value):
-        self._changed()
+        self._changed(key)
         super().__setitem__(key, value)
 
     def __delitem__(self, key):
-        self._changed()
+        self._changed(key)
         super().__delitem__(key)
 
-    def pop(self, *args):
-        self._changed()
-        return super().pop(*args)
+    def pop(self, key, *default):
+        self._changed(key)
+        return super().pop(key, *default)
+
+
+def _locked_only(table: dict) -> _LockedOnly:
+    return _LockedOnly({k: _locked_only(v) if isinstance(v, dict) else v
+                        for k, v in table.items()})
+
+
+def test_tally_and_memo_writes_hold_the_lock(monkeypatch):
+    """In one thread, so deterministically: every write to a tally and
+    every change of a memo by ``lru_get``, ``lru_put`` and ``tally``
+    happens while ``runio._LOCK`` is held, through a hit, a miss, an
+    unusable hit, an eviction and a raise."""
+    monkeypatch.setattr(runio, "_TALLIES", _locked_only(runio._TALLIES))
+    start = tallies()
+    memo = _LockedOnly()
+    assert lru_get(memo, "a", "pairs") is None
+    assert lru_put(memo, "a", 1, 1) == 1
+    assert lru_get(memo, "a", "pairs") == 1
+    assert lru_get(memo, "a", "pairs", usable=lambda value: False) is None
+    lru_put(memo, "b", 2, 1)
+    assert memo == {"b": 2}
+    tally("solver", sparse_ldlt=1)
+    counts = tallies(since=start)
+    assert counts["caches"]["pairs"] == {"hits": 1, "misses": 2}
+    assert counts["solver"]["sparse_ldlt"] == 1
 
 
 def test_memos_and_tallies_shared_by_threads():
@@ -197,7 +236,7 @@ def test_memos_and_tallies_shared_by_threads():
     lookup counts once, as a hit or a miss, every raise is counted, each
     hit returns its key's value, each memo stays within its size and is
     changed only under the one lock."""
-    memos = {"pairs": (_Memo(), 3), "orders": (_Memo(), 5)}
+    memos = {"pairs": (_LockedOnly(), 3), "orders": (_LockedOnly(), 5)}
     lookups = 4000
 
     def look_up(i: int) -> bool:
@@ -224,7 +263,6 @@ def test_memos_and_tallies_shared_by_threads():
         assert counts["caches"][name]["hits"] + counts["caches"][name]["misses"] == lookups // 2
         assert counts["caches"][name]["misses"] >= 7
         assert len(memo) <= size
-        assert memo.unlocked == 0
     assert counts["clamped_modes"] == {"solved": lookups, "ruled_out": 2 * lookups}
 
 

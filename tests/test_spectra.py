@@ -28,7 +28,6 @@ from bucklab.spectra import (
     pencil_eigenvalues,
     pencil_pair,
     smallest_eigenpairs,
-    spectrum_to_csv_rows,
 )
 
 from oracles import dense_pencil_eigenvalues, sliced_forms
@@ -143,17 +142,6 @@ def test_convergence_rates():
     assert rate_b >= 1.5
 
 
-def test_spectrum_csv_rows(disk2):
-    s = spectrum(disk2, "dirichlet", 2, order=1)
-    rows = spectrum_to_csv_rows(s)
-    assert len(rows) == 2
-    idx, value, problem, source = rows[0].split(",")
-    assert idx == "0"
-    assert problem == "dirichlet"
-    assert source == disk2.content_hash()
-    assert float(value) == s.values[0]
-
-
 def test_spectrum_validates_ordering():
     with pytest.raises(ValueError):
         Spectrum("dirichlet", np.array([2.0, 1.0]), "x")
@@ -246,9 +234,11 @@ def test_lanczos_retry_certifies_at_tolerance_zero(disk2, problem, count, forced
                                                    monkeypatch):
     """A Lanczos result that fails its certificate at ARPACK tolerance
     1e-10 (``forced``: every such run drops its smallest Ritz pair) is
-    solved again at tolerance 0 on the same factor, which certifies it:
-    the values of a plain tolerance-0 solve, one retry, no failed
-    check."""
+    solved again at tolerance 0, which certifies it: the values of a
+    plain tolerance-0 solve, one retry, no failed check. The shift
+    factor was dropped before the failed certificate factored, so the
+    forced retry factors the shift again: four trusted factors, two
+    shifts and two certificates."""
     pair = pencil_pair(disk2, problem, 2)
     with monkeypatch.context() as m:
         m.setattr(eigen, "_LANCZOS_TOLS", (0.0,))
@@ -267,6 +257,8 @@ def test_lanczos_retry_certifies_at_tolerance_zero(disk2, problem, count, forced
     after = tallies()["solver"]
     assert after["lanczos_retry"] == before["lanczos_retry"] + 1
     assert after["check_failed"] == before["check_failed"]
+    if forced:
+        assert after["sparse_ldlt"] == before["sparse_ldlt"] + 4
     assert np.array_equal(w, plain)
 
 
