@@ -16,13 +16,13 @@ adds that term (kappa = 1/radius on disk meshes, 0 on straight-edged
 domains), which keeps pencils on such spaces consistent with the smooth
 domain the mesh approximates. On the clamped space the term vanishes.
 
-Storage is sparse: the gradient, mass (Lagrange) and bending (Morley)
-forms are immutable CSC matrices summed from the stacked element
-matrices as COO triplets, so assembly never allocates an n x n array.
-The boundary trace mass is a dense matrix over the boundary-value DOFs
-only, and the boundary normal-derivative mass a diagonal vector. Dense
-copies, where an eigensolver still needs them, are made in
-:mod:`bucklab.eigen`.
+Every form is summed from its element matrices by :func:`scatter` (or
+:func:`scatter_dense`, by the same rule). The
+gradient, mass (Lagrange) and bending (Morley) forms are immutable CSC
+matrices, so assembly never allocates an n x n array; the boundary trace
+mass is dense over the boundary-value DOFs only, and the boundary
+normal-derivative mass a diagonal vector. Dense copies, where an
+eigensolver still needs them, are made in :mod:`bucklab.eigen`.
 """
 from __future__ import annotations
 
@@ -114,20 +114,28 @@ def _check_not_degenerate(mesh: Mesh) -> np.ndarray:
     return areas
 
 
-def _assemble(n: int, dofs: np.ndarray, local: np.ndarray) -> sp.csc_array:
-    """Immutable n x n CSC sum of the element matrices ``local[e]`` placed
-    at rows and columns ``dofs[e]``.
+def scatter(n: int, dofs: np.ndarray, *local: np.ndarray) -> tuple[sp.csc_array, ...]:
+    """The n x n sums of the element matrices ``local[e]`` at rows and
+    columns ``dofs[e]``, one per stack in ``local``, as immutable CSC
+    arrays sharing one pattern, whose keys are sorted once. An entry adds
+    its contributions one by one in element order (``np.bincount``): the
+    bits of a dense element-by-element scatter."""
+    rows, cols = dofs[:, :, None], dofs[:, None, :]
+    keys, slot = np.unique((cols * n + rows).ravel(), return_inverse=True)  # column-major
+    indices, indptr = keys % n, np.searchsorted(keys, np.arange(n + 1) * n)
+    forms = []
+    for m in local:
+        data = np.bincount(slot, weights=m.ravel(), minlength=len(keys))
+        forms.append(_frozen(sp.csc_array((data, indices, indptr), shape=(n, n))))
+        indices, indptr = forms[0].indices, forms[0].indptr
+    return tuple(forms)
 
-    The COO triplets are summed per matrix entry by ``bincount``, which
-    adds them one by one in element order: every entry gets the bits a
-    dense element-by-element scatter would give it.
-    """
-    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-    keys, slot = np.unique(cols * n + rows, return_inverse=True)  # column-major
-    data = np.bincount(slot, weights=local.ravel(), minlength=len(keys))
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return _frozen(sp.csc_array((data, keys % n, indptr), shape=(n, n)))
+
+def scatter_dense(n: int, dofs: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """:func:`scatter`'s sum as a C-order array: the same bincount in
+    element order, over the row-major flat index."""
+    flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+    return np.bincount(flat, weights=local.ravel(), minlength=n * n).reshape(n, n)
 
 
 def _frozen(m: sp.csc_array) -> sp.csc_array:
@@ -151,8 +159,7 @@ def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
     else:
         ke, me = _kernels.lagrange2_local(coords)
         dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
-    k = _assemble(n, dofs, ke)
-    m = _assemble(n, dofs, me)
+    k, m = scatter(n, dofs, ke, me)
 
     bvert_mask = np.zeros(nv, dtype=bool)
     bvert_mask[mesh.boundary_vertices] = True
@@ -171,19 +178,14 @@ def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
         is_boundary = np.concatenate([bvert_mask, bedge_mask])
     dofmap = DofMap(f"lagrange-{order}", n, dof_kind, is_boundary)
 
-    # boundary trace mass on the boundary-value DOFs
+    # boundary trace mass on the boundary-value DOFs, from the edge mass
+    # matrices of the boundary edges (btd is sorted)
     btd = dofmap.boundary_value_dofs()
-    pos = {int(d): i for i, d in enumerate(btd)}
-    bt = np.zeros((len(btd), len(btd)))
-    lengths = mesh.edge_lengths()
-    for e in mesh.boundary_edges:
-        va, vb = mesh.edges[e]
-        if order == 1:
-            loc = [pos[int(va)], pos[int(vb)]]
-            bt[np.ix_(loc, loc)] += lengths[e] * _EDGE_MASS_P1
-        else:
-            loc = [pos[int(va)], pos[int(vb)], pos[int(nv + e)]]
-            bt[np.ix_(loc, loc)] += lengths[e] * _EDGE_MASS_P2
+    be = mesh.boundary_edges
+    ends = mesh.edges[be] if order == 1 else np.column_stack([mesh.edges[be], nv + be])
+    edge_mass = _EDGE_MASS_P1 if order == 1 else _EDGE_MASS_P2
+    bt = scatter_dense(len(btd), np.searchsorted(btd, ends),
+                       mesh.edge_lengths()[be][:, None, None] * edge_mass)
 
     for arr in (bt, btd):
         arr.setflags(write=False)
@@ -212,8 +214,7 @@ def assemble_morley(mesh: Mesh) -> OperatorPair:
     ae, ke = _kernels.morley_local(coords, normals)
 
     dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
-    a = _assemble(n, dofs, ae)
-    k = _assemble(n, dofs, ke)
+    a, k = scatter(n, dofs, ae, ke)
 
     bvert_mask = np.zeros(nv, dtype=bool)
     bvert_mask[mesh.boundary_vertices] = True

@@ -530,39 +530,40 @@ def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
     ``interior`` and ``boundary`` (checked in O(n); ValueError otherwise)
     as a :class:`BoundaryLastPencil` on the nonzeros of |A| + |B|: the
     interior DOFs first, in the :func:`fill_order` of that pattern on
-    them, then the boundary DOFs as given. The values are placed, never
-    summed with each other, so they keep their bits; the arrays are
-    read-only."""
+    them, then the boundary DOFs as given: both forms are restricted
+    once, in the given order, then permuted once. The values are placed
+    and moved, never summed with each other, so they keep their bits;
+    the arrays are read-only."""
     interior = np.asarray(interior, dtype=np.int64)
     boundary = np.asarray(boundary, dtype=np.int64)
-    rows = np.concatenate([interior, boundary])
-    if not (np.all((rows >= 0) & (rows < np.shape(a)[0])) and np.all(np.bincount(rows) <= 1)):
+    given = np.concatenate([interior, boundary])
+    if not (np.all((given >= 0) & (given < np.shape(a)[0])) and np.all(np.bincount(given) <= 1)):
         raise ValueError("index sets must partition the pencil's DOFs: distinct rows of the forms")
-    n, ni = len(rows), len(interior)
-
-    def restricted(dofs):  # A and B on ``dofs``, and the pattern of A + A^T + B + B^T
-        forms = [sp.csc_array(m, dtype=np.float64)[np.ix_(dofs, dofs)] for m in (a, b)]
-        for m in forms:
-            m.sum_duplicates()
-            m.eliminate_zeros()
-        # an entry's value codes whether A (bit 1) and B (bit 2) store it
-        a_at, b_at = (sp.csc_array((np.full(m.nnz, bit), m.indices, m.indptr), shape=m.shape)
-                      for bit, m in zip((1.0, 2.0), forms))
-        code = a_at + b_at
-        return forms, sp.csc_array(code + 4.0 * code.T)
-
-    rows = np.concatenate([interior[fill_order(restricted(interior)[1])], boundary])
-    forms, pattern = restricted(rows)
+    n, ni = len(given), len(interior)
+    forms = [sp.csc_array(m, dtype=np.float64)[np.ix_(given, given)] for m in (a, b)]
+    for m in forms:
+        m.sum_duplicates()
+        m.eliminate_zeros()
+    # an entry's value codes whether A (bit 1) and B (bit 2) store it
+    a_at, b_at = (sp.csc_array((np.full(m.nnz, bit), m.indices, m.indptr), shape=m.shape)
+                  for bit, m in zip((1.0, 2.0), forms))
+    code = a_at + b_at
+    pattern = sp.csc_array(code + 4.0 * code.T)  # that of A + A^T + B + B^T
     code = pattern.data.astype(np.int64)
     data = [np.zeros(pattern.nnz), np.zeros(pattern.nnz)]
     for bit, m, values in zip((1, 2), forms, data):  # canonical, so in the pattern's order
         values[(code & bit) > 0] = m.data
-    numbered = sp.csc_array((np.arange(1.0, pattern.nnz + 1), pattern.indices, pattern.indptr),
+    # its interior block is the pattern of A and B on the interior DOFs
+    perm = np.concatenate([fill_order(pattern[:ni, :ni]), np.arange(ni, n)])
+    moved = sp.csc_array((np.arange(pattern.nnz), pattern.indices, pattern.indptr),
+                         shape=(n, n))[np.ix_(perm, perm)]
+    moved.sort_indices()  # its data: the position in ``pattern`` of each entry
+    numbered = sp.csc_array((np.arange(1.0, moved.nnz + 1), moved.indices, moved.indptr),
                             shape=(n, n))
     # the pattern is symmetric, so its transpose numbers each entry's transpose
     transpose = sp.csc_array(numbered.T).data.astype(np.int32) - 1
-    fields = [pattern.indptr.astype(np.int32), pattern.indices.astype(np.int32),
-              transpose, rows, *data]
+    fields = [moved.indptr.astype(np.int32), moved.indices.astype(np.int32),
+              transpose, given[perm], *(values[moved.data] for values in data)]
     for arr in fields:
         arr.setflags(write=False)
     return BoundaryLastPencil(*fields[:3], ni, *fields[3:])

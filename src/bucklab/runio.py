@@ -260,15 +260,6 @@ def write_results(run_dir: Path | str, manifest: RunManifest, tables: dict[str, 
     return paths
 
 
-def is_complete_run(run_dir: Path | str) -> bool:
-    run_dir = Path(run_dir)
-    manifest = run_dir / "manifest.json"
-    if not manifest.exists():
-        return False
-    meta = json.loads(manifest.read_text())
-    return all((run_dir / name).exists() for name in meta.get("outputs", []))
-
-
 def plot_data_content(series: dict[str, np.ndarray], xlog: bool = False, ylog: bool = False) -> str:
     """Whitespace-delimited columns with a '#' header naming columns and
     log-axis hints; consumable by gnuplot-style tools."""

@@ -12,8 +12,8 @@ Second-order problems use quadratic Lagrange elements, the fourth-order
 problem C1 cubic Hermite elements. One stacked path assembles both, for
 all elements at once: one mapped Gauss rule and each family's basis table
 at every quadrature point, built once per grid and family for all modes,
-then per mode one sum over the quadrature axis per local form and an
-``np.add.at`` scatter into dense matrices (small, and dense for the
+then per mode one sum over the quadrature axis per local form and
+``assembly.scatter_dense`` into dense matrices (small, and dense for the
 eigensolver). Boundary conditions act at theta=eps only. At the pole
 the DOFs follow the regularity of smooth functions on the sphere:
 values vanish unless m=0 and colatitude derivatives vanish unless m=1.
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .assembly import scatter_dense
 from .eigen import sym_gen_eigs
 from .errors import BucklabError, SpectrumRangeError
 from .mesh import RadialGrid, make_radial_grid
@@ -127,12 +128,13 @@ class CapOperators:
 
 
 def _restrict(a: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """A copy of ``a`` on the rows and columns ``free``. Every set of
-    free DOFs but the clamped one of mode 1 is a contiguous range, which
-    a slice copies about 20 times faster than an index array does."""
+    """``a`` on the rows and columns ``free``: a view when they are a
+    contiguous range, as every set of free DOFs but the clamped one of
+    mode 1 is (LAPACK copies its input into column order anyway), else a
+    copy."""
     lo, hi = free[0], free[-1] + 1
     if hi - lo == len(free):
-        return a[lo:hi, lo:hi].copy()
+        return a[lo:hi, lo:hi]
     return a[np.ix_(free, free)]
 
 
@@ -186,7 +188,7 @@ class _BasisTables:
     mode's forms are assembled from these by :func:`_mode_operators`."""
 
     order: str
-    dofs: np.ndarray  # global DOF of each local DOF of each element
+    dofs: np.ndarray  # global DOF of each (element, local DOF)
     ndof: int
     wq: np.ndarray
     s: np.ndarray  # sin at the Gauss points
@@ -202,12 +204,9 @@ def _outer(u: np.ndarray) -> np.ndarray:
     return u[:, None] * u[None]
 
 
-def _assemble(dofs: np.ndarray, ndof: int, integrand: np.ndarray) -> np.ndarray:
-    # each entry sums at most two elements (a DOF belongs to at most
-    # two), so the order np.add.at adds them in cannot change a bit
-    out = np.zeros((ndof, ndof))
-    np.add.at(out, (dofs[:, None], dofs[None]), np.sum(integrand, axis=-1))
-    return out
+def _form(dofs: np.ndarray, ndof: int, integrand: np.ndarray) -> np.ndarray:
+    # the element matrices: integrand summed over its Gauss point axis
+    return scatter_dense(ndof, dofs, np.moveaxis(np.sum(integrand, axis=-1), -1, 0))
 
 
 def _basis_tables(grid: RadialGrid, order: str) -> _BasisTables:
@@ -224,23 +223,23 @@ def _basis_tables(grid: RadialGrid, order: str) -> _BasisTables:
         lap0 = d2 + (np.cos(xq) / s) * d1
     n_loc, n_el = val.shape[:2]
     # element e owns DOFs 2e .. 2e+n_loc-1 (numbering: see CapOperators)
-    dofs = 2 * np.arange(n_el) + np.arange(n_loc)[:, None]
+    dofs = 2 * np.arange(n_el)[:, None] + np.arange(n_loc)
     ndof = 2 * n_el + n_loc - 2
     wk = wq * s
     vv = _outer(val)
     return _BasisTables(order, dofs, ndof, wq, s, wk, val, _outer(d1) * wk, vv,
-                        _assemble(dofs, ndof, vv * wk), lap0)
+                        _form(dofs, ndof, vv * wk), lap0)
 
 
 def _mode_operators(t: _BasisTables, m: int) -> CapOperators:
     """Mode ``m``'s forms from the grid's tables; the mass form is the
     tables' own array, shared by every mode built from them."""
     wm = t.wq * (m * m) / t.s
-    k = _assemble(t.dofs, t.ndof, t.dd_wk + t.vv * wm)
+    k = _form(t.dofs, t.ndof, t.dd_wk + t.vv * wm)
     aa = None
     if t.lap0 is not None:
         lap = t.lap0 - (m * m / t.s**2) * t.val
-        aa = _assemble(t.dofs, t.ndof, _outer(lap) * t.wk)
+        aa = _form(t.dofs, t.ndof, _outer(lap) * t.wk)
     return CapOperators(m, t.order, k, t.m_m, aa)
 
 
@@ -305,12 +304,9 @@ def _clamped_above(ops: CapOperators, lam: float) -> bool:
     rounding (Demmel, LAPACK Working Note 14, 1989), so the graded,
     unscaled forms serve as they are."""
     free = ops.free_dofs("clamped")
-    # A - lam K built and factored in place (q.T is the same symmetric
-    # matrix in the column order LAPACK factors without a copy): each
-    # temporary here adds to the peak memory of a scan
-    q = _restrict(ops.k_m, free)
-    q *= -lam
-    q += _restrict(ops.a_m, free)
+    # A - lam K factored in place (q.T is the same symmetric matrix in the
+    # column order LAPACK factors without a copy)
+    q = _restrict(ops.a_m, free) - lam * _restrict(ops.k_m, free)
     try:
         sla.cholesky(q.T, overwrite_a=True)
     except sla.LinAlgError:

@@ -14,6 +14,8 @@ from bucklab import (
     make_rectangle_mesh,
     sym_gen_eigs,
 )
+from bucklab import _kernels as kernels
+from bucklab import assembly
 from bucklab.spectra import get_pair, pencil_eigenvalues
 
 
@@ -206,6 +208,61 @@ def test_assembly_bit_deterministic(disk2):
         m1, m2 = getattr(a1, name), getattr(a2, name)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(m1, part), getattr(m2, part))
+
+
+def _per_edge_trace_mass(mesh, order, btd):
+    """The boundary trace mass as a loop over the boundary edges summed
+    it, one dense block update per edge: the oracle."""
+    pos = {int(d): i for i, d in enumerate(btd)}
+    out = np.zeros((len(btd), len(btd)))
+    lengths = mesh.edge_lengths()
+    for e in mesh.boundary_edges:
+        va, vb = mesh.edges[e]
+        if order == 1:
+            loc = [pos[int(va)], pos[int(vb)]]
+            out[np.ix_(loc, loc)] += lengths[e] * assembly._EDGE_MASS_P1
+        else:
+            loc = [pos[int(va)], pos[int(vb)], pos[int(mesh.n_vertices + e)]]
+            out[np.ix_(loc, loc)] += lengths[e] * assembly._EDGE_MASS_P2
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mesh_name", ["disk2", "rect4"])
+def test_trace_mass_equals_the_per_edge_loop(mesh_name, order, request):
+    """The boundary trace mass has the bits of the per-edge loop, on the
+    boundary-value DOFs."""
+    mesh = request.getfixturevalue(mesh_name)
+    pair = assemble_lagrange(mesh, order)
+    assert np.array_equal(pair.b_trace_dofs, pair.dofmap.boundary_value_dofs())
+    assert np.array_equal(pair.b_trace, _per_edge_trace_mass(mesh, order, pair.b_trace_dofs))
+    assert pair.b_trace.flags.c_contiguous and not pair.b_trace.flags.writeable
+
+
+@pytest.mark.parametrize("family", ["lagrange-1", "lagrange-2", "morley"])
+def test_pair_forms_share_one_pattern(disk2, family):
+    """Both forms of a pair are summed on one DOF layout, so they hold
+    one ``indptr`` and one ``indices`` array between them."""
+    if family == "morley":
+        pair = assemble_morley(disk2)
+        first, second = pair.a_bend, pair.k_grad
+    else:
+        pair = assemble_lagrange(disk2, int(family[-1]))
+        first, second = pair.k_grad, pair.mass
+    for part in ("indptr", "indices"):
+        assert np.shares_memory(getattr(first, part), getattr(second, part))
+    assert first.has_canonical_format and second.has_canonical_format
+
+
+def test_dense_and_sparse_scatter_agree(disk2):
+    """The dense and the sparse sums of one layout hold the same bits."""
+    coords = np.ascontiguousarray(disk2.vertices[disk2.triangles])
+    ke, me = kernels.lagrange1_local(coords)
+    n = disk2.n_vertices
+    for local, m in zip((ke, me), assembly.scatter(n, disk2.triangles, ke, me)):
+        d = assembly.scatter_dense(n, disk2.triangles, local)
+        assert d.flags.c_contiguous
+        assert np.array_equal(d, m.toarray())
 
 
 def test_fourth_order_matrix_adds_curvature_only_on_boundary_normals(disk2, rect4):

@@ -17,6 +17,7 @@ from bucklab import (
     divergence_sweep,
     inertia,
     make_disk_mesh,
+    make_rectangle_mesh,
     schur_complement,
     spectra,
     sym_gen_eigs,
@@ -734,6 +735,41 @@ def test_vectors_and_lifts_over_the_pencil_rows_match_dense(disk2, problem, rng)
     lifted = lift_to_interior(form + sp.eye_array(form.shape[0]), interior, boundary, psi)
     expected = dense_lift(form + sp.eye_array(form.shape[0]), interior, boundary, psi)
     np.testing.assert_allclose(lifted, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+
+
+def _pencil_inputs(mesh):
+    """(A, B, interior, boundary) of every pencil built on ``mesh``: the
+    four problem pencils and the two trace pencils."""
+    for problem in spectra.PENCILS:
+        pair = spectra.pencil_pair(mesh, problem, 2)
+        yield (*spectra.pencil_forms(pair, problem), spectra.free_dofs(pair, problem),
+               np.array([], dtype=np.int64))
+    for _, outer, inner in traceops._IDENTITIES.values():
+        pair = spectra.pencil_pair(mesh, outer, 2)
+        interior = spectra.free_dofs(pair, inner)
+        boundary = np.setdiff1d(spectra.free_dofs(pair, outer), interior)
+        yield (*spectra.pencil_forms(pair, outer), interior, boundary)
+
+
+@pytest.mark.parametrize("mesh", [make_disk_mesh(1.0, 2), make_rectangle_mesh(1.0, 1.0, 8, 8)],
+                         ids=["disk2", "rect8"])
+def test_pencil_rows_and_values(mesh):
+    """A pencil stores its interior DOFs in the fill order of their
+    pattern, then its boundary DOFs as given; its A and B values are the
+    assembled forms at its rows and columns, entry for entry, and its
+    transpose map sends every entry to its mirror image."""
+    for a, b, interior, boundary in _pencil_inputs(mesh):
+        pencil = eigen.boundary_last_pencil(a, b, interior, boundary)
+        a_ii, b_ii = (m[np.ix_(interior, interior)] for m in (a, b))
+        order = eigen.fill_order(sp.csc_array(abs(a_ii) + abs(b_ii)))
+        assert pencil.n_interior == len(interior)
+        assert np.array_equal(pencil.rows, np.concatenate([interior[order], boundary]))
+        rows = pencil.rows
+        for form, stored in zip((a, b), pencil.forms()):
+            assert np.array_equal(stored.toarray(), form[np.ix_(rows, rows)].toarray())
+        cols = np.repeat(np.arange(len(rows)), np.diff(pencil.indptr))
+        assert np.array_equal(pencil.indices[pencil.transpose], cols)
+        assert np.array_equal(cols[pencil.transpose], pencil.indices)
 
 
 def _full_lu_order(pattern) -> np.ndarray:

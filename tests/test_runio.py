@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from bucklab import ConfigError, RunManifest, load_config, runio, spectrum, write_results
+from bucklab.cli import main
 from bucklab.runio import (
     SweepResult,
     csv_text,
     fmt,
-    is_complete_run,
     lru_get,
     lru_put,
     new_run_dir,
@@ -130,13 +130,15 @@ def test_write_results_manifest_last_and_complete(tmp_path):
     meta = json.loads((run_dir / "manifest.json").read_text())
     assert meta["outputs"] == ["out.csv"]
     assert all((run_dir / name).exists() for name in meta["outputs"])
-    assert is_complete_run(run_dir)
+    assert main(["report", "--run", str(run_dir)]) == 0
+    (run_dir / "out.csv").unlink()  # a listed output missing
+    assert main(["report", "--run", str(run_dir)]) == 1
 
 
 def test_killed_run_detectable(tmp_path):
     run_dir = new_run_dir(tmp_path, "demo")
     (run_dir / "out.csv").write_text("a\n1\n")  # results but no manifest
-    assert not is_complete_run(run_dir)
+    assert main(["report", "--run", str(run_dir)]) == 1
 
 
 def test_plot_data_content():

@@ -82,6 +82,53 @@ def test_stacked_assembly_matches_element_loop(order):
         assert ops.a_m.tobytes() == ref["a"].tobytes()
 
 
+def _add_at_form(t, integrand):
+    """A cap form as the dense ``np.add.at`` scatter summed it, in the
+    (local DOF, local DOF, element) order of the tables: the oracle."""
+    dofs = t.dofs.T
+    out = np.zeros((t.ndof, t.ndof))
+    np.add.at(out, (dofs[:, None], dofs[None]), np.sum(integrand, axis=-1))
+    return out
+
+
+@pytest.mark.parametrize("grading", ["geometric", "uniform"])
+@pytest.mark.parametrize("nodes", [16, 64])
+@pytest.mark.parametrize("order", ["second", "fourth"])
+def test_cap_forms_equal_the_add_at_scatter(order, nodes, grading):
+    """Every cap form of modes 0-4 has the bits of a dense ``np.add.at``
+    scatter of the same element integrands."""
+    t = spherecap._basis_tables(make_radial_grid(0.2, nodes, grading), order)
+    assert np.array_equal(t.m_m, _add_at_form(t, t.vv * t.wk))
+    for m in range(5):
+        ops = spherecap._mode_operators(t, m)
+        wm = t.wq * (m * m) / t.s
+        assert np.array_equal(ops.k_m, _add_at_form(t, t.dd_wk + t.vv * wm))
+        if order == "fourth":
+            lap = t.lap0 - (m * m / t.s**2) * t.val
+            assert np.array_equal(ops.a_m, _add_at_form(t, spherecap._outer(lap) * t.wk))
+        else:
+            assert ops.a_m is None
+
+
+def test_restrict_views_contiguous_free_sets():
+    """Every free set a cap solve uses restricts a form to a view of it,
+    but the clamped set of mode 1 (pole slope free, pole value fixed),
+    which is copied; the Cholesky test of a mode leaves the forms as
+    they were."""
+    grid = make_radial_grid(0.2, 16, "geometric")
+    for m in range(3):
+        for order, bcs in (("second", ("dirichlet", "neumann")), ("fourth", ("clamped",))):
+            ops = cap_operators(grid, m, order)
+            for bc in bcs:
+                free = ops.free_dofs(bc)
+                block = spherecap._restrict(ops.k_m, free)
+                assert np.array_equal(block, ops.k_m[np.ix_(free, free)])
+                assert np.shares_memory(block, ops.k_m) == (order == "second" or m != 1)
+        saved = ops.a_m.copy(), ops.k_m.copy()
+        spherecap._clamped_above(ops, 1.0)
+        assert np.array_equal(ops.a_m, saved[0]) and np.array_equal(ops.k_m, saved[1])
+
+
 def test_matrices_symmetric():
     grid = make_radial_grid(0.2, 24, "geometric")
     for m in (0, 1, 3):

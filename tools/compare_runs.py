@@ -46,8 +46,14 @@ COMMANDS = [
     ["spectrum", "--domain", "rectangle", "--nx", "16", "--ny", "16", "--problem", "neumann",
      "--count", "6"],
     ["spectrum", "--domain", "disk", "--refine", "3", "--problem", "navier", "--count", "6"],
+    # a new radius: fresh assembly and fresh pencils
+    ["spectrum", "--domain", "disk", "--refine", "3", "--radius", "1.3",
+     "--problem", "dirichlet", "--count", "6"],
+    ["spectrum", "--domain", "disk", "--refine", "3", "--radius", "1.3",
+     "--problem", "buckling", "--count", "6"],
     ["spherecap", "--eps-list", "0.1"],
     ["spherecap", "--eps-list", "0.4,0.2,0.1,0.05"],
+    ["spherecap", "--eps-list", "0.3", "--grading", "uniform"],
     # exit 1: lambda within the margin below Lambda1 of disk level 2
     ["counterexample", "--domain", "disk", "--refine", "2", "--lambda", "14.685"],
     # exit 2: an out-of-range flag
