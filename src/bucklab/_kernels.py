@@ -40,18 +40,9 @@ def _signed_areas_and_grads(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return 0.5 * det, g
 
 
-def lagrange1_local(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and mass matrices of linear triangles; coords (m,3,2)."""
-    area, g = _signed_areas_and_grads(coords)
-    k = area[:, None, None] * np.einsum("mik,mjk->mij", g, g)
-    m_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m = area[:, None, None] * m_ref[None, :, :]
-    return k, m
-
-
 def lagrange2_local(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and mass of quadratic triangles (vertices then midpoints,
-    midpoint i opposite vertex i)."""
+    """Stiffness and mass of quadratic triangles; coords (m,3,2), DOFs
+    vertices then midpoints, midpoint i opposite vertex i."""
     area, g = _signed_areas_and_grads(coords)
     gn = np.einsum("qia,mak->mqik", _DNQ, g)
     k = np.einsum("q,m,mqik,mqjk->mij", TRI_D4_WEIGHTS, area, gn, gn)

@@ -1,8 +1,8 @@
 """Quadratic-form assembly on triangulations.
 
-Three element families are provided. Lagrange P1/P2 give the gradient
-and mass forms of the second-order problems plus the boundary trace
-mass. The Morley element (vertex values + edge-midpoint normal
+Two element families are provided. Quadratic Lagrange (P2) gives the
+gradient and mass forms of the second-order problems plus the boundary
+trace mass. The Morley element (vertex values + edge-midpoint normal
 derivatives, quadratic and nonconforming) carries the fourth-order
 machinery: the element-wise bending form, the broken gradient form and
 the boundary normal-derivative mass.
@@ -39,9 +39,7 @@ DOF_VERTEX_VALUE = 0
 DOF_EDGE_MIDPOINT_VALUE = 1
 DOF_EDGE_NORMAL_DERIV = 2
 
-# 1D boundary mass matrices per unit edge length: P1 (end, end) and
-# P2 (end, end, midpoint)
-_EDGE_MASS_P1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+# 1D boundary mass matrix of P2 per unit edge length (end, end, midpoint)
 _EDGE_MASS_P2 = np.array(
     [[4.0, -1.0, 2.0], [-1.0, 4.0, 2.0], [2.0, 2.0, 16.0]]
 ) / 30.0
@@ -51,7 +49,7 @@ _EDGE_MASS_P2 = np.array(
 class DofMap:
     """Degree-of-freedom table with boundary classification."""
 
-    kind: str  # "lagrange-1" | "lagrange-2" | "morley"
+    kind: str  # "lagrange-2" | "morley"
     n_dofs: int
     dof_kind: np.ndarray  # int8 DOF_* codes
     is_boundary: np.ndarray  # bool per DOF
@@ -144,48 +142,32 @@ def _frozen(m: sp.csc_array) -> sp.csc_array:
     return m
 
 
-def assemble_lagrange(mesh: Mesh, order: int) -> OperatorPair:
-    """Gradient, mass and boundary-trace forms for P1/P2 triangles."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    _check_not_degenerate(mesh)
+def _vertex_edge_layout(mesh: Mesh, kind: str, edge_dof: int) -> tuple[np.ndarray, DofMap]:
+    """Each triangle's DOFs and the DOF map of an element with one DOF
+    per vertex, then one of kind ``edge_dof`` per edge (P2 and Morley)."""
     nv, ne = mesh.n_vertices, mesh.n_edges
-    n = nv if order == 1 else nv + ne
+    dof_kind = np.repeat(np.array([DOF_VERTEX_VALUE, edge_dof], dtype=np.int8), [nv, ne])
+    is_boundary = np.zeros(nv + ne, dtype=bool)
+    is_boundary[mesh.boundary_vertices] = True
+    is_boundary[nv + mesh.boundary_edges] = True
+    dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
+    return dofs, DofMap(kind, nv + ne, dof_kind, is_boundary)
 
+
+def assemble_lagrange(mesh: Mesh) -> OperatorPair:
+    """Gradient, mass and boundary-trace forms for P2 triangles."""
+    _check_not_degenerate(mesh)
+    dofs, dofmap = _vertex_edge_layout(mesh, "lagrange-2", DOF_EDGE_MIDPOINT_VALUE)
     coords = np.ascontiguousarray(mesh.vertices[mesh.triangles])
-    if order == 1:
-        ke, me = _kernels.lagrange1_local(coords)
-        dofs = mesh.triangles
-    else:
-        ke, me = _kernels.lagrange2_local(coords)
-        dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
-    k, m = scatter(n, dofs, ke, me)
-
-    bvert_mask = np.zeros(nv, dtype=bool)
-    bvert_mask[mesh.boundary_vertices] = True
-    if order == 1:
-        dof_kind = np.full(n, DOF_VERTEX_VALUE, dtype=np.int8)
-        is_boundary = bvert_mask.copy()
-    else:
-        dof_kind = np.concatenate(
-            [
-                np.full(nv, DOF_VERTEX_VALUE, dtype=np.int8),
-                np.full(ne, DOF_EDGE_MIDPOINT_VALUE, dtype=np.int8),
-            ]
-        )
-        bedge_mask = np.zeros(ne, dtype=bool)
-        bedge_mask[mesh.boundary_edges] = True
-        is_boundary = np.concatenate([bvert_mask, bedge_mask])
-    dofmap = DofMap(f"lagrange-{order}", n, dof_kind, is_boundary)
+    k, m = scatter(dofmap.n_dofs, dofs, *_kernels.lagrange2_local(coords))
 
     # boundary trace mass on the boundary-value DOFs, from the edge mass
     # matrices of the boundary edges (btd is sorted)
     btd = dofmap.boundary_value_dofs()
     be = mesh.boundary_edges
-    ends = mesh.edges[be] if order == 1 else np.column_stack([mesh.edges[be], nv + be])
-    edge_mass = _EDGE_MASS_P1 if order == 1 else _EDGE_MASS_P2
+    ends = np.column_stack([mesh.edges[be], mesh.n_vertices + be])
     bt = scatter_dense(len(btd), np.searchsorted(btd, ends),
-                       mesh.edge_lengths()[be][:, None, None] * edge_mass)
+                       mesh.edge_lengths()[be][:, None, None] * _EDGE_MASS_P2)
 
     for arr in (bt, btd):
         arr.setflags(write=False)
@@ -206,31 +188,10 @@ def assemble_morley(mesh: Mesh) -> OperatorPair:
     No L2 mass is assembled: every fourth-order pencil pairs the
     bending form with the gradient form."""
     _check_not_degenerate(mesh)
-    nv, ne = mesh.n_vertices, mesh.n_edges
-    n = nv + ne
-
+    dofs, dofmap = _vertex_edge_layout(mesh, "morley", DOF_EDGE_NORMAL_DERIV)
     coords = np.ascontiguousarray(mesh.vertices[mesh.triangles])
     normals = np.ascontiguousarray(mesh.edge_normals[mesh.tri_edges])
-    ae, ke = _kernels.morley_local(coords, normals)
-
-    dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
-    a, k = scatter(n, dofs, ae, ke)
-
-    bvert_mask = np.zeros(nv, dtype=bool)
-    bvert_mask[mesh.boundary_vertices] = True
-    bedge_mask = np.zeros(ne, dtype=bool)
-    bedge_mask[mesh.boundary_edges] = True
-    dofmap = DofMap(
-        "morley",
-        n,
-        np.concatenate(
-            [
-                np.full(nv, DOF_VERTEX_VALUE, dtype=np.int8),
-                np.full(ne, DOF_EDGE_NORMAL_DERIV, dtype=np.int8),
-            ]
-        ),
-        np.concatenate([bvert_mask, bedge_mask]),
-    )
+    a, k = scatter(dofmap.n_dofs, dofs, *_kernels.morley_local(coords, normals))
     b_normal = boundary_normal_mass(mesh, dofmap)
     b_normal.setflags(write=False)
     kappa = mesh.boundary_curvature
@@ -264,7 +225,7 @@ def boundary_normal_mass(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
 def classify_dofs(dofmap: DofMap, condition: str) -> tuple[np.ndarray, np.ndarray]:
     """Split DOFs into (constrained, free) for a boundary condition.
 
-    dirichlet-value : all boundary value DOFs (Lagrange kinds only)
+    dirichlet-value : all boundary value DOFs (Lagrange only)
     clamped         : boundary vertex values and boundary normal
                       derivatives (Morley only)
     navier          : boundary vertex values only; the second condition
@@ -272,7 +233,7 @@ def classify_dofs(dofmap: DofMap, condition: str) -> tuple[np.ndarray, np.ndarra
                       (Morley only)
     """
     if condition == "dirichlet-value":
-        if dofmap.kind not in ("lagrange-1", "lagrange-2"):
+        if dofmap.kind != "lagrange-2":
             raise DofKindError("dirichlet-value applies to Lagrange DOF maps")
         constrained = dofmap.boundary_value_dofs()
     elif condition == "clamped":

@@ -85,7 +85,6 @@ PARAMS = {
     "problem": _choice(str, "dirichlet", "neumann", "buckling", "navier",
                        default="dirichlet"),
     "kind": _choice(str, "friedlander", "liu", default="liu"),
-    "order": _choice(int, 1, 2, default=2),
     "count": _at_least(1, default=6),
     "lmin": _real(default=1.0),
     "lmax": _real(default=60.0),
@@ -165,7 +164,7 @@ class Outcome:
 
 def _spectrum(params: dict) -> Outcome:
     mesh = _build_mesh(params)
-    spec = spectrum(mesh, params["problem"], params["count"], params["order"])
+    spec = spectrum(mesh, params["problem"], params["count"])
     rows = [(i, v, spec.problem, spec.source) for i, v in enumerate(spec.values)]
     # a value within the zero tolerance is rounding noise; the CSV keeps it
     floor = ZERO_TOL * np.max(np.abs(spec.values))
@@ -177,8 +176,7 @@ def _spectrum(params: dict) -> Outcome:
 def _identity_scan(params: dict) -> Outcome:
     mesh = _build_mesh(params)
     grid = np.linspace(params["lmin"], params["lmax"], params["points"])
-    result = traceops.scan_identities(mesh, params["kind"], grid, order=params["order"],
-                                      threads=params["threads"])
+    result = traceops.scan_identities(mesh, params["kind"], grid, threads=params["threads"])
     points, skips = len(result.records), len(result.skips)
     line = (f"all_hold={fmt(result.summary['all_hold'])} points={points} skips={skips}"
             if points else f"all_hold=null points=0 skips={skips} (no point verified)")
@@ -269,9 +267,9 @@ class Command:
 _MESH = ("domain", "refine", "radius", "a", "b", "nx", "ny")
 COMMANDS = {
     "spectrum": Command("compute one spectrum", _spectrum,
-                        ("threads", *_MESH, "problem", "order", "count")),
+                        ("threads", *_MESH, "problem", "count")),
     "identity-scan": Command("sweep a counting identity", _identity_scan,
-                             ("threads", *_MESH, "kind", "order", "lmin", "lmax", "points")),
+                             ("threads", *_MESH, "kind", "lmin", "lmax", "points")),
     "beta1-scan": Command("sweep the smallest trace eigenvalue", _beta1_scan,
                           ("threads", *_MESH, "lmin", "lmax", "points")),
     "counterexample": Command("quotient divergence sweep (or, below the buckling "

@@ -155,17 +155,17 @@ class ClampedFields:
     h: np.ndarray
 
 
-# the clamped fields of the last few (mesh, pair kind), least recently
-# used first
-_FIELDS_CACHE: dict[tuple, ClampedFields] = {}
+# the clamped fields of the last few meshes (by content hash), least
+# recently used first
+_FIELDS_CACHE: dict[str, ClampedFields] = {}
 
 
 def clamped_fields(pair: OperatorPair) -> ClampedFields:
     """The memoized :class:`ClampedFields` of ``pair``'s mesh, one per mesh
-    content hash and pair kind; the :data:`~bucklab.spectra.CACHE_SIZE`
-    most recently used ones are kept. A miss solves
+    content hash; the :data:`~bucklab.spectra.CACHE_SIZE` most recently
+    used ones are kept. A miss solves
     :func:`buckling_ground_state` and :func:`make_perturbation` once each."""
-    key = (pair.mesh.content_hash(), pair.dofmap.kind)
+    key = pair.mesh.content_hash()
     fields = lru_get(_FIELDS_CACHE, key, "clamped_fields")
     if fields is not None:
         return fields
@@ -252,7 +252,7 @@ def _trace_minimizer(pair: OperatorPair, lam: float) -> tuple[float, np.ndarray,
     with the norm of its interior equations Q_ii v_i + Q_ib v_b, all
     from one factorization of the cached trace pencil's shifted form Q.
     The factor is freed on return."""
-    pencil = trace_pencil(pair.mesh, "liu", None)
+    pencil = trace_pencil(pair.mesh, "liu")
     q = pencil.form.at(lam)
     schur, lift = schur_and_lift(q)
     w, vecs = sym_gen_eigs(schur.matrix, pencil.boundary_mass, 1)

@@ -1,9 +1,9 @@
 """The four spectra and the one table of their pencils.
 
-Dirichlet/Neumann use the Lagrange pencil (K_grad, M); buckling and the
-simply-supported (Navier) problem use the Morley fourth-order pencil
-(fourth-order form, K_grad) on the clamped and vertex-constrained
-spaces, as the one table :data:`PENCILS` says. The disk oracle
+Dirichlet/Neumann use the quadratic Lagrange (P2) pencil (K_grad, M);
+buckling and the simply-supported (Navier) problem use the Morley
+fourth-order pencil (fourth-order form, K_grad) on the clamped and
+vertex-constrained spaces, as the one table :data:`PENCILS` says. The disk oracle
 produces analytic ground truth from the Bessel zeros of
 ``scipy.special``, independently of every finite element path.
 
@@ -74,17 +74,17 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 
 _PAIR_CACHE: dict[tuple, OperatorPair] = {}
-# (mesh hash, problem, pair kind) -> ascending prefix
+# (mesh hash, problem) -> ascending prefix
 _PREFIX_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
+def get_pair(mesh: Mesh, kind: str) -> OperatorPair:
     """Memoized assembly; kind is 'lagrange' or 'morley'."""
-    key = (mesh.content_hash(), kind, order)
+    key = (mesh.content_hash(), kind)
     pair = lru_get(_PAIR_CACHE, key, "pairs")
     if pair is None:
         if kind == "lagrange":
-            pair = assemble_lagrange(mesh, order)
+            pair = assemble_lagrange(mesh)
         elif kind == "morley":
             pair = assemble_morley(mesh)
         else:
@@ -93,13 +93,11 @@ def get_pair(mesh: Mesh, kind: str, order: int | None = None) -> OperatorPair:
     return pair
 
 
-def pencil_pair(mesh: Mesh, problem: str, order: int | None = None) -> OperatorPair:
-    """The memoized assembled pair ``problem``'s pencil is built from;
-    ``order`` applies to Lagrange pairs only."""
+def pencil_pair(mesh: Mesh, problem: str) -> OperatorPair:
+    """The memoized assembled pair ``problem``'s pencil is built from."""
     if problem not in PENCILS:
         raise ValueError(f"unknown problem {problem!r}")
-    kind = PENCILS[problem][0]
-    return get_pair(mesh, kind, order if kind == "lagrange" else None)
+    return get_pair(mesh, PENCILS[problem][0])
 
 
 def free_dofs(pair: OperatorPair, problem: str) -> np.ndarray:
@@ -119,9 +117,7 @@ def pencil_forms(pair: OperatorPair, problem: str):
     return tuple(getattr(pair, name) for name in PENCILS[problem][2:])
 
 
-def pencil_eigenvalues(
-    mesh: Mesh, problem: str, order: int | None = None, *, upto: float
-) -> np.ndarray:
+def pencil_eigenvalues(mesh: Mesh, problem: str, *, upto: float) -> np.ndarray:
     """The smallest eigenvalues of ``problem``'s pencil, ascending, up to
     and past ``upto``: a certified prefix of the spectrum whose last
     value exceeds ``upto``, or the whole spectrum when no value does.
@@ -135,15 +131,15 @@ def pencil_eigenvalues(
     certified Lanczos solve of the same pencil, as in
     :func:`smallest_eigenpairs`, computes ``m + 1`` values (all of them
     when that is the whole spectrum). It is memoized per mesh
-    content hash, problem and pair kind, so a smaller ``upto`` is served
+    content hash and problem, so a smaller ``upto`` is served
     from the cache and a larger one is counted and solved once more.
     There is no default bound: asking for the whole spectrum of a large
     mesh is a request for n eigenvalues.
     """
     if not np.isfinite(upto):
         raise ValueError(f"upto must be finite, got {upto!r}")
-    pair = pencil_pair(mesh, problem, order)
-    key = (mesh.content_hash(), problem, pair.dofmap.kind)
+    pair = pencil_pair(mesh, problem)
+    key = (mesh.content_hash(), problem)
     # only a prefix that ends at or below ``upto`` needs the DOFs classified
     cached = lru_get(_PREFIX_CACHE, key, "prefixes", usable=lambda vals: (
         vals[-1] > upto or len(vals) == len(free_dofs(pair, problem))))
@@ -180,21 +176,22 @@ def smallest_eigenpairs(
     return w, v, pencil.rows
 
 
-def spectrum(mesh: Mesh, problem: str, k: int, order: int | None = None) -> Spectrum:
+def spectrum(mesh: Mesh, problem: str, k: int) -> Spectrum:
     """k smallest eigenvalues of the pencil of ``problem``.
 
-    dirichlet, neumann : Laplacian on Lagrange elements of ``order`` (1 or 2)
-    buckling           : clamped fourth-order pencil (Morley; no order)
-    navier             : fourth-order pencil with only the boundary values
-                         constrained; reproduces the Dirichlet Laplacian
-                         spectrum up to discretization error
+    dirichlet, neumann : Laplacian on quadratic Lagrange (P2) elements
+    buckling           : clamped fourth-order pencil (Morley)
+    navier             : fourth-order pencil (Morley) with only the
+                         boundary values constrained; reproduces the
+                         Dirichlet Laplacian spectrum up to
+                         discretization error
 
     Computed by :func:`smallest_eigenpairs`. Nothing is densified but
     a pencil too small for ARPACK: a failed Lanczos certificate is
     retried at tolerance 0, and a second failure raises
     :class:`~bucklab.errors.FactorCheckError`.
     """
-    w, _, _ = smallest_eigenpairs(pencil_pair(mesh, problem, order), problem, k)
+    w, _, _ = smallest_eigenpairs(pencil_pair(mesh, problem), problem, k)
     return Spectrum(problem, w, mesh.content_hash())
 
 

@@ -116,23 +116,23 @@ def _reach(lam: float, steps: float) -> float:
 
 
 def _excluded_values(
-    mesh: Mesh, kind: str, order: int | None, upto: float
+    mesh: Mesh, kind: str, upto: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(outer, inner, excluded)``: the outer and the inner pencil's
     spectrum prefixes of identity ``kind`` past ``upto``, and the two
     together, the values every point up to ``upto`` must clear."""
     _, outer, inner = _identity(kind)
-    outer_vals = pencil_eigenvalues(mesh, outer, order, upto=upto)
-    inner_vals = pencil_eigenvalues(mesh, inner, order, upto=upto)
+    outer_vals = pencil_eigenvalues(mesh, outer, upto=upto)
+    inner_vals = pencil_eigenvalues(mesh, inner, upto=upto)
     return outer_vals, inner_vals, np.concatenate([inner_vals, outer_vals])
 
 
-def _scan_values(mesh: Mesh, kind: str, order: int | None, grid) -> np.ndarray:
+def _scan_values(mesh: Mesh, kind: str, grid) -> np.ndarray:
     """The excluded values of :func:`_excluded_values` past every lambda
     a scan of ``grid`` may try (one step beyond the last nudge of each
     grid point), so that the cache serves every point's prefixes."""
     upto = max((_reach(lam, NUDGE_STEPS + 1) for lam in grid), default=0.0)
-    return _excluded_values(mesh, kind, order, upto)[2]
+    return _excluded_values(mesh, kind, upto)[2]
 
 
 def _nearest(lam: float, excluded: np.ndarray) -> float:
@@ -167,19 +167,18 @@ class TracePencil:
         return self.form.rows[self.form.n_interior:]
 
 
-# the trace pencils of the last few (mesh, identity, pair kind), least
-# recently used first
+# the trace pencils of the last few (mesh, identity), least recently
+# used first
 _PENCIL_CACHE: dict[tuple, TracePencil] = {}
 
 
-def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
+def trace_pencil(mesh: Mesh, kind: str) -> TracePencil:
     """The memoized :class:`TracePencil` of identity ``kind``, one per mesh
-    content hash, identity and pair kind (``order`` applies to Lagrange
-    pairs only, so Liu's pencil is shared by every order); the
-    :data:`~bucklab.spectra.CACHE_SIZE` most recently used ones are kept."""
+    content hash and identity; the :data:`~bucklab.spectra.CACHE_SIZE`
+    most recently used ones are kept."""
     _, outer, inner = _identity(kind)
-    pair = pencil_pair(mesh, outer, order)
-    key = (mesh.content_hash(), kind, pair.dofmap.kind)
+    pair = pencil_pair(mesh, outer)
+    key = (mesh.content_hash(), kind)
     pencil = lru_get(_PENCIL_CACHE, key, "trace_pencils")
     if pencil is not None:
         return pencil
@@ -198,7 +197,7 @@ def trace_pencil(mesh: Mesh, kind: str, order: int | None = 2) -> TracePencil:
     return lru_put(_PENCIL_CACHE, key, pencil, spectra.CACHE_SIZE)
 
 
-def trace_operator(mesh: Mesh, kind: str, lam: float, order: int = 2) -> TraceOperator:
+def trace_operator(mesh: Mesh, kind: str, lam: float) -> TraceOperator:
     """Trace operator of identity ``kind`` at ``lam``, with its boundary
     mass: Dirichlet-to-Neumann with the boundary L2 mass (friedlander),
     Neumann-to-Laplacian with the boundary normal-derivative mass, the
@@ -210,8 +209,8 @@ def trace_operator(mesh: Mesh, kind: str, lam: float, order: int = 2) -> TraceOp
     fails a check raises :class:`FactorCheckError` naming lam and the check.
     """
     name, _, inner = _identity(kind)
-    margin = _cleared(lam, pencil_eigenvalues(mesh, inner, order, upto=lam))
-    pencil = trace_pencil(mesh, kind, order)
+    margin = _cleared(lam, pencil_eigenvalues(mesh, inner, upto=lam))
+    pencil = trace_pencil(mesh, kind)
     try:
         schur = schur_complement(pencil.form.at(lam))
     except FactorCheckError as exc:
@@ -231,7 +230,7 @@ def trace_spectrum(t: TraceOperator, k: int | None = None) -> tuple[Spectrum, fl
     return Spectrum(t.kind, w, t.source), float(w[0]), t.n_neg
 
 
-def verify_identity(mesh: Mesh, kind: str, lam: float, order: int = 2) -> IdentityReport:
+def verify_identity(mesh: Mesh, kind: str, lam: float) -> IdentityReport:
     """Check one counting identity at one parameter value.
 
     friedlander : neg(DtN(lam)) = N_neumann(lam) - N_dirichlet(lam)
@@ -244,9 +243,9 @@ def verify_identity(mesh: Mesh, kind: str, lam: float, order: int = 2) -> Identi
     neg(Q_ii) differs from N_inner(lam), :class:`BucklabError` is raised.
     The report's ``margin`` is the distance from both spectra.
     """
-    outer, inner, excluded = _excluded_values(mesh, kind, order, lam)
+    outer, inner, excluded = _excluded_values(mesh, kind, lam)
     margin = _cleared(lam, excluded)
-    t = trace_operator(mesh, kind, lam, order)
+    t = trace_operator(mesh, kind, lam)
     lhs = int(np.sum(outer < lam))
     rhs = int(np.sum(inner < lam))
     if t.n_neg_interior != rhs:
@@ -267,24 +266,18 @@ def _nudge(lam: float, excluded: np.ndarray) -> tuple[float, bool]:
     raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, MARGIN)
 
 
-def scan_identities(
-    mesh: Mesh,
-    kind: str,
-    lam_grid,
-    order: int = 2,
-    threads: int = 1,
-) -> SweepResult:
+def scan_identities(mesh: Mesh, kind: str, lam_grid, threads: int = 1) -> SweepResult:
     """One :func:`verify_identity` report per grid point, with automatic
     nudging away from the excluded spectra; unplaceable points are
     skipped and recorded, as are points whose factor fails a check.
     Summary flag ``all_hold`` covers the non-skipped points, and is None
     when there are none."""
     retain_factor_workspace()
-    excluded = _scan_values(mesh, kind, order, lam_grid)
+    excluded = _scan_values(mesh, kind, lam_grid)
 
     def one(lam: float):
         lam_used, nudged = _nudge(lam, excluded)
-        rep = verify_identity(mesh, kind, lam_used, order)
+        rep = verify_identity(mesh, kind, lam_used)
         return {
             "lambda": rep.lam,
             "neg_count": rep.neg_count,
@@ -307,7 +300,7 @@ def scan_beta1(mesh: Mesh, lam_grid, threads: int = 1) -> SweepResult:
     and skipping discipline; each margin is from the buckling spectrum
     alone."""
     retain_factor_workspace()
-    excluded = _scan_values(mesh, "liu", None, lam_grid)
+    excluded = _scan_values(mesh, "liu", lam_grid)
 
     def one(lam: float):
         lam_used, nudged = _nudge(lam, excluded)

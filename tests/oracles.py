@@ -26,13 +26,13 @@ def sliced_forms(pair, problem: str):
     return tuple(getattr(pair, name)[np.ix_(free, free)] for name in PENCILS[problem][2:])
 
 
-def dense_pencil_eigenvalues(mesh, problem: str, order=None) -> np.ndarray:
+def dense_pencil_eigenvalues(mesh, problem: str) -> np.ndarray:
     """Every eigenvalue of ``problem``'s pencil on ``mesh`` by
-    :func:`sym_gen_eigvals_all`, memoized per mesh content hash, problem
-    and order (read-only)."""
-    key = (mesh.content_hash(), problem, order)
+    :func:`sym_gen_eigvals_all`, memoized per mesh content hash and
+    problem (read-only)."""
+    key = (mesh.content_hash(), problem)
     if key not in _PENCIL_SPECTRA:
-        pair = pencil_pair(mesh, problem, order)
+        pair = pencil_pair(mesh, problem)
         vals = sym_gen_eigvals_all(*sliced_forms(pair, problem))
         vals.setflags(write=False)
         _PENCIL_SPECTRA[key] = vals

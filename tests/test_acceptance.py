@@ -34,7 +34,7 @@ def _line(num: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def disk4_dirichlet(disk4):
-    return spectrum(disk4, "dirichlet", 5, order=2).values
+    return spectrum(disk4, "dirichlet", 5).values
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def disk4_navier(disk4):
 
 def test_criterion_1_disk_spectra_vs_bessel_oracles(disk4, disk4_dirichlet):
     lam = disk4_dirichlet
-    mu = spectrum(disk4, "neumann", 2, order=2).values
+    mu = spectrum(disk4, "neumann", 2).values
     big = spectrum(disk4, "buckling", 1).values
     o_lam = disk_oracle("dirichlet", 3).values
     o_mu = disk_oracle("neumann", 2).values
@@ -69,7 +69,7 @@ def test_criterion_1_disk_spectra_vs_bessel_oracles(disk4, disk4_dirichlet):
 def test_criterion_2_navier_equals_dirichlet(disk4, rect16, disk4_dirichlet, disk4_navier):
     rel_disk = np.abs(disk4_navier - disk4_dirichlet) / disk4_dirichlet
     nav_r = spectrum(rect16, "navier", 5).values
-    dir_r = spectrum(rect16, "dirichlet", 5, order=2).values
+    dir_r = spectrum(rect16, "dirichlet", 5).values
     rel_rect = np.abs(nav_r - dir_r) / dir_r
     ok = bool(np.all(rel_disk < 0.02) and np.all(rel_rect < 0.02))
     _line(

@@ -25,7 +25,7 @@ def rect4():
 
 
 def test_matrices_symmetric_and_mass_pd(disk2):
-    lagrange, morley = get_pair(disk2, "lagrange", 2), get_pair(disk2, "morley")
+    lagrange, morley = get_pair(disk2, "lagrange"), get_pair(disk2, "morley")
     for mat in (lagrange.k_grad, lagrange.mass, morley.k_grad, morley.a_bend):
         scale = np.max(np.abs(mat))
         assert np.max(np.abs(mat - mat.T)) <= 1e-12 * scale
@@ -35,7 +35,7 @@ def test_matrices_symmetric_and_mass_pd(disk2):
 
 
 def test_unconstrained_gradient_kernel_is_constants(rect4):
-    pair = assemble_lagrange(rect4, 2)
+    pair = assemble_lagrange(rect4)
     w, v = sym_gen_eigs(pair.k_grad, pair.mass, 2)
     assert abs(w[0]) < 1e-8
     assert w[1] > 1e-3
@@ -44,7 +44,7 @@ def test_unconstrained_gradient_kernel_is_constants(rect4):
 
 
 def test_rect16_dirichlet_ground_value(rect16):
-    pair = get_pair(rect16, "lagrange", 2)
+    pair = get_pair(rect16, "lagrange")
     _, free = classify_dofs(pair.dofmap, "dirichlet-value")
     w, _ = sym_gen_eigs(
         pair.k_grad[np.ix_(free, free)], pair.mass[np.ix_(free, free)], 1
@@ -54,7 +54,7 @@ def test_rect16_dirichlet_ground_value(rect16):
 
 
 def test_disk_dirichlet_vs_bessel_oracle(disk3):
-    pair = get_pair(disk3, "lagrange", 2)
+    pair = get_pair(disk3, "lagrange")
     _, free = classify_dofs(pair.dofmap, "dirichlet-value")
     w, _ = sym_gen_eigs(
         pair.k_grad[np.ix_(free, free)], pair.mass[np.ix_(free, free)], 1
@@ -128,7 +128,7 @@ def test_pair_matrices_immutable(disk2):
 
 def test_gradient_energy_exact_for_linear(rect4):
     # v = x interpolated in P2; its gradient energy is the area
-    pair = assemble_lagrange(rect4, 2)
+    pair = assemble_lagrange(rect4)
     nv = rect4.n_vertices
     v = np.concatenate([rect4.vertices[:, 0], rect4.edge_midpoints()[:, 0]])
     assert abs(v @ pair.k_grad @ v - 1.0) < 1e-12
@@ -153,7 +153,7 @@ def test_boundary_normal_mass(rect4, disk2, disk3):
     psi = (diag != 0).astype(float)
     assert abs((diag * psi) @ psi - rect4.perimeter()) < 1e-12
 
-    lag = assemble_lagrange(rect4, 1)
+    lag = assemble_lagrange(rect4)
     with pytest.raises(DofKindError):
         boundary_normal_mass(rect4, lag.dofmap)
 
@@ -167,20 +167,24 @@ def test_classify_dofs_counts(disk2):
     constrained, _ = classify_dofs(pair.dofmap, "navier")
     assert len(constrained) == nb_v
 
-    lag = get_pair(disk2, "lagrange", 2)
+    lag = get_pair(disk2, "lagrange")
     with pytest.raises(DofKindError):
         classify_dofs(lag.dofmap, "navier")
     with pytest.raises(DofKindError):
         classify_dofs(pair.dofmap, "dirichlet-value")
 
 
-def test_degenerate_all_boundary_grid():
-    # on the 1x1 grid every vertex is a boundary vertex: empty free set,
-    # and the eigensolver must reject the empty problem
-    mesh = make_rectangle_mesh(1.0, 1.0, 1, 1)
-    pair = assemble_lagrange(mesh, 1)
+def test_degenerate_all_boundary_grid(tmp_path):
+    # on a single triangle every P2 DOF (three vertices, three edge
+    # midpoints) lies on the boundary: empty free set, and the
+    # eigensolver must reject the empty problem
+    from bucklab import load_mesh
+
+    mesh_file = tmp_path / "triangle.mesh"
+    mesh_file.write_text("vertices 3 triangles 1\n0 0\n1 0\n0 1\n0 1 2\n")
+    pair = assemble_lagrange(load_mesh(mesh_file))
     constrained, free = classify_dofs(pair.dofmap, "dirichlet-value")
-    assert len(constrained) == 4
+    assert len(constrained) == 6
     assert len(free) == 0
     with pytest.raises(ValueError):
         sym_gen_eigs(np.zeros((0, 0)), np.zeros((0, 0)), 1)
@@ -198,7 +202,7 @@ def test_degenerate_sliver_triangle_rejected(tmp_path):
 
     mesh = load_mesh(mesh_file)
     with pytest.raises(MeshError):
-        assemble_lagrange(mesh, 1)
+        assemble_lagrange(mesh)
 
 
 def test_assembly_bit_deterministic(disk2):
@@ -210,7 +214,7 @@ def test_assembly_bit_deterministic(disk2):
             assert np.array_equal(getattr(m1, part), getattr(m2, part))
 
 
-def _per_edge_trace_mass(mesh, order, btd):
+def _per_edge_trace_mass(mesh, btd):
     """The boundary trace mass as a loop over the boundary edges summed
     it, one dense block update per edge: the oracle."""
     pos = {int(d): i for i, d in enumerate(btd)}
@@ -218,28 +222,23 @@ def _per_edge_trace_mass(mesh, order, btd):
     lengths = mesh.edge_lengths()
     for e in mesh.boundary_edges:
         va, vb = mesh.edges[e]
-        if order == 1:
-            loc = [pos[int(va)], pos[int(vb)]]
-            out[np.ix_(loc, loc)] += lengths[e] * assembly._EDGE_MASS_P1
-        else:
-            loc = [pos[int(va)], pos[int(vb)], pos[int(mesh.n_vertices + e)]]
-            out[np.ix_(loc, loc)] += lengths[e] * assembly._EDGE_MASS_P2
+        loc = [pos[int(va)], pos[int(vb)], pos[int(mesh.n_vertices + e)]]
+        out[np.ix_(loc, loc)] += lengths[e] * assembly._EDGE_MASS_P2
     return out
 
 
-@pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("mesh_name", ["disk2", "rect4"])
-def test_trace_mass_equals_the_per_edge_loop(mesh_name, order, request):
+def test_trace_mass_equals_the_per_edge_loop(mesh_name, request):
     """The boundary trace mass has the bits of the per-edge loop, on the
     boundary-value DOFs."""
     mesh = request.getfixturevalue(mesh_name)
-    pair = assemble_lagrange(mesh, order)
+    pair = assemble_lagrange(mesh)
     assert np.array_equal(pair.b_trace_dofs, pair.dofmap.boundary_value_dofs())
-    assert np.array_equal(pair.b_trace, _per_edge_trace_mass(mesh, order, pair.b_trace_dofs))
+    assert np.array_equal(pair.b_trace, _per_edge_trace_mass(mesh, pair.b_trace_dofs))
     assert pair.b_trace.flags.c_contiguous and not pair.b_trace.flags.writeable
 
 
-@pytest.mark.parametrize("family", ["lagrange-1", "lagrange-2", "morley"])
+@pytest.mark.parametrize("family", ["lagrange-2", "morley"])
 def test_pair_forms_share_one_pattern(disk2, family):
     """Both forms of a pair are summed on one DOF layout, so they hold
     one ``indptr`` and one ``indices`` array between them."""
@@ -247,7 +246,7 @@ def test_pair_forms_share_one_pattern(disk2, family):
         pair = assemble_morley(disk2)
         first, second = pair.a_bend, pair.k_grad
     else:
-        pair = assemble_lagrange(disk2, int(family[-1]))
+        pair = assemble_lagrange(disk2)
         first, second = pair.k_grad, pair.mass
     for part in ("indptr", "indices"):
         assert np.shares_memory(getattr(first, part), getattr(second, part))
@@ -257,10 +256,11 @@ def test_pair_forms_share_one_pattern(disk2, family):
 def test_dense_and_sparse_scatter_agree(disk2):
     """The dense and the sparse sums of one layout hold the same bits."""
     coords = np.ascontiguousarray(disk2.vertices[disk2.triangles])
-    ke, me = kernels.lagrange1_local(coords)
-    n = disk2.n_vertices
-    for local, m in zip((ke, me), assembly.scatter(n, disk2.triangles, ke, me)):
-        d = assembly.scatter_dense(n, disk2.triangles, local)
+    ke, me = kernels.lagrange2_local(coords)
+    n = disk2.n_vertices + disk2.n_edges
+    dofs = np.hstack([disk2.triangles, disk2.n_vertices + disk2.tri_edges])
+    for local, m in zip((ke, me), assembly.scatter(n, dofs, ke, me)):
+        d = assembly.scatter_dense(n, dofs, local)
         assert d.flags.c_contiguous
         assert np.array_equal(d, m.toarray())
 
@@ -293,7 +293,7 @@ def test_level5_assembles_sparse_and_counts_from_a_prefix():
     tracemalloc.start()
     try:
         pair = assemble_morley(disk5)
-        prefix = pencil_eigenvalues(disk5, "dirichlet", 2, upto=upto)
+        prefix = pencil_eigenvalues(disk5, "dirichlet", upto=upto)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

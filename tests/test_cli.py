@@ -34,7 +34,8 @@ def assert_no_failed_check(run_dir):
 def test_usage_errors_exit_2(capsys):
     assert main(["unknown-command"]) == 2
     assert main([]) == 2
-    assert main(["spectrum", "--order", "7"]) == 2  # invalid choice
+    assert main(["spectrum", "--problem", "plate"]) == 2  # invalid choice
+    assert main(["spectrum", "--order", "2"]) == 2  # no such flag
 
 
 def test_domain_error_exits_1(tmp_path, capsys):
@@ -48,7 +49,7 @@ def test_domain_error_exits_1(tmp_path, capsys):
 def test_spectrum_command(tmp_path, capsys):
     code, out, _ = run_cli(
         ["spectrum", "--domain", "disk", "--refine", "2", "--problem",
-         "dirichlet", "--order", "2", "--count", "3"],
+         "dirichlet", "--count", "3"],
         tmp_path, capsys,
     )
     assert code == 0
@@ -315,8 +316,7 @@ def test_manifest_records_every_tally(argv, zero_section, tmp_path, capsys):
 
 def test_report_command(tmp_path, capsys):
     run_cli(
-        ["spectrum", "--domain", "rectangle", "--nx", "4", "--ny", "4",
-         "--order", "1", "--count", "2"],
+        ["spectrum", "--domain", "rectangle", "--nx", "4", "--ny", "4", "--count", "2"],
         tmp_path, capsys,
     )
     run_dir = latest_run(tmp_path, "spectrum")

@@ -22,7 +22,6 @@ SAMPLES = {
     "ny": ("--ny", "5", "0"),
     "problem": ("--problem", "navier", "plate"),
     "kind": ("--kind", "friedlander", "weyl"),
-    "order": ("--order", "1", "3"),
     "count": ("--count", "4", "0"),
     "lmin": ("--lmin", "0.5", "nan"),
     "lmax": ("--lmax", "30", "inf"),

@@ -165,7 +165,7 @@ def test_bounded_regime_lift_on_dense_path(disk3_pair, refuse_every_factor):
     perturbation makes Q the one factorization."""
     bounded_below_check(disk3_pair, 2.0, 10)  # caches the trace pencil and fields
     _, v_full, _ = _trace_minimizer(disk3_pair, 2.0)
-    form = trace_pencil(disk3_pair.mesh, "liu", None).form
+    form = trace_pencil(disk3_pair.mesh, "liu").form
     ni = form.n_interior
     v = v_full[form.rows]
     lifted = dense_lift(form.at(2.0).csc(), np.arange(ni), np.arange(ni, len(v)), v[ni:])
@@ -238,4 +238,4 @@ def test_clamped_fields_keep_the_most_recently_used(monkeypatch, empty_clamped_f
     kept = list(counterexample._FIELDS_CACHE.values())
     assert len(kept) == 2 and kept[0] is first and kept[1] is last
     keys = list(counterexample._FIELDS_CACHE)
-    assert keys == [(p.mesh.content_hash(), "morley") for p in (pairs[0], pairs[2])]
+    assert keys == [p.mesh.content_hash() for p in (pairs[0], pairs[2])]

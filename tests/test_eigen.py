@@ -385,7 +385,7 @@ def test_nearly_singular_schur_stays_sparse(disk2):
     buckling = pencil_eigenvalues(disk2, "buckling", upto=60.0)
     mu = next(v for v in navier if v > 1.0 and relative_margin(v, buckling) >= 1e-3)
     lam = mu * (1.0 + 1e-10)
-    q = trace_pencil(disk2, "liu", None).form.at(lam)
+    q = trace_pencil(disk2, "liu").form.at(lam)
     before = tallies()["solver"]
     s = schur_complement(q).matrix
     after = tallies()["solver"]
@@ -637,7 +637,7 @@ def test_every_checked_factor_keeps_the_stored_order(disk2, monkeypatch, empty_c
     specs, _ = _recorded_orders(monkeypatch)
     before = tallies()["solver"]
     for problem in spectra.PENCILS:
-        spectra.spectrum(disk2, problem, 4, 2)
+        spectra.spectrum(disk2, problem, 4)
     for kind in ("friedlander", "liu"):
         assert scan_identities(disk2, kind, [2.0, 7.0]).summary["all_hold"]
     pair = spectra.get_pair(disk2, "morley")
@@ -659,7 +659,7 @@ def test_one_fill_order_per_pattern(disk2, monkeypatch):
 
     def build(mesh, problems, kinds):
         for problem in problems:
-            pair = spectra.pencil_pair(mesh, problem, 2)
+            pair = spectra.pencil_pair(mesh, problem)
             rows = spectra.smallest_eigenpairs(pair, problem, 1)[2]
             assert np.array_equal(np.sort(rows), spectra.free_dofs(pair, problem))
         for kind in kinds:
@@ -699,7 +699,7 @@ def test_fill_order_is_the_minimum_degree_order_of_the_pencil(mesh_name, problem
     """A problem pencil stores its free DOFs in the column order SuperLU's
     multiple minimum degree chooses when it factors the pencil in the
     free DOFs' own order, at a shift inside the spectrum too."""
-    pair = spectra.pencil_pair(request.getfixturevalue(mesh_name), problem, 2)
+    pair = spectra.pencil_pair(request.getfixturevalue(mesh_name), problem)
     free = spectra.free_dofs(pair, problem)
     pencil = eigen.boundary_last_pencil(*spectra.pencil_forms(pair, problem), free, [])
     assert pencil.n_interior == len(free)
@@ -716,7 +716,7 @@ def test_vectors_and_lifts_over_the_pencil_rows_match_dense(disk2, problem, rng)
     """An eigenvector placed on the DOFs of the pencil's rows is the dense
     ground state, and a lift returned in the order of its (shuffled)
     interior list is the dense lift."""
-    pair = spectra.pencil_pair(disk2, problem, 2)
+    pair = spectra.pencil_pair(disk2, problem)
     w, v, rows = spectra.smallest_eigenpairs(pair, problem, 1)
     a, b = sliced_forms(pair, problem)
     w_dense, v_dense = sym_gen_eigs(a, b, 2)
@@ -741,11 +741,11 @@ def _pencil_inputs(mesh):
     """(A, B, interior, boundary) of every pencil built on ``mesh``: the
     four problem pencils and the two trace pencils."""
     for problem in spectra.PENCILS:
-        pair = spectra.pencil_pair(mesh, problem, 2)
+        pair = spectra.pencil_pair(mesh, problem)
         yield (*spectra.pencil_forms(pair, problem), spectra.free_dofs(pair, problem),
                np.array([], dtype=np.int64))
     for _, outer, inner in traceops._IDENTITIES.values():
-        pair = spectra.pencil_pair(mesh, outer, 2)
+        pair = spectra.pencil_pair(mesh, outer)
         interior = spectra.free_dofs(pair, inner)
         boundary = np.setdiff1d(spectra.free_dofs(pair, outer), interior)
         yield (*spectra.pencil_forms(pair, outer), interior, boundary)
@@ -794,11 +794,11 @@ def test_fill_order_equals_the_full_factor_order_at_refine_5(monkeypatch):
     monkeypatch.setattr(eigen, "_ORDER_CACHE", {})
     monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
     for problem in spectra.PENCILS:
-        a, b = sliced_forms(spectra.pencil_pair(mesh, problem, 2), problem)
+        a, b = sliced_forms(spectra.pencil_pair(mesh, problem), problem)
         pattern = sp.csc_array(abs(a) + abs(b))
         assert np.array_equal(eigen.fill_order(pattern), _full_lu_order(pattern))
     for kind, (_, outer, inner) in traceops._IDENTITIES.items():
-        pair = spectra.pencil_pair(mesh, outer, 2)
+        pair = spectra.pencil_pair(mesh, outer)
         form = trace_pencil(mesh, kind).form
         interior = spectra.free_dofs(pair, inner)
         a, b = (m[np.ix_(interior, interior)] for m in spectra.pencil_forms(pair, outer))

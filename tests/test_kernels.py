@@ -21,16 +21,6 @@ def test_kernels_bit_deterministic(element_data):
         assert np.array_equal(a, b)
 
 
-def test_lagrange1_exact_on_reference():
-    # unit right triangle: stiffness and mass have closed forms
-    coords = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-    k, m = _kernels.lagrange1_local(coords)
-    k_exact = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
-    m_exact = (np.ones((3, 3)) + np.eye(3)) / 24.0
-    np.testing.assert_allclose(k[0], k_exact, atol=1e-14)
-    np.testing.assert_allclose(m[0], m_exact, atol=1e-15)
-
-
 def test_morley_affine_functions_have_zero_bending(element_data):
     coords, normals = element_data
     mesh = make_disk_mesh(1.0, 2)

@@ -47,7 +47,7 @@ def test_sweep_csv():
 
 
 def test_spectrum_csv_rows(disk2):
-    s = spectrum(disk2, "dirichlet", 2, order=1)
+    s = spectrum(disk2, "dirichlet", 2)
     rows = csv_text(["index", "value", "problem", "mesh_hash"],
                     [(i, v, s.problem, s.source) for i, v in enumerate(s.values)])
     rows = rows.splitlines()[1:]

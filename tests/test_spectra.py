@@ -20,6 +20,8 @@ from bucklab import (
     spectra,
     spectrum,
     sym_gen_eigs,
+    trace_operator,
+    verify_identity,
 )
 from bucklab.runio import tallies
 from bucklab.spectra import (
@@ -36,19 +38,19 @@ PROBLEMS = ["dirichlet", "neumann", "buckling", "navier"]
 
 
 def test_rect_neumann_values(rect16):
-    s = spectrum(rect16, "neumann", 2, order=2)
+    s = spectrum(rect16, "neumann", 2)
     assert abs(s.values[0]) < 1e-8
     assert abs(s.values[1] - np.pi**2) / np.pi**2 < 0.002
 
 
 def test_disk_dirichlet_level3(disk3):
-    s = spectrum(disk3, "dirichlet", 3, order=2)
+    s = spectrum(disk3, "dirichlet", 3)
     oracle = disk_oracle("dirichlet", 3)
     assert np.all(np.abs(s.values - oracle.values) / oracle.values < 0.01)
 
 
 def test_disk_neumann_level3(disk3):
-    s = spectrum(disk3, "neumann", 3, order=2)
+    s = spectrum(disk3, "neumann", 3)
     oracle = disk_oracle("neumann", 3)
     assert abs(s.values[0]) < 1e-8
     assert np.all(
@@ -65,14 +67,14 @@ def test_disk_buckling_level3(disk3):
 
 def test_buckling_above_dirichlet(disk3, rect16):
     for mesh in (disk3, rect16):
-        lam1 = spectrum(mesh, "dirichlet", 1, order=2).values[0]
+        lam1 = spectrum(mesh, "dirichlet", 1).values[0]
         big = spectrum(mesh, "buckling", 1).values[0]
         assert big > lam1
 
 
 def test_navier_matches_dirichlet(disk3, rect16):
     nav = spectrum(disk3, "navier", 5)
-    dir_ = spectrum(disk3, "dirichlet", 5, order=2)
+    dir_ = spectrum(disk3, "dirichlet", 5)
     assert np.all(np.abs(nav.values - dir_.values) / dir_.values < 0.02)
 
     nav_r = spectrum(rect16, "navier", 1)
@@ -111,15 +113,15 @@ def test_payne_inequality_on_disk_oracles_and_fem(disk3):
     for k in range(1, 6):
         assert big[k - 1] >= lam[k] - 1e-9
     # finite element counterpart within discretization tolerance
-    lam_h = spectrum(disk3, "dirichlet", 7, order=2).values
+    lam_h = spectrum(disk3, "dirichlet", 7).values
     big_h = spectrum(disk3, "buckling", 6).values
     for k in range(1, 6):
         assert big_h[k - 1] >= lam_h[k] * (1 - 0.02)
 
 
 def test_domain_monotonicity(disk3, rect16):
-    disk_lam1 = spectrum(disk3, "dirichlet", 1, order=2).values[0]
-    rect_lam1 = spectrum(rect16, "dirichlet", 1, order=2).values[0]
+    disk_lam1 = spectrum(disk3, "dirichlet", 1).values[0]
+    rect_lam1 = spectrum(rect16, "dirichlet", 1).values[0]
     assert disk_lam1 < rect_lam1
 
 
@@ -128,7 +130,7 @@ def test_convergence_rates():
     errs = []
     for level in (1, 2, 3):
         mesh = make_disk_mesh(1.0, level)
-        errs.append(abs(spectrum(mesh, "dirichlet", 1, order=2).values[0] - oracle_d))
+        errs.append(abs(spectrum(mesh, "dirichlet", 1).values[0] - oracle_d))
     rate = np.log2(errs[1] / errs[2])
     assert rate >= 1.7
 
@@ -140,6 +142,18 @@ def test_convergence_rates():
         errs_b.append(abs(vals[1] - oracle_b[1]))
     rate_b = np.log2(errs_b[1] / errs_b[2])
     assert rate_b >= 1.5
+
+
+def test_every_entry_point_needs_no_element_argument(disk2):
+    """There is one element per problem (P2 for Dirichlet and Neumann,
+    Morley for buckling and Navier), so no call names one: each spectrum,
+    identity check and trace operator runs on its positional arguments."""
+    for problem in PROBLEMS:
+        s = spectrum(disk2, problem, 3)
+        assert s.problem == problem and len(s) == 3
+    for kind, name in (("friedlander", "dtn"), ("liu", "ntl")):
+        assert verify_identity(disk2, kind, 7.0).identity_holds
+        assert trace_operator(disk2, kind, 7.0).kind == name
 
 
 def test_spectrum_validates_ordering():
@@ -178,7 +192,7 @@ def test_result_caches_keyed_on_radius(tmp_path, disk2, monkeypatch):
 @example(level=3, radius=50.0, problem="navier", count=8)
 @settings(max_examples=15, deadline=None)
 def test_lanczos_eigenpairs_match_dense(level, radius, problem, count):
-    pair = pencil_pair(make_disk_mesh(radius, level), problem, 2)
+    pair = pencil_pair(make_disk_mesh(radius, level), problem)
     before = tallies()["solver"]["check_failed"]
     w, v, rows = smallest_eigenpairs(pair, problem, count)
     assert tallies()["solver"]["check_failed"] == before
@@ -213,7 +227,7 @@ def test_lanczos_certificate_catches_a_missed_value(disk2, problem, monkeypatch)
         keep = np.delete(np.argsort(w), 1)
         return w[keep], v[:, keep]
 
-    pair = pencil_pair(disk2, problem, 2)
+    pair = pencil_pair(disk2, problem)
     monkeypatch.setattr(eigen.spla, "eigsh", missing_second)
     before = tallies()["solver"]
     with pytest.raises(FactorCheckError, match="3 smallest eigenpairs .* inertia certificate"):
@@ -239,7 +253,7 @@ def test_lanczos_retry_certifies_at_tolerance_zero(disk2, problem, count, forced
     factor was dropped before the failed certificate factored, so the
     forced retry factors the shift again: four trusted factors, two
     shifts and two certificates."""
-    pair = pencil_pair(disk2, problem, 2)
+    pair = pencil_pair(disk2, problem)
     with monkeypatch.context() as m:
         m.setattr(eigen, "_LANCZOS_TOLS", (0.0,))
         plain = smallest_eigenpairs(pair, problem, count)[0]
@@ -293,7 +307,7 @@ def test_prefix_counts_and_nearest_match_dense(request, mesh_name, problem, monk
     and names the same nearest eigenvalue; a smaller bound later is
     served from the cache without a new solve."""
     mesh = request.getfixturevalue(mesh_name)
-    dense = dense_pencil_eigenvalues(mesh, problem, 2)
+    dense = dense_pencil_eigenvalues(mesh, problem)
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
 
     @given(st.floats(-5.0, 100.0), st.floats(-5.0, 100.0))
@@ -303,14 +317,14 @@ def test_prefix_counts_and_nearest_match_dense(request, mesh_name, problem, monk
         # a count is only defined away from the spectrum; the scans keep
         # lam 1e-3 away, the Lanczos values are good to about 1e-12
         assume(np.min(np.abs(dense - lam)) > 1e-8 * max(1.0, abs(lam)))
-        prefix = pencil_eigenvalues(mesh, problem, 2, upto=upto)
+        prefix = pencil_eigenvalues(mesh, problem, upto=upto)
         assert prefix[-1] > upto
         assert np.sum(prefix < lam) == np.sum(dense < lam)
         nearest = dense[np.argmin(np.abs(dense - lam))]
         got = prefix[np.argmin(np.abs(prefix - lam))]
         assert abs(got - nearest) <= 1e-10 * max(1.0, abs(nearest))
         before = tallies()["solver"]
-        assert pencil_eigenvalues(mesh, problem, 2, upto=lam) is prefix
+        assert pencil_eigenvalues(mesh, problem, upto=lam) is prefix
         assert tallies()["solver"] == before
 
     check()
@@ -318,7 +332,7 @@ def test_prefix_counts_and_nearest_match_dense(request, mesh_name, problem, monk
 
 def test_prefix_bound_is_required(disk2):
     with pytest.raises(TypeError):
-        pencil_eigenvalues(disk2, "dirichlet", 2)
+        pencil_eigenvalues(disk2, "dirichlet")
 
 
 def test_prefix_sized_by_one_inertia_count(disk3, monkeypatch):
@@ -326,7 +340,7 @@ def test_prefix_sized_by_one_inertia_count(disk3, monkeypatch):
     one value more than it counts: on disk level 3, the Neumann prefixes
     past 25 and then past 61 make one ``sparse_smallest_eigs`` call each,
     and the second holds N(61) + 1 = 20 values."""
-    dense = dense_pencil_eigenvalues(disk3, "neumann", 2)
+    dense = dense_pencil_eigenvalues(disk3, "neumann")
     counts = []
     solve = spectra.sparse_smallest_eigs
 
@@ -337,7 +351,7 @@ def test_prefix_sized_by_one_inertia_count(disk3, monkeypatch):
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     monkeypatch.setattr(spectra, "sparse_smallest_eigs", counted)
     for upto in (25.0, 61.0):
-        prefix = pencil_eigenvalues(disk3, "neumann", 2, upto=upto)
+        prefix = pencil_eigenvalues(disk3, "neumann", upto=upto)
         assert counts[-1] == len(prefix) == np.sum(dense < upto) + 1
         assert prefix[-1] > upto
     assert len(counts) == 2
@@ -352,11 +366,11 @@ def test_prefix_bound_at_the_neumann_zero(disk2, monkeypatch):
     above ``upto``."""
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     before = tallies()["solver"]
-    zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
+    zero = pencil_eigenvalues(disk2, "neumann", upto=0.0)
     assert len(zero) == 2 and zero[-1] > 0.0
     assert tallies()["solver"]["check_failed"] == before["check_failed"]
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
-    at_value = pencil_eigenvalues(disk2, "neumann", 2, upto=float(zero[0]))
+    at_value = pencil_eigenvalues(disk2, "neumann", upto=float(zero[0]))
     assert len(at_value) == 2 and at_value[-1] > zero[0]
 
 
@@ -365,11 +379,11 @@ def test_prefix_bound_at_the_neumann_zero_beyond_the_dense_cap(disk2, monkeypatc
     is still counted: the checked factor of A - upto B fails its pivot
     test at the Neumann zero, and a count at a bound nudged above it sizes
     the same prefix, with no failed check and nothing densified."""
-    n = len(spectra.free_dofs(pencil_pair(disk2, "neumann", 2), "neumann"))
+    n = len(spectra.free_dofs(pencil_pair(disk2, "neumann"), "neumann"))
     monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n - 1)
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
     before = tallies()["solver"]
-    zero = pencil_eigenvalues(disk2, "neumann", 2, upto=0.0)
+    zero = pencil_eigenvalues(disk2, "neumann", upto=0.0)
     assert len(zero) == 2 and zero[-1] > 0.0
     assert tallies()["solver"]["check_failed"] == before["check_failed"]
 
@@ -460,7 +474,7 @@ def test_prefix_miss_builds_one_pencil(disk2, monkeypatch):
     monkeypatch.setattr(eigen, "fill_order", counted_order)
     monkeypatch.setattr(spectra, "free_dofs", counted_free_dofs)
     monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
-    prefix = pencil_eigenvalues(disk2, "dirichlet", 2, upto=30.0)
+    prefix = pencil_eigenvalues(disk2, "dirichlet", upto=30.0)
     assert len(built) == 1 and len(orders) == 1
     pencil = built[0]
     assert len(factored) == 3
@@ -471,7 +485,7 @@ def test_prefix_miss_builds_one_pencil(disk2, monkeypatch):
     factored.clear()
     classified.clear()
     before = tallies()["caches"]["prefixes"]
-    assert pencil_eigenvalues(disk2, "dirichlet", 2, upto=20.0) is prefix
+    assert pencil_eigenvalues(disk2, "dirichlet", upto=20.0) is prefix
     assert built == [] and factored == [] and classified == []
     assert tallies()["caches"]["prefixes"] == {"hits": before["hits"] + 1,
                                                   "misses": before["misses"]}

@@ -51,7 +51,7 @@ def test_dtn_identity_and_counts(rect16):
 
 
 def test_dtn_excluded_spectrum(rect16):
-    lam1 = pencil_eigenvalues(rect16, "dirichlet", 2, upto=0.0)[0]
+    lam1 = pencil_eigenvalues(rect16, "dirichlet", upto=0.0)[0]
     with pytest.raises(ExcludedSpectrumError):
         trace_operator(rect16, "friedlander", float(lam1))
 
@@ -106,7 +106,7 @@ def test_friedlander_disk_matches_continuum_prediction(disk3):
 
 def test_exact_haynsworth_triple(disk2):
     # neg(trace) + neg(interior block) = neg(full shifted form)
-    pair = get_pair(disk2, "lagrange", 2)
+    pair = get_pair(disk2, "lagrange")
     bdofs, idofs = classify_dofs(pair.dofmap, "dirichlet-value")
     pencil = boundary_last_pencil(pair.k_grad, pair.mass, idofs, bdofs)
     for lam in (3.0, 12.0, 27.0):
@@ -178,9 +178,9 @@ def test_scan_points_are_verify_identity_on_cached_prefixes(disk2, kind):
     is bit for bit what :func:`verify_identity` reports at its lambda,
     a nudged point included."""
     inner = _IDENTITIES[kind][2]
-    on_value = float(pencil_eigenvalues(disk2, inner, 2, upto=0.0)[0])
+    on_value = float(pencil_eigenvalues(disk2, inner, upto=0.0)[0])
     grid = np.append(np.linspace(0.5, 60.0, 6), on_value)
-    traceops._scan_values(disk2, kind, 2, grid)
+    traceops._scan_values(disk2, kind, grid)
     before = tallies()["solver"]
     result = scan_identities(disk2, kind, grid)
     after = tallies()["solver"]
@@ -246,7 +246,7 @@ def test_relative_margin():
 def _shifted_form(mesh, kind, lam):
     """Sparse Q(lam) of a trace operator with its interior/boundary split."""
     if kind == "dtn":
-        pair = get_pair(mesh, "lagrange", 2)
+        pair = get_pair(mesh, "lagrange")
         bdofs, idofs = classify_dofs(pair.dofmap, "dirichlet-value")
         return pair.k_grad - lam * pair.mass, idofs, bdofs
     pair = get_pair(mesh, "morley")
@@ -261,13 +261,12 @@ def _shifted_form(mesh, kind, lam):
 def test_sparse_trace_operator_matches_dense_path(request, mesh_name, kind):
     mesh = request.getfixturevalue(mesh_name)
     outer, inner = ("neumann", "dirichlet") if kind == "dtn" else ("navier", "buckling")
-    order = 2 if kind == "dtn" else None
-    outer_vals = dense_pencil_eigenvalues(mesh, outer, order)
-    inner_vals = dense_pencil_eigenvalues(mesh, inner, order)
+    outer_vals = dense_pencil_eigenvalues(mesh, outer)
+    inner_vals = dense_pencil_eigenvalues(mesh, inner)
     excluded = np.concatenate([outer_vals, inner_vals])
     # the inner prefix past every lam below, so that trace_operator reads
     # its margin from the cache and factors nothing but Q
-    pencil_eigenvalues(mesh, inner, order, upto=61.0)
+    pencil_eigenvalues(mesh, inner, upto=61.0)
 
     @given(st.floats(min_value=0.1, max_value=60.0))
     @settings(max_examples=10, deadline=None)
@@ -301,7 +300,7 @@ def test_identity_table_partitions(request, mesh_name, kind):
     rest are exactly the DOFs each trace operator lives on."""
     mesh = request.getfixturevalue(mesh_name)
     name, outer, inner = _IDENTITIES[kind]
-    pair = pencil_pair(mesh, outer, 2)
+    pair = pencil_pair(mesh, outer)
     outer_free, inner_free = free_dofs(pair, outer), free_dofs(pair, inner)
     assert np.all(np.isin(inner_free, outer_free))
     assert len(inner_free) < len(outer_free)
@@ -379,7 +378,7 @@ def test_perturbed_cached_pencil_is_refused(disk2, monkeypatch):
     """The per-point symmetry check reads the cached pencil through its
     transpose map: one off-diagonal entry of A off by more than 1e-12
     relative raises, as an asymmetric matrix does."""
-    pencil = trace_pencil(disk2, "liu", None)
+    pencil = trace_pencil(disk2, "liu")
     trace_operator(disk2, "liu", 7.0)
     form = pencil.form
     cols = np.repeat(np.arange(len(form.indptr) - 1), np.diff(form.indptr))
@@ -387,7 +386,7 @@ def test_perturbed_cached_pencil_is_refused(disk2, monkeypatch):
     a_data = form.a_data.copy()
     a_data[k] += 1e-9 * np.max(np.abs(a_data))
     perturbed = replace(pencil, form=replace(form, a_data=a_data))
-    key = (disk2.content_hash(), "liu", "morley")
+    key = (disk2.content_hash(), "liu")
     assert traceops._PENCIL_CACHE[key] is pencil
     monkeypatch.setitem(traceops._PENCIL_CACHE, key, perturbed)
     with pytest.raises(ValueError, match="not symmetric"):
@@ -416,14 +415,14 @@ def test_one_factorization_per_point_one_order_between_both_identities(disk2, mo
 
 
 def test_pencil_cache_keys(disk2, monkeypatch):
-    """One pencil per mesh content, identity and pair kind: Liu's Morley
-    pencil is shared by every order, another radius gets its own."""
+    """One pencil per mesh content and identity: a second call shares
+    it, another identity or another radius gets its own."""
     monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
-    liu = trace_pencil(disk2, "liu", 2)
-    assert trace_pencil(disk2, "liu", None) is liu
-    assert len(traceops._PENCIL_CACHE) == 1
-    assert trace_pencil(disk2, "friedlander", 2) is not liu
-    other = trace_pencil(make_disk_mesh(0.5, 2), "liu", None)
+    liu = trace_pencil(disk2, "liu")
+    assert trace_pencil(disk2, "liu") is liu
+    assert list(traceops._PENCIL_CACHE) == [(disk2.content_hash(), "liu")]
+    assert trace_pencil(disk2, "friedlander") is not liu
+    other = trace_pencil(make_disk_mesh(0.5, 2), "liu")
     assert other is not liu
     assert len(traceops._PENCIL_CACHE) == 3
     assert not np.array_equal(other.form.a_data, liu.form.a_data)
@@ -434,13 +433,13 @@ def test_pencil_cache_keeps_the_most_recently_used(disk2, monkeypatch):
     least recently used one first."""
     monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
     monkeypatch.setattr(spectra, "CACHE_SIZE", 2)
-    liu = trace_pencil(disk2, "liu", None)
-    friedlander = trace_pencil(disk2, "friedlander", 2)
-    assert trace_pencil(disk2, "liu", 2) is liu  # now the most recent
-    other = trace_pencil(make_disk_mesh(0.5, 2), "liu", None)
+    liu = trace_pencil(disk2, "liu")
+    friedlander = trace_pencil(disk2, "friedlander")
+    assert trace_pencil(disk2, "liu") is liu  # now the most recent
+    other = trace_pencil(make_disk_mesh(0.5, 2), "liu")
     kept = list(traceops._PENCIL_CACHE.values())
     assert len(kept) == 2 and kept[0] is liu and kept[1] is other
-    assert trace_pencil(disk2, "friedlander", 2) is not friedlander
+    assert trace_pencil(disk2, "friedlander") is not friedlander
     assert list(traceops._PENCIL_CACHE.values())[0] is other
 
 
@@ -452,7 +451,7 @@ def test_schur_counts_match_dense_inertia(request, mesh_name, kind):
     those of the dense oracle (the Bunch-Kaufman counts of the dense S
     and of the dense Q_ii), over a lambda sweep."""
     mesh = request.getfixturevalue(mesh_name)
-    excluded = traceops._excluded_values(mesh, kind, 2, 61.0)[2]
+    excluded = traceops._excluded_values(mesh, kind, 61.0)[2]
     form = trace_pencil(mesh, kind).form
     lams = [lam for lam in np.linspace(0.5, 60.0, 6) if relative_margin(lam, excluded) >= 1e-3]
     assert len(lams) >= 4
@@ -472,8 +471,8 @@ def test_haynsworth_mismatch_raises(disk2, tmp_path, monkeypatch, capsys):
     ``identity-scan`` exits 1."""
     prefix = traceops.pencil_eigenvalues
 
-    def lacking_first_buckling(mesh, problem, order=None, *, upto):
-        values = prefix(mesh, problem, order, upto=upto)
+    def lacking_first_buckling(mesh, problem, *, upto):
+        values = prefix(mesh, problem, upto=upto)
         return values[1:] if problem == "buckling" else values
 
     monkeypatch.setattr(traceops, "pencil_eigenvalues", lacking_first_buckling)

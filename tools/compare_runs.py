@@ -32,8 +32,6 @@ COMMANDS = [
      "--lmin", "1", "--lmax", "60", "--points", "20"],
     ["identity-scan", "--domain", "rectangle", "--nx", "16", "--ny", "16",
      "--kind", "friedlander", "--lmin", "0.5", "--lmax", "40", "--points", "20"],
-    ["identity-scan", "--domain", "disk", "--refine", "3", "--kind", "friedlander",
-     "--order", "1", "--lmin", "0.5", "--lmax", "40", "--points", "10"],
     ["identity-scan", "--domain", "disk", "--refine", "5", "--kind", "liu",
      "--lmin", "1", "--lmax", "60", "--points", "4"],
     ["identity-scan", "--domain", "disk", "--refine", "5", "--kind", "friedlander",
