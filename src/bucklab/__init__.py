@@ -30,7 +30,7 @@ from .counterexample import (
     make_perturbation,
     rayleigh_quotient,
 )
-from .eigen import Inertia, inertia, schur_complement, sym_gen_eigs
+from .eigen import schur_complement, sym_gen_eigs
 from .errors import (
     BucklabError,
     ConfigError,

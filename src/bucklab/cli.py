@@ -60,7 +60,7 @@ def _at_least(low: int, *, default: int, help: str | None = None) -> Param:
 
 
 def _positive(*, default: float) -> Param:
-    return Param(float, lambda v: v > 0, "> 0", default)
+    return Param(float, lambda v: bool(np.isfinite(v)) and v > 0, "finite > 0", default)
 
 
 def _real(*, default: float, flag: str | None = None) -> Param:

@@ -18,8 +18,8 @@ Both regimes hinge on the clamped ground state (u1, Lambda1) of
 :func:`buckling_ground_state`, computed by certified shift-invert
 Lanczos on the sparse clamped pencil, and on the perturbation of
 :func:`make_perturbation`, the lift of unit normal derivatives through
-the fourth-order form at lambda = 0. Both depend on the mesh alone, so
-:func:`clamped_fields` solves them once per mesh per process and keeps
+the cached Liu trace pencil at lambda = 0. Both depend on the mesh
+alone, so :func:`clamped_fields` solves them once per mesh per process and keeps
 them for the :data:`~bucklab.spectra.CACHE_SIZE` most recently used
 meshes (:func:`~bucklab.runio.lru_put`); the caller chooses the regime
 from its Lambda1, and :func:`divergence_sweep` and
@@ -27,11 +27,12 @@ from its Lambda1, and :func:`divergence_sweep` and
 sign of its own, so the entry signs u1 by the perturbation (see
 :func:`_signed_ground`): no result depends on the solver's sign. The
 bounded regime keeps lambda clear of Lambda1 alone, which is certified
-smallest, and needs no other buckling eigenvalue. It factors the cached
-Navier trace pencil's shifted form once: that factor gives the
+smallest, and needs no other buckling eigenvalue. It factors the same
+trace pencil's shifted form once: that factor gives the
 Neumann-to-Laplacian operator, whose boundary-sized generalized
 eigenproblem is the one dense one left here, and lifts its minimizer to
-the interior. Every function here takes a Morley
+the interior. So every sparse factor here is one of a problem pencil or
+of the trace pencil. Every function here takes a Morley
 :class:`~bucklab.assembly.OperatorPair`.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import spectra
 from .assembly import OperatorPair
-from .eigen import lift_to_interior, schur_and_lift, sym_gen_eigs
+from .eigen import schur_complement, sym_gen_eigs
 from .errors import ConstraintViolationError
 from .runio import lru_get, lru_put
 from .spectra import free_dofs, smallest_eigenpairs
@@ -124,13 +125,14 @@ def make_perturbation(pair: OperatorPair) -> np.ndarray:
     boundary normal derivative DOFs; its boundary normal mass equals
     the mesh perimeter, giving the sweep a fixed positive denominator.
     It is ``-F_cc^{-1} F_cb 1``, the lift of unit normal derivatives to
-    the clamped free DOFs (:func:`~bucklab.eigen.lift_to_interior`),
-    whose :class:`~bucklab.errors.FactorCheckError` propagates."""
-    free = free_dofs(pair, "buckling")
-    normal = pair.dofmap.boundary_normal_dofs()
+    the clamped free DOFs through the Liu trace pencil at lambda = 0,
+    whose shifted form is F on the Navier free DOFs
+    (:func:`~bucklab.eigen.schur_complement`); a
+    :class:`~bucklab.errors.FactorCheckError` propagates."""
+    form = trace_pencil(pair.mesh, "liu").form
+    ones = np.ones(len(form.rows) - form.n_interior)
     h = np.zeros(pair.dofmap.n_dofs)
-    h[normal] = 1.0
-    h[free] = lift_to_interior(pair.fourth_order_matrix(), free, normal, h[normal])
+    h[form.rows] = np.concatenate([schur_complement(form.at(0.0)).lift(ones), ones])
     return h
 
 
@@ -254,10 +256,10 @@ def _trace_minimizer(pair: OperatorPair, lam: float) -> tuple[float, np.ndarray,
     The factor is freed on return."""
     pencil = trace_pencil(pair.mesh, "liu")
     q = pencil.form.at(lam)
-    schur, lift = schur_and_lift(q)
+    schur = schur_complement(q)
     w, vecs = sym_gen_eigs(schur.matrix, pencil.boundary_mass, 1)
     psi = vecs[:, 0]
-    v = np.concatenate([lift(psi), psi])  # in the pencil's row order
+    v = np.concatenate([schur.lift(psi), psi])  # in the pencil's row order
     v /= np.linalg.norm(v)
     residual = float(np.linalg.norm((q.csc() @ v)[:q.n_interior]))
     v_full = np.zeros(pair.dofmap.n_dofs)

@@ -5,10 +5,13 @@ A sparse pencil reaches this module in one form, a
 from the assembled forms and two disjoint DOF lists: A and B on one
 shared pattern, interior DOFs first in the fill order of their pattern
 (:func:`fill_order`) and boundary DOFs, if any, last, so that
-``pencil.at(t)``, the matrix A - t B, is one vector update. Trace
-operators, 1D cap forms and test matrices arrive dense. Only
-:func:`sym_gen_eigs` densifies a sparse matrix, and it refuses to do so
-beyond ``MAX_DENSE_DOFS`` rows.
+``pencil.at(t)``, the matrix A - t B, is one vector update. Every such
+pencil is a problem pencil (no boundary) or a trace pencil. Trace
+operators, 1D cap forms and test matrices arrive dense, and
+:func:`sym_gen_eigs` takes dense arrays only. The one place a sparse
+pencil is densified is the fallback of :func:`sparse_smallest_eigs` for
+a pencil too small for ARPACK, which refuses beyond ``MAX_DENSE_DOFS``
+rows.
 
 Every sparse factorization is one SuperLU factorization of a
 ``pencil.at(t)`` in symmetric mode and in the stored order
@@ -31,12 +34,11 @@ panel pays off.
 
 A trace pencil's factor of Q = ``pencil.at(lam)`` gives S = L_bb U_bb,
 neg(Q_ii) and neg(S) from its pivots, and lifts boundary values to the
-interior (:func:`schur_and_lift`). Its interior part passes the pivot
+interior (:func:`schur_complement`). Its interior part passes the pivot
 and growth checks, its boundary part, the LDL^T of a possibly nearly
 singular S, the growth check alone, and whenever they pass the
 Haynsworth additivity inertia(Q) = inertia(Q_ii) + inertia(S) holds
-exactly. :func:`lift_to_interior` and :func:`inertia` factor a sparse
-matrix as a pencil without a boundary.
+exactly.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ import ctypes
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -57,7 +59,7 @@ from .runio import lru_get, lru_put, tally
 #: pivots and eigenvalues within this of zero, relative to max|A|, count as zero
 ZERO_TOL = 1e-9
 _SYM_RTOL = 1e-12
-#: densifying a sparse matrix with more rows than this raises SizeLimitError
+#: densifying a sparse pencil with more rows than this raises SizeLimitError
 MAX_DENSE_DOFS = 6000
 # Largest accepted element growth max(max|L|, max|U| / max|A|) of an
 # unpivoted sparse factor. Its backward error is about machine epsilon
@@ -111,12 +113,6 @@ _ORDER_CACHE: dict[bytes, np.ndarray] = {}
 _ORDER_CACHE_SIZE = 8
 
 
-class Inertia(NamedTuple):
-    n_neg: int
-    n_zero: int
-    n_pos: int
-
-
 @contextmanager
 def _counted():
     """Count the one factorization checked in this block: ``solver``
@@ -159,30 +155,18 @@ def retain_factor_workspace() -> None:
     mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
-def _require_symmetric(a, name: str = "matrix"):
-    """``a`` as float64 CSC (sparse input with duplicate entries: a copy
-    with them summed) or ndarray, checked square and symmetric within
-    1e-12 relative."""
+def _require_symmetric(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a float64 ndarray, checked square and symmetric within
+    1e-12 relative; a sparse matrix raises TypeError."""
     if sp.issparse(a):
-        a = sp.csc_array(a, dtype=np.float64)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"{name} must be square, got shape {a.shape}")
-        if not a.has_canonical_format:
-            a = a.copy()
-            a.sum_duplicates()
-        scale = _max_abs(a.data)
-        asym = _max_abs((a - a.T).data)
-    else:
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"{name} must be square, got shape {a.shape}")
-        # an exactly symmetric matrix passes without the tolerance test's
-        # temporaries; an unequal one is not empty
-        if np.array_equal(a, a.T):
-            return a
-        scale = np.max(np.abs(a))
-        asym = np.max(np.abs(a - a.T))
-    _check_symmetric(scale, asym, name)
+        raise TypeError(f"{name} must be a dense array, got a sparse matrix")
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    # an exactly symmetric matrix passes without the tolerance test's
+    # temporaries; an unequal one is not empty
+    if not np.array_equal(a, a.T):
+        _check_symmetric(np.max(np.abs(a)), np.max(np.abs(a - a.T)), name)
     return a
 
 
@@ -193,24 +177,13 @@ def _check_symmetric(scale: float, asym: float, name: str) -> None:
 
 
 def sym_gen_eigs(a, b, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` smallest eigenpairs of A x = gamma B x, B positive definite.
+    """``count`` smallest eigenpairs of A x = gamma B x, B positive definite,
+    for dense arrays A and B.
 
     Returns eigenvalues ascending and B-orthonormal eigenvectors as
-    columns. Raises if B fails its Cholesky factorization. Sparse input
-    is densified, and refused beyond ``MAX_DENSE_DOFS`` rows with
-    :class:`SizeLimitError`.
+    columns. Raises if B fails its Cholesky factorization.
     """
-    forms = []
-    for m, name in ((a, "A"), (b, "B")):
-        m = _require_symmetric(m, name)
-        if sp.issparse(m):
-            if m.shape[0] > MAX_DENSE_DOFS:
-                raise SizeLimitError(
-                    f"{name} has {m.shape[0]} rows, beyond the dense cap {MAX_DENSE_DOFS}"
-                )
-            m = m.toarray()
-        forms.append(m)
-    a, b = forms
+    a, b = _require_symmetric(a, "A"), _require_symmetric(b, "B")
     n = len(a)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
@@ -247,16 +220,19 @@ def sparse_smallest_eigs(pencil, count: int, sigma: float) -> tuple[np.ndarray, 
     one after an ARPACK failure reuses it. A failed retry, a shift factor
     with a negative pivot and a factor that fails its checks each raise
     :class:`FactorCheckError`. A pencil of at most
-    ``count + _LANCZOS_EXTRA`` rows, too small for ARPACK, goes to the
-    dense :func:`sym_gen_eigs` and factors nothing here.
+    ``count + _LANCZOS_EXTRA`` rows, too small for ARPACK, is densified
+    for :func:`sym_gen_eigs` and factors nothing here; beyond
+    ``MAX_DENSE_DOFS`` rows it raises :class:`SizeLimitError` instead.
     """
     n = len(pencil.rows)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
     nev = count + _LANCZOS_EXTRA
-    if nev >= n:  # ARPACK needs nev < n
-        return sym_gen_eigs(*pencil.forms(), count)
     a, b = pencil.forms()
+    if nev >= n:  # ARPACK needs nev < n
+        if n > MAX_DENSE_DOFS:
+            raise SizeLimitError(f"the pencil has {n} rows, beyond the dense cap {MAX_DENSE_DOFS}")
+        return sym_gen_eigs(a.toarray(), b.toarray(), count)
     v0 = np.random.default_rng(0).standard_normal(n)
     op_inv = None
     for retry, tol in enumerate(_LANCZOS_TOLS):
@@ -285,7 +261,7 @@ def sparse_smallest_eigs(pencil, count: int, sigma: float) -> tuple[np.ndarray, 
         if gap is None:
             continue
         op_inv = None  # one factor at a time: the certificate builds its own
-        if _pencil_inertia(pencil.at(0.5 * (w[gap] + w[gap + 1]))).n_neg == gap + 1:
+        if _pencil_inertia(pencil.at(0.5 * (w[gap] + w[gap + 1]))) == gap + 1:
             return w[:count], v[:, :count]
     raise FactorCheckError(f"Lanczos found no {count} smallest eigenpairs of a {n}-row pencil "
                            f"that pass the inertia certificate at ARPACK tolerances "
@@ -386,49 +362,12 @@ def _max_abs(values: np.ndarray) -> float:
     return max(float(np.max(values)), -float(np.min(values))) if len(values) else 0.0
 
 
-def inertia(a) -> Inertia:
-    """Signs of the spectrum of a symmetric matrix, read off an LDL^T factor.
-
-    Sparse input: signs of the pivots of the checked sparse LDL^T of the
-    pencil (A, 0) with no boundary, whose pivots all exceed
-    ``ZERO_TOL * max|A|``; a factor that fails a check raises
-    :class:`FactorCheckError`. Dense input: LDL^T with Bunch-Kaufman
-    pivoting, whose block-diagonal D (1x1 and 2x2 pivot blocks) is
-    tridiagonal; the signs are those of its eigenvalues from LAPACK, and
-    eigenvalues with magnitude at most ``ZERO_TOL * max|A|`` count as
-    zero. That threshold is relative to max|A|, so on a graded matrix it
-    counts well-determined eigenvalues as zero: on the unscaled cap form
-    A_2 - 2.0147 K_2 (eps 0.1, 64 nodes, clamped free DOFs, diagonal
-    from 11.4 to 9.4e12, smallest eigenvalue 0.686) it returns
-    ``Inertia(0, 73, 53)``.
-    """
-    a = _require_symmetric(a, "A")
-    n = a.shape[0]
-    if n == 0:
-        return Inertia(0, 0, 0)
-    if sp.issparse(a):
-        if a.nnz == 0:
-            return Inertia(0, n, 0)
-        pencil = boundary_last_pencil(a, sp.csc_array(a.shape), np.arange(n), [])
-        return _pencil_inertia(pencil.at(0.0))
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return Inertia(0, n, 0)
-    _, d, _ = sla.ldl(a)
-    ev = sla.eigvalsh_tridiagonal(np.diag(d), np.diag(d, -1))
-    thresh = ZERO_TOL * scale
-    n_neg = int(np.sum(ev < -thresh))
-    n_pos = int(np.sum(ev > thresh))
-    n_zero = n - n_neg - n_pos
-    return Inertia(n_neg, n_zero, n_pos)
-
-
-def _pencil_inertia(q: BoundaryLastMatrix) -> Inertia:
-    """:func:`inertia` of the pencil matrix ``q``: the pivot signs of its
+def _pencil_inertia(q: BoundaryLastMatrix) -> int:
+    """neg(Q) of the pencil matrix ``q``: the negative pivots of its
     checked factor."""
     with _counted():
         pivots = _checked_factor(q).pivots
-    return Inertia(int(np.sum(pivots < 0)), 0, int(np.sum(pivots > 0)))
+    return int(np.sum(pivots < 0))
 
 
 def pencil_count(pencil: BoundaryLastPencil, upto: float, scale: float) -> int:
@@ -571,51 +510,44 @@ def boundary_last_pencil(a, b, interior, boundary) -> BoundaryLastPencil:
 
 class SchurComplement(NamedTuple):
     """S = Q_bb - Q_bi Q_ii^{-1} Q_ib of a symmetric Q, dense over Q's
-    boundary DOFs, with neg(S) and neg(Q_ii) read off the factorization
-    that produced S (:func:`schur_and_lift`)."""
+    boundary DOFs, with neg(S), neg(Q_ii) and the lift of boundary values
+    to the interior, all read off the factorization that produced S
+    (:func:`schur_complement`)."""
 
     matrix: np.ndarray
     n_neg: int
     n_neg_interior: int
+    lift: Callable[[np.ndarray], np.ndarray]
 
 
 def schur_complement(q: BoundaryLastMatrix) -> SchurComplement:
     """The :class:`SchurComplement` of a symmetric Q stored boundary-last
     (a :class:`BoundaryLastMatrix`, ``pencil.at(lam)``), in Q's boundary
-    order. A factor that fails a check, a singular interior block among
-    them, raises :class:`FactorCheckError`. See :func:`schur_and_lift`,
-    which this is without the lift."""
-    return schur_and_lift(q)[0]
-
-
-def schur_and_lift(q: BoundaryLastMatrix):
-    """``(schur, lift)``: the :class:`SchurComplement` of ``q``, and the
-    function ``lift(psi) = -Q_ii^{-1} Q_ib psi`` that extends boundary
-    values ``psi`` to the interior DOFs (in Q's order) so that the
-    interior rows of Q vanish, both from one factorization.
+    order, from one factorization.
 
     Q is factored once in its own order by :func:`_checked_factor`, and
     S = L_bb U_bb is read off the boundary block of that factor. Its
     pivots count neg(Q_ii) (the negative interior ones) and neg(S) (the
     boundary ones below ``-ZERO_TOL * max|S|``: a smaller one bounds an
-    eigenvalue of S that the dense count takes as zero). Since
-    Q_ii = L_ii U_ii and Q_ib = L_ii U_ib, the lift is one triangular
-    solve U_ii y = -U_ib psi in Q's order. A factor that fails a check
-    raises :class:`FactorCheckError`. The lift holds U until it is
-    dropped.
+    eigenvalue of S that the dense count takes as zero). The lift
+    ``lift(psi) = -Q_ii^{-1} Q_ib psi`` extends boundary values ``psi`` to
+    the interior DOFs (in Q's order) so that the interior rows of Q
+    vanish: since Q_ii = L_ii U_ii and Q_ib = L_ii U_ib, it is one
+    triangular solve U_ii y = -U_ib psi. A factor that fails a check, a
+    singular interior block among them, raises
+    :class:`FactorCheckError`. The lift holds U until it is dropped.
     """
     with _counted():
         fac = _checked_factor(q)
     ni, u = q.n_interior, fac.u  # the lift holds U, not the SuperLU object
     s = _trailing_block(fac.l, ni) @ _trailing_block(u, ni)
     s = 0.5 * (s + s.T)
-    schur = SchurComplement(s, int(np.sum(fac.pivots[ni:] < -ZERO_TOL * _max_abs(s))),
-                            int(np.sum(fac.pivots[:ni] < 0)))
 
     def lift(psi):
         return spla.spsolve_triangular(u[:ni, :ni], -(u[:ni, ni:] @ psi), lower=False)
 
-    return schur, lift
+    return SchurComplement(s, int(np.sum(fac.pivots[ni:] < -ZERO_TOL * _max_abs(s))),
+                           int(np.sum(fac.pivots[:ni] < 0)), lift)
 
 
 def _trailing_block(f: sp.csc_array, ni: int) -> np.ndarray:
@@ -629,19 +561,3 @@ def _trailing_block(f: sp.csc_array, ni: int) -> np.ndarray:
     block = np.zeros((n - ni, n - ni))
     block[rows[keep] - ni, cols[keep]] = f.data[start:][keep]
     return block
-
-
-def lift_to_interior(a, interior: np.ndarray, boundary: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The lift ``-A_ii^{-1} A_ib psi`` of :func:`schur_and_lift` for a
-    symmetric sparse A given by index sets, in the order of ``interior``:
-    one checked factor of A_ii, the pencil (A, 0) on the interior DOFs
-    with no boundary. A factor that fails a check, a singular A_ii among
-    them, raises :class:`FactorCheckError`."""
-    a = _require_symmetric(a, "A")
-    pencil = boundary_last_pencil(a, sp.csc_array(a.shape), interior, [])
-    rhs = -(a[np.ix_(pencil.rows, boundary)] @ psi)
-    with _counted():
-        fac = _checked_factor(pencil.at(0.0))
-    lifted = np.zeros(a.shape[0])
-    lifted[pencil.rows] = fac.lu.solve(rhs)
-    return lifted[interior]

@@ -160,10 +160,13 @@ def _build_mesh(
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     p = vertices[triangles]
-    signed = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite area
+        signed = 0.5 * (
+            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+        )
+    if not (np.all(np.isfinite(vertices)) and np.all(np.isfinite(signed))):
+        raise MeshError("non-finite vertex coordinates or triangle area")
     if np.any(signed <= 0):
         raise MeshError("triangle with non-positive signed area")
 
@@ -219,8 +222,8 @@ def make_disk_mesh(radius: float, refinement: int) -> Mesh:
     Starts from an 8-triangle fan and refines uniformly ``refinement``
     times; every new boundary vertex is projected back onto the circle.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     if refinement < 0:
         raise ValueError("refinement must be >= 0")
     if refinement > MAX_REFINEMENT:
@@ -240,8 +243,8 @@ def make_disk_mesh(radius: float, refinement: int) -> Mesh:
 
 def make_rectangle_mesh(a: float, b: float, nx: int, ny: int) -> Mesh:
     """Structured crossed-diagonal triangulation of [0,a] x [0,b]."""
-    if a <= 0 or b <= 0:
-        raise ValueError("side lengths must be positive")
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise ValueError("side lengths must be positive and finite")
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be >= 1")
     if 2 * nx * ny > MAX_TRIANGLES:
@@ -270,6 +273,8 @@ def make_polygon_mesh(corners: np.ndarray, refinement: int = 0) -> Mesh:
     corners = np.asarray(corners, dtype=np.float64)
     if corners.ndim != 2 or corners.shape[1] != 2 or len(corners) < 3:
         raise ValueError("need at least three corner points")
+    if refinement < 0:
+        raise ValueError("refinement must be >= 0")
     if refinement > MAX_REFINEMENT:
         raise SizeLimitError(f"refinement {refinement} exceeds the cap {MAX_REFINEMENT}")
     n = len(corners)

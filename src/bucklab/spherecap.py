@@ -35,9 +35,9 @@ solves few: mode 0 sets Lambda, and a later mode is solved, and may
 lower Lambda, only when A_m - Lambda K_m on its clamped free DOFs fails
 a Cholesky factorization. By Sylvester's law of inertia a factorization
 that succeeds shows that the mode has no value at or below Lambda.
-(``eigen.inertia`` cannot decide this on these graded forms: its zero
-tolerance is relative to max|A|, and their diagonal spans about 11
-orders of magnitude.)
+(A Bunch-Kaufman count with a zero tolerance relative to max|A|
+cannot decide this on these graded forms: their diagonal spans about
+11 orders of magnitude.)
 
 A scan point builds one grid per resolution, ``nodes`` and ``2 * nodes``
 intervals, and computes all four quantities (lambda1, lambda2, mu2,

@@ -13,8 +13,9 @@ order, then the boundary DOFs. At each lambda
 :func:`bucklab.eigen.schur_complement` factors that pencil's shifted
 form once (a checked sparse LDL^T) and returns the boundary block of the
 factor as a dense matrix, with neg(S) and neg(Q_ii) from its pivots.
-Nothing here keeps a factor past its point; :mod:`bucklab.counterexample`
-lifts its fields from the same kind of factor.
+Nothing here keeps a factor past its point, nor the lift the factor
+gives; :mod:`bucklab.counterexample` lifts its fields through the Liu
+trace pencil.
 
 Because Schur elimination and inertia obey Haynsworth additivity
 exactly, neg(trace operator) = N_outer(lambda) - N_inner(lambda), a

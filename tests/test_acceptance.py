@@ -13,7 +13,6 @@ from bucklab import (
     bounded_below_check,
     disk_oracle,
     divergence_sweep,
-    inertia,
     scan_beta1,
     schur_complement,
     spectrum,
@@ -24,7 +23,7 @@ from bucklab.eigen import boundary_last_pencil
 from bucklab.errors import FactorCheckError
 from bucklab.spectra import get_pair, pencil_eigenvalues
 
-from oracles import random_symmetric
+from oracles import inertia, random_symmetric
 
 
 def _line(num: int, passed: bool, detail: str) -> None:

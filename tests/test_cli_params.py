@@ -116,3 +116,24 @@ def test_nodes_bounded_by_dense_limit(tmp_path, capsys):
         assert code == 2, argv
         assert "usage error" in err and "1499" in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_non_finite_geometry_is_a_usage_error(tmp_path, capsys):
+    """An infinite radius or side length is refused as out of range, from
+    the flag and from the config key alike, before any run directory
+    exists; a finite radius whose triangle areas overflow is a mesh
+    error (exit 1), never a numpy warning or a failed pivot check."""
+    cfg = tmp_path / "geometry.cfg"
+    for key in ("radius", "a", "b"):
+        cfg.write_text(f"{key} = inf\n")
+        for argv in ([SAMPLES[key][0], "inf"], ["--config", str(cfg)]):
+            code = main(["spectrum", *argv, "--run-root", str(tmp_path / "runs")])
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert "usage error" in err and "finite > 0" in err
+    assert not (tmp_path / "runs").exists()
+    cfg.write_text("radius = 1e300\n")
+    for argv in (["--radius", "1e300"], ["--config", str(cfg)]):
+        code = main(["spectrum", "--refine", "1", *argv, "--run-root", str(tmp_path / "runs")])
+        assert code == 1, argv
+        assert capsys.readouterr().err == "error: non-finite vertex coordinates or triangle area\n"

@@ -37,3 +37,25 @@ def test_differences_name_each_differing_line():
     assert "  file x.csv: only in parent" in lines
     assert "  file y.csv: only in change" in lines
     assert tool.differences(parent, dict(parent)) == []
+
+
+def test_numeric_files_report_their_max_relative_difference():
+    """A CSV or .dat file that differs gets one line measuring how far its
+    numbers moved, when both have the same shape and non-numeric cells;
+    the differing lines follow it. Other files and tables of another
+    shape or other text get no such line."""
+    tool = _tool()
+    parent = {"file a.csv": ["lambda,beta1,holds", "1.5,2.0,true", "3.0,-4.0,false"],
+              "file a.dat": ["# x y", "1 2.0"], "stdout": ["1.0"]}
+    change = {"file a.csv": ["lambda,beta1,holds", "1.5,2.000002,true", "3.0,-4.0,false"],
+              "file a.dat": ["# x y", "1 2.5"], "stdout": ["1.1"]}
+    lines = tool.differences(parent, change)
+    assert lines[lines.index("  file a.csv:") + 1] == (
+        "    max relative difference 1e-06 over 4 numeric cells")
+    assert lines[lines.index("  file a.dat:") + 1] == (
+        "    max relative difference 0.2 over 2 numeric cells")
+    assert "    +1.5,2.000002,true" in lines
+    assert not any("max relative" in line for line in lines[lines.index("  stdout:"):])
+    for other in (["lambda,beta1,holds", "1.5,2.0,false", "3.0,-4.0,false"],
+                  ["lambda,beta1,holds", "1.5,2.0,true"]):
+        assert tool.numeric_difference(parent["file a.csv"], other) is None

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from bucklab import (
     BucklabError,
+    counterexample,
     eigen,
     FactorCheckError,
     SizeLimitError,
     bounded_below_check,
     divergence_sweep,
-    inertia,
     make_disk_mesh,
     make_rectangle_mesh,
     schur_complement,
@@ -23,12 +23,20 @@ from bucklab import (
     sym_gen_eigs,
     traceops,
 )
-from bucklab.eigen import lift_to_interior, sparse_smallest_eigs
+from bucklab.cli import main
+from bucklab.eigen import sparse_smallest_eigs
 from bucklab.runio import tallies
 from bucklab.spectra import pencil_eigenvalues
 from bucklab.traceops import relative_margin, scan_identities, trace_pencil
 
-from oracles import dense_lift, dense_schur, jacobi_eigenvalues, random_symmetric, sliced_forms
+from oracles import (
+    dense_lift,
+    dense_schur,
+    inertia,
+    jacobi_eigenvalues,
+    random_symmetric,
+    sliced_forms,
+)
 
 
 def _boundary_last(q, interior, boundary):
@@ -73,21 +81,25 @@ def test_error_contracts(rng):
         sym_gen_eigs(np.ones((2, 3)), np.eye(2), 1)
 
 
-def test_sym_gen_eigs_refuses_large_sparse_input(monkeypatch):
-    """Sparse forms are densified up to ``MAX_DENSE_DOFS`` rows; beyond
-    it SizeLimitError names the form, while dense input is never refused."""
-    n = 12
+def test_tiny_pencil_densified_within_the_dense_cap(monkeypatch):
+    """A pencil too small for ARPACK is densified up to ``MAX_DENSE_DOFS``
+    rows and solved by the dense solver; beyond it SizeLimitError names
+    the pencil's size. ``sym_gen_eigs`` itself takes dense arrays only."""
+    n = 6
     a = sp.diags_array([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], offsets=[-1, 0, 1])
     b = sp.eye_array(n)
-    w, _ = sym_gen_eigs(a.toarray(), b.toarray(), 2)
+    w, _ = sym_gen_eigs(a.toarray(), b.toarray(), 4)
+    pencil = eigen.boundary_last_pencil(a, b, np.arange(n), [])
     monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n - 1)
-    with pytest.raises(SizeLimitError, match=f"A has {n} rows, beyond the dense cap {n - 1}"):
-        sym_gen_eigs(a, b, 2)
-    with pytest.raises(SizeLimitError, match=f"B has {n} rows"):
-        sym_gen_eigs(a.toarray(), b, 2)
-    assert np.array_equal(sym_gen_eigs(a.toarray(), b.toarray(), 2)[0], w)
+    with pytest.raises(SizeLimitError, match=f"pencil has {n} rows, beyond the dense cap {n - 1}"):
+        sparse_smallest_eigs(pencil, 4, -0.5)
+    with pytest.raises(TypeError, match="A must be a dense array"):
+        sym_gen_eigs(a, b.toarray(), 4)
+    with pytest.raises(TypeError, match="B must be a dense array"):
+        sym_gen_eigs(a.toarray(), b, 4)
+    assert np.array_equal(sym_gen_eigs(a.toarray(), b.toarray(), 4)[0], w)
     monkeypatch.setattr(eigen, "MAX_DENSE_DOFS", n)
-    assert np.array_equal(sym_gen_eigs(a, b, 2)[0], w)
+    assert np.array_equal(sparse_smallest_eigs(pencil, 4, -0.5)[0], w)
 
 
 def test_inertia_examples():
@@ -149,9 +161,23 @@ def test_schur_partition_checked(sparse):
                                rtol=1e-15)
 
 
+def _sparse_symmetric(q) -> bool:
+    """Whether the sparse ``q`` passes the symmetry check of its checked
+    factor, made through the transpose map of the pencil (q, 0): that
+    check comes first, so a factor that fails a later one passed it."""
+    try:
+        eigen._checked_factor(_boundary_last(q, np.arange(q.shape[0]), []))
+    except FactorCheckError:
+        pass
+    except ValueError:
+        return False
+    return True
+
+
 def test_sparse_symmetry_check_matches_dense(rng):
-    """The sparse symmetry check sums duplicate entries on its own copy
-    and decides as the dense check does, on split and perturbed input:
+    """The sparse symmetry check, through the transpose map of a pencil
+    built from a matrix with split entries (summed on the pencil's own
+    copy), decides as the dense check does on the same perturbed input:
     an exactly symmetric matrix (the dense check's fast path) and
     asymmetries below 1e-12 relative pass, larger ones raise."""
     n = 12
@@ -174,16 +200,13 @@ def test_sparse_symmetry_check_matches_dense(rng):
             dense_ok = True
         except ValueError:
             dense_ok = False
-        try:
-            checked = eigen._require_symmetric(dup)
-            sparse_ok = True
-        except ValueError:
-            sparse_ok = False
-        assert sparse_ok == dense_ok == (delta < 1e-12)
+        assert _sparse_symmetric(dup) == dense_ok == (delta < 1e-12)
         assert dup.nnz == 2 * len(rows) and np.array_equal(dup.data, stored)
-        if sparse_ok:
-            assert checked.nnz == len(rows)
-            assert np.array_equal(checked.toarray(), sp.coo_array(dup).toarray())
+        pencil = eigen.boundary_last_pencil(dup, sp.csc_array((n, n)), np.arange(n), [])
+        assert len(pencil.a_data) == len(rows)
+        stored_a = pencil.forms()[0].toarray()
+        summed = sp.coo_array(dup).toarray()[np.ix_(pencil.rows, pencil.rows)]
+        assert np.array_equal(stored_a, summed)
 
 
 def test_haynsworth_additivity_exact(rng):
@@ -248,14 +271,15 @@ def test_eigenvalues_invariant_under_permutation(seed):
     ([[1.0, 0.0], [0.0, 1e-12]], "pivot size"),
 ], ids=[f"matrix{i}" for i in range(6)])
 def test_sparse_inertia_names_the_failed_check(matrix, check):
-    """A sparse matrix whose checked factor fails a check has no sparse
-    inertia: FactorCheckError names the check, counted once in
-    ``check_failed``. The same matrix passed dense gets the Bunch-Kaufman
-    inertia, which counts as the eigenvalues do."""
+    """A sparse matrix whose checked factor, of the pencil (A, 0), fails a
+    check has no sparse inertia: FactorCheckError names the check,
+    counted once in ``check_failed``. The same matrix gets the
+    Bunch-Kaufman inertia of the dense oracle, which counts as the
+    eigenvalues do."""
     dense = np.array(matrix)
     before = tallies()["solver"]
     with pytest.raises(FactorCheckError, match=f"failed its {check} check"):
-        inertia(sp.csc_array(dense))
+        eigen._pencil_inertia(_boundary_last(sp.csc_array(dense), np.arange(len(dense)), []))
     after = tallies()["solver"]
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["check_failed"] == before["check_failed"] + 1
@@ -275,8 +299,6 @@ def test_sparse_singular_interior_raises():
     for q in (rank_one, zero_block):
         with pytest.raises(FactorCheckError, match="zero pivot"):
             schur_complement(_boundary_last(sp.csc_array(q), interior, boundary))
-        with pytest.raises(FactorCheckError, match="zero pivot"):
-            lift_to_interior(sp.csc_array(q), interior, boundary, np.ones(1))
 
 
 class _Postordered:
@@ -306,7 +328,7 @@ class _Permuted:
         return getattr(self._lu, name)
 
 
-def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
+def test_schur_complement_refuses_a_factor_in_another_order(rng, monkeypatch):
     """A boundary-last factor that SuperLU reports in any order but the
     one it was given, even one that keeps interior before boundary, is
     not trusted: FactorCheckError names the order check, counted once in
@@ -319,12 +341,12 @@ def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
     q = _boundary_last(a, np.arange(ni), np.arange(ni, n))
     dense = q.csc().toarray()
     interior, boundary = np.arange(ni), np.arange(ni, n)
-    schur, lift = eigen.schur_and_lift(q)
+    schur = schur_complement(q)
     np.testing.assert_allclose(schur.matrix, dense_schur(dense, interior, boundary),
                                rtol=1e-12, atol=1e-12)
     psi = rng.standard_normal(n - ni)
     x = dense_lift(dense, interior, boundary, psi)
-    np.testing.assert_allclose(lift(psi), x, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
+    np.testing.assert_allclose(schur.lift(psi), x, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
 
     perm = np.concatenate([rng.permutation(ni), ni + rng.permutation(n - ni)])
     assert not np.array_equal(perm, np.arange(n))
@@ -333,7 +355,7 @@ def test_schur_and_lift_refuse_a_factor_in_another_order(rng, monkeypatch):
                         lambda a, **kwargs: _Permuted(splu, a, perm, **kwargs))
     before = tallies()["solver"]
     with pytest.raises(FactorCheckError, match="failed its order check"):
-        eigen.schur_and_lift(q)
+        schur_complement(q)
     after = tallies()["solver"]
     assert after["sparse_ldlt"] == before["sparse_ldlt"]
     assert after["check_failed"] == before["check_failed"] + 1
@@ -446,7 +468,7 @@ def test_sparse_smallest_eigs_paths(case, raised, monkeypatch):
             sparse_smallest_eigs(pencil, 4, sigma)
     else:
         w, v = sparse_smallest_eigs(pencil, 4, sigma)
-        w_dense, v_dense = sym_gen_eigs(a, b, 4)
+        w_dense, v_dense = sym_gen_eigs(a.toarray(), b.toarray(), 4)
         np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0)
         np.testing.assert_allclose(np.abs(v.T @ v_dense[pencil.rows]), np.eye(4), atol=1e-8)
     after = tallies()["solver"]
@@ -498,7 +520,7 @@ def test_lanczos_holds_one_factor_at_a_time(retried, monkeypatch):
 
         monkeypatch.setattr(eigen.spla, "eigsh", drops_smallest)
     w, _ = sparse_smallest_eigs(pencil, 4, -0.5)
-    np.testing.assert_allclose(w, sym_gen_eigs(a, sp.identity(n), 4)[0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(w, sym_gen_eigs(a.toarray(), np.eye(n), 4)[0], rtol=1e-12, atol=0)
     # shift and certificate, and both again after a failed certificate
     assert alive_at_start == [0] * (4 if retried else 2)
 
@@ -649,6 +671,42 @@ def test_every_checked_factor_keeps_the_stored_order(disk2, monkeypatch, empty_c
     assert set(specs) == {"NATURAL"}
 
 
+def test_every_pencil_is_a_problem_or_trace_pencil(disk2, tmp_path, monkeypatch,
+                                                   empty_clamped_fields):
+    """Every sparse pencil the mesh commands build on disk refine 2 (the
+    four spectra, both identity scans, the beta1 scan and both
+    counterexample regimes) is built from the assembled forms (A, B) of
+    a problem of ``spectra.PENCILS``: B is never a zero matrix."""
+    monkeypatch.setattr(spectra, "_PREFIX_CACHE", {})
+    monkeypatch.setattr(traceops, "_PENCIL_CACHE", {})
+    received = []
+    build = eigen.boundary_last_pencil
+
+    def recorded(a, b, interior, boundary):
+        received.append((a, b, len(boundary)))
+        return build(a, b, interior, boundary)
+
+    for module in (eigen, spectra, traceops, counterexample):
+        if getattr(module, "boundary_last_pencil", None) is build:
+            monkeypatch.setattr(module, "boundary_last_pencil", recorded)
+    mesh = ["--domain", "disk", "--refine", "2", "--run-root", str(tmp_path)]
+    commands = [["spectrum", "--problem", problem, "--count", "2"] for problem in spectra.PENCILS]
+    commands += [["identity-scan", "--kind", kind, "--points", "2"]
+                 for kind in ("liu", "friedlander")]
+    commands += [["beta1-scan", "--points", "2"],
+                 ["counterexample", "--lambda", "20"],
+                 ["counterexample", "--lambda", "7.5", "--trials", "5"]]
+    for argv in commands:
+        assert main([*argv, *mesh]) == 0, argv
+    forms = {problem: spectra.pencil_forms(spectra.pencil_pair(disk2, problem), problem)
+             for problem in spectra.PENCILS}
+    assert len(received) > len(commands)
+    assert any(n_boundary for *_, n_boundary in received)  # trace pencils among them
+    for a, b, _ in received:
+        assert b.nnz > 0
+        assert any(a is f_a and b is f_b for f_a, f_b in forms.values())
+
+
 def test_one_fill_order_per_pattern(disk2, monkeypatch):
     """The disk's Dirichlet and buckling pencils and the interiors of both
     trace pencils have one pattern, so they compute one order between
@@ -714,11 +772,12 @@ def test_fill_order_is_the_minimum_degree_order_of_the_pencil(mesh_name, problem
 @pytest.mark.parametrize("problem", ["dirichlet", "neumann", "buckling", "navier"])
 def test_vectors_and_lifts_over_the_pencil_rows_match_dense(disk2, problem, rng):
     """An eigenvector placed on the DOFs of the pencil's rows is the dense
-    ground state, and a lift returned in the order of its (shuffled)
-    interior list is the dense lift."""
+    ground state, and the lift of a pencil built on a shuffled half of
+    the free DOFs as interior, returned over its interior rows, is the
+    dense lift."""
     pair = spectra.pencil_pair(disk2, problem)
     w, v, rows = spectra.smallest_eigenpairs(pair, problem, 1)
-    a, b = sliced_forms(pair, problem)
+    a, b = (m.toarray() for m in sliced_forms(pair, problem))
     w_dense, v_dense = sym_gen_eigs(a, b, 2)
     assert w_dense[1] - w_dense[0] > 1e-3 * max(1.0, abs(w_dense[1]))  # a simple value
     u, u_dense = np.zeros(pair.dofmap.n_dofs), np.zeros(pair.dofmap.n_dofs)
@@ -727,13 +786,15 @@ def test_vectors_and_lifts_over_the_pencil_rows_match_dense(disk2, problem, rng)
     assert abs(w[0] - w_dense[0]) <= 1e-10 * max(1.0, abs(w_dense[0]))
     np.testing.assert_allclose(abs(u @ u_dense), u_dense @ u_dense, rtol=1e-8)
 
-    form = spectra.pencil_forms(pair, problem)[0]
+    forms = spectra.pencil_forms(pair, problem)
     free = spectra.free_dofs(pair, problem)
     interior = rng.permutation(free)[: len(free) // 2]
     boundary = np.setdiff1d(free, interior)
+    pencil = eigen.boundary_last_pencil(*forms, interior, boundary)
     psi = rng.standard_normal(len(boundary))
-    lifted = lift_to_interior(form + sp.eye_array(form.shape[0]), interior, boundary, psi)
-    expected = dense_lift(form + sp.eye_array(form.shape[0]), interior, boundary, psi)
+    lifted = schur_complement(pencil.at(-1.0)).lift(psi)  # A + B: positive definite
+    ni = pencil.n_interior
+    expected = dense_lift(forms[0] + forms[1], pencil.rows[:ni], pencil.rows[ni:], psi)
     np.testing.assert_allclose(lifted, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
 

@@ -111,6 +111,30 @@ def test_polygon_mesh_convex_fan():
         make_polygon_mesh(np.array([(0, 0), (1, 0), (1, 1), (0.9, 0.1)]))
 
 
+def test_polygon_mesh_refuses_negative_refinement():
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    assert make_polygon_mesh(square, refinement=0).n_triangles == 4
+    with pytest.raises(ValueError, match="refinement must be >= 0"):
+        make_polygon_mesh(square, refinement=-1)
+
+
+def test_non_finite_geometry_rejected():
+    """An infinite or NaN radius or side length raises ValueError, and
+    non-finite vertex coordinates and triangle areas that overflow raise
+    MeshError, never a mesh holding them or a numpy warning."""
+    for build in (lambda: make_disk_mesh(np.inf, 1), lambda: make_disk_mesh(np.nan, 1),
+                  lambda: make_rectangle_mesh(np.inf, 1.0, 2, 2),
+                  lambda: make_rectangle_mesh(1.0, np.nan, 2, 2)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build()
+    with pytest.raises(MeshError, match="non-finite vertex coordinates or triangle area"):
+        make_polygon_mesh(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, np.nan)]))
+    for build in (lambda: make_disk_mesh(1e300, 0), lambda: make_disk_mesh(1e300, 2),
+                  lambda: make_rectangle_mesh(1e300, 1e300, 2, 2)):
+        with pytest.raises(MeshError, match="non-finite vertex coordinates or triangle area"):
+            build()
+
+
 def test_size_guards():
     with pytest.raises(SizeLimitError):
         make_disk_mesh(1.0, 99)

@@ -10,14 +10,19 @@ each in a fresh process at one BLAS thread with its own run root, and
 every difference between the two trees' results: exit code, stdout
 (apart from the ``run_dir=`` line), stderr, each file of the run
 directory (the manifest apart from its ``started_utc`` and
-``finished_utc``) and the report. It exits 0 only when nothing differs.
-Standard library only.
+``finished_utc``) and the report. A CSV or ``.dat`` file that differs
+but has the same shape and the same non-numeric cells in both trees
+gets one more line, ``max relative difference X over N numeric cells``,
+so that digits that moved are measured, not eyeballed. It exits 0 only
+when nothing differs. Standard library only.
 """
 from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -92,8 +97,39 @@ def capture(src: Path, argv: list[str], workdir: Path) -> dict[str, list[str]]:
     return shown
 
 
+def _number(cell: str) -> float | None:
+    """The finite number a cell holds, or None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def numeric_difference(a: list[str], b: list[str]) -> str | None:
+    """``max relative difference X over N numeric cells`` of two tables
+    of comma- or whitespace-separated cells, or None unless they have the
+    same shape and the same non-numeric cells."""
+    rows_a, rows_b = ([re.split(r"[,\s]+", line.strip()) for line in t] for t in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return None
+    worst, count = 0.0, 0
+    for x, y in zip(sum(rows_a, []), sum(rows_b, [])):
+        u, v = _number(x), _number(y)
+        if u is None or v is None:
+            if x != y:
+                return None
+            continue
+        count += 1
+        if u != v:
+            worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    return f"max relative difference {worst:.3g} over {count} numeric cells"
+
+
 def differences(parent: dict[str, list[str]], change: dict[str, list[str]]) -> list[str]:
-    """One line per differing aspect, then its differing lines."""
+    """One line per differing aspect, then its measured numeric difference
+    (CSV and ``.dat`` files, see :func:`numeric_difference`) and its
+    differing lines."""
     lines = []
     for aspect in sorted(parent.keys() | change.keys()):
         a, b = parent.get(aspect), change.get(aspect)
@@ -103,6 +139,8 @@ def differences(parent: dict[str, list[str]], change: dict[str, list[str]]) -> l
             lines.append(f"  {aspect}: only in {'parent' if b is None else 'change'}")
             continue
         lines.append(f"  {aspect}:")
+        if aspect.endswith((".csv", ".dat")) and (measured := numeric_difference(a, b)):
+            lines.append(f"    {measured}")
         lines.extend("    " + d for d in difflib.unified_diff(
             a, b, "parent", "change", lineterm="", n=0))
     return lines
