@@ -179,25 +179,29 @@ def clamped_fields(pair: OperatorPair) -> ClampedFields:
     return lru_put(_FIELDS_CACHE, key, ClampedFields(u1, lambda1, h), spectra.CACHE_SIZE)
 
 
+def _require_zero_boundary(v: np.ndarray, pair: OperatorPair) -> None:
+    """Raise :class:`ConstraintViolationError` unless the field ``v``, or
+    every column of it, has zero boundary values."""
+    if np.any(np.abs(v[pair.dofmap.boundary_value_dofs()]) > BOUNDARY_VALUE_TOL):
+        raise ConstraintViolationError("trial field has nonzero boundary values")
+
+
+def _quotient(num: float, den: float) -> float:
+    """``num / den``, or for ``den`` at or below ``DENOMINATOR_FLOOR`` the
+    infinity of ``num``'s sign (0 for ``num`` 0)."""
+    if den <= DENOMINATOR_FLOOR:
+        return 0.0 if num == 0.0 else math.inf if num > 0 else -math.inf
+    return num / den
+
+
 def rayleigh_quotient(v: np.ndarray, lam: float, pair: OperatorPair,
                       eps: float | None = None) -> QuotientSample:
     """Evaluate the quotient at a field with zero boundary values."""
-    bval = pair.dofmap.boundary_value_dofs()
-    if len(bval) and np.max(np.abs(v[bval])) > BOUNDARY_VALUE_TOL:
-        raise ConstraintViolationError(
-            "trial field has nonzero boundary values"
-        )
+    _require_zero_boundary(v, pair)
     f = pair.fourth_order_matrix()
     num = float(v @ (f @ v) - lam * (v @ (pair.k_grad @ v)))
     den = float((pair.b_normal_diag * v) @ v)
-    if den <= DENOMINATOR_FLOOR:
-        if num == 0.0:
-            quot = 0.0
-        else:
-            quot = math.inf if num > 0 else -math.inf
-    else:
-        quot = num / den
-    return QuotientSample(eps, num, den, quot)
+    return QuotientSample(eps, num, den, _quotient(num, den))
 
 
 def divergence_sweep(pair: OperatorPair, lam: float, eps_list) -> DivergenceReport:
@@ -292,13 +296,14 @@ def bounded_below_check(
     # margin, so the clamped block Q_ii is positive definite
     beta1, v_min, residual = _trace_minimizer(pair, lam)
 
-    rng = np.random.default_rng(seed)
     navier_free = free_dofs(pair, "navier")
-    quotients: list[float] = []
-    for _ in range(trials):
-        v = np.zeros(pair.dofmap.n_dofs)
-        v[navier_free] = rng.standard_normal(len(navier_free))
-        quotients.append(rayleigh_quotient(v, lam, pair).quotient)
+    v = np.zeros((pair.dofmap.n_dofs, trials))
+    v[navier_free] = np.random.default_rng(seed).standard_normal((trials, len(navier_free))).T
+    _require_zero_boundary(v, pair)
+    num = (np.einsum("ij,ij->j", v, pair.fourth_order_matrix() @ v)
+           - lam * np.einsum("ij,ij->j", v, pair.k_grad @ v))
+    den = np.einsum("ij,ij,i->j", v, v, pair.b_normal_diag)
+    quotients = [_quotient(n, d) for n, d in zip(num.tolist(), den.tolist())]
     for e in (1e-1, 1e-2, 1e-3, 1e-4):
         quotients.append(rayleigh_quotient(u1 + e * h, lam, pair, eps=e).quotient)
 

@@ -23,8 +23,6 @@ MAX_REFINEMENT = 7
 #: triangle count guard for refine_mesh
 MAX_TRIANGLES = 8 * 4**MAX_REFINEMENT
 
-_NORMAL_TOL = 1e-12
-
 
 class _ContentIdentity:
     """Equality and hash by ``content_hash()``, as every cache keys."""

@@ -22,8 +22,8 @@ energy is infinite but quadrature-finite, which wrecks convergence of
 the fourth-order eigenvalues.)
 
 Every eigensolve goes through :meth:`CapOperators.smallest`, the one
-call of the dense generalized eigensolver here. The merge of the
-second-order spectra over modes 0..modes stops before mode m >= 2 once,
+call of the dense eigensolver here, on an inverted pencil. The merge of
+the second-order spectra over modes 0..modes stops before mode m >= 2 once,
 for every boundary condition asked for, the k-th merged value so far is
 at most the smallest value of mode m - 1. That is exact (Courant-Fischer):
 for m >= 1 the free DOFs are the same, M_m does not depend on m and
@@ -52,7 +52,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import scatter_dense
-from .eigen import sym_gen_eigs
+from .eigen import _require_symmetric
 from .errors import BucklabError, SpectrumRangeError
 from .mesh import RadialGrid, make_radial_grid
 from .quadrature import gauss_on_interval
@@ -63,6 +63,7 @@ GAUSS_POINTS = 6
 DEFAULT_MODES = 4
 DEFAULT_NODES = 64
 CAUCHY_TOL = 0.01
+SHIFT = -1.0  # of every inverted pencil: below every cap spectrum (all are >= 0)
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,22 @@ class CapOperators:
             drop.append(self.pole_derivative_dof())
         return np.setdiff1d(np.arange(self.n_dofs), drop)
 
-    def smallest(self, bc: str, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(values, vectors, free)``: the k smallest eigenpairs (fewer
-        when there are fewer free DOFs) of the pencil (A_m, K_m) for
-        ``bc="clamped"``, (K_m, M_m) otherwise, restricted to
-        ``free = free_dofs(bc)``; vectors are columns over ``free``."""
+    def smallest(self, bc: str, k: int) -> np.ndarray:
+        """The k smallest eigenvalues (fewer when there are fewer free DOFs)
+        of (A, B) = (A_m, K_m) for ``bc="clamped"``, (K_m, M_m) otherwise,
+        on ``free_dofs(bc)``: ``SHIFT + 1 / theta`` for the k largest theta
+        of (B, A - SHIFT B), dense shift-invert (Ericsson & Ruhe 1980). A
+        solve of (A, B) would reduce through a Cholesky factor of the graded
+        B, which measures every value's error against the largest one."""
         free = self.free_dofs(bc)
         a, b = (self.a_m, self.k_m) if bc == "clamped" else (self.k_m, self.m_m)
-        w, x = sym_gen_eigs(_restrict(a, free), _restrict(b, free), min(k, len(free)))
-        return w, x, free
+        a, b = _require_symmetric(_restrict(a, free), "A"), _require_symmetric(_restrict(b, free), "B")
+        try:  # .T: the same symmetric matrix, in the column order LAPACK takes uncopied
+            theta = sla.eigh(b, (a - SHIFT * b).T, overwrite_b=True, eigvals_only=True,
+                             subset_by_index=[max(len(b) - k, 0), len(b) - 1])
+        except sla.LinAlgError as exc:
+            raise BucklabError(f"A - SHIFT B is not positive definite: {exc}") from exc
+        return SHIFT + 1.0 / theta[::-1]
 
 
 def _restrict(a: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -273,7 +281,7 @@ def _merged_spectra(grid: RadialGrid, bcs: tuple[str, ...], modes: int, k: int) 
         ops = _mode_operators(tables, m)
         for bc in bcs:
             # each mode contributes at most k of the smallest k merged
-            w, _, _ = ops.smallest(bc, k)
+            w = ops.smallest(bc, k)
             lowest[bc] = float(w[0])
             vals[bc].extend(float(x) for x in w for _ in range(1 if m == 0 else 2))
     count = min(len(v) for v in vals.values())
@@ -326,7 +334,7 @@ def _buckling_lambda1(grid: RadialGrid, modes: int) -> float:
     for m in range(modes + 1):
         ops = _mode_operators(tables, m)
         if m == 0 or not _clamped_above(ops, lam):
-            lam = min(lam, float(ops.smallest("clamped", 1)[0][0]))
+            lam = min(lam, float(ops.smallest("clamped", 1)[0]))
             solved += 1
     tally("clamped_modes", solved=solved, ruled_out=modes + 1 - solved)
     return lam

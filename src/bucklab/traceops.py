@@ -128,14 +128,6 @@ def _excluded_values(
     return outer_vals, inner_vals, np.concatenate([inner_vals, outer_vals])
 
 
-def _scan_values(mesh: Mesh, kind: str, grid) -> np.ndarray:
-    """The excluded values of :func:`_excluded_values` past every lambda
-    a scan of ``grid`` may try (one step beyond the last nudge of each
-    grid point), so that the cache serves every point's prefixes."""
-    upto = max((_reach(lam, NUDGE_STEPS + 1) for lam in grid), default=0.0)
-    return _excluded_values(mesh, kind, upto)[2]
-
-
 def _nearest(lam: float, excluded: np.ndarray) -> float:
     """The excluded value closest to ``lam``."""
     return float(excluded[np.argmin(np.abs(excluded - lam))])
@@ -178,11 +170,11 @@ def trace_pencil(mesh: Mesh, kind: str) -> TracePencil:
     content hash and identity; the :data:`~bucklab.spectra.CACHE_SIZE`
     most recently used ones are kept."""
     _, outer, inner = _identity(kind)
-    pair = pencil_pair(mesh, outer)
     key = (mesh.content_hash(), kind)
     pencil = lru_get(_PENCIL_CACHE, key, "trace_pencils")
     if pencil is not None:
         return pencil
+    pair = pencil_pair(mesh, outer)
     interior = free_dofs(pair, inner)
     boundary = np.setdiff1d(free_dofs(pair, outer), interior, assume_unique=True)
     form = boundary_last_pencil(*pencil_forms(pair, outer), interior, boundary)
@@ -267,29 +259,36 @@ def _nudge(lam: float, excluded: np.ndarray) -> tuple[float, bool]:
     raise ExcludedSpectrumError(lam, _nearest(lam, excluded), margin, MARGIN)
 
 
+def _scan(mesh: Mesh, kind: str, lam_grid, threads: int, record) -> SweepResult:
+    """:func:`~bucklab.runio.run_sweep` over ``lam_grid``. Each point is
+    nudged to a ``lam`` clear of the excluded values of identity ``kind``
+    and recorded as ``lambda``, ``record(lam)``, then ``nudged``. The
+    excluded values are read once, past every lambda a point may try (one
+    step beyond the last nudge of each grid point), so that the cache
+    serves every point's prefixes."""
+    retain_factor_workspace()
+    upto = max((_reach(lam, NUDGE_STEPS + 1) for lam in lam_grid), default=0.0)
+    excluded = _excluded_values(mesh, kind, upto)[2]
+
+    def one(lam: float) -> dict:
+        lam, nudged = _nudge(lam, excluded)
+        return {"lambda": lam, **record(lam), "nudged": nudged}
+
+    return run_sweep(lam_grid, one, threads, _SKIPPED)
+
+
 def scan_identities(mesh: Mesh, kind: str, lam_grid, threads: int = 1) -> SweepResult:
     """One :func:`verify_identity` report per grid point, with automatic
     nudging away from the excluded spectra; unplaceable points are
     skipped and recorded, as are points whose factor fails a check.
     Summary flag ``all_hold`` covers the non-skipped points, and is None
     when there are none."""
-    retain_factor_workspace()
-    excluded = _scan_values(mesh, kind, lam_grid)
+    def one(lam: float) -> dict:
+        rep = verify_identity(mesh, kind, lam)
+        return {"neg_count": rep.neg_count, "lhs": rep.lhs_counting, "rhs": rep.rhs_counting,
+                "holds": rep.identity_holds, "margin": rep.margin}
 
-    def one(lam: float):
-        lam_used, nudged = _nudge(lam, excluded)
-        rep = verify_identity(mesh, kind, lam_used)
-        return {
-            "lambda": rep.lam,
-            "neg_count": rep.neg_count,
-            "lhs": rep.lhs_counting,
-            "rhs": rep.rhs_counting,
-            "holds": rep.identity_holds,
-            "margin": rep.margin,
-            "nudged": nudged,
-        }
-
-    result = run_sweep(lam_grid, one, threads, _SKIPPED)
+    result = _scan(mesh, kind, lam_grid, threads, one)
     records = result.records
     result.summary["all_hold"] = all(r["holds"] for r in records) if records else None
     return result
@@ -300,21 +299,11 @@ def scan_beta1(mesh: Mesh, lam_grid, threads: int = 1) -> SweepResult:
     (:func:`trace_operator`) over a parameter grid, with the same nudging
     and skipping discipline; each margin is from the buckling spectrum
     alone."""
-    retain_factor_workspace()
-    excluded = _scan_values(mesh, "liu", lam_grid)
-
-    def one(lam: float):
-        lam_used, nudged = _nudge(lam, excluded)
-        t = trace_operator(mesh, "liu", lam_used)
+    def one(lam: float) -> dict:
+        t = trace_operator(mesh, "liu", lam)
         _, beta1, neg = trace_spectrum(t, 1)
-        return {
-            "lambda": lam_used,
-            "beta1": beta1,
-            "neg_count": neg,
-            "margin": t.margin,
-            "nudged": nudged,
-        }
+        return {"beta1": beta1, "neg_count": neg, "margin": t.margin}
 
-    result = run_sweep(lam_grid, one, threads, _SKIPPED)
+    result = _scan(mesh, "liu", lam_grid, threads, one)
     result.summary["n_negative"] = sum(1 for r in result.records if r["beta1"] < 0)
     return result

@@ -5,7 +5,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from bucklab import make_radial_grid
 from bucklab.eigen import ZERO_TOL
 from bucklab.spectra import PENCILS, free_dofs, pencil_pair
 from bucklab.spherecap import cap_operators
@@ -119,7 +118,7 @@ def full_cap_merge(grid, bc: str, modes: int, k: int) -> np.ndarray:
     mode left out."""
     vals = []
     for m in range(modes + 1):
-        w = cap_operators(grid, m, "second").smallest(bc, k)[0]
+        w = cap_operators(grid, m, "second").smallest(bc, k)
         vals.extend(float(x) for x in w for _ in range(1 if m == 0 else 2))
     return np.array(sorted(vals)[:k])
 
@@ -128,44 +127,9 @@ def full_cap_buckling(grid, modes: int) -> float:
     """The smallest clamped punctured-sphere buckling value on ``grid``
     over the azimuthal modes 0..modes, every mode solved."""
     return min(
-        float(cap_operators(grid, m, "fourth").smallest("clamped", 1)[0][0])
+        float(cap_operators(grid, m, "fourth").smallest("clamped", 1)[0])
         for m in range(modes + 1)
     )
-
-
-def cap_buckling_lambda1_via_modes(eps: float, modes: int, n_nodes: int = 128,
-                                   n_basis: int = 40, grading: str = "geometric") -> float:
-    """Cross-check of the smallest clamped cap buckling value through the
-    second-order discretization: a Galerkin solve in the basis of cap
-    Dirichlet eigenfunctions constrained to a vanishing colatitude
-    derivative at the cap edge.
-
-    In that basis the bending and gradient forms are diagonal in the
-    eigenvalues, so only the edge-derivative constraint couples modes.
-    Converges to the clamped value from above as the basis grows.
-    """
-    best = np.inf
-    grid = make_radial_grid(eps, n_nodes, grading)
-    h0 = grid.nodes[1] - grid.nodes[0]
-    for m in range(modes + 1):
-        ops = cap_operators(grid, m, "second")
-        w, x, free = ops.smallest("dirichlet", n_basis)
-        nb = len(w)
-        full = np.zeros((ops.n_dofs, nb))
-        full[free] = x
-        # quadratic-element derivative at theta=eps from the first element
-        deriv = (-3.0 / h0) * full[0] + (4.0 / h0) * full[1] + (-1.0 / h0) * full[2]
-        norm = deriv @ deriv
-        if norm == 0.0:
-            continue
-        proj = np.eye(nb) - np.outer(deriv, deriv) / norm
-        q, _ = np.linalg.qr(proj)
-        z = q[:, : nb - 1]
-        a_red = z.T @ np.diag(w**2) @ z
-        k_red = z.T @ np.diag(w) @ z
-        ww = sla.eigh(a_red, k_red, eigvals_only=True, subset_by_index=[0, 0])
-        best = min(best, float(ww[0]))
-    return best
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:

@@ -179,6 +179,31 @@ def test_bounded_regime_lift_on_dense_path(disk3_pair, refuse_every_factor):
     assert after["check_failed"] - before["check_failed"] == 1
 
 
+def test_bounded_trials_are_the_per_trial_quotients(disk3_pair, monkeypatch):
+    """The bounded regime draws its trial fields as one block from the
+    stream of per-trial draws, and each column's numerator and
+    denominator are those of :func:`rayleigh_quotient` at that trial's
+    field, up to summation order."""
+    seen, quotient = [], counterexample._quotient
+
+    def spy(num, den):
+        seen.append((num, den))
+        return quotient(num, den)
+
+    monkeypatch.setattr(counterexample, "_quotient", spy)
+    trials, lam = 20, 10.0
+    bounded_below_check(disk3_pair, lam, trials, seed=3)
+    block = seen[:trials]
+    rng = np.random.default_rng(3)
+    free = spectra.free_dofs(disk3_pair, "navier")
+    for num, den in block:
+        v = np.zeros(disk3_pair.dofmap.n_dofs)
+        v[free] = rng.standard_normal(len(free))
+        ref = rayleigh_quotient(v, lam, disk3_pair)
+        assert num == pytest.approx(ref.numerator, rel=1e-12)
+        assert den == pytest.approx(ref.denominator, rel=1e-12)
+
+
 def test_bounded_below_vacuous_trials(disk3_pair):
     report = bounded_below_check(disk3_pair, 2.0, 0)
     assert report.passed

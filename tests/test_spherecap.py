@@ -16,12 +16,12 @@ from bucklab import spherecap
 from bucklab.quadrature import gauss_on_interval
 from bucklab.runio import tallies
 
-from oracles import cap_buckling_lambda1_via_modes, full_cap_buckling, full_cap_merge
+from oracles import full_cap_buckling, full_cap_merge
 
 
 def mode_eigs(eps, m, n, bc, k, order="second"):
     grid = make_radial_grid(eps, n, "geometric")
-    return cap_operators(grid, m, order).smallest(bc, k)[0]
+    return cap_operators(grid, m, order).smallest(bc, k)
 
 
 def test_closed_sphere_limit_mode0():
@@ -203,22 +203,43 @@ def test_buckling_mesh_cauchy_and_above_dirichlet():
     assert fine > lam1
 
 
-def test_buckling_cross_discretization_hemisphere():
-    direct = cap_buckling_lambda1(np.pi / 2 - 1e-9, modes=2, n_nodes=128)
-    via_modes = cap_buckling_lambda1_via_modes(np.pi / 2 - 1e-9, modes=2)
-    assert abs(direct - via_modes) / direct < 0.02
+@pytest.mark.parametrize("eps, exact, tol", [
+    # the exact Legendre-function values (ROADMAP item 9, mpmath)
+    (0.1, (0.19239302072912, 2.0147152385468, 1.9849660194049, 2.0147152385468), 1e-9),
+    # the hemisphere: Dirichlet 2 (mode 0) and 6 (mode 1), Neumann 2
+    # (mode 1), and Lambda1 the mode-1 Dirichlet value
+    (np.pi / 2 - 1e-9, (2.0, 6.0, 2.0, 6.0), 1e-8),
+])
+def test_scan_values_exact_to_the_discretization(eps, exact, tol):
+    """At 256 nodes a scan point's four values are the exact ones to the
+    discretization error: the inverted pencil loses no digits to the
+    graded forms."""
+    (rec,) = cap_scan([eps], n_nodes=256).records
+    for key, value in zip(("lambda1", "lambda2", "mu2", "Lambda1"), exact):
+        assert abs(rec[key] - value) <= tol * value, key
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1, 0.5, 1.0, np.pi / 2 - 1e-9])
+@pytest.mark.parametrize("nodes", [16, 64, 256])
+def test_mode0_clamped_value_is_the_mode1_dirichlet_value(eps, nodes):
+    """With w = u', the clamped mode-0 pencil on cubic Hermite u is the
+    mode-1 Dirichlet pencil on quadratic Lagrange w, up to quadrature:
+    Lambda1^(0) = lambda^(1)_(D,1)."""
+    clamped = mode_eigs(eps, 0, nodes, "clamped", 1, order="fourth")[0]
+    dirichlet = mode_eigs(eps, 1, nodes, "dirichlet", 1)[0]
+    assert abs(clamped - dirichlet) <= 1e-9 * dirichlet
 
 
 def test_scan_point_one_grid_per_resolution_one_solve_site(monkeypatch):
     """A scan point builds one grid at ``nodes`` and one at ``2 * nodes``
     intervals, and solves on each the Dirichlet and Neumann pencils of
     modes 0 and 1 (no later mode can enter the two smallest merged
-    values) and the clamped pencil of mode 0, every solve through
-    CapOperators.smallest; one Cholesky factorization per grid rules out
-    each later clamped mode. Each grid's basis tables are built once per
+    values) and the clamped pencil of mode 0, every solve one dense
+    eigensolver call in CapOperators.smallest; one Cholesky
+    factorization per grid rules out each later clamped mode. Each grid's basis tables are built once per
     element family."""
     modes, grids, solves = 3, [], {"smallest": 0, "inside": 0, "all": 0}
-    make_grid, solve, smallest = (spherecap.make_radial_grid, spherecap.sym_gen_eigs,
+    make_grid, solve, smallest = (spherecap.make_radial_grid, spherecap.sla.eigh,
                                   spherecap.CapOperators.smallest)
     tables, cholesky = [], []
     basis_tables, clamped_above = spherecap._basis_tables, spherecap._clamped_above
@@ -227,9 +248,9 @@ def test_scan_point_one_grid_per_resolution_one_solve_site(monkeypatch):
         grids.append(n)
         return make_grid(eps, n, grading)
 
-    def counted_solve(*args):
+    def counted_solve(*args, **kwargs):
         solves["all"] += 1
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     def counted_smallest(self, bc, k):
         solves["smallest"] += 1
@@ -248,7 +269,7 @@ def test_scan_point_one_grid_per_resolution_one_solve_site(monkeypatch):
         return out
 
     monkeypatch.setattr(spherecap, "make_radial_grid", counted_grid)
-    monkeypatch.setattr(spherecap, "sym_gen_eigs", counted_solve)
+    monkeypatch.setattr(spherecap.sla, "eigh", counted_solve)
     monkeypatch.setattr(spherecap.CapOperators, "smallest", counted_smallest)
     monkeypatch.setattr(spherecap, "_basis_tables", counted_tables)
     monkeypatch.setattr(spherecap, "_clamped_above", counted_cholesky)

@@ -186,7 +186,7 @@ def test_scan_points_are_verify_identity_on_cached_prefixes(disk2, kind):
     inner = _IDENTITIES[kind][2]
     on_value = float(pencil_eigenvalues(disk2, inner, upto=0.0)[0])
     grid = np.append(np.linspace(0.5, 60.0, 6), on_value)
-    traceops._scan_values(disk2, kind, grid)
+    scan_identities(disk2, kind, grid)  # caches the prefixes
     before = tallies()["solver"]
     result = scan_identities(disk2, kind, grid)
     after = tallies()["solver"]
@@ -432,6 +432,18 @@ def test_pencil_cache_keys(disk2, monkeypatch):
     assert other is not liu
     assert len(traceops._PENCIL_CACHE) == 3
     assert not np.array_equal(other.form.a_data, liu.form.a_data)
+
+
+@pytest.mark.parametrize("kind", ["friedlander", "liu"])
+def test_trace_pencil_hit_looks_up_no_pair(disk2, kind):
+    """A repeated ``trace_pencil`` is one hit of ``caches.trace_pencils``
+    and no lookup of ``caches.pairs``: only a miss needs the pair."""
+    pencil = trace_pencil(disk2, kind)
+    start = tallies()
+    assert trace_pencil(disk2, kind) is pencil
+    caches = tallies(since=start)["caches"]
+    assert caches["trace_pencils"] == {"hits": 1, "misses": 0}
+    assert caches["pairs"] == {"hits": 0, "misses": 0}
 
 
 def test_pencil_cache_keeps_the_most_recently_used(disk2, monkeypatch):
